@@ -13,14 +13,23 @@ The groups are handled as free modules on named generators:
   target moduli spaces of the trace and reduced-trace curve; these are
   index-bounded but never stored densely.
 
-Generators are plain strings so that they serialize unchanged.
+Generators are plain strings so that they serialize unchanged.  The
+generator sets of the three finite bases are built once per (kind, k)
+and kept in a module-level ``lru_cache``, so membership is a set lookup.
+
+A coefficient is stored as a plain ``Fraction`` unless it carries one of
+the external symbols c_j, b_j; only then is it an :class:`AffineExpr`.
+Those symbols enter through a handful of push-forward rows, so nearly
+all arithmetic stays on ``Fraction`` and an expression is built only
+where an operand already is one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from functools import lru_cache
+from typing import Iterator, Mapping, Union
 
 from .core import AffineExpr, AffineLike, as_affine
 
@@ -48,6 +57,8 @@ MG_PRIME = "MgPrime"
 MG_HAT = "MgHat"
 
 _KINDS = (HURWITZ, MG, M0B_SYM, MG_PRIME, MG_HAT)
+# bases small enough to enumerate; MgPrime and MgHat are tested by index
+_FINITE_KINDS = (HURWITZ, MG, M0B_SYM)
 
 E0 = "E0"
 E2 = "E2"
@@ -119,25 +130,8 @@ class Basis:
 
     def contains(self, name: str) -> bool:
         k = self.k
-        if self.kind == HURWITZ:
-            if name == E0:
-                return True
-            if name == E2:
-                return k >= 3
-            if name == E3:
-                return k >= 2
-            jc = _parse_ejc(name)
-            return jc is not None and 1 <= jc[0] <= k and 0 <= jc[1] <= jc[0] // 2
-        if self.kind == MG:
-            if name == LAMBDA:
-                return True
-            j = _suffix_index(name, "delta_")
-            return j is not None and 0 <= j <= k
-        if self.kind == M0B_SYM:
-            if name == T2:
-                return True
-            j = _suffix_index(name, "T3j_")
-            return j is not None and 1 <= j <= k
+        if self.kind in _FINITE_KINDS:
+            return name in _generator_set(self.kind, k)
         if self.kind == MG_PRIME:
             if name == LAMBDA_PRIME:
                 return True
@@ -210,6 +204,11 @@ class Basis:
                 yield delta_hat(j)
 
 
+@lru_cache(maxsize=None)
+def _generator_set(kind: str, k: int) -> frozenset[str]:
+    return frozenset(Basis(kind, k).generators())
+
+
 def hurwitz_basis(k: int) -> Basis:
     return Basis(HURWITZ, k)
 
@@ -230,30 +229,49 @@ def mg_hat_basis(k: int) -> Basis:
     return Basis(MG_HAT, k)
 
 
-class DivisorClass:
-    """A sparse divisor class: a finite sum of generators of one basis
-    with :class:`AffineExpr` coefficients.
+Coefficient = Union[Fraction, AffineExpr]
 
-    Zero coefficients are never stored, so two classes are equal exactly
-    when their coefficient maps agree.  Instances are immutable.
+
+def _canonical(value: AffineLike) -> Coefficient:
+    """The one stored form of a coefficient: a ``Fraction``, unless the
+    value carries a symbol and so stays an :class:`AffineExpr`."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, AffineExpr):
+        return value.const if value.is_constant() else value
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"cannot interpret {type(value).__name__} as a coefficient")
+
+
+class DivisorClass:
+    """A sparse divisor class: a finite sum of generators of one basis.
+
+    Each coefficient is stored as a ``Fraction``, or as an
+    :class:`AffineExpr` when it carries an external symbol; a constant
+    expression is always stored as its ``Fraction``.  The accessors
+    :meth:`coefficient` and :meth:`items` return :class:`AffineExpr`
+    whatever the stored form.  Zero coefficients are never stored, so
+    two classes are equal exactly when their coefficient maps agree.
+    Instances are immutable.
     """
 
     __slots__ = ("basis", "_coeffs")
 
     def __init__(self, basis: Basis, coeffs: Mapping[str, AffineLike] | None = None):
         self.basis = basis
-        cleaned: dict[str, AffineExpr] = {}
+        cleaned: dict[str, Coefficient] = {}
         if coeffs:
             for name, value in coeffs.items():
                 basis.check(name)
-                value = as_affine(value)
+                value = _canonical(value)
                 if value:
                     cleaned[name] = value
         self._coeffs = cleaned
 
     @classmethod
-    def _raw(cls, basis: Basis, coeffs: dict[str, AffineExpr]) -> "DivisorClass":
-        # internal: coefficients already validated, nonzero AffineExprs
+    def _raw(cls, basis: Basis, coeffs: dict[str, Coefficient]) -> "DivisorClass":
+        # internal: generators already validated, values nonzero and canonical
         obj = cls.__new__(cls)
         obj.basis = basis
         obj._coeffs = coeffs
@@ -261,27 +279,31 @@ class DivisorClass:
 
     def coefficient(self, name: str) -> AffineExpr:
         self.basis.check(name)
-        return self._coeffs.get(name, AffineExpr(0))
+        return as_affine(self._coeffs.get(name, 0))
 
     def support(self) -> list[str]:
         return sorted(self._coeffs, key=self.basis.sort_index)
 
     def items(self) -> list[tuple[str, AffineExpr]]:
-        return [(name, self._coeffs[name]) for name in self.support()]
+        return [(name, as_affine(self._coeffs[name])) for name in self.support()]
 
     def is_zero(self) -> bool:
         return not self._coeffs
 
     def map_coefficients(self, fn) -> "DivisorClass":
-        mapped: dict[str, AffineExpr] = {}
+        """Apply ``fn`` to each stored coefficient (a ``Fraction`` or a
+        symbolic :class:`AffineExpr`) and keep the nonzero results."""
+        mapped: dict[str, Coefficient] = {}
         for name, value in self._coeffs.items():
-            value = fn(value)
+            value = _canonical(fn(value))
             if value:
                 mapped[name] = value
         return DivisorClass._raw(self.basis, mapped)
 
     def substitute(self, values) -> "DivisorClass":
-        return self.map_coefficients(lambda e: e.substitute(values))
+        return self.map_coefficients(
+            lambda e: e.substitute(values) if isinstance(e, AffineExpr) else e
+        )
 
     def _require_same_basis(self, other: "DivisorClass") -> None:
         if self.basis != other.basis:
@@ -296,10 +318,13 @@ class DivisorClass:
         coeffs = dict(self._coeffs)
         for name, value in other._coeffs.items():
             present = coeffs.get(name)
-            total = value if present is None else present + value
+            if present is None:
+                coeffs[name] = value
+                continue
+            total = _canonical(present + value)
             if total:
                 coeffs[name] = total
-            elif present is not None:
+            else:
                 del coeffs[name]
         return DivisorClass._raw(self.basis, coeffs)
 
@@ -312,13 +337,15 @@ class DivisorClass:
         return self.map_coefficients(lambda e: -e)
 
     def __mul__(self, scalar: AffineLike) -> "DivisorClass":
-        scalar = as_affine(scalar)
+        scalar = _canonical(scalar)
         return self.map_coefficients(lambda e: e * scalar)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: AffineLike) -> "DivisorClass":
-        scalar = as_affine(scalar)
+        scalar = as_affine(scalar).constant_value()
+        if scalar == 0:
+            raise ZeroDivisionError("division of a divisor class by zero")
         return self.map_coefficients(lambda e: e / scalar)
 
     def __eq__(self, other) -> bool:
@@ -371,19 +398,29 @@ class ClassMap:
             raise BasisMismatchError(
                 f"class over {d.basis} cannot be fed to a map from {self.source}"
             )
-        accumulated: dict[str, AffineExpr] = {}
-        for name, value in d.items():
-            row = self.rows.get(name)
+        # symbol-free and symbolic contributions are summed apart, so a
+        # target that picks up one symbolic term is promoted only once
+        plain: dict[str, Fraction] = {}
+        symbolic: dict[str, AffineExpr] = {}
+        rows = self.rows
+        for name, value in d._coeffs.items():
+            row = rows.get(name)
             if row is None:
                 continue
             for target_name, row_value in row._coeffs.items():
                 term = row_value * value
-                present = accumulated.get(target_name)
-                total = term if present is None else present + term
-                if total:
-                    accumulated[target_name] = total
-                elif present is not None:
-                    del accumulated[target_name]
+                sums = plain if type(term) is Fraction else symbolic
+                present = sums.get(target_name)
+                sums[target_name] = term if present is None else present + term
+        accumulated: dict[str, Coefficient] = {}
+        for target_name, total in symbolic.items():
+            constant = plain.pop(target_name, None)
+            total = _canonical(total if constant is None else total + constant)
+            if total:
+                accumulated[target_name] = total
+        for target_name, total in plain.items():
+            if total:
+                accumulated[target_name] = total
         return DivisorClass._raw(self.target, accumulated)
 
     def compose(self, inner: "ClassMap") -> "ClassMap":

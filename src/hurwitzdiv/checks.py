@@ -139,20 +139,22 @@ def _check_grr_assembly(k: int, externals) -> Iterator[CheckResult]:
 
 def _check_hodge_closed_forms(k: int, externals) -> Iterator[CheckResult]:
     def body() -> None:
+        twelve_lambda = 12 * trace.phi_pull_lambda(k)
+        twelve_lambda_hat = 12 * trace.phihat_pull_lambda(k)
         _require(
-            12 * trace.phi_pull_lambda(k) == trace.twelve_lambda_trace_closed(k),
+            twelve_lambda == trace.twelve_lambda_trace_closed(k),
             "trace Hodge pullback differs from its closed form",
         )
         _require(
-            12 * trace.phihat_pull_lambda(k) == trace.twelve_lambda_reduced_closed(k),
+            twelve_lambda_hat == trace.twelve_lambda_reduced_closed(k),
             "reduced Hodge pullback differs from its closed form",
         )
         _require(
-            12 * trace.phi_pull_lambda(k) - trace.delta_tau(k) == trace.omega_tau_sq(k),
+            twelve_lambda - trace.delta_tau(k) == trace.omega_tau_sq(k),
             "trace Hodge assembly identity",
         )
         _require(
-            12 * trace.phihat_pull_lambda(k) - trace.delta_s(k) == trace.s_omega_sq(k),
+            twelve_lambda_hat - trace.delta_s(k) == trace.s_omega_sq(k),
             "reduced Hodge assembly identity",
         )
 

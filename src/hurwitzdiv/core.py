@@ -4,7 +4,10 @@ affine-linear symbolic expressions in the external coefficients c_j, b_j.
 Every value is immutable and every operation is exact; no floating point
 is used anywhere in the package.  Rationals are ``fractions.Fraction``,
 which already keeps gcd-reduced canonical form with a positive
-denominator and arbitrary-precision integer parts.
+denominator and arbitrary-precision integer parts.  An
+:class:`AffineExpr` is needed only where a value carries a symbol; it
+mixes freely with ``int`` and ``Fraction`` operands, and a constant
+expression compares and hashes equal to its ``Fraction`` value.
 """
 
 from __future__ import annotations
@@ -88,11 +91,12 @@ class AffineExpr:
         const: RationalLike = 0,
         terms: Mapping[ExtSymbol, RationalLike] | None = None,
     ):
-        self._const = Fraction(const)
+        self._const = const if type(const) is Fraction else Fraction(const)
         cleaned: dict[ExtSymbol, Fraction] = {}
         if terms:
             for sym, coef in terms.items():
-                coef = Fraction(coef)
+                if type(coef) is not Fraction:
+                    coef = Fraction(coef)
                 if coef:
                     cleaned[sym] = coef
         self._terms = cleaned
@@ -128,7 +132,10 @@ class AffineExpr:
         return AffineExpr(const, terms)
 
     def __add__(self, other) -> "AffineExpr":
-        other = as_affine(other)
+        if isinstance(other, (int, Fraction)):
+            return AffineExpr(self._const + other, self._terms)
+        if not isinstance(other, AffineExpr):
+            return NotImplemented
         terms = dict(self._terms)
         for sym, coef in other._terms.items():
             terms[sym] = terms.get(sym, Fraction(0)) + coef
@@ -140,20 +147,28 @@ class AffineExpr:
         return AffineExpr(-self._const, {s: -c for s, c in self._terms.items()})
 
     def __sub__(self, other) -> "AffineExpr":
-        return self + (-as_affine(other))
+        if isinstance(other, (int, Fraction)):
+            return AffineExpr(self._const - other, self._terms)
+        if not isinstance(other, AffineExpr):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other) -> "AffineExpr":
-        return as_affine(other) + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "AffineExpr":
-        other = as_affine(other)
-        if self._terms and other._terms:
+        if isinstance(other, (int, Fraction)):
+            scalar = other
+        elif not isinstance(other, AffineExpr):
+            return NotImplemented
+        elif self._terms and other._terms:
             raise ValueError(
                 "product of two non-constant affine expressions is not affine"
             )
-        if other._terms:
-            self, other = other, self
-        scalar = other._const
+        else:
+            if other._terms:
+                self, other = other, self
+            scalar = other._const
         return AffineExpr(
             self._const * scalar, {s: c * scalar for s, c in self._terms.items()}
         )
@@ -161,8 +176,12 @@ class AffineExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "AffineExpr":
-        other = as_affine(other)
-        scalar = other.constant_value()
+        if isinstance(other, (int, Fraction)):
+            scalar = other
+        elif not isinstance(other, AffineExpr):
+            return NotImplemented
+        else:
+            scalar = other.constant_value()
         if scalar == 0:
             raise ZeroDivisionError("division of affine expression by zero")
         return AffineExpr(
@@ -174,12 +193,15 @@ class AffineExpr:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = AffineExpr(other)
+            return not self._terms and self._const == other
         if not isinstance(other, AffineExpr):
             return NotImplemented
         return self._const == other._const and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant expression equals its Fraction, so it must hash alike
+        if not self._terms:
+            return hash(self._const)
         return hash((self._const, frozenset(self._terms.items())))
 
     def __str__(self) -> str:

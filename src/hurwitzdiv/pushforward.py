@@ -32,7 +32,7 @@ from .bases import (
     hurwitz_basis,
     mg_basis,
 )
-from .core import AffineExpr, ExtSymbol, b_sym, c_sym
+from .core import AffineExpr, AffineLike, ExtSymbol, b_sym, c_sym
 from .m0b import kappa_class
 from .trace import (
     alpha_coeff,
@@ -120,9 +120,9 @@ def p_push(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
     }
     if k >= 3:
         lead = Fraction(k - 2, 2 * k - 1) * n
-        coeffs: dict[str, AffineExpr] = {
-            LAMBDA: AffineExpr(lead * (18 * k * k + 51 * k - 9)),
-            delta(0): AffineExpr(-lead * (3 * k * k + 4 * k - 1)),
+        coeffs: dict[str, AffineLike] = {
+            LAMBDA: lead * (18 * k * k + 51 * k - 9),
+            delta(0): -lead * (3 * k * k + 4 * k - 1),
         }
         for j in range(1, k + 1):
             coeffs[delta(j)] = AffineExpr(0, {c_sym(j): Fraction(1, 2)})
@@ -130,8 +130,8 @@ def p_push(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
     if k >= 2:
         lead = Fraction(3, 2 * (2 * k - 1)) * n
         coeffs = {
-            LAMBDA: AffineExpr(lead * (12 * k * k + 46 * k - 8)),
-            delta(0): AffineExpr(-lead * (2 * k * k + 4 * k - 1)),
+            LAMBDA: lead * (12 * k * k + 46 * k - 8),
+            delta(0): -lead * (2 * k * k + 4 * k - 1),
         }
         for j in range(1, k + 1):
             coeffs[delta(j)] = AffineExpr(0, {b_sym(j): -lead})
@@ -265,9 +265,9 @@ def p_q_map(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
     n = catalan_number(k)
     mg = mg_basis(k)
     lead = Fraction(k * (6 * k - 1), 2 * k - 1) * n
-    t2_coeffs: dict[str, AffineExpr] = {
-        LAMBDA: AffineExpr(lead * 3 * (2 * k + 5)),
-        delta(0): AffineExpr(-lead * (k + 1)),
+    t2_coeffs: dict[str, AffineLike] = {
+        LAMBDA: lead * 3 * (2 * k + 5),
+        delta(0): -lead * (k + 1),
     }
     b3_weight = Fraction(9, 4 * k - 2) * n
     for j in range(1, k + 1):
@@ -329,10 +329,10 @@ def eh_divisor(k: int, normalization: str = RAW) -> DivisorClass:
     # components E0 + E2 + E3 of the p-side ramification
     t2_unit = DivisorClass(q.source, {T2: Fraction(1)})
     assembly = q.apply(t2_unit) * Fraction(-2, b - 1)
-    base: dict[str, AffineExpr] = {}
+    base: dict[str, Fraction] = {}
     if k >= 2:
-        base[E3] = AffineExpr(1)
-    base[E0] = AffineExpr(-1)
+        base[E3] = Fraction(1)
+    base[E0] = Fraction(-1)
     assembly = assembly + DivisorClass(hur, base)
     ejc_coeffs: dict[str, Fraction] = {}
     for j in range(1, k + 1):

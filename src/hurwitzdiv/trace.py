@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from .bases import (
@@ -51,6 +52,16 @@ class GenusData:
     quotient_dim: int
 
 
+class InvariantError(ValueError):
+    """Two expressions for the same quantity disagree; this signals a
+    defect in the formulas, not bad input."""
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise InvariantError(message)
+
+
 @lru_cache(maxsize=None)
 def genus_data(k: int) -> GenusData:
     """Genus bookkeeping for covers of genus 2k and degree k+1."""
@@ -59,10 +70,10 @@ def genus_data(k: int) -> GenusData:
     g = 2 * k
     d = k + 1
     g_prime = (g - 1) * (2 * d - 3) + (d - 1) ** 2
-    assert g_prime == genus_trace(k)
+    _require(g_prime == genus_trace(k), f"trace genus disagrees at k={k}")
     g_hat = genus_reduced_trace(k)
     prym_dim = (5 * k * k - k) // 2
-    assert prym_dim == g_prime - g_hat
+    _require(prym_dim == g_prime - g_hat, f"Prym dimension disagrees at k={k}")
     quotient_dim = (5 * k - 1) * (k - 2) // 2
     return GenusData(k, g, d, 6 * k, g_prime, g_hat, prym_dim, quotient_dim)
 
@@ -75,7 +86,7 @@ def catalan_number(k: int) -> Fraction:
         raise IndexRangeError(f"k must be >= 1, got {k}")
     via_k = binomial(2 * k, k + 1) / k
     via_k1 = binomial(2 * k, k) / (k + 1)
-    assert via_k == via_k1
+    _require(via_k == via_k1, f"the two Catalan expressions disagree at k={k}")
     return via_k
 
 
@@ -84,15 +95,20 @@ def _check_jc(k: int, j: int, c: int) -> None:
         raise IndexRangeError(f"(j, c) = ({j}, {c}) out of range for k = {k}")
 
 
+# The coefficient families below are evaluated in integers, each over a
+# single denominator, and turned into one Fraction at the end.
+
+
+def _e_numerator(k: int, j: int, c: int) -> int:
+    # e_{j,c} times (j+1)(2k-j+1)
+    m = j + 1 - 2 * c
+    return m * m * comb(j + 1, c) * comb(2 * k - j + 1, k + 1 - c)
+
+
 def e_coeff(k: int, j: int, c: int) -> Fraction:
     """Multiplicity of delta_j in the push-forward of E_{j,c}."""
     _check_jc(k, j, c)
-    m = j + 1 - 2 * c
-    return (
-        Fraction(m * m, (j + 1) * (2 * k - j + 1))
-        * binomial(j + 1, c)
-        * binomial(2 * k - j + 1, k + 1 - c)
-    )
+    return Fraction(_e_numerator(k, j, c), (j + 1) * (2 * k - j + 1))
 
 
 def alpha_coeff(k: int, j: int) -> Fraction:
@@ -100,19 +116,28 @@ def alpha_coeff(k: int, j: int) -> Fraction:
     boundary class T3j."""
     if not 1 <= j <= k:
         raise IndexRangeError(f"j = {j} out of range for k = {k}")
-    return sum(
-        ((j + 1 - 2 * c) * e_coeff(k, j, c) for c in range(j // 2 + 1)),
-        Fraction(0),
+    total = sum((j + 1 - 2 * c) * _e_numerator(k, j, c) for c in range(j // 2 + 1))
+    return Fraction(total, (j + 1) * (2 * k - j + 1))
+
+
+def _d_int(k: int, j: int, c: int) -> int:
+    return (
+        (comb(c, 2) + comb(k - j + c, 2)) * (j + 1 - 2 * c)
+        + 2 * (c + 1) * (k - j + c)
+        + j
     )
 
 
 def d_coeff(k: int, j: int, c: int) -> Fraction:
     """Node count over E_{j,c} for the trace-curve family."""
     _check_jc(k, j, c)
-    return (
-        (binomial(c, 2) + binomial(k - j + c, 2)) * (j + 1 - 2 * c)
-        + 2 * (c + 1) * (k - j + c)
-        + j
+    return Fraction(_d_int(k, j, c))
+
+
+def _a_numerator(k: int, j: int, c: int) -> int:
+    # a_{j,c} times 2(6k-1)
+    return (j + 1 - 2 * c) * (
+        27 * j * (2 * k - 1) * (2 * k - j) - 2 * k * (k + 1) * (6 * k - 1)
     )
 
 
@@ -120,14 +145,24 @@ def a_coeff(k: int, j: int, c: int) -> Fraction:
     """E_{j,c} coefficient of the pushed square of the relative
     dualizing sheaf of the trace-curve family."""
     _check_jc(k, j, c)
-    return (j + 1 - 2 * c) * (
-        Fraction(27, 2) * Fraction(j * (2 * k - 1) * (2 * k - j), 6 * k - 1)
-        - k * (k + 1)
-    )
+    return Fraction(_a_numerator(k, j, c), 2 * (6 * k - 1))
 
 
 def t_coeff(k: int, j: int, c: int) -> Fraction:
-    return a_coeff(k, j, c) + d_coeff(k, j, c)
+    _check_jc(k, j, c)
+    den = 2 * (6 * k - 1)
+    return Fraction(_a_numerator(k, j, c) + den * _d_int(k, j, c), den)
+
+
+def _s_int(k: int, j: int, c: int) -> int:
+    if k == 1:
+        return 1
+    return (
+        (k - j + c) * (c + 1)
+        + (comb(k - j + c, 2) + comb(c, 2)) * (j + 1 - 2 * c)
+        + (j + 1) // 2
+        + (1 if j % 2 == 1 else 0)
+    )
 
 
 def s_coeff(k: int, j: int, c: int) -> Fraction:
@@ -139,22 +174,16 @@ def s_coeff(k: int, j: int, c: int) -> Fraction:
     E_{1,0}.
     """
     _check_jc(k, j, c)
-    if k == 1:
-        return Fraction(1)
-    return (
-        (k - j + c) * (c + 1)
-        + (binomial(k - j + c, 2) + binomial(c, 2)) * (j + 1 - 2 * c)
-        + (j + 1) // 2
-        + (1 if j % 2 == 1 else 0)
-    )
+    return Fraction(_s_int(k, j, c))
 
 
 def u_coeff(k: int, j: int, c: int) -> Fraction:
     _check_jc(k, j, c)
-    correction = Fraction(j + 1 - 2 * c, 2 * (6 * k - 1)) * (
+    den = 2 * (6 * k - 1)
+    correction = (j + 1 - 2 * c) * (
         (27 * k - 27) * j * j - 54 * (k * k - k) * j + (k * k + k) * (6 * k - 1)
     )
-    return s_coeff(k, j, c) - correction
+    return Fraction(den * _s_int(k, j, c) - correction, den)
 
 
 def _build(k: int, e0, e2, e3, ejc) -> DivisorClass:

@@ -28,7 +28,7 @@ from hurwitzdiv.bases import (
     m0b_sym_basis,
     zero_class,
 )
-from hurwitzdiv.core import AffineExpr, c_sym
+from hurwitzdiv.core import AffineExpr, as_affine, b_sym, c_sym
 from hurwitzdiv.trace import q_pullback
 
 rationals = st.fractions(
@@ -203,3 +203,133 @@ def test_lazy_basis_enumeration():
     assert gens == ["lambdaP", "deltaP_0", "deltaP_1"]  # trace genus 2
     hat = list(mg_hat_basis(2).generators())
     assert hat == ["lambdaH", "deltaH_0", "deltaH_1", "deltaH_2"]  # genus 4
+
+
+# Mixed representation: a coefficient is stored as a Fraction unless it
+# carries a symbol.  Every operation must agree with the same operation
+# done coefficient by coefficient in AffineExpr arithmetic.
+
+MIXED_SYMBOLS = [c_sym(1), c_sym(2), b_sym(1), b_sym(2)]
+constant_affines = rationals.map(AffineExpr)
+symbolic_affines = st.builds(
+    AffineExpr,
+    rationals,
+    st.dictionaries(st.sampled_from(MIXED_SYMBOLS), rationals, min_size=1, max_size=2),
+)
+plain_values = st.one_of(rationals, st.integers(-9, 9), constant_affines)
+mixed_values = st.one_of(plain_values, symbolic_affines)
+scalars = st.one_of(rationals, constant_affines)
+
+
+def mg_classes(values, k=2):
+    gens = list(mg_basis(k).generators())
+    return st.dictionaries(st.sampled_from(gens), values, max_size=4).map(
+        lambda coeffs: DivisorClass(mg_basis(k), coeffs)
+    )
+
+
+def assert_canonical(d):
+    for value in d._coeffs.values():
+        assert value
+        assert type(value) is Fraction or (
+            isinstance(value, AffineExpr) and not value.is_constant()
+        ), f"non-canonical stored value {value!r}"
+
+
+def model(d):
+    """The class as generator -> AffineExpr over its whole basis."""
+    return {g: d.coefficient(g) for g in d.basis.generators()}
+
+
+@given(mg_classes(mixed_values), mg_classes(mixed_values), scalars)
+def test_mixed_arithmetic_matches_affine_model(d1, d2, a):
+    m1, m2 = model(d1), model(d2)
+    a_affine = as_affine(a)
+    for result, expected in (
+        (d1 + d2, {g: m1[g] + m2[g] for g in m1}),
+        (d1 - d2, {g: m1[g] - m2[g] for g in m1}),
+        (-d1, {g: -m1[g] for g in m1}),
+        (d1 * a, {g: m1[g] * a_affine for g in m1}),
+        (a * d1, {g: a_affine * m1[g] for g in m1}),
+    ):
+        assert_canonical(result)
+        assert model(result) == expected
+    if a_affine:
+        quotient = d1 / a
+        assert_canonical(quotient)
+        assert model(quotient) == {g: m1[g] / a_affine for g in m1}
+
+
+@given(
+    mg_classes(mixed_values),
+    st.dictionaries(st.sampled_from(MIXED_SYMBOLS), rationals, max_size=4),
+)
+def test_mixed_substitute_matches_affine_model(d, values):
+    result = d.substitute(values)
+    assert_canonical(result)
+    assert model(result) == {g: e.substitute(values) for g, e in model(d).items()}
+
+
+def mixed_maps(row_values, k=2):
+    gens = list(mg_basis(k).generators())
+    row = st.dictionaries(st.sampled_from(gens), row_values, max_size=3).map(
+        lambda coeffs: DivisorClass(mg_basis(k), coeffs)
+    )
+    return st.dictionaries(st.sampled_from(gens), row, max_size=4).map(
+        lambda rows: ClassMap(mg_basis(k), mg_basis(k), rows)
+    )
+
+
+def apply_model(m, d):
+    # the symbols occur linearly, so one side of each product is plain
+    source = model(d)
+    out = {g: AffineExpr(0) for g in m.target.generators()}
+    for g, coef in source.items():
+        for t, row_coef in model(m.row(g)).items():
+            out[t] = out[t] + row_coef * coef
+    return out
+
+
+@given(st.data())
+def test_mixed_apply_and_compose_match_affine_model(data):
+    # symbolic rows act on plain classes, plain rows on symbolic classes
+    symbolic_rows = data.draw(st.booleans())
+    row_values = mixed_values if symbolic_rows else plain_values
+    class_values = plain_values if symbolic_rows else mixed_values
+    m = data.draw(mixed_maps(row_values))
+    d = data.draw(mg_classes(class_values))
+    applied = m.apply(d)
+    assert_canonical(applied)
+    assert model(applied) == apply_model(m, d)
+
+    inner = data.draw(mixed_maps(plain_values))
+    composed = m.compose(inner)
+    for g in inner.source.generators():
+        row = composed.row(g)
+        assert_canonical(row)
+        assert model(row) == apply_model(m, inner.row(g))
+
+
+@given(st.lists(rationals, min_size=6, max_size=6))
+def test_full_substitution_stores_only_fractions(table):
+    from hurwitzdiv.pushforward import ExternalCoeffs, p_phi_lambda, p_q_kappa
+
+    ext = ExternalCoeffs(3, dict(zip((1, 2, 3), table[:3])), dict(zip((1, 2, 3), table[3:])))
+    for d in (p_phi_lambda(3), p_q_kappa(3)):
+        assert any(isinstance(v, AffineExpr) for v in d._coeffs.values())
+        numeric = ext.apply(d)
+        assert all(type(v) is Fraction for v in numeric._coeffs.values())
+
+
+def test_constant_affine_and_fraction_classes_are_identical():
+    basis = hurwitz_basis(2)
+    plain = DivisorClass(basis, {E0: 3})
+    wrapped = DivisorClass(basis, {E0: AffineExpr(3)})
+    assert plain == wrapped
+    assert hash(plain) == hash(wrapped)
+    assert type(wrapped._coeffs[E0]) is Fraction
+    assert wrapped.coefficient(E0) == AffineExpr(3)
+    # a symbolic sum that cancels is stored as its constant
+    sym = DivisorClass(mg_basis(1), {delta(1): AffineExpr(1, {c_sym(1): 1})})
+    cancelled = sym - DivisorClass(mg_basis(1), {delta(1): AffineExpr(0, {c_sym(1): 1})})
+    assert type(cancelled._coeffs[delta(1)]) is Fraction

@@ -96,6 +96,15 @@ def test_affine_equality_and_hash():
     assert e1 != AffineExpr(Fraction(1, 2))
 
 
+@given(rationals)
+def test_constant_affine_hashes_like_its_fraction(value):
+    # equal objects must hash alike, or sets and dicts hold both forms
+    assert AffineExpr(value) == value
+    assert hash(AffineExpr(value)) == hash(value)
+    assert len({AffineExpr(value), value}) == 1
+    assert len({AffineExpr(3), Fraction(3), 3}) == 1
+
+
 def test_affine_product_rules():
     symbolic = AffineExpr(1, {c_sym(1): 1})
     assert symbolic * 2 == AffineExpr(2, {c_sym(1): 2})
