@@ -14,14 +14,17 @@ The groups are handled as free modules on named generators:
   index-bounded but never stored densely.
 
 Generators are plain strings so that they serialize unchanged.  The
-generator sets of the three finite bases are built once per (kind, k)
-and kept in a module-level ``lru_cache``, so membership is a set lookup.
+generator order of the three finite bases is built once per (kind, k)
+and kept in a module-level ``lru_cache`` as a name -> position map, so
+membership and display order are dict lookups.
 
-A coefficient is stored as a plain ``Fraction`` unless it carries one of
-the external symbols c_j, b_j; only then is it an :class:`AffineExpr`.
-Those symbols enter through a handful of push-forward rows, so nearly
-all arithmetic stays on ``Fraction`` and an expression is built only
-where an operand already is one.
+A divisor class stores its symbol-free coefficients as integer
+numerators over one positive common denominator, in lowest terms.  Only
+a coefficient that carries one of the external symbols c_j, b_j is an
+:class:`AffineExpr`.  Those symbols enter through a handful of
+push-forward rows, so addition, scaling and the application of class
+maps run on plain ``int``; a ``Fraction`` is built only at the public
+accessors.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Union
+from math import gcd, lcm
+from typing import Iterator, Mapping
 
-from .core import AffineExpr, AffineLike, as_affine
+from .core import AffineExpr, AffineLike
 
 
 class ClassGroupError(ValueError):
@@ -98,13 +102,6 @@ def _suffix_index(name: str, prefix: str) -> int | None:
     return None
 
 
-def _parse_ejc(name: str) -> tuple[int, int] | None:
-    parts = name.split("_")
-    if len(parts) == 3 and parts[0] == "E" and parts[1].isdigit() and parts[2].isdigit():
-        return int(parts[1]), int(parts[2])
-    return None
-
-
 def genus_trace(k: int) -> int:
     """Genus of the trace curve, 5k^2 - 4k + 1."""
     return 5 * k * k - 4 * k + 1
@@ -131,7 +128,7 @@ class Basis:
     def contains(self, name: str) -> bool:
         k = self.k
         if self.kind in _FINITE_KINDS:
-            return name in _generator_set(self.kind, k)
+            return name in _generator_index(self.kind, k)
         if self.kind == MG_PRIME:
             if name == LAMBDA_PRIME:
                 return True
@@ -144,35 +141,25 @@ class Basis:
 
     def check(self, name: str) -> str:
         if not self.contains(name):
-            raise UnknownGeneratorError(
-                f"generator {name!r} does not belong to {self.kind}(k={self.k})"
-            )
+            raise self._unknown(name)
         return name
 
-    def sort_index(self, name: str) -> tuple:
-        """Key giving the natural display order of generators."""
+    def _unknown(self, name: str) -> UnknownGeneratorError:
+        return UnknownGeneratorError(
+            f"generator {name!r} does not belong to {self.kind}(k={self.k})"
+        )
+
+    def sort_index(self, name: str) -> int:
+        """Position of ``name`` in :meth:`generators`, the natural
+        display order."""
+        if self.kind in _FINITE_KINDS:
+            index = _generator_index(self.kind, self.k).get(name)
+            if index is None:
+                raise self._unknown(name)
+            return index
         self.check(name)
-        if self.kind == HURWITZ:
-            fixed = {E0: (0, 0, 0), E2: (1, 0, 0), E3: (2, 0, 0)}
-            if name in fixed:
-                return fixed[name]
-            j, c = _parse_ejc(name)  # type: ignore[misc]
-            return (3, j, c)
-        if self.kind == MG:
-            if name == LAMBDA:
-                return (0, 0)
-            return (1, _suffix_index(name, "delta_"))
-        if self.kind == M0B_SYM:
-            if name == T2:
-                return (0, 0)
-            return (1, _suffix_index(name, "T3j_"))
-        if self.kind == MG_PRIME:
-            if name == LAMBDA_PRIME:
-                return (0, 0)
-            return (1, _suffix_index(name, "deltaP_"))
-        if name == LAMBDA_HAT:
-            return (0, 0)
-        return (1, _suffix_index(name, "deltaH_"))
+        j = _suffix_index(name, "deltaP_" if self.kind == MG_PRIME else "deltaH_")
+        return 0 if j is None else j + 1
 
     def generators(self) -> Iterator[str]:
         """All generators of the basis in natural order."""
@@ -205,8 +192,10 @@ class Basis:
 
 
 @lru_cache(maxsize=None)
-def _generator_set(kind: str, k: int) -> frozenset[str]:
-    return frozenset(Basis(kind, k).generators())
+def _generator_index(kind: str, k: int) -> dict[str, int]:
+    """Generator name -> position in the natural order, for the finite
+    kinds."""
+    return {name: i for i, name in enumerate(Basis(kind, k).generators())}
 
 
 def hurwitz_basis(k: int) -> Basis:
@@ -229,80 +218,104 @@ def mg_hat_basis(k: int) -> Basis:
     return Basis(MG_HAT, k)
 
 
-Coefficient = Union[Fraction, AffineExpr]
-
-
-def _canonical(value: AffineLike) -> Coefficient:
-    """The one stored form of a coefficient: a ``Fraction``, unless the
-    value carries a symbol and so stays an :class:`AffineExpr`."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, AffineExpr):
-        return value.const if value.is_constant() else value
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {type(value).__name__} as a coefficient")
-
-
 class DivisorClass:
     """A sparse divisor class: a finite sum of generators of one basis.
 
-    Each coefficient is stored as a ``Fraction``, or as an
-    :class:`AffineExpr` when it carries an external symbol; a constant
-    expression is always stored as its ``Fraction``.  The accessors
+    The symbol-free coefficients are stored as nonzero integer
+    numerators ``_nums`` over one positive denominator ``_den``, with
+    ``gcd(_den, *_nums.values()) == 1`` and ``_den == 1`` when there are
+    none.  A coefficient that carries an external symbol is stored in
+    ``_sym`` as a non-constant :class:`AffineExpr`; the keys of the two
+    maps are disjoint.  This form is unique, so two classes are equal
+    exactly when their stored parts agree.  The accessors
     :meth:`coefficient` and :meth:`items` return :class:`AffineExpr`
-    whatever the stored form.  Zero coefficients are never stored, so
-    two classes are equal exactly when their coefficient maps agree.
-    Instances are immutable.
+    whatever the stored form.  Instances are immutable.
     """
 
-    __slots__ = ("basis", "_coeffs")
+    __slots__ = ("basis", "_den", "_nums", "_sym")
 
     def __init__(self, basis: Basis, coeffs: Mapping[str, AffineLike] | None = None):
         self.basis = basis
-        cleaned: dict[str, Coefficient] = {}
+        plain: dict[str, int | Fraction] = {}
+        sym: dict[str, AffineExpr] = {}
         if coeffs:
             for name, value in coeffs.items():
                 basis.check(name)
-                value = _canonical(value)
+                if isinstance(value, AffineExpr):
+                    if not value.is_constant():
+                        sym[name] = value
+                        continue
+                    value = value.const
+                elif not isinstance(value, (int, Fraction)):
+                    raise TypeError(
+                        f"cannot interpret {type(value).__name__} as a coefficient"
+                    )
                 if value:
-                    cleaned[name] = value
-        self._coeffs = cleaned
+                    plain[name] = value
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the stored form is already in lowest terms
+        den = lcm(*(value.denominator for value in plain.values()))
+        self._den = den
+        self._nums = {
+            name: value.numerator * (den // value.denominator)
+            for name, value in plain.items()
+        }
+        self._sym = sym
 
     @classmethod
-    def _raw(cls, basis: Basis, coeffs: dict[str, Coefficient]) -> "DivisorClass":
-        # internal: generators already validated, values nonzero and canonical
+    def _raw(
+        cls,
+        basis: Basis,
+        den: int,
+        nums: dict[str, int],
+        sym: dict[str, AffineExpr] | None = None,
+    ) -> "DivisorClass":
+        # internal: generators already validated, ``nums`` nonzero over
+        # ``den`` > 0, ``sym`` non-constant and disjoint from ``nums``;
+        # only the common factor of ``den`` and ``nums`` is removed here
+        if not nums:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {name: n // g for name, n in nums.items()}
         obj = cls.__new__(cls)
         obj.basis = basis
-        obj._coeffs = coeffs
+        obj._den = den
+        obj._nums = nums
+        obj._sym = sym or {}
         return obj
 
     def coefficient(self, name: str) -> AffineExpr:
         self.basis.check(name)
-        return as_affine(self._coeffs.get(name, 0))
+        n = self._nums.get(name)
+        if n is not None:
+            return AffineExpr(Fraction(n, self._den))
+        symbolic = self._sym.get(name)
+        return AffineExpr(0) if symbolic is None else symbolic
 
     def support(self) -> list[str]:
-        return sorted(self._coeffs, key=self.basis.sort_index)
+        return sorted([*self._nums, *self._sym], key=self.basis.sort_index)
 
     def items(self) -> list[tuple[str, AffineExpr]]:
-        return [(name, as_affine(self._coeffs[name])) for name in self.support()]
+        nums, den, sym = self._nums, self._den, self._sym
+        return [
+            (name, AffineExpr(Fraction(nums[name], den)) if name in nums else sym[name])
+            for name in self.support()
+        ]
 
     def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def map_coefficients(self, fn) -> "DivisorClass":
-        """Apply ``fn`` to each stored coefficient (a ``Fraction`` or a
-        symbolic :class:`AffineExpr`) and keep the nonzero results."""
-        mapped: dict[str, Coefficient] = {}
-        for name, value in self._coeffs.items():
-            value = _canonical(fn(value))
-            if value:
-                mapped[name] = value
-        return DivisorClass._raw(self.basis, mapped)
+        return not self._nums and not self._sym
 
     def substitute(self, values) -> "DivisorClass":
-        return self.map_coefficients(
-            lambda e: e.substitute(values) if isinstance(e, AffineExpr) else e
+        if not self._sym:
+            return self
+        return _with_symbols(
+            self.basis,
+            self._den,
+            dict(self._nums),
+            {name: e.substitute(values) for name, e in self._sym.items()},
         )
 
     def _require_same_basis(self, other: "DivisorClass") -> None:
@@ -311,50 +324,103 @@ class DivisorClass:
                 f"cannot combine classes over {self.basis} and {other.basis}"
             )
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+    def _combine(self, other, sign: int):
+        """``self + sign * other`` over the lcm of the two denominators."""
         if not isinstance(other, DivisorClass):
             return NotImplemented
         self._require_same_basis(other)
-        coeffs = dict(self._coeffs)
-        for name, value in other._coeffs.items():
-            present = coeffs.get(name)
-            if present is None:
-                coeffs[name] = value
-                continue
-            total = _canonical(present + value)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            den, f2 = d1, sign
+            nums = dict(self._nums)
+        else:
+            g = gcd(d1, d2)
+            f1, f2 = d2 // g, sign * (d1 // g)
+            den = d1 * f1
+            nums = {name: n * f1 for name, n in self._nums.items()}
+        for name, n in other._nums.items():
+            total = nums.get(name, 0) + n * f2
             if total:
-                coeffs[name] = total
+                nums[name] = total
             else:
-                del coeffs[name]
-        return DivisorClass._raw(self.basis, coeffs)
+                del nums[name]
+        if not (self._sym or other._sym):
+            return DivisorClass._raw(self.basis, den, nums)
+        sym = dict(self._sym)
+        for name, e in other._sym.items():
+            present = sym.get(name)
+            if sign < 0:
+                e = -e
+            sym[name] = e if present is None else present + e
+        return _with_symbols(self.basis, den, nums, sym)
+
+    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        if not isinstance(other, DivisorClass):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "DivisorClass":
-        return self.map_coefficients(lambda e: -e)
+        return DivisorClass._raw(
+            self.basis,
+            self._den,
+            {name: -n for name, n in self._nums.items()},
+            {name: -e for name, e in self._sym.items()},
+        )
+
+    def _scaled(self, x: int | Fraction) -> "DivisorClass":
+        """``self * x``: numerators times p, denominator times q."""
+        if not x:
+            return DivisorClass._raw(self.basis, 1, {})
+        p, q = x.numerator, x.denominator
+        g = gcd(self._den, p)
+        den, p = self._den // g, p // g
+        g = gcd(q, *self._nums.values())
+        nums = {name: n // g * p for name, n in self._nums.items()}
+        sym = {name: e * x for name, e in self._sym.items()}
+        return DivisorClass._raw(self.basis, den * (q // g), nums, sym)
 
     def __mul__(self, scalar: AffineLike) -> "DivisorClass":
-        scalar = _canonical(scalar)
-        return self.map_coefficients(lambda e: e * scalar)
+        if isinstance(scalar, AffineExpr):
+            if not scalar.is_constant():
+                return DivisorClass(
+                    self.basis, {name: e * scalar for name, e in self.items()}
+                )
+            scalar = scalar.const
+        elif not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        return self._scaled(scalar)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: AffineLike) -> "DivisorClass":
-        scalar = as_affine(scalar).constant_value()
+        if isinstance(scalar, AffineExpr):
+            scalar = scalar.constant_value()
+        elif not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
         if scalar == 0:
             raise ZeroDivisionError("division of a divisor class by zero")
-        return self.map_coefficients(lambda e: e / scalar)
+        return self._scaled(1 / Fraction(scalar))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        return self.basis == other.basis and self._coeffs == other._coeffs
+        return (
+            self.basis == other.basis
+            and self._den == other._den
+            and self._nums == other._nums
+            and self._sym == other._sym
+        )
 
     def __hash__(self) -> int:
-        return hash((self.basis, frozenset(self._coeffs.items())))
+        return hash(
+            (
+                self.basis,
+                self._den,
+                frozenset(self._nums.items()),
+                frozenset(self._sym.items()),
+            )
+        )
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -364,6 +430,33 @@ class DivisorClass:
         return f"<{self.basis.kind}(k={self.basis.k}): {body}>"
 
 
+def _with_symbols(
+    basis: Basis, den: int, nums: dict[str, int], sym: dict[str, AffineExpr]
+) -> DivisorClass:
+    """A class from nonzero numerators over ``den`` and symbolic values
+    that may share a generator with ``nums`` or have become constant;
+    constants are folded into the integer part.  ``nums`` is consumed."""
+    kept: dict[str, AffineExpr] = {}
+    constants: dict[str, Fraction] = {}
+    for name, e in sym.items():
+        n = nums.pop(name, None)
+        if n is not None:
+            e = e + Fraction(n, den)
+        if not e.is_constant():
+            kept[name] = e
+        elif e.const:
+            constants[name] = e.const
+    if constants:
+        common = lcm(den, *(c.denominator for c in constants.values()))
+        if common != den:
+            factor = common // den
+            nums = {name: n * factor for name, n in nums.items()}
+        for name, c in constants.items():
+            nums[name] = c.numerator * (common // c.denominator)
+        den = common
+    return DivisorClass._raw(basis, den, nums, kept)
+
+
 def zero_class(basis: Basis) -> DivisorClass:
     return DivisorClass(basis, {})
 
@@ -371,9 +464,14 @@ def zero_class(basis: Basis) -> DivisorClass:
 class ClassMap:
     """A linear map between class groups, given by the images of the
     source generators.  Generators absent from ``rows`` map to zero.
+
+    The rows are kept as they are; the map also holds the lcm ``_den``
+    of the row denominators and, per row, the integer factor
+    ``_den // row._den`` that puts that row's numerators over it, so
+    :meth:`apply` sums symbol-free products in ``int``.
     """
 
-    __slots__ = ("source", "target", "rows")
+    __slots__ = ("source", "target", "rows", "_den", "_factors")
 
     def __init__(self, source: Basis, target: Basis, rows: Mapping[str, DivisorClass]):
         self.source = source
@@ -388,6 +486,10 @@ class ClassMap:
             if not image.is_zero():
                 checked[name] = image
         self.rows = checked
+        self._den = lcm(*(image._den for image in checked.values()))
+        self._factors = {
+            name: self._den // image._den for name, image in checked.items()
+        }
 
     def row(self, name: str) -> DivisorClass:
         self.source.check(name)
@@ -398,30 +500,35 @@ class ClassMap:
             raise BasisMismatchError(
                 f"class over {d.basis} cannot be fed to a map from {self.source}"
             )
-        # symbol-free and symbolic contributions are summed apart, so a
-        # target that picks up one symbolic term is promoted only once
-        plain: dict[str, Fraction] = {}
+        rows, factors = self.rows, self._factors
+        # symbol-free products x * r * factor are summed over
+        # d._den * self._den; symbolic terms are summed apart
+        sums: dict[str, int] = {}
         symbolic: dict[str, AffineExpr] = {}
-        rows = self.rows
-        for name, value in d._coeffs.items():
+        for name, x in d._nums.items():
             row = rows.get(name)
             if row is None:
                 continue
-            for target_name, row_value in row._coeffs.items():
-                term = row_value * value
-                sums = plain if type(term) is Fraction else symbolic
-                present = sums.get(target_name)
-                sums[target_name] = term if present is None else present + term
-        accumulated: dict[str, Coefficient] = {}
-        for target_name, total in symbolic.items():
-            constant = plain.pop(target_name, None)
-            total = _canonical(total if constant is None else total + constant)
-            if total:
-                accumulated[target_name] = total
-        for target_name, total in plain.items():
-            if total:
-                accumulated[target_name] = total
-        return DivisorClass._raw(self.target, accumulated)
+            scaled = x * factors[name]
+            for target_name, r in row._nums.items():
+                sums[target_name] = sums.get(target_name, 0) + scaled * r
+            if row._sym:
+                value = Fraction(x, d._den)
+                for target_name, e in row._sym.items():
+                    _accumulate(symbolic, target_name, e * value)
+        for name, e in d._sym.items():
+            row = rows.get(name)
+            if row is None:
+                continue
+            for target_name, r in row._nums.items():
+                _accumulate(symbolic, target_name, e * Fraction(r, row._den))
+            for target_name, row_e in row._sym.items():
+                _accumulate(symbolic, target_name, e * row_e)
+        den = d._den * self._den
+        nums = {name: n for name, n in sums.items() if n}
+        if symbolic:
+            return _with_symbols(self.target, den, nums, symbolic)
+        return DivisorClass._raw(self.target, den, nums)
 
     def compose(self, inner: "ClassMap") -> "ClassMap":
         """The map ``self o inner``; requires inner.target == self.source."""
@@ -443,6 +550,11 @@ class ClassMap:
             f"ClassMap({self.source.kind}(k={self.source.k}) -> "
             f"{self.target.kind}(k={self.target.k}), {len(self.rows)} rows)"
         )
+
+
+def _accumulate(sums: dict[str, AffineExpr], name: str, term: AffineExpr) -> None:
+    present = sums.get(name)
+    sums[name] = term if present is None else present + term
 
 
 def identity_map(basis: Basis) -> ClassMap:

@@ -132,6 +132,8 @@ def _boundary_sum_pushed(k: int, reduced: bool) -> DivisorClass:
 def _cmd_slope(args) -> int:
     externals = serialize.load_externals(args.externals) if args.externals else None
     k = args.k
+    if externals is not None and externals.k != k:
+        raise UsageError(f"external table is for k={externals.k}, not k={k}")
     induced = None
     if args.variant == "kappa":
         target = pushforward.p_q_kappa(k, PER_FACTORIAL_B)

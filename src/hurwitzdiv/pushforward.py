@@ -37,15 +37,14 @@ from .m0b import kappa_class
 from .trace import (
     alpha_coeff,
     catalan_number,
-    d_coeff,
-    a_coeff,
-    e_coeff,
+    e_numerator,
     phi_pull_boundary,
     phi_pull_lambda,
     phihat_pull_boundary,
     phihat_pull_lambda,
     q_pullback,
-    u_coeff,
+    t_numerator,
+    u_numerator,
 )
 
 RAW = "raw"
@@ -137,38 +136,61 @@ def p_push(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
             coeffs[delta(j)] = AffineExpr(0, {b_sym(j): -lead})
         rows[E3] = DivisorClass(mg, coeffs)
     for j in range(1, k + 1):
+        target = delta(j)
+        den = (j + 1) * (2 * k - j + 1)
         for c in range(j // 2 + 1):
-            rows[Ejc(j, c)] = DivisorClass(mg, {delta(j): e_coeff(k, j, c)})
+            # e_{j,c} as its integer numerator, which is positive
+            numerator = e_numerator(k, j, c)
+            rows[Ejc(j, c)] = DivisorClass._raw(mg, den, {target: numerator})
     pushed = ClassMap(hurwitz_basis(k), mg, rows)
     if normalization == RAW:
         pushed = pushed.scale(factorial_b(k))
     return pushed
 
 
+# A pushed class in raw normalization is (6k)! times its per-factorial-b
+# value, exactly, by linearity; scaling the k + 2 entries of the result
+# is far cheaper than scaling every row of the push-forward map.
+
+
+def _is_raw(normalization: str) -> bool:
+    return _check_normalization(normalization) == RAW
+
+
 @lru_cache(maxsize=None)
 def p_phi_lambda(k: int, normalization: str = PER_FACTORIAL_B) -> DivisorClass:
     """Push-forward of the pulled-back Hodge class of the trace-curve
     moduli space."""
-    return p_push(k, normalization).apply(phi_pull_lambda(k))
+    if _is_raw(normalization):
+        return convert_normalization(p_phi_lambda(k), k, PER_FACTORIAL_B, RAW)
+    return p_push(k, PER_FACTORIAL_B).apply(phi_pull_lambda(k))
 
 
 @lru_cache(maxsize=None)
 def p_phihat_lambda(k: int, normalization: str = PER_FACTORIAL_B) -> DivisorClass:
     """Push-forward of the pulled-back Hodge class of the reduced-trace
     moduli space."""
-    return p_push(k, normalization).apply(phihat_pull_lambda(k))
+    if _is_raw(normalization):
+        return convert_normalization(p_phihat_lambda(k), k, PER_FACTORIAL_B, RAW)
+    return p_push(k, PER_FACTORIAL_B).apply(phihat_pull_lambda(k))
 
 
 @lru_cache(maxsize=None)
 def p_phi_delta(k: int, j_prime: int, normalization: str = RAW) -> DivisorClass:
     """Correspondence action on the boundary class delta'_{j'}."""
-    return p_push(k, normalization).apply(phi_pull_boundary(k, j_prime))
+    if _is_raw(normalization):
+        pushed = p_phi_delta(k, j_prime, PER_FACTORIAL_B)
+        return convert_normalization(pushed, k, PER_FACTORIAL_B, RAW)
+    return p_push(k, PER_FACTORIAL_B).apply(phi_pull_boundary(k, j_prime))
 
 
 @lru_cache(maxsize=None)
 def p_phihat_delta(k: int, j_hat: int, normalization: str = RAW) -> DivisorClass:
     """Correspondence action on the reduced-trace boundary class."""
-    return p_push(k, normalization).apply(phihat_pull_boundary(k, j_hat))
+    if _is_raw(normalization):
+        pushed = p_phihat_delta(k, j_hat, PER_FACTORIAL_B)
+        return convert_normalization(pushed, k, PER_FACTORIAL_B, RAW)
+    return p_push(k, PER_FACTORIAL_B).apply(phihat_pull_boundary(k, j_hat))
 
 
 def p_phi_lambda_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
@@ -208,19 +230,22 @@ def p_phihat_delta0_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
     return lam, d0
 
 
+def _e_weighted_twelfth(k: int, j: int, weight_numerator) -> Fraction:
+    """One twelfth of sum_c e_{j,c} w_{j,c}, for a weight family given
+    by its integer numerators over 2(6k-1); summed in integers."""
+    total = sum(
+        e_numerator(k, j, c) * weight_numerator(k, j, c) for c in range(j // 2 + 1)
+    )
+    return Fraction(total, 24 * (j + 1) * (2 * k - j + 1) * (6 * k - 1))
+
+
 def p_phi_lambda_delta_expected(k: int, j: int) -> AffineExpr:
     """The delta_j coefficient of :func:`p_phi_lambda` predicted by the
     row structure of the push-forward: the c_j part carries
     (10k-1)/(4(6k-1)), the b_j part carries the E3 weight, and the
     constant is one twelfth of sum e_{j,c} (a_{j,c} + d_{j,c})."""
     n = catalan_number(k)
-    const = sum(
-        (
-            e_coeff(k, j, c) * (a_coeff(k, j, c) + d_coeff(k, j, c))
-            for c in range(j // 2 + 1)
-        ),
-        Fraction(0),
-    ) / 12
+    const = _e_weighted_twelfth(k, j, t_numerator)
     terms: dict[ExtSymbol, Fraction] = {}
     if k >= 3:
         terms[c_sym(j)] = Fraction(10 * k - 1, 4 * (6 * k - 1))
@@ -235,10 +260,7 @@ def p_phihat_lambda_delta_expected(k: int, j: int) -> AffineExpr:
     """The delta_j coefficient of :func:`p_phihat_lambda` predicted by
     the row structure of the push-forward."""
     n = catalan_number(k)
-    const = sum(
-        (e_coeff(k, j, c) * u_coeff(k, j, c) for c in range(j // 2 + 1)),
-        Fraction(0),
-    ) / 12
+    const = _e_weighted_twelfth(k, j, u_numerator)
     terms: dict[ExtSymbol, Fraction] = {}
     if k >= 3:
         terms[c_sym(j)] = Fraction(5 * k, 4 * (6 * k - 1))
@@ -287,7 +309,9 @@ def p_q_map(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
 def p_q_kappa(k: int, normalization: str = PER_FACTORIAL_B) -> DivisorClass:
     """The correspondence action applied to the ample class
     psi - delta of the pointed rational moduli space."""
-    return p_q_map(k, normalization).apply(kappa_class(k))
+    if _is_raw(normalization):
+        return convert_normalization(p_q_kappa(k), k, PER_FACTORIAL_B, RAW)
+    return p_q_map(k, PER_FACTORIAL_B).apply(kappa_class(k))
 
 
 def p_q_kappa_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
@@ -321,7 +345,9 @@ def eh_divisor(k: int, normalization: str = RAW) -> DivisorClass:
     The closed-form lambda and delta_0 coefficients are meaningful for
     k >= 3; for smaller k the assembled value is returned as-is.
     """
-    _check_normalization(normalization)
+    if _is_raw(normalization):
+        pushed = eh_divisor(k, PER_FACTORIAL_B)
+        return convert_normalization(pushed, k, PER_FACTORIAL_B, RAW)
     b = 6 * k
     hur = hurwitz_basis(k)
     q = q_pullback(k)
@@ -340,11 +366,8 @@ def eh_divisor(k: int, normalization: str = RAW) -> DivisorClass:
         for c in range(j // 2 + 1):
             ejc_coeffs[Ejc(j, c)] = weight * (j + 1 - 2 * c) - 1
     assembly = assembly + DivisorClass(hur, ejc_coeffs)
-    pushed = p_push(k, normalization).apply(assembly)
-    degree = catalan_number(k)
-    if normalization == RAW:
-        degree = degree * factorial_b(k)
-    return pushed - mg_canonical_class(k) * degree
+    pushed = p_push(k, PER_FACTORIAL_B).apply(assembly)
+    return pushed - mg_canonical_class(k) * catalan_number(k)
 
 
 def eh_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:

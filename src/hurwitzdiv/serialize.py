@@ -130,15 +130,43 @@ def externals_to_obj(ext: ExternalCoeffs) -> dict[str, Any]:
     }
 
 
-def externals_from_obj(obj: Mapping[str, Any]) -> ExternalCoeffs:
+def _externals_table(obj: Mapping[str, Any], family: str) -> dict[int, Fraction]:
+    table = obj.get(family, {})
+    if not isinstance(table, dict):
+        raise ValueError(
+            f'external table {family!r} must map indices to "p/q" strings'
+        )
+    parsed: dict[int, Fraction] = {}
+    for index, value in table.items():
+        if not index.isdecimal():
+            raise ValueError(
+                f"external table {family!r} has a malformed index {index!r}"
+            )
+        if not isinstance(value, str):
+            raise ValueError(
+                f'{family}_{index} must be a "p/q" string, got {json.dumps(value)}'
+            )
+        parsed[int(index)] = parse_rational(value)
+    return parsed
+
+
+def externals_from_obj(obj: Any) -> ExternalCoeffs:
+    """Parse an external-coeffs/1 object; any other shape is a
+    ``ValueError``."""
+    if not isinstance(obj, dict):
+        kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+        raise ValueError(
+            "an external coefficient table must be a JSON object, "
+            f"got {kind.get(type(obj), 'a number')}"
+        )
     if obj.get("schema") != EXTERNALS_SCHEMA:
         raise ValueError(
             f"expected schema {EXTERNALS_SCHEMA!r}, got {obj.get('schema')!r}"
         )
-    k = int(obj["k"])
-    c = {int(j): parse_rational(v) for j, v in obj.get("c", {}).items()}
-    b = {int(j): parse_rational(v) for j, v in obj.get("b", {}).items()}
-    return ExternalCoeffs(k, c, b)
+    k = obj.get("k")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"external table 'k' must be a positive integer, got {k!r}")
+    return ExternalCoeffs(k, _externals_table(obj, "c"), _externals_table(obj, "b"))
 
 
 def load_externals(path: str) -> ExternalCoeffs:

@@ -96,11 +96,13 @@ def _check_jc(k: int, j: int, c: int) -> None:
 
 
 # The coefficient families below are evaluated in integers, each over a
-# single denominator, and turned into one Fraction at the end.
+# single denominator.  The class builders pass those integers to the
+# divisor class as they are; the per-coefficient functions turn them
+# into one Fraction at the end.
 
 
-def _e_numerator(k: int, j: int, c: int) -> int:
-    # e_{j,c} times (j+1)(2k-j+1)
+def e_numerator(k: int, j: int, c: int) -> int:
+    """e_{j,c} times its denominator (j+1)(2k-j+1)."""
     m = j + 1 - 2 * c
     return m * m * comb(j + 1, c) * comb(2 * k - j + 1, k + 1 - c)
 
@@ -108,7 +110,7 @@ def _e_numerator(k: int, j: int, c: int) -> int:
 def e_coeff(k: int, j: int, c: int) -> Fraction:
     """Multiplicity of delta_j in the push-forward of E_{j,c}."""
     _check_jc(k, j, c)
-    return Fraction(_e_numerator(k, j, c), (j + 1) * (2 * k - j + 1))
+    return Fraction(e_numerator(k, j, c), (j + 1) * (2 * k - j + 1))
 
 
 def alpha_coeff(k: int, j: int) -> Fraction:
@@ -116,7 +118,7 @@ def alpha_coeff(k: int, j: int) -> Fraction:
     boundary class T3j."""
     if not 1 <= j <= k:
         raise IndexRangeError(f"j = {j} out of range for k = {k}")
-    total = sum((j + 1 - 2 * c) * _e_numerator(k, j, c) for c in range(j // 2 + 1))
+    total = sum((j + 1 - 2 * c) * e_numerator(k, j, c) for c in range(j // 2 + 1))
     return Fraction(total, (j + 1) * (2 * k - j + 1))
 
 
@@ -148,10 +150,14 @@ def a_coeff(k: int, j: int, c: int) -> Fraction:
     return Fraction(_a_numerator(k, j, c), 2 * (6 * k - 1))
 
 
+def t_numerator(k: int, j: int, c: int) -> int:
+    """t_{j,c} = a_{j,c} + d_{j,c} times its denominator 2(6k-1)."""
+    return _a_numerator(k, j, c) + 2 * (6 * k - 1) * _d_int(k, j, c)
+
+
 def t_coeff(k: int, j: int, c: int) -> Fraction:
     _check_jc(k, j, c)
-    den = 2 * (6 * k - 1)
-    return Fraction(_a_numerator(k, j, c) + den * _d_int(k, j, c), den)
+    return Fraction(t_numerator(k, j, c), 2 * (6 * k - 1))
 
 
 def _s_int(k: int, j: int, c: int) -> int:
@@ -177,27 +183,40 @@ def s_coeff(k: int, j: int, c: int) -> Fraction:
     return Fraction(_s_int(k, j, c))
 
 
-def u_coeff(k: int, j: int, c: int) -> Fraction:
-    _check_jc(k, j, c)
-    den = 2 * (6 * k - 1)
+def u_numerator(k: int, j: int, c: int) -> int:
+    """u_{j,c} times its denominator 2(6k-1)."""
     correction = (j + 1 - 2 * c) * (
         (27 * k - 27) * j * j - 54 * (k * k - k) * j + (k * k + k) * (6 * k - 1)
     )
-    return Fraction(den * _s_int(k, j, c) - correction, den)
+    return 2 * (6 * k - 1) * _s_int(k, j, c) - correction
 
 
-def _build(k: int, e0, e2, e3, ejc) -> DivisorClass:
-    """Assemble a Hurwitz class from an E0 value, E2/E3 values (dropped
-    when the generator does not exist) and a callable for E_{j,c}."""
-    coeffs = {E0: e0}
+def u_coeff(k: int, j: int, c: int) -> Fraction:
+    _check_jc(k, j, c)
+    return Fraction(u_numerator(k, j, c), 2 * (6 * k - 1))
+
+
+def _integer_class(k: int, nums: dict[str, int], den: int = 1) -> DivisorClass:
+    """A Hurwitz class from integer numerators over ``den``; every name
+    is built here from a legal index, and zeros are dropped."""
+    return DivisorClass._raw(
+        hurwitz_basis(k), den, {name: n for name, n in nums.items() if n}
+    )
+
+
+def _build(k: int, den: int, e0: int, e2: int, e3: int, ejc) -> DivisorClass:
+    """Assemble a Hurwitz class from integer numerators over ``den``: an
+    E0 value, E2/E3 values (dropped when the generator does not exist)
+    and a callable for E_{j,c}."""
+    nums = {E0: e0}
     if k >= 3:
-        coeffs[E2] = e2
+        nums[E2] = e2
     if k >= 2:
-        coeffs[E3] = e3
+        nums[E3] = e3
     for j in range(1, k + 1):
         for c in range(j // 2 + 1):
-            coeffs[Ejc(j, c)] = ejc(j, c)
-    return DivisorClass(hurwitz_basis(k), coeffs)
+            nums[Ejc(j, c)] = ejc(k, j, c)
+    return _integer_class(k, nums, den)
 
 
 @lru_cache(maxsize=None)
@@ -205,10 +224,11 @@ def delta_tau(k: int) -> DivisorClass:
     """Push-forward of the singular locus of the trace-curve family."""
     return _build(
         k,
-        Fraction(k * k + k),
-        Fraction(2 * k * k - 10 * k + 18),
-        Fraction(3 * k * k - 13 * k + 16),
-        lambda j, c: d_coeff(k, j, c),
+        1,
+        k * k + k,
+        2 * k * k - 10 * k + 18,
+        3 * k * k - 13 * k + 16,
+        _d_int,
     )
 
 
@@ -216,26 +236,26 @@ def delta_tau(k: int) -> DivisorClass:
 def omega_tau_sq(k: int) -> DivisorClass:
     """Pushed square of the relative dualizing sheaf of the trace-curve
     family, in closed form."""
-    lead = Fraction(-6 * k**3 + 31 * k * k - 29 * k + 6, 6 * k - 1)
-    return _build(k, lead, 2 * lead, 3 * lead, lambda j, c: a_coeff(k, j, c))
+    # the E0/E2/E3 lead (-6k^3 + 31k^2 - 29k + 6)/(6k - 1) times 1, 2, 3
+    lead = 2 * (-6 * k**3 + 31 * k * k - 29 * k + 6)
+    return _build(k, 2 * (6 * k - 1), lead, 2 * lead, 3 * lead, _a_numerator)
 
 
 @lru_cache(maxsize=None)
 def q_pullback(k: int) -> ClassMap:
     """The pullback map along q from the symmetric boundary classes of
     the space of 6k-pointed rational curves to the Hurwitz basis."""
-    hur = hurwitz_basis(k)
-    t2_coeffs = {E0: Fraction(1)}
+    t2_nums = {E0: 1}
     if k >= 3:
-        t2_coeffs[E2] = Fraction(2)
+        t2_nums[E2] = 2
     if k >= 2:
-        t2_coeffs[E3] = Fraction(3)
-    rows = {T2: DivisorClass(hur, t2_coeffs)}
+        t2_nums[E3] = 3
+    rows = {T2: _integer_class(k, t2_nums)}
     for j in range(1, k + 1):
-        rows[T3j(j)] = DivisorClass(
-            hur, {Ejc(j, c): Fraction(j + 1 - 2 * c) for c in range(j // 2 + 1)}
+        rows[T3j(j)] = _integer_class(
+            k, {Ejc(j, c): j + 1 - 2 * c for c in range(j // 2 + 1)}
         )
-    return ClassMap(m0b_sym_basis(k), hur, rows)
+    return ClassMap(m0b_sym_basis(k), hurwitz_basis(k), rows)
 
 
 class GrrPieces(NamedTuple):
@@ -273,13 +293,11 @@ def phi_pull_lambda(k: int) -> DivisorClass:
 @lru_cache(maxsize=None)
 def twelve_lambda_trace_closed(k: int) -> DivisorClass:
     """Closed form of twelve times :func:`phi_pull_lambda`."""
+    # E0/E2/E3 are 2/(6k - 1) times t0, t2, t3
     t0 = 18 * k * k - 15 * k + 3
     t2 = 30 * k - 3
     t3 = 6 * k * k + 11 * k + 1
-    scale = Fraction(2, 6 * k - 1)
-    return _build(
-        k, scale * t0, scale * t2, scale * t3, lambda j, c: t_coeff(k, j, c)
-    )
+    return _build(k, 2 * (6 * k - 1), 4 * t0, 4 * t2, 4 * t3, t_numerator)
 
 
 @lru_cache(maxsize=None)
@@ -287,10 +305,11 @@ def delta_s(k: int) -> DivisorClass:
     """Push-forward of the singular locus of the reduced-trace family."""
     return _build(
         k,
-        Fraction(k * k + k, 2),
-        Fraction(k * k - 5 * k + 12),
-        Fraction(3 * k * k - 13 * k + 16, 2),
-        lambda j, c: s_coeff(k, j, c),
+        2,
+        k * k + k,
+        2 * (k * k - 5 * k + 12),
+        3 * k * k - 13 * k + 16,
+        lambda k, j, c: 2 * _s_int(k, j, c),
     )
 
 
@@ -311,13 +330,11 @@ def phihat_pull_lambda(k: int) -> DivisorClass:
 @lru_cache(maxsize=None)
 def twelve_lambda_reduced_closed(k: int) -> DivisorClass:
     """Closed form of twelve times :func:`phihat_pull_lambda`."""
+    # E0/E2/E3 are 2/(6k - 1) times u0, u2, u3
     u0 = 9 * k * k - 12 * k + 3
     u2 = 15 * k
     u3 = 3 * k * k - 8 * k + 5
-    scale = Fraction(2, 6 * k - 1)
-    return _build(
-        k, scale * u0, scale * u2, scale * u3, lambda j, c: u_coeff(k, j, c)
-    )
+    return _build(k, 2 * (6 * k - 1), 4 * u0, 4 * u2, 4 * u3, u_numerator)
 
 
 @lru_cache(maxsize=None)
@@ -328,23 +345,22 @@ def phi_pull_boundary(k: int, j_prime: int) -> DivisorClass:
         raise IndexRangeError(
             f"boundary index {j_prime} out of range 0..{genus_trace(k) // 2}"
         )
-    hur = hurwitz_basis(k)
     if j_prime == 0:
-        coeffs = {E0: Fraction(4 * k - 2)}
+        nums = {E0: 4 * k - 2}
         if k >= 3:
-            coeffs[E2] = Fraction(4)
+            nums[E2] = 4
         if k >= 2:
-            coeffs[E3] = Fraction(2)
+            nums[E3] = 2
         for j in range(2, k + 1):
-            coeffs[Ejc(j, 0)] = Fraction(j)
+            nums[Ejc(j, 0)] = j
             for c in range(1, j // 2 + 1):
-                coeffs[Ejc(j, c)] = Fraction(2 * (k - j + c) * (c + 1) + j)
-        return DivisorClass(hur, coeffs)
+                nums[Ejc(j, c)] = 2 * (k - j + c) * (c + 1) + j
+        return _integer_class(k, nums)
     if j_prime == 1:
-        return DivisorClass(hur, {Ejc(1, 0): Fraction(2 * k - 1)})
+        return _integer_class(k, {Ejc(1, 0): 2 * k - 1})
     if j_prime <= k:
-        return DivisorClass(hur, {Ejc(j_prime, 0): Fraction(2 * k - 2 * j_prime)})
-    return zero_class(hur)
+        return _integer_class(k, {Ejc(j_prime, 0): 2 * k - 2 * j_prime})
+    return zero_class(hurwitz_basis(k))
 
 
 def _eps(j: int, c: int) -> int:
@@ -362,21 +378,18 @@ def phihat_pull_boundary(k: int, j_hat: int) -> DivisorClass:
         raise IndexRangeError(
             f"boundary index {j_hat} out of range 0..{genus_reduced_trace(k) // 2}"
         )
-    hur = hurwitz_basis(k)
     if j_hat == 0:
-        coeffs = {E0: Fraction(2 * k - 2)}
+        nums = {E0: 2 * k - 2}
         if k >= 3:
-            coeffs[E2] = Fraction(2)
+            nums[E2] = 2
         for j in range(2, k + 1):
             for c in range(1, j // 2 + 1):
-                coeffs[Ejc(j, c)] = Fraction(
-                    (k - j + c) * (c + 1) + (j + 1) // 2 + _eps(j, c)
-                )
+                nums[Ejc(j, c)] = (k - j + c) * (c + 1) + (j + 1) // 2 + _eps(j, c)
         for j in range(3, k + 1):
-            coeffs[Ejc(j, 0)] = Fraction((j + 1) // 2 + _eps(j, 0))
-        return DivisorClass(hur, coeffs)
+            nums[Ejc(j, 0)] = (j + 1) // 2 + _eps(j, 0)
+        return _integer_class(k, nums)
     if j_hat in (1, 2):
-        return DivisorClass(hur, {Ejc(j_hat, 0): Fraction(k - 1)})
+        return _integer_class(k, {Ejc(j_hat, 0): k - 1})
     if j_hat <= k:
-        return DivisorClass(hur, {Ejc(j_hat, 0): Fraction(k - j_hat)})
-    return zero_class(hur)
+        return _integer_class(k, {Ejc(j_hat, 0): k - j_hat})
+    return zero_class(hurwitz_basis(k))

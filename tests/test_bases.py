@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -205,8 +206,9 @@ def test_lazy_basis_enumeration():
     assert hat == ["lambdaH", "deltaH_0", "deltaH_1", "deltaH_2"]  # genus 4
 
 
-# Mixed representation: a coefficient is stored as a Fraction unless it
-# carries a symbol.  Every operation must agree with the same operation
+# Mixed representation: symbol-free coefficients are integer numerators
+# over one common denominator, and only coefficients that carry a symbol
+# are AffineExpr.  Every operation must agree with the same operation
 # done coefficient by coefficient in AffineExpr arithmetic.
 
 MIXED_SYMBOLS = [c_sym(1), c_sym(2), b_sym(1), b_sym(2)]
@@ -229,11 +231,18 @@ def mg_classes(values, k=2):
 
 
 def assert_canonical(d):
-    for value in d._coeffs.values():
-        assert value
-        assert type(value) is Fraction or (
-            isinstance(value, AffineExpr) and not value.is_constant()
-        ), f"non-canonical stored value {value!r}"
+    """The unique stored form: a positive denominator in lowest terms
+    with the numerators (1 when there are none), no zero numerator,
+    only non-constant symbolic values, and disjoint keys."""
+    assert type(d._den) is int and d._den > 0
+    assert all(type(n) is int and n for n in d._nums.values())
+    assert math.gcd(d._den, *d._nums.values()) == 1
+    assert d._nums or d._den == 1
+    for value in d._sym.values():
+        assert isinstance(value, AffineExpr) and not value.is_constant(), (
+            f"non-canonical symbolic value {value!r}"
+        )
+    assert not set(d._nums) & set(d._sym)
 
 
 def model(d):
@@ -316,9 +325,10 @@ def test_full_substitution_stores_only_fractions(table):
 
     ext = ExternalCoeffs(3, dict(zip((1, 2, 3), table[:3])), dict(zip((1, 2, 3), table[3:])))
     for d in (p_phi_lambda(3), p_q_kappa(3)):
-        assert any(isinstance(v, AffineExpr) for v in d._coeffs.values())
+        assert d._sym
         numeric = ext.apply(d)
-        assert all(type(v) is Fraction for v in numeric._coeffs.values())
+        assert_canonical(numeric)
+        assert not numeric._sym
 
 
 def test_constant_affine_and_fraction_classes_are_identical():
@@ -327,9 +337,102 @@ def test_constant_affine_and_fraction_classes_are_identical():
     wrapped = DivisorClass(basis, {E0: AffineExpr(3)})
     assert plain == wrapped
     assert hash(plain) == hash(wrapped)
-    assert type(wrapped._coeffs[E0]) is Fraction
+    assert (wrapped._den, wrapped._nums, wrapped._sym) == (1, {E0: 3}, {})
     assert wrapped.coefficient(E0) == AffineExpr(3)
     # a symbolic sum that cancels is stored as its constant
     sym = DivisorClass(mg_basis(1), {delta(1): AffineExpr(1, {c_sym(1): 1})})
     cancelled = sym - DivisorClass(mg_basis(1), {delta(1): AffineExpr(0, {c_sym(1): 1})})
-    assert type(cancelled._coeffs[delta(1)]) is Fraction
+    stored = (cancelled._den, cancelled._nums, cancelled._sym)
+    assert stored == (1, {delta(1): 1}, {})
+
+
+# Integer kernel: a ClassMap keeps one common denominator and one integer
+# factor per row.  Rows over pairwise different denominators, some of the
+# size of (6k)!, must apply and compose exactly like plain Fraction sums.
+
+FACTORIAL_SIZED = math.factorial(6 * 20)
+row_denominators = st.one_of(
+    st.integers(1, 90), st.sampled_from([FACTORIAL_SIZED, FACTORIAL_SIZED + 1])
+)
+big_rationals = st.one_of(
+    rationals,
+    st.integers(-(10**40), 10**40).map(lambda n: Fraction(n, FACTORIAL_SIZED)),
+)
+
+
+@st.composite
+def fraction_maps(draw, k=3):
+    """A map Mg(k) -> Mg(k) as a plain Fraction reference: each row has
+    its own denominator, and a 1/den entry keeps it from reducing."""
+    gens = list(mg_basis(k).generators())
+    sources = draw(st.lists(st.sampled_from(gens), unique=True, max_size=len(gens)))
+    n = len(sources)
+    dens = draw(st.lists(row_denominators, min_size=n, max_size=n, unique=True))
+    rows = {}
+    for source, den in zip(sources, dens):
+        first = draw(st.sampled_from(gens))
+        extra = draw(
+            st.dictionaries(st.sampled_from(gens), st.integers(-50, 50), max_size=3)
+        )
+        row = {g: Fraction(n, den) for g, n in extra.items() if n}
+        row[first] = Fraction(1, den)
+        rows[source] = row
+    return rows
+
+
+def fraction_apply(rows, coeffs):
+    out = {}
+    for g, x in coeffs.items():
+        for t, r in rows.get(g, {}).items():
+            out[t] = out.get(t, 0) + x * r
+    return {t: v for t, v in out.items() if v}
+
+
+def as_fractions(d):
+    return {g: v.constant_value() for g, v in d.items()}
+
+
+def class_map(rows, k=3):
+    basis = mg_basis(k)
+    images = {g: DivisorClass(basis, row) for g, row in rows.items()}
+    return ClassMap(basis, basis, images)
+
+
+@given(
+    fraction_maps(),
+    fraction_maps(),
+    st.dictionaries(st.sampled_from(list(mg_basis(3).generators())), big_rationals),
+)
+def test_integer_kernel_matches_fraction_reference(outer_rows, inner_rows, coeffs):
+    outer, inner = class_map(outer_rows), class_map(inner_rows)
+    d = DivisorClass(mg_basis(3), coeffs)
+    applied = outer.apply(d)
+    assert_canonical(applied)
+    assert as_fractions(applied) == fraction_apply(outer_rows, coeffs)
+    composed = outer.compose(inner)
+    for g in mg_basis(3).generators():
+        row = composed.row(g)
+        assert_canonical(row)
+        assert as_fractions(row) == fraction_apply(outer_rows, inner_rows.get(g, {}))
+    scale = Fraction(FACTORIAL_SIZED, 7)
+    assert as_fractions(applied * scale) == {
+        t: v * scale for t, v in fraction_apply(outer_rows, coeffs).items()
+    }
+
+
+def test_generator_order_is_cached_and_shared_by_all_kinds():
+    bases = (
+        hurwitz_basis(5),
+        mg_basis(4),
+        m0b_sym_basis(4),
+        mg_prime_basis(2),
+        mg_hat_basis(3),
+    )
+    for basis in bases:
+        gens = list(basis.generators())
+        assert [basis.sort_index(g) for g in gens] == list(range(len(gens)))
+        assert all(basis.contains(g) for g in gens)
+        with pytest.raises(UnknownGeneratorError):
+            basis.sort_index("E_99_0")
+    assert not hurwitz_basis(2).contains("E_2_2")
+    assert not mg_basis(2).contains("delta_x")

@@ -302,3 +302,63 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     obj = json.loads(target.read_text(encoding="utf-8"))
     assert obj["k"] == 1
+
+
+def _write_json(tmp_path, obj):
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def test_verify_externals_json_list_is_an_input_error(tmp_path, capsys):
+    path = _write_json(tmp_path, [{"schema": "external-coeffs/1", "k": 1}])
+    code, out, err = run(
+        capsys, "verify", "--k-min", "1", "--k-max", "1", "--externals", path
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "JSON object" in err
+
+
+def test_verify_externals_numeric_rational_is_an_input_error(tmp_path, capsys):
+    path = _write_json(
+        tmp_path,
+        {"schema": "external-coeffs/1", "k": 1, "c": {"1": 1}, "b": {"1": "0"}},
+    )
+    code, out, err = run(
+        capsys, "verify", "--k-min", "1", "--k-max", "1", "--externals", path
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "c_1" in err and "p/q" in err
+
+
+def test_slope_rejects_externals_for_another_k(tmp_path, capsys):
+    path = _write_json(
+        tmp_path,
+        {
+            "schema": "external-coeffs/1",
+            "k": 2,
+            "c": {"1": "0", "2": "1"},
+            "b": {"1": "0", "2": "3"},
+        },
+    )
+    code, out, err = run(
+        capsys, "slope", "--k", "3", "--variant", "kappa", "--externals", path
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: external table is for k=2, not k=3\n"
+    # verify over a range still skips the k that the table does not match
+    code, out, _ = run(
+        capsys,
+        "verify",
+        "--k-min", "1",
+        "--k-max", "3",
+        "--checks", "delta-j-checks",
+        "--externals", path,
+    )
+    statuses = [line.split()[2] for line in out.splitlines()[:3]]
+    assert statuses == ["SKIP", "FAIL", "SKIP"]

@@ -12,6 +12,8 @@ from hurwitzdiv.bases import (
     T2,
     T3j,
     delta,
+    genus_reduced_trace,
+    genus_trace,
     hurwitz_basis,
     mg_basis,
 )
@@ -41,7 +43,16 @@ from hurwitzdiv.pushforward import (
     p_q_map,
     prym_pullbacks,
 )
-from hurwitzdiv.trace import alpha_coeff, e_coeff, q_pullback
+from hurwitzdiv.m0b import kappa_class
+from hurwitzdiv.trace import (
+    alpha_coeff,
+    e_coeff,
+    phi_pull_boundary,
+    phi_pull_lambda,
+    phihat_pull_boundary,
+    phihat_pull_lambda,
+    q_pullback,
+)
 
 
 def mclass(k, coeffs):
@@ -291,3 +302,37 @@ def test_external_coeffs_substitution_eliminates_symbols():
     assert ext.apply(p_phihat_lambda(2)).coefficient(delta(1)).constant_value() == (
         Fraction(8, 11) - Fraction(5, 66)
     )
+
+
+def test_raw_classes_equal_scaled_normalized_classes():
+    # the raw classes are computed as (6k)! times the per-factorial-b
+    # result; they must also equal the raw push-forward map applied
+    for k in range(1, 7):
+        phi_js = range(min(k, genus_trace(k) // 2) + 1)
+        phihat_js = range(min(k, genus_reduced_trace(k) // 2) + 1)
+        pairs = [
+            (p_phi_lambda, phi_pull_lambda(k), ()),
+            (p_phihat_lambda, phihat_pull_lambda(k), ()),
+            *((p_phi_delta, phi_pull_boundary(k, j), (j,)) for j in phi_js),
+            *((p_phihat_delta, phihat_pull_boundary(k, j), (j,)) for j in phihat_js),
+        ]
+        for builder, pulled, args in pairs:
+            raw = builder(k, *args, RAW)
+            normalized = builder(k, *args, PER_FACTORIAL_B)
+            assert raw == convert_normalization(normalized, k, PER_FACTORIAL_B, RAW)
+            assert raw == p_push(k, RAW).apply(pulled)
+        assert p_q_kappa(k, RAW) == convert_normalization(
+            p_q_kappa(k), k, PER_FACTORIAL_B, RAW
+        )
+        assert p_q_kappa(k, RAW) == p_q_map(k, RAW).apply(kappa_class(k))
+        assert eh_divisor(k, RAW) == convert_normalization(
+            eh_divisor(k, PER_FACTORIAL_B), k, PER_FACTORIAL_B, RAW
+        )
+
+
+def test_pushed_classes_reject_unknown_normalization():
+    for builder in (p_phi_lambda, p_phihat_lambda, p_q_kappa, eh_divisor):
+        with pytest.raises(ValueError):
+            builder(2, "nope")
+    with pytest.raises(ValueError):
+        p_phi_delta(2, 0, "nope")

@@ -115,3 +115,21 @@ def test_externals_rejects_partial_tables():
         )
     with pytest.raises(ValueError):
         externals_from_obj({"schema": "wrong", "k": 1, "c": {"1": "0"}, "b": {"1": "0"}})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [],
+        "external-coeffs/1",
+        None,
+        {"schema": "external-coeffs/1", "k": "1", "c": {"1": "0"}, "b": {"1": "0"}},
+        {"schema": "external-coeffs/1", "k": True, "c": {"1": "0"}, "b": {"1": "0"}},
+        {"schema": "external-coeffs/1", "k": 1, "c": ["0"], "b": {"1": "0"}},
+        {"schema": "external-coeffs/1", "k": 1, "c": {"one": "0"}, "b": {"1": "0"}},
+        {"schema": "external-coeffs/1", "k": 1, "c": {"1": 0.5}, "b": {"1": "0"}},
+    ],
+)
+def test_externals_rejects_malformed_shapes(obj):
+    with pytest.raises(ValueError):
+        externals_from_obj(obj)
