@@ -18,13 +18,12 @@ generator order of the three finite bases is built once per (kind, k)
 and kept in a module-level ``lru_cache`` as a name -> position map, so
 membership and display order are dict lookups.
 
-A divisor class stores its symbol-free coefficients as integer
-numerators over one positive common denominator, in lowest terms.  Only
-a coefficient that carries one of the external symbols c_j, b_j is an
-:class:`AffineExpr`.  Those symbols enter through a handful of
-push-forward rows, so addition, scaling and the application of class
-maps run on plain ``int``; a ``Fraction`` is built only at the public
-accessors.
+A divisor class stores every coefficient as integer numerators over one
+positive common denominator, in lowest terms: the constant part, and
+the coefficient of each external symbol c_j, b_j it carries.  Addition,
+scaling, substitution and the application of class maps therefore run
+on plain ``int``; a ``Fraction`` or an :class:`AffineExpr` is built only
+at the public accessors.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, Mapping
 
-from .core import AffineExpr, AffineLike
+from .core import AffineExpr, AffineLike, ExtSymbol, RationalLike
 
 
 class ClassGroupError(ValueError):
@@ -221,15 +220,17 @@ def mg_hat_basis(k: int) -> Basis:
 class DivisorClass:
     """A sparse divisor class: a finite sum of generators of one basis.
 
-    The symbol-free coefficients are stored as nonzero integer
-    numerators ``_nums`` over one positive denominator ``_den``, with
-    ``gcd(_den, *_nums.values()) == 1`` and ``_den == 1`` when there are
-    none.  A coefficient that carries an external symbol is stored in
-    ``_sym`` as a non-constant :class:`AffineExpr`; the keys of the two
-    maps are disjoint.  This form is unique, so two classes are equal
-    exactly when their stored parts agree.  The accessors
-    :meth:`coefficient` and :meth:`items` return :class:`AffineExpr`
-    whatever the stored form.  Instances are immutable.
+    Every coefficient is stored as integer numerators over one positive
+    common denominator ``_den``: its constant part in ``_nums`` and the
+    coefficients of its external symbols c_j, b_j in ``_sym``, a map
+    generator -> symbol -> numerator.  A generator may occur in both
+    maps.  No numerator is zero, no inner map of ``_sym`` is empty,
+    ``gcd(_den, *every numerator) == 1``, and ``_den == 1`` when there
+    are no numerators.  This form is unique, so two classes are equal
+    exactly when their stored parts agree.  Only the accessors
+    :meth:`coefficient` and :meth:`items`, and multiplication by a
+    symbolic scalar, which goes through them, build an
+    :class:`AffineExpr`.  Instances are immutable.
     """
 
     __slots__ = ("basis", "_den", "_nums", "_sym")
@@ -237,14 +238,13 @@ class DivisorClass:
     def __init__(self, basis: Basis, coeffs: Mapping[str, AffineLike] | None = None):
         self.basis = basis
         plain: dict[str, int | Fraction] = {}
-        sym: dict[str, AffineExpr] = {}
+        symbolic: dict[str, dict[ExtSymbol, Fraction]] = {}
         if coeffs:
             for name, value in coeffs.items():
                 basis.check(name)
                 if isinstance(value, AffineExpr):
                     if not value.is_constant():
-                        sym[name] = value
-                        continue
+                        symbolic[name] = value.terms
                     value = value.const
                 elif not isinstance(value, (int, Fraction)):
                     raise TypeError(
@@ -254,13 +254,16 @@ class DivisorClass:
                     plain[name] = value
         # over the lcm of reduced denominators the numerators share no
         # factor with it, so the stored form is already in lowest terms
-        den = lcm(*(value.denominator for value in plain.values()))
+        den = lcm(
+            *(value.denominator for value in plain.values()),
+            *(coef.denominator for terms in symbolic.values() for coef in terms.values()),
+        )
         self._den = den
-        self._nums = {
-            name: value.numerator * (den // value.denominator)
-            for name, value in plain.items()
+        self._nums = {name: _over(value, den) for name, value in plain.items()}
+        self._sym = {
+            name: {s: _over(coef, den) for s, coef in terms.items()}
+            for name, terms in symbolic.items()
         }
-        self._sym = sym
 
     @classmethod
     def _raw(
@@ -268,55 +271,79 @@ class DivisorClass:
         basis: Basis,
         den: int,
         nums: dict[str, int],
-        sym: dict[str, AffineExpr] | None = None,
+        sym: dict[str, dict[ExtSymbol, int]] | None = None,
     ) -> "DivisorClass":
-        # internal: generators already validated, ``nums`` nonzero over
-        # ``den`` > 0, ``sym`` non-constant and disjoint from ``nums``;
-        # only the common factor of ``den`` and ``nums`` is removed here
-        if not nums:
+        # internal: generators already validated, every numerator nonzero
+        # over ``den`` > 0, no inner map of ``sym`` empty; only the common
+        # factor of ``den`` and the numerators is removed here
+        sym = sym or {}
+        if not (nums or sym):
             den = 1
         elif den != 1:
             g = gcd(den, *nums.values())
+            if g != 1 and sym:
+                g = gcd(g, *_sym_numerators(sym))
             if g != 1:
                 den //= g
                 nums = {name: n // g for name, n in nums.items()}
+                sym = {
+                    name: {s: n // g for s, n in terms.items()}
+                    for name, terms in sym.items()
+                }
         obj = cls.__new__(cls)
         obj.basis = basis
         obj._den = den
         obj._nums = nums
-        obj._sym = sym or {}
+        obj._sym = sym
         return obj
+
+    def _value(self, name: str) -> AffineExpr:
+        den = self._den
+        terms = self._sym.get(name)
+        return AffineExpr(
+            Fraction(self._nums.get(name, 0), den),
+            terms and {s: Fraction(n, den) for s, n in terms.items()},
+        )
 
     def coefficient(self, name: str) -> AffineExpr:
         self.basis.check(name)
-        n = self._nums.get(name)
-        if n is not None:
-            return AffineExpr(Fraction(n, self._den))
-        symbolic = self._sym.get(name)
-        return AffineExpr(0) if symbolic is None else symbolic
+        return self._value(name)
 
     def support(self) -> list[str]:
-        return sorted([*self._nums, *self._sym], key=self.basis.sort_index)
+        return sorted(self._nums.keys() | self._sym.keys(), key=self.basis.sort_index)
 
     def items(self) -> list[tuple[str, AffineExpr]]:
-        nums, den, sym = self._nums, self._den, self._sym
-        return [
-            (name, AffineExpr(Fraction(nums[name], den)) if name in nums else sym[name])
-            for name in self.support()
-        ]
+        return [(name, self._value(name)) for name in self.support()]
 
     def is_zero(self) -> bool:
         return not self._nums and not self._sym
 
-    def substitute(self, values) -> "DivisorClass":
-        if not self._sym:
+    def substitute(self, values: Mapping[ExtSymbol, RationalLike]) -> "DivisorClass":
+        """Replace every symbol present in ``values``; others stay
+        symbolic.  Everything is put over one lcm of the denominators of
+        the values used."""
+        used = {
+            s: Fraction(values[s])
+            for terms in self._sym.values()
+            for s in terms
+            if s in values
+        }
+        if not used:
             return self
-        return _with_symbols(
-            self.basis,
-            self._den,
-            dict(self._nums),
-            {name: e.substitute(values) for name, e in self._sym.items()},
-        )
+        common = lcm(*(v.denominator for v in used.values()))
+        nums = {name: n * common for name, n in self._nums.items()}
+        sym: dict[str, dict[ExtSymbol, int]] = {}
+        for name, terms in self._sym.items():
+            kept: dict[ExtSymbol, int] = {}
+            for s, n in terms.items():
+                v = used.get(s)
+                if v is None:
+                    kept[s] = n * common
+                else:
+                    nums[name] = nums.get(name, 0) + n * _over(v, common)
+            if kept:
+                sym[name] = kept
+        return DivisorClass._raw(self.basis, self._den * common, _nonzero(nums), sym)
 
     def _require_same_basis(self, other: "DivisorClass") -> None:
         if self.basis != other.basis:
@@ -330,29 +357,19 @@ class DivisorClass:
             return NotImplemented
         self._require_same_basis(other)
         d1, d2 = self._den, other._den
-        if d1 == d2:
-            den, f2 = d1, sign
-            nums = dict(self._nums)
-        else:
-            g = gcd(d1, d2)
-            f1, f2 = d2 // g, sign * (d1 // g)
-            den = d1 * f1
-            nums = {name: n * f1 for name, n in self._nums.items()}
-        for name, n in other._nums.items():
-            total = nums.get(name, 0) + n * f2
-            if total:
-                nums[name] = total
-            else:
-                del nums[name]
-        if not (self._sym or other._sym):
-            return DivisorClass._raw(self.basis, den, nums)
-        sym = dict(self._sym)
-        for name, e in other._sym.items():
-            present = sym.get(name)
-            if sign < 0:
-                e = -e
-            sym[name] = e if present is None else present + e
-        return _with_symbols(self.basis, den, nums, sym)
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, sign * (d1 // g)
+        nums = {name: n * f1 for name, n in self._nums.items()}
+        _add_scaled(nums, other._nums, f2)
+        sym = {
+            name: {s: n * f1 for s, n in terms.items()}
+            for name, terms in self._sym.items()
+        }
+        for name, terms in other._sym.items():
+            _add_scaled(sym.setdefault(name, {}), terms, f2)
+        return DivisorClass._raw(
+            self.basis, d1 * f1, _nonzero(nums), _nonzero_sym(sym)
+        )
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return self._combine(other, 1)
@@ -365,7 +382,10 @@ class DivisorClass:
             self.basis,
             self._den,
             {name: -n for name, n in self._nums.items()},
-            {name: -e for name, e in self._sym.items()},
+            {
+                name: {s: -n for s, n in terms.items()}
+                for name, terms in self._sym.items()
+            },
         )
 
     def _scaled(self, x: int | Fraction) -> "DivisorClass":
@@ -375,9 +395,12 @@ class DivisorClass:
         p, q = x.numerator, x.denominator
         g = gcd(self._den, p)
         den, p = self._den // g, p // g
-        g = gcd(q, *self._nums.values())
+        g = gcd(q, *self._nums.values(), *_sym_numerators(self._sym))
         nums = {name: n // g * p for name, n in self._nums.items()}
-        sym = {name: e * x for name, e in self._sym.items()}
+        sym = {
+            name: {s: n // g * p for s, n in terms.items()}
+            for name, terms in self._sym.items()
+        }
         return DivisorClass._raw(self.basis, den * (q // g), nums, sym)
 
     def __mul__(self, scalar: AffineLike) -> "DivisorClass":
@@ -418,7 +441,9 @@ class DivisorClass:
                 self.basis,
                 self._den,
                 frozenset(self._nums.items()),
-                frozenset(self._sym.items()),
+                frozenset(
+                    (name, frozenset(terms.items())) for name, terms in self._sym.items()
+                ),
             )
         )
 
@@ -430,31 +455,30 @@ class DivisorClass:
         return f"<{self.basis.kind}(k={self.basis.k}): {body}>"
 
 
-def _with_symbols(
-    basis: Basis, den: int, nums: dict[str, int], sym: dict[str, AffineExpr]
-) -> DivisorClass:
-    """A class from nonzero numerators over ``den`` and symbolic values
-    that may share a generator with ``nums`` or have become constant;
-    constants are folded into the integer part.  ``nums`` is consumed."""
-    kept: dict[str, AffineExpr] = {}
-    constants: dict[str, Fraction] = {}
-    for name, e in sym.items():
-        n = nums.pop(name, None)
-        if n is not None:
-            e = e + Fraction(n, den)
-        if not e.is_constant():
-            kept[name] = e
-        elif e.const:
-            constants[name] = e.const
-    if constants:
-        common = lcm(den, *(c.denominator for c in constants.values()))
-        if common != den:
-            factor = common // den
-            nums = {name: n * factor for name, n in nums.items()}
-        for name, c in constants.items():
-            nums[name] = c.numerator * (common // c.denominator)
-        den = common
-    return DivisorClass._raw(basis, den, nums, kept)
+def _over(value: int | Fraction, den: int) -> int:
+    """The numerator of ``value`` over ``den``, a multiple of its
+    denominator."""
+    return value.numerator * (den // value.denominator)
+
+
+def _sym_numerators(sym: Mapping[str, Mapping[ExtSymbol, int]]) -> Iterator[int]:
+    for terms in sym.values():
+        yield from terms.values()
+
+
+def _add_scaled(acc: dict, terms: Mapping, factor: int) -> None:
+    """``acc += factor * terms`` key by key; zeros are left in place."""
+    for key, n in terms.items():
+        acc[key] = acc.get(key, 0) + n * factor
+
+
+def _nonzero(nums: dict) -> dict:
+    return {key: n for key, n in nums.items() if n}
+
+
+def _nonzero_sym(sym: dict[str, dict[ExtSymbol, int]]) -> dict[str, dict[ExtSymbol, int]]:
+    kept = {name: _nonzero(terms) for name, terms in sym.items()}
+    return {name: terms for name, terms in kept.items() if terms}
 
 
 def zero_class(basis: Basis) -> DivisorClass:
@@ -468,7 +492,9 @@ class ClassMap:
     The rows are kept as they are; the map also holds the lcm ``_den``
     of the row denominators and, per row, the integer factor
     ``_den // row._den`` that puts that row's numerators over it, so
-    :meth:`apply` sums symbol-free products in ``int``.
+    :meth:`apply` sums every product, constant or symbolic, in ``int``.
+    The symbols occur linearly: a symbolic source coefficient meeting a
+    row with symbolic entries raises ``ValueError``.
     """
 
     __slots__ = ("source", "target", "rows", "_den", "_factors")
@@ -501,10 +527,11 @@ class ClassMap:
                 f"class over {d.basis} cannot be fed to a map from {self.source}"
             )
         rows, factors = self.rows, self._factors
-        # symbol-free products x * r * factor are summed over
-        # d._den * self._den; symbolic terms are summed apart
+        # every product x * r * factor is summed in int over
+        # d._den * self._den; the symbols occur linearly, so at most one
+        # side of each product carries one
         sums: dict[str, int] = {}
-        symbolic: dict[str, AffineExpr] = {}
+        sym: dict[str, dict[ExtSymbol, int]] = {}
         for name, x in d._nums.items():
             row = rows.get(name)
             if row is None:
@@ -512,23 +539,22 @@ class ClassMap:
             scaled = x * factors[name]
             for target_name, r in row._nums.items():
                 sums[target_name] = sums.get(target_name, 0) + scaled * r
-            if row._sym:
-                value = Fraction(x, d._den)
-                for target_name, e in row._sym.items():
-                    _accumulate(symbolic, target_name, e * value)
-        for name, e in d._sym.items():
+            for target_name, terms in row._sym.items():
+                _add_scaled(sym.setdefault(target_name, {}), terms, scaled)
+        for name, terms in d._sym.items():
             row = rows.get(name)
             if row is None:
                 continue
+            if row._sym:
+                raise ValueError(
+                    "product of two non-constant affine expressions is not affine"
+                )
+            factor = factors[name]
             for target_name, r in row._nums.items():
-                _accumulate(symbolic, target_name, e * Fraction(r, row._den))
-            for target_name, row_e in row._sym.items():
-                _accumulate(symbolic, target_name, e * row_e)
-        den = d._den * self._den
-        nums = {name: n for name, n in sums.items() if n}
-        if symbolic:
-            return _with_symbols(self.target, den, nums, symbolic)
-        return DivisorClass._raw(self.target, den, nums)
+                _add_scaled(sym.setdefault(target_name, {}), terms, r * factor)
+        return DivisorClass._raw(
+            self.target, d._den * self._den, _nonzero(sums), _nonzero_sym(sym)
+        )
 
     def compose(self, inner: "ClassMap") -> "ClassMap":
         """The map ``self o inner``; requires inner.target == self.source."""
@@ -550,11 +576,6 @@ class ClassMap:
             f"ClassMap({self.source.kind}(k={self.source.k}) -> "
             f"{self.target.kind}(k={self.target.k}), {len(self.rows)} rows)"
         )
-
-
-def _accumulate(sums: dict[str, AffineExpr], name: str, term: AffineExpr) -> None:
-    present = sums.get(name)
-    sums[name] = term if present is None else present + term
 
 
 def identity_map(basis: Basis) -> ClassMap:

@@ -198,12 +198,12 @@ def _check_closed_forms(k: int, externals) -> Iterator[CheckResult]:
 
     def body() -> None:
         _require(
-            _lambda_delta0(pushforward.p_phi_lambda(k))
+            _lambda_delta0(pushforward.p_phi_lambda(k, PER_FACTORIAL_B))
             == pushforward.p_phi_lambda_closed_coeffs(k),
             "pushed trace Hodge class differs from closed form",
         )
         _require(
-            _lambda_delta0(pushforward.p_phihat_lambda(k))
+            _lambda_delta0(pushforward.p_phihat_lambda(k, PER_FACTORIAL_B))
             == pushforward.p_phihat_lambda_closed_coeffs(k),
             "pushed reduced Hodge class differs from closed form",
         )
@@ -223,12 +223,12 @@ def _check_closed_forms(k: int, externals) -> Iterator[CheckResult]:
             "branch divisor differs from closed form",
         )
         _require(
-            _lambda_delta0(pushforward.p_q_kappa(k))
+            _lambda_delta0(pushforward.p_q_kappa(k, PER_FACTORIAL_B))
             == pushforward.p_q_kappa_closed_coeffs(k),
             "pushed ample class differs from closed form",
         )
-        hodge = pushforward.p_phi_lambda(k)
-        reduced = pushforward.p_phihat_lambda(k)
+        hodge = pushforward.p_phi_lambda(k, PER_FACTORIAL_B)
+        reduced = pushforward.p_phihat_lambda(k, PER_FACTORIAL_B)
         for j in range(1, k + 1):
             _require(
                 hodge.coefficient(delta(j))
@@ -336,11 +336,11 @@ def _check_m0n(k: int, externals) -> Iterator[CheckResult]:
 def _check_hygiene(k: int, externals) -> Iterator[CheckResult]:
     def body() -> None:
         pushed = [
-            pushforward.p_phi_lambda(k),
-            pushforward.p_phihat_lambda(k),
+            pushforward.p_phi_lambda(k, PER_FACTORIAL_B),
+            pushforward.p_phihat_lambda(k, PER_FACTORIAL_B),
             pushforward.p_phi_delta(k, 0, PER_FACTORIAL_B),
             pushforward.p_phihat_delta(k, 0, PER_FACTORIAL_B),
-            pushforward.p_q_kappa(k),
+            pushforward.p_q_kappa(k, PER_FACTORIAL_B),
             pushforward.eh_divisor(k, PER_FACTORIAL_B),
         ]
         for d in pushed:
@@ -368,11 +368,11 @@ def _check_delta_j(k: int, externals: ExternalCoeffs | None) -> Iterator[CheckRe
 
     def body() -> None:
         for d in (
-            pushforward.p_phi_lambda(k),
-            pushforward.p_phihat_lambda(k),
+            pushforward.p_phi_lambda(k, PER_FACTORIAL_B),
+            pushforward.p_phihat_lambda(k, PER_FACTORIAL_B),
             pushforward.p_phi_delta(k, 0, PER_FACTORIAL_B),
             pushforward.p_phihat_delta(k, 0, PER_FACTORIAL_B),
-            pushforward.p_q_kappa(k),
+            pushforward.p_q_kappa(k, PER_FACTORIAL_B),
             pushforward.eh_divisor(k, PER_FACTORIAL_B),
         ):
             numeric = externals.apply(d)
@@ -382,7 +382,8 @@ def _check_delta_j(k: int, externals: ExternalCoeffs | None) -> Iterator[CheckRe
                     "substitution left a symbolic coefficient behind",
                 )
         slopes.kappa_slope_bound(k, externals)
-        report = slopes.slope_of(externals.apply(pushforward.p_phi_lambda(k)))
+        hodge = pushforward.p_phi_lambda(k, PER_FACTORIAL_B)
+        report = slopes.slope_of(externals.apply(hodge))
         _require(report.valid != slopes.UNKNOWN, "slope validity still unknown")
 
     yield _run("delta-j-checks", k, body)

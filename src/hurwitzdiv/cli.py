@@ -144,9 +144,9 @@ def _cmd_slope(args) -> int:
         s = parse_rational(args.s_prime)
         reduced = args.variant == "reduced"
         hodge = (
-            pushforward.p_phihat_lambda(k)
+            pushforward.p_phihat_lambda(k, PER_FACTORIAL_B)
             if reduced
-            else pushforward.p_phi_lambda(k)
+            else pushforward.p_phi_lambda(k, PER_FACTORIAL_B)
         )
         target = hodge * s - _boundary_sum_pushed(k, reduced)
         induced = (

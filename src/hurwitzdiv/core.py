@@ -5,13 +5,17 @@ Every value is immutable and every operation is exact; no floating point
 is used anywhere in the package.  Rationals are ``fractions.Fraction``,
 which already keeps gcd-reduced canonical form with a positive
 denominator and arbitrary-precision integer parts.  An
-:class:`AffineExpr` is needed only where a value carries a symbol; it
-mixes freely with ``int`` and ``Fraction`` operands, and a constant
-expression compares and hashes equal to its ``Fraction`` value.
+:class:`AffineExpr` is the public value type of a coefficient that may
+carry a symbol; it mixes freely with ``int`` and ``Fraction`` operands,
+and a constant expression compares and hashes equal to its ``Fraction``
+value.  Divisor classes store their symbolic terms as integers and build
+an :class:`AffineExpr` only at their public accessors
+(``DivisorClass.coefficient``/``items``), so it is not on the hot path.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -22,12 +26,24 @@ Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 
+_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal "p/q"; a bare integer "p" means p/1."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+    """Parse a rational literal "p/q"; a bare integer "p" means p/1.
+
+    The grammar is strict: an optional sign ``+`` or ``-``, one or more
+    ASCII digits, and optionally ``/`` followed by one or more ASCII
+    digits, which must not all be zero.  Nothing else is accepted: no
+    whitespace, decimal point, exponent, digit separator or sign on the
+    denominator.  Anything else raises ``ValueError``.
+    """
+    if not isinstance(text, str) or not _RATIONAL_LITERAL.fullmatch(text):
+        raise ValueError(f"not a rational literal: {text!r}")
+    numerator, _, denominator = text.partition("/")
+    if denominator and not denominator.strip("0"):
+        raise ValueError(f"zero denominator in rational literal {text!r}")
+    return Fraction(int(numerator), int(denominator or 1))
 
 
 def format_rational(x: RationalLike) -> str:

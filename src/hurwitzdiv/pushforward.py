@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping, NamedTuple
 
 from .bases import (
@@ -32,7 +32,7 @@ from .bases import (
     hurwitz_basis,
     mg_basis,
 )
-from .core import AffineExpr, AffineLike, ExtSymbol, b_sym, c_sym
+from .core import AffineExpr, ExtSymbol, b_sym, c_sym
 from .m0b import kappa_class
 from .trace import (
     alpha_coeff,
@@ -117,24 +117,32 @@ def p_push(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
     rows: dict[str, DivisorClass] = {
         E0: DivisorClass(mg, {delta(0): n / 2})
     }
+    # the E2/E3 rows as integer numerators over one denominator each; the
+    # delta_j entries carry only c_j (E2) or b_j (E3)
     if k >= 3:
         lead = Fraction(k - 2, 2 * k - 1) * n
-        coeffs: dict[str, AffineLike] = {
-            LAMBDA: lead * (18 * k * k + 51 * k - 9),
-            delta(0): -lead * (3 * k * k + 4 * k - 1),
-        }
-        for j in range(1, k + 1):
-            coeffs[delta(j)] = AffineExpr(0, {c_sym(j): Fraction(1, 2)})
-        rows[E2] = DivisorClass(mg, coeffs)
+        p, q = lead.numerator, lead.denominator
+        rows[E2] = DivisorClass._raw(
+            mg,
+            2 * q,
+            {
+                LAMBDA: 2 * p * (18 * k * k + 51 * k - 9),
+                delta(0): -2 * p * (3 * k * k + 4 * k - 1),
+            },
+            {delta(j): {c_sym(j): q} for j in range(1, k + 1)},
+        )
     if k >= 2:
         lead = Fraction(3, 2 * (2 * k - 1)) * n
-        coeffs = {
-            LAMBDA: lead * (12 * k * k + 46 * k - 8),
-            delta(0): -lead * (2 * k * k + 4 * k - 1),
-        }
-        for j in range(1, k + 1):
-            coeffs[delta(j)] = AffineExpr(0, {b_sym(j): -lead})
-        rows[E3] = DivisorClass(mg, coeffs)
+        p, q = lead.numerator, lead.denominator
+        rows[E3] = DivisorClass._raw(
+            mg,
+            q,
+            {
+                LAMBDA: p * (12 * k * k + 46 * k - 8),
+                delta(0): -p * (2 * k * k + 4 * k - 1),
+            },
+            {delta(j): {b_sym(j): -p} for j in range(1, k + 1)},
+        )
     for j in range(1, k + 1):
         target = delta(j)
         den = (j + 1) * (2 * k - j + 1)
@@ -162,7 +170,8 @@ def p_phi_lambda(k: int, normalization: str = PER_FACTORIAL_B) -> DivisorClass:
     """Push-forward of the pulled-back Hodge class of the trace-curve
     moduli space."""
     if _is_raw(normalization):
-        return convert_normalization(p_phi_lambda(k), k, PER_FACTORIAL_B, RAW)
+        pushed = p_phi_lambda(k, PER_FACTORIAL_B)
+        return convert_normalization(pushed, k, PER_FACTORIAL_B, RAW)
     return p_push(k, PER_FACTORIAL_B).apply(phi_pull_lambda(k))
 
 
@@ -171,7 +180,8 @@ def p_phihat_lambda(k: int, normalization: str = PER_FACTORIAL_B) -> DivisorClas
     """Push-forward of the pulled-back Hodge class of the reduced-trace
     moduli space."""
     if _is_raw(normalization):
-        return convert_normalization(p_phihat_lambda(k), k, PER_FACTORIAL_B, RAW)
+        pushed = p_phihat_lambda(k, PER_FACTORIAL_B)
+        return convert_normalization(pushed, k, PER_FACTORIAL_B, RAW)
     return p_push(k, PER_FACTORIAL_B).apply(phihat_pull_lambda(k))
 
 
@@ -287,16 +297,20 @@ def p_q_map(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
     n = catalan_number(k)
     mg = mg_basis(k)
     lead = Fraction(k * (6 * k - 1), 2 * k - 1) * n
-    t2_coeffs: dict[str, AffineLike] = {
-        LAMBDA: lead * 3 * (2 * k + 5),
-        delta(0): -lead * (k + 1),
-    }
     b3_weight = Fraction(9, 4 * k - 2) * n
-    for j in range(1, k + 1):
-        t2_coeffs[delta(j)] = AffineExpr(
-            0, {c_sym(j): Fraction(1), b_sym(j): -b3_weight}
+    # the T2 row as integer numerators over one denominator; each delta_j
+    # entry carries c_j and b_j
+    den = lcm(lead.denominator, b3_weight.denominator)
+    p = lead.numerator * (den // lead.denominator)
+    b3 = b3_weight.numerator * (den // b3_weight.denominator)
+    rows = {
+        T2: DivisorClass._raw(
+            mg,
+            den,
+            {LAMBDA: p * 3 * (2 * k + 5), delta(0): -p * (k + 1)},
+            {delta(j): {c_sym(j): den, b_sym(j): -b3} for j in range(1, k + 1)},
         )
-    rows = {T2: DivisorClass(mg, t2_coeffs)}
+    }
     for j in range(1, k + 1):
         rows[T3j(j)] = DivisorClass(mg, {delta(j): alpha_coeff(k, j)})
     composite = ClassMap(q_pullback(k).source, mg, rows)
@@ -310,7 +324,8 @@ def p_q_kappa(k: int, normalization: str = PER_FACTORIAL_B) -> DivisorClass:
     """The correspondence action applied to the ample class
     psi - delta of the pointed rational moduli space."""
     if _is_raw(normalization):
-        return convert_normalization(p_q_kappa(k), k, PER_FACTORIAL_B, RAW)
+        pushed = p_q_kappa(k, PER_FACTORIAL_B)
+        return convert_normalization(pushed, k, PER_FACTORIAL_B, RAW)
     return p_q_map(k, PER_FACTORIAL_B).apply(kappa_class(k))
 
 

@@ -29,7 +29,7 @@ from hurwitzdiv.bases import (
     m0b_sym_basis,
     zero_class,
 )
-from hurwitzdiv.core import AffineExpr, as_affine, b_sym, c_sym
+from hurwitzdiv.core import AffineExpr, ExtSymbol, as_affine, b_sym, c_sym
 from hurwitzdiv.trace import q_pullback
 
 rationals = st.fractions(
@@ -231,18 +231,18 @@ def mg_classes(values, k=2):
 
 
 def assert_canonical(d):
-    """The unique stored form: a positive denominator in lowest terms
-    with the numerators (1 when there are none), no zero numerator,
-    only non-constant symbolic values, and disjoint keys."""
+    """The unique stored form: constant parts in ``_nums`` and symbol
+    coefficients in ``_sym``, all integer numerators over one positive
+    denominator in lowest terms (1 when there are none), with no zero
+    numerator and no empty symbol map."""
     assert type(d._den) is int and d._den > 0
-    assert all(type(n) is int and n for n in d._nums.values())
-    assert math.gcd(d._den, *d._nums.values()) == 1
-    assert d._nums or d._den == 1
-    for value in d._sym.values():
-        assert isinstance(value, AffineExpr) and not value.is_constant(), (
-            f"non-canonical symbolic value {value!r}"
-        )
-    assert not set(d._nums) & set(d._sym)
+    sym_numerators = [n for terms in d._sym.values() for n in terms.values()]
+    for n in [*d._nums.values(), *sym_numerators]:
+        assert type(n) is int and n, f"non-canonical numerator {n!r}"
+    for terms in d._sym.values():
+        assert terms and all(isinstance(s, ExtSymbol) for s in terms)
+    assert math.gcd(d._den, *d._nums.values(), *sym_numerators) == 1
+    assert d._nums or d._sym or d._den == 1
 
 
 def model(d):
@@ -325,10 +325,14 @@ def test_full_substitution_stores_only_fractions(table):
 
     ext = ExternalCoeffs(3, dict(zip((1, 2, 3), table[:3])), dict(zip((1, 2, 3), table[3:])))
     for d in (p_phi_lambda(3), p_q_kappa(3)):
-        assert d._sym
+        # the symbols sit on delta_j (j >= 1), beside their constant parts
+        assert set(d._sym) == {delta(1), delta(2), delta(3)}
+        assert {delta(1), delta(2), delta(3)} <= set(d._nums)
         numeric = ext.apply(d)
         assert_canonical(numeric)
         assert not numeric._sym
+        values = ext.substitution()
+        assert model(numeric) == {g: e.substitute(values) for g, e in model(d).items()}
 
 
 def test_constant_affine_and_fraction_classes_are_identical():
@@ -344,6 +348,13 @@ def test_constant_affine_and_fraction_classes_are_identical():
     cancelled = sym - DivisorClass(mg_basis(1), {delta(1): AffineExpr(0, {c_sym(1): 1})})
     stored = (cancelled._den, cancelled._nums, cancelled._sym)
     assert stored == (1, {delta(1): 1}, {})
+    # constant and symbol parts of one coefficient share the denominator
+    mixed = DivisorClass(
+        mg_basis(1),
+        {delta(1): AffineExpr(Fraction(1, 2), {c_sym(1): Fraction(1, 3)}), LAMBDA: 5},
+    )
+    stored = (mixed._den, mixed._nums, mixed._sym)
+    assert stored == (6, {delta(1): 3, LAMBDA: 30}, {delta(1): {c_sym(1): 2}})
 
 
 # Integer kernel: a ClassMap keeps one common denominator and one integer
@@ -436,3 +447,110 @@ def test_generator_order_is_cached_and_shared_by_all_kinds():
             basis.sort_index("E_99_0")
     assert not hurwitz_basis(2).contains("E_2_2")
     assert not mg_basis(2).contains("delta_x")
+
+
+# Symbolic kernel: the c_j/b_j terms are integer numerators over the same
+# common denominator as the constants.  Coefficients whose constant and
+# symbol parts have pairwise different denominators, some of the size of
+# (6k)!, must agree with the AffineExpr model under every operation.
+
+
+@st.composite
+def spread_affines(draw):
+    """A symbolic AffineExpr whose constant and symbol coefficients have
+    pairwise different denominators."""
+    syms = draw(
+        st.lists(st.sampled_from(MIXED_SYMBOLS), unique=True, min_size=1, max_size=3)
+    )
+    n = len(syms) + 1
+    dens = draw(st.lists(row_denominators, min_size=n, max_size=n, unique=True))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    const = draw(st.integers(-50, 50))
+    return AffineExpr(
+        Fraction(const, dens[0]),
+        {s: Fraction(sign, den) for s, sign, den in zip(syms, signs[1:], dens[1:])},
+    )
+
+
+MG3 = list(mg_basis(3).generators())
+spread_values = st.one_of(spread_affines(), big_rationals)
+
+
+def mg3_classes(values):
+    return st.dictionaries(st.sampled_from(MG3), values, max_size=4).map(
+        lambda coeffs: DivisorClass(mg_basis(3), coeffs)
+    )
+
+
+def mg3_maps(values):
+    row = mg3_classes(values)
+    return st.dictionaries(st.sampled_from(MG3), row, max_size=4).map(
+        lambda rows: ClassMap(mg_basis(3), mg_basis(3), rows)
+    )
+
+
+@given(mg3_classes(spread_values), mg3_classes(spread_values), big_rationals)
+def test_symbolic_kernel_arithmetic_matches_affine_model(d1, d2, a):
+    m1, m2 = model(d1), model(d2)
+    for result, expected in (
+        (d1 + d2, {g: m1[g] + m2[g] for g in m1}),
+        (d1 - d2, {g: m1[g] - m2[g] for g in m1}),
+        (-d1, {g: -m1[g] for g in m1}),
+        (d1 * a, {g: m1[g] * a for g in m1}),
+    ):
+        assert_canonical(result)
+        assert model(result) == expected
+    if a:
+        quotient = d1 / a
+        assert_canonical(quotient)
+        assert model(quotient) == {g: m1[g] / a for g in m1}
+
+
+spread_rationals = st.builds(Fraction, st.integers(-50, 50), row_denominators)
+
+
+@given(
+    mg3_classes(spread_values),
+    st.lists(spread_rationals, min_size=4, max_size=4),
+    st.permutations(MIXED_SYMBOLS),
+    st.integers(1, 3),
+)
+def test_symbolic_kernel_substitute_matches_affine_model(d, table, order, cut):
+    # a proper part of the symbols, then all of them
+    full = dict(zip(order, table))
+    for values in ({s: full[s] for s in order[:cut]}, full):
+        result = d.substitute(values)
+        assert_canonical(result)
+        assert model(result) == {g: e.substitute(values) for g, e in model(d).items()}
+    assert not d.substitute(full)._sym
+
+
+@given(st.data())
+def test_symbolic_kernel_apply_and_compose_match_affine_model(data):
+    # symbolic rows act on plain classes, plain rows on symbolic classes
+    symbolic = data.draw(mg3_maps(spread_values))
+    plain = class_map(data.draw(fraction_maps()))
+    plain_class = data.draw(mg3_classes(big_rationals))
+    symbolic_class = data.draw(mg3_classes(spread_values))
+    for m, d in ((symbolic, plain_class), (plain, symbolic_class)):
+        applied = m.apply(d)
+        assert_canonical(applied)
+        assert model(applied) == apply_model(m, d)
+    for outer, inner in ((symbolic, plain), (plain, symbolic)):
+        composed = outer.compose(inner)
+        for g in MG3:
+            row = composed.row(g)
+            assert_canonical(row)
+            assert model(row) == apply_model(outer, inner.row(g))
+
+
+def test_symbolic_source_on_symbolic_row_is_rejected():
+    basis = mg_basis(1)
+    row = DivisorClass(basis, {delta(1): AffineExpr(0, {c_sym(1): Fraction(1, 2)})})
+    m = ClassMap(basis, basis, {delta(1): row, LAMBDA: DivisorClass(basis, {LAMBDA: 3})})
+    d = DivisorClass(basis, {delta(1): AffineExpr(1, {b_sym(1): Fraction(2, 7)})})
+    with pytest.raises(ValueError, match="not affine"):
+        m.apply(d)
+    # the same class is fine when it meets only plain rows
+    plain = ClassMap(basis, basis, {delta(1): DivisorClass(basis, {LAMBDA: 3})})
+    assert plain.apply(d).coefficient(LAMBDA) == AffineExpr(3, {b_sym(1): Fraction(6, 7)})

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from hurwitzdiv.cli import main
 from hurwitzdiv.serialize import dumps_canonical
 
@@ -206,6 +208,25 @@ def test_slope_bad_rational(capsys):
         capsys, "slope", "--k", "3", "--s-prime", "twelve", "--variant", "trace"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("s_prime", ["1e400", "0.5", "1_000"])
+def test_slope_rejects_lenient_rationals(capsys, s_prime):
+    code, out, err = run(
+        capsys, "slope", "--k", "3", "--s-prime", s_prime, "--variant", "trace"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: not a rational literal: {s_prime!r}\n"
+
+
+def test_slope_accepts_signed_and_integer_rationals(capsys):
+    for s_prime in ("-7/2", "5"):
+        code, out, err = run(
+            capsys, "slope", "--k", "3", f"--s-prime={s_prime}", "--variant", "trace"
+        )
+        assert code == 0 and err == ""
+        assert "validity=unknown" in out
 
 
 def test_m0n_count(capsys):

@@ -66,6 +66,23 @@ def test_parse_and_format():
         parse_rational("1/0")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1e400", "0.5", "1_000", " 5", "5 ", "3/-4", "+", "/2", "1/", "1/0", "1/00", "\u0661", ""],
+)
+def test_parse_rational_rejects_everything_outside_the_grammar(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+def test_parse_rational_grammar():
+    assert parse_rational("-7/2") == Fraction(-7, 2)
+    assert parse_rational("5") == Fraction(5)
+    assert parse_rational("214/67") == Fraction(214, 67)
+    assert parse_rational("+6/4") == Fraction(3, 2)
+    assert parse_rational("-0") == 0
+
+
 def test_format_parse_round_trip():
     for x in (Fraction(0), Fraction(-5, 7), Fraction(22, 11), Fraction(10**30, 7)):
         assert parse_rational(format_rational(x)) == x

@@ -336,3 +336,52 @@ def test_pushed_classes_reject_unknown_normalization():
             builder(2, "nope")
     with pytest.raises(ValueError):
         p_phi_delta(2, 0, "nope")
+
+
+def _pushed_builder_values(k):
+    """Every (k, [j,] normalization) value of the builders that take a
+    normalization, as the one positional call shape."""
+    norms = (RAW, PER_FACTORIAL_B)
+    per_k = [(k, n) for n in norms]
+    return {
+        p_push: per_k,
+        p_q_map: per_k,
+        p_phi_lambda: per_k,
+        p_phihat_lambda: per_k,
+        p_q_kappa: per_k,
+        eh_divisor: per_k,
+        p_phi_delta: [(k, j, n) for j in range(genus_trace(k) // 2 + 1) for n in norms],
+        p_phihat_delta: [
+            (k, j, n) for j in range(genus_reduced_trace(k) // 2 + 1) for n in norms
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        ["slope", "--k", "3", "--variant", "kappa"],
+        ["slope", "--k", "3", "--s-prime", "12", "--variant", "trace"],
+        ["slope", "--k", "3", "--s-prime", "12", "--variant", "reduced"],
+    ],
+)
+def test_pushed_builders_hold_one_entry_per_value(argv, capsys):
+    # every internal call passes the normalization in the same shape, so
+    # after asking for every value in that shape, each value is one entry
+    from hurwitzdiv.checks import run_checks
+    from hurwitzdiv.cli import main
+
+    k = 3
+    values = _pushed_builder_values(k)
+    for builder in values:
+        builder.cache_clear()
+    if argv is None:
+        run_checks(k, k)
+    else:
+        assert main(argv) == 0
+        capsys.readouterr()
+    for builder, keys in values.items():
+        for key in keys:
+            builder(*key)
+        assert builder.cache_info().currsize == len(keys), builder.__name__
