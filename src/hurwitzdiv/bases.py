@@ -23,7 +23,10 @@ positive common denominator, in lowest terms: the constant part, and
 the coefficient of each external symbol c_j, b_j it carries.  Addition,
 scaling, substitution and the application of class maps therefore run
 on plain ``int``; a ``Fraction`` or an :class:`AffineExpr` is built only
-at the public accessors.
+at the public accessors ``DivisorClass.coefficient``/``items``.  Beside
+``items`` sits the internal ``DivisorClass._formatted_items``, the same
+values as "p/q" text rendered from the integers, which ``serialize`` and
+the ``cli`` tables emit from.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
-from .core import AffineExpr, AffineLike, ExtSymbol, RationalLike
+from .core import AffineExpr, AffineLike, ExtSymbol, RationalLike, display_key
 
 
 class ClassGroupError(ValueError):
@@ -159,6 +162,13 @@ class Basis:
         self.check(name)
         j = _suffix_index(name, "deltaP_" if self.kind == MG_PRIME else "deltaH_")
         return 0 if j is None else j + 1
+
+    def _sort_key(self) -> Callable[[str], int]:
+        """:meth:`sort_index` for generators known to belong to the
+        basis; the finite kinds look the cached position up directly."""
+        if self.kind in _FINITE_KINDS:
+            return _generator_index(self.kind, self.k).__getitem__
+        return self.sort_index
 
     def generators(self) -> Iterator[str]:
         """All generators of the basis in natural order."""
@@ -310,10 +320,36 @@ class DivisorClass:
         return self._value(name)
 
     def support(self) -> list[str]:
-        return sorted(self._nums.keys() | self._sym.keys(), key=self.basis.sort_index)
+        return sorted(self._nums.keys() | self._sym.keys(), key=self.basis._sort_key())
 
     def items(self) -> list[tuple[str, AffineExpr]]:
         return [(name, self._value(name)) for name in self.support()]
+
+    def _formatted_items(
+        self,
+    ) -> list[tuple[str, str, tuple[tuple[ExtSymbol, str], ...]]]:
+        """:meth:`items` as text, for emission: per generator in support
+        order, its constant part and its (symbol, coefficient) terms in
+        display order, each rendered as "p/q" in lowest terms straight
+        from the stored numerators; no ``Fraction`` or
+        :class:`AffineExpr` is built."""
+        den, nums, sym = self._den, self._nums, self._sym
+        rendered = []
+        for name in self.support():
+            # core.format_ratio, inlined: this runs once per emitted value
+            n = nums.get(name, 0)
+            g = gcd(n, den)
+            terms = sym.get(name)
+            if terms:
+                texts = []
+                for s in sorted(terms, key=display_key):
+                    g_s = gcd(terms[s], den)
+                    texts.append((s, f"{terms[s] // g_s}/{den // g_s}"))
+                terms = tuple(texts)
+            else:
+                terms = ()
+            rendered.append((name, f"{n // g}/{den // g}", terms))
+        return rendered
 
     def is_zero(self) -> bool:
         return not self._nums and not self._sym

@@ -237,8 +237,7 @@ def _table_rows(args) -> tuple[list[str], list[list[str]]]:
         rows = []
         for k in k_range:
             d, _ = _resolve_class(name, k, args.normalized)
-            for gen, value in d.items():
-                rows.append([str(k), gen, str(value)])
+            rows.extend([str(k), gen, text] for gen, text in serialize.coefficient_texts(d))
         return columns, rows
     raise UsageError(f"unknown table quantity {quantity!r}")
 

@@ -11,6 +11,9 @@ and a constant expression compares and hashes equal to its ``Fraction``
 value.  Divisor classes store their symbolic terms as integers and build
 an :class:`AffineExpr` only at their public accessors
 (``DivisorClass.coefficient``/``items``), so it is not on the hot path.
+The text form of an affine expression is defined once, by
+:func:`affine_text` over already formatted "p/q" parts; both
+``AffineExpr.__str__`` and the emitters in ``serialize`` use it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Mapping, Union
+from math import comb, gcd
+from typing import Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -46,10 +49,17 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(numerator), int(denominator or 1))
 
 
+def format_ratio(numerator: int, denominator: int) -> str:
+    """Render ``numerator / denominator`` (denominator > 0) as "p/q" in
+    lowest terms, with the sign carried by the numerator."""
+    g = gcd(numerator, denominator)
+    return f"{numerator // g}/{denominator // g}"
+
+
 def format_rational(x: RationalLike) -> str:
     """Render a rational as "p/q" with the sign carried by the numerator."""
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    return format_ratio(x.numerator, x.denominator)
 
 
 def binomial(n: int, m: int) -> Fraction:
@@ -86,9 +96,28 @@ def b_sym(j: int) -> ExtSymbol:
     return ExtSymbol("b", j)
 
 
-def _display_key(s: ExtSymbol) -> tuple[int, int]:
-    # c_j before b_j, then by index
+def display_key(s: ExtSymbol) -> tuple[int, int]:
+    """Sort key of the display order of symbols: c_j before b_j, then by
+    index."""
     return (0 if s.family == "c" else 1, s.index)
+
+
+def affine_text(const: str, terms: Sequence[tuple[ExtSymbol, str]]) -> str:
+    """The display form ``"p/q - 3/4*c_2 + 1/5*b_2"`` of an affine
+    expression from its parts, each already rendered as "p/q": the
+    constant, and the (symbol, coefficient) terms in display order.  The
+    constant is left out when it is zero and there are terms."""
+    if not terms:
+        return const
+    parts = [] if const == "0/1" else [const]
+    for sym, coef in terms:
+        negative = coef.startswith("-")
+        piece = f"{coef[1:] if negative else coef}*{sym}"
+        if parts:
+            parts.append(f"- {piece}" if negative else f"+ {piece}")
+        else:
+            parts.append(f"-{piece}" if negative else piece)
+    return " ".join(parts)
 
 
 class AffineExpr:
@@ -221,19 +250,13 @@ class AffineExpr:
         return hash((self._const, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
-        if self.is_constant():
-            return format_rational(self._const)
-        parts: list[str] = []
-        if self._const:
-            parts.append(format_rational(self._const))
-        for sym in sorted(self._terms, key=_display_key):
-            coef = self._terms[sym]
-            piece = f"{format_rational(abs(coef))}*{sym}"
-            if not parts:
-                parts.append(piece if coef > 0 else f"-{piece}")
-            else:
-                parts.append(f"+ {piece}" if coef > 0 else f"- {piece}")
-        return " ".join(parts)
+        return affine_text(
+            format_rational(self._const),
+            [
+                (sym, format_rational(self._terms[sym]))
+                for sym in sorted(self._terms, key=display_key)
+            ],
+        )
 
     def __repr__(self) -> str:
         return f"AffineExpr({self})"

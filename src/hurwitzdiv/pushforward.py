@@ -50,7 +50,7 @@ from .trace import (
 RAW = "raw"
 PER_FACTORIAL_B = "per-factorial-b"
 
-_NORMALIZATIONS = (RAW, PER_FACTORIAL_B)
+NORMALIZATIONS = (RAW, PER_FACTORIAL_B)
 
 
 def factorial_b(k: int) -> int:
@@ -59,7 +59,7 @@ def factorial_b(k: int) -> int:
 
 
 def _check_normalization(normalization: str) -> str:
-    if normalization not in _NORMALIZATIONS:
+    if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
     return normalization
 

@@ -4,6 +4,14 @@ approximation for human-facing slope lines.
 
 JSON is the canonical machine format and rationals appear there only as
 "p/q" strings; csv and md are lossy renderings of the same data.
+
+Emission renders from the integer numerators a divisor class stores
+(``DivisorClass._formatted_items``): every coefficient costs one gcd and
+one string format, and ``class_to_json``/``table_to_json`` write the
+canonical JSON text directly.  An :class:`AffineExpr` is built only by
+the accessors ``DivisorClass.coefficient``/``items``, which the library
+objects ``class_to_obj``/``affine_to_obj`` use; ``dumps_canonical`` of
+those objects is the reference the direct writers are tested against.
 """
 
 from __future__ import annotations
@@ -12,14 +20,52 @@ import csv
 import io
 import json
 from fractions import Fraction
-from typing import Any, Mapping
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Any
 
 from .bases import Basis, DivisorClass
-from .core import AffineExpr, ExtSymbol, format_rational, parse_rational
-from .pushforward import ExternalCoeffs, RAW
+from .core import AffineExpr, ExtSymbol, affine_text, format_rational, parse_rational
+from .pushforward import NORMALIZATIONS, ExternalCoeffs, RAW
 
 CLASS_SCHEMA = "divisor-class/1"
 EXTERNALS_SCHEMA = "external-coeffs/1"
+
+_CLASS_KEYS = frozenset({"schema", "k", "basis", "normalization", "coefficients"})
+_COEFFICIENT_KEYS = frozenset({"const", "c", "b"})
+
+
+def _kind_of(obj: Any) -> str:
+    kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+    return "an object" if isinstance(obj, dict) else kind.get(type(obj), "a number")
+
+
+def _index_table(table: Any, family: str, where: str) -> dict[int, Fraction]:
+    """Parse a JSON map from c_j or b_j indices to "p/q" strings; any
+    other shape is a ``ValueError``."""
+    if not isinstance(table, dict):
+        raise ValueError(f'{where} {family!r} must map indices to "p/q" strings')
+    parsed: dict[int, Fraction] = {}
+    for index, value in table.items():
+        # [1-9][0-9]*: ASCII digits without a leading zero, so each index
+        # has exactly one spelling
+        if not (
+            isinstance(index, str)
+            and index.isascii()
+            and index.isdigit()
+            and index[0] != "0"
+        ):
+            raise ValueError(
+                f"{where} {family!r} has a malformed index {index!r} "
+                "(indices are 1, 2, 3, ... without leading zeros)"
+            )
+        if not isinstance(value, str):
+            raise ValueError(
+                f'{family}_{index} must be a "p/q" string, '
+                f"got {json.dumps(value, default=repr)}"
+            )
+        parsed[int(index)] = parse_rational(value)
+    return parsed
 
 
 def affine_to_obj(e: AffineExpr) -> dict[str, Any]:
@@ -33,11 +79,22 @@ def affine_to_obj(e: AffineExpr) -> dict[str, Any]:
     return obj
 
 
-def affine_from_obj(obj: Mapping[str, Any]) -> AffineExpr:
+def affine_from_obj(obj: Any, where: str = "coefficient") -> AffineExpr:
+    """Parse ``{"const": "p/q"}`` with optional ``"c"``/``"b"`` maps from
+    indices to "p/q" strings; any other shape is a ``ValueError``."""
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f'{where} must be an object with a "const" string, got {_kind_of(obj)}'
+        )
+    unknown = obj.keys() - _COEFFICIENT_KEYS
+    if unknown:
+        raise ValueError(f"{where} has unknown keys {sorted(unknown)}")
+    if "const" not in obj:
+        raise ValueError(f'{where} has no "const" value')
     terms: dict[ExtSymbol, Fraction] = {}
     for family in ("c", "b"):
-        for index, value in obj.get(family, {}).items():
-            terms[ExtSymbol(family, int(index))] = parse_rational(value)
+        for index, value in _index_table(obj.get(family, {}), family, where).items():
+            terms[ExtSymbol(family, index)] = value
     return AffineExpr(parse_rational(obj["const"]), terms)
 
 
@@ -51,14 +108,37 @@ def class_to_obj(d: DivisorClass, normalization: str = RAW) -> dict[str, Any]:
     }
 
 
-def class_from_obj(obj: Mapping[str, Any]) -> tuple[DivisorClass, str]:
+def class_from_obj(obj: Any) -> tuple[DivisorClass, str]:
+    """Parse a divisor-class/1 object; any other shape is a
+    ``ValueError``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a divisor class must be a JSON object, got {_kind_of(obj)}")
     if obj.get("schema") != CLASS_SCHEMA:
         raise ValueError(f"expected schema {CLASS_SCHEMA!r}, got {obj.get('schema')!r}")
-    basis = Basis(obj["basis"], int(obj["k"]))
+    if obj.keys() != _CLASS_KEYS:
+        unknown, missing = obj.keys() - _CLASS_KEYS, _CLASS_KEYS - obj.keys()
+        raise ValueError(
+            f"a divisor class has unknown keys {sorted(unknown)}"
+            if unknown
+            else f"a divisor class lacks the keys {sorted(missing)}"
+        )
+    k = obj["k"]
+    if type(k) is not int or k < 1:
+        raise ValueError(f"divisor class 'k' must be a positive integer, got {k!r}")
+    normalization = obj["normalization"]
+    if normalization not in NORMALIZATIONS:
+        raise ValueError(f"unknown normalization {normalization!r}")
+    coefficients = obj["coefficients"]
+    if not isinstance(coefficients, dict):
+        raise ValueError(
+            f"divisor class 'coefficients' must be an object, got {_kind_of(coefficients)}"
+        )
+    basis = Basis(obj["basis"], k)
     coeffs = {
-        name: affine_from_obj(value) for name, value in obj["coefficients"].items()
+        name: affine_from_obj(value, f"coefficient of {name}")
+        for name, value in coefficients.items()
     }
-    return DivisorClass(basis, coeffs), obj["normalization"]
+    return DivisorClass(basis, coeffs), normalization
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -67,23 +147,63 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _json_object(fields: list[str], indent: str) -> str:
+    """A JSON object in the layout of ``json.dumps(indent=2)``, from its
+    rendered ``"key": value`` fields in key order; ``indent`` is the
+    indentation of the line the object starts on."""
+    if not fields:
+        return "{}"
+    inner = indent + "  "
+    return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}"
+
+
 def class_to_json(d: DivisorClass, normalization: str = RAW) -> str:
-    return dumps_canonical(class_to_obj(d, normalization))
+    """``dumps_canonical(class_to_obj(d, normalization))``, written
+    straight from the stored numerators: the same bytes, with no
+    ``AffineExpr`` built."""
+    q = encode_basestring_ascii
+    coefficients = []
+    for name, const, terms in sorted(d._formatted_items(), key=itemgetter(0)):
+        fields = []
+        for family in ("b", "c") if terms else ():
+            part = sorted((str(s.index), v) for s, v in terms if s.family == family)
+            if part:
+                entries = [f"{q(index)}: {q(v)}" for index, v in part]
+                fields.append(f'"{family}": ' + _json_object(entries, "      "))
+        fields.append(f'"const": {q(const)}')
+        coefficients.append(f"{q(name)}: " + _json_object(fields, "    "))
+    top = [
+        f'"basis": {q(d.basis.kind)}',
+        '"coefficients": ' + _json_object(coefficients, "  "),
+        f'"k": {json.dumps(d.basis.k)}',
+        f'"normalization": {q(normalization)}',
+        f'"schema": {q(CLASS_SCHEMA)}',
+    ]
+    return _json_object(top, "") + "\n"
+
+
+def coefficient_texts(d: DivisorClass) -> list[tuple[str, str]]:
+    """(generator, coefficient) rows in natural basis order; each
+    coefficient reads as ``str`` of its :class:`AffineExpr`."""
+    return [
+        (name, affine_text(const, terms) if terms else const)
+        for name, const, terms in d._formatted_items()
+    ]
 
 
 def class_to_csv(d: DivisorClass) -> str:
-    """Rows "generator,value" in natural basis order, no header."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for name, value in d.items():
-        writer.writerow([name, str(value)])
-    return buffer.getvalue()
+    """Rows "generator,value" in natural basis order, no header.
+
+    Generator names and coefficient texts hold no comma, quote or line
+    break, so no field needs csv quoting and the rows are joined
+    directly; the bytes are those of ``csv.writer``."""
+    return "".join(f"{name},{text}\n" for name, text in coefficient_texts(d))
 
 
 def class_to_md(d: DivisorClass) -> str:
     lines = ["| generator | coefficient |", "| --- | --- |"]
-    for name, value in d.items():
-        lines.append(f"| {name} | {value} |")
+    for name, text in coefficient_texts(d):
+        lines.append(f"| {name} | {text} |")
     return "\n".join(lines) + "\n"
 
 
@@ -105,8 +225,19 @@ def table_to_md(columns: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_to_json(columns: list[str], rows: list[list[Any]]) -> str:
-    return dumps_canonical([dict(zip(columns, row)) for row in rows])
+def table_to_json(columns: list[str], rows: list[list[str]]) -> str:
+    """``dumps_canonical([dict(zip(columns, row)) for row in rows])`` for
+    rows of strings as long as ``columns``, written directly."""
+    q = encode_basestring_ascii
+    # column -> position of its value, the last one for a repeated column
+    positions = dict(zip(columns, range(len(columns))))
+    keys = [(q(column), i) for column, i in sorted(positions.items())]
+    objects = [
+        _json_object([f"{key}: {q(row[i])}" for key, i in keys], "  ") for row in rows
+    ]
+    if not objects:
+        return "[]\n"
+    return "[\n  " + ",\n  ".join(objects) + "\n]\n"
 
 
 def decimal_approx(x: Fraction, places: int = 6) -> str:
@@ -130,34 +261,12 @@ def externals_to_obj(ext: ExternalCoeffs) -> dict[str, Any]:
     }
 
 
-def _externals_table(obj: Mapping[str, Any], family: str) -> dict[int, Fraction]:
-    table = obj.get(family, {})
-    if not isinstance(table, dict):
-        raise ValueError(
-            f'external table {family!r} must map indices to "p/q" strings'
-        )
-    parsed: dict[int, Fraction] = {}
-    for index, value in table.items():
-        if not index.isdecimal():
-            raise ValueError(
-                f"external table {family!r} has a malformed index {index!r}"
-            )
-        if not isinstance(value, str):
-            raise ValueError(
-                f'{family}_{index} must be a "p/q" string, got {json.dumps(value)}'
-            )
-        parsed[int(index)] = parse_rational(value)
-    return parsed
-
-
 def externals_from_obj(obj: Any) -> ExternalCoeffs:
     """Parse an external-coeffs/1 object; any other shape is a
     ``ValueError``."""
     if not isinstance(obj, dict):
-        kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
         raise ValueError(
-            "an external coefficient table must be a JSON object, "
-            f"got {kind.get(type(obj), 'a number')}"
+            f"an external coefficient table must be a JSON object, got {_kind_of(obj)}"
         )
     if obj.get("schema") != EXTERNALS_SCHEMA:
         raise ValueError(
@@ -166,10 +275,25 @@ def externals_from_obj(obj: Any) -> ExternalCoeffs:
     k = obj.get("k")
     if type(k) is not int or k < 1:
         raise ValueError(f"external table 'k' must be a positive integer, got {k!r}")
-    return ExternalCoeffs(k, _externals_table(obj, "c"), _externals_table(obj, "b"))
+    return ExternalCoeffs(
+        k,
+        _index_table(obj.get("c", {}), "c", "external table"),
+        _index_table(obj.get("b", {}), "b", "external table"),
+    )
 
 
 def load_externals(path: str) -> ExternalCoeffs:
     with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+        obj = json.load(handle, object_pairs_hook=_unique_keys)
     return externals_from_obj(obj)
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's pairs as a dict; a repeated key is a ``ValueError``
+    rather than a silent overwrite."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"JSON object has the key {repeated!r} twice")
+    return obj

@@ -383,3 +383,29 @@ def test_slope_rejects_externals_for_another_k(tmp_path, capsys):
     )
     statuses = [line.split()[2] for line in out.splitlines()[:3]]
     assert statuses == ["SKIP", "FAIL", "SKIP"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # an Arabic-Indic digit one was read as index 1
+        '{"schema": "external-coeffs/1", "k": 1, "c": {"\\u0661": "1"}, "b": {"1": "0"}}',
+        # "1" and "01" were both index 1, and the later value won
+        '{"schema": "external-coeffs/1", "k": 1, "c": {"1": "1", "01": "5"}, "b": {"1": "0"}}',
+        # a repeated key, where json keeps the later value
+        '{"schema": "external-coeffs/1", "k": 1, "c": {"1": "1", "1": "5"}, "b": {"1": "0"}}',
+    ],
+    ids=["non-ascii-digit", "leading-zero", "repeated-key"],
+)
+def test_verify_externals_index_spellings_are_input_errors(tmp_path, capsys, text):
+    path = tmp_path / "ext.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        "verify", "--k-min", "1", "--k-max", "1",
+        "--checks", "delta-j-checks",
+        "--externals", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

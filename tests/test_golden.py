@@ -1,5 +1,7 @@
 """Byte-identity gate: the sha256 of every ``class`` output for
-k = 1..8 and of ``verify --k-min 1 --k-max 8`` must match the digests in
+k = 1..8 in json, csv and md, of every ``table --quantity
+coefficients:<name>`` over k = 1..8 in the same formats, and of
+``verify --k-min 1 --k-max 8`` must match the digests in
 ``golden_outputs.json``.
 
 The fixture pins the output bytes, so a change to the arithmetic or to
@@ -26,7 +28,7 @@ from hurwitzdiv.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_outputs.json")
 K_RANGE = range(1, 9)
-FORMATS = ("json", "csv")
+FORMATS = ("json", "csv", "md")
 
 HURWITZ_CLASSES = (
     "delta-tau",
@@ -70,10 +72,34 @@ def class_argvs(name: str) -> list[tuple[str, ...]]:
     return argvs
 
 
+def table_argvs(name: str) -> list[tuple[str, ...]]:
+    """Every ``table --quantity coefficients:<name>`` command line the
+    fixture pins for one class name."""
+    argvs = []
+    for fmt in FORMATS:
+        argv = (
+            "table",
+            "--quantity",
+            f"coefficients:{name}",
+            "--k-min",
+            str(K_RANGE[0]),
+            "--k-max",
+            str(K_RANGE[-1]),
+            "--format",
+            fmt,
+        )
+        argvs.append(argv)
+        if name in PUSHED_CLASSES:
+            argvs.append(argv + ("--normalized",))
+    return argvs
+
+
 def all_argvs() -> list[tuple[str, ...]]:
     argvs = [VERIFY_ARGV]
     for name in HURWITZ_CLASSES + PUSHED_CLASSES + INDEXED_CLASSES:
         argvs.extend(class_argvs(name))
+    for name in HURWITZ_CLASSES + PUSHED_CLASSES:
+        argvs.extend(table_argvs(name))
     return argvs
 
 
@@ -105,6 +131,16 @@ def test_class_output_is_byte_identical(golden, name):
     changed = [
         " ".join(argv)
         for argv in class_argvs(name)
+        if digest(argv) != golden[" ".join(argv)]
+    ]
+    assert not changed, f"output bytes changed for: {changed}"
+
+
+@pytest.mark.parametrize("name", HURWITZ_CLASSES + PUSHED_CLASSES)
+def test_coefficient_table_output_is_byte_identical(golden, name):
+    changed = [
+        " ".join(argv)
+        for argv in table_argvs(name)
         if digest(argv) != golden[" ".join(argv)]
     ]
     assert not changed, f"output bytes changed for: {changed}"

@@ -1,10 +1,26 @@
+import csv
+import io
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from hurwitzdiv.bases import DivisorClass, delta, mg_basis
-from hurwitzdiv.core import AffineExpr, b_sym, c_sym
+from hurwitzdiv.bases import (
+    HURWITZ,
+    M0B_SYM,
+    MG,
+    MG_HAT,
+    MG_PRIME,
+    Basis,
+    DivisorClass,
+    Ejc,
+    delta,
+    hurwitz_basis,
+    mg_basis,
+)
+from hurwitzdiv.core import AffineExpr, ExtSymbol, b_sym, c_sym
 from hurwitzdiv.pushforward import ExternalCoeffs, PER_FACTORIAL_B, RAW, p_phihat_lambda
 from hurwitzdiv.serialize import (
     affine_from_obj,
@@ -14,12 +30,14 @@ from hurwitzdiv.serialize import (
     class_to_json,
     class_to_md,
     class_to_obj,
+    coefficient_texts,
     decimal_approx,
     dumps_canonical,
     externals_from_obj,
     externals_to_obj,
     load_externals,
     table_to_csv,
+    table_to_json,
     table_to_md,
 )
 from hurwitzdiv.trace import delta_tau, phi_pull_lambda
@@ -108,6 +126,16 @@ def test_externals_round_trip(tmp_path):
     assert load_externals(str(path)) == ext
 
 
+def test_load_externals_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "ext.json"
+    path.write_text(
+        '{"schema": "external-coeffs/1", "k": 1, "c": {"1": "1", "1": "5"}, "b": {"1": "0"}}',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match="twice"):
+        load_externals(str(path))
+
+
 def test_externals_rejects_partial_tables():
     with pytest.raises(ValueError):
         externals_from_obj(
@@ -128,8 +156,137 @@ def test_externals_rejects_partial_tables():
         {"schema": "external-coeffs/1", "k": 1, "c": ["0"], "b": {"1": "0"}},
         {"schema": "external-coeffs/1", "k": 1, "c": {"one": "0"}, "b": {"1": "0"}},
         {"schema": "external-coeffs/1", "k": 1, "c": {"1": 0.5}, "b": {"1": "0"}},
+        {"schema": "external-coeffs/1", "k": 1, "c": {"\u0661": "0"}, "b": {"1": "0"}},
+        {"schema": "external-coeffs/1", "k": 1, "c": {"01": "0"}, "b": {"1": "0"}},
+        {"schema": "external-coeffs/1", "k": 1, "c": {"1": "1", "01": "5"}, "b": {"1": "0"}},
+        {"schema": "external-coeffs/1", "k": 1, "c": {"+1": "0"}, "b": {"1": "0"}},
+        {"schema": "external-coeffs/1", "k": 1, "c": {"1": "0", "0": "0"}, "b": {"1": "0"}},
     ],
 )
 def test_externals_rejects_malformed_shapes(obj):
     with pytest.raises(ValueError):
         externals_from_obj(obj)
+
+
+BIG = factorial(6 * 20)
+numerators = st.one_of(st.integers(-60, 60), st.integers(-BIG, BIG))
+denominators = st.one_of(st.integers(1, 60), st.integers(1, BIG))
+big_rationals = st.builds(Fraction, numerators, denominators)
+symbols = st.builds(ExtSymbol, st.sampled_from("cb"), st.integers(1, 15))
+affine_values = st.builds(
+    AffineExpr,
+    st.one_of(st.just(0), big_rationals),
+    st.dictionaries(symbols, big_rationals, max_size=4),
+)
+
+
+@st.composite
+def any_classes(draw):
+    """Divisor classes over all five basis kinds, k up to 12 (so names
+    such as E_10_0 and deltaP_10 occur), with constant, symbolic and
+    symbol-only coefficients of (6*20)!-sized numerators over pairwise
+    different denominators; the zero class included."""
+    kind = draw(st.sampled_from((HURWITZ, MG, M0B_SYM, MG_PRIME, MG_HAT)))
+    basis = Basis(kind, draw(st.integers(1, 12)))
+    generators = list(basis.generators())
+    coeffs = draw(st.dictionaries(st.sampled_from(generators), affine_values, max_size=8))
+    return DivisorClass(basis, coeffs)
+
+
+# c_j and b_j on one generator, a symbol-only coefficient, and indices
+# >= 10, which JSON orders before 2 ("10" < "2"), in both generator
+# names and symbol indices
+MIXED_CLASS = DivisorClass(
+    hurwitz_basis(10),
+    {
+        Ejc(2, 0): AffineExpr(
+            Fraction(-BIG, 7), {c_sym(2): Fraction(3, 4), b_sym(2): Fraction(-1, 5)}
+        ),
+        Ejc(10, 0): AffineExpr(0, {c_sym(10): Fraction(BIG + 1, 11), c_sym(2): Fraction(-2, 3)}),
+        Ejc(10, 5): AffineExpr(Fraction(5, 13), {b_sym(12): Fraction(-7, BIG + 1)}),
+    },
+)
+
+
+@given(any_classes(), st.sampled_from((RAW, PER_FACTORIAL_B)))
+@example(MIXED_CLASS, RAW)
+@example(DivisorClass(mg_basis(3)), PER_FACTORIAL_B)
+def test_renderer_matches_affine_reference(d, mode):
+    assert class_to_json(d, mode) == dumps_canonical(class_to_obj(d, mode))
+    rows = [(name, str(value)) for name, value in d.items()]
+    assert coefficient_texts(d) == rows
+    reference_csv = io.StringIO()
+    csv.writer(reference_csv, lineterminator="\n").writerows(rows)
+    assert class_to_csv(d) == reference_csv.getvalue()
+    assert class_to_md(d).splitlines()[2:] == [f"| {name} | {text} |" for name, text in rows]
+
+
+def test_mixed_class_renders_both_families_and_index_order():
+    text = class_to_json(MIXED_CLASS, RAW)
+    obj = json.loads(text)["coefficients"]
+    assert list(obj) == [Ejc(10, 0), Ejc(10, 5), Ejc(2, 0)]
+    assert obj[Ejc(10, 0)] == {"c": {"10": f"{BIG + 1}/11", "2": "-2/3"}, "const": "0/1"}
+    assert list(obj[Ejc(2, 0)]) == ["b", "c", "const"]
+    assert dict(coefficient_texts(MIXED_CLASS))[Ejc(10, 0)] == f"-2/3*c_2 + {BIG + 1}/11*c_10"
+
+
+@given(
+    st.lists(st.text(max_size=5), min_size=1, max_size=4),
+    st.data(),
+)
+def test_table_json_matches_reference(columns, data):
+    row = st.lists(st.text(max_size=8), min_size=len(columns), max_size=len(columns))
+    rows = data.draw(st.lists(row, max_size=4))
+    expected = dumps_canonical([dict(zip(columns, values)) for values in rows])
+    assert table_to_json(columns, rows) == expected
+
+
+_DROP = object()
+
+
+def _malformed(**changes):
+    """A valid divisor-class/1 object with ``changes`` applied; a key set
+    to ``_DROP`` is removed."""
+    obj = class_to_obj(DivisorClass(mg_basis(2), {delta(1): AffineExpr(1, {c_sym(1): 2})}), RAW)
+    obj.update(changes)
+    return {key: value for key, value in obj.items() if value is not _DROP}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [],
+        "divisor-class/1",
+        _malformed(extra="x"),
+        _malformed(normalization=_DROP),
+        _malformed(basis="Nope"),
+        _malformed(basis=["Mg"]),
+        _malformed(k="2"),
+        _malformed(k=True),
+        _malformed(k=0),
+        _malformed(k=2.0),
+        _malformed(normalization="cooked"),
+        _malformed(normalization=None),
+        _malformed(coefficients=[]),
+        _malformed(coefficients={"delta_1": "1/2"}),
+        _malformed(coefficients={"delta_1": {"c": {"1": "1/2"}}}),
+        _malformed(coefficients={"delta_1": {"const": "1", "d": {}}}),
+        _malformed(coefficients={"delta_1": {"const": 0.5}}),
+        _malformed(coefficients={"delta_1": {"const": "0.5"}}),
+        _malformed(coefficients={"delta_1": {"const": "1", "c": ["1/2"]}}),
+        _malformed(coefficients={"delta_1": {"const": "1", "c": {"01": "1/2"}}}),
+        _malformed(coefficients={"delta_1": {"const": "1", "c": {"\u0661": "1/2"}}}),
+        _malformed(coefficients={"delta_1": {"const": "1", "b": {"0": "1/2"}}}),
+        _malformed(coefficients={"delta_1": {"const": "1", "b": {"1": 1}}}),
+        _malformed(coefficients={"delta_1": {"const": "1", "b": {"1": "1/0"}}}),
+        _malformed(coefficients={"E0": {"const": "1"}}),
+    ],
+)
+def test_class_from_obj_rejects_malformed_shapes(obj):
+    with pytest.raises(ValueError):
+        class_from_obj(obj)
+
+
+def test_class_from_obj_accepts_the_reference_object():
+    d = DivisorClass(mg_basis(2), {delta(1): AffineExpr(1, {c_sym(1): 2})})
+    assert class_from_obj(_malformed()) == (d, RAW)
