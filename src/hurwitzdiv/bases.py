@@ -13,20 +13,23 @@ The groups are handled as free modules on named generators:
   target moduli spaces of the trace and reduced-trace curve; these are
   index-bounded but never stored densely.
 
-Generators are plain strings so that they serialize unchanged.  The
-generator order of the three finite bases is built once per (kind, k)
-and kept in a module-level ``lru_cache`` as a name -> position map, so
-membership and display order are dict lookups.
+Generators are plain strings so that they serialize unchanged.  One
+spec per kind, ``_SPECS``, lists its generators; the order of the three
+finite bases is cached per (kind, k) as a name -> position map, and the
+Hurwitz builders take their E_{j,c} names from :func:`ejc_names`, a
+cached table sliced from that order, instead of formatting them again.
 
-A divisor class stores every coefficient as integer numerators over one
-positive common denominator, in lowest terms: the constant part, and
-the coefficient of each external symbol c_j, b_j it carries.  Addition,
-scaling, substitution and the application of class maps therefore run
-on plain ``int``; a ``Fraction`` or an :class:`AffineExpr` is built only
-at the public accessors ``DivisorClass.coefficient``/``items``.  Beside
-``items`` sits the internal ``DivisorClass._formatted_items``, the same
-values as "p/q" text rendered from the integers, which ``serialize`` and
-the ``cli`` tables emit from.
+Every coefficient is stored as integer numerators over one positive
+common denominator: a divisor class keeps its constant parts and the
+coefficients of the external symbols c_j, b_j in lowest terms, a class
+map keeps its images as sparse integer columns, one per source
+generator, which the builders write directly.  Addition, scaling,
+substitution and the application of class maps run on plain ``int``; a
+``Fraction`` or an :class:`AffineExpr` is built only at the public
+accessors ``DivisorClass.coefficient``/``items``.  Beside ``items`` sits
+the internal ``DivisorClass._formatted_items``, the same values as "p/q"
+text rendered from the integers, which ``serialize`` and the ``cli``
+tables emit from.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import AffineExpr, AffineLike, ExtSymbol, RationalLike, display_key
 
@@ -61,10 +65,6 @@ MG = "Mg"
 M0B_SYM = "M0bSym"
 MG_PRIME = "MgPrime"
 MG_HAT = "MgHat"
-
-_KINDS = (HURWITZ, MG, M0B_SYM, MG_PRIME, MG_HAT)
-# bases small enough to enumerate; MgPrime and MgHat are tested by index
-_FINITE_KINDS = (HURWITZ, MG, M0B_SYM)
 
 E0 = "E0"
 E2 = "E2"
@@ -114,6 +114,39 @@ def genus_reduced_trace(k: int) -> int:
     return (5 * k - 2) * (k - 1) // 2
 
 
+class _KindSpec(NamedTuple):
+    """How one kind of basis lists its generators: the leading ones,
+    then one indexed family.  An index-bounded kind, the Hodge and
+    boundary classes of a moduli space of curves of genus ``genus(k)``,
+    sets ``bounded`` to (boundary name prefix, genus); its names are
+    tested and ordered by their index, never enumerated."""
+
+    head: Callable[[int], tuple[str, ...]]
+    tail: Callable[[int], Iterable[str]]
+    bounded: tuple[str, Callable[[int], int]] | None = None
+
+
+def _bounded(lead: str, family: Callable[[int], str], prefix: str, genus) -> _KindSpec:
+    return _KindSpec(
+        lambda k: (lead,),
+        lambda k: map(family, range(genus(k) // 2 + 1)),
+        (prefix, genus),
+    )
+
+
+_SPECS = {
+    HURWITZ: _KindSpec(
+        lambda k: (E0,) + ((E2,) if k >= 3 else ()) + ((E3,) if k >= 2 else ()),
+        lambda k: (Ejc(j, c) for j in range(1, k + 1) for c in range(j // 2 + 1)),
+    ),
+    MG: _KindSpec(lambda k: (LAMBDA,), lambda k: map(delta, range(k + 1))),
+    M0B_SYM: _KindSpec(lambda k: (T2,), lambda k: map(T3j, range(1, k + 1))),
+    MG_PRIME: _bounded(LAMBDA_PRIME, delta_prime, "deltaP_", genus_trace),
+    MG_HAT: _bounded(LAMBDA_HAT, delta_hat, "deltaH_", genus_reduced_trace),
+}
+_KINDS = tuple(_SPECS)  # a tuple: an unhashable kind is refused, not a TypeError
+
+
 @dataclass(frozen=True)
 class Basis:
     """A named generator basis, parameterized by k."""
@@ -128,18 +161,14 @@ class Basis:
             raise ClassGroupError(f"basis parameter k must be >= 1, got {self.k}")
 
     def contains(self, name: str) -> bool:
-        k = self.k
-        if self.kind in _FINITE_KINDS:
-            return name in _generator_index(self.kind, k)
-        if self.kind == MG_PRIME:
-            if name == LAMBDA_PRIME:
-                return True
-            j = _suffix_index(name, "deltaP_")
-            return j is not None and 0 <= j <= genus_trace(k) // 2
-        if name == LAMBDA_HAT:
+        spec = _SPECS[self.kind]
+        if spec.bounded is None:
+            return name in _generator_index(self.kind, self.k)
+        prefix, genus = spec.bounded
+        if name in spec.head(self.k):
             return True
-        j = _suffix_index(name, "deltaH_")
-        return j is not None and 0 <= j <= genus_reduced_trace(k) // 2
+        j = _suffix_index(name, prefix)
+        return j is not None and 0 <= j <= genus(self.k) // 2
 
     def check(self, name: str) -> str:
         if not self.contains(name):
@@ -154,57 +183,52 @@ class Basis:
     def sort_index(self, name: str) -> int:
         """Position of ``name`` in :meth:`generators`, the natural
         display order."""
-        if self.kind in _FINITE_KINDS:
+        bounded = _SPECS[self.kind].bounded
+        if bounded is None:
             index = _generator_index(self.kind, self.k).get(name)
             if index is None:
                 raise self._unknown(name)
             return index
         self.check(name)
-        j = _suffix_index(name, "deltaP_" if self.kind == MG_PRIME else "deltaH_")
+        j = _suffix_index(name, bounded[0])
         return 0 if j is None else j + 1
 
     def _sort_key(self) -> Callable[[str], int]:
         """:meth:`sort_index` for generators known to belong to the
-        basis; the finite kinds look the cached position up directly."""
-        if self.kind in _FINITE_KINDS:
+        basis; the enumerated kinds look the cached position up
+        directly."""
+        if _SPECS[self.kind].bounded is None:
             return _generator_index(self.kind, self.k).__getitem__
         return self.sort_index
 
     def generators(self) -> Iterator[str]:
         """All generators of the basis in natural order."""
-        k = self.k
-        if self.kind == HURWITZ:
-            yield E0
-            if k >= 3:
-                yield E2
-            if k >= 2:
-                yield E3
-            for j in range(1, k + 1):
-                for c in range(j // 2 + 1):
-                    yield Ejc(j, c)
-        elif self.kind == MG:
-            yield LAMBDA
-            for j in range(k + 1):
-                yield delta(j)
-        elif self.kind == M0B_SYM:
-            yield T2
-            for j in range(1, k + 1):
-                yield T3j(j)
-        elif self.kind == MG_PRIME:
-            yield LAMBDA_PRIME
-            for j in range(genus_trace(k) // 2 + 1):
-                yield delta_prime(j)
-        else:
-            yield LAMBDA_HAT
-            for j in range(genus_reduced_trace(k) // 2 + 1):
-                yield delta_hat(j)
+        spec = _SPECS[self.kind]
+        yield from spec.head(self.k)
+        yield from spec.tail(self.k)
 
 
 @lru_cache(maxsize=None)
 def _generator_index(kind: str, k: int) -> dict[str, int]:
-    """Generator name -> position in the natural order, for the finite
-    kinds."""
+    """Generator name -> position in the natural order, for the
+    enumerated kinds."""
     return {name: i for i, name in enumerate(Basis(kind, k).generators())}
+
+
+@lru_cache(maxsize=None)
+def ejc_names(k: int) -> tuple[tuple[str, ...], ...]:
+    """The E_{j,c} names of ``Hurwitz(k)``, sliced from the cached
+    generator order for the builders: entry j holds E_j_0 ..
+    E_j_floor(j/2), entry 0 is empty."""
+    names = iter(list(_generator_index(HURWITZ, k))[len(_SPECS[HURWITZ].head(k)) :])
+    return ((),) + tuple(tuple(islice(names, j // 2 + 1)) for j in range(1, k + 1))
+
+
+def hurwitz_head(k: int, e0, e2, e3) -> dict:
+    """``{E0: e0, E2: e2, E3: e3}`` without the generators ``Hurwitz(k)``
+    lacks (E2 needs k >= 3, E3 needs k >= 2)."""
+    values = {E0: e0, E2: e2, E3: e3}
+    return {name: values[name] for name in _SPECS[HURWITZ].head(k)}
 
 
 def hurwitz_basis(k: int) -> Basis:
@@ -269,9 +293,9 @@ class DivisorClass:
             *(coef.denominator for terms in symbolic.values() for coef in terms.values()),
         )
         self._den = den
-        self._nums = {name: _over(value, den) for name, value in plain.items()}
+        self._nums = {n: numerator_over(value, den) for n, value in plain.items()}
         self._sym = {
-            name: {s: _over(coef, den) for s, coef in terms.items()}
+            name: {s: numerator_over(coef, den) for s, coef in terms.items()}
             for name, terms in symbolic.items()
         }
 
@@ -376,7 +400,7 @@ class DivisorClass:
                 if v is None:
                     kept[s] = n * common
                 else:
-                    nums[name] = nums.get(name, 0) + n * _over(v, common)
+                    nums[name] = nums.get(name, 0) + n * numerator_over(v, common)
             if kept:
                 sym[name] = kept
         return DivisorClass._raw(self.basis, self._den * common, _nonzero(nums), sym)
@@ -491,7 +515,7 @@ class DivisorClass:
         return f"<{self.basis.kind}(k={self.basis.k}): {body}>"
 
 
-def _over(value: int | Fraction, den: int) -> int:
+def numerator_over(value: int | Fraction, den: int) -> int:
     """The numerator of ``value`` over ``den``, a multiple of its
     denominator."""
     return value.numerator * (den // value.denominator)
@@ -523,71 +547,84 @@ def zero_class(basis: Basis) -> DivisorClass:
 
 class ClassMap:
     """A linear map between class groups, given by the images of the
-    source generators.  Generators absent from ``rows`` map to zero.
+    source generators.  Generators without an image map to zero.
 
-    The rows are kept as they are; the map also holds the lcm ``_den``
-    of the row denominators and, per row, the integer factor
-    ``_den // row._den`` that puts that row's numerators over it, so
-    :meth:`apply` sums every product, constant or symbolic, in ``int``.
-    The symbols occur linearly: a symbolic source coefficient meeting a
-    row with symbolic entries raises ``ValueError``.
+    The images are sparse integer columns over one common denominator
+    ``_den``, not necessarily in lowest terms: ``_cols`` maps a source
+    generator to the numerators of its image's constant parts (target ->
+    int), ``_sym`` to those of its c_j/b_j parts (target -> symbol ->
+    int); none is zero.  :meth:`row` builds the reduced class, and
+    :meth:`apply` sums every product in ``int``.  The symbols occur
+    linearly: a symbolic source coefficient meeting a column with
+    symbolic entries raises ``ValueError``.
     """
 
-    __slots__ = ("source", "target", "rows", "_den", "_factors")
+    __slots__ = ("source", "target", "_den", "_cols", "_sym")
 
     def __init__(self, source: Basis, target: Basis, rows: Mapping[str, DivisorClass]):
-        self.source = source
-        self.target = target
-        checked: dict[str, DivisorClass] = {}
         for name, image in rows.items():
             source.check(name)
             if image.basis != target:
                 raise BasisMismatchError(
                     f"row for {name!r} lives over {image.basis}, expected {target}"
                 )
-            if not image.is_zero():
-                checked[name] = image
-        self.rows = checked
-        self._den = lcm(*(image._den for image in checked.values()))
-        self._factors = {
-            name: self._den // image._den for name, image in checked.items()
-        }
+        den = lcm(*(image._den for image in rows.values()))
+        cols: dict[str, dict[str, int]] = {}
+        sym: dict[str, dict[str, dict[ExtSymbol, int]]] = {}
+        for name, image in rows.items():
+            f = den // image._den
+            if image._nums:
+                cols[name] = {t: n * f for t, n in image._nums.items()}
+            if image._sym:
+                sym[name] = {
+                    t: {s: n * f for s, n in terms.items()}
+                    for t, terms in image._sym.items()
+                }
+        self.source, self.target = source, target
+        self._den, self._cols, self._sym = den, cols, sym
+
+    @classmethod
+    def _raw(cls, source: Basis, target: Basis, den: int, cols, sym=None) -> "ClassMap":
+        # internal: columns as stored, generators already validated, every
+        # numerator nonzero over ``den`` > 0, no inner map empty
+        obj = cls.__new__(cls)
+        obj.source, obj.target = source, target
+        obj._den, obj._cols, obj._sym = den, cols, sym or {}
+        return obj
 
     def row(self, name: str) -> DivisorClass:
         self.source.check(name)
-        return self.rows.get(name, zero_class(self.target))
+        return DivisorClass._raw(
+            self.target, self._den, self._cols.get(name, {}), self._sym.get(name)
+        )
+
+    @property
+    def rows(self) -> dict[str, DivisorClass]:
+        """The nonzero images, by source generator."""
+        return {name: self.row(name) for name in {**self._cols, **self._sym}}
 
     def apply(self, d: DivisorClass) -> DivisorClass:
         if d.basis != self.source:
             raise BasisMismatchError(
                 f"class over {d.basis} cannot be fed to a map from {self.source}"
             )
-        rows, factors = self.rows, self._factors
-        # every product x * r * factor is summed in int over
-        # d._den * self._den; the symbols occur linearly, so at most one
-        # side of each product carries one
+        cols, sym_cols = self._cols, self._sym
+        # every product x * r is summed in int over d._den * self._den;
+        # the symbols occur linearly, so at most one side carries one
         sums: dict[str, int] = {}
         sym: dict[str, dict[ExtSymbol, int]] = {}
         for name, x in d._nums.items():
-            row = rows.get(name)
-            if row is None:
-                continue
-            scaled = x * factors[name]
-            for target_name, r in row._nums.items():
-                sums[target_name] = sums.get(target_name, 0) + scaled * r
-            for target_name, terms in row._sym.items():
-                _add_scaled(sym.setdefault(target_name, {}), terms, scaled)
+            for t, r in cols.get(name, {}).items():
+                sums[t] = sums.get(t, 0) + x * r
+            for t, terms in sym_cols.get(name, {}).items():
+                _add_scaled(sym.setdefault(t, {}), terms, x)
         for name, terms in d._sym.items():
-            row = rows.get(name)
-            if row is None:
-                continue
-            if row._sym:
+            if name in sym_cols:
                 raise ValueError(
                     "product of two non-constant affine expressions is not affine"
                 )
-            factor = factors[name]
-            for target_name, r in row._nums.items():
-                _add_scaled(sym.setdefault(target_name, {}), terms, r * factor)
+            for t, r in cols.get(name, {}).items():
+                _add_scaled(sym.setdefault(t, {}), terms, r)
         return DivisorClass._raw(
             self.target, d._den * self._den, _nonzero(sums), _nonzero_sym(sym)
         )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import checks as checks_mod
@@ -84,14 +85,32 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
+@contextmanager
+def _long_int_text():
+    """Lift Python's limit on the digits of an int converted to text
+    (4300 by default) while output is rendered: raw pushed classes carry
+    (6k)!-sized numerators, which pass it from about k = 250.  The limit
+    is restored afterwards, so parsing outside input keeps it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def _cmd_class(args) -> int:
     d, mode = _resolve_class(args.name, args.k, args.normalized)
-    if args.format == "json":
-        text = serialize.class_to_json(d, mode)
-    elif args.format == "csv":
-        text = serialize.class_to_csv(d)
-    else:
-        text = serialize.class_to_md(d)
+    with _long_int_text():
+        if args.format == "json":
+            text = serialize.class_to_json(d, mode)
+        elif args.format == "csv":
+            text = serialize.class_to_csv(d)
+        else:
+            text = serialize.class_to_md(d)
     _emit(text, args.out)
     return 0
 
@@ -245,13 +264,14 @@ def _table_rows(args) -> tuple[list[str], list[list[str]]]:
 def _cmd_table(args) -> int:
     if args.normalized and not args.quantity.startswith("coefficients:"):
         raise UsageError("--normalized only applies to coefficients tables")
-    columns, rows = _table_rows(args)
-    if args.format == "json":
-        text = serialize.table_to_json(columns, rows)
-    elif args.format == "csv":
-        text = serialize.table_to_csv(columns, rows)
-    else:
-        text = serialize.table_to_md(columns, rows)
+    with _long_int_text():
+        columns, rows = _table_rows(args)
+        if args.format == "json":
+            text = serialize.table_to_json(columns, rows)
+        elif args.format == "csv":
+            text = serialize.table_to_csv(columns, rows)
+        else:
+            text = serialize.table_to_md(columns, rows)
     _emit(text, args.out)
     return 0
 

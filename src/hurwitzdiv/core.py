@@ -19,10 +19,9 @@ The text form of an affine expression is defined once, by
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 Rational = Fraction
 
@@ -71,18 +70,25 @@ def binomial(n: int, m: int) -> Fraction:
     return Fraction(comb(n, m))
 
 
-@dataclass(frozen=True, order=True)
-class ExtSymbol:
-    """An external coefficient symbol: family "c" models c_j, "b" models b_j."""
-
+class _SymbolFields(NamedTuple):
     family: str
     index: int
 
-    def __post_init__(self) -> None:
-        if self.family not in ("c", "b"):
-            raise ValueError(f"symbol family must be 'c' or 'b', got {self.family!r}")
-        if self.index < 1:
-            raise ValueError(f"symbol index must be >= 1, got {self.index}")
+
+class ExtSymbol(_SymbolFields):
+    """An external coefficient symbol: family "c" models c_j, "b" models b_j.
+
+    A named tuple, so that hashing, equality and ordering, by (family,
+    index), run in C: symbols key every symbolic dict of the kernel."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, index: int) -> "ExtSymbol":
+        if family not in ("c", "b"):
+            raise ValueError(f"symbol family must be 'c' or 'b', got {family!r}")
+        if index < 1:
+            raise ValueError(f"symbol index must be >= 1, got {index}")
+        return super().__new__(cls, family, index)
 
     def __str__(self) -> str:
         return f"{self.family}_{self.index}"

@@ -24,13 +24,15 @@ from .bases import (
     E0,
     E2,
     E3,
-    Ejc,
     LAMBDA,
     T3j,
     T2,
     delta,
+    ejc_names,
     hurwitz_basis,
+    hurwitz_head,
     mg_basis,
+    numerator_over,
 )
 from .core import AffineExpr, ExtSymbol, b_sym, c_sym
 from .m0b import kappa_class
@@ -113,44 +115,34 @@ def p_push(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
     moduli basis, row by generator."""
     _check_normalization(normalization)
     n = catalan_number(k)
-    mg = mg_basis(k)
-    rows: dict[str, DivisorClass] = {
-        E0: DivisorClass(mg, {delta(0): n / 2})
-    }
-    # the E2/E3 rows as integer numerators over one denominator each; the
-    # delta_j entries carry only c_j (E2) or b_j (E3)
+    lead2 = Fraction(k - 2, 2 * k - 1) * n
+    lead3 = Fraction(3, 2 * (2 * k - 1)) * n
+    e_dens = [(j + 1) * (2 * k - j + 1) for j in range(k + 1)]
+    den = lcm(2, lead2.denominator, lead3.denominator, *e_dens[1:])
+    deltas = [delta(j) for j in range(k + 1)]
+    cols = {E0: {deltas[0]: numerator_over(n / 2, den)}}
+    # E2/E3 reach lambda, delta_0 and, on each delta_j, c_j or b_j
+    sym: dict[str, dict[str, dict[ExtSymbol, int]]] = {}
     if k >= 3:
-        lead = Fraction(k - 2, 2 * k - 1) * n
-        p, q = lead.numerator, lead.denominator
-        rows[E2] = DivisorClass._raw(
-            mg,
-            2 * q,
-            {
-                LAMBDA: 2 * p * (18 * k * k + 51 * k - 9),
-                delta(0): -2 * p * (3 * k * k + 4 * k - 1),
-            },
-            {delta(j): {c_sym(j): q} for j in range(1, k + 1)},
-        )
+        cols[E2] = {
+            LAMBDA: numerator_over(lead2 * (18 * k * k + 51 * k - 9), den),
+            deltas[0]: numerator_over(-lead2 * (3 * k * k + 4 * k - 1), den),
+        }
+        sym[E2] = {deltas[j]: {c_sym(j): den // 2} for j in range(1, k + 1)}
     if k >= 2:
-        lead = Fraction(3, 2 * (2 * k - 1)) * n
-        p, q = lead.numerator, lead.denominator
-        rows[E3] = DivisorClass._raw(
-            mg,
-            q,
-            {
-                LAMBDA: p * (12 * k * k + 46 * k - 8),
-                delta(0): -p * (2 * k * k + 4 * k - 1),
-            },
-            {delta(j): {b_sym(j): -p} for j in range(1, k + 1)},
-        )
+        cols[E3] = {
+            LAMBDA: numerator_over(lead3 * (12 * k * k + 46 * k - 8), den),
+            deltas[0]: numerator_over(-lead3 * (2 * k * k + 4 * k - 1), den),
+        }
+        b = numerator_over(-lead3, den)
+        sym[E3] = {deltas[j]: {b_sym(j): b} for j in range(1, k + 1)}
+    names = ejc_names(k)
     for j in range(1, k + 1):
-        target = delta(j)
-        den = (j + 1) * (2 * k - j + 1)
-        for c in range(j // 2 + 1):
+        f = den // e_dens[j]
+        for c, name in enumerate(names[j]):
             # e_{j,c} as its integer numerator, which is positive
-            numerator = e_numerator(k, j, c)
-            rows[Ejc(j, c)] = DivisorClass._raw(mg, den, {target: numerator})
-    pushed = ClassMap(hurwitz_basis(k), mg, rows)
+            cols[name] = {deltas[j]: e_numerator(k, j, c) * f}
+    pushed = ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, sym)
     if normalization == RAW:
         pushed = pushed.scale(factorial_b(k))
     return pushed
@@ -240,13 +232,21 @@ def p_phihat_delta0_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
     return lam, d0
 
 
-def _e_weighted_twelfth(k: int, j: int, weight_numerator) -> Fraction:
+def _delta_expected(k: int, j: int, weight_numerator, c_weight, b_weight) -> AffineExpr:
     """One twelfth of sum_c e_{j,c} w_{j,c}, for a weight family given
-    by its integer numerators over 2(6k-1); summed in integers."""
+    by its integer numerators over 2(6k-1) and summed in integers, plus
+    ``c_weight`` c_j (from E2, k >= 3) and -N ``b_weight`` b_j (from
+    E3, k >= 2)."""
     total = sum(
         e_numerator(k, j, c) * weight_numerator(k, j, c) for c in range(j // 2 + 1)
     )
-    return Fraction(total, 24 * (j + 1) * (2 * k - j + 1) * (6 * k - 1))
+    terms: dict[ExtSymbol, Fraction] = {}
+    if k >= 3:
+        terms[c_sym(j)] = c_weight
+    if k >= 2:
+        terms[b_sym(j)] = -catalan_number(k) * b_weight
+    const = Fraction(total, 24 * (j + 1) * (2 * k - j + 1) * (6 * k - 1))
+    return AffineExpr(const, terms)
 
 
 def p_phi_lambda_delta_expected(k: int, j: int) -> AffineExpr:
@@ -254,31 +254,17 @@ def p_phi_lambda_delta_expected(k: int, j: int) -> AffineExpr:
     row structure of the push-forward: the c_j part carries
     (10k-1)/(4(6k-1)), the b_j part carries the E3 weight, and the
     constant is one twelfth of sum e_{j,c} (a_{j,c} + d_{j,c})."""
-    n = catalan_number(k)
-    const = _e_weighted_twelfth(k, j, t_numerator)
-    terms: dict[ExtSymbol, Fraction] = {}
-    if k >= 3:
-        terms[c_sym(j)] = Fraction(10 * k - 1, 4 * (6 * k - 1))
-    if k >= 2:
-        terms[b_sym(j)] = -n * Fraction(
-            6 * k * k + 11 * k + 1, 4 * (12 * k * k - 8 * k + 1)
-        )
-    return AffineExpr(const, terms)
+    c_weight = Fraction(10 * k - 1, 4 * (6 * k - 1))
+    b_weight = Fraction(6 * k * k + 11 * k + 1, 4 * (12 * k * k - 8 * k + 1))
+    return _delta_expected(k, j, t_numerator, c_weight, b_weight)
 
 
 def p_phihat_lambda_delta_expected(k: int, j: int) -> AffineExpr:
     """The delta_j coefficient of :func:`p_phihat_lambda` predicted by
     the row structure of the push-forward."""
-    n = catalan_number(k)
-    const = _e_weighted_twelfth(k, j, u_numerator)
-    terms: dict[ExtSymbol, Fraction] = {}
-    if k >= 3:
-        terms[c_sym(j)] = Fraction(5 * k, 4 * (6 * k - 1))
-    if k >= 2:
-        terms[b_sym(j)] = -n * Fraction(
-            3 * k * k - 8 * k + 5, 4 * (6 * k - 1) * (2 * k - 1)
-        )
-    return AffineExpr(const, terms)
+    c_weight = Fraction(5 * k, 4 * (6 * k - 1))
+    b_weight = Fraction(3 * k * k - 8 * k + 5, 4 * (6 * k - 1) * (2 * k - 1))
+    return _delta_expected(k, j, u_numerator, c_weight, b_weight)
 
 
 @lru_cache(maxsize=None)
@@ -295,25 +281,18 @@ def p_q_map(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
     """
     _check_normalization(normalization)
     n = catalan_number(k)
-    mg = mg_basis(k)
     lead = Fraction(k * (6 * k - 1), 2 * k - 1) * n
     b3_weight = Fraction(9, 4 * k - 2) * n
-    # the T2 row as integer numerators over one denominator; each delta_j
-    # entry carries c_j and b_j
-    den = lcm(lead.denominator, b3_weight.denominator)
-    p = lead.numerator * (den // lead.denominator)
-    b3 = b3_weight.numerator * (den // b3_weight.denominator)
-    rows = {
-        T2: DivisorClass._raw(
-            mg,
-            den,
-            {LAMBDA: p * 3 * (2 * k + 5), delta(0): -p * (k + 1)},
-            {delta(j): {c_sym(j): den, b_sym(j): -b3} for j in range(1, k + 1)},
-        )
-    }
-    for j in range(1, k + 1):
-        rows[T3j(j)] = DivisorClass(mg, {delta(j): alpha_coeff(k, j)})
-    composite = ClassMap(q_pullback(k).source, mg, rows)
+    alphas = [alpha_coeff(k, j) for j in range(1, k + 1)]
+    den = lcm(lead.denominator, b3_weight.denominator, *(a.denominator for a in alphas))
+    # the T2 column carries c_j and b_j on each delta_j
+    t2 = {LAMBDA: 3 * (2 * k + 5) * lead, delta(0): -(k + 1) * lead}
+    cols = {T2: {t: numerator_over(v, den) for t, v in t2.items()}}
+    b3 = numerator_over(-b3_weight, den)
+    sym = {T2: {delta(j): {c_sym(j): den, b_sym(j): b3} for j in range(1, k + 1)}}
+    for j, alpha in enumerate(alphas, 1):
+        cols[T3j(j)] = {delta(j): numerator_over(alpha, den)}
+    composite = ClassMap._raw(q_pullback(k).source, mg_basis(k), den, cols, sym)
     if normalization == RAW:
         composite = composite.scale(factorial_b(k))
     return composite
@@ -370,17 +349,18 @@ def eh_divisor(k: int, normalization: str = RAW) -> DivisorClass:
     # components E0 + E2 + E3 of the p-side ramification
     t2_unit = DivisorClass(q.source, {T2: Fraction(1)})
     assembly = q.apply(t2_unit) * Fraction(-2, b - 1)
-    base: dict[str, Fraction] = {}
-    if k >= 2:
-        base[E3] = Fraction(1)
-    base[E0] = Fraction(-1)
-    assembly = assembly + DivisorClass(hur, base)
-    ejc_coeffs: dict[str, Fraction] = {}
+    assembly = assembly + DivisorClass(hur, hurwitz_head(k, -1, 0, 1))
+    # E_{j,c} gets w_j (j + 1 - 2c) - 1 with w_j = 3j(b - 3j)/(b - 1) - 1,
+    # summed as integer numerators over b - 1
+    ejc_nums: dict[str, int] = {}
+    names = ejc_names(k)
     for j in range(1, k + 1):
-        weight = Fraction(3 * j * (b - 3 * j), b - 1) - 1
-        for c in range(j // 2 + 1):
-            ejc_coeffs[Ejc(j, c)] = weight * (j + 1 - 2 * c) - 1
-    assembly = assembly + DivisorClass(hur, ejc_coeffs)
+        weight = 3 * j * (b - 3 * j) - (b - 1)
+        for c, name in enumerate(names[j]):
+            numerator = weight * (j + 1 - 2 * c) - (b - 1)
+            if numerator:
+                ejc_nums[name] = numerator
+    assembly = assembly + DivisorClass._raw(hur, b - 1, ejc_nums)
     pushed = p_push(k, PER_FACTORIAL_B).apply(assembly)
     return pushed - mg_canonical_class(k) * catalan_number(k)
 

@@ -21,16 +21,14 @@ from typing import NamedTuple
 from .bases import (
     ClassMap,
     DivisorClass,
-    E0,
-    E2,
-    E3,
-    Ejc,
     IndexRangeError,
     T2,
     T3j,
+    ejc_names,
     genus_reduced_trace,
     genus_trace,
     hurwitz_basis,
+    hurwitz_head,
     m0b_sym_basis,
     zero_class,
 )
@@ -155,11 +153,6 @@ def t_numerator(k: int, j: int, c: int) -> int:
     return _a_numerator(k, j, c) + 2 * (6 * k - 1) * _d_int(k, j, c)
 
 
-def t_coeff(k: int, j: int, c: int) -> Fraction:
-    _check_jc(k, j, c)
-    return Fraction(t_numerator(k, j, c), 2 * (6 * k - 1))
-
-
 def _s_int(k: int, j: int, c: int) -> int:
     if k == 1:
         return 1
@@ -208,14 +201,11 @@ def _build(k: int, den: int, e0: int, e2: int, e3: int, ejc) -> DivisorClass:
     """Assemble a Hurwitz class from integer numerators over ``den``: an
     E0 value, E2/E3 values (dropped when the generator does not exist)
     and a callable for E_{j,c}."""
-    nums = {E0: e0}
-    if k >= 3:
-        nums[E2] = e2
-    if k >= 2:
-        nums[E3] = e3
+    nums = hurwitz_head(k, e0, e2, e3)
+    names = ejc_names(k)
     for j in range(1, k + 1):
-        for c in range(j // 2 + 1):
-            nums[Ejc(j, c)] = ejc(k, j, c)
+        for c, name in enumerate(names[j]):
+            nums[name] = ejc(k, j, c)
     return _integer_class(k, nums, den)
 
 
@@ -245,17 +235,11 @@ def omega_tau_sq(k: int) -> DivisorClass:
 def q_pullback(k: int) -> ClassMap:
     """The pullback map along q from the symmetric boundary classes of
     the space of 6k-pointed rational curves to the Hurwitz basis."""
-    t2_nums = {E0: 1}
-    if k >= 3:
-        t2_nums[E2] = 2
-    if k >= 2:
-        t2_nums[E3] = 3
-    rows = {T2: _integer_class(k, t2_nums)}
+    cols = {T2: hurwitz_head(k, 1, 2, 3)}
+    names = ejc_names(k)
     for j in range(1, k + 1):
-        rows[T3j(j)] = _integer_class(
-            k, {Ejc(j, c): j + 1 - 2 * c for c in range(j // 2 + 1)}
-        )
-    return ClassMap(m0b_sym_basis(k), hurwitz_basis(k), rows)
+        cols[T3j(j)] = {name: j + 1 - 2 * c for c, name in enumerate(names[j])}
+    return ClassMap._raw(m0b_sym_basis(k), hurwitz_basis(k), 1, cols)
 
 
 class GrrPieces(NamedTuple):
@@ -346,20 +330,17 @@ def phi_pull_boundary(k: int, j_prime: int) -> DivisorClass:
             f"boundary index {j_prime} out of range 0..{genus_trace(k) // 2}"
         )
     if j_prime == 0:
-        nums = {E0: 4 * k - 2}
-        if k >= 3:
-            nums[E2] = 4
-        if k >= 2:
-            nums[E3] = 2
+        nums = hurwitz_head(k, 4 * k - 2, 4, 2)
+        names = ejc_names(k)
         for j in range(2, k + 1):
-            nums[Ejc(j, 0)] = j
+            nums[names[j][0]] = j
             for c in range(1, j // 2 + 1):
-                nums[Ejc(j, c)] = 2 * (k - j + c) * (c + 1) + j
+                nums[names[j][c]] = 2 * (k - j + c) * (c + 1) + j
         return _integer_class(k, nums)
     if j_prime == 1:
-        return _integer_class(k, {Ejc(1, 0): 2 * k - 1})
+        return _integer_class(k, {ejc_names(k)[1][0]: 2 * k - 1})
     if j_prime <= k:
-        return _integer_class(k, {Ejc(j_prime, 0): 2 * k - 2 * j_prime})
+        return _integer_class(k, {ejc_names(k)[j_prime][0]: 2 * k - 2 * j_prime})
     return zero_class(hurwitz_basis(k))
 
 
@@ -379,17 +360,16 @@ def phihat_pull_boundary(k: int, j_hat: int) -> DivisorClass:
             f"boundary index {j_hat} out of range 0..{genus_reduced_trace(k) // 2}"
         )
     if j_hat == 0:
-        nums = {E0: 2 * k - 2}
-        if k >= 3:
-            nums[E2] = 2
+        nums = hurwitz_head(k, 2 * k - 2, 2, 0)
+        names = ejc_names(k)
         for j in range(2, k + 1):
             for c in range(1, j // 2 + 1):
-                nums[Ejc(j, c)] = (k - j + c) * (c + 1) + (j + 1) // 2 + _eps(j, c)
+                nums[names[j][c]] = (k - j + c) * (c + 1) + (j + 1) // 2 + _eps(j, c)
         for j in range(3, k + 1):
-            nums[Ejc(j, 0)] = (j + 1) // 2 + _eps(j, 0)
+            nums[names[j][0]] = (j + 1) // 2 + _eps(j, 0)
         return _integer_class(k, nums)
     if j_hat in (1, 2):
-        return _integer_class(k, {Ejc(j_hat, 0): k - 1})
+        return _integer_class(k, {ejc_names(k)[j_hat][0]: k - 1})
     if j_hat <= k:
-        return _integer_class(k, {Ejc(j_hat, 0): k - j_hat})
+        return _integer_class(k, {ejc_names(k)[j_hat][0]: k - j_hat})
     return zero_class(hurwitz_basis(k))

@@ -554,3 +554,36 @@ def test_symbolic_source_on_symbolic_row_is_rejected():
     # the same class is fine when it meets only plain rows
     plain = ClassMap(basis, basis, {delta(1): DivisorClass(basis, {LAMBDA: 3})})
     assert plain.apply(d).coefficient(LAMBDA) == AffineExpr(3, {b_sym(1): Fraction(6, 7)})
+
+
+# Column store: a ClassMap keeps its images as integer columns over one
+# common denominator.  Rows given to the constructor, symbolic or not and
+# over pairwise different denominators, must come back unchanged.
+
+
+@given(
+    st.dictionaries(st.sampled_from(MG3), mg3_classes(spread_values), max_size=4),
+    st.data(),
+)
+def test_column_store_gives_back_its_rows(rows, data):
+    basis = mg_basis(3)
+    m = ClassMap(basis, basis, rows)
+    nonzero = {g: row for g, row in rows.items() if not row.is_zero()}
+    assert m.rows == nonzero
+    for g in MG3:
+        row = m.row(g)
+        assert_canonical(row)
+        assert row == rows.get(g, zero_class(basis))
+    # scaling, and composing with a plain map on either side
+    a = data.draw(big_rationals)
+    d = data.draw(mg3_classes(big_rationals))
+    assert model(m.scale(a).apply(d)) == {
+        t: v * a for t, v in apply_model(m, d).items()
+    }
+    plain = class_map(data.draw(fraction_maps()))
+    for outer, inner in ((plain, m), (m, plain)):
+        composed = outer.compose(inner)
+        for g in MG3:
+            row = composed.row(g)
+            assert_canonical(row)
+            assert model(row) == apply_model(outer, inner.row(g))

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,25 @@ def test_class_json_round_trip_bytes(capsys):
     obj = json.loads(out)
     assert obj["normalization"] == "per-factorial-b"
     assert dumps_canonical(obj) == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("class", "p-q-kappa", "--k", "255"),
+        ("table", "--quantity", "coefficients:p-q-kappa", "--k-min", "255",
+         "--k-max", "255", "--format", "csv"),
+    ],
+)
+def test_numerators_past_the_int_text_limit_are_emitted(capsys, argv):
+    # the raw numerators at k = 255 are longer than the 4300 digits that
+    # Python converts to text by default; the limit is back afterwards
+    before = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert "error:" not in err
+    assert max(len(piece) for piece in out.replace("/", ",").split(",")) > 4300
+    assert sys.get_int_max_str_digits() == before
 
 
 def test_class_unknown_name(capsys):

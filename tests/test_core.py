@@ -9,6 +9,7 @@ from hurwitzdiv.core import (
     b_sym,
     binomial,
     c_sym,
+    display_key,
     format_rational,
     parse_rational,
     substitute,
@@ -95,6 +96,24 @@ def test_ext_symbol_validation():
         ExtSymbol("x", 1)
     with pytest.raises(ValueError):
         ExtSymbol("c", 0)
+
+
+def test_ext_symbol_identity_order_and_text():
+    # separately built symbols are one dict key; ordering is by (family,
+    # index), display order puts c_j before b_j
+    assert c_sym(1) == ExtSymbol("c", 1) and c_sym(1) is not ExtSymbol("c", 1)
+    assert hash(c_sym(1)) == hash(c_sym(1))
+    assert len({c_sym(1), ExtSymbol("c", 1), b_sym(1)}) == 2
+    assert c_sym(1) != b_sym(1) and c_sym(1) != c_sym(2)
+    built = [c_sym(10), b_sym(2), c_sym(2), b_sym(10), c_sym(1)]
+    assert sorted(built) == [b_sym(2), b_sym(10), c_sym(1), c_sym(2), c_sym(10)]
+    assert sorted(built, key=display_key) == [
+        c_sym(1), c_sym(2), c_sym(10), b_sym(2), b_sym(10)
+    ]
+    assert [str(s) for s in built] == ["c_10", "b_2", "c_2", "b_10", "c_1"]
+    assert (c_sym(3).family, c_sym(3).index) == ("c", 3)
+    with pytest.raises(AttributeError):
+        c_sym(3).index = 4
 
 
 def test_affine_drops_zero_terms():

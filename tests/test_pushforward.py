@@ -46,6 +46,7 @@ from hurwitzdiv.pushforward import (
 from hurwitzdiv.m0b import kappa_class
 from hurwitzdiv.trace import (
     alpha_coeff,
+    catalan_number,
     e_coeff,
     phi_pull_boundary,
     phi_pull_lambda,
@@ -85,6 +86,101 @@ def test_p_push_symbol_rows_structure():
     # weight 3N/(2(2k-1)) = 3/2 at k = 3 (N = 5)
     assert e3_row.coefficient(delta(2)) == AffineExpr(0, {b_sym(2): Fraction(-3, 2)})
     assert e3_row.coefficient(LAMBDA).constant_value() == Fraction(3 * 5, 2 * 5) * 238
+
+
+def p_push_by_rows(k):
+    """:func:`p_push` row by row: e_{j,c} on delta_j, and the E2/E3
+    weights on lambda, delta_0 and the c_j/b_j of every delta_j."""
+    n = catalan_number(k)
+    rows = {E0: mclass(k, {delta(0): n / 2})}
+    if k >= 3:
+        lead = Fraction(k - 2, 2 * k - 1) * n
+        coeffs = {
+            delta(j): AffineExpr(0, {c_sym(j): Fraction(1, 2)}) for j in range(1, k + 1)
+        }
+        coeffs[LAMBDA] = lead * (18 * k * k + 51 * k - 9)
+        coeffs[delta(0)] = -lead * (3 * k * k + 4 * k - 1)
+        rows[E2] = mclass(k, coeffs)
+    if k >= 2:
+        lead = Fraction(3, 2 * (2 * k - 1)) * n
+        coeffs = {delta(j): AffineExpr(0, {b_sym(j): -lead}) for j in range(1, k + 1)}
+        coeffs[LAMBDA] = lead * (12 * k * k + 46 * k - 8)
+        coeffs[delta(0)] = -lead * (2 * k * k + 4 * k - 1)
+        rows[E3] = mclass(k, coeffs)
+    for j in range(1, k + 1):
+        for c in range(j // 2 + 1):
+            rows[Ejc(j, c)] = mclass(k, {delta(j): e_coeff(k, j, c)})
+    return rows
+
+
+def p_q_map_by_rows(k):
+    """:func:`p_q_map` row by row: the T2 weights and alpha_j on T3j."""
+    n = catalan_number(k)
+    lead = Fraction(k * (6 * k - 1), 2 * k - 1) * n
+    b3_weight = Fraction(9, 4 * k - 2) * n
+    coeffs = {
+        delta(j): AffineExpr(0, {c_sym(j): 1, b_sym(j): -b3_weight})
+        for j in range(1, k + 1)
+    }
+    coeffs[LAMBDA] = 3 * (2 * k + 5) * lead
+    coeffs[delta(0)] = -(k + 1) * lead
+    rows = {T2: mclass(k, coeffs)}
+    for j in range(1, k + 1):
+        rows[T3j(j)] = mclass(k, {delta(j): alpha_coeff(k, j)})
+    return rows
+
+
+def q_pullback_by_rows(k):
+    """:func:`q_pullback` row by row: E0 + 2 E2 + 3 E3 on T2 and
+    (j + 1 - 2c) E_{j,c} on T3j."""
+    hur = hurwitz_basis(k)
+    t2 = {E0: 1}
+    if k >= 3:
+        t2[E2] = 2
+    if k >= 2:
+        t2[E3] = 3
+    rows = {T2: DivisorClass(hur, t2)}
+    for j in range(1, k + 1):
+        rows[T3j(j)] = DivisorClass(
+            hur, {Ejc(j, c): j + 1 - 2 * c for c in range(j // 2 + 1)}
+        )
+    return rows
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_column_maps_equal_their_row_definitions(k):
+    for built, expected in (
+        (p_push(k), p_push_by_rows(k)),
+        (p_q_map(k), p_q_map_by_rows(k)),
+        (q_pullback(k), q_pullback_by_rows(k)),
+    ):
+        assert built.rows == expected
+        for name in built.source.generators():
+            assert built.row(name) == expected.get(name, DivisorClass(built.target))
+
+
+def eh_divisor_fraction_assembly(k):
+    """:func:`eh_divisor` per factorial b, assembled in Fraction
+    arithmetic coefficient by coefficient."""
+    b = 6 * k
+    hur = hurwitz_basis(k)
+    assembly = q_pullback(k).row(T2) * Fraction(-2, b - 1)
+    base = {E0: Fraction(-1)}
+    if k >= 2:
+        base[E3] = Fraction(1)
+    ejc = {}
+    for j in range(1, k + 1):
+        weight = Fraction(3 * j * (b - 3 * j), b - 1) - 1
+        for c in range(j // 2 + 1):
+            ejc[Ejc(j, c)] = weight * (j + 1 - 2 * c) - 1
+    assembly = assembly + DivisorClass(hur, base) + DivisorClass(hur, ejc)
+    pushed = p_push(k, PER_FACTORIAL_B).apply(assembly)
+    return pushed - mg_canonical_class(k) * catalan_number(k)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_eh_divisor_equals_fraction_assembly(k):
+    assert eh_divisor(k, PER_FACTORIAL_B) == eh_divisor_fraction_assembly(k)
 
 
 def test_p_push_raw_scaling():
