@@ -23,8 +23,11 @@ Every coefficient is stored as integer numerators over one positive
 common denominator: a divisor class keeps its constant parts and the
 coefficients of the external symbols c_j, b_j in lowest terms, a class
 map keeps its images as sparse integer columns, one per source
-generator, which the builders write directly.  Addition, scaling,
-substitution and the application of class maps run on plain ``int``; a
+generator, which the builders write directly.  Sums run through one
+n-ary kernel, :func:`linear_combination`, which puts all its terms over
+one lcm, sums their numerators in a single pass and reduces once; ``+``
+and ``-`` are its two-term calls.  Addition, scaling, substitution and
+the application of class maps run on plain ``int``; a
 ``Fraction`` or an :class:`AffineExpr` is built only at the public
 accessors ``DivisorClass.coefficient``/``items``.  Beside ``items`` sits
 the internal ``DivisorClass._formatted_items``, the same values as "p/q"
@@ -41,7 +44,14 @@ from itertools import islice
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .core import AffineExpr, AffineLike, ExtSymbol, RationalLike, display_key
+from .core import (
+    AffineExpr,
+    AffineLike,
+    ExtSymbol,
+    RationalLike,
+    display_key,
+    is_index_literal,
+)
 
 
 class ClassGroupError(ValueError):
@@ -96,12 +106,12 @@ def delta_hat(j: int) -> str:
 
 
 def _suffix_index(name: str, prefix: str) -> int | None:
+    """The index of ``prefix<index>``, spelled ``0|[1-9][0-9]*`` in
+    ASCII digits, so each generator has exactly one name."""
     if not name.startswith(prefix):
         return None
     tail = name[len(prefix):]
-    if tail.isdigit():
-        return int(tail)
-    return None
+    return int(tail) if is_index_literal(tail) else None
 
 
 def genus_trace(k: int) -> int:
@@ -261,7 +271,10 @@ class DivisorClass:
     maps.  No numerator is zero, no inner map of ``_sym`` is empty,
     ``gcd(_den, *every numerator) == 1``, and ``_den == 1`` when there
     are no numerators.  This form is unique, so two classes are equal
-    exactly when their stored parts agree.  Only the accessors
+    exactly when their stored parts agree.  ``+`` and ``-`` are two-term
+    calls of :func:`linear_combination`; a longer sum should be one call
+    of it, which copies and reduces the result once instead of once per
+    term.  Only the accessors
     :meth:`coefficient` and :meth:`items`, and multiplication by a
     symbolic scalar, which goes through them, build an
     :class:`AffineExpr`.  Instances are immutable.
@@ -405,37 +418,15 @@ class DivisorClass:
                 sym[name] = kept
         return DivisorClass._raw(self.basis, self._den * common, _nonzero(nums), sym)
 
-    def _require_same_basis(self, other: "DivisorClass") -> None:
-        if self.basis != other.basis:
-            raise BasisMismatchError(
-                f"cannot combine classes over {self.basis} and {other.basis}"
-            )
-
-    def _combine(self, other, sign: int):
-        """``self + sign * other`` over the lcm of the two denominators."""
+    def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        self._require_same_basis(other)
-        d1, d2 = self._den, other._den
-        g = gcd(d1, d2)
-        f1, f2 = d2 // g, sign * (d1 // g)
-        nums = {name: n * f1 for name, n in self._nums.items()}
-        _add_scaled(nums, other._nums, f2)
-        sym = {
-            name: {s: n * f1 for s, n in terms.items()}
-            for name, terms in self._sym.items()
-        }
-        for name, terms in other._sym.items():
-            _add_scaled(sym.setdefault(name, {}), terms, f2)
-        return DivisorClass._raw(
-            self.basis, d1 * f1, _nonzero(nums), _nonzero_sym(sym)
-        )
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return self._combine(other, 1)
+        return linear_combination(self.basis, ((1, self), (1, other)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self._combine(other, -1)
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
+        return linear_combination(self.basis, ((1, self), (-1, other)))
 
     def __neg__(self) -> "DivisorClass":
         return DivisorClass._raw(
@@ -528,8 +519,9 @@ def _sym_numerators(sym: Mapping[str, Mapping[ExtSymbol, int]]) -> Iterator[int]
 
 def _add_scaled(acc: dict, terms: Mapping, factor: int) -> None:
     """``acc += factor * terms`` key by key; zeros are left in place."""
+    get = acc.get
     for key, n in terms.items():
-        acc[key] = acc.get(key, 0) + n * factor
+        acc[key] = get(key, 0) + n * factor
 
 
 def _nonzero(nums: dict) -> dict:
@@ -543,6 +535,42 @@ def _nonzero_sym(sym: dict[str, dict[ExtSymbol, int]]) -> dict[str, dict[ExtSymb
 
 def zero_class(basis: Basis) -> DivisorClass:
     return DivisorClass(basis, {})
+
+
+def linear_combination(
+    basis: Basis, terms: Iterable[tuple[int | Fraction, DivisorClass]]
+) -> DivisorClass:
+    """The class ``sum(x * d for x, d in terms)`` over ``basis``, in one
+    pass: every product is summed in ``int`` over one lcm of the
+    ``d._den * x.denominator``, and the result is reduced once.  Zero
+    scalars are skipped, no terms give the zero class, and a class over
+    another basis raises :class:`BasisMismatchError`."""
+    scaled = []
+    for x, d in terms:
+        if d.basis != basis:
+            raise BasisMismatchError(
+                f"cannot combine classes over {basis} and {d.basis}"
+            )
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(
+                f"cannot interpret {type(x).__name__} as a rational scalar"
+            )
+        if x:
+            scaled.append((x.numerator, d._den * x.denominator, d))
+    if not scaled:
+        return DivisorClass._raw(basis, 1, {})
+    den = lcm(*(q for _, q, _ in scaled))
+    # the first term is copied scaled, the others are added onto it
+    p, q, d = scaled[0]
+    f = den // q * p
+    nums = {name: n * f for name, n in d._nums.items()}
+    sym = {name: {s: n * f for s, n in row.items()} for name, row in d._sym.items()}
+    for p, q, d in scaled[1:]:
+        f = den // q * p
+        _add_scaled(nums, d._nums, f)
+        for name, row in d._sym.items():
+            _add_scaled(sym.setdefault(name, {}), row, f)
+    return DivisorClass._raw(basis, den, _nonzero(nums), _nonzero_sym(sym))
 
 
 class ClassMap:

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from . import checks as checks_mod
 from . import m0b, pushforward, serialize, slopes, trace
-from .bases import ClassGroupError, DivisorClass, T2, T3j
-from .core import format_rational, parse_rational
+from .bases import ClassGroupError, DivisorClass, T2, T3j, linear_combination, mg_basis
+from .core import INDEX_GRAMMAR, format_rational, is_index_literal, parse_rational
 from .m0b import MarkedSetError
 from .pushforward import PER_FACTORIAL_B, RAW
 from .slopes import SlopeError, VerificationError
@@ -64,8 +64,11 @@ def _resolve_class(name: str, k: int, normalized: bool) -> tuple[DivisorClass, s
         mode = PER_FACTORIAL_B if normalized else RAW
         return _PUSHFORWARD_CLASSES[name](k, mode), mode
     if base in ("phi-delta", "phihat-delta", "q-T3j"):
-        if not arg.lstrip("-").isdigit():
-            raise UsageError(f"class {name!r} needs an integer index after ':'")
+        if not is_index_literal(arg):
+            raise UsageError(
+                f"class {name!r} needs an index after ':' of the form "
+                f"{INDEX_GRAMMAR} (ASCII digits, no sign or leading zero)"
+            )
         index = int(arg)
         if base == "phi-delta":
             return trace.phi_pull_boundary(k, index), RAW
@@ -135,17 +138,23 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _boundary_sum_pushed(k: int, reduced: bool) -> DivisorClass:
-    images = [
-        (pushforward.p_phihat_delta if reduced else pushforward.p_phi_delta)(
-            k, j, PER_FACTORIAL_B
-        )
-        for j in range(k + 1)
-    ]
-    total = images[0]
-    for image in images[1:]:
-        total = total + image
-    return total
+def _boundary_images(k: int, reduced: bool) -> list[DivisorClass]:
+    """The pushed boundary classes p_*phi(hat)^*delta'_j for j = 0..k;
+    the higher ones push forward to zero."""
+    pushed = pushforward.p_phihat_delta if reduced else pushforward.p_phi_delta
+    return [pushed(k, j, PER_FACTORIAL_B) for j in range(k + 1)]
+
+
+def _slope_target(k: int, s: Fraction, reduced: bool) -> DivisorClass:
+    """s * p_*phi(hat)^*lambda - sum_j p_*phi(hat)^*delta'_j, one pass."""
+    hodge = (
+        pushforward.p_phihat_lambda(k, PER_FACTORIAL_B)
+        if reduced
+        else pushforward.p_phi_lambda(k, PER_FACTORIAL_B)
+    )
+    terms = [(s, hodge)]
+    terms.extend((-1, image) for image in _boundary_images(k, reduced))
+    return linear_combination(mg_basis(k), terms)
 
 
 def _cmd_slope(args) -> int:
@@ -162,12 +171,7 @@ def _cmd_slope(args) -> int:
             raise UsageError(f"--s-prime is required for variant {args.variant!r}")
         s = parse_rational(args.s_prime)
         reduced = args.variant == "reduced"
-        hodge = (
-            pushforward.p_phihat_lambda(k, PER_FACTORIAL_B)
-            if reduced
-            else pushforward.p_phi_lambda(k, PER_FACTORIAL_B)
-        )
-        target = hodge * s - _boundary_sum_pushed(k, reduced)
+        target = _slope_target(k, s, reduced)
         induced = (
             slopes.induced_slope_reduced(k, s)
             if reduced

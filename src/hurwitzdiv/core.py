@@ -48,6 +48,16 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(numerator), int(denominator or 1))
 
 
+INDEX_GRAMMAR = "0|[1-9][0-9]*"
+
+
+def is_index_literal(text: str) -> bool:
+    """Whether ``text`` spells a non-negative index in its one accepted
+    way, ``0|[1-9][0-9]*`` in ASCII digits: no sign, no leading zero, no
+    superscript or non-ASCII digit."""
+    return text.isascii() and text.isdigit() and (text[0] != "0" or text == "0")
+
+
 def format_ratio(numerator: int, denominator: int) -> str:
     """Render ``numerator / denominator`` (denominator > 0) as "p/q" in
     lowest terms, with the sign carried by the numerator."""

@@ -13,7 +13,7 @@ supplied; the lambda and delta_0 coefficients are always symbol-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Mapping, NamedTuple
@@ -31,6 +31,7 @@ from .bases import (
     ejc_names,
     hurwitz_basis,
     hurwitz_head,
+    linear_combination,
     mg_basis,
     numerator_over,
 )
@@ -39,7 +40,7 @@ from .m0b import kappa_class
 from .trace import (
     alpha_coeff,
     catalan_number,
-    e_numerator,
+    e_row,
     phi_pull_boundary,
     phi_pull_lambda,
     phihat_pull_boundary,
@@ -97,7 +98,9 @@ class ExternalCoeffs:
                     f"got indices {sorted(table)}"
                 )
 
-    def substitution(self) -> dict[ExtSymbol, Fraction]:
+    @cached_property
+    def _values(self) -> dict[ExtSymbol, Fraction]:
+        # built once per table, on first use
         values: dict[ExtSymbol, Fraction] = {}
         for j, value in self.c.items():
             values[c_sym(j)] = Fraction(value)
@@ -105,8 +108,12 @@ class ExternalCoeffs:
             values[b_sym(j)] = Fraction(value)
         return values
 
+    def substitution(self) -> dict[ExtSymbol, Fraction]:
+        """The table as symbol -> value, a fresh dict on every call."""
+        return dict(self._values)
+
     def apply(self, d: DivisorClass) -> DivisorClass:
-        return d.substitute(self.substitution())
+        return d.substitute(self._values)
 
 
 @lru_cache(maxsize=None)
@@ -139,9 +146,9 @@ def p_push(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
     names = ejc_names(k)
     for j in range(1, k + 1):
         f = den // e_dens[j]
-        for c, name in enumerate(names[j]):
+        for name, e in zip(names[j], e_row(k, j)):
             # e_{j,c} as its integer numerator, which is positive
-            cols[name] = {deltas[j]: e_numerator(k, j, c) * f}
+            cols[name] = {deltas[j]: e * f}
     pushed = ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, sym)
     if normalization == RAW:
         pushed = pushed.scale(factorial_b(k))
@@ -237,9 +244,7 @@ def _delta_expected(k: int, j: int, weight_numerator, c_weight, b_weight) -> Aff
     by its integer numerators over 2(6k-1) and summed in integers, plus
     ``c_weight`` c_j (from E2, k >= 3) and -N ``b_weight`` b_j (from
     E3, k >= 2)."""
-    total = sum(
-        e_numerator(k, j, c) * weight_numerator(k, j, c) for c in range(j // 2 + 1)
-    )
+    total = sum(e * weight_numerator(k, j, c) for c, e in enumerate(e_row(k, j)))
     terms: dict[ExtSymbol, Fraction] = {}
     if k >= 3:
         terms[c_sym(j)] = c_weight
@@ -344,25 +349,30 @@ def eh_divisor(k: int, normalization: str = RAW) -> DivisorClass:
         return convert_normalization(pushed, k, PER_FACTORIAL_B, RAW)
     b = 6 * k
     hur = hurwitz_basis(k)
-    q = q_pullback(k)
     # q-side canonical class plus ramification, minus the non-branch
-    # components E0 + E2 + E3 of the p-side ramification
-    t2_unit = DivisorClass(q.source, {T2: Fraction(1)})
-    assembly = q.apply(t2_unit) * Fraction(-2, b - 1)
-    assembly = assembly + DivisorClass(hur, hurwitz_head(k, -1, 0, 1))
-    # E_{j,c} gets w_j (j + 1 - 2c) - 1 with w_j = 3j(b - 3j)/(b - 1) - 1,
-    # summed as integer numerators over b - 1
-    ejc_nums: dict[str, int] = {}
+    # components E0 + E2 + E3 of the p-side ramification: -2/(b - 1) times
+    # the pulled-back T2, plus -E0 + E3, plus E_{j,c} with weight
+    # w_j (j + 1 - 2c) - 1, w_j = 3j(b - 3j)/(b - 1) - 1; the last two
+    # as integer numerators over b - 1
+    nums = {name: n * (b - 1) for name, n in hurwitz_head(k, -1, 0, 1).items() if n}
     names = ejc_names(k)
     for j in range(1, k + 1):
         weight = 3 * j * (b - 3 * j) - (b - 1)
         for c, name in enumerate(names[j]):
             numerator = weight * (j + 1 - 2 * c) - (b - 1)
             if numerator:
-                ejc_nums[name] = numerator
-    assembly = assembly + DivisorClass._raw(hur, b - 1, ejc_nums)
+                nums[name] = numerator
+    assembly = linear_combination(
+        hur,
+        (
+            (Fraction(-2, b - 1), q_pullback(k).row(T2)),
+            (1, DivisorClass._raw(hur, b - 1, nums)),
+        ),
+    )
     pushed = p_push(k, PER_FACTORIAL_B).apply(assembly)
-    return pushed - mg_canonical_class(k) * catalan_number(k)
+    return linear_combination(
+        pushed.basis, ((1, pushed), (-catalan_number(k), mg_canonical_class(k)))
+    )
 
 
 def eh_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:

@@ -29,6 +29,7 @@ from .bases import (
     genus_trace,
     hurwitz_basis,
     hurwitz_head,
+    linear_combination,
     m0b_sym_basis,
     zero_class,
 )
@@ -105,6 +106,19 @@ def e_numerator(k: int, j: int, c: int) -> int:
     return m * m * comb(j + 1, c) * comb(2 * k - j + 1, k + 1 - c)
 
 
+def e_row(k: int, j: int) -> list[int]:
+    """:func:`e_numerator` for c = 0 .. floor(j/2), with one binomial per
+    row: B_c = C(j+1, c) C(2k-j+1, k+1-c) runs as the exact integer step
+    B_{c+1} = B_c (j+1-c)(k+1-c) / ((c+1)(k-j+c+1))."""
+    binom = comb(2 * k - j + 1, k + 1)
+    row = []
+    for c in range(j // 2 + 1):
+        m = j + 1 - 2 * c
+        row.append(m * m * binom)
+        binom = binom * (j + 1 - c) * (k + 1 - c) // ((c + 1) * (k - j + c + 1))
+    return row
+
+
 def e_coeff(k: int, j: int, c: int) -> Fraction:
     """Multiplicity of delta_j in the push-forward of E_{j,c}."""
     _check_jc(k, j, c)
@@ -116,7 +130,7 @@ def alpha_coeff(k: int, j: int) -> Fraction:
     boundary class T3j."""
     if not 1 <= j <= k:
         raise IndexRangeError(f"j = {j} out of range for k = {k}")
-    total = sum((j + 1 - 2 * c) * e_numerator(k, j, c) for c in range(j // 2 + 1))
+    total = sum((j + 1 - 2 * c) * e for c, e in enumerate(e_row(k, j)))
     return Fraction(total, (j + 1) * (2 * k - j + 1))
 
 
@@ -253,7 +267,9 @@ class GrrPieces(NamedTuple):
     ram_sq: DivisorClass
 
     def assembled(self) -> DivisorClass:
-        return self.omega_sq + 2 * self.cross + self.ram_sq
+        return linear_combination(
+            self.omega_sq.basis, ((1, self.omega_sq), (2, self.cross), (1, self.ram_sq))
+        )
 
 
 @lru_cache(maxsize=None)
@@ -261,9 +277,14 @@ def grr_pieces(k: int) -> GrrPieces:
     q = q_pullback(k)
     psi = psi_restricted(k)
     boundary_sum = delta_restricted(k)
-    omega_sq = q.apply(psi * Fraction(3 * k, 2) - boundary_sum * (k * (k + 1)))
-    cross = q.apply(psi * (k - 1))
-    ram_sq = q.apply(psi * Fraction(-(k - 1), 2))
+    omega_sq = q.apply(
+        linear_combination(
+            psi.basis, ((Fraction(3 * k, 2), psi), (-k * (k + 1), boundary_sum))
+        )
+    )
+    pulled_psi = q.apply(psi)
+    cross = pulled_psi * (k - 1)
+    ram_sq = pulled_psi * Fraction(-(k - 1), 2)
     return GrrPieces(omega_sq, cross, ram_sq)
 
 
@@ -271,7 +292,10 @@ def grr_pieces(k: int) -> GrrPieces:
 def phi_pull_lambda(k: int) -> DivisorClass:
     """Pullback of the Hodge class of the trace-curve moduli space,
     one twelfth of node class plus pushed dualizing square."""
-    return (omega_tau_sq(k) + delta_tau(k)) / 12
+    twelfth = Fraction(1, 12)
+    return linear_combination(
+        hurwitz_basis(k), ((twelfth, omega_tau_sq(k)), (twelfth, delta_tau(k)))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -302,13 +326,22 @@ def s_omega_sq(k: int) -> DivisorClass:
     """Pushed dualizing square of the reduced-trace family: half the
     trace value minus three quarters of the pulled-back cotangent
     class."""
-    return omega_tau_sq(k) / 2 - q_pullback(k).apply(psi_restricted(k)) * Fraction(3, 4)
+    return linear_combination(
+        hurwitz_basis(k),
+        (
+            (Fraction(1, 2), omega_tau_sq(k)),
+            (Fraction(-3, 4), q_pullback(k).apply(psi_restricted(k))),
+        ),
+    )
 
 
 @lru_cache(maxsize=None)
 def phihat_pull_lambda(k: int) -> DivisorClass:
     """Pullback of the Hodge class of the reduced-trace moduli space."""
-    return (s_omega_sq(k) + delta_s(k)) / 12
+    twelfth = Fraction(1, 12)
+    return linear_combination(
+        hurwitz_basis(k), ((twelfth, s_omega_sq(k)), (twelfth, delta_s(k)))
+    )
 
 
 @lru_cache(maxsize=None)

@@ -23,6 +23,7 @@ from hurwitzdiv.bases import (
     delta_prime,
     hurwitz_basis,
     identity_map,
+    linear_combination,
     mg_basis,
     mg_hat_basis,
     mg_prime_basis,
@@ -587,3 +588,96 @@ def test_column_store_gives_back_its_rows(rows, data):
             row = composed.row(g)
             assert_canonical(row)
             assert model(row) == apply_model(outer, inner.row(g))
+
+
+# Index grammar of the index-bounded kinds: a boundary generator has one
+# name, its index spelled 0|[1-9][0-9]* in ASCII digits.
+
+
+@pytest.mark.parametrize("basis", [mg_prime_basis(3), mg_hat_basis(3)])
+@pytest.mark.parametrize(
+    "digits", ["01", "\u0661", "\u00b2", "00", "+1", "-1", " 1", ""]
+)
+def test_boundary_index_has_one_spelling(basis, digits):
+    prefix = "deltaP_" if basis.kind == "MgPrime" else "deltaH_"
+    name = prefix + digits
+    assert not basis.contains(name)
+    with pytest.raises(UnknownGeneratorError):
+        basis.sort_index(name)
+    # so one class cannot hold deltaP_1 a second time as deltaP_01
+    with pytest.raises(UnknownGeneratorError):
+        DivisorClass(basis, {prefix + "1": 1, name: 1})
+
+
+# The n-ary kernel: linear_combination sums x * d over its terms in one
+# pass.  Over every kind of basis, with symbolic terms, zero and negative
+# scalars, (6k)!-sized and pairwise different denominators and a class
+# repeated among the terms, it must agree with the AffineExpr model and
+# with the chained binary operators.
+
+KERNEL_BASES = (
+    hurwitz_basis(3),
+    mg_basis(3),
+    m0b_sym_basis(3),
+    mg_prime_basis(2),
+    mg_hat_basis(3),
+)
+kernel_scalars = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    big_rationals,
+    st.builds(Fraction, st.integers(-50, 50), row_denominators),
+)
+
+
+@given(st.data())
+def test_linear_combination_matches_affine_model(data):
+    basis = data.draw(st.sampled_from(KERNEL_BASES))
+    gens = list(basis.generators())
+    pool = data.draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(gens), spread_values, max_size=4).map(
+                lambda coeffs: DivisorClass(basis, coeffs)
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    # indices into the pool, so one class may occur in several terms
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))
+    terms = [(data.draw(kernel_scalars), pool[i]) for i in picks]
+    result = linear_combination(basis, terms)
+    assert_canonical(result)
+    expected = {g: AffineExpr(0) for g in gens}
+    for x, d in terms:
+        for g, v in model(d).items():
+            expected[g] = expected[g] + v * x
+    assert model(result) == expected
+    chained = zero_class(basis)
+    for x, d in terms:
+        chained = chained + d * x
+    assert result == chained
+    # a generator given once: the kernel accepts any iterable
+    assert linear_combination(basis, iter(terms)) == result
+
+
+def test_linear_combination_edge_cases():
+    basis = mg_basis(2)
+    d = DivisorClass(
+        basis, {LAMBDA: Fraction(1, 3), delta(1): AffineExpr(0, {c_sym(1): 2})}
+    )
+    empty = linear_combination(basis, [])
+    assert empty.is_zero() and (empty._den, empty._nums, empty._sym) == (1, {}, {})
+    assert linear_combination(basis, [(0, d), (Fraction(0), d)]).is_zero()
+    assert linear_combination(basis, [(1, d), (-1, d)]).is_zero()
+    halves = [(Fraction(3, 2), d), (Fraction(1, 2), d)]
+    assert linear_combination(basis, halves) == d * 2
+    other = DivisorClass(mg_basis(3), {LAMBDA: 1})
+    for x in (1, 0):
+        # a term over another basis is refused even with a zero scalar
+        with pytest.raises(BasisMismatchError):
+            linear_combination(basis, [(1, d), (x, other)])
+    with pytest.raises(BasisMismatchError):
+        linear_combination(basis, [(1, other)])
+    with pytest.raises(TypeError):
+        linear_combination(basis, [(0.5, d)])

@@ -74,6 +74,23 @@ def test_class_range_error(capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["phi-delta:\u0661", "phi-delta:01", "phi-delta:\u00b2", "phihat-delta:-1",
+     "q-T3j:", "q-T3j:+2"],
+)
+def test_class_index_grammar(capsys, name):
+    # one ASCII spelling per index: no Arabic-Indic or superscript digit,
+    # no leading zero, no sign
+    code, out, err = run(capsys, "class", name, "--k", "3")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "0|[1-9][0-9]*" in lines[0]
+    assert "invalid literal" not in err
+
+
 def test_class_normalized_rejected_for_pullbacks(capsys):
     code, _, err = run(capsys, "class", "delta-tau", "--k", "1", "--normalized")
     assert code == 2
@@ -429,3 +446,32 @@ def test_verify_externals_index_spellings_are_input_errors(tmp_path, capsys, tex
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_slope_target_is_the_chained_sum(reduced):
+    # the one-pass target equals s * hodge - delta'_0 - ... - delta'_k
+    # built with the binary operators
+    from hurwitzdiv import cli, pushforward
+    from hurwitzdiv.bases import IndexRangeError
+    from hurwitzdiv.checks import _SLOPE_GRID
+
+    for k in range(1, 16):
+        if reduced and k == 1:
+            # the reduced trace curve has genus 0: delta'_1 does not exist
+            with pytest.raises(IndexRangeError):
+                cli._slope_target(k, _SLOPE_GRID[0], reduced)
+            continue
+        images = cli._boundary_images(k, reduced)
+        pushed = pushforward.p_phihat_delta if reduced else pushforward.p_phi_delta
+        assert images == [pushed(k, j, "per-factorial-b") for j in range(k + 1)]
+        chained = images[0]
+        for image in images[1:]:
+            chained = chained + image
+        hodge = (
+            pushforward.p_phihat_lambda(k, "per-factorial-b")
+            if reduced
+            else pushforward.p_phi_lambda(k, "per-factorial-b")
+        )
+        for s in _SLOPE_GRID:
+            assert cli._slope_target(k, s, reduced) == hodge * s - chained

@@ -385,6 +385,23 @@ def test_external_coeffs_validation():
         ExternalCoeffs(1, {1: Fraction(1), 2: Fraction(1)}, {1: Fraction(0)})
 
 
+def test_external_coeffs_substitution_is_built_once_and_handed_out_fresh():
+    ext = ExternalCoeffs(
+        2, {1: Fraction(1), 2: Fraction(2)}, {1: Fraction(3), 2: Fraction(-1, 3)}
+    )
+    first = ext.substitution()
+    assert first == {
+        c_sym(1): 1, c_sym(2): 2, b_sym(1): 3, b_sym(2): Fraction(-1, 3)
+    }
+    assert ext.substitution() is not first
+    # changing a handed-out dict leaves the table alone
+    first[c_sym(1)] = Fraction(99)
+    assert ext.substitution()[c_sym(1)] == 1
+    applied = ext.apply(p_phi_lambda(2))
+    assert applied == p_phi_lambda(2).substitute(ext.substitution())
+    assert ext._values is ext._values
+
+
 def test_external_coeffs_substitution_eliminates_symbols():
     ext = ExternalCoeffs(
         2,

@@ -26,6 +26,8 @@ from hurwitzdiv.trace import (
     delta_s,
     delta_tau,
     e_coeff,
+    e_numerator,
+    e_row,
     genus_data,
     grr_pieces,
     omega_tau_sq,
@@ -343,3 +345,9 @@ def test_catalan_invariant_raises_typed_error(monkeypatch, cold_invariants):
     with pytest.raises(InvariantError):
         catalan_number(4)
     assert issubclass(InvariantError, ValueError)
+
+
+def test_e_row_running_product_matches_e_numerator():
+    for k in range(1, 61):
+        for j in range(1, k + 1):
+            assert e_row(k, j) == [e_numerator(k, j, c) for c in range(j // 2 + 1)]
