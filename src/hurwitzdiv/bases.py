@@ -395,12 +395,8 @@ class DivisorClass:
         """Replace every symbol present in ``values``; others stay
         symbolic.  Everything is put over one lcm of the denominators of
         the values used."""
-        used = {
-            s: Fraction(values[s])
-            for terms in self._sym.values()
-            for s in terms
-            if s in values
-        }
+        present = set().union(*self._sym.values())
+        used = {s: Fraction(values[s]) for s in present if s in values}
         if not used:
             return self
         common = lcm(*(v.denominator for v in used.values()))

@@ -1,6 +1,9 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, each one entry of the command table ``_COMMANDS`` (handler,
+help, description, arguments).  ``main`` builds the parser of the invoked
+command only; the full tree only when the first argument names no command
+(``-h``, no arguments, an unknown command, an option first):
 
 * ``class``: emit one divisor class in json, csv or md.
 * ``verify``: run the named identity checks over a range of k.
@@ -171,12 +174,13 @@ def _cmd_slope(args) -> int:
             raise UsageError(f"--s-prime is required for variant {args.variant!r}")
         s = parse_rational(args.s_prime)
         reduced = args.variant == "reduced"
-        target = _slope_target(k, s, reduced)
+        # first, so that k < 3 is refused before the target is built
         induced = (
             slopes.induced_slope_reduced(k, s)
             if reduced
             else slopes.induced_slope_trace(k, s)
         )
+        target = _slope_target(k, s, reduced)
     if externals is not None:
         target = externals.apply(target)
     report = slopes.slope_of(target)
@@ -280,7 +284,94 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FORMAT = ("--format", {"choices": ("json", "csv", "md"), "default": "json"})
+_NORMALIZED = ("--normalized", {"action": "store_true"})
+
+# name -> (handler, help, description, arguments); each argument is
+# (name or flag, add_argument keywords), in the order of the usage line,
+# and every command ends with --out
+_COMMANDS = {
+    "class": (
+        _cmd_class,
+        "emit one divisor class",
+        "Emit one divisor class.  Names: "
+        "delta-tau, omega-tau-sq, delta-s, s-omega-sq, phi-lambda, "
+        "phihat-lambda, phi-delta:<j>, phihat-delta:<j>, q-T2, q-T3j:<j>, "
+        "p-phi-lambda, p-phihat-lambda, p-q-kappa, eh-divisor, prym-hodge, "
+        "prym-boundary.  Push-forward classes are emitted raw (carrying "
+        "the (6k)! labelling factor) unless --normalized is given.  CSV "
+        "rows are generator,coefficient in natural basis order without a "
+        "header; JSON objects are key-sorted.",
+        (
+            ("name", {}),
+            ("--k", {"type": int, "required": True}),
+            _FORMAT,
+            _NORMALIZED,
+        ),
+    ),
+    "verify": (
+        _cmd_verify,
+        "run identity checks over a range of k",
+        "Run the named checks for every k in the range.  Check names: "
+        + ", ".join(checks_mod.CHECKS)
+        + ", or 'all'.  Checks needing the external coefficient table "
+        "are SKIPped unless --externals is given.  Exit code 1 when any "
+        "check fails.",
+        (
+            ("--k-min", {"type": int, "required": True}),
+            ("--k-max", {"type": int, "required": True}),
+            ("--checks", {"default": None, "help": "comma-separated list"}),
+            ("--externals", {"default": None}),
+        ),
+    ),
+    "slope": (
+        _cmd_slope,
+        "induced and ample-class slopes",
+        "Print the exact slope, a 6-place decimal approximation, and the "
+        "validity of the proviso that delta_0 realizes the minimal "
+        "boundary coefficient (unknown while the delta_j coefficients "
+        "stay symbolic).",
+        (
+            ("--k", {"type": int, "required": True}),
+            ("--s-prime", {"default": None, "help": 'source slope "p/q"'}),
+            ("--variant", {"choices": ("trace", "reduced", "kappa"), "required": True}),
+            ("--externals", {"default": None}),
+        ),
+    ),
+    "m0n": (
+        _cmd_m0n,
+        "boundary combinatorics of pointed rational curves",
+        "Operations: count; normalize SET; intersect SET SET.  Sets are "
+        "comma-separated integers, e.g. 4,5.",
+        (
+            ("--b", {"type": int, "required": True}),
+            ("op", {"choices": ("count", "normalize", "intersect")}),
+            ("sets", {"nargs": "*"}),
+        ),
+    ),
+    "table": (
+        _cmd_table,
+        "per-k tables",
+        "Quantities: genus (columns k,g,d,b,g_prime,g_hat,prym_dim); "
+        "kappa-slope (columns k,slope); slope-bound (columns "
+        "k,trace_slope_s11,reduced_slope_s11,bound_6_20_g; rows start at "
+        "k=3); coefficients:<class-name> (columns k,generator,"
+        "coefficient).  Rows are ordered by k, then by natural generator "
+        "order.",
+        (
+            ("--quantity", {"required": True}),
+            ("--k-min", {"type": int, "required": True}),
+            ("--k-max", {"type": int, "required": True}),
+            _FORMAT,
+            _NORMALIZED,
+        ),
+    ),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only ``command``'s subparser when it names one,
+    else the full tree."""
     parser = argparse.ArgumentParser(
         prog="hurwitzdiv",
         description=(
@@ -289,106 +380,28 @@ def _build_parser() -> argparse.ArgumentParser:
             "curves."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_class = sub.add_parser(
-        "class",
-        help="emit one divisor class",
-        description=(
-            "Emit one divisor class.  Names: "
-            "delta-tau, omega-tau-sq, delta-s, s-omega-sq, phi-lambda, "
-            "phihat-lambda, phi-delta:<j>, phihat-delta:<j>, q-T2, q-T3j:<j>, "
-            "p-phi-lambda, p-phihat-lambda, p-q-kappa, eh-divisor, prym-hodge, "
-            "prym-boundary.  Push-forward classes are emitted raw (carrying "
-            "the (6k)! labelling factor) unless --normalized is given.  CSV "
-            "rows are generator,coefficient in natural basis order without a "
-            "header; JSON objects are key-sorted."
-        ),
+    one = command in _COMMANDS
+    # with one subparser the usage line must still name every command; the
+    # full tree takes no metavar, which would rename "argument command"
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if one else None,
     )
-    p_class.add_argument("name")
-    p_class.add_argument("--k", type=int, required=True)
-    p_class.add_argument("--format", choices=("json", "csv", "md"), default="json")
-    p_class.add_argument("--normalized", action="store_true")
-    p_class.add_argument("--out", default=None)
-    p_class.set_defaults(func=_cmd_class)
-
-    p_verify = sub.add_parser(
-        "verify",
-        help="run identity checks over a range of k",
-        description=(
-            "Run the named checks for every k in the range.  Check names: "
-            + ", ".join(checks_mod.CHECKS)
-            + ", or 'all'.  Checks needing the external coefficient table "
-            "are SKIPped unless --externals is given.  Exit code 1 when any "
-            "check fails."
-        ),
-    )
-    p_verify.add_argument("--k-min", type=int, required=True)
-    p_verify.add_argument("--k-max", type=int, required=True)
-    p_verify.add_argument("--checks", default=None, help="comma-separated list")
-    p_verify.add_argument("--externals", default=None)
-    p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_slope = sub.add_parser(
-        "slope",
-        help="induced and ample-class slopes",
-        description=(
-            "Print the exact slope, a 6-place decimal approximation, and the "
-            "validity of the proviso that delta_0 realizes the minimal "
-            "boundary coefficient (unknown while the delta_j coefficients "
-            "stay symbolic)."
-        ),
-    )
-    p_slope.add_argument("--k", type=int, required=True)
-    p_slope.add_argument("--s-prime", default=None, help='source slope "p/q"')
-    p_slope.add_argument(
-        "--variant", choices=("trace", "reduced", "kappa"), required=True
-    )
-    p_slope.add_argument("--externals", default=None)
-    p_slope.add_argument("--out", default=None)
-    p_slope.set_defaults(func=_cmd_slope)
-
-    p_m0n = sub.add_parser(
-        "m0n",
-        help="boundary combinatorics of pointed rational curves",
-        description=(
-            "Operations: count; normalize SET; intersect SET SET.  Sets are "
-            "comma-separated integers, e.g. 4,5."
-        ),
-    )
-    p_m0n.add_argument("--b", type=int, required=True)
-    p_m0n.add_argument("op", choices=("count", "normalize", "intersect"))
-    p_m0n.add_argument("sets", nargs="*")
-    p_m0n.add_argument("--out", default=None)
-    p_m0n.set_defaults(func=_cmd_m0n)
-
-    p_table = sub.add_parser(
-        "table",
-        help="per-k tables",
-        description=(
-            "Quantities: genus (columns k,g,d,b,g_prime,g_hat,prym_dim); "
-            "kappa-slope (columns k,slope); slope-bound (columns "
-            "k,trace_slope_s11,reduced_slope_s11,bound_6_20_g; rows start at "
-            "k=3); coefficients:<class-name> (columns k,generator,"
-            "coefficient).  Rows are ordered by k, then by natural generator "
-            "order."
-        ),
-    )
-    p_table.add_argument("--quantity", required=True)
-    p_table.add_argument("--k-min", type=int, required=True)
-    p_table.add_argument("--k-max", type=int, required=True)
-    p_table.add_argument("--format", choices=("json", "csv", "md"), default="json")
-    p_table.add_argument("--normalized", action="store_true")
-    p_table.add_argument("--out", default=None)
-    p_table.set_defaults(func=_cmd_table)
-
+    for name in (command,) if one else _COMMANDS:
+        handler, help_text, description, arguments = _COMMANDS[name]
+        sub_parser = sub.add_parser(name, help=help_text, description=description)
+        for flag, options in arguments:
+            sub_parser.add_argument(flag, **options)
+        sub_parser.add_argument("--out", default=None)
+        sub_parser.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except VerificationError as exc:

@@ -234,6 +234,19 @@ def test_slope_pole_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("variant", ["trace", "reduced"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_slope_refuses_k_below_3(capsys, k, variant):
+    # the genus-0 reduced trace curve at k = 1 has no delta'_1; the
+    # induced slope refuses k < 3 before the target is built
+    code, out, err = run(
+        capsys, "slope", "--k", str(k), "--s-prime", "12", "--variant", variant
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: induced slopes are stated for k >= 3, got k={k}\n"
+
+
 def test_slope_missing_s_prime(capsys):
     code, _, err = run(capsys, "slope", "--k", "3", "--variant", "trace")
     assert code == 2
