@@ -32,11 +32,18 @@ the application of class maps run on plain ``int``; a
 accessors ``DivisorClass.coefficient``/``items``.  Beside ``items`` sits
 the internal ``DivisorClass._formatted_items``, the same values as "p/q"
 text rendered from the integers, which ``serialize`` and the ``cli``
-tables emit from.
+tables emit from.  It renders the class times an int ``scale`` without
+building that product: a raw pushed class is emitted as its
+per-factorial-b class with scale (6k)!, whose decimal digits are
+computed once per call (exact ``decimal`` arithmetic in a context of
+its own) rather than once per (6k)!-sized numerator, so no emitted value
+is converted to text through Python's quadratic, digit-limited int
+conversion.
 """
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -363,29 +370,54 @@ class DivisorClass:
         return [(name, self._value(name)) for name in self.support()]
 
     def _formatted_items(
-        self,
+        self, scale: int = 1
     ) -> list[tuple[str, str, tuple[tuple[ExtSymbol, str], ...]]]:
-        """:meth:`items` as text, for emission: per generator in support
-        order, its constant part and its (symbol, coefficient) terms in
-        display order, each rendered as "p/q" in lowest terms straight
-        from the stored numerators; no ``Fraction`` or
-        :class:`AffineExpr` is built."""
+        """:meth:`items` of ``self * scale`` as text, for emission: per
+        generator in support order, its constant part and its (symbol,
+        coefficient) terms in display order, each rendered as "p/q" in
+        lowest terms straight from the stored numerators; no
+        ``Fraction`` or :class:`AffineExpr` is built.
+
+        ``scale`` is a positive int.  A value n0/d0 in lowest terms
+        becomes n0 * (scale // g) over d0 // g with g = gcd(scale, d0),
+        again in lowest terms: per prime, either the scale absorbs all
+        of d0's power or the quotient keeps none of it.  For scale != 1
+        the numerator digits come from one exact ``decimal`` conversion
+        of ``scale`` per call, divided once per distinct g and
+        multiplied by each n0, instead of one quadratic int-to-text
+        conversion per (6k)!-sized value."""
+        if not isinstance(scale, int) or scale < 1:
+            raise ValueError(f"scale must be a positive int, got {scale!r}")
         den, nums, sym = self._den, self._nums, self._sym
+        if scale == 1:
+            def text(n: int) -> str:
+                # core.format_ratio, inlined: this runs once per emitted value
+                g = gcd(n, den)
+                return f"{n // g}/{den // g}"
+        else:
+            # a fresh context per call; an inexact step raises instead of
+            # printing wrong digits
+            ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+            ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+            whole = decimal.Decimal(scale)
+            quotients: dict[int, decimal.Decimal] = {}
+
+            def text(n: int) -> str:
+                g = gcd(n, den)
+                d0 = den // g
+                g1 = gcd(scale, d0)
+                q = quotients.get(g1)
+                if q is None:
+                    q = quotients[g1] = ctx.divide_int(whole, g1)
+                return f"{ctx.multiply(q, n // g)}/{d0 // g1}"
         rendered = []
         for name in self.support():
-            # core.format_ratio, inlined: this runs once per emitted value
-            n = nums.get(name, 0)
-            g = gcd(n, den)
             terms = sym.get(name)
             if terms:
-                texts = []
-                for s in sorted(terms, key=display_key):
-                    g_s = gcd(terms[s], den)
-                    texts.append((s, f"{terms[s] // g_s}/{den // g_s}"))
-                terms = tuple(texts)
+                terms = tuple((s, text(terms[s])) for s in sorted(terms, key=display_key))
             else:
                 terms = ()
-            rendered.append((name, f"{n // g}/{den // g}", terms))
+            rendered.append((name, text(nums.get(name, 0)), terms))
         return rendered
 
     def is_zero(self) -> bool:
@@ -396,7 +428,7 @@ class DivisorClass:
         symbolic.  Everything is put over one lcm of the denominators of
         the values used."""
         present = set().union(*self._sym.values())
-        used = {s: Fraction(values[s]) for s in present if s in values}
+        used = {s: exact_rational(values[s]) for s in present if s in values}
         if not used:
             return self
         common = lcm(*(v.denominator for v in used.values()))
@@ -500,6 +532,12 @@ class DivisorClass:
         else:
             body = " + ".join(f"({v})*{g}" for g, v in self.items())
         return f"<{self.basis.kind}(k={self.basis.k}): {body}>"
+
+
+def exact_rational(value) -> int | Fraction:
+    """``value`` as an ``int`` or ``Fraction``: one that already is one
+    is returned as it is, anything else goes through ``Fraction``."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
 def numerator_over(value: int | Fraction, den: int) -> int:

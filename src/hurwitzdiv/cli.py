@@ -8,7 +8,8 @@ command only; the full tree only when the first argument names no command
 * ``class``: emit one divisor class in json, csv or md.
 * ``verify``: run the named identity checks over a range of k.
 * ``slope``: induced and ample-class slopes with validity status.
-* ``m0n``: boundary combinatorics of pointed rational curves.
+* ``m0n``: boundary combinatorics of pointed rational curves, for at
+  most ``MAX_MARKED_POINTS`` points.
 * ``table``: per-k tables (genus data, slopes, coefficients).
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
 from . import checks as checks_mod
@@ -49,12 +49,22 @@ _HURWITZ_CLASSES = {
     "prym-boundary": pushforward.prym_boundary_class,
 }
 
+# m0n refuses --b above this before any work starts: up to it the
+# boundary count 2^(b-1) - b - 1 has at most 3010 digits, within Python's
+# default limit of 4300 for int text, and normalize/intersect build sets
+# of at most this many points
+MAX_MARKED_POINTS = 10_000
+
+
 class UsageError(ValueError):
     """Bad input that should exit with code 2."""
 
 
-def _resolve_class(name: str, k: int, normalized: bool) -> tuple[DivisorClass, str]:
-    """Return the requested class and the normalization label to emit."""
+def _resolve_class(name: str, k: int, normalized: bool) -> tuple[DivisorClass, str, int]:
+    """Return the requested class, the normalization label to emit and
+    the int scale to emit the class times.  A push-forward class is
+    always built per-factorial-b; raw output is that class with scale
+    (6k)!, which the writers render without building the scaled class."""
     base, _, arg = name.partition(":")
     if name in _HURWITZ_CLASSES or base in ("phi-delta", "phihat-delta", "q-T2", "q-T3j"):
         if normalized:
@@ -62,10 +72,12 @@ def _resolve_class(name: str, k: int, normalized: bool) -> tuple[DivisorClass, s
                 f"--normalized only applies to push-forward classes, not {name!r}"
             )
     if name in _HURWITZ_CLASSES:
-        return _HURWITZ_CLASSES[name](k), RAW
+        return _HURWITZ_CLASSES[name](k), RAW, 1
     if name in _PUSHFORWARD_CLASSES:
-        mode = PER_FACTORIAL_B if normalized else RAW
-        return _PUSHFORWARD_CLASSES[name](k, mode), mode
+        d = _PUSHFORWARD_CLASSES[name](k, PER_FACTORIAL_B)
+        if normalized:
+            return d, PER_FACTORIAL_B, 1
+        return d, RAW, pushforward.factorial_b(k)
     if base in ("phi-delta", "phihat-delta", "q-T3j"):
         if not is_index_literal(arg):
             raise UsageError(
@@ -74,12 +86,12 @@ def _resolve_class(name: str, k: int, normalized: bool) -> tuple[DivisorClass, s
             )
         index = int(arg)
         if base == "phi-delta":
-            return trace.phi_pull_boundary(k, index), RAW
+            return trace.phi_pull_boundary(k, index), RAW, 1
         if base == "phihat-delta":
-            return trace.phihat_pull_boundary(k, index), RAW
-        return trace.q_pullback(k).row(T3j(index)), RAW
+            return trace.phihat_pull_boundary(k, index), RAW, 1
+        return trace.q_pullback(k).row(T3j(index)), RAW, 1
     if name == "q-T2":
-        return trace.q_pullback(k).row(T2), RAW
+        return trace.q_pullback(k).row(T2), RAW, 1
     raise UsageError(f"unknown class name {name!r}")
 
 
@@ -91,32 +103,14 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-@contextmanager
-def _long_int_text():
-    """Lift Python's limit on the digits of an int converted to text
-    (4300 by default) while output is rendered: raw pushed classes carry
-    (6k)!-sized numerators, which pass it from about k = 250.  The limit
-    is restored afterwards, so parsing outside input keeps it."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no limit
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
-
-
 def _cmd_class(args) -> int:
-    d, mode = _resolve_class(args.name, args.k, args.normalized)
-    with _long_int_text():
-        if args.format == "json":
-            text = serialize.class_to_json(d, mode)
-        elif args.format == "csv":
-            text = serialize.class_to_csv(d)
-        else:
-            text = serialize.class_to_md(d)
+    d, mode, scale = _resolve_class(args.name, args.k, args.normalized)
+    if args.format == "json":
+        text = serialize.class_to_json(d, mode, scale)
+    elif args.format == "csv":
+        text = serialize.class_to_csv(d, scale)
+    else:
+        text = serialize.class_to_md(d, scale)
     _emit(text, args.out)
     return 0
 
@@ -206,6 +200,8 @@ def _parse_set(text: str) -> set[int]:
 
 def _cmd_m0n(args) -> int:
     b = args.b
+    if b > MAX_MARKED_POINTS:
+        raise UsageError(f"--b is capped at {MAX_MARKED_POINTS} marked points, got {b}")
     op = args.op
     sets = args.sets
     if op == "count":
@@ -263,8 +259,10 @@ def _table_rows(args) -> tuple[list[str], list[list[str]]]:
         columns = ["k", "generator", "coefficient"]
         rows = []
         for k in k_range:
-            d, _ = _resolve_class(name, k, args.normalized)
-            rows.extend([str(k), gen, text] for gen, text in serialize.coefficient_texts(d))
+            d, _, scale = _resolve_class(name, k, args.normalized)
+            rows.extend(
+                [str(k), gen, text] for gen, text in serialize.coefficient_texts(d, scale)
+            )
         return columns, rows
     raise UsageError(f"unknown table quantity {quantity!r}")
 
@@ -272,14 +270,13 @@ def _table_rows(args) -> tuple[list[str], list[list[str]]]:
 def _cmd_table(args) -> int:
     if args.normalized and not args.quantity.startswith("coefficients:"):
         raise UsageError("--normalized only applies to coefficients tables")
-    with _long_int_text():
-        columns, rows = _table_rows(args)
-        if args.format == "json":
-            text = serialize.table_to_json(columns, rows)
-        elif args.format == "csv":
-            text = serialize.table_to_csv(columns, rows)
-        else:
-            text = serialize.table_to_md(columns, rows)
+    columns, rows = _table_rows(args)
+    if args.format == "json":
+        text = serialize.table_to_json(columns, rows)
+    elif args.format == "csv":
+        text = serialize.table_to_csv(columns, rows)
+    else:
+        text = serialize.table_to_md(columns, rows)
     _emit(text, args.out)
     return 0
 

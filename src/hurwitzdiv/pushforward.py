@@ -29,6 +29,7 @@ from .bases import (
     T2,
     delta,
     ejc_names,
+    exact_rational,
     hurwitz_basis,
     hurwitz_head,
     linear_combination,
@@ -99,16 +100,14 @@ class ExternalCoeffs:
                 )
 
     @cached_property
-    def _values(self) -> dict[ExtSymbol, Fraction]:
-        # built once per table, on first use
-        values: dict[ExtSymbol, Fraction] = {}
-        for j, value in self.c.items():
-            values[c_sym(j)] = Fraction(value)
-        for j, value in self.b.items():
-            values[b_sym(j)] = Fraction(value)
+    def _values(self) -> dict[ExtSymbol, int | Fraction]:
+        # built once per table, on first use, without copying the values
+        # that already are exact rationals
+        values = {c_sym(j): exact_rational(value) for j, value in self.c.items()}
+        values.update((b_sym(j), exact_rational(value)) for j, value in self.b.items())
         return values
 
-    def substitution(self) -> dict[ExtSymbol, Fraction]:
+    def substitution(self) -> dict[ExtSymbol, int | Fraction]:
         """The table as symbol -> value, a fresh dict on every call."""
         return dict(self._values)
 

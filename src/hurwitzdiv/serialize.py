@@ -8,10 +8,15 @@ JSON is the canonical machine format and rationals appear there only as
 Emission renders from the integer numerators a divisor class stores
 (``DivisorClass._formatted_items``): every coefficient costs one gcd and
 one string format, and ``class_to_json``/``table_to_json`` write the
-canonical JSON text directly.  An :class:`AffineExpr` is built only by
-the accessors ``DivisorClass.coefficient``/``items``, which the library
-objects ``class_to_obj``/``affine_to_obj`` use; ``dumps_canonical`` of
-those objects is the reference the direct writers are tested against.
+canonical JSON text directly.  The class writers and
+``coefficient_texts`` take a positive int ``scale`` and render
+``d * scale`` without building it: a raw pushed class is emitted as its
+per-factorial-b class with scale (6k)!, whose decimal digits are
+computed once per call instead of once per (6k)!-sized numerator.  An
+:class:`AffineExpr` is built only by the accessors
+``DivisorClass.coefficient``/``items``, which the library objects
+``class_to_obj``/``affine_to_obj`` use; ``dumps_canonical`` of those
+objects is the reference the direct writers are tested against.
 """
 
 from __future__ import annotations
@@ -157,13 +162,13 @@ def _json_object(fields: list[str], indent: str) -> str:
     return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}"
 
 
-def class_to_json(d: DivisorClass, normalization: str = RAW) -> str:
-    """``dumps_canonical(class_to_obj(d, normalization))``, written
-    straight from the stored numerators: the same bytes, with no
-    ``AffineExpr`` built."""
+def class_to_json(d: DivisorClass, normalization: str = RAW, scale: int = 1) -> str:
+    """``dumps_canonical(class_to_obj(d * scale, normalization))``,
+    written straight from the stored numerators: the same bytes, with no
+    ``AffineExpr`` and no scaled class built."""
     q = encode_basestring_ascii
     coefficients = []
-    for name, const, terms in sorted(d._formatted_items(), key=itemgetter(0)):
+    for name, const, terms in sorted(d._formatted_items(scale), key=itemgetter(0)):
         fields = []
         for family in ("b", "c") if terms else ():
             part = sorted((str(s.index), v) for s, v in terms if s.family == family)
@@ -182,27 +187,28 @@ def class_to_json(d: DivisorClass, normalization: str = RAW) -> str:
     return _json_object(top, "") + "\n"
 
 
-def coefficient_texts(d: DivisorClass) -> list[tuple[str, str]]:
-    """(generator, coefficient) rows in natural basis order; each
-    coefficient reads as ``str`` of its :class:`AffineExpr`."""
+def coefficient_texts(d: DivisorClass, scale: int = 1) -> list[tuple[str, str]]:
+    """(generator, coefficient) rows of ``d * scale`` in natural basis
+    order; each coefficient reads as ``str`` of its :class:`AffineExpr`."""
     return [
         (name, affine_text(const, terms) if terms else const)
-        for name, const, terms in d._formatted_items()
+        for name, const, terms in d._formatted_items(scale)
     ]
 
 
-def class_to_csv(d: DivisorClass) -> str:
-    """Rows "generator,value" in natural basis order, no header.
+def class_to_csv(d: DivisorClass, scale: int = 1) -> str:
+    """Rows "generator,value" of ``d * scale`` in natural basis order,
+    no header.
 
     Generator names and coefficient texts hold no comma, quote or line
     break, so no field needs csv quoting and the rows are joined
     directly; the bytes are those of ``csv.writer``."""
-    return "".join(f"{name},{text}\n" for name, text in coefficient_texts(d))
+    return "".join(f"{name},{text}\n" for name, text in coefficient_texts(d, scale))
 
 
-def class_to_md(d: DivisorClass) -> str:
+def class_to_md(d: DivisorClass, scale: int = 1) -> str:
     lines = ["| generator | coefficient |", "| --- | --- |"]
-    for name, text in coefficient_texts(d):
+    for name, text in coefficient_texts(d, scale):
         lines.append(f"| {name} | {text} |")
     return "\n".join(lines) + "\n"
 

@@ -681,3 +681,63 @@ def test_linear_combination_edge_cases():
         linear_combination(basis, [(1, other)])
     with pytest.raises(TypeError):
         linear_combination(basis, [(0.5, d)])
+
+
+# Scaled emission: _formatted_items(scale) renders self * scale without
+# building it, through one exact decimal conversion of the scale.  It
+# must give the text of the materialized product, over every kind of
+# basis, for constant, symbol-only and mixed coefficients whose parts
+# have pairwise different denominators, and for (6k)! as for any
+# positive scale.
+
+FIVE_BASES = (
+    hurwitz_basis(4),
+    mg_basis(3),
+    m0b_sym_basis(3),
+    mg_prime_basis(2),
+    mg_hat_basis(3),
+)
+symbol_only_affines = spread_affines().map(lambda e: AffineExpr(0, e.terms))
+emitted_values = st.one_of(
+    big_rationals, st.integers(-50, 50), spread_affines(), symbol_only_affines
+)
+emission_scales = st.one_of(
+    st.integers(1, 60).map(lambda k: math.factorial(6 * k)),
+    st.integers(min_value=1),
+)
+
+
+@st.composite
+def emitted_classes(draw):
+    basis = draw(st.sampled_from(FIVE_BASES))
+    gens = list(basis.generators())
+    coeffs = draw(st.dictionaries(st.sampled_from(gens), emitted_values, max_size=5))
+    return DivisorClass(basis, coeffs)
+
+
+@given(emitted_classes(), emission_scales)
+def test_scaled_formatted_items_match_the_materialized_product(d, scale):
+    assert d._formatted_items(scale) == (d * scale)._formatted_items()
+
+
+def test_scaled_formatted_items_edge_cases():
+    basis = mg_basis(2)
+    d = DivisorClass(
+        basis,
+        {
+            LAMBDA: Fraction(-7, 12),
+            delta(0): AffineExpr(0, {c_sym(1): Fraction(5, 8), b_sym(1): -3}),
+            delta(1): AffineExpr(Fraction(1, 9), {b_sym(2): Fraction(-1, 16)}),
+        },
+    )
+    # 12 = 4 * 3 absorbs 12 and 4 of 8 and 3 of 9 and 4 of 16
+    assert d._formatted_items(12) == [
+        (LAMBDA, "-7/1", ()),
+        (delta(0), "0/1", ((c_sym(1), "15/2"), (b_sym(1), "-36/1"))),
+        (delta(1), "4/3", ((b_sym(2), "-3/4"),)),
+    ]
+    assert d._formatted_items(12) == (d * 12)._formatted_items()
+    assert zero_class(basis)._formatted_items(10**50) == []
+    for scale in (0, -6, Fraction(1), 1.0):
+        with pytest.raises(ValueError):
+            d._formatted_items(scale)

@@ -1,10 +1,13 @@
+import decimal
 import json
 import sys
 from fractions import Fraction
 
 import pytest
 
+from hurwitzdiv import pushforward, serialize
 from hurwitzdiv.cli import main
+from hurwitzdiv.pushforward import RAW
 from hurwitzdiv.serialize import dumps_canonical
 
 
@@ -296,6 +299,39 @@ def test_m0n_intersect(capsys):
     assert (code, out) == (0, "empty\n")
 
 
+def test_m0n_refuses_b_above_the_cap_before_any_work(capsys, monkeypatch):
+    from hurwitzdiv import cli, m0b
+
+    def no_work(*args):
+        raise AssertionError("m0b was called for an oversize b")
+
+    for name in ("count_boundary", "normalize", "intersect_nonempty"):
+        monkeypatch.setattr(m0b, name, no_work)
+    b = str(cli.MAX_MARKED_POINTS + 1)
+    for argv in (
+        ("m0n", "--b", b, "count"),
+        ("m0n", "--b", b, "normalize", "1,2"),
+        ("m0n", "--b", b, "intersect", "1,2", "2,3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --b is capped at {cli.MAX_MARKED_POINTS} marked points, got {b}\n"
+
+
+def test_m0n_count_at_the_cap_fits_the_default_int_text_limit(capsys):
+    from hurwitzdiv import cli
+
+    b = cli.MAX_MARKED_POINTS
+    before = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "m0n", "--b", str(b), "count")
+    assert (code, err) == (0, "")
+    assert out == f"{2 ** (b - 1) - b - 1}\n"
+    assert len(out) - 1 <= before
+    assert sys.get_int_max_str_digits() == before
+    code, out, _ = run(capsys, "m0n", "--b", str(b), "normalize", "1,2")
+    assert code == 0 and out.startswith("{3,4,5,")
+
+
 def test_m0n_malformed_set(capsys):
     code, _, err = run(capsys, "m0n", "--b", "6", "normalize", "1,x")
     assert code == 2
@@ -488,3 +524,53 @@ def test_slope_target_is_the_chained_sum(reduced):
         )
         for s in _SLOPE_GRID:
             assert cli._slope_target(k, s, reduced) == hodge * s - chained
+
+
+PUSHED = {
+    "p-phi-lambda": pushforward.p_phi_lambda,
+    "p-phihat-lambda": pushforward.p_phihat_lambda,
+    "p-q-kappa": pushforward.p_q_kappa,
+    "eh-divisor": pushforward.eh_divisor,
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 9, 88, 255])
+@pytest.mark.parametrize("name", sorted(PUSHED))
+def test_raw_emission_matches_the_materialized_raw_class(capsys, name, k):
+    # raw output is rendered from the per-factorial-b class scaled by
+    # (6k)!; it must be the bytes of the class built at RAW, and leave
+    # the decimal context and the int text limit as they were
+    context = decimal.getcontext()
+    saved = (context.prec, context.Emax, dict(context.traps), dict(context.flags))
+    limit = sys.get_int_max_str_digits()
+    outputs = {}
+    for fmt in ("json", "csv", "md"):
+        outputs["class", fmt] = run(capsys, "class", name, "--k", str(k), "--format", fmt)
+        outputs["table", fmt] = run(
+            capsys, "table", "--quantity", f"coefficients:{name}", "--k-min", str(k),
+            "--k-max", str(k), "--format", fmt,
+        )
+    assert decimal.getcontext() is context
+    assert (context.prec, context.Emax, dict(context.traps), dict(context.flags)) == saved
+    assert sys.get_int_max_str_digits() == limit
+
+    raw = PUSHED[name](k, RAW)
+    # the reference converts the (6k)!-sized ints one by one, which passes
+    # the default limit at k = 255
+    sys.set_int_max_str_digits(0)
+    try:
+        rows = [[str(k), g, text] for g, text in serialize.coefficient_texts(raw)]
+        columns = ["k", "generator", "coefficient"]
+        expected = {
+            ("class", "json"): serialize.class_to_json(raw, RAW),
+            ("class", "csv"): serialize.class_to_csv(raw),
+            ("class", "md"): serialize.class_to_md(raw),
+            ("table", "json"): serialize.table_to_json(columns, rows),
+            ("table", "csv"): serialize.table_to_csv(columns, rows),
+            ("table", "md"): serialize.table_to_md(columns, rows),
+        }
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for key, (code, out, err) in outputs.items():
+        assert (code, err) == (0, ""), key
+        assert out == expected[key], key
