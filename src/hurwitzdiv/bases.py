@@ -27,9 +27,11 @@ generator, which the builders write directly.  Sums run through one
 n-ary kernel, :func:`linear_combination`, which puts all its terms over
 one lcm, sums their numerators in a single pass and reduces once; ``+``
 and ``-`` are its two-term calls.  Addition, scaling, substitution and
-the application of class maps run on plain ``int``; a
-``Fraction`` or an :class:`AffineExpr` is built only at the public
-accessors ``DivisorClass.coefficient``/``items``.  Beside ``items`` sits
+the application and composition of class maps run on plain ``int``:
+``ClassMap.compose`` maps each inner integer column through the outer
+columns over the product of the two denominators, without building a
+row as a class.  A ``Fraction`` or an :class:`AffineExpr` is built only
+at the public accessors ``DivisorClass.coefficient``/``items``.  Beside ``items`` sits
 the internal ``DivisorClass._formatted_items``, the same values as "p/q"
 text rendered from the integers, which ``serialize`` and the ``cli``
 tables emit from.  It renders the class times an int ``scale`` without
@@ -46,7 +48,6 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -58,6 +59,7 @@ from .core import (
     RationalLike,
     display_key,
     is_index_literal,
+    per_k_cache,
 )
 
 
@@ -225,14 +227,14 @@ class Basis:
         yield from spec.tail(self.k)
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def _generator_index(kind: str, k: int) -> dict[str, int]:
     """Generator name -> position in the natural order, for the
     enumerated kinds."""
     return {name: i for i, name in enumerate(Basis(kind, k).generators())}
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def ejc_names(k: int) -> tuple[tuple[str, ...], ...]:
     """The E_{j,c} names of ``Hurwitz(k)``, sliced from the cached
     generator order for the builders: entry j holds E_j_0 ..
@@ -665,41 +667,59 @@ class ClassMap:
         """The nonzero images, by source generator."""
         return {name: self.row(name) for name in {**self._cols, **self._sym}}
 
-    def apply(self, d: DivisorClass) -> DivisorClass:
-        if d.basis != self.source:
-            raise BasisMismatchError(
-                f"class over {d.basis} cannot be fed to a map from {self.source}"
-            )
+    def _map_numerators(
+        self, nums: Mapping[str, int], sym_in: Mapping[str, Mapping[ExtSymbol, int]]
+    ) -> tuple[dict[str, int], dict[str, dict[ExtSymbol, int]]]:
+        """The image of the class with numerators ``nums``/``sym_in``
+        over some denominator q, as numerators over q * ``_den``, zeros
+        dropped.  Every product is summed in int; the symbols occur
+        linearly, so at most one side of a product carries one."""
         cols, sym_cols = self._cols, self._sym
-        # every product x * r is summed in int over d._den * self._den;
-        # the symbols occur linearly, so at most one side carries one
         sums: dict[str, int] = {}
         sym: dict[str, dict[ExtSymbol, int]] = {}
-        for name, x in d._nums.items():
+        for name, x in nums.items():
             for t, r in cols.get(name, {}).items():
                 sums[t] = sums.get(t, 0) + x * r
             for t, terms in sym_cols.get(name, {}).items():
                 _add_scaled(sym.setdefault(t, {}), terms, x)
-        for name, terms in d._sym.items():
+        for name, terms in sym_in.items():
             if name in sym_cols:
                 raise ValueError(
                     "product of two non-constant affine expressions is not affine"
                 )
             for t, r in cols.get(name, {}).items():
                 _add_scaled(sym.setdefault(t, {}), terms, r)
-        return DivisorClass._raw(
-            self.target, d._den * self._den, _nonzero(sums), _nonzero_sym(sym)
-        )
+        return _nonzero(sums), _nonzero_sym(sym)
+
+    def apply(self, d: DivisorClass) -> DivisorClass:
+        if d.basis != self.source:
+            raise BasisMismatchError(
+                f"class over {d.basis} cannot be fed to a map from {self.source}"
+            )
+        nums, sym = self._map_numerators(d._nums, d._sym)
+        return DivisorClass._raw(self.target, d._den * self._den, nums, sym)
 
     def compose(self, inner: "ClassMap") -> "ClassMap":
-        """The map ``self o inner``; requires inner.target == self.source."""
+        """The map ``self o inner``; requires inner.target == self.source.
+        Each inner column is mapped through this map's columns in int,
+        over the denominator ``self._den * inner._den``; no row is built
+        as a class."""
         if inner.target != self.source:
             raise BasisMismatchError(
                 f"cannot compose: inner map lands in {inner.target}, "
                 f"outer map starts from {self.source}"
             )
-        rows = {name: self.apply(image) for name, image in inner.rows.items()}
-        return ClassMap(inner.source, self.target, rows)
+        cols: dict[str, dict[str, int]] = {}
+        sym: dict[str, dict[str, dict[ExtSymbol, int]]] = {}
+        for name in {**inner._cols, **inner._sym}:
+            nums, terms = self._map_numerators(
+                inner._cols.get(name, {}), inner._sym.get(name, {})
+            )
+            if nums:
+                cols[name] = nums
+            if terms:
+                sym[name] = terms
+        return ClassMap._raw(inner.source, self.target, self._den * inner._den, cols, sym)
 
     def scale(self, scalar: AffineLike) -> "ClassMap":
         return ClassMap(

@@ -2,6 +2,13 @@
 subcommand.  Each check runs per value of k and yields PASS/FAIL/SKIP
 results; checks that need the external coefficient table are skipped
 unless one matching k is supplied.
+
+A check FAILs only on a check-level failure: a :class:`CheckFailure`
+from one of its own comparisons, a ``slopes.VerificationError`` or a
+``trace.InvariantError``.  Any other exception is a defect or bad input
+and propagates out of :func:`run_checks`.  A sweep over several k
+empties the builder caches between two values of k
+(``core.clear_caches``), so it holds one k's classes at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +19,10 @@ from typing import Callable, Iterator
 
 from . import m0b, pushforward, slopes, trace
 from .bases import DivisorClass, E0, E3, Ejc, LAMBDA, delta, hurwitz_basis, mg_basis, T3j
+from .core import clear_caches
 from .pushforward import ExternalCoeffs, PER_FACTORIAL_B, RAW
+from .slopes import VerificationError
+from .trace import InvariantError
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -27,17 +37,21 @@ class CheckResult:
     detail: str = ""
 
 
+class CheckFailure(Exception):
+    """One comparison of a check came out false."""
+
+
 def _run(check: str, k: int, fn: Callable[[], None]) -> CheckResult:
     try:
         fn()
-    except Exception as exc:
+    except (CheckFailure, VerificationError, InvariantError) as exc:
         return CheckResult(check, k, FAIL, str(exc))
     return CheckResult(check, k, PASS)
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise AssertionError(message)
+        raise CheckFailure(message)
 
 
 def _check_genus(k: int, externals) -> Iterator[CheckResult]:
@@ -290,10 +304,9 @@ def _check_bounds(k: int, externals) -> Iterator[CheckResult]:
     yield _run("bounds", k, body)
 
 
-def _intersection_oracle(a: m0b.MarkedSet, b: m0b.MarkedSet) -> bool:
+def _intersection_oracle(a: m0b.MarkedSet, b: m0b.MarkedSet, full: frozenset) -> bool:
     # four-corner test: the labels are incompatible exactly when all four
-    # mutual intersections of the parts are nonempty
-    full = frozenset(range(1, a.b + 1))
+    # mutual intersections of the parts are nonempty; ``full`` is 1..b
     sa, sb = a.members, b.members
     return not (sa & sb and sa - sb and sb - sa and (full - (sa | sb)))
 
@@ -313,10 +326,12 @@ def _check_m0n(k: int, externals) -> Iterator[CheckResult]:
         if k == 1:
             for bb in (6, 8):
                 labels = list(m0b.enumerate_boundary(bb))
+                full = frozenset(range(1, bb + 1))
                 for x in labels:
                     for y in labels:
                         _require(
-                            m0b.intersect_nonempty(x, y) == _intersection_oracle(x, y),
+                            m0b.intersect_nonempty(x, y)
+                            == _intersection_oracle(x, y, full),
                             f"intersection criterion differs from oracle at b={bb}",
                         )
             images = set()
@@ -422,6 +437,8 @@ def run_checks(
             )
     results: list[CheckResult] = []
     for k in range(k_min, k_max + 1):
+        if k > k_min:
+            clear_caches()
         for name in selected:
             results.extend(CHECKS[name](k, externals))
     return results

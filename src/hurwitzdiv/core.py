@@ -14,18 +14,50 @@ an :class:`AffineExpr` only at their public accessors
 The text form of an affine expression is defined once, by
 :func:`affine_text` over already formatted "p/q" parts; both
 ``AffineExpr.__str__`` and the emitters in ``serialize`` use it.
+
+Every cached builder of the package is declared with
+:func:`per_k_cache`, which makes it a plain module-level
+``functools.lru_cache`` in its own module and registers it here, so
+that :func:`clear_caches` can drop the values of one k before the next.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 Rational = Fraction
 
 RationalLike = Union[int, Fraction]
+
+
+_F = TypeVar("_F", bound=Callable)
+
+_BUILDER_CACHES: list = []
+
+
+def per_k_cache(fn: _F) -> _F:
+    """``functools.lru_cache(maxsize=None)`` for a builder whose first
+    argument is k, registered for :func:`clear_caches`."""
+    cached = lru_cache(maxsize=None)(fn)
+    _BUILDER_CACHES.append(cached)
+    return cached
+
+
+def builder_caches() -> tuple:
+    """Every builder declared with :func:`per_k_cache`, in import order."""
+    return tuple(_BUILDER_CACHES)
+
+
+def clear_caches() -> None:
+    """Empty every builder cache.  A check at one k never needs another
+    k's values, so a sweep over k calls this between two values of k to
+    hold one k's worth of classes at a time."""
+    for cached in _BUILDER_CACHES:
+        cached.cache_clear()
 
 
 _RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")

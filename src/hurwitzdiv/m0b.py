@@ -12,12 +12,12 @@ L, complement(L) satisfies this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .bases import DivisorClass, T2, T3j, m0b_sym_basis
+from .core import per_k_cache
 
 
 class MarkedSetError(ValueError):
@@ -78,12 +78,8 @@ def intersect_nonempty(a: MarkedSet, b: MarkedSet) -> bool:
     if a.b != b.b:
         raise MarkedSetError(f"mismatched number of marked points: {a.b} != {b.b}")
     sa, sb = a.members, b.members
-    return (
-        sa <= sb
-        or sb <= sa
-        or not (sa & sb)
-        or sa | sb == frozenset(range(1, a.b + 1))
-    )
+    union = len(sa | sb)
+    return union in (len(sa), len(sb), len(sa) + len(sb), a.b)
 
 
 def forgetful_pullback(s: MarkedSet) -> tuple[MarkedSet, MarkedSet]:
@@ -120,7 +116,7 @@ def psi_full(b: int) -> dict[int, Fraction]:
     return {j: Fraction((b - j) * j, b - 1) for j in range(2, b // 2 + 1)}
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def psi_restricted(k: int) -> DivisorClass:
     """The total cotangent class restricted to {T2, T3j}, with b = 6k."""
     b = 6 * k
@@ -130,7 +126,7 @@ def psi_restricted(k: int) -> DivisorClass:
     return DivisorClass(m0b_sym_basis(k), coeffs)
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def delta_restricted(k: int) -> DivisorClass:
     """The total boundary class restricted to {T2, T3j}."""
     coeffs = {T2: Fraction(1)}
@@ -139,7 +135,7 @@ def delta_restricted(k: int) -> DivisorClass:
     return DivisorClass(m0b_sym_basis(k), coeffs)
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def kappa_class(k: int) -> DivisorClass:
     """The ample class psi - delta on the restricted basis: the T2
     coefficient is (b-3)/(b-1) and the T3j coefficient is
@@ -151,7 +147,7 @@ def kappa_class(k: int) -> DivisorClass:
     return DivisorClass(m0b_sym_basis(k), coeffs)
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def canonical_class(k: int) -> DivisorClass:
     """The canonical class of the b-pointed rational moduli space
     restricted to {T2, T3j}; the other symmetric generators pull back to

@@ -8,12 +8,17 @@ Push-forward results exist in two normalizations: ``raw`` carries the
 coefficients of delta_j for j >= 1 involve the external symbols c_j and
 b_j, which stay symbolic unless an :class:`ExternalCoeffs` table is
 supplied; the lambda and delta_0 coefficients are always symbol-free.
+
+The E_{j,c} rows of :func:`p_push` and the delta_j predictions
+:func:`p_phi_lambda_delta_expected`/:func:`p_phihat_lambda_delta_expected`
+read the per-k row tables ``trace.jc_rows`` (the e, t and u families)
+instead of evaluating each coefficient again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Mapping, NamedTuple
@@ -24,6 +29,7 @@ from .bases import (
     E0,
     E2,
     E3,
+    IndexRangeError,
     LAMBDA,
     T3j,
     T2,
@@ -36,19 +42,17 @@ from .bases import (
     mg_basis,
     numerator_over,
 )
-from .core import AffineExpr, ExtSymbol, b_sym, c_sym
+from .core import AffineExpr, ExtSymbol, b_sym, c_sym, per_k_cache
 from .m0b import kappa_class
 from .trace import (
     alpha_coeff,
     catalan_number,
-    e_row,
+    jc_rows,
     phi_pull_boundary,
     phi_pull_lambda,
     phihat_pull_boundary,
     phihat_pull_lambda,
     q_pullback,
-    t_numerator,
-    u_numerator,
 )
 
 RAW = "raw"
@@ -115,7 +119,7 @@ class ExternalCoeffs:
         return d.substitute(self._values)
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def p_push(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
     """The push-forward map from the Hurwitz basis to the genus-2k
     moduli basis, row by generator."""
@@ -143,9 +147,10 @@ def p_push(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
         b = numerator_over(-lead3, den)
         sym[E3] = {deltas[j]: {b_sym(j): b} for j in range(1, k + 1)}
     names = ejc_names(k)
+    e_rows = jc_rows(k, "e")
     for j in range(1, k + 1):
         f = den // e_dens[j]
-        for name, e in zip(names[j], e_row(k, j)):
+        for name, e in zip(names[j], e_rows[j]):
             # e_{j,c} as its integer numerator, which is positive
             cols[name] = {deltas[j]: e * f}
     pushed = ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, sym)
@@ -163,7 +168,7 @@ def _is_raw(normalization: str) -> bool:
     return _check_normalization(normalization) == RAW
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def p_phi_lambda(k: int, normalization: str = PER_FACTORIAL_B) -> DivisorClass:
     """Push-forward of the pulled-back Hodge class of the trace-curve
     moduli space."""
@@ -173,7 +178,7 @@ def p_phi_lambda(k: int, normalization: str = PER_FACTORIAL_B) -> DivisorClass:
     return p_push(k, PER_FACTORIAL_B).apply(phi_pull_lambda(k))
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def p_phihat_lambda(k: int, normalization: str = PER_FACTORIAL_B) -> DivisorClass:
     """Push-forward of the pulled-back Hodge class of the reduced-trace
     moduli space."""
@@ -183,7 +188,7 @@ def p_phihat_lambda(k: int, normalization: str = PER_FACTORIAL_B) -> DivisorClas
     return p_push(k, PER_FACTORIAL_B).apply(phihat_pull_lambda(k))
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def p_phi_delta(k: int, j_prime: int, normalization: str = RAW) -> DivisorClass:
     """Correspondence action on the boundary class delta'_{j'}."""
     if _is_raw(normalization):
@@ -192,7 +197,7 @@ def p_phi_delta(k: int, j_prime: int, normalization: str = RAW) -> DivisorClass:
     return p_push(k, PER_FACTORIAL_B).apply(phi_pull_boundary(k, j_prime))
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def p_phihat_delta(k: int, j_hat: int, normalization: str = RAW) -> DivisorClass:
     """Correspondence action on the reduced-trace boundary class."""
     if _is_raw(normalization):
@@ -238,12 +243,14 @@ def p_phihat_delta0_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
     return lam, d0
 
 
-def _delta_expected(k: int, j: int, weight_numerator, c_weight, b_weight) -> AffineExpr:
+def _delta_expected(k: int, j: int, family: str, c_weight, b_weight) -> AffineExpr:
     """One twelfth of sum_c e_{j,c} w_{j,c}, for a weight family given
-    by its integer numerators over 2(6k-1) and summed in integers, plus
-    ``c_weight`` c_j (from E2, k >= 3) and -N ``b_weight`` b_j (from
-    E3, k >= 2)."""
-    total = sum(e * weight_numerator(k, j, c) for c, e in enumerate(e_row(k, j)))
+    by its :func:`~hurwitzdiv.trace.jc_rows` numerators over 2(6k-1)
+    and summed in integers, plus ``c_weight`` c_j (from E2, k >= 3) and
+    -N ``b_weight`` b_j (from E3, k >= 2)."""
+    if not 1 <= j <= k:
+        raise IndexRangeError(f"j = {j} out of range for k = {k}")
+    total = sum(e * w for e, w in zip(jc_rows(k, "e")[j], jc_rows(k, family)[j]))
     terms: dict[ExtSymbol, Fraction] = {}
     if k >= 3:
         terms[c_sym(j)] = c_weight
@@ -260,7 +267,7 @@ def p_phi_lambda_delta_expected(k: int, j: int) -> AffineExpr:
     constant is one twelfth of sum e_{j,c} (a_{j,c} + d_{j,c})."""
     c_weight = Fraction(10 * k - 1, 4 * (6 * k - 1))
     b_weight = Fraction(6 * k * k + 11 * k + 1, 4 * (12 * k * k - 8 * k + 1))
-    return _delta_expected(k, j, t_numerator, c_weight, b_weight)
+    return _delta_expected(k, j, "t", c_weight, b_weight)
 
 
 def p_phihat_lambda_delta_expected(k: int, j: int) -> AffineExpr:
@@ -268,10 +275,10 @@ def p_phihat_lambda_delta_expected(k: int, j: int) -> AffineExpr:
     the row structure of the push-forward."""
     c_weight = Fraction(5 * k, 4 * (6 * k - 1))
     b_weight = Fraction(3 * k * k - 8 * k + 5, 4 * (6 * k - 1) * (2 * k - 1))
-    return _delta_expected(k, j, u_numerator, c_weight, b_weight)
+    return _delta_expected(k, j, "u", c_weight, b_weight)
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def p_q_map(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
     """The composite correspondence action on the symmetric boundary
     classes of the 6k-pointed rational moduli space, by the generic-k
@@ -302,7 +309,7 @@ def p_q_map(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
     return composite
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def p_q_kappa(k: int, normalization: str = PER_FACTORIAL_B) -> DivisorClass:
     """The correspondence action applied to the ample class
     psi - delta of the pointed rational moduli space."""
@@ -319,7 +326,7 @@ def p_q_kappa_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
     return 9 * k * n * (2 * k + 5), Fraction(-3 * k * (k + 1)) * n
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def mg_canonical_class(k: int) -> DivisorClass:
     """The canonical class of the genus-2k moduli space on the truncated
     basis lambda, delta_0..delta_k."""
@@ -334,7 +341,7 @@ def mg_canonical_class(k: int) -> DivisorClass:
     return DivisorClass(mg_basis(k), coeffs)
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def eh_divisor(k: int, normalization: str = RAW) -> DivisorClass:
     """The pushed branch divisor of the covering-space map (the divisor
     of curves with fewer pencils than the generic count), computed from

@@ -8,12 +8,22 @@ Every evaluator is a total function of k.  The generators E2 and E3 do
 not exist for small k (E2 needs k >= 3, E3 needs k >= 2) and their terms
 are dropped uniformly; the only further small-k adjustment is the
 reduced-trace node coefficient at k = 1, see :func:`s_coeff`.
+
+The integer families over E_{j,c} (the push-forward multiplicities e,
+the node counts d and s, the dualizing terms a and the closed-form
+numerators t and u) are each built once per k, as a row table
+:func:`jc_rows` laid out like ``bases.ejc_names``.  The class builders,
+:func:`alpha_coeff` and the delta_j predictions of ``pushforward`` read
+those rows; a family is built only when something asks for it.  The
+per-coefficient functions (:func:`e_row`, :func:`t_numerator`, ...)
+stay as the definitions that the tests hold the rows to.
+The pulled-back cotangent class :func:`pulled_psi` is likewise built
+once and shared by :func:`grr_pieces` and :func:`s_omega_sq`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -33,7 +43,7 @@ from .bases import (
     m0b_sym_basis,
     zero_class,
 )
-from .core import binomial
+from .core import binomial, per_k_cache
 from .m0b import delta_restricted, psi_restricted
 
 
@@ -61,7 +71,7 @@ def _require(condition: bool, message: str) -> None:
         raise InvariantError(message)
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def genus_data(k: int) -> GenusData:
     """Genus bookkeeping for covers of genus 2k and degree k+1."""
     if k < 1:
@@ -77,7 +87,7 @@ def genus_data(k: int) -> GenusData:
     return GenusData(k, g, d, 6 * k, g_prime, g_hat, prym_dim, quotient_dim)
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def catalan_number(k: int) -> Fraction:
     """N(k), the number of degree-(k+1) pencils on a general curve of
     genus 2k; both defining expressions are evaluated and must agree."""
@@ -130,7 +140,7 @@ def alpha_coeff(k: int, j: int) -> Fraction:
     boundary class T3j."""
     if not 1 <= j <= k:
         raise IndexRangeError(f"j = {j} out of range for k = {k}")
-    total = sum((j + 1 - 2 * c) * e for c, e in enumerate(e_row(k, j)))
+    total = sum((j + 1 - 2 * c) * e for c, e in enumerate(jc_rows(k, "e")[j]))
     return Fraction(total, (j + 1) * (2 * k - j + 1))
 
 
@@ -190,17 +200,91 @@ def s_coeff(k: int, j: int, c: int) -> Fraction:
     return Fraction(_s_int(k, j, c))
 
 
+def _u_correction(k: int, j: int) -> int:
+    # the part of 2(6k-1) s_{j,c} - u_{j,c} that is not (j + 1 - 2c)
+    return (27 * k - 27) * j * j - 54 * (k * k - k) * j + (k * k + k) * (6 * k - 1)
+
+
 def u_numerator(k: int, j: int, c: int) -> int:
     """u_{j,c} times its denominator 2(6k-1)."""
-    correction = (j + 1 - 2 * c) * (
-        (27 * k - 27) * j * j - 54 * (k * k - k) * j + (k * k + k) * (6 * k - 1)
-    )
+    correction = (j + 1 - 2 * c) * _u_correction(k, j)
     return 2 * (6 * k - 1) * _s_int(k, j, c) - correction
 
 
 def u_coeff(k: int, j: int, c: int) -> Fraction:
     _check_jc(k, j, c)
     return Fraction(u_numerator(k, j, c), 2 * (6 * k - 1))
+
+
+# One row of :func:`_d_int`, :func:`_a_numerator` and :func:`_s_int`
+# each, with the binomials C(n, 2) written out and the factors that do
+# not depend on c taken out of the loop; the per-entry functions stay
+# the definitions, and the tests hold the rows to them.
+
+
+def _d_row(k: int, j: int) -> list[int]:
+    return [
+        (c * (c - 1) + (k - j + c) * (k - j + c - 1)) // 2 * (j + 1 - 2 * c)
+        + 2 * (c + 1) * (k - j + c)
+        + j
+        for c in range(j // 2 + 1)
+    ]
+
+
+def _a_row(k: int, j: int) -> list[int]:
+    lead = 27 * j * (2 * k - 1) * (2 * k - j) - 2 * k * (k + 1) * (6 * k - 1)
+    return [(j + 1 - 2 * c) * lead for c in range(j // 2 + 1)]
+
+
+def _s_row(k: int, j: int) -> list[int]:
+    if k == 1:
+        return [1]
+    tail = (j + 1) // 2 + j % 2
+    return [
+        (k - j + c) * (c + 1)
+        + (c * (c - 1) + (k - j + c) * (k - j + c - 1)) // 2 * (j + 1 - 2 * c)
+        + tail
+        for c in range(j // 2 + 1)
+    ]
+
+
+_ROWS = {"e": e_row, "d": _d_row, "a": _a_row, "s": _s_row}
+
+JC_FAMILIES = ("e", "d", "a", "s", "t", "u")
+
+
+@per_k_cache
+def jc_rows(k: int, family: str) -> tuple[tuple[int, ...], ...]:
+    """One integer family over E_{j,c}, laid out like :func:`ejc_names`:
+    entry j holds the values for c = 0 .. floor(j/2), entry 0 is empty.
+
+    The families are the numerators of :func:`e_row` (``"e"``), the node
+    counts :func:`d_coeff` (``"d"``) and :func:`s_coeff` (``"s"``), and
+    the numerators over 2(6k-1) of :func:`a_coeff` (``"a"``),
+    :func:`t_numerator` (``"t"``) and :func:`u_numerator` (``"u"``); the
+    last two are derived from the cached ``"a"``, ``"d"`` and ``"s"``
+    rows.  Each (k, family) is built on first use, so a caller that
+    needs one family pays for that one alone."""
+    if k < 1:
+        raise IndexRangeError(f"k must be >= 1, got {k}")
+    js = range(1, k + 1)
+    w = 2 * (6 * k - 1)
+    if family in _ROWS:
+        row = _ROWS[family]
+        rows = (row(k, j) for j in js)
+    elif family == "t":
+        rows = (
+            [a + w * d for a, d in zip(row_a, row_d)]
+            for row_a, row_d in zip(jc_rows(k, "a")[1:], jc_rows(k, "d")[1:])
+        )
+    elif family == "u":
+        rows = []
+        for j, row_s in zip(js, jc_rows(k, "s")[1:]):
+            x = _u_correction(k, j)
+            rows.append([w * s - (j + 1 - 2 * c) * x for c, s in enumerate(row_s)])
+    else:
+        raise ValueError(f"unknown E_(j,c) family {family!r}; known: {JC_FAMILIES}")
+    return ((),) + tuple(map(tuple, rows))
 
 
 def _integer_class(k: int, nums: dict[str, int], den: int = 1) -> DivisorClass:
@@ -211,19 +295,17 @@ def _integer_class(k: int, nums: dict[str, int], den: int = 1) -> DivisorClass:
     )
 
 
-def _build(k: int, den: int, e0: int, e2: int, e3: int, ejc) -> DivisorClass:
+def _build(k: int, den: int, e0: int, e2: int, e3: int, rows) -> DivisorClass:
     """Assemble a Hurwitz class from integer numerators over ``den``: an
     E0 value, E2/E3 values (dropped when the generator does not exist)
-    and a callable for E_{j,c}."""
+    and a :func:`jc_rows` table for E_{j,c}."""
     nums = hurwitz_head(k, e0, e2, e3)
-    names = ejc_names(k)
-    for j in range(1, k + 1):
-        for c, name in enumerate(names[j]):
-            nums[name] = ejc(k, j, c)
+    for names, row in zip(ejc_names(k), rows):
+        nums.update(zip(names, row))
     return _integer_class(k, nums, den)
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def delta_tau(k: int) -> DivisorClass:
     """Push-forward of the singular locus of the trace-curve family."""
     return _build(
@@ -232,20 +314,20 @@ def delta_tau(k: int) -> DivisorClass:
         k * k + k,
         2 * k * k - 10 * k + 18,
         3 * k * k - 13 * k + 16,
-        _d_int,
+        jc_rows(k, "d"),
     )
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def omega_tau_sq(k: int) -> DivisorClass:
     """Pushed square of the relative dualizing sheaf of the trace-curve
     family, in closed form."""
     # the E0/E2/E3 lead (-6k^3 + 31k^2 - 29k + 6)/(6k - 1) times 1, 2, 3
     lead = 2 * (-6 * k**3 + 31 * k * k - 29 * k + 6)
-    return _build(k, 2 * (6 * k - 1), lead, 2 * lead, 3 * lead, _a_numerator)
+    return _build(k, 2 * (6 * k - 1), lead, 2 * lead, 3 * lead, jc_rows(k, "a"))
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def q_pullback(k: int) -> ClassMap:
     """The pullback map along q from the symmetric boundary classes of
     the space of 6k-pointed rational curves to the Hurwitz basis."""
@@ -272,23 +354,29 @@ class GrrPieces(NamedTuple):
         )
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
+def pulled_psi(k: int) -> DivisorClass:
+    """The total cotangent class pulled back along q, shared by the GRR
+    pieces and the reduced-trace dualizing square."""
+    return q_pullback(k).apply(psi_restricted(k))
+
+
+@per_k_cache
 def grr_pieces(k: int) -> GrrPieces:
-    q = q_pullback(k)
     psi = psi_restricted(k)
     boundary_sum = delta_restricted(k)
-    omega_sq = q.apply(
+    omega_sq = q_pullback(k).apply(
         linear_combination(
             psi.basis, ((Fraction(3 * k, 2), psi), (-k * (k + 1), boundary_sum))
         )
     )
-    pulled_psi = q.apply(psi)
-    cross = pulled_psi * (k - 1)
-    ram_sq = pulled_psi * Fraction(-(k - 1), 2)
+    pulled = pulled_psi(k)
+    cross = pulled * (k - 1)
+    ram_sq = pulled * Fraction(-(k - 1), 2)
     return GrrPieces(omega_sq, cross, ram_sq)
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def phi_pull_lambda(k: int) -> DivisorClass:
     """Pullback of the Hodge class of the trace-curve moduli space,
     one twelfth of node class plus pushed dualizing square."""
@@ -298,30 +386,31 @@ def phi_pull_lambda(k: int) -> DivisorClass:
     )
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def twelve_lambda_trace_closed(k: int) -> DivisorClass:
     """Closed form of twelve times :func:`phi_pull_lambda`."""
     # E0/E2/E3 are 2/(6k - 1) times t0, t2, t3
     t0 = 18 * k * k - 15 * k + 3
     t2 = 30 * k - 3
     t3 = 6 * k * k + 11 * k + 1
-    return _build(k, 2 * (6 * k - 1), 4 * t0, 4 * t2, 4 * t3, t_numerator)
+    return _build(k, 2 * (6 * k - 1), 4 * t0, 4 * t2, 4 * t3, jc_rows(k, "t"))
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def delta_s(k: int) -> DivisorClass:
     """Push-forward of the singular locus of the reduced-trace family."""
+    # E0 and E3 carry (k^2 + k)/2 and (3k^2 - 13k + 16)/2, both integers
     return _build(
         k,
-        2,
-        k * k + k,
-        2 * (k * k - 5 * k + 12),
-        3 * k * k - 13 * k + 16,
-        lambda k, j, c: 2 * _s_int(k, j, c),
+        1,
+        (k * k + k) // 2,
+        k * k - 5 * k + 12,
+        (3 * k * k - 13 * k + 16) // 2,
+        jc_rows(k, "s"),
     )
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def s_omega_sq(k: int) -> DivisorClass:
     """Pushed dualizing square of the reduced-trace family: half the
     trace value minus three quarters of the pulled-back cotangent
@@ -330,12 +419,12 @@ def s_omega_sq(k: int) -> DivisorClass:
         hurwitz_basis(k),
         (
             (Fraction(1, 2), omega_tau_sq(k)),
-            (Fraction(-3, 4), q_pullback(k).apply(psi_restricted(k))),
+            (Fraction(-3, 4), pulled_psi(k)),
         ),
     )
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def phihat_pull_lambda(k: int) -> DivisorClass:
     """Pullback of the Hodge class of the reduced-trace moduli space."""
     twelfth = Fraction(1, 12)
@@ -344,17 +433,17 @@ def phihat_pull_lambda(k: int) -> DivisorClass:
     )
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def twelve_lambda_reduced_closed(k: int) -> DivisorClass:
     """Closed form of twelve times :func:`phihat_pull_lambda`."""
     # E0/E2/E3 are 2/(6k - 1) times u0, u2, u3
     u0 = 9 * k * k - 12 * k + 3
     u2 = 15 * k
     u3 = 3 * k * k - 8 * k + 5
-    return _build(k, 2 * (6 * k - 1), 4 * u0, 4 * u2, 4 * u3, u_numerator)
+    return _build(k, 2 * (6 * k - 1), 4 * u0, 4 * u2, 4 * u3, jc_rows(k, "u"))
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def phi_pull_boundary(k: int, j_prime: int) -> DivisorClass:
     """Pullback of the boundary class delta'_{j'} of the trace-curve
     moduli space; zero for j' > k."""
@@ -384,7 +473,7 @@ def _eps(j: int, c: int) -> int:
     return 1 if j % 2 == 1 else 0
 
 
-@lru_cache(maxsize=None)
+@per_k_cache
 def phihat_pull_boundary(k: int, j_hat: int) -> DivisorClass:
     """Pullback of the boundary class of the reduced-trace moduli
     space; zero for indices above k."""

@@ -741,3 +741,53 @@ def test_scaled_formatted_items_edge_cases():
     for scale in (0, -6, Fraction(1), 1.0):
         with pytest.raises(ValueError):
             d._formatted_items(scale)
+
+
+# Composition sums the inner map's integer columns through the outer
+# map's columns: one denominator, outer._den * inner._den, zero entries
+# dropped, and no row built as a class on the way.
+
+
+def test_compose_runs_on_integer_columns(monkeypatch):
+    from hurwitzdiv.pushforward import p_push
+
+    maps = {k: (p_push(k), q_pullback(k)) for k in (1, 2, 3, 7)}
+    expected = {
+        k: {g: outer.apply(inner.row(g)) for g in inner.source.generators()}
+        for k, (outer, inner) in maps.items()
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compose built a class or called apply")
+
+    monkeypatch.setattr(ClassMap, "apply", refuse)
+    monkeypatch.setattr(DivisorClass, "__init__", refuse)
+    monkeypatch.setattr(DivisorClass, "_raw", classmethod(refuse))
+    composed = {k: outer.compose(inner) for k, (outer, inner) in maps.items()}
+    monkeypatch.undo()
+    for k, (outer, inner) in maps.items():
+        result = composed[k]
+        assert result._den == outer._den * inner._den
+        assert all(col and all(col.values()) for col in result._cols.values())
+        for col in result._sym.values():
+            assert col and all(terms and all(terms.values()) for terms in col.values())
+        for g, row in expected[k].items():
+            assert result.row(g) == row
+
+
+def test_compose_drops_cancelled_entries():
+    basis = mg_basis(1)
+    inner = ClassMap(
+        basis, basis, {LAMBDA: DivisorClass(basis, {delta(0): 1, delta(1): -1})}
+    )
+    outer = ClassMap(
+        basis,
+        basis,
+        {
+            delta(0): DivisorClass(basis, {LAMBDA: Fraction(1, 3)}),
+            delta(1): DivisorClass(basis, {LAMBDA: Fraction(1, 3), delta(0): 2}),
+        },
+    )
+    composed = outer.compose(inner)
+    assert composed._cols == {LAMBDA: {delta(0): -2 * outer._den}}
+    assert composed.row(LAMBDA) == DivisorClass(basis, {delta(0): -2})

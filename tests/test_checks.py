@@ -50,3 +50,96 @@ def test_delta_j_checks_detects_proviso_violation():
     ext = ExternalCoeffs(1, {1: Fraction(0)}, {1: Fraction(0)})
     results = run_checks(1, 1, ["delta-j-checks"], ext)
     assert results[0].status == FAIL
+
+
+def test_m0n_fails_when_one_intersection_pair_is_flipped(monkeypatch):
+    from hurwitzdiv import m0b
+
+    assert run_checks(1, 1, ["m0n"])[0].status == PASS
+    real = m0b.intersect_nonempty
+    flipped = (m0b.normalize(8, {4, 5}), m0b.normalize(8, {5, 6}))
+
+    def mutant(x, y):
+        return real(x, y) != ((x, y) == flipped)
+
+    monkeypatch.setattr(m0b, "intersect_nonempty", mutant)
+    [result] = run_checks(1, 1, ["m0n"])
+    assert result.status == FAIL
+    assert "b=8" in result.detail
+
+
+def _package_caches():
+    # every module-level lru_cache of the package, found by hand
+    import importlib
+    import pkgutil
+
+    import hurwitzdiv
+
+    found = []
+    for info in pkgutil.iter_modules(hurwitzdiv.__path__):
+        module = importlib.import_module(f"hurwitzdiv.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                found.append(value)
+    return found
+
+
+def test_every_builder_cache_is_registered():
+    from hurwitzdiv.core import builder_caches
+
+    registered = builder_caches()
+    assert len(set(map(id, registered))) == len(registered)
+    assert {id(c) for c in _package_caches()} == set(map(id, registered))
+
+
+def test_a_sweep_keeps_only_the_last_k_in_the_caches(monkeypatch):
+    from hurwitzdiv import checks as checks_mod
+    from hurwitzdiv import trace
+    from hurwitzdiv.core import builder_caches, clear_caches
+
+    def sizes():
+        return [c.cache_info().currsize for c in builder_caches()]
+
+    clear_caches()
+    swept = run_checks(1, 6)
+    swept_sizes = sizes()
+    clear_caches()
+    single = run_checks(6, 6)
+    assert swept_sizes == sizes()
+    assert swept[-len(single):] == single
+    # after the sweep, k = 6 is a hit and k = 5 a miss
+    clear_caches()
+    run_checks(1, 6)
+    before = trace.delta_tau.cache_info()
+    trace.delta_tau(6)
+    trace.delta_tau(5)
+    after = trace.delta_tau.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+    # the same results with nothing cleared, which holds every k
+    monkeypatch.setattr(checks_mod, "clear_caches", lambda: None)
+    clear_caches()
+    assert run_checks(1, 6) == swept
+    assert sum(sizes()) > sum(swept_sizes)
+    clear_caches()
+
+
+def test_only_check_level_failures_become_fail(monkeypatch):
+    from hurwitzdiv import trace
+    from hurwitzdiv.cli import main
+    from hurwitzdiv.bases import IndexRangeError
+
+    def raising(error):
+        def builder(k):
+            raise error("patched builder")
+
+        return builder
+
+    monkeypatch.setattr(trace, "grr_pieces", raising(trace.InvariantError))
+    [result] = run_checks(3, 3, ["grr-assembly"])
+    assert (result.status, result.detail) == (FAIL, "patched builder")
+    monkeypatch.setattr(trace, "grr_pieces", raising(TypeError))
+    with pytest.raises(TypeError, match="patched builder"):
+        run_checks(3, 3, ["grr-assembly"])
+    # a known error class still reaches the command line as exit code 2
+    monkeypatch.setattr(trace, "grr_pieces", raising(IndexRangeError))
+    assert main(["verify", "--k-min", "3", "--k-max", "3", "--checks", "grr-assembly"]) == 2

@@ -351,3 +351,43 @@ def test_e_row_running_product_matches_e_numerator():
     for k in range(1, 61):
         for j in range(1, k + 1):
             assert e_row(k, j) == [e_numerator(k, j, c) for c in range(j // 2 + 1)]
+
+
+# The E_(j,c) row tables: each family is built once per k and read by
+# every builder, so each entry must equal its per-coefficient function.
+
+_JC_ENTRIES = {
+    "d": trace_mod._d_int,
+    "a": trace_mod._a_numerator,
+    "s": trace_mod._s_int,
+    "t": trace_mod.t_numerator,
+    "u": trace_mod.u_numerator,
+}
+
+
+def test_jc_rows_match_the_per_coefficient_functions():
+    assert set(trace_mod.JC_FAMILIES) == {"e"} | set(_JC_ENTRIES)
+    for k in range(1, 41):
+        rows = {family: trace_mod.jc_rows(k, family) for family in trace_mod.JC_FAMILIES}
+        for family, table in rows.items():
+            assert len(table) == k + 1 and table[0] == (), (k, family)
+        for j in range(1, k + 1):
+            assert list(rows["e"][j]) == e_row(k, j), (k, j)
+            for family, entry in _JC_ENTRIES.items():
+                expected = [entry(k, j, c) for c in range(j // 2 + 1)]
+                assert list(rows[family][j]) == expected, (k, j, family)
+
+
+def test_jc_rows_refuse_unknown_input():
+    with pytest.raises(ValueError, match="unknown"):
+        trace_mod.jc_rows(3, "x")
+    with pytest.raises(IndexRangeError):
+        trace_mod.jc_rows(0, "d")
+
+
+def test_pulled_psi_is_shared_by_its_two_consumers():
+    k = 4
+    pulled = trace_mod.pulled_psi(k)
+    assert pulled == q_pullback(k).apply(psi_restricted(k))
+    assert grr_pieces(k).cross == pulled * (k - 1)
+    assert s_omega_sq(k) == Fraction(1, 2) * omega_tau_sq(k) - Fraction(3, 4) * pulled
