@@ -373,6 +373,26 @@ def test_table_coefficients_json(capsys):
     assert {"k": "3", "generator": "E3", "coefficient": "4/1"} in rows
 
 
+@pytest.mark.parametrize("name", ["phi-delta:1", "phihat-delta:1", "q-T3j:1"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_indexed_coefficient_table_rows_are_the_class_rows(capsys, name, k):
+    # no golden digest covers the indexed class names in a table: each
+    # row of the table is "k," and one row of the class's csv, and an
+    # index out of range at this k is refused the same way by both
+    table = run(
+        capsys, "table", "--quantity", f"coefficients:{name}", "--k-min", str(k),
+        "--k-max", str(k), "--format", "csv",
+    )
+    one = run(capsys, "class", name, "--k", str(k), "--format", "csv")
+    assert (table[0], table[2]) == (one[0], one[2])
+    if one[0] != 0:
+        assert (one[0], one[1], table[1]) == (2, "", "")
+        return
+    header, *rows = table[1].splitlines()
+    assert header == "k,generator,coefficient"
+    assert rows == [f"{k},{line}" for line in one[1].splitlines()]
+
+
 def test_table_slope_bound(capsys):
     code, out, _ = run(
         capsys, "table", "--quantity", "slope-bound", "--k-min", "1", "--k-max", "4",
