@@ -721,11 +721,6 @@ class ClassMap:
                 sym[name] = terms
         return ClassMap._raw(inner.source, self.target, self._den * inner._den, cols, sym)
 
-    def scale(self, scalar: AffineLike) -> "ClassMap":
-        return ClassMap(
-            self.source, self.target, {g: img * scalar for g, img in self.rows.items()}
-        )
-
     def __repr__(self) -> str:
         return (
             f"ClassMap({self.source.kind}(k={self.source.k}) -> "

@@ -74,7 +74,7 @@ def _check_catalan(k: int, externals) -> Iterator[CheckResult]:
     def body() -> None:
         n = trace.catalan_number(k)
         _require(trace.e_coeff(k, 1, 0) == n, "e_{1,0} differs from the pencil count")
-        push = pushforward.p_push(k, PER_FACTORIAL_B)
+        push = pushforward.p_push(k)
         q = trace.q_pullback(k)
         mg = mg_basis(k)
         for j in range(1, k + 1):
@@ -187,8 +187,8 @@ def _check_closed_forms(k: int, externals) -> Iterator[CheckResult]:
         return
 
     def composition_body() -> None:
-        direct = pushforward.p_q_map(k, PER_FACTORIAL_B)
-        composed = pushforward.p_push(k, PER_FACTORIAL_B).compose(trace.q_pullback(k))
+        direct = pushforward.p_q_map(k)
+        composed = pushforward.p_push(k).compose(trace.q_pullback(k))
         for j in range(1, k + 1):
             _require(
                 direct.row(T3j(j)) == composed.row(T3j(j)),
@@ -212,37 +212,37 @@ def _check_closed_forms(k: int, externals) -> Iterator[CheckResult]:
 
     def body() -> None:
         _require(
-            _lambda_delta0(pushforward.p_phi_lambda(k, PER_FACTORIAL_B))
+            _lambda_delta0(pushforward.p_phi_lambda(k))
             == pushforward.p_phi_lambda_closed_coeffs(k),
             "pushed trace Hodge class differs from closed form",
         )
         _require(
-            _lambda_delta0(pushforward.p_phihat_lambda(k, PER_FACTORIAL_B))
+            _lambda_delta0(pushforward.p_phihat_lambda(k))
             == pushforward.p_phihat_lambda_closed_coeffs(k),
             "pushed reduced Hodge class differs from closed form",
         )
         _require(
-            _lambda_delta0(pushforward.p_phi_delta(k, 0, PER_FACTORIAL_B))
+            _lambda_delta0(pushforward.p_phi_delta(k, 0))
             == pushforward.p_phi_delta0_closed_coeffs(k),
             "pushed boundary class differs from closed form",
         )
         _require(
-            _lambda_delta0(pushforward.p_phihat_delta(k, 0, PER_FACTORIAL_B))
+            _lambda_delta0(pushforward.p_phihat_delta(k, 0))
             == pushforward.p_phihat_delta0_closed_coeffs(k),
             "pushed reduced boundary class differs from closed form",
         )
         _require(
-            _lambda_delta0(pushforward.eh_divisor(k, PER_FACTORIAL_B))
+            _lambda_delta0(pushforward.eh_divisor(k))
             == pushforward.eh_closed_coeffs(k),
             "branch divisor differs from closed form",
         )
         _require(
-            _lambda_delta0(pushforward.p_q_kappa(k, PER_FACTORIAL_B))
+            _lambda_delta0(pushforward.p_q_kappa(k))
             == pushforward.p_q_kappa_closed_coeffs(k),
             "pushed ample class differs from closed form",
         )
-        hodge = pushforward.p_phi_lambda(k, PER_FACTORIAL_B)
-        reduced = pushforward.p_phihat_lambda(k, PER_FACTORIAL_B)
+        hodge = pushforward.p_phi_lambda(k)
+        reduced = pushforward.p_phihat_lambda(k)
         for j in range(1, k + 1):
             _require(
                 hodge.coefficient(delta(j))
@@ -348,17 +348,22 @@ def _check_m0n(k: int, externals) -> Iterator[CheckResult]:
     yield _run("m0n", k, body)
 
 
+def _pushed_classes(k: int) -> tuple[DivisorClass, ...]:
+    """The pushed classes whose lambda and delta_0 coefficients have
+    closed forms, per factorial b."""
+    return (
+        pushforward.p_phi_lambda(k),
+        pushforward.p_phihat_lambda(k),
+        pushforward.p_phi_delta(k, 0),
+        pushforward.p_phihat_delta(k, 0),
+        pushforward.p_q_kappa(k),
+        pushforward.eh_divisor(k),
+    )
+
+
 def _check_hygiene(k: int, externals) -> Iterator[CheckResult]:
     def body() -> None:
-        pushed = [
-            pushforward.p_phi_lambda(k, PER_FACTORIAL_B),
-            pushforward.p_phihat_lambda(k, PER_FACTORIAL_B),
-            pushforward.p_phi_delta(k, 0, PER_FACTORIAL_B),
-            pushforward.p_phihat_delta(k, 0, PER_FACTORIAL_B),
-            pushforward.p_q_kappa(k, PER_FACTORIAL_B),
-            pushforward.eh_divisor(k, PER_FACTORIAL_B),
-        ]
-        for d in pushed:
+        for d in _pushed_classes(k):
             _require(
                 d.coefficient(LAMBDA).is_constant()
                 and d.coefficient(delta(0)).is_constant(),
@@ -382,14 +387,7 @@ def _check_delta_j(k: int, externals: ExternalCoeffs | None) -> Iterator[CheckRe
         return
 
     def body() -> None:
-        for d in (
-            pushforward.p_phi_lambda(k, PER_FACTORIAL_B),
-            pushforward.p_phihat_lambda(k, PER_FACTORIAL_B),
-            pushforward.p_phi_delta(k, 0, PER_FACTORIAL_B),
-            pushforward.p_phihat_delta(k, 0, PER_FACTORIAL_B),
-            pushforward.p_q_kappa(k, PER_FACTORIAL_B),
-            pushforward.eh_divisor(k, PER_FACTORIAL_B),
-        ):
+        for d in _pushed_classes(k):
             numeric = externals.apply(d)
             for _, value in numeric.items():
                 _require(
@@ -397,7 +395,7 @@ def _check_delta_j(k: int, externals: ExternalCoeffs | None) -> Iterator[CheckRe
                     "substitution left a symbolic coefficient behind",
                 )
         slopes.kappa_slope_bound(k, externals)
-        hodge = pushforward.p_phi_lambda(k, PER_FACTORIAL_B)
+        hodge = pushforward.p_phi_lambda(k)
         report = slopes.slope_of(externals.apply(hodge))
         _require(report.valid != slopes.UNKNOWN, "slope validity still unknown")
 

@@ -5,12 +5,16 @@ help, description, arguments).  ``main`` builds the parser of the invoked
 command only; the full tree only when the first argument names no command
 (``-h``, no arguments, an unknown command, an option first):
 
-* ``class``: emit one divisor class in json, csv or md.
+* ``class``: emit one divisor class in json, csv or md.  Every class
+  name is one entry of the class table ``_CLASSES`` (builder, indexed,
+  pushed), which also lists the names in the help text.  A pushed class
+  is built per factorial b; raw output renders it with scale (6k)!.
 * ``verify``: run the named identity checks over a range of k.
 * ``slope``: induced and ample-class slopes with validity status.
 * ``m0n``: boundary combinatorics of pointed rational curves, for at
   most ``MAX_MARKED_POINTS`` points.
-* ``table``: per-k tables (genus data, slopes, coefficients).
+* ``table``: per-k tables (genus data, slopes, coefficients) over a
+  range 1 <= k-min <= k-max.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for
 usage or input errors.
@@ -31,22 +35,26 @@ from .m0b import MarkedSetError
 from .pushforward import PER_FACTORIAL_B, RAW
 from .slopes import SlopeError, VerificationError
 
-_PUSHFORWARD_CLASSES = {
-    "p-phi-lambda": pushforward.p_phi_lambda,
-    "p-phihat-lambda": pushforward.p_phihat_lambda,
-    "p-q-kappa": pushforward.p_q_kappa,
-    "eh-divisor": pushforward.eh_divisor,
-}
-
-_HURWITZ_CLASSES = {
-    "delta-tau": trace.delta_tau,
-    "omega-tau-sq": trace.omega_tau_sq,
-    "delta-s": trace.delta_s,
-    "s-omega-sq": trace.s_omega_sq,
-    "phi-lambda": trace.phi_pull_lambda,
-    "phihat-lambda": trace.phihat_pull_lambda,
-    "prym-hodge": pushforward.prym_hodge_class,
-    "prym-boundary": pushforward.prym_boundary_class,
+# name -> (builder, indexed, pushed), in the order the class help lists
+# them.  An indexed name is spelled <name>:<j> and its builder takes
+# (k, j); a pushed builder returns its class per factorial b.
+_CLASSES = {
+    "delta-tau": (trace.delta_tau, False, False),
+    "omega-tau-sq": (trace.omega_tau_sq, False, False),
+    "delta-s": (trace.delta_s, False, False),
+    "s-omega-sq": (trace.s_omega_sq, False, False),
+    "phi-lambda": (trace.phi_pull_lambda, False, False),
+    "phihat-lambda": (trace.phihat_pull_lambda, False, False),
+    "phi-delta": (trace.phi_pull_boundary, True, False),
+    "phihat-delta": (trace.phihat_pull_boundary, True, False),
+    "q-T2": (lambda k: trace.q_pullback(k).row(T2), False, False),
+    "q-T3j": (lambda k, j: trace.q_pullback(k).row(T3j(j)), True, False),
+    "p-phi-lambda": (pushforward.p_phi_lambda, False, True),
+    "p-phihat-lambda": (pushforward.p_phihat_lambda, False, True),
+    "p-q-kappa": (pushforward.p_q_kappa, False, True),
+    "eh-divisor": (pushforward.eh_divisor, False, True),
+    "prym-hodge": (pushforward.prym_hodge_class, False, False),
+    "prym-boundary": (pushforward.prym_boundary_class, False, False),
 }
 
 # m0n refuses --b above this before any work starts: up to it the
@@ -65,34 +73,28 @@ def _resolve_class(name: str, k: int, normalized: bool) -> tuple[DivisorClass, s
     the int scale to emit the class times.  A push-forward class is
     always built per-factorial-b; raw output is that class with scale
     (6k)!, which the writers render without building the scaled class."""
-    base, _, arg = name.partition(":")
-    if name in _HURWITZ_CLASSES or base in ("phi-delta", "phihat-delta", "q-T2", "q-T3j"):
-        if normalized:
-            raise UsageError(
-                f"--normalized only applies to push-forward classes, not {name!r}"
-            )
-    if name in _HURWITZ_CLASSES:
-        return _HURWITZ_CLASSES[name](k), RAW, 1
-    if name in _PUSHFORWARD_CLASSES:
-        d = _PUSHFORWARD_CLASSES[name](k, PER_FACTORIAL_B)
-        if normalized:
-            return d, PER_FACTORIAL_B, 1
-        return d, RAW, pushforward.factorial_b(k)
-    if base in ("phi-delta", "phihat-delta", "q-T3j"):
-        if not is_index_literal(arg):
-            raise UsageError(
-                f"class {name!r} needs an index after ':' of the form "
-                f"{INDEX_GRAMMAR} (ASCII digits, no sign or leading zero)"
-            )
-        index = int(arg)
-        if base == "phi-delta":
-            return trace.phi_pull_boundary(k, index), RAW, 1
-        if base == "phihat-delta":
-            return trace.phihat_pull_boundary(k, index), RAW, 1
-        return trace.q_pullback(k).row(T3j(index)), RAW, 1
-    if name == "q-T2":
-        return trace.q_pullback(k).row(T2), RAW, 1
-    raise UsageError(f"unknown class name {name!r}")
+    base, colon, arg = name.partition(":")
+    builder, indexed, pushed = _CLASSES.get(base, (None, False, False))
+    if builder is None or (colon and not indexed):
+        raise UsageError(f"unknown class name {name!r}")
+    if normalized and not pushed:
+        raise UsageError(
+            f"--normalized only applies to push-forward classes, not {name!r}"
+        )
+    if not indexed:
+        d = builder(k)
+    elif is_index_literal(arg):
+        d = builder(k, int(arg))
+    else:
+        raise UsageError(
+            f"class {name!r} needs an index after ':' of the form "
+            f"{INDEX_GRAMMAR} (ASCII digits, no sign or leading zero)"
+        )
+    if not pushed:
+        return d, RAW, 1
+    if normalized:
+        return d, PER_FACTORIAL_B, 1
+    return d, RAW, pushforward.factorial_b(k)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -139,16 +141,12 @@ def _boundary_images(k: int, reduced: bool) -> list[DivisorClass]:
     """The pushed boundary classes p_*phi(hat)^*delta'_j for j = 0..k;
     the higher ones push forward to zero."""
     pushed = pushforward.p_phihat_delta if reduced else pushforward.p_phi_delta
-    return [pushed(k, j, PER_FACTORIAL_B) for j in range(k + 1)]
+    return [pushed(k, j) for j in range(k + 1)]
 
 
 def _slope_target(k: int, s: Fraction, reduced: bool) -> DivisorClass:
     """s * p_*phi(hat)^*lambda - sum_j p_*phi(hat)^*delta'_j, one pass."""
-    hodge = (
-        pushforward.p_phihat_lambda(k, PER_FACTORIAL_B)
-        if reduced
-        else pushforward.p_phi_lambda(k, PER_FACTORIAL_B)
-    )
+    hodge = pushforward.p_phihat_lambda(k) if reduced else pushforward.p_phi_lambda(k)
     terms = [(s, hodge)]
     terms.extend((-1, image) for image in _boundary_images(k, reduced))
     return linear_combination(mg_basis(k), terms)
@@ -161,7 +159,9 @@ def _cmd_slope(args) -> int:
         raise UsageError(f"external table is for k={externals.k}, not k={k}")
     induced = None
     if args.variant == "kappa":
-        target = pushforward.p_q_kappa(k, PER_FACTORIAL_B)
+        if args.s_prime is not None:
+            raise UsageError("--s-prime does not apply to variant 'kappa'")
+        target = pushforward.p_q_kappa(k)
         slopes.kappa_slope_bound(k)
     else:
         if args.s_prime is None:
@@ -224,6 +224,8 @@ def _cmd_m0n(args) -> int:
 
 def _table_rows(args) -> tuple[list[str], list[list[str]]]:
     quantity = args.quantity
+    if not 1 <= args.k_min <= args.k_max:
+        raise UsageError(f"invalid range 1 <= {args.k_min} <= {args.k_max}")
     k_range = range(args.k_min, args.k_max + 1)
     if quantity == "genus":
         columns = ["k", "g", "d", "b", "g_prime", "g_hat", "prym_dim"]
@@ -292,10 +294,8 @@ _COMMANDS = {
         _cmd_class,
         "emit one divisor class",
         "Emit one divisor class.  Names: "
-        "delta-tau, omega-tau-sq, delta-s, s-omega-sq, phi-lambda, "
-        "phihat-lambda, phi-delta:<j>, phihat-delta:<j>, q-T2, q-T3j:<j>, "
-        "p-phi-lambda, p-phihat-lambda, p-q-kappa, eh-divisor, prym-hodge, "
-        "prym-boundary.  Push-forward classes are emitted raw (carrying "
+        + ", ".join(name + ":<j>" * indexed for name, (_, indexed, _) in _CLASSES.items())
+        + ".  Push-forward classes are emitted raw (carrying "
         "the (6k)! labelling factor) unless --normalized is given.  CSV "
         "rows are generator,coefficient in natural basis order without a "
         "header; JSON objects are key-sorted.",

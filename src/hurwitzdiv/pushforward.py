@@ -2,9 +2,12 @@
 curves, the composite correspondence actions, the branch divisor of the
 covering map, and the Prym pullback classes.
 
-Push-forward results exist in two normalizations: ``raw`` carries the
-(6k)! factor that the degree of the covering-space map contributes,
-``per-factorial-b`` divides it out so tables stay readable.  The
+Every push-forward builder returns its class per factorial b: the
+(6k)! factor that the labelling of the branch points contributes to the
+degree of the covering-space map is divided out, so tables stay
+readable.  The ``raw`` normalization, which carries that factor, is a
+way of rendering, not a second build path: :func:`convert_normalization`
+turns a per-factorial-b class into its raw value exactly.  The
 coefficients of delta_j for j >= 1 involve the external symbols c_j and
 b_j, which stay symbolic unless an :class:`ExternalCoeffs` table is
 supplied; the lambda and delta_0 coefficients are always symbol-free.
@@ -66,10 +69,9 @@ def factorial_b(k: int) -> int:
     return factorial(6 * k)
 
 
-def _check_normalization(normalization: str) -> str:
+def _check_normalization(normalization: str) -> None:
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    return normalization
 
 
 def convert_normalization(
@@ -120,10 +122,9 @@ class ExternalCoeffs:
 
 
 @per_k_cache
-def p_push(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
+def p_push(k: int) -> ClassMap:
     """The push-forward map from the Hurwitz basis to the genus-2k
-    moduli basis, row by generator."""
-    _check_normalization(normalization)
+    moduli basis, row by generator, per factorial b."""
     n = catalan_number(k)
     lead2 = Fraction(k - 2, 2 * k - 1) * n
     lead3 = Fraction(3, 2 * (2 * k - 1)) * n
@@ -153,57 +154,33 @@ def p_push(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
         for name, e in zip(names[j], e_rows[j]):
             # e_{j,c} as its integer numerator, which is positive
             cols[name] = {deltas[j]: e * f}
-    pushed = ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, sym)
-    if normalization == RAW:
-        pushed = pushed.scale(factorial_b(k))
-    return pushed
-
-
-# A pushed class in raw normalization is (6k)! times its per-factorial-b
-# value, exactly, by linearity; scaling the k + 2 entries of the result
-# is far cheaper than scaling every row of the push-forward map.
-
-
-def _is_raw(normalization: str) -> bool:
-    return _check_normalization(normalization) == RAW
+    return ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, sym)
 
 
 @per_k_cache
-def p_phi_lambda(k: int, normalization: str = PER_FACTORIAL_B) -> DivisorClass:
+def p_phi_lambda(k: int) -> DivisorClass:
     """Push-forward of the pulled-back Hodge class of the trace-curve
     moduli space."""
-    if _is_raw(normalization):
-        pushed = p_phi_lambda(k, PER_FACTORIAL_B)
-        return convert_normalization(pushed, k, PER_FACTORIAL_B, RAW)
-    return p_push(k, PER_FACTORIAL_B).apply(phi_pull_lambda(k))
+    return p_push(k).apply(phi_pull_lambda(k))
 
 
 @per_k_cache
-def p_phihat_lambda(k: int, normalization: str = PER_FACTORIAL_B) -> DivisorClass:
+def p_phihat_lambda(k: int) -> DivisorClass:
     """Push-forward of the pulled-back Hodge class of the reduced-trace
     moduli space."""
-    if _is_raw(normalization):
-        pushed = p_phihat_lambda(k, PER_FACTORIAL_B)
-        return convert_normalization(pushed, k, PER_FACTORIAL_B, RAW)
-    return p_push(k, PER_FACTORIAL_B).apply(phihat_pull_lambda(k))
+    return p_push(k).apply(phihat_pull_lambda(k))
 
 
 @per_k_cache
-def p_phi_delta(k: int, j_prime: int, normalization: str = RAW) -> DivisorClass:
+def p_phi_delta(k: int, j_prime: int) -> DivisorClass:
     """Correspondence action on the boundary class delta'_{j'}."""
-    if _is_raw(normalization):
-        pushed = p_phi_delta(k, j_prime, PER_FACTORIAL_B)
-        return convert_normalization(pushed, k, PER_FACTORIAL_B, RAW)
-    return p_push(k, PER_FACTORIAL_B).apply(phi_pull_boundary(k, j_prime))
+    return p_push(k).apply(phi_pull_boundary(k, j_prime))
 
 
 @per_k_cache
-def p_phihat_delta(k: int, j_hat: int, normalization: str = RAW) -> DivisorClass:
+def p_phihat_delta(k: int, j_hat: int) -> DivisorClass:
     """Correspondence action on the reduced-trace boundary class."""
-    if _is_raw(normalization):
-        pushed = p_phihat_delta(k, j_hat, PER_FACTORIAL_B)
-        return convert_normalization(pushed, k, PER_FACTORIAL_B, RAW)
-    return p_push(k, PER_FACTORIAL_B).apply(phihat_pull_boundary(k, j_hat))
+    return p_push(k).apply(phihat_pull_boundary(k, j_hat))
 
 
 def p_phi_lambda_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
@@ -279,10 +256,10 @@ def p_phihat_lambda_delta_expected(k: int, j: int) -> AffineExpr:
 
 
 @per_k_cache
-def p_q_map(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
+def p_q_map(k: int) -> ClassMap:
     """The composite correspondence action on the symmetric boundary
     classes of the 6k-pointed rational moduli space, by the generic-k
-    rows.
+    rows, per factorial b.
 
     For k >= 3 this equals composing :func:`q_pullback` with
     :func:`p_push`.  The generic rows keep the E2/E3 content that the
@@ -290,7 +267,6 @@ def p_q_map(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
     lambda/delta_0 part), so the closed-form slope bound of the ample
     boundary class holds for every k.
     """
-    _check_normalization(normalization)
     n = catalan_number(k)
     lead = Fraction(k * (6 * k - 1), 2 * k - 1) * n
     b3_weight = Fraction(9, 4 * k - 2) * n
@@ -303,20 +279,14 @@ def p_q_map(k: int, normalization: str = PER_FACTORIAL_B) -> ClassMap:
     sym = {T2: {delta(j): {c_sym(j): den, b_sym(j): b3} for j in range(1, k + 1)}}
     for j, alpha in enumerate(alphas, 1):
         cols[T3j(j)] = {delta(j): numerator_over(alpha, den)}
-    composite = ClassMap._raw(q_pullback(k).source, mg_basis(k), den, cols, sym)
-    if normalization == RAW:
-        composite = composite.scale(factorial_b(k))
-    return composite
+    return ClassMap._raw(q_pullback(k).source, mg_basis(k), den, cols, sym)
 
 
 @per_k_cache
-def p_q_kappa(k: int, normalization: str = PER_FACTORIAL_B) -> DivisorClass:
+def p_q_kappa(k: int) -> DivisorClass:
     """The correspondence action applied to the ample class
     psi - delta of the pointed rational moduli space."""
-    if _is_raw(normalization):
-        pushed = p_q_kappa(k, PER_FACTORIAL_B)
-        return convert_normalization(pushed, k, PER_FACTORIAL_B, RAW)
-    return p_q_map(k, PER_FACTORIAL_B).apply(kappa_class(k))
+    return p_q_map(k).apply(kappa_class(k))
 
 
 def p_q_kappa_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
@@ -342,7 +312,7 @@ def mg_canonical_class(k: int) -> DivisorClass:
 
 
 @per_k_cache
-def eh_divisor(k: int, normalization: str = RAW) -> DivisorClass:
+def eh_divisor(k: int) -> DivisorClass:
     """The pushed branch divisor of the covering-space map (the divisor
     of curves with fewer pencils than the generic count), computed from
     the two expressions for the canonical class of the Hurwitz space.
@@ -350,9 +320,6 @@ def eh_divisor(k: int, normalization: str = RAW) -> DivisorClass:
     The closed-form lambda and delta_0 coefficients are meaningful for
     k >= 3; for smaller k the assembled value is returned as-is.
     """
-    if _is_raw(normalization):
-        pushed = eh_divisor(k, PER_FACTORIAL_B)
-        return convert_normalization(pushed, k, PER_FACTORIAL_B, RAW)
     b = 6 * k
     hur = hurwitz_basis(k)
     # q-side canonical class plus ramification, minus the non-branch
@@ -375,7 +342,7 @@ def eh_divisor(k: int, normalization: str = RAW) -> DivisorClass:
             (1, DivisorClass._raw(hur, b - 1, nums)),
         ),
     )
-    pushed = p_push(k, PER_FACTORIAL_B).apply(assembly)
+    pushed = p_push(k).apply(assembly)
     return linear_combination(
         pushed.basis, ((1, pushed), (-catalan_number(k), mg_canonical_class(k)))
     )

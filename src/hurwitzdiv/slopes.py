@@ -17,7 +17,6 @@ from .bases import DivisorClass, LAMBDA, MG, delta
 from .core import AffineExpr, Rational
 from .pushforward import (
     ExternalCoeffs,
-    PER_FACTORIAL_B,
     p_phi_delta,
     p_phi_lambda,
     p_phihat_delta,
@@ -107,11 +106,11 @@ def _mobius_substitution(
     """The same Moebius map assembled from the pushed Hodge and boundary
     classes."""
     if variant == TRACE:
-        hodge = p_phi_lambda(k, PER_FACTORIAL_B)
-        boundary = p_phi_delta(k, 0, PER_FACTORIAL_B)
+        hodge = p_phi_lambda(k)
+        boundary = p_phi_delta(k, 0)
     elif variant == REDUCED:
-        hodge = p_phihat_lambda(k, PER_FACTORIAL_B)
-        boundary = p_phihat_delta(k, 0, PER_FACTORIAL_B)
+        hodge = p_phihat_lambda(k)
+        boundary = p_phihat_delta(k, 0)
     else:
         raise ValueError(f"unknown slope variant {variant!r}")
     alpha_lam = hodge.coefficient(LAMBDA).constant_value()
@@ -178,7 +177,7 @@ def kappa_slope_bound(k: int, externals: ExternalCoeffs | None = None) -> Fracti
     on the delta_j coefficients and a violation raises
     :class:`VerificationError`.
     """
-    pushed = p_q_kappa(k, PER_FACTORIAL_B)
+    pushed = p_q_kappa(k)
     report = slope_of(pushed)
     expected = Fraction(3 * (2 * k + 5), k + 1)
     g = 2 * k

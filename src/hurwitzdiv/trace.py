@@ -7,7 +7,7 @@ boundary pullbacks from the two target moduli spaces.
 Every evaluator is a total function of k.  The generators E2 and E3 do
 not exist for small k (E2 needs k >= 3, E3 needs k >= 2) and their terms
 are dropped uniformly; the only further small-k adjustment is the
-reduced-trace node coefficient at k = 1, see :func:`s_coeff`.
+reduced-trace node coefficient at k = 1, see :func:`_s_int`.
 
 The integer families over E_{j,c} (the push-forward multiplicities e,
 the node counts d and s, the dualizing terms a and the closed-form
@@ -106,8 +106,8 @@ def _check_jc(k: int, j: int, c: int) -> None:
 
 # The coefficient families below are evaluated in integers, each over a
 # single denominator.  The class builders pass those integers to the
-# divisor class as they are; the per-coefficient functions turn them
-# into one Fraction at the end.
+# divisor class as they are; only :func:`e_coeff` and :func:`alpha_coeff`
+# turn theirs into one Fraction at the end.
 
 
 def e_numerator(k: int, j: int, c: int) -> int:
@@ -145,6 +145,7 @@ def alpha_coeff(k: int, j: int) -> Fraction:
 
 
 def _d_int(k: int, j: int, c: int) -> int:
+    """d_{j,c}, the node count over E_{j,c} of the trace-curve family."""
     return (
         (comb(c, 2) + comb(k - j + c, 2)) * (j + 1 - 2 * c)
         + 2 * (c + 1) * (k - j + c)
@@ -152,24 +153,12 @@ def _d_int(k: int, j: int, c: int) -> int:
     )
 
 
-def d_coeff(k: int, j: int, c: int) -> Fraction:
-    """Node count over E_{j,c} for the trace-curve family."""
-    _check_jc(k, j, c)
-    return Fraction(_d_int(k, j, c))
-
-
 def _a_numerator(k: int, j: int, c: int) -> int:
-    # a_{j,c} times 2(6k-1)
+    """a_{j,c}, the E_{j,c} coefficient of the pushed square of the
+    relative dualizing sheaf of the trace-curve family, times 2(6k-1)."""
     return (j + 1 - 2 * c) * (
         27 * j * (2 * k - 1) * (2 * k - j) - 2 * k * (k + 1) * (6 * k - 1)
     )
-
-
-def a_coeff(k: int, j: int, c: int) -> Fraction:
-    """E_{j,c} coefficient of the pushed square of the relative
-    dualizing sheaf of the trace-curve family."""
-    _check_jc(k, j, c)
-    return Fraction(_a_numerator(k, j, c), 2 * (6 * k - 1))
 
 
 def t_numerator(k: int, j: int, c: int) -> int:
@@ -178,6 +167,14 @@ def t_numerator(k: int, j: int, c: int) -> int:
 
 
 def _s_int(k: int, j: int, c: int) -> int:
+    """s_{j,c}, the node count over E_{j,c} of the reduced-trace-curve
+    family.
+
+    For k = 1 the single coefficient is 1, not the value 2 of the
+    general expression: the reduced trace curve of a genus-2 cover is
+    the base line itself and its family acquires exactly one node over
+    E_{1,0}.
+    """
     if k == 1:
         return 1
     return (
@@ -186,18 +183,6 @@ def _s_int(k: int, j: int, c: int) -> int:
         + (j + 1) // 2
         + (1 if j % 2 == 1 else 0)
     )
-
-
-def s_coeff(k: int, j: int, c: int) -> Fraction:
-    """Node count over E_{j,c} for the reduced-trace-curve family.
-
-    For k = 1 the single coefficient is 1, not the value 2 of the
-    general expression: the reduced trace curve of a genus-2 cover is
-    the base line itself and its family acquires exactly one node over
-    E_{1,0}.
-    """
-    _check_jc(k, j, c)
-    return Fraction(_s_int(k, j, c))
 
 
 def _u_correction(k: int, j: int) -> int:
@@ -209,11 +194,6 @@ def u_numerator(k: int, j: int, c: int) -> int:
     """u_{j,c} times its denominator 2(6k-1)."""
     correction = (j + 1 - 2 * c) * _u_correction(k, j)
     return 2 * (6 * k - 1) * _s_int(k, j, c) - correction
-
-
-def u_coeff(k: int, j: int, c: int) -> Fraction:
-    _check_jc(k, j, c)
-    return Fraction(u_numerator(k, j, c), 2 * (6 * k - 1))
 
 
 # One row of :func:`_d_int`, :func:`_a_numerator` and :func:`_s_int`
@@ -259,8 +239,8 @@ def jc_rows(k: int, family: str) -> tuple[tuple[int, ...], ...]:
     entry j holds the values for c = 0 .. floor(j/2), entry 0 is empty.
 
     The families are the numerators of :func:`e_row` (``"e"``), the node
-    counts :func:`d_coeff` (``"d"``) and :func:`s_coeff` (``"s"``), and
-    the numerators over 2(6k-1) of :func:`a_coeff` (``"a"``),
+    counts :func:`_d_int` (``"d"``) and :func:`_s_int` (``"s"``), and
+    the numerators over 2(6k-1) given by :func:`_a_numerator` (``"a"``),
     :func:`t_numerator` (``"t"``) and :func:`u_numerator` (``"u"``); the
     last two are derived from the cached ``"a"``, ``"d"`` and ``"s"``
     rows.  Each (k, family) is built on first use, so a caller that

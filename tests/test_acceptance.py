@@ -31,7 +31,6 @@ from hurwitzdiv.m0b import (
     psi_restricted,
 )
 from hurwitzdiv.pushforward import (
-    PER_FACTORIAL_B,
     eh_closed_coeffs,
     eh_divisor,
     p_phi_delta,
@@ -112,14 +111,14 @@ def test_criterion_4_dual_route_pushforwards():
         assert _lam_d0(p_phi_lambda(k)) == p_phi_lambda_closed_coeffs(k)
         assert _lam_d0(p_phihat_lambda(k)) == p_phihat_lambda_closed_coeffs(k)
         assert (
-            _lam_d0(p_phi_delta(k, 0, PER_FACTORIAL_B))
+            _lam_d0(p_phi_delta(k, 0))
             == p_phi_delta0_closed_coeffs(k)
         )
         assert (
-            _lam_d0(p_phihat_delta(k, 0, PER_FACTORIAL_B))
+            _lam_d0(p_phihat_delta(k, 0))
             == p_phihat_delta0_closed_coeffs(k)
         )
-        assert _lam_d0(eh_divisor(k, PER_FACTORIAL_B)) == eh_closed_coeffs(k)
+        assert _lam_d0(eh_divisor(k)) == eh_closed_coeffs(k)
 
 
 def test_criterion_5_slope_closed_form():

@@ -160,13 +160,6 @@ def test_compose_matches_sequential_application(d, outer):
     assert composed.target == outer.target
 
 
-def test_scale_map():
-    q = q_pullback(1)
-    doubled = q.scale(2)
-    t2 = DivisorClass(m0b_sym_basis(1), {T2: 1})
-    assert doubled.apply(t2) == q.apply(t2) * 2
-
-
 def test_sort_index_natural_order():
     basis = hurwitz_basis(4)
     ordered = sorted(basis.generators(), key=basis.sort_index)
@@ -575,12 +568,7 @@ def test_column_store_gives_back_its_rows(rows, data):
         row = m.row(g)
         assert_canonical(row)
         assert row == rows.get(g, zero_class(basis))
-    # scaling, and composing with a plain map on either side
-    a = data.draw(big_rationals)
-    d = data.draw(mg3_classes(big_rationals))
-    assert model(m.scale(a).apply(d)) == {
-        t: v * a for t, v in apply_model(m, d).items()
-    }
+    # composing with a plain map on either side
     plain = class_map(data.draw(fraction_maps()))
     for outer, inner in ((plain, m), (m, plain)):
         composed = outer.compose(inner)

@@ -7,7 +7,7 @@ import pytest
 
 from hurwitzdiv import pushforward, serialize
 from hurwitzdiv.cli import main
-from hurwitzdiv.pushforward import RAW
+from hurwitzdiv.pushforward import PER_FACTORIAL_B, RAW, convert_normalization
 from hurwitzdiv.serialize import dumps_canonical
 
 
@@ -256,6 +256,16 @@ def test_slope_missing_s_prime(capsys):
     assert "--s-prime" in err
 
 
+def test_slope_kappa_refuses_s_prime(capsys):
+    # the ample-class slope takes no source slope; a given one is refused,
+    # not ignored
+    code, out, err = run(
+        capsys, "slope", "--k", "3", "--s-prime", "12", "--variant", "kappa"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --s-prime does not apply to variant 'kappa'\n"
+
+
 def test_slope_bad_rational(capsys):
     code, _, err = run(
         capsys, "slope", "--k", "3", "--s-prime", "twelve", "--variant", "trace"
@@ -405,6 +415,18 @@ def test_table_slope_bound(capsys):
     assert any(line.startswith("3,") for line in lines)
 
 
+@pytest.mark.parametrize("quantity", ["genus", "slope-bound", "coefficients:delta-tau"])
+@pytest.mark.parametrize("k_min, k_max", [("3", "1"), ("-2", "3"), ("0", "0")])
+def test_table_refuses_an_invalid_range(capsys, quantity, k_min, k_max):
+    # like verify: an empty or non-positive range is bad input, not an
+    # empty table
+    code, out, err = run(
+        capsys, "table", "--quantity", quantity, "--k-min", k_min, "--k-max", k_max
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid range 1 <= {k_min} <= {k_max}\n"
+
+
 def test_table_unknown_quantity(capsys):
     code, _, err = run(
         capsys, "table", "--quantity", "bogus", "--k-min", "1", "--k-max", "2"
@@ -533,15 +555,11 @@ def test_slope_target_is_the_chained_sum(reduced):
             continue
         images = cli._boundary_images(k, reduced)
         pushed = pushforward.p_phihat_delta if reduced else pushforward.p_phi_delta
-        assert images == [pushed(k, j, "per-factorial-b") for j in range(k + 1)]
+        assert images == [pushed(k, j) for j in range(k + 1)]
         chained = images[0]
         for image in images[1:]:
             chained = chained + image
-        hodge = (
-            pushforward.p_phihat_lambda(k, "per-factorial-b")
-            if reduced
-            else pushforward.p_phi_lambda(k, "per-factorial-b")
-        )
+        hodge = pushforward.p_phihat_lambda(k) if reduced else pushforward.p_phi_lambda(k)
         for s in _SLOPE_GRID:
             assert cli._slope_target(k, s, reduced) == hodge * s - chained
 
@@ -558,8 +576,8 @@ PUSHED = {
 @pytest.mark.parametrize("name", sorted(PUSHED))
 def test_raw_emission_matches_the_materialized_raw_class(capsys, name, k):
     # raw output is rendered from the per-factorial-b class scaled by
-    # (6k)!; it must be the bytes of the class built at RAW, and leave
-    # the decimal context and the int text limit as they were
+    # (6k)!; it must be the bytes of the class converted to raw, and
+    # leave the decimal context and the int text limit as they were
     context = decimal.getcontext()
     saved = (context.prec, context.Emax, dict(context.traps), dict(context.flags))
     limit = sys.get_int_max_str_digits()
@@ -574,7 +592,7 @@ def test_raw_emission_matches_the_materialized_raw_class(capsys, name, k):
     assert (context.prec, context.Emax, dict(context.traps), dict(context.flags)) == saved
     assert sys.get_int_max_str_digits() == limit
 
-    raw = PUSHED[name](k, RAW)
+    raw = convert_normalization(PUSHED[name](k), k, PER_FACTORIAL_B, RAW)
     # the reference converts the (6k)!-sized ints one by one, which passes
     # the default limit at k = 255
     sys.set_int_max_str_digits(0)

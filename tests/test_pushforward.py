@@ -43,7 +43,6 @@ from hurwitzdiv.pushforward import (
     p_q_map,
     prym_pullbacks,
 )
-from hurwitzdiv.m0b import kappa_class
 from hurwitzdiv.trace import (
     alpha_coeff,
     catalan_number,
@@ -174,20 +173,13 @@ def eh_divisor_fraction_assembly(k):
         for c in range(j // 2 + 1):
             ejc[Ejc(j, c)] = weight * (j + 1 - 2 * c) - 1
     assembly = assembly + DivisorClass(hur, base) + DivisorClass(hur, ejc)
-    pushed = p_push(k, PER_FACTORIAL_B).apply(assembly)
+    pushed = p_push(k).apply(assembly)
     return pushed - mg_canonical_class(k) * catalan_number(k)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_eh_divisor_equals_fraction_assembly(k):
-    assert eh_divisor(k, PER_FACTORIAL_B) == eh_divisor_fraction_assembly(k)
-
-
-def test_p_push_raw_scaling():
-    raw = p_push(2, RAW)
-    pfb = p_push(2, PER_FACTORIAL_B)
-    d = DivisorClass(hurwitz_basis(2), {E0: 1, Ejc(2, 1): 3})
-    assert raw.apply(d) == pfb.apply(d) * factorial_b(2)
+    assert eh_divisor(k) == eh_divisor_fraction_assembly(k)
 
 
 def test_pushed_t3j_matches_alpha_display():
@@ -250,42 +242,43 @@ def test_delta_j_coefficients_match_row_structure():
 
 
 def test_pushed_boundary_closed_forms_k3():
-    assert lam_d0(p_phi_delta(3, 0, PER_FACTORIAL_B)) == (1938, -214)
+    assert lam_d0(p_phi_delta(3, 0)) == (1938, -214)
     assert p_phi_delta0_closed_coeffs(3) == (1938, -214)
-    assert lam_d0(p_phihat_delta(3, 0, PER_FACTORIAL_B)) == (612, -66)
+    assert lam_d0(p_phihat_delta(3, 0)) == (612, -66)
     assert p_phihat_delta0_closed_coeffs(3) == (612, -66)
-    raw_lam = p_phi_delta(3, 0, RAW).coefficient(LAMBDA).constant_value()
+    raw = convert_normalization(p_phi_delta(3, 0), 3, PER_FACTORIAL_B, RAW)
+    raw_lam = raw.coefficient(LAMBDA).constant_value()
     assert raw_lam == 1938 * factorial_b(3)
 
 
 def test_pushed_boundary_closed_forms_range():
     for k in range(2, 13):
-        assert lam_d0(p_phi_delta(k, 0, PER_FACTORIAL_B)) == p_phi_delta0_closed_coeffs(k)
-        assert lam_d0(p_phihat_delta(k, 0, PER_FACTORIAL_B)) == p_phihat_delta0_closed_coeffs(k)
+        assert lam_d0(p_phi_delta(k, 0)) == p_phi_delta0_closed_coeffs(k)
+        assert lam_d0(p_phihat_delta(k, 0)) == p_phihat_delta0_closed_coeffs(k)
 
 
 def test_pushed_boundary_higher_indices():
     # delta'_1 pushes to (2k-1) e_{1,0} delta_1
-    assert p_phi_delta(3, 1, PER_FACTORIAL_B) == mclass(
+    assert p_phi_delta(3, 1) == mclass(
         3, {delta(1): 5 * e_coeff(3, 1, 0)}
     )
     # the reduced boundary class of index k pushes to zero
-    assert p_phihat_delta(3, 3, PER_FACTORIAL_B).is_zero()
-    assert p_phi_delta(3, 9, PER_FACTORIAL_B).is_zero()
+    assert p_phihat_delta(3, 3).is_zero()
+    assert p_phi_delta(3, 9).is_zero()
 
 
 def test_p_q_map_matches_composition_for_k3_and_up():
     for k in (3, 4, 7):
-        direct = p_q_map(k, PER_FACTORIAL_B)
-        composed = p_push(k, PER_FACTORIAL_B).compose(q_pullback(k))
+        direct = p_q_map(k)
+        composed = p_push(k).compose(q_pullback(k))
         assert direct.row(T2) == composed.row(T2)
         for j in range(1, k + 1):
             assert direct.row(T3j(j)) == composed.row(T3j(j))
 
 
 def test_p_q_map_k2_lambda_delta0_agree():
-    direct = p_q_map(2, PER_FACTORIAL_B).row(T2)
-    composed = p_push(2, PER_FACTORIAL_B).compose(q_pullback(2)).row(T2)
+    direct = p_q_map(2).row(T2)
+    composed = p_push(2).compose(q_pullback(2)).row(T2)
     assert lam_d0(direct) == lam_d0(composed)
     # the dropped E2 generator removes the c_j terms from the composition
     assert composed.coefficient(delta(1)).coefficient(c_sym(1)) == 0
@@ -295,9 +288,9 @@ def test_p_q_map_k2_lambda_delta0_agree():
 def test_p_q_map_k1_keeps_generic_rows():
     # composing through the k = 1 Hurwitz basis would lose the E3
     # content; the generic rows keep the closed-form lambda/delta_0 values
-    direct = p_q_map(1, PER_FACTORIAL_B).row(T2)
+    direct = p_q_map(1).row(T2)
     assert lam_d0(direct) == (105, -10)
-    composed = p_push(1, PER_FACTORIAL_B).compose(q_pullback(1)).row(T2)
+    composed = p_push(1).compose(q_pullback(1)).row(T2)
     assert lam_d0(composed) == (0, Fraction(1, 2))
 
 
@@ -319,28 +312,21 @@ def test_mg_canonical_class():
 
 
 def test_eh_divisor_closed_form():
-    assert lam_d0(eh_divisor(3, PER_FACTORIAL_B)) == (94, -12)
+    assert lam_d0(eh_divisor(3)) == (94, -12)
     assert eh_closed_coeffs(3) == (94, -12)
     for k in range(3, 13):
-        assert lam_d0(eh_divisor(k, PER_FACTORIAL_B)) == eh_closed_coeffs(k)
+        assert lam_d0(eh_divisor(k)) == eh_closed_coeffs(k)
 
 
 def test_eh_divisor_small_k_assembly_only():
-    assert eh_divisor(1, PER_FACTORIAL_B) == mclass(
+    assert eh_divisor(1) == mclass(
         1, {LAMBDA: -13, delta(0): Fraction(13, 10), delta(1): Fraction(18, 5)}
     )
-    assert lam_d0(eh_divisor(2, PER_FACTORIAL_B)) == (34, -4)
+    assert lam_d0(eh_divisor(2)) == (34, -4)
 
 
 def test_prym_pullbacks():
     pair = prym_pullbacks(3)
-    from hurwitzdiv.trace import (
-        phi_pull_boundary,
-        phi_pull_lambda,
-        phihat_pull_boundary,
-        phihat_pull_lambda,
-    )
-
     assert pair.hodge == phi_pull_lambda(3) - phihat_pull_lambda(3)
     assert pair.boundary == phi_pull_boundary(3, 0) - phihat_pull_boundary(3, 0)
     assert pair.boundary.coefficient(E0).constant_value() == 6
@@ -352,10 +338,10 @@ def test_symbol_hygiene_lambda_delta0_constant():
         for d in (
             p_phi_lambda(k),
             p_phihat_lambda(k),
-            p_phi_delta(k, 0, PER_FACTORIAL_B),
-            p_phihat_delta(k, 0, PER_FACTORIAL_B),
+            p_phi_delta(k, 0),
+            p_phihat_delta(k, 0),
             p_q_kappa(k),
-            eh_divisor(k, PER_FACTORIAL_B),
+            eh_divisor(k),
         ):
             assert d.coefficient(LAMBDA).is_constant()
             assert d.coefficient(delta(0)).is_constant()
@@ -408,7 +394,7 @@ def test_external_coeffs_substitution_eliminates_symbols():
         {1: Fraction(3, 2), 2: Fraction(-1)},
         {1: Fraction(5), 2: Fraction(1, 7)},
     )
-    for d in (p_phihat_lambda(2), p_q_kappa(2), eh_divisor(2, PER_FACTORIAL_B)):
+    for d in (p_phihat_lambda(2), p_q_kappa(2), eh_divisor(2)):
         numeric = ext.apply(d)
         assert all(value.is_constant() for _, value in numeric.items())
     # spot value: delta_1 of the reduced Hodge push-forward
@@ -417,45 +403,10 @@ def test_external_coeffs_substitution_eliminates_symbols():
     )
 
 
-def test_raw_classes_equal_scaled_normalized_classes():
-    # the raw classes are computed as (6k)! times the per-factorial-b
-    # result; they must also equal the raw push-forward map applied
-    for k in range(1, 7):
-        phi_js = range(min(k, genus_trace(k) // 2) + 1)
-        phihat_js = range(min(k, genus_reduced_trace(k) // 2) + 1)
-        pairs = [
-            (p_phi_lambda, phi_pull_lambda(k), ()),
-            (p_phihat_lambda, phihat_pull_lambda(k), ()),
-            *((p_phi_delta, phi_pull_boundary(k, j), (j,)) for j in phi_js),
-            *((p_phihat_delta, phihat_pull_boundary(k, j), (j,)) for j in phihat_js),
-        ]
-        for builder, pulled, args in pairs:
-            raw = builder(k, *args, RAW)
-            normalized = builder(k, *args, PER_FACTORIAL_B)
-            assert raw == convert_normalization(normalized, k, PER_FACTORIAL_B, RAW)
-            assert raw == p_push(k, RAW).apply(pulled)
-        assert p_q_kappa(k, RAW) == convert_normalization(
-            p_q_kappa(k), k, PER_FACTORIAL_B, RAW
-        )
-        assert p_q_kappa(k, RAW) == p_q_map(k, RAW).apply(kappa_class(k))
-        assert eh_divisor(k, RAW) == convert_normalization(
-            eh_divisor(k, PER_FACTORIAL_B), k, PER_FACTORIAL_B, RAW
-        )
-
-
-def test_pushed_classes_reject_unknown_normalization():
-    for builder in (p_phi_lambda, p_phihat_lambda, p_q_kappa, eh_divisor):
-        with pytest.raises(ValueError):
-            builder(2, "nope")
-    with pytest.raises(ValueError):
-        p_phi_delta(2, 0, "nope")
-
-
 def _pushed_builder_values(k):
-    """Every (k, [j,] normalization) value of the builders that take a
-    normalization, as the one positional call shape."""
-    norms = (RAW, PER_FACTORIAL_B)
-    per_k = [(k, n) for n in norms]
+    """Every (k[, j]) value of the push-forward builders, as the one
+    positional call shape."""
+    per_k = [(k,)]
     return {
         p_push: per_k,
         p_q_map: per_k,
@@ -463,10 +414,8 @@ def _pushed_builder_values(k):
         p_phihat_lambda: per_k,
         p_q_kappa: per_k,
         eh_divisor: per_k,
-        p_phi_delta: [(k, j, n) for j in range(genus_trace(k) // 2 + 1) for n in norms],
-        p_phihat_delta: [
-            (k, j, n) for j in range(genus_reduced_trace(k) // 2 + 1) for n in norms
-        ],
+        p_phi_delta: [(k, j) for j in range(genus_trace(k) // 2 + 1)],
+        p_phihat_delta: [(k, j) for j in range(genus_reduced_trace(k) // 2 + 1)],
     }
 
 
@@ -480,8 +429,8 @@ def _pushed_builder_values(k):
     ],
 )
 def test_pushed_builders_hold_one_entry_per_value(argv, capsys):
-    # every internal call passes the normalization in the same shape, so
-    # after asking for every value in that shape, each value is one entry
+    # every internal call passes its arguments in the same shape, so after
+    # asking for every value in that shape, each value is one entry
     from hurwitzdiv.checks import run_checks
     from hurwitzdiv.cli import main
 

@@ -19,10 +19,8 @@ from hurwitzdiv.cli import main
 from hurwitzdiv.m0b import psi_restricted
 from hurwitzdiv.trace import (
     InvariantError,
-    a_coeff,
     alpha_coeff,
     catalan_number,
-    d_coeff,
     delta_s,
     delta_tau,
     e_coeff,
@@ -36,11 +34,9 @@ from hurwitzdiv.trace import (
     phihat_pull_boundary,
     phihat_pull_lambda,
     q_pullback,
-    s_coeff,
     s_omega_sq,
     twelve_lambda_reduced_closed,
     twelve_lambda_trace_closed,
-    u_coeff,
 )
 
 
@@ -114,16 +110,17 @@ def test_delta_tau_k3_coefficients():
 
 
 def test_d_coeff_values():
-    assert d_coeff(1, 1, 0) == 1
-    assert d_coeff(2, 1, 0) == 3
-    assert d_coeff(2, 2, 1) == 6
+    assert trace_mod._d_int(1, 1, 0) == 1
+    assert trace_mod._d_int(2, 1, 0) == 3
+    assert trace_mod._d_int(2, 2, 1) == 6
 
 
 def test_omega_tau_sq_k1():
     w = omega_tau_sq(1)
     assert w.coefficient(E0).constant_value() == Fraction(2, 5)
     assert w.coefficient(Ejc(1, 0)).constant_value() == Fraction(7, 5)
-    assert a_coeff(1, 1, 0) == Fraction(7, 5)
+    # a_{1,0} = 7/5, as its numerator over 2(6k - 1) = 10
+    assert trace_mod._a_numerator(1, 1, 0) == 14
 
 
 def test_grr_pieces_k1():
@@ -177,13 +174,13 @@ def test_delta_s_small_k_cases():
 
 
 def test_s_coeff_values():
-    assert s_coeff(2, 1, 0) == 3
-    assert s_coeff(2, 2, 0) == 1
-    assert s_coeff(2, 2, 1) == 3
+    assert trace_mod._s_int(2, 1, 0) == 3
+    assert trace_mod._s_int(2, 2, 0) == 1
+    assert trace_mod._s_int(2, 2, 1) == 3
     # at k = 1 the reduced trace curve is the base line and its family
     # gets a single node, so the coefficient is 1, not the 2 of the
     # general expression
-    assert s_coeff(1, 1, 0) == 1
+    assert trace_mod._s_int(1, 1, 0) == 1
     general = (
         (1 - 1 + 0) * 1
         + 0
@@ -206,9 +203,10 @@ def test_s_omega_sq_rearrangement():
 
 
 def test_u_coeff_values():
-    assert u_coeff(2, 1, 0) == Fraction(48, 11)
-    assert u_coeff(2, 2, 0) == Fraction(74, 11)
-    assert u_coeff(2, 2, 1) == Fraction(54, 11)
+    # u_{j,c} over 2(6k - 1) = 22: 48/11, 74/11 and 54/11
+    assert trace_mod.u_numerator(2, 1, 0) == 96
+    assert trace_mod.u_numerator(2, 2, 0) == 148
+    assert trace_mod.u_numerator(2, 2, 1) == 108
 
 
 def test_phihat_pull_lambda_k2_value():
