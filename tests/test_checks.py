@@ -143,3 +143,60 @@ def test_only_check_level_failures_become_fail(monkeypatch):
     # a known error class still reaches the command line as exit code 2
     monkeypatch.setattr(trace, "grr_pieces", raising(IndexRangeError))
     assert main(["verify", "--k-min", "3", "--k-max", "3", "--checks", "grr-assembly"]) == 2
+
+
+_CLOSED_FORM_DETAILS = {
+    "p_phi_lambda_closed_coeffs": "pushed trace Hodge class differs from closed form",
+    "p_phihat_lambda_closed_coeffs": "pushed reduced Hodge class differs from closed form",
+    "p_phi_delta0_closed_coeffs": "pushed boundary class differs from closed form",
+    "p_phihat_delta0_closed_coeffs": "pushed reduced boundary class differs from closed form",
+    "eh_closed_coeffs": "branch divisor differs from closed form",
+    "p_q_kappa_closed_coeffs": "pushed ample class differs from closed form",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_DETAILS))
+def test_closed_forms_fail_names_the_pushed_class(monkeypatch, name):
+    # each closed (lambda, delta_0) pair, off by one in lambda, FAILs the
+    # second closed-forms result with the text that names its class
+    from hurwitzdiv import pushforward
+
+    real = getattr(pushforward, name)
+
+    def off_by_one(k):
+        lam, d0 = real(k)
+        return lam + 1, d0
+
+    monkeypatch.setattr(pushforward, name, off_by_one)
+    results = run_checks(4, 4, ["closed-forms"])
+    assert [(r.status, r.detail) for r in results] == [
+        (PASS, ""),
+        (FAIL, _CLOSED_FORM_DETAILS[name]),
+    ]
+
+
+def test_catalan_fail_names_the_row(monkeypatch):
+    from hurwitzdiv import trace
+
+    real = trace.alpha_coeff
+    monkeypatch.setattr(trace, "alpha_coeff", lambda k, j: real(k, j) + (j == 1))
+    [result] = run_checks(4, 4, ["catalan"])
+    assert (result.status, result.detail) == (
+        FAIL,
+        "pushed T3j_1 differs from alpha(k, j) delta_1",
+    )
+
+
+def test_bounds_fails_on_a_mobius_mutant(monkeypatch):
+    # a wrong closed-form Moebius map is a FAIL of bounds, not an exception
+    from hurwitzdiv import slopes
+
+    real = slopes._mobius_closed
+
+    def negated_denominator(k, variant):
+        numerator, (q1, q0) = real(k, variant)
+        return numerator, (-q1, -q0)
+
+    monkeypatch.setattr(slopes, "_mobius_closed", negated_denominator)
+    [result] = run_checks(4, 4, ["bounds"])
+    assert result.status == FAIL
