@@ -88,10 +88,12 @@ from .slopes import (
     UNKNOWN,
     SlopeReport,
     ample_cone_test,
+    induced_slope,
     induced_slope_reduced,
     induced_slope_trace,
     kappa_slope_bound,
     slope_of,
+    slope_target,
 )
 from .checks import CHECKS, CheckResult, run_checks
 

@@ -10,11 +10,13 @@ command only; the full tree only when the first argument names no command
   pushed), which also lists the names in the help text.  A pushed class
   is built per factorial b; raw output renders it with scale (6k)!.
 * ``verify``: run the named identity checks over a range of k.
-* ``slope``: induced and ample-class slopes with validity status.
+* ``slope``: induced and ample-class slopes with validity status; the
+  variant goes to ``slopes.induced_slope``/``slope_target`` as it is.
 * ``m0n``: boundary combinatorics of pointed rational curves, for at
   most ``MAX_MARKED_POINTS`` points.
 * ``table``: per-k tables (genus data, slopes, coefficients) over a
-  range 1 <= k-min <= k-max.
+  range 1 <= k-min <= k-max.  An indexed class's coefficients table
+  skips each k without that class, and no such k at all is an error.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for
 usage or input errors.
@@ -29,7 +31,8 @@ from fractions import Fraction
 
 from . import checks as checks_mod
 from . import m0b, pushforward, serialize, slopes, trace
-from .bases import ClassGroupError, DivisorClass, T2, T3j, linear_combination, mg_basis
+from .bases import ClassGroupError, DivisorClass, IndexRangeError, T2, T3j
+from .bases import UnknownGeneratorError
 from .core import INDEX_GRAMMAR, format_rational, is_index_literal, parse_rational
 from .m0b import MarkedSetError
 from .pushforward import PER_FACTORIAL_B, RAW
@@ -137,21 +140,6 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _boundary_images(k: int, reduced: bool) -> list[DivisorClass]:
-    """The pushed boundary classes p_*phi(hat)^*delta'_j for j = 0..k;
-    the higher ones push forward to zero."""
-    pushed = pushforward.p_phihat_delta if reduced else pushforward.p_phi_delta
-    return [pushed(k, j) for j in range(k + 1)]
-
-
-def _slope_target(k: int, s: Fraction, reduced: bool) -> DivisorClass:
-    """s * p_*phi(hat)^*lambda - sum_j p_*phi(hat)^*delta'_j, one pass."""
-    hodge = pushforward.p_phihat_lambda(k) if reduced else pushforward.p_phi_lambda(k)
-    terms = [(s, hodge)]
-    terms.extend((-1, image) for image in _boundary_images(k, reduced))
-    return linear_combination(mg_basis(k), terms)
-
-
 def _cmd_slope(args) -> int:
     externals = serialize.load_externals(args.externals) if args.externals else None
     k = args.k
@@ -167,14 +155,9 @@ def _cmd_slope(args) -> int:
         if args.s_prime is None:
             raise UsageError(f"--s-prime is required for variant {args.variant!r}")
         s = parse_rational(args.s_prime)
-        reduced = args.variant == "reduced"
         # first, so that k < 3 is refused before the target is built
-        induced = (
-            slopes.induced_slope_reduced(k, s)
-            if reduced
-            else slopes.induced_slope_trace(k, s)
-        )
-        target = _slope_target(k, s, reduced)
+        induced = slopes.induced_slope(k, s, args.variant)
+        target = slopes.slope_target(k, s, args.variant)
     if externals is not None:
         target = externals.apply(target)
     report = slopes.slope_of(target)
@@ -260,11 +243,18 @@ def _table_rows(args) -> tuple[list[str], list[list[str]]]:
         name = quantity.split(":", 1)[1]
         columns = ["k", "generator", "coefficient"]
         rows = []
+        missing = []
         for k in k_range:
-            d, _, scale = _resolve_class(name, k, args.normalized)
+            try:
+                d, _, scale = _resolve_class(name, k, args.normalized)
+            except (IndexRangeError, UnknownGeneratorError) as exc:
+                missing.append(exc)  # the indexed class does not exist at this k
+                continue
             rows.extend(
                 [str(k), gen, text] for gen, text in serialize.coefficient_texts(d, scale)
             )
+        if len(missing) == len(k_range):
+            raise missing[0]
         return columns, rows
     raise UsageError(f"unknown table quantity {quantity!r}")
 

@@ -283,6 +283,14 @@ def p_q_map(k: int) -> ClassMap:
 
 
 @per_k_cache
+def p_q_composed(k: int) -> ClassMap:
+    """:func:`p_push` composed with :func:`q_pullback`, on columns.  Its
+    T3j rows are alpha(k, j) delta_j, and for k >= 3 it equals
+    :func:`p_q_map`."""
+    return p_push(k).compose(q_pullback(k))
+
+
+@per_k_cache
 def p_q_kappa(k: int) -> DivisorClass:
     """The correspondence action applied to the ample class
     psi - delta of the pointed rational moduli space."""

@@ -27,10 +27,11 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Any
+from typing import Any, Sequence
 
 from .bases import Basis, DivisorClass
 from .core import AffineExpr, ExtSymbol, affine_text, format_rational, parse_rational
+from .core import is_index_literal
 from .pushforward import NORMALIZATIONS, ExternalCoeffs, RAW
 
 CLASS_SCHEMA = "divisor-class/1"
@@ -52,14 +53,8 @@ def _index_table(table: Any, family: str, where: str) -> dict[int, Fraction]:
         raise ValueError(f'{where} {family!r} must map indices to "p/q" strings')
     parsed: dict[int, Fraction] = {}
     for index, value in table.items():
-        # [1-9][0-9]*: ASCII digits without a leading zero, so each index
-        # has exactly one spelling
-        if not (
-            isinstance(index, str)
-            and index.isascii()
-            and index.isdigit()
-            and index[0] != "0"
-        ):
+        # the index grammar without 0: [1-9][0-9]*, one spelling per index
+        if not (isinstance(index, str) and is_index_literal(index)) or index == "0":
             raise ValueError(
                 f"{where} {family!r} has a malformed index {index!r} "
                 "(indices are 1, 2, 3, ... without leading zeros)"
@@ -207,10 +202,7 @@ def class_to_csv(d: DivisorClass, scale: int = 1) -> str:
 
 
 def class_to_md(d: DivisorClass, scale: int = 1) -> str:
-    lines = ["| generator | coefficient |", "| --- | --- |"]
-    for name, text in coefficient_texts(d, scale):
-        lines.append(f"| {name} | {text} |")
-    return "\n".join(lines) + "\n"
+    return table_to_md(["generator", "coefficient"], coefficient_texts(d, scale))
 
 
 def table_to_csv(columns: list[str], rows: list[list[str]]) -> str:
@@ -221,7 +213,7 @@ def table_to_csv(columns: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
-def table_to_md(columns: list[str], rows: list[list[str]]) -> str:
+def table_to_md(columns: list[str], rows: Sequence[Sequence[str]]) -> str:
     lines = [
         "| " + " | ".join(columns) + " |",
         "| " + " | ".join("---" for _ in columns) + " |",

@@ -6,6 +6,10 @@ For a class written a*lambda - sum b_j delta_j the slope is a/b_0.  The
 ratio only bounds the moving slope when b_0 <= b_j for every j >= 1;
 since the delta_j coefficients involve the external symbols, that
 proviso is surfaced as a three-state validity instead of being assumed.
+
+The correspondence phi (trace curve) is the variant ``TRACE``, phi-hat
+(reduced trace curve) is ``REDUCED``; ``_pushed`` alone maps a variant
+to its pushed builders, and an unknown variant is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bases import DivisorClass, LAMBDA, MG, delta
+from .bases import DivisorClass, LAMBDA, MG, delta, linear_combination, mg_basis
 from .core import AffineExpr, Rational
 from .pushforward import (
     ExternalCoeffs,
@@ -100,19 +104,24 @@ def _mobius_closed(k: int, variant: str) -> tuple[tuple[Fraction, Fraction], tup
     return (Fraction(n1), Fraction(n0)), (Fraction(q1), Fraction(q0))
 
 
+def _pushed(variant: str):
+    """The builders k -> p_*phi^*lambda and (k, j) -> p_*phi^*delta'_j of
+    the variant, phi-hat in place of phi for ``REDUCED``."""
+    if variant == TRACE:
+        return p_phi_lambda, p_phi_delta
+    if variant == REDUCED:
+        return p_phihat_lambda, p_phihat_delta
+    raise ValueError(f"unknown slope variant {variant!r}")
+
+
 def _mobius_substitution(
     k: int, variant: str
 ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """The same Moebius map assembled from the pushed Hodge and boundary
     classes."""
-    if variant == TRACE:
-        hodge = p_phi_lambda(k)
-        boundary = p_phi_delta(k, 0)
-    elif variant == REDUCED:
-        hodge = p_phihat_lambda(k)
-        boundary = p_phihat_delta(k, 0)
-    else:
-        raise ValueError(f"unknown slope variant {variant!r}")
+    hodge_of, boundary_of = _pushed(variant)
+    hodge = hodge_of(k)
+    boundary = boundary_of(k, 0)
     alpha_lam = hodge.coefficient(LAMBDA).constant_value()
     alpha_0 = -hodge.coefficient(delta(0)).constant_value()
     beta_lam = boundary.coefficient(LAMBDA).constant_value()
@@ -144,7 +153,9 @@ def _evaluate(pair, s: Fraction) -> Fraction:
     return (n1 * s + n0) / den
 
 
-def _induced_slope(k: int, s: Fraction, variant: str) -> Fraction:
+def induced_slope(k: int, s: Rational, variant: str) -> Fraction:
+    """Slope of the image of a divisor of slope s on the trace (or reduced
+    trace) curve moduli; closed form and substitution must agree exactly."""
     if k < 3:
         raise ValueError(f"induced slopes are stated for k >= 3, got k={k}")
     s = Fraction(s)
@@ -159,14 +170,23 @@ def _induced_slope(k: int, s: Fraction, variant: str) -> Fraction:
 
 
 def induced_slope_trace(k: int, s_prime: Rational) -> Fraction:
-    """Slope of the image of a trace-moduli divisor of slope s'; the
-    closed form and the coefficient substitution must agree exactly."""
-    return _induced_slope(k, Fraction(s_prime), TRACE)
+    """Slope of the image of a trace-moduli divisor of slope s'."""
+    return induced_slope(k, s_prime, TRACE)
 
 
 def induced_slope_reduced(k: int, s: Rational) -> Fraction:
     """Slope of the image of a reduced-trace-moduli divisor of slope s."""
-    return _induced_slope(k, Fraction(s), REDUCED)
+    return induced_slope(k, s, REDUCED)
+
+
+def slope_target(k: int, s: Rational, variant: str) -> DivisorClass:
+    """s * p_*phi^*lambda - sum_j p_*phi^*delta'_j over j = 0..k (the
+    higher ones push forward to zero) in one pass, phi-hat for
+    ``REDUCED``; its slope is :func:`induced_slope`."""
+    hodge, boundary = _pushed(variant)
+    terms = [(s, hodge(k))]
+    terms.extend((-1, boundary(k, j)) for j in range(k + 1))
+    return linear_combination(mg_basis(k), terms)
 
 
 def kappa_slope_bound(k: int, externals: ExternalCoeffs | None = None) -> Fraction:

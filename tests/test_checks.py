@@ -199,4 +199,32 @@ def test_bounds_fails_on_a_mobius_mutant(monkeypatch):
 
     monkeypatch.setattr(slopes, "_mobius_closed", negated_denominator)
     [result] = run_checks(4, 4, ["bounds"])
-    assert result.status == FAIL
+    assert (result.status, result.detail) == (
+        FAIL,
+        "trace-slope denominator at the ample boundary is not positive",
+    )
+
+
+def test_catalan_reads_the_cached_composite(monkeypatch):
+    # catalan compares the rows of p_push o q_pullback and applies no map;
+    # closed-forms at the same k reuses that composite
+    from hurwitzdiv import bases, pushforward
+    from hurwitzdiv.core import clear_caches
+
+    calls = []
+    real_apply = bases.ClassMap.apply
+
+    def counted(self, d):
+        calls.append(d)
+        return real_apply(self, d)
+
+    monkeypatch.setattr(bases.ClassMap, "apply", counted)
+    for k in (1, 2, 5):
+        clear_caches()
+        calls.clear()
+        assert [r.status for r in run_checks(k, k, ["catalan"])] == [PASS]
+        assert calls == []
+        run_checks(k, k, ["closed-forms"])
+        info = pushforward.p_q_composed.cache_info()
+        assert (info.misses, info.hits) == (1, 1 if k >= 2 else 0)
+    clear_caches()

@@ -403,6 +403,41 @@ def test_indexed_coefficient_table_rows_are_the_class_rows(capsys, name, k):
     assert rows == [f"{k},{line}" for line in one[1].splitlines()]
 
 
+@pytest.mark.parametrize(
+    "name, k_max, covered",
+    [("phihat-delta:1", 3, [2, 3]), ("q-T3j:3", 4, [3, 4])],
+)
+def test_indexed_coefficient_table_skips_the_uncovered_k(capsys, name, k_max, covered):
+    # the rows of a range are the rows of the single-k tables at the k
+    # where the indexed class exists; the other k are left out
+    code, out, err = run(
+        capsys, "table", "--quantity", f"coefficients:{name}", "--k-min", "1",
+        "--k-max", str(k_max), "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    expected = ["k,generator,coefficient"]
+    for k in covered:
+        one = run(
+            capsys, "table", "--quantity", f"coefficients:{name}", "--k-min", str(k),
+            "--k-max", str(k), "--format", "csv",
+        )
+        assert one[0] == 0
+        expected.extend(one[1].splitlines()[1:])
+    assert out.splitlines() == expected
+    assert sorted({int(row.split(",")[0]) for row in expected[1:]}) == covered
+
+
+def test_indexed_coefficient_table_with_no_covered_k_is_refused(capsys):
+    # no k of the range has the class: exit 2 with the lowest k's error
+    table = run(
+        capsys, "table", "--quantity", "coefficients:phihat-delta:4", "--k-min", "1",
+        "--k-max", "2",
+    )
+    one = run(capsys, "class", "phihat-delta:4", "--k", "1")
+    assert table == (2, "", one[2])
+    assert one[2].startswith("error: ") and one[2].count("\n") == 1
+
+
 def test_table_slope_bound(capsys):
     code, out, _ = run(
         capsys, "table", "--quantity", "slope-bound", "--k-min", "1", "--k-max", "4",
@@ -537,31 +572,6 @@ def test_verify_externals_index_spellings_are_input_errors(tmp_path, capsys, tex
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("reduced", [False, True])
-def test_slope_target_is_the_chained_sum(reduced):
-    # the one-pass target equals s * hodge - delta'_0 - ... - delta'_k
-    # built with the binary operators
-    from hurwitzdiv import cli, pushforward
-    from hurwitzdiv.bases import IndexRangeError
-    from hurwitzdiv.checks import _SLOPE_GRID
-
-    for k in range(1, 16):
-        if reduced and k == 1:
-            # the reduced trace curve has genus 0: delta'_1 does not exist
-            with pytest.raises(IndexRangeError):
-                cli._slope_target(k, _SLOPE_GRID[0], reduced)
-            continue
-        images = cli._boundary_images(k, reduced)
-        pushed = pushforward.p_phihat_delta if reduced else pushforward.p_phi_delta
-        assert images == [pushed(k, j) for j in range(k + 1)]
-        chained = images[0]
-        for image in images[1:]:
-            chained = chained + image
-        hodge = pushforward.p_phihat_lambda(k) if reduced else pushforward.p_phi_lambda(k)
-        for s in _SLOPE_GRID:
-            assert cli._slope_target(k, s, reduced) == hodge * s - chained
 
 
 PUSHED = {

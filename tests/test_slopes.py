@@ -15,11 +15,13 @@ from hurwitzdiv.slopes import (
     UNKNOWN,
     VerificationError,
     ample_cone_test,
+    induced_slope,
     induced_slope_reduced,
     induced_slope_trace,
     kappa_slope_bound,
     mobius_consistency,
     slope_of,
+    slope_target,
 )
 
 
@@ -104,6 +106,42 @@ def test_mobius_consistency():
         assert rho_trace > 0 and rho_reduced > 0
     with pytest.raises(ValueError):
         mobius_consistency(3, "nope")
+
+
+@pytest.mark.parametrize("variant", [TRACE, REDUCED])
+def test_slope_target_is_the_chained_sum(variant):
+    # the one-pass target equals s * hodge - delta'_0 - ... - delta'_k
+    # built with the binary operators
+    from hurwitzdiv import pushforward
+    from hurwitzdiv.bases import IndexRangeError
+    from hurwitzdiv.checks import _SLOPE_GRID
+
+    if variant == TRACE:
+        hodge_of, boundary_of = pushforward.p_phi_lambda, pushforward.p_phi_delta
+    else:
+        hodge_of, boundary_of = pushforward.p_phihat_lambda, pushforward.p_phihat_delta
+    for k in range(1, 16):
+        if variant == REDUCED and k == 1:
+            # the reduced trace curve has genus 0: delta'_1 does not exist
+            with pytest.raises(IndexRangeError):
+                slope_target(k, _SLOPE_GRID[0], variant)
+            continue
+        chained = boundary_of(k, 0)
+        for j in range(1, k + 1):
+            chained = chained + boundary_of(k, j)
+        for s in _SLOPE_GRID:
+            assert slope_target(k, s, variant) == hodge_of(k) * s - chained
+            if k >= 3:
+                assert slope_of(slope_target(k, s, variant)).slope == induced_slope(
+                    k, s, variant
+                )
+
+
+def test_unknown_slope_variant_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown slope variant"):
+        induced_slope(3, Fraction(12), "kappa")
+    with pytest.raises(ValueError, match="unknown slope variant"):
+        slope_target(3, Fraction(12), "kappa")
 
 
 def test_kappa_slope_bound_values():
