@@ -168,6 +168,14 @@ def test_externals_rejects_malformed_shapes(obj):
         externals_from_obj(obj)
 
 
+@pytest.mark.parametrize("index", ["0", "01", "+1", " 1", "", "\u0661", "\u00b2"])
+def test_externals_index_outside_the_grammar_is_named(index):
+    # externals indices are the index grammar without 0: [1-9][0-9]*
+    obj = {"schema": "external-coeffs/1", "k": 1, "c": {"1": "0", index: "0"}, "b": {"1": "0"}}
+    with pytest.raises(ValueError, match="'c' has a malformed index"):
+        externals_from_obj(obj)
+
+
 BIG = factorial(6 * 20)
 numerators = st.one_of(st.integers(-60, 60), st.integers(-BIG, BIG))
 denominators = st.one_of(st.integers(1, 60), st.integers(1, BIG))
