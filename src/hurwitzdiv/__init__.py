@@ -6,13 +6,11 @@ moduli spaces of curves.
 from .core import (
     AffineExpr,
     ExtSymbol,
-    Rational,
     b_sym,
     binomial,
     c_sym,
     format_rational,
     parse_rational,
-    substitute,
 )
 from .bases import (
     Basis,
@@ -25,7 +23,6 @@ from .bases import (
     LAMBDA,
     T2,
     T3j,
-    compose,
     delta,
     hurwitz_basis,
     identity_map,
@@ -80,7 +77,8 @@ from .pushforward import (
     p_push,
     p_q_kappa,
     p_q_map,
-    prym_pullbacks,
+    prym_boundary_class,
+    prym_hodge_class,
 )
 from .slopes import (
     FAILS,
@@ -89,8 +87,6 @@ from .slopes import (
     SlopeReport,
     ample_cone_test,
     induced_slope,
-    induced_slope_reduced,
-    induced_slope_trace,
     kappa_slope_bound,
     slope_of,
     slope_target,

@@ -459,15 +459,7 @@ class DivisorClass:
         return linear_combination(self.basis, ((1, self), (-1, other)))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass._raw(
-            self.basis,
-            self._den,
-            {name: -n for name, n in self._nums.items()},
-            {
-                name: {s: -n for s, n in terms.items()}
-                for name, terms in self._sym.items()
-            },
-        )
+        return self._scaled(-1)
 
     def _scaled(self, x: int | Fraction) -> "DivisorClass":
         """``self * x``: numerators times p, denominator times q."""
@@ -731,8 +723,3 @@ class ClassMap:
 def identity_map(basis: Basis) -> ClassMap:
     rows = {g: DivisorClass(basis, {g: Fraction(1)}) for g in basis.generators()}
     return ClassMap(basis, basis, rows)
-
-
-def compose(outer: ClassMap, inner: ClassMap) -> ClassMap:
-    """Functional form of :meth:`ClassMap.compose`."""
-    return outer.compose(inner)

@@ -270,7 +270,7 @@ def _check_slopes(k: int, externals) -> Iterator[CheckResult]:
             slopes.mobius_consistency(k, variant)
         if k == 3:
             _require(
-                slopes.induced_slope_trace(3, Fraction(12)) == Fraction(489, 59),
+                slopes.induced_slope(3, Fraction(12), slopes.TRACE) == Fraction(489, 59),
                 "spot value at (k, s') = (3, 12)",
             )
 

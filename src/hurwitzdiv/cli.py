@@ -25,18 +25,15 @@ usage or input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from . import checks as checks_mod
 from . import m0b, pushforward, serialize, slopes, trace
-from .bases import ClassGroupError, DivisorClass, IndexRangeError, T2, T3j
-from .bases import UnknownGeneratorError
+from .bases import DivisorClass, IndexRangeError, T2, T3j, UnknownGeneratorError
 from .core import INDEX_GRAMMAR, format_rational, is_index_literal, parse_rational
-from .m0b import MarkedSetError
 from .pushforward import PER_FACTORIAL_B, RAW
-from .slopes import SlopeError, VerificationError
+from .slopes import VerificationError
 
 # name -> (builder, indexed, pushed), in the order the class help lists
 # them.  An indexed name is spelled <name>:<j> and its builder takes
@@ -122,7 +119,7 @@ def _cmd_class(args) -> int:
 
 def _cmd_verify(args) -> int:
     externals = serialize.load_externals(args.externals) if args.externals else None
-    names = [n.strip() for n in args.checks.split(",")] if args.checks else None
+    names = None if args.checks is None else [n.strip() for n in args.checks.split(",")]
     if names == ["all"]:
         names = None
     results = checks_mod.run_checks(args.k_min, args.k_max, names, externals)
@@ -233,8 +230,8 @@ def _table_rows(args) -> tuple[list[str], list[list[str]]]:
             rows.append(
                 [
                     str(k),
-                    format_rational(slopes.induced_slope_trace(k, Fraction(11))),
-                    format_rational(slopes.induced_slope_reduced(k, Fraction(11))),
+                    format_rational(slopes.induced_slope(k, Fraction(11), slopes.TRACE)),
+                    format_rational(slopes.induced_slope(k, Fraction(11), slopes.REDUCED)),
                     format_rational(6 + Fraction(20, 2 * k)),
                 ]
             )
@@ -394,16 +391,9 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        UsageError,
-        ClassGroupError,
-        MarkedSetError,
-        SlopeError,
-        ValueError,
-        ZeroDivisionError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    # every input error of the package (UsageError, ClassGroupError,
+    # MarkedSetError, SlopeError, json.JSONDecodeError) is a ValueError
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

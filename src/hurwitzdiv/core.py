@@ -29,8 +29,6 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 
@@ -40,8 +38,8 @@ _BUILDER_CACHES: list = []
 
 
 def per_k_cache(fn: _F) -> _F:
-    """``functools.lru_cache(maxsize=None)`` for a builder whose first
-    argument is k, registered for :func:`clear_caches`."""
+    """``functools.lru_cache(maxsize=None)`` for a builder of one k's
+    values (k among its arguments), registered for :func:`clear_caches`."""
     cached = lru_cache(maxsize=None)(fn)
     _BUILDER_CACHES.append(cached)
     return cached
@@ -104,7 +102,7 @@ def format_rational(x: RationalLike) -> str:
 
 
 def binomial(n: int, m: int) -> Fraction:
-    """Binomial coefficient C(n, m) as a Rational; 0 when m < 0 or m > n."""
+    """Binomial coefficient C(n, m) as a Fraction; 0 when m < 0 or m > n."""
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
     if m < 0 or m > n:
@@ -319,8 +317,3 @@ def as_affine(x: AffineLike) -> AffineExpr:
     if isinstance(x, (int, Fraction)):
         return AffineExpr(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as an affine expression")
-
-
-def substitute(e: AffineExpr, values: Mapping[ExtSymbol, RationalLike]) -> AffineExpr:
-    """Functional form of :meth:`AffineExpr.substitute`."""
-    return e.substitute(values)

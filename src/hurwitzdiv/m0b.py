@@ -1,7 +1,9 @@
 """Boundary combinatorics of the moduli space of b-pointed rational
 curves, and the symmetric divisor classes psi, kappa, delta and the
 canonical class restricted to the generators that matter for branch
-divisors of the covers studied here (T2 and the T3j).
+divisors of the covers studied here (T2 and the T3j).  On those
+generators kappa = K + delta; :func:`kappa_class` is the class that
+``pushforward.eh_divisor`` pulls back.
 
 A boundary divisor is labelled by a subset L of {1..b} with
 2 <= #L <= b-2, up to complement.  The normal form keeps the

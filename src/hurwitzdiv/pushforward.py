@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .bases import (
     ClassMap,
@@ -311,9 +311,8 @@ def mg_canonical_class(k: int) -> DivisorClass:
     coeffs: dict[str, Fraction] = {
         LAMBDA: Fraction(13),
         delta(0): Fraction(-2),
+        delta(1): Fraction(-3),
     }
-    if k >= 1:
-        coeffs[delta(1)] = Fraction(-3)
     for j in range(2, k + 1):
         coeffs[delta(j)] = Fraction(-2)
     return DivisorClass(mg_basis(k), coeffs)
@@ -325,31 +324,23 @@ def eh_divisor(k: int) -> DivisorClass:
     of curves with fewer pencils than the generic count), computed from
     the two expressions for the canonical class of the Hurwitz space.
 
+    The Hurwitz-side class is q^*kappa - R, with kappa the ample class
+    :func:`~hurwitzdiv.m0b.kappa_class` and R = 2(E0 + E2 + E3) + sum
+    E_{j,c}; it is pushed by :func:`p_push`, and N K_{M_g} is subtracted.
+    This is the canonical class of the pointed rational moduli space
+    pulled back, plus ramification, minus the non-branch components
+    E0 + E2 + E3 of the p-side ramification: on {T2, T3j}, kappa = K +
+    delta, and q^*T2 = E0 + 2 E2 + 3 E3, so -2/(b - 1) q^*T2 + (-E0 + E3)
+    + sum (w_j (j + 1 - 2c) - 1) E_{j,c}, w_j = 3j(b - 3j)/(b - 1) - 1,
+    equals q^*kappa - R.
+
     The closed-form lambda and delta_0 coefficients are meaningful for
     k >= 3; for smaller k the assembled value is returned as-is.
     """
-    b = 6 * k
     hur = hurwitz_basis(k)
-    # q-side canonical class plus ramification, minus the non-branch
-    # components E0 + E2 + E3 of the p-side ramification: -2/(b - 1) times
-    # the pulled-back T2, plus -E0 + E3, plus E_{j,c} with weight
-    # w_j (j + 1 - 2c) - 1, w_j = 3j(b - 3j)/(b - 1) - 1; the last two
-    # as integer numerators over b - 1
-    nums = {name: n * (b - 1) for name, n in hurwitz_head(k, -1, 0, 1).items() if n}
-    names = ejc_names(k)
-    for j in range(1, k + 1):
-        weight = 3 * j * (b - 3 * j) - (b - 1)
-        for c, name in enumerate(names[j]):
-            numerator = weight * (j + 1 - 2 * c) - (b - 1)
-            if numerator:
-                nums[name] = numerator
-    assembly = linear_combination(
-        hur,
-        (
-            (Fraction(-2, b - 1), q_pullback(k).row(T2)),
-            (1, DivisorClass._raw(hur, b - 1, nums)),
-        ),
-    )
+    r = hurwitz_head(k, 2, 2, 2)
+    r.update((name, 1) for names in ejc_names(k) for name in names)
+    assembly = q_pullback(k).apply(kappa_class(k)) - DivisorClass._raw(hur, 1, r)
     pushed = p_push(k).apply(assembly)
     return linear_combination(
         pushed.basis, ((1, pushed), (-catalan_number(k), mg_canonical_class(k)))
@@ -365,22 +356,14 @@ def eh_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
     return lam, d0
 
 
-class PrymPullbacks(NamedTuple):
-    """Pullbacks of the Hodge and degenerate-boundary classes of a
-    toroidal compactification receiving the Prym variety of the trace
-    curve over the reduced trace curve."""
-
-    hodge: DivisorClass
-    boundary: DivisorClass
-
-
 def prym_hodge_class(k: int) -> DivisorClass:
+    """Pullback of the Hodge class of a toroidal compactification
+    receiving the Prym variety of the trace curve over the reduced trace
+    curve: phi^*lambda - phi-hat^*lambda on the Hurwitz basis."""
     return phi_pull_lambda(k) - phihat_pull_lambda(k)
 
 
 def prym_boundary_class(k: int) -> DivisorClass:
+    """Pullback of the degenerate-boundary class of the same toroidal
+    compactification: phi^*delta'_0 - phi-hat^*delta-hat_0."""
     return phi_pull_boundary(k, 0) - phihat_pull_boundary(k, 0)
-
-
-def prym_pullbacks(k: int) -> PrymPullbacks:
-    return PrymPullbacks(prym_hodge_class(k), prym_boundary_class(k))

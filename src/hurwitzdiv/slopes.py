@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bases import DivisorClass, LAMBDA, MG, delta, linear_combination, mg_basis
-from .core import AffineExpr, Rational
+from .core import AffineExpr, RationalLike
 from .pushforward import (
     ExternalCoeffs,
     p_phi_delta,
@@ -153,7 +153,7 @@ def _evaluate(pair, s: Fraction) -> Fraction:
     return (n1 * s + n0) / den
 
 
-def induced_slope(k: int, s: Rational, variant: str) -> Fraction:
+def induced_slope(k: int, s: RationalLike, variant: str) -> Fraction:
     """Slope of the image of a divisor of slope s on the trace (or reduced
     trace) curve moduli; closed form and substitution must agree exactly."""
     if k < 3:
@@ -169,17 +169,7 @@ def induced_slope(k: int, s: Rational, variant: str) -> Fraction:
     return closed
 
 
-def induced_slope_trace(k: int, s_prime: Rational) -> Fraction:
-    """Slope of the image of a trace-moduli divisor of slope s'."""
-    return induced_slope(k, s_prime, TRACE)
-
-
-def induced_slope_reduced(k: int, s: Rational) -> Fraction:
-    """Slope of the image of a reduced-trace-moduli divisor of slope s."""
-    return induced_slope(k, s, REDUCED)
-
-
-def slope_target(k: int, s: Rational, variant: str) -> DivisorClass:
+def slope_target(k: int, s: RationalLike, variant: str) -> DivisorClass:
     """s * p_*phi^*lambda - sum_j p_*phi^*delta'_j over j = 0..k (the
     higher ones push forward to zero) in one pass, phi-hat for
     ``REDUCED``; its slope is :func:`induced_slope`."""
@@ -199,9 +189,7 @@ def kappa_slope_bound(k: int, externals: ExternalCoeffs | None = None) -> Fracti
     """
     pushed = p_q_kappa(k)
     report = slope_of(pushed)
-    expected = Fraction(3 * (2 * k + 5), k + 1)
-    g = 2 * k
-    if report.slope != expected or report.slope != 6 + Fraction(18, g + 2):
+    if report.slope != Fraction(3 * (2 * k + 5), k + 1):
         raise VerificationError(
             f"kappa slope {report.slope} differs from 3(2k+5)/(k+1) at k={k}"
         )
@@ -214,6 +202,6 @@ def kappa_slope_bound(k: int, externals: ExternalCoeffs | None = None) -> Fracti
     return report.slope
 
 
-def ample_cone_test(x: Rational, y: Rational) -> bool:
+def ample_cone_test(x: RationalLike, y: RationalLike) -> bool:
     """Whether x*lambda - y*delta lies in the ample cone: x > 11 y."""
     return Fraction(x) > 11 * Fraction(y)

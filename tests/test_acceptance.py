@@ -43,7 +43,7 @@ from hurwitzdiv.pushforward import (
     p_phihat_lambda_closed_coeffs,
     p_push,
 )
-from hurwitzdiv.slopes import induced_slope_trace, kappa_slope_bound
+from hurwitzdiv.slopes import TRACE, induced_slope, kappa_slope_bound
 from hurwitzdiv.trace import (
     alpha_coeff,
     catalan_number,
@@ -124,8 +124,8 @@ def test_criterion_4_dual_route_pushforwards():
 def test_criterion_5_slope_closed_form():
     for k in range(3, 21):
         for s in (Fraction(23, 2), Fraction(12), Fraction(13), Fraction(20)):
-            induced_slope_trace(k, s)  # raises on closed-form mismatch
-    assert induced_slope_trace(3, Fraction(12)) == Fraction(489, 59)
+            induced_slope(k, s, TRACE)  # raises on closed-form mismatch
+    assert induced_slope(3, Fraction(12), TRACE) == Fraction(489, 59)
 
 
 def test_criterion_6_bounds():

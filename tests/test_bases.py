@@ -17,7 +17,6 @@ from hurwitzdiv.bases import (
     LAMBDA,
     T2,
     UnknownGeneratorError,
-    compose,
     delta,
     delta_hat,
     delta_prime,
@@ -152,7 +151,7 @@ def test_apply_is_linear(d1, d2, a, m):
 @given(hurwitz_classes(2), mg_rows(2))
 def test_compose_matches_sequential_application(d, outer):
     inner = q_pullback(2)
-    composed = compose(outer, inner)
+    composed = outer.compose(inner)
     for t in inner.source.generators():
         probe = DivisorClass(inner.source, {t: 1})
         assert composed.apply(probe) == outer.apply(inner.apply(probe))

@@ -133,6 +133,15 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize("checks", ["", "genus,,catalan"])
+def test_verify_empty_check_name_is_refused(capsys, checks):
+    code, out, err = run(
+        capsys, "verify", "--k-min", "1", "--k-max", "1", "--checks", checks
+    )
+    assert (code, out) == (2, "")
+    assert "unknown check ''" in err
+
+
 def test_verify_bad_range(capsys):
     code, _, err = run(capsys, "verify", "--k-min", "3", "--k-max", "2")
     assert code == 2

@@ -41,7 +41,8 @@ from hurwitzdiv.pushforward import (
     p_q_kappa,
     p_q_kappa_closed_coeffs,
     p_q_map,
-    prym_pullbacks,
+    prym_boundary_class,
+    prym_hodge_class,
 )
 from hurwitzdiv.trace import (
     alpha_coeff,
@@ -333,11 +334,11 @@ def test_eh_divisor_small_k_assembly_only():
 
 
 def test_prym_pullbacks():
-    pair = prym_pullbacks(3)
-    assert pair.hodge == phi_pull_lambda(3) - phihat_pull_lambda(3)
-    assert pair.boundary == phi_pull_boundary(3, 0) - phihat_pull_boundary(3, 0)
-    assert pair.boundary.coefficient(E0).constant_value() == 6
-    assert prym_pullbacks(1).boundary == DivisorClass(hurwitz_basis(1), {E0: 2})
+    assert prym_hodge_class(3) == phi_pull_lambda(3) - phihat_pull_lambda(3)
+    boundary = prym_boundary_class(3)
+    assert boundary == phi_pull_boundary(3, 0) - phihat_pull_boundary(3, 0)
+    assert boundary.coefficient(E0).constant_value() == 6
+    assert prym_boundary_class(1) == DivisorClass(hurwitz_basis(1), {E0: 2})
 
 
 def test_symbol_hygiene_lambda_delta0_constant():

@@ -16,8 +16,6 @@ from hurwitzdiv.slopes import (
     VerificationError,
     ample_cone_test,
     induced_slope,
-    induced_slope_reduced,
-    induced_slope_trace,
     kappa_slope_bound,
     mobius_consistency,
     slope_of,
@@ -69,34 +67,34 @@ def test_slope_of_errors():
 
 
 def test_induced_slope_trace_spot_values():
-    assert induced_slope_trace(3, Fraction(12)) == Fraction(489, 59)
+    assert induced_slope(3, Fraction(12), TRACE) == Fraction(489, 59)
     # ample-cone boundary value at k = 3: (569*11 - 1938)/(67*11 - 214)
-    assert induced_slope_trace(3, Fraction(11)) == Fraction(4321, 523)
+    assert induced_slope(3, Fraction(11), TRACE) == Fraction(4321, 523)
 
 
 def test_induced_slope_trace_grid_consistency():
     for k in range(3, 21):
         for s in (Fraction(23, 2), Fraction(12), Fraction(13), Fraction(20)):
-            induced_slope_trace(k, s)  # raises on any closed-form mismatch
+            induced_slope(k, s, TRACE)  # raises on any closed-form mismatch
 
 
 def test_induced_slope_requires_k3():
     with pytest.raises(ValueError):
-        induced_slope_trace(2, Fraction(12))
+        induced_slope(2, Fraction(12), TRACE)
     with pytest.raises(ValueError):
-        induced_slope_reduced(1, Fraction(12))
+        induced_slope(1, Fraction(12), REDUCED)
 
 
 def test_induced_slope_pole():
     with pytest.raises(PoleError):
-        induced_slope_trace(3, Fraction(214, 67))
+        induced_slope(3, Fraction(214, 67), TRACE)
     with pytest.raises(PoleError):
-        induced_slope_reduced(3, Fraction(66, 19))
+        induced_slope(3, Fraction(66, 19), REDUCED)
 
 
 def test_induced_slope_reduced_spot_value():
     # (163*12 - 612)/(19*12 - 66)
-    assert induced_slope_reduced(3, Fraction(12)) == Fraction(224, 27)
+    assert induced_slope(3, Fraction(12), REDUCED) == Fraction(224, 27)
 
 
 def test_mobius_consistency():
@@ -172,10 +170,10 @@ def test_bound_inequalities():
         assert k * (209 * k * k - 243 * k + 31) < 10 * (
             21 * k**3 + 6 * k * k - 35 * k + 7
         )
-        excess = induced_slope_trace(k, Fraction(11)) - 6
+        excess = induced_slope(k, Fraction(11), TRACE) - 6
         assert excess < Fraction(10, k)
         assert excess == Fraction(209 * k * k - 243 * k + 31, 21 * k**3 + 6 * k * k - 35 * k + 7)
-        reduced_excess = induced_slope_reduced(k, Fraction(11)) - 6
+        reduced_excess = induced_slope(k, Fraction(11), REDUCED) - 6
         assert reduced_excess < Fraction(10, k)
 
 
