@@ -22,6 +22,36 @@ def test_registry_names():
     }
 
 
+# The lines verify prints per k, in order: (check, first k, last k or
+# None), one row per line.  E3 exists from k = 2, E2 and the induced
+# slopes from k = 3, and closed-forms prints its composite rows from
+# k = 2 and the pushed closed forms from k = 3.
+_LAYOUT = (
+    ("genus", 1, None),
+    ("catalan", 1, None),
+    ("small-k-cases", 1, 2),
+    ("grr-assembly", 1, None),
+    ("hodge-closed-forms", 1, None),
+    ("closed-forms", 2, None),
+    ("closed-forms", 3, None),
+    ("slopes", 3, None),
+    ("bounds", 1, None),
+    ("m0n", 1, None),
+    ("hygiene", 1, None),
+    ("delta-j-checks", 1, None),
+)
+
+
+def test_check_layout_by_k():
+    expected = [
+        (name, k)
+        for k in range(1, 13)
+        for name, first, last in _LAYOUT
+        if first <= k and (last is None or k <= last)
+    ]
+    assert [(r.check, r.k) for r in run_checks(1, 12)] == expected
+
+
 def test_run_checks_small_range():
     results = run_checks(1, 3)
     assert all(r.status in (PASS, SKIP) for r in results)
