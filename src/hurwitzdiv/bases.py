@@ -9,15 +9,16 @@ The groups are handled as free modules on named generators:
   receive a nonzero push-forward).
 * ``M0bSym(k)``: the symmetric boundary classes T2 and T3j_1 .. T3j_k of
   the space of 6k-pointed rational curves.
-* ``MgPrime(k)`` / ``MgHat(k)``: Hodge and boundary generators of the
-  target moduli spaces of the trace and reduced-trace curve; these are
-  index-bounded but never stored densely.
+* ``MgPrime(k)`` / ``MgHat(k)``: lambda and delta_0 .. delta_floor(g/2)
+  of the target moduli spaces of the trace and reduced-trace curve, of
+  genus g = 5k^2 - 4k + 1 and (5k - 2)(k - 1)/2.
 
 Generators are plain strings so that they serialize unchanged.  One
-spec per kind, ``_SPECS``, lists its generators; the order of the three
-finite bases is cached per (kind, k) as a name -> position map, and the
-Hurwitz builders take their E_{j,c} names from :func:`ejc_names`, a
-cached table sliced from that order, instead of formatting them again.
+spec per kind, ``_SPECS``, lists its generators.  The order of every
+basis is cached per (kind, k) as a name -> position map, which answers
+both membership and position, and the Hurwitz builders take their
+E_{j,c} names from :func:`ejc_names`, a cached table sliced from that
+order, instead of formatting them again.
 
 Every coefficient is stored as integer numerators over one positive
 common denominator: a divisor class keeps its constant parts and the
@@ -58,7 +59,6 @@ from .core import (
     ExtSymbol,
     RationalLike,
     display_key,
-    is_index_literal,
     per_k_cache,
 )
 
@@ -114,15 +114,6 @@ def delta_hat(j: int) -> str:
     return f"deltaH_{j}"
 
 
-def _suffix_index(name: str, prefix: str) -> int | None:
-    """The index of ``prefix<index>``, spelled ``0|[1-9][0-9]*`` in
-    ASCII digits, so each generator has exactly one name."""
-    if not name.startswith(prefix):
-        return None
-    tail = name[len(prefix):]
-    return int(tail) if is_index_literal(tail) else None
-
-
 def genus_trace(k: int) -> int:
     """Genus of the trace curve, 5k^2 - 4k + 1."""
     return 5 * k * k - 4 * k + 1
@@ -135,22 +126,16 @@ def genus_reduced_trace(k: int) -> int:
 
 class _KindSpec(NamedTuple):
     """How one kind of basis lists its generators: the leading ones,
-    then one indexed family.  An index-bounded kind, the Hodge and
-    boundary classes of a moduli space of curves of genus ``genus(k)``,
-    sets ``bounded`` to (boundary name prefix, genus); its names are
-    tested and ordered by their index, never enumerated."""
+    then one indexed family."""
 
     head: Callable[[int], tuple[str, ...]]
     tail: Callable[[int], Iterable[str]]
-    bounded: tuple[str, Callable[[int], int]] | None = None
 
 
-def _bounded(lead: str, family: Callable[[int], str], prefix: str, genus) -> _KindSpec:
-    return _KindSpec(
-        lambda k: (lead,),
-        lambda k: map(family, range(genus(k) // 2 + 1)),
-        (prefix, genus),
-    )
+def _moduli(lead: str, family: Callable[[int], str], genus) -> _KindSpec:
+    """The Hodge class and the boundary classes delta_0 ..
+    delta_floor(g/2) of a moduli space of curves of genus g = ``genus(k)``."""
+    return _KindSpec(lambda k: (lead,), lambda k: map(family, range(genus(k) // 2 + 1)))
 
 
 _SPECS = {
@@ -160,8 +145,8 @@ _SPECS = {
     ),
     MG: _KindSpec(lambda k: (LAMBDA,), lambda k: map(delta, range(k + 1))),
     M0B_SYM: _KindSpec(lambda k: (T2,), lambda k: map(T3j, range(1, k + 1))),
-    MG_PRIME: _bounded(LAMBDA_PRIME, delta_prime, "deltaP_", genus_trace),
-    MG_HAT: _bounded(LAMBDA_HAT, delta_hat, "deltaH_", genus_reduced_trace),
+    MG_PRIME: _moduli(LAMBDA_PRIME, delta_prime, genus_trace),
+    MG_HAT: _moduli(LAMBDA_HAT, delta_hat, genus_reduced_trace),
 }
 _KINDS = tuple(_SPECS)  # a tuple: an unhashable kind is refused, not a TypeError
 
@@ -180,14 +165,7 @@ class Basis:
             raise ClassGroupError(f"basis parameter k must be >= 1, got {self.k}")
 
     def contains(self, name: str) -> bool:
-        spec = _SPECS[self.kind]
-        if spec.bounded is None:
-            return name in _generator_index(self.kind, self.k)
-        prefix, genus = spec.bounded
-        if name in spec.head(self.k):
-            return True
-        j = _suffix_index(name, prefix)
-        return j is not None and 0 <= j <= genus(self.k) // 2
+        return name in _generator_index(self.kind, self.k)
 
     def check(self, name: str) -> str:
         if not self.contains(name):
@@ -202,23 +180,10 @@ class Basis:
     def sort_index(self, name: str) -> int:
         """Position of ``name`` in :meth:`generators`, the natural
         display order."""
-        bounded = _SPECS[self.kind].bounded
-        if bounded is None:
-            index = _generator_index(self.kind, self.k).get(name)
-            if index is None:
-                raise self._unknown(name)
-            return index
-        self.check(name)
-        j = _suffix_index(name, bounded[0])
-        return 0 if j is None else j + 1
-
-    def _sort_key(self) -> Callable[[str], int]:
-        """:meth:`sort_index` for generators known to belong to the
-        basis; the enumerated kinds look the cached position up
-        directly."""
-        if _SPECS[self.kind].bounded is None:
-            return _generator_index(self.kind, self.k).__getitem__
-        return self.sort_index
+        index = _generator_index(self.kind, self.k).get(name)
+        if index is None:
+            raise self._unknown(name)
+        return index
 
     def generators(self) -> Iterator[str]:
         """All generators of the basis in natural order."""
@@ -229,8 +194,7 @@ class Basis:
 
 @per_k_cache
 def _generator_index(kind: str, k: int) -> dict[str, int]:
-    """Generator name -> position in the natural order, for the
-    enumerated kinds."""
+    """Generator name -> position in the natural order."""
     return {name: i for i, name in enumerate(Basis(kind, k).generators())}
 
 
@@ -366,7 +330,8 @@ class DivisorClass:
         return self._value(name)
 
     def support(self) -> list[str]:
-        return sorted(self._nums.keys() | self._sym.keys(), key=self.basis._sort_key())
+        position = _generator_index(self.basis.kind, self.basis.k)
+        return sorted(self._nums.keys() | self._sym.keys(), key=position.__getitem__)
 
     def items(self) -> list[tuple[str, AffineExpr]]:
         return [(name, self._value(name)) for name in self.support()]

@@ -1,7 +1,14 @@
 """Named verification checks, the machinery behind the ``verify``
-subcommand.  Each check runs per value of k and yields PASS/FAIL/SKIP
-results; checks that need the external coefficient table are skipped
-unless one matching k is supplied.
+subcommand.
+
+Each check is a plain function ``(k, externals) -> None`` that holds
+only its comparisons.  One registry, ``_REGISTRY``, maps each check name
+to its parts, each a (first k, last k, function) over the range of k
+where the paper's identity holds, and one runner, ``_run``, turns every
+part that covers k into one PASS/FAIL/SKIP :class:`CheckResult`.
+``CHECKS`` maps each name to that runner, and :func:`run_checks` looks
+the name up there at each call.  ``delta-j-checks`` is skipped unless
+the external coefficient table for that k is supplied.
 
 A check FAILs only on a check-level failure: a :class:`CheckFailure`
 from one of its own comparisons, a ``slopes.VerificationError`` or a
@@ -21,7 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from functools import partial
+from math import inf
+from typing import Callable
 
 from . import m0b, pushforward, slopes, trace
 from .bases import DivisorClass, E0, E3, Ejc, LAMBDA, T2, T3j, delta, hurwitz_basis, mg_basis
@@ -47,137 +56,112 @@ class CheckFailure(Exception):
     """One comparison of a check came out false."""
 
 
-def _run(check: str, k: int, fn: Callable[[], None]) -> CheckResult:
-    try:
-        fn()
-    except (CheckFailure, VerificationError, InvariantError) as exc:
-        return CheckResult(check, k, FAIL, str(exc))
-    return CheckResult(check, k, PASS)
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise CheckFailure(message)
 
 
-def _check_genus(k: int, externals) -> Iterator[CheckResult]:
-    def body() -> None:
-        gd = trace.genus_data(k)
-        _require(gd.g_prime == 5 * k * k - 4 * k + 1, "trace genus mismatch")
-        _require(gd.g_hat == (5 * k - 2) * (k - 1) // 2, "reduced trace genus mismatch")
-        _require(gd.prym_dim == gd.g_prime - gd.g_hat, "Prym dimension mismatch")
-        _require(2 * gd.prym_dim == 5 * k * k - k, "Prym dimension closed form")
-        _require(2 * gd.quotient_dim == (5 * k - 1) * (k - 2), "quotient dimension")
-        if k == 2:
-            _require((gd.g_prime, gd.g_hat) == (13, 4), "k=2 genus values")
-        if k == 3:
-            _require(gd.g_hat == 13, "k=3 reduced genus")
-
-    yield _run("genus", k, body)
+class _Skip(Exception):
+    """The check needs an input that was not supplied for this k."""
 
 
-def _check_catalan(k: int, externals) -> Iterator[CheckResult]:
-    def body() -> None:
-        n = trace.catalan_number(k)
-        _require(trace.e_coeff(k, 1, 0) == n, "e_{1,0} differs from the pencil count")
-        composed = pushforward.p_q_composed(k)
-        mg = mg_basis(k)
-        for j in range(1, k + 1):
-            expected = DivisorClass(mg, {delta(j): trace.alpha_coeff(k, j)})
-            _require(
-                composed.row(T3j(j)) == expected,
-                f"pushed T3j_{j} differs from alpha(k, j) delta_{j}",
-            )
-
-    yield _run("catalan", k, body)
+def _genus(k: int, externals) -> None:
+    gd = trace.genus_data(k)
+    _require(gd.g_prime == 5 * k * k - 4 * k + 1, "trace genus mismatch")
+    _require(gd.g_hat == (5 * k - 2) * (k - 1) // 2, "reduced trace genus mismatch")
+    _require(gd.prym_dim == gd.g_prime - gd.g_hat, "Prym dimension mismatch")
+    _require(2 * gd.prym_dim == 5 * k * k - k, "Prym dimension closed form")
+    _require(2 * gd.quotient_dim == (5 * k - 1) * (k - 2), "quotient dimension")
+    if k == 2:
+        _require((gd.g_prime, gd.g_hat) == (13, 4), "k=2 genus values")
+    if k == 3:
+        _require(gd.g_hat == 13, "k=3 reduced genus")
 
 
-def _check_small_k_cases(k: int, externals) -> Iterator[CheckResult]:
-    if k not in (1, 2):
-        return
-    hur = hurwitz_basis(k)
-
-    def body() -> None:
-        if k == 1:
-            _require(
-                trace.delta_tau(1) == DivisorClass(hur, {E0: 2, Ejc(1, 0): 1}),
-                "trace node class at k=1",
-            )
-            _require(
-                trace.delta_s(1) == DivisorClass(hur, {E0: 1, Ejc(1, 0): 1}),
-                "reduced node class at k=1",
-            )
-            fifth = Fraction(1, 5)
-            _require(
-                trace.phi_pull_lambda(1)
-                == DivisorClass(hur, {E0: fifth, Ejc(1, 0): fifth}),
-                "Hodge pullback at k=1",
-            )
-        else:
-            _require(
-                trace.delta_tau(2)
-                == DivisorClass(
-                    hur, {E0: 6, E3: 2, Ejc(1, 0): 3, Ejc(2, 0): 2, Ejc(2, 1): 6}
-                ),
-                "trace node class at k=2",
-            )
-            _require(
-                trace.delta_s(2)
-                == DivisorClass(
-                    hur, {E0: 3, E3: 1, Ejc(1, 0): 3, Ejc(2, 0): 1, Ejc(2, 1): 3}
-                ),
-                "reduced node class at k=2",
-            )
-            _require(
-                12 * trace.phihat_pull_lambda(2)
-                == DivisorClass(
-                    hur,
-                    {
-                        E0: Fraction(30, 11),
-                        E3: Fraction(2, 11),
-                        Ejc(1, 0): Fraction(48, 11),
-                        Ejc(2, 0): Fraction(74, 11),
-                        Ejc(2, 1): Fraction(54, 11),
-                    },
-                ),
-                "reduced Hodge pullback at k=2",
-            )
-
-    yield _run("small-k-cases", k, body)
-
-
-def _check_grr_assembly(k: int, externals) -> Iterator[CheckResult]:
-    def body() -> None:
+def _catalan(k: int, externals) -> None:
+    n = trace.catalan_number(k)
+    _require(trace.e_coeff(k, 1, 0) == n, "e_{1,0} differs from the pencil count")
+    composed = pushforward.p_q_composed(k)
+    mg = mg_basis(k)
+    for j in range(1, k + 1):
+        expected = DivisorClass(mg, {delta(j): trace.alpha_coeff(k, j)})
         _require(
-            trace.grr_pieces(k).assembled() == trace.omega_tau_sq(k),
-            "dualizing-square assembly differs from the closed form",
+            composed.row(T3j(j)) == expected,
+            f"pushed T3j_{j} differs from alpha(k, j) delta_{j}",
         )
 
-    yield _run("grr-assembly", k, body)
+
+def _small_k_1(k: int, externals) -> None:
+    hur = hurwitz_basis(1)
+    _require(
+        trace.delta_tau(1) == DivisorClass(hur, {E0: 2, Ejc(1, 0): 1}),
+        "trace node class at k=1",
+    )
+    _require(
+        trace.delta_s(1) == DivisorClass(hur, {E0: 1, Ejc(1, 0): 1}),
+        "reduced node class at k=1",
+    )
+    fifth = Fraction(1, 5)
+    _require(
+        trace.phi_pull_lambda(1) == DivisorClass(hur, {E0: fifth, Ejc(1, 0): fifth}),
+        "Hodge pullback at k=1",
+    )
 
 
-def _check_hodge_closed_forms(k: int, externals) -> Iterator[CheckResult]:
-    def body() -> None:
-        twelve_lambda = 12 * trace.phi_pull_lambda(k)
-        twelve_lambda_hat = 12 * trace.phihat_pull_lambda(k)
-        _require(
-            twelve_lambda == trace.twelve_lambda_trace_closed(k),
-            "trace Hodge pullback differs from its closed form",
-        )
-        _require(
-            twelve_lambda_hat == trace.twelve_lambda_reduced_closed(k),
-            "reduced Hodge pullback differs from its closed form",
-        )
-        _require(
-            twelve_lambda - trace.delta_tau(k) == trace.omega_tau_sq(k),
-            "trace Hodge assembly identity",
-        )
-        _require(
-            twelve_lambda_hat - trace.delta_s(k) == trace.s_omega_sq(k),
-            "reduced Hodge assembly identity",
-        )
+def _small_k_2(k: int, externals) -> None:
+    hur = hurwitz_basis(2)
+    _require(
+        trace.delta_tau(2)
+        == DivisorClass(hur, {E0: 6, E3: 2, Ejc(1, 0): 3, Ejc(2, 0): 2, Ejc(2, 1): 6}),
+        "trace node class at k=2",
+    )
+    _require(
+        trace.delta_s(2)
+        == DivisorClass(hur, {E0: 3, E3: 1, Ejc(1, 0): 3, Ejc(2, 0): 1, Ejc(2, 1): 3}),
+        "reduced node class at k=2",
+    )
+    _require(
+        12 * trace.phihat_pull_lambda(2)
+        == DivisorClass(
+            hur,
+            {
+                E0: Fraction(30, 11),
+                E3: Fraction(2, 11),
+                Ejc(1, 0): Fraction(48, 11),
+                Ejc(2, 0): Fraction(74, 11),
+                Ejc(2, 1): Fraction(54, 11),
+            },
+        ),
+        "reduced Hodge pullback at k=2",
+    )
 
-    yield _run("hodge-closed-forms", k, body)
+
+def _grr_assembly(k: int, externals) -> None:
+    _require(
+        trace.grr_pieces(k).assembled() == trace.omega_tau_sq(k),
+        "dualizing-square assembly differs from the closed form",
+    )
+
+
+def _hodge_closed_forms(k: int, externals) -> None:
+    twelve_lambda = 12 * trace.phi_pull_lambda(k)
+    twelve_lambda_hat = 12 * trace.phihat_pull_lambda(k)
+    _require(
+        twelve_lambda == trace.twelve_lambda_trace_closed(k),
+        "trace Hodge pullback differs from its closed form",
+    )
+    _require(
+        twelve_lambda_hat == trace.twelve_lambda_reduced_closed(k),
+        "reduced Hodge pullback differs from its closed form",
+    )
+    _require(
+        twelve_lambda - trace.delta_tau(k) == trace.omega_tau_sq(k),
+        "trace Hodge assembly identity",
+    )
+    _require(
+        twelve_lambda_hat - trace.delta_s(k) == trace.s_omega_sq(k),
+        "reduced Hodge assembly identity",
+    )
 
 
 def _pushed_classes(k: int) -> tuple[tuple[str, DivisorClass, Callable], ...]:
@@ -210,91 +194,69 @@ def _lambda_delta0(d: DivisorClass) -> tuple[Fraction, Fraction]:
     )
 
 
-def _check_closed_forms(k: int, externals) -> Iterator[CheckResult]:
-    if k < 2:
-        return
+def _composite_rows(k: int, externals) -> None:
+    # the T3j rows of the composite are alpha(k, j) delta_j in p_q_map
+    # and p_q_composed alike; catalan checks them at every k
+    direct = pushforward.p_q_map(k).row(T2)
+    composed = pushforward.p_q_composed(k).row(T2)
+    if k >= 3:
+        _require(direct == composed, "composite row T2 mismatch")
+    else:
+        # at k = 2 the dropped E2 generator only affects the c_j terms
+        _require(
+            _lambda_delta0(direct) == _lambda_delta0(composed),
+            "composite row T2 lambda/delta_0 mismatch",
+        )
 
-    def composition_body() -> None:
-        direct = pushforward.p_q_map(k)
-        composed = pushforward.p_q_composed(k)
-        for j in range(1, k + 1):
-            _require(
-                direct.row(T3j(j)) == composed.row(T3j(j)),
-                f"composite row T3j_{j} mismatch",
-            )
-        if k >= 3:
-            _require(direct.row(T2) == composed.row(T2), "composite row T2 mismatch")
-        else:
-            # at k = 2 the dropped E2 generator only affects the c_j terms
-            _require(
-                _lambda_delta0(direct.row(T2)) == _lambda_delta0(composed.row(T2)),
-                "composite row T2 lambda/delta_0 mismatch",
-            )
 
-    yield _run("closed-forms", k, composition_body)
-
-    if k < 3:
-        return
-
-    def body() -> None:
-        for what, d, closed in _pushed_classes(k):
-            _require(_lambda_delta0(d) == closed(k), f"{what} differs from closed form")
-        hodge = pushforward.p_phi_lambda(k)
-        reduced = pushforward.p_phihat_lambda(k)
-        for j in range(1, k + 1):
-            _require(
-                hodge.coefficient(delta(j))
-                == pushforward.p_phi_lambda_delta_expected(k, j),
-                f"delta_{j} coefficient of the pushed trace Hodge class",
-            )
-            _require(
-                reduced.coefficient(delta(j))
-                == pushforward.p_phihat_lambda_delta_expected(k, j),
-                f"delta_{j} coefficient of the pushed reduced Hodge class",
-            )
-
-    yield _run("closed-forms", k, body)
+def _pushed_closed_forms(k: int, externals) -> None:
+    for what, d, closed in _pushed_classes(k):
+        _require(_lambda_delta0(d) == closed(k), f"{what} differs from closed form")
+    hodge = pushforward.p_phi_lambda(k)
+    reduced = pushforward.p_phihat_lambda(k)
+    for j in range(1, k + 1):
+        _require(
+            hodge.coefficient(delta(j))
+            == pushforward.p_phi_lambda_delta_expected(k, j),
+            f"delta_{j} coefficient of the pushed trace Hodge class",
+        )
+        _require(
+            reduced.coefficient(delta(j))
+            == pushforward.p_phihat_lambda_delta_expected(k, j),
+            f"delta_{j} coefficient of the pushed reduced Hodge class",
+        )
 
 
 _SLOPE_GRID = (Fraction(23, 2), Fraction(12), Fraction(13), Fraction(20))
 
 
-def _check_slopes(k: int, externals) -> Iterator[CheckResult]:
+def _slopes(k: int, externals) -> None:
+    for variant in (slopes.TRACE, slopes.REDUCED):
+        for s in _SLOPE_GRID:
+            slopes.induced_slope(k, s, variant)
+        slopes.mobius_consistency(k, variant)
+    if k == 3:
+        _require(
+            slopes.induced_slope(3, Fraction(12), slopes.TRACE) == Fraction(489, 59),
+            "spot value at (k, s') = (3, 12)",
+        )
+
+
+def _bounds(k: int, externals) -> None:
+    # raises VerificationError unless the slope is 3(2k+5)/(k+1)
+    slopes.kappa_slope_bound(k)
     if k < 3:
         return
-
-    def body() -> None:
-        for variant in (slopes.TRACE, slopes.REDUCED):
-            for s in _SLOPE_GRID:
-                slopes.induced_slope(k, s, variant)
-            slopes.mobius_consistency(k, variant)
-        if k == 3:
-            _require(
-                slopes.induced_slope(3, Fraction(12), slopes.TRACE) == Fraction(489, 59),
-                "spot value at (k, s') = (3, 12)",
-            )
-
-    yield _run("slopes", k, body)
-
-
-def _check_bounds(k: int, externals) -> Iterator[CheckResult]:
-    def body() -> None:
-        # raises VerificationError unless the slope is 3(2k+5)/(k+1)
-        slopes.kappa_slope_bound(k)
-        if k < 3:
-            return
-        for variant in (slopes.TRACE, slopes.REDUCED):
-            # at the ample boundary s' = 11 the image slope is n(11)/q(11);
-            # with q(11) > 0, excess < 10/k is k (n(11) - 6 q(11)) < 10 q(11)
-            _, (q1, q0) = slopes._mobius_closed(k, variant)
-            _require(
-                11 * q1 + q0 > 0,
-                f"{variant}-slope denominator at the ample boundary is not positive",
-            )
-            excess = slopes.induced_slope(k, Fraction(11), variant) - 6
-            _require(excess < Fraction(10, k), f"{variant} slope exceeds 6 + 20/g")
-
-    yield _run("bounds", k, body)
+    for variant in (slopes.TRACE, slopes.REDUCED):
+        # at the ample boundary s' = 11 the image slope is n(11)/q(11);
+        # with q(11) > 0, excess < 10/k is k (n(11) - 6 q(11)) < 10 q(11)
+        _, (q1, q0) = slopes._mobius_closed(k, variant)
+        _require(
+            11 * q1 + q0 > 0,
+            f"{variant}-slope denominator at the ample boundary is not positive",
+        )
+        excess = slopes.induced_slope(k, Fraction(11), variant) - 6
+        _require(excess < Fraction(10, k), f"{variant} slope exceeds 6 + 20/g")
 
 
 def _intersection_oracle(a: m0b.MarkedSet, b: m0b.MarkedSet, full: frozenset) -> bool:
@@ -304,97 +266,111 @@ def _intersection_oracle(a: m0b.MarkedSet, b: m0b.MarkedSet, full: frozenset) ->
     return not (sa & sb and sa - sb and sb - sa and (full - (sa | sb)))
 
 
-def _check_m0n(k: int, externals) -> Iterator[CheckResult]:
-    def body() -> None:
+def _m0n(k: int, externals) -> None:
+    _require(
+        m0b.kappa_class(k) + m0b.delta_restricted(k) == m0b.psi_restricted(k),
+        "kappa + delta differs from psi on the restricted basis",
+    )
+    b = 6 * k
+    if b <= 12:
         _require(
-            m0b.kappa_class(k) + m0b.delta_restricted(k) == m0b.psi_restricted(k),
-            "kappa + delta differs from psi on the restricted basis",
+            m0b.count_boundary(b) == sum(1 for _ in m0b.enumerate_boundary(b)),
+            "boundary count differs from enumeration",
         )
-        b = 6 * k
-        if b <= 12:
-            _require(
-                m0b.count_boundary(b) == sum(1 for _ in m0b.enumerate_boundary(b)),
-                "boundary count differs from enumeration",
-            )
-        if k == 1:
-            for bb in (6, 8):
-                labels = list(m0b.enumerate_boundary(bb))
-                full = frozenset(range(1, bb + 1))
-                for x in labels:
-                    for y in labels:
-                        _require(
-                            m0b.intersect_nonempty(x, y)
-                            == _intersection_oracle(x, y, full),
-                            f"intersection criterion differs from oracle at b={bb}",
-                        )
-            images = set()
-            for label in m0b.enumerate_boundary(6):
-                images.update(m0b.forgetful_pullback(label))
-            _require(len(images) == 50, "forgetful pullback image count")
-            sections = {m0b.normalize(7, {j, 7}) for j in range(1, 7)}
-            _require(not (images & sections), "sections are not pullback images")
-            _require(
-                len(images | sections) == m0b.count_boundary(7),
-                "pullback images plus sections exhaust the boundary",
-            )
-
-    yield _run("m0n", k, body)
+    if k == 1:
+        for bb in (6, 8):
+            labels = list(m0b.enumerate_boundary(bb))
+            full = frozenset(range(1, bb + 1))
+            for x in labels:
+                for y in labels:
+                    _require(
+                        m0b.intersect_nonempty(x, y)
+                        == _intersection_oracle(x, y, full),
+                        f"intersection criterion differs from oracle at b={bb}",
+                    )
+        images = set()
+        for label in m0b.enumerate_boundary(6):
+            images.update(m0b.forgetful_pullback(label))
+        _require(len(images) == 50, "forgetful pullback image count")
+        sections = {m0b.normalize(7, {j, 7}) for j in range(1, 7)}
+        _require(not (images & sections), "sections are not pullback images")
+        _require(
+            len(images | sections) == m0b.count_boundary(7),
+            "pullback images plus sections exhaust the boundary",
+        )
 
 
-def _check_hygiene(k: int, externals) -> Iterator[CheckResult]:
-    def body() -> None:
-        for _, d, _ in _pushed_classes(k):
-            _require(
-                d.coefficient(LAMBDA).is_constant()
-                and d.coefficient(delta(0)).is_constant(),
-                "symbols leaked into a lambda or delta_0 coefficient",
-            )
-            raw = pushforward.convert_normalization(d, k, PER_FACTORIAL_B, RAW)
-            back = pushforward.convert_normalization(raw, k, RAW, PER_FACTORIAL_B)
-            _require(back == d, "normalization round-trip is not the identity")
-
-    yield _run("hygiene", k, body)
+def _hygiene(k: int, externals) -> None:
+    for _, d, _ in _pushed_classes(k):
+        _require(
+            d.coefficient(LAMBDA).is_constant()
+            and d.coefficient(delta(0)).is_constant(),
+            "symbols leaked into a lambda or delta_0 coefficient",
+        )
+        raw = pushforward.convert_normalization(d, k, PER_FACTORIAL_B, RAW)
+        back = pushforward.convert_normalization(raw, k, RAW, PER_FACTORIAL_B)
+        _require(back == d, "normalization round-trip is not the identity")
 
 
-def _check_delta_j(k: int, externals: ExternalCoeffs | None) -> Iterator[CheckResult]:
+def _delta_j(k: int, externals: ExternalCoeffs | None) -> None:
     if externals is None or externals.k != k:
-        yield CheckResult(
-            "delta-j-checks",
-            k,
-            SKIP,
-            "external coefficient table not supplied for this k",
-        )
-        return
-
-    def body() -> None:
-        for _, d, _ in _pushed_classes(k):
-            numeric = externals.apply(d)
-            for _, value in numeric.items():
-                _require(
-                    value.is_constant(),
-                    "substitution left a symbolic coefficient behind",
-                )
-        slopes.kappa_slope_bound(k, externals)
-        hodge = pushforward.p_phi_lambda(k)
-        report = slopes.slope_of(externals.apply(hodge))
-        _require(report.valid != slopes.UNKNOWN, "slope validity still unknown")
-
-    yield _run("delta-j-checks", k, body)
+        raise _Skip("external coefficient table not supplied for this k")
+    for _, d, _ in _pushed_classes(k):
+        numeric = externals.apply(d)
+        for _, value in numeric.items():
+            _require(
+                value.is_constant(), "substitution left a symbolic coefficient behind"
+            )
+    slopes.kappa_slope_bound(k, externals)
+    hodge = pushforward.p_phi_lambda(k)
+    report = slopes.slope_of(externals.apply(hodge))
+    _require(report.valid != slopes.UNKNOWN, "slope validity still unknown")
 
 
-CHECKS: dict[str, Callable[[int, ExternalCoeffs | None], Iterator[CheckResult]]] = {
-    "genus": _check_genus,
-    "catalan": _check_catalan,
-    "small-k-cases": _check_small_k_cases,
-    "grr-assembly": _check_grr_assembly,
-    "hodge-closed-forms": _check_hodge_closed_forms,
-    "closed-forms": _check_closed_forms,
-    "slopes": _check_slopes,
-    "bounds": _check_bounds,
-    "m0n": _check_m0n,
-    "hygiene": _check_hygiene,
-    "delta-j-checks": _check_delta_j,
+_Part = tuple[int, float, Callable[[int, ExternalCoeffs | None], None]]
+
+# name -> parts (first k, last k, check), in verify order; a part runs
+# and prints one line for each k of its range
+_REGISTRY: dict[str, tuple[_Part, ...]] = {
+    "genus": ((1, inf, _genus),),
+    "catalan": ((1, inf, _catalan),),
+    "small-k-cases": ((1, 1, _small_k_1), (2, 2, _small_k_2)),
+    "grr-assembly": ((1, inf, _grr_assembly),),
+    "hodge-closed-forms": ((1, inf, _hodge_closed_forms),),
+    # the composite rows from k = 2, where E3 exists; the pushed closed
+    # forms from k = 3, where E2 does
+    "closed-forms": ((2, inf, _composite_rows), (3, inf, _pushed_closed_forms)),
+    "slopes": ((3, inf, _slopes),),
+    "bounds": ((1, inf, _bounds),),
+    "m0n": ((1, inf, _m0n),),
+    "hygiene": ((1, inf, _hygiene),),
+    "delta-j-checks": ((1, inf, _delta_j),),
 }
+
+
+def _run(
+    name: str, parts: tuple[_Part, ...], k: int, externals: ExternalCoeffs | None
+) -> list[CheckResult]:
+    results = []
+    for first, last, check in parts:
+        if not first <= k <= last:
+            continue
+        try:
+            check(k, externals)
+        except _Skip as exc:
+            results.append(CheckResult(name, k, SKIP, str(exc)))
+        except (CheckFailure, VerificationError, InvariantError) as exc:
+            results.append(CheckResult(name, k, FAIL, str(exc)))
+        else:
+            results.append(CheckResult(name, k, PASS))
+    return results
+
+
+# looked up by run_checks at each call, so a wrapped entry is the one run
+CHECKS: dict[str, Callable[[int, ExternalCoeffs | None], list[CheckResult]]] = {
+    name: partial(_run, name, parts) for name, parts in _REGISTRY.items()
+}
+ALL = "all"
 
 
 def run_checks(
@@ -403,16 +379,19 @@ def run_checks(
     names: list[str] | None = None,
     externals: ExternalCoeffs | None = None,
 ) -> list[CheckResult]:
-    """Run the named checks (all of them by default) for every k in the
-    inclusive range and return the individual results."""
+    """Run the named checks for every k in the inclusive range and
+    return the individual results.  ``all`` anywhere among the names, or
+    no names, runs every check once, in registry order."""
     if not 1 <= k_min <= k_max:
         raise ValueError(f"invalid range 1 <= {k_min} <= {k_max}")
-    selected = list(CHECKS) if not names else list(names)
+    selected = list(names) if names else [ALL]
     for name in selected:
-        if name not in CHECKS:
+        if name != ALL and name not in CHECKS:
             raise ValueError(
                 f"unknown check {name!r}; available: {', '.join(CHECKS)}"
             )
+    if ALL in selected:
+        selected = list(CHECKS)
     results: list[CheckResult] = []
     for k in range(k_min, k_max + 1):
         if k > k_min:

@@ -120,8 +120,6 @@ def _cmd_class(args) -> int:
 def _cmd_verify(args) -> int:
     externals = serialize.load_externals(args.externals) if args.externals else None
     names = None if args.checks is None else [n.strip() for n in args.checks.split(",")]
-    if names == ["all"]:
-        names = None
     results = checks_mod.run_checks(args.k_min, args.k_max, names, externals)
     lines = []
     for r in results:
@@ -298,9 +296,9 @@ _COMMANDS = {
         "run identity checks over a range of k",
         "Run the named checks for every k in the range.  Check names: "
         + ", ".join(checks_mod.CHECKS)
-        + ", or 'all'.  Checks needing the external coefficient table "
-        "are SKIPped unless --externals is given.  Exit code 1 when any "
-        "check fails.",
+        + f", or {checks_mod.ALL!r}.  Checks needing the external "
+        "coefficient table are SKIPped unless --externals is given.  Exit "
+        "code 1 when any check fails.",
         (
             ("--k-min", {"type": int, "required": True}),
             ("--k-max", {"type": int, "required": True}),

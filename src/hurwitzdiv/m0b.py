@@ -151,11 +151,7 @@ def kappa_class(k: int) -> DivisorClass:
 
 @per_k_cache
 def canonical_class(k: int) -> DivisorClass:
-    """The canonical class of the b-pointed rational moduli space
-    restricted to {T2, T3j}; the other symmetric generators pull back to
-    zero on the Hurwitz space, so they are dropped."""
-    b = 6 * k
-    coeffs = {T2: Fraction(-2, b - 1)}
-    for j in range(1, k + 1):
-        coeffs[T3j(j)] = Fraction(3 * j * (b - 3 * j), b - 1) - 2
-    return DivisorClass(m0b_sym_basis(k), coeffs)
+    """The canonical class K = kappa - delta of the b-pointed rational
+    moduli space restricted to {T2, T3j}; the other symmetric generators
+    pull back to zero on the Hurwitz space, so they are dropped."""
+    return kappa_class(k) - delta_restricted(k)

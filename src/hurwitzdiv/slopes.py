@@ -75,7 +75,7 @@ def slope_of(d: DivisorClass) -> SlopeReport:
     for name, value in d.items():
         if name == LAMBDA or name == delta(0):
             continue
-        j = int(name.split("_")[1])
+        j = d.basis.sort_index(name) - 1
         if not value.is_constant():
             symbolic = True
             witnesses.append((j, value))

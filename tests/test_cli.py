@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitzdiv import pushforward, serialize
+from hurwitzdiv.checks import run_checks
 from hurwitzdiv.cli import main
 from hurwitzdiv.pushforward import PER_FACTORIAL_B, RAW, convert_normalization
 from hurwitzdiv.serialize import dumps_canonical
@@ -131,6 +132,20 @@ def test_verify_unknown_check(capsys):
     )
     assert code == 2
     assert "unknown check" in err
+
+
+def test_verify_all_may_appear_anywhere_among_the_checks(capsys):
+    # all runs every check once, in registry order; other names are still
+    # validated
+    argv = ("verify", "--k-min", "1", "--k-max", "4")
+    every = run(capsys, *argv, "--checks", "all")
+    assert every[0] == 0
+    assert run(capsys, *argv, "--checks", "all,genus") == every
+    assert run(capsys, *argv, "--checks", "genus,all") == every
+    code, out, err = run(capsys, *argv, "--checks", "all,nope")
+    assert (code, out) == (2, "")
+    assert "unknown check 'nope'" in err
+    assert run_checks(1, 1, ["all"]) == run_checks(1, 1)
 
 
 @pytest.mark.parametrize("checks", ["", "genus,,catalan"])
