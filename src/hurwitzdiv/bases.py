@@ -21,26 +21,32 @@ E_{j,c} names from :func:`ejc_names`, a cached table sliced from that
 order, instead of formatting them again.
 
 Every coefficient is stored as integer numerators over one positive
-common denominator: a divisor class keeps its constant parts and the
-coefficients of the external symbols c_j, b_j in lowest terms, a class
-map keeps its images as sparse integer columns, one per source
-generator, which the builders write directly.  Sums run through one
-n-ary kernel, :func:`linear_combination`, which puts all its terms over
-one lcm, sums their numerators in a single pass and reduces once; ``+``
-and ``-`` are its two-term calls.  Addition, scaling, substitution and
-the application and composition of class maps run on plain ``int``:
-``ClassMap.compose`` maps each inner integer column through the outer
-columns over the product of the two denominators, without building a
-row as a class.  A ``Fraction`` or an :class:`AffineExpr` is built only
-at the public accessors ``DivisorClass.coefficient``/``items``.  Beside ``items`` sits
-the internal ``DivisorClass._formatted_items``, the same values as "p/q"
+common denominator, in one map per class: the constant part of a
+generator's coefficient is keyed by the generator name, the coefficient
+of an external symbol c_j, b_j in it by the plain tuple (name, symbol).
+A divisor class keeps that map in lowest terms; a class map keeps its
+images as sparse integer columns keyed the same way, one per source
+generator, which the builders write directly.  Sums, scalings,
+reduction, equality, hashing and composition treat every key alike; only
+the constructor, the accessors, substitution and the product rule of
+:meth:`ClassMap._map_numerators` tell the two kinds of key apart.  Sums
+run through one n-ary kernel, :func:`linear_combination`, which puts all
+its terms over one lcm, sums their numerators in a single pass and
+reduces once; ``+`` and ``-`` are its two-term calls.  Addition,
+scaling, substitution and the application and composition of class maps
+run on plain ``int``: ``ClassMap.compose`` maps each inner integer
+column through the outer columns over the product of the two
+denominators, without building a row as a class.  A ``Fraction`` or an
+:class:`AffineExpr` is built only at the public accessors
+``DivisorClass.coefficient``/``items``.  Beside ``items`` sits the
+internal ``DivisorClass._formatted_items``, the same values as "p/q"
 text rendered from the integers, which ``serialize`` and the ``cli``
 tables emit from.  It renders the class times an int ``scale`` without
 building that product: a raw pushed class is emitted as its
 per-factorial-b class with scale (6k)!, whose decimal digits are
-computed once per call (exact ``decimal`` arithmetic in a context of
-its own) rather than once per (6k)!-sized numerator, so no emitted value
-is converted to text through Python's quadratic, digit-limited int
+computed once per call (exact ``decimal`` arithmetic in a context of its
+own) rather than once per (6k)!-sized numerator, so no emitted value is
+converted to text through Python's quadratic, digit-limited int
 conversion.
 """
 
@@ -237,14 +243,15 @@ def mg_hat_basis(k: int) -> Basis:
 class DivisorClass:
     """A sparse divisor class: a finite sum of generators of one basis.
 
-    Every coefficient is stored as integer numerators over one positive
-    common denominator ``_den``: its constant part in ``_nums`` and the
-    coefficients of its external symbols c_j, b_j in ``_sym``, a map
-    generator -> symbol -> numerator.  A generator may occur in both
-    maps.  No numerator is zero, no inner map of ``_sym`` is empty,
+    Every coefficient is stored in one map ``_nums`` of integer
+    numerators over one positive common denominator ``_den``.  The
+    constant part of a generator's coefficient is keyed by the generator
+    name, and the coefficient of an external symbol c_j, b_j in it by the
+    plain tuple ``(name, symbol)``.  No numerator is zero,
     ``gcd(_den, *every numerator) == 1``, and ``_den == 1`` when there
     are no numerators.  This form is unique, so two classes are equal
-    exactly when their stored parts agree.  ``+`` and ``-`` are two-term
+    exactly when their stored parts agree, and sums, scalings and
+    reduction treat every key alike.  ``+`` and ``-`` are two-term
     calls of :func:`linear_combination`; a longer sum should be one call
     of it, which copies and reduces the result once instead of once per
     term.  Only the accessors
@@ -253,73 +260,60 @@ class DivisorClass:
     :class:`AffineExpr`.  Instances are immutable.
     """
 
-    __slots__ = ("basis", "_den", "_nums", "_sym")
+    __slots__ = ("basis", "_den", "_nums")
 
     def __init__(self, basis: Basis, coeffs: Mapping[str, AffineLike] | None = None):
         self.basis = basis
-        plain: dict[str, int | Fraction] = {}
-        symbolic: dict[str, dict[ExtSymbol, Fraction]] = {}
+        values: dict[str | tuple[str, ExtSymbol], int | Fraction] = {}
         if coeffs:
             for name, value in coeffs.items():
                 basis.check(name)
                 if isinstance(value, AffineExpr):
-                    if not value.is_constant():
-                        symbolic[name] = value.terms
+                    for s, coef in value.terms.items():
+                        values[name, s] = coef
                     value = value.const
                 elif not isinstance(value, (int, Fraction)):
                     raise TypeError(
                         f"cannot interpret {type(value).__name__} as a coefficient"
                     )
                 if value:
-                    plain[name] = value
+                    values[name] = value
         # over the lcm of reduced denominators the numerators share no
         # factor with it, so the stored form is already in lowest terms
-        den = lcm(
-            *(value.denominator for value in plain.values()),
-            *(coef.denominator for terms in symbolic.values() for coef in terms.values()),
-        )
+        den = lcm(*(value.denominator for value in values.values()))
         self._den = den
-        self._nums = {n: numerator_over(value, den) for n, value in plain.items()}
-        self._sym = {
-            name: {s: numerator_over(coef, den) for s, coef in terms.items()}
-            for name, terms in symbolic.items()
-        }
+        self._nums = {key: numerator_over(value, den) for key, value in values.items()}
 
     @classmethod
-    def _raw(
-        cls,
-        basis: Basis,
-        den: int,
-        nums: dict[str, int],
-        sym: dict[str, dict[ExtSymbol, int]] | None = None,
-    ) -> "DivisorClass":
-        # internal: generators already validated, every numerator nonzero
-        # over ``den`` > 0, no inner map of ``sym`` empty; only the common
-        # factor of ``den`` and the numerators is removed here
-        sym = sym or {}
-        if not (nums or sym):
+    def _raw(cls, basis: Basis, den: int, nums: dict) -> "DivisorClass":
+        # internal: keys already validated, every numerator nonzero over
+        # ``den`` > 0; only the common factor of ``den`` and the
+        # numerators is removed here
+        if not nums:
             den = 1
         elif den != 1:
             g = gcd(den, *nums.values())
-            if g != 1 and sym:
-                g = gcd(g, *_sym_numerators(sym))
             if g != 1:
                 den //= g
-                nums = {name: n // g for name, n in nums.items()}
-                sym = {
-                    name: {s: n // g for s, n in terms.items()}
-                    for name, terms in sym.items()
-                }
+                nums = {key: n // g for key, n in nums.items()}
         obj = cls.__new__(cls)
         obj.basis = basis
         obj._den = den
         obj._nums = nums
-        obj._sym = sym
         return obj
 
-    def _value(self, name: str) -> AffineExpr:
+    def _symbolic(self) -> dict[str, dict[ExtSymbol, int]]:
+        """The symbol numerators, grouped as generator -> symbol ->
+        numerator."""
+        grouped: dict[str, dict[ExtSymbol, int]] = {}
+        for key, n in self._nums.items():
+            if type(key) is tuple:
+                name, s = key
+                grouped.setdefault(name, {})[s] = n
+        return grouped
+
+    def _value(self, name: str, terms: Mapping[ExtSymbol, int] | None) -> AffineExpr:
         den = self._den
-        terms = self._sym.get(name)
         return AffineExpr(
             Fraction(self._nums.get(name, 0), den),
             terms and {s: Fraction(n, den) for s, n in terms.items()},
@@ -327,14 +321,29 @@ class DivisorClass:
 
     def coefficient(self, name: str) -> AffineExpr:
         self.basis.check(name)
-        return self._value(name)
+        terms = {
+            key[1]: n
+            for key, n in self._nums.items()
+            if type(key) is tuple and key[0] == name
+        }
+        return self._value(name, terms)
 
     def support(self) -> list[str]:
+        return self._support(self._symbolic())
+
+    def _support(self, sym: Mapping[str, Mapping[ExtSymbol, int]]) -> list[str]:
+        # the constant keys in stored order, then the generators of the
+        # grouped symbol terms ``sym`` that have no constant part; a list
+        # near basis order sorts faster than a set
+        nums = self._nums
+        names = [key for key in nums if type(key) is str]
+        names += [name for name in sym if name not in nums]
         position = _generator_index(self.basis.kind, self.basis.k)
-        return sorted(self._nums.keys() | self._sym.keys(), key=position.__getitem__)
+        return sorted(names, key=position.__getitem__)
 
     def items(self) -> list[tuple[str, AffineExpr]]:
-        return [(name, self._value(name)) for name in self.support()]
+        sym = self._symbolic()
+        return [(name, self._value(name, sym.get(name))) for name in self._support(sym)]
 
     def _formatted_items(
         self, scale: int = 1
@@ -355,7 +364,7 @@ class DivisorClass:
         conversion per (6k)!-sized value."""
         if not isinstance(scale, int) or scale < 1:
             raise ValueError(f"scale must be a positive int, got {scale!r}")
-        den, nums, sym = self._den, self._nums, self._sym
+        den, nums = self._den, self._nums
         if scale == 1:
             def text(n: int) -> str:
                 # core.format_ratio, inlined: this runs once per emitted value
@@ -377,8 +386,9 @@ class DivisorClass:
                 if q is None:
                     q = quotients[g1] = ctx.divide_int(whole, g1)
                 return f"{ctx.multiply(q, n // g)}/{d0 // g1}"
+        sym = self._symbolic()
         rendered = []
-        for name in self.support():
+        for name in self._support(sym):
             terms = sym.get(name)
             if terms:
                 terms = tuple((s, text(terms[s])) for s in sorted(terms, key=display_key))
@@ -388,30 +398,27 @@ class DivisorClass:
         return rendered
 
     def is_zero(self) -> bool:
-        return not self._nums and not self._sym
+        return not self._nums
 
     def substitute(self, values: Mapping[ExtSymbol, RationalLike]) -> "DivisorClass":
         """Replace every symbol present in ``values``; others stay
         symbolic.  Everything is put over one lcm of the denominators of
         the values used."""
-        present = set().union(*self._sym.values())
+        present = {key[1] for key in self._nums if type(key) is tuple}
         used = {s: exact_rational(values[s]) for s in present if s in values}
         if not used:
             return self
         common = lcm(*(v.denominator for v in used.values()))
-        nums = {name: n * common for name, n in self._nums.items()}
-        sym: dict[str, dict[ExtSymbol, int]] = {}
-        for name, terms in self._sym.items():
-            kept: dict[ExtSymbol, int] = {}
-            for s, n in terms.items():
-                v = used.get(s)
-                if v is None:
-                    kept[s] = n * common
-                else:
-                    nums[name] = nums.get(name, 0) + n * numerator_over(v, common)
-            if kept:
-                sym[name] = kept
-        return DivisorClass._raw(self.basis, self._den * common, _nonzero(nums), sym)
+        used = {s: numerator_over(v, common) for s, v in used.items()}
+        nums: dict = {}
+        for key, n in self._nums.items():
+            if type(key) is tuple and key[1] in used:
+                # a substituted symbol term joins its generator's constant
+                key, n = key[0], n * used[key[1]]
+            else:
+                n *= common
+            nums[key] = nums.get(key, 0) + n
+        return DivisorClass._raw(self.basis, self._den * common, _nonzero(nums))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
@@ -433,13 +440,9 @@ class DivisorClass:
         p, q = x.numerator, x.denominator
         g = gcd(self._den, p)
         den, p = self._den // g, p // g
-        g = gcd(q, *self._nums.values(), *_sym_numerators(self._sym))
-        nums = {name: n // g * p for name, n in self._nums.items()}
-        sym = {
-            name: {s: n // g * p for s, n in terms.items()}
-            for name, terms in self._sym.items()
-        }
-        return DivisorClass._raw(self.basis, den * (q // g), nums, sym)
+        g = gcd(q, *self._nums.values())
+        nums = {key: n // g * p for key, n in self._nums.items()}
+        return DivisorClass._raw(self.basis, den * (q // g), nums)
 
     def __mul__(self, scalar: AffineLike) -> "DivisorClass":
         if isinstance(scalar, AffineExpr):
@@ -470,20 +473,10 @@ class DivisorClass:
             self.basis == other.basis
             and self._den == other._den
             and self._nums == other._nums
-            and self._sym == other._sym
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                self.basis,
-                self._den,
-                frozenset(self._nums.items()),
-                frozenset(
-                    (name, frozenset(terms.items())) for name, terms in self._sym.items()
-                ),
-            )
-        )
+        return hash((self.basis, self._den, frozenset(self._nums.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -505,11 +498,6 @@ def numerator_over(value: int | Fraction, den: int) -> int:
     return value.numerator * (den // value.denominator)
 
 
-def _sym_numerators(sym: Mapping[str, Mapping[ExtSymbol, int]]) -> Iterator[int]:
-    for terms in sym.values():
-        yield from terms.values()
-
-
 def _add_scaled(acc: dict, terms: Mapping, factor: int) -> None:
     """``acc += factor * terms`` key by key; zeros are left in place."""
     get = acc.get
@@ -519,11 +507,6 @@ def _add_scaled(acc: dict, terms: Mapping, factor: int) -> None:
 
 def _nonzero(nums: dict) -> dict:
     return {key: n for key, n in nums.items() if n}
-
-
-def _nonzero_sym(sym: dict[str, dict[ExtSymbol, int]]) -> dict[str, dict[ExtSymbol, int]]:
-    kept = {name: _nonzero(terms) for name, terms in sym.items()}
-    return {name: terms for name, terms in kept.items() if terms}
 
 
 def zero_class(basis: Basis) -> DivisorClass:
@@ -556,14 +539,10 @@ def linear_combination(
     # the first term is copied scaled, the others are added onto it
     p, q, d = scaled[0]
     f = den // q * p
-    nums = {name: n * f for name, n in d._nums.items()}
-    sym = {name: {s: n * f for s, n in row.items()} for name, row in d._sym.items()}
+    nums = {key: n * f for key, n in d._nums.items()}
     for p, q, d in scaled[1:]:
-        f = den // q * p
-        _add_scaled(nums, d._nums, f)
-        for name, row in d._sym.items():
-            _add_scaled(sym.setdefault(name, {}), row, f)
-    return DivisorClass._raw(basis, den, _nonzero(nums), _nonzero_sym(sym))
+        _add_scaled(nums, d._nums, den // q * p)
+    return DivisorClass._raw(basis, den, _nonzero(nums))
 
 
 class ClassMap:
@@ -572,15 +551,15 @@ class ClassMap:
 
     The images are sparse integer columns over one common denominator
     ``_den``, not necessarily in lowest terms: ``_cols`` maps a source
-    generator to the numerators of its image's constant parts (target ->
-    int), ``_sym`` to those of its c_j/b_j parts (target -> symbol ->
-    int); none is zero.  :meth:`row` builds the reduced class, and
-    :meth:`apply` sums every product in ``int``.  The symbols occur
-    linearly: a symbolic source coefficient meeting a column with
-    symbolic entries raises ``ValueError``.
+    generator to the numerators of its image, keyed as in
+    :class:`DivisorClass` (a target generator for a constant part,
+    ``(target, symbol)`` for a c_j/b_j part); none is zero.  :meth:`row`
+    builds the reduced class, and :meth:`apply` sums every product in
+    ``int``.  The symbols occur linearly: a symbolic source coefficient
+    meeting a column with symbolic entries raises ``ValueError``.
     """
 
-    __slots__ = ("source", "target", "_den", "_cols", "_sym")
+    __slots__ = ("source", "target", "_den", "_cols")
 
     def __init__(self, source: Basis, target: Basis, rows: Mapping[str, DivisorClass]):
         for name, image in rows.items():
@@ -590,71 +569,67 @@ class ClassMap:
                     f"row for {name!r} lives over {image.basis}, expected {target}"
                 )
         den = lcm(*(image._den for image in rows.values()))
-        cols: dict[str, dict[str, int]] = {}
-        sym: dict[str, dict[str, dict[ExtSymbol, int]]] = {}
+        cols: dict[str, dict] = {}
         for name, image in rows.items():
-            f = den // image._den
             if image._nums:
-                cols[name] = {t: n * f for t, n in image._nums.items()}
-            if image._sym:
-                sym[name] = {
-                    t: {s: n * f for s, n in terms.items()}
-                    for t, terms in image._sym.items()
-                }
+                f = den // image._den
+                cols[name] = {key: n * f for key, n in image._nums.items()}
         self.source, self.target = source, target
-        self._den, self._cols, self._sym = den, cols, sym
+        self._den, self._cols = den, cols
 
     @classmethod
-    def _raw(cls, source: Basis, target: Basis, den: int, cols, sym=None) -> "ClassMap":
-        # internal: columns as stored, generators already validated, every
-        # numerator nonzero over ``den`` > 0, no inner map empty
+    def _raw(cls, source: Basis, target: Basis, den: int, cols) -> "ClassMap":
+        # internal: columns as stored, keys already validated, every
+        # numerator nonzero over ``den`` > 0, no column empty
         obj = cls.__new__(cls)
         obj.source, obj.target = source, target
-        obj._den, obj._cols, obj._sym = den, cols, sym or {}
+        obj._den, obj._cols = den, cols
         return obj
 
     def row(self, name: str) -> DivisorClass:
         self.source.check(name)
-        return DivisorClass._raw(
-            self.target, self._den, self._cols.get(name, {}), self._sym.get(name)
-        )
+        return DivisorClass._raw(self.target, self._den, self._cols.get(name, {}))
 
     @property
     def rows(self) -> dict[str, DivisorClass]:
         """The nonzero images, by source generator."""
-        return {name: self.row(name) for name in {**self._cols, **self._sym}}
+        return {
+            name: DivisorClass._raw(self.target, self._den, col)
+            for name, col in self._cols.items()
+        }
 
-    def _map_numerators(
-        self, nums: Mapping[str, int], sym_in: Mapping[str, Mapping[ExtSymbol, int]]
-    ) -> tuple[dict[str, int], dict[str, dict[ExtSymbol, int]]]:
-        """The image of the class with numerators ``nums``/``sym_in``
-        over some denominator q, as numerators over q * ``_den``, zeros
-        dropped.  Every product is summed in int; the symbols occur
-        linearly, so at most one side of a product carries one."""
-        cols, sym_cols = self._cols, self._sym
-        sums: dict[str, int] = {}
-        sym: dict[str, dict[ExtSymbol, int]] = {}
-        for name, x in nums.items():
-            for t, r in cols.get(name, {}).items():
-                sums[t] = sums.get(t, 0) + x * r
-            for t, terms in sym_cols.get(name, {}).items():
-                _add_scaled(sym.setdefault(t, {}), terms, x)
-        for name, terms in sym_in.items():
-            if name in sym_cols:
-                raise ValueError(
-                    "product of two non-constant affine expressions is not affine"
-                )
-            for t, r in cols.get(name, {}).items():
-                _add_scaled(sym.setdefault(t, {}), terms, r)
-        return _nonzero(sums), _nonzero_sym(sym)
+    def _map_numerators(self, nums: Mapping) -> dict:
+        """The image of the class with numerators ``nums`` over some
+        denominator q, as numerators over q * ``_den``, zeros dropped.
+        Every product is summed in int.  The symbols occur linearly: a
+        symbol term (name, s) of the source maps through a constant
+        entry t of name's column to (t, s), and through a symbolic entry
+        it raises ``ValueError``."""
+        cols = self._cols
+        sums: dict = {}
+        get = sums.get
+        for key, x in nums.items():
+            if type(key) is tuple:
+                name, s = key
+                for t, r in cols.get(name, {}).items():
+                    if type(t) is tuple:
+                        raise ValueError(
+                            "product of two non-constant affine expressions is not affine"
+                        )
+                    sums[t, s] = get((t, s), 0) + x * r
+            else:
+                for t, r in cols.get(key, {}).items():
+                    sums[t] = get(t, 0) + x * r
+        return _nonzero(sums)
 
     def apply(self, d: DivisorClass) -> DivisorClass:
         if d.basis != self.source:
             raise BasisMismatchError(
                 f"class over {d.basis} cannot be fed to a map from {self.source}"
             )
-        nums, sym = self._map_numerators(d._nums, d._sym)
-        return DivisorClass._raw(self.target, d._den * self._den, nums, sym)
+        return DivisorClass._raw(
+            self.target, d._den * self._den, self._map_numerators(d._nums)
+        )
 
     def compose(self, inner: "ClassMap") -> "ClassMap":
         """The map ``self o inner``; requires inner.target == self.source.
@@ -666,22 +641,17 @@ class ClassMap:
                 f"cannot compose: inner map lands in {inner.target}, "
                 f"outer map starts from {self.source}"
             )
-        cols: dict[str, dict[str, int]] = {}
-        sym: dict[str, dict[str, dict[ExtSymbol, int]]] = {}
-        for name in {**inner._cols, **inner._sym}:
-            nums, terms = self._map_numerators(
-                inner._cols.get(name, {}), inner._sym.get(name, {})
-            )
-            if nums:
-                cols[name] = nums
-            if terms:
-                sym[name] = terms
-        return ClassMap._raw(inner.source, self.target, self._den * inner._den, cols, sym)
+        cols = {}
+        for name, col in inner._cols.items():
+            mapped = self._map_numerators(col)
+            if mapped:
+                cols[name] = mapped
+        return ClassMap._raw(inner.source, self.target, self._den * inner._den, cols)
 
     def __repr__(self) -> str:
         return (
             f"ClassMap({self.source.kind}(k={self.source.k}) -> "
-            f"{self.target.kind}(k={self.target.k}), {len(self.rows)} rows)"
+            f"{self.target.kind}(k={self.target.k}), {len(self._cols)} rows)"
         )
 
 

@@ -170,10 +170,11 @@ def _cmd_slope(args) -> int:
 
 
 def _parse_set(text: str) -> set[int]:
-    try:
-        return {int(piece) for piece in text.split(",") if piece != ""}
-    except ValueError as exc:
-        raise UsageError(f"malformed marked set {text!r}") from exc
+    # each comma-separated member is an index literal; an empty one is not
+    pieces = text.split(",")
+    if not all(map(is_index_literal, pieces)):
+        raise UsageError(f"malformed marked set {text!r}")
+    return set(map(int, pieces))
 
 
 def _cmd_m0n(args) -> int:

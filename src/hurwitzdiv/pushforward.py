@@ -97,9 +97,13 @@ class ExternalCoeffs:
     b: Mapping[int, Fraction]
 
     def __post_init__(self) -> None:
-        expected = set(range(1, self.k + 1))
+        # k distinct keys, each an int in 1..k, are exactly 1..k; no
+        # range(1, k + 1) is built, so a huge declared k costs nothing
+        k = self.k
         for label, table in (("c", self.c), ("b", self.b)):
-            if set(table) != expected:
+            if len(table) != k or not all(
+                isinstance(j, int) and 1 <= j <= k for j in table
+            ):
                 raise ValueError(
                     f"external table {label!r} must cover exactly 1..{self.k}, "
                     f"got indices {sorted(table)}"
@@ -133,20 +137,19 @@ def p_push(k: int) -> ClassMap:
     deltas = [delta(j) for j in range(k + 1)]
     cols = {E0: {deltas[0]: numerator_over(n / 2, den)}}
     # E2/E3 reach lambda, delta_0 and, on each delta_j, c_j or b_j
-    sym: dict[str, dict[str, dict[ExtSymbol, int]]] = {}
     if k >= 3:
         cols[E2] = {
             LAMBDA: numerator_over(lead2 * (18 * k * k + 51 * k - 9), den),
             deltas[0]: numerator_over(-lead2 * (3 * k * k + 4 * k - 1), den),
         }
-        sym[E2] = {deltas[j]: {c_sym(j): den // 2} for j in range(1, k + 1)}
+        cols[E2].update(((deltas[j], c_sym(j)), den // 2) for j in range(1, k + 1))
     if k >= 2:
         cols[E3] = {
             LAMBDA: numerator_over(lead3 * (12 * k * k + 46 * k - 8), den),
             deltas[0]: numerator_over(-lead3 * (2 * k * k + 4 * k - 1), den),
         }
         b = numerator_over(-lead3, den)
-        sym[E3] = {deltas[j]: {b_sym(j): b} for j in range(1, k + 1)}
+        cols[E3].update(((deltas[j], b_sym(j)), b) for j in range(1, k + 1))
     names = ejc_names(k)
     e_rows = jc_rows(k, "e")
     for j in range(1, k + 1):
@@ -154,7 +157,7 @@ def p_push(k: int) -> ClassMap:
         for name, e in zip(names[j], e_rows[j]):
             # e_{j,c} as its integer numerator, which is positive
             cols[name] = {deltas[j]: e * f}
-    return ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, sym)
+    return ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols)
 
 
 @per_k_cache
@@ -276,10 +279,12 @@ def p_q_map(k: int) -> ClassMap:
     t2 = {LAMBDA: 3 * (2 * k + 5) * lead, delta(0): -(k + 1) * lead}
     cols = {T2: {t: numerator_over(v, den) for t, v in t2.items()}}
     b3 = numerator_over(-b3_weight, den)
-    sym = {T2: {delta(j): {c_sym(j): den, b_sym(j): b3} for j in range(1, k + 1)}}
+    for j in range(1, k + 1):
+        cols[T2][delta(j), c_sym(j)] = den
+        cols[T2][delta(j), b_sym(j)] = b3
     for j, alpha in enumerate(alphas, 1):
         cols[T3j(j)] = {delta(j): numerator_over(alpha, den)}
-    return ClassMap._raw(q_pullback(k).source, mg_basis(k), den, cols, sym)
+    return ClassMap._raw(q_pullback(k).source, mg_basis(k), den, cols)
 
 
 @per_k_cache

@@ -223,19 +223,26 @@ def mg_classes(values, k=2):
     )
 
 
+def assert_stored_key(basis, key):
+    """A stored key: a generator of ``basis`` for a constant part, the
+    plain tuple (generator, ExtSymbol) for a symbol coefficient."""
+    if type(key) is tuple:
+        assert len(key) == 2 and type(key[1]) is ExtSymbol, f"bad key {key!r}"
+        key = key[0]
+    assert type(key) is str and basis.contains(key), f"bad key {key!r}"
+
+
 def assert_canonical(d):
-    """The unique stored form: constant parts in ``_nums`` and symbol
-    coefficients in ``_sym``, all integer numerators over one positive
-    denominator in lowest terms (1 when there are none), with no zero
-    numerator and no empty symbol map."""
+    """The unique stored form: one map of integer numerators over one
+    positive denominator in lowest terms (1 when there are none), keyed
+    by generator for the constant parts and by (generator, symbol) for
+    the symbol coefficients, with no zero numerator."""
     assert type(d._den) is int and d._den > 0
-    sym_numerators = [n for terms in d._sym.values() for n in terms.values()]
-    for n in [*d._nums.values(), *sym_numerators]:
+    for key, n in d._nums.items():
+        assert_stored_key(d.basis, key)
         assert type(n) is int and n, f"non-canonical numerator {n!r}"
-    for terms in d._sym.values():
-        assert terms and all(isinstance(s, ExtSymbol) for s in terms)
-    assert math.gcd(d._den, *d._nums.values(), *sym_numerators) == 1
-    assert d._nums or d._sym or d._den == 1
+    assert math.gcd(d._den, *d._nums.values()) == 1
+    assert d._nums or d._den == 1
 
 
 def model(d):
@@ -319,11 +326,12 @@ def test_full_substitution_stores_only_fractions(table):
     ext = ExternalCoeffs(3, dict(zip((1, 2, 3), table[:3])), dict(zip((1, 2, 3), table[3:])))
     for d in (p_phi_lambda(3), p_q_kappa(3)):
         # the symbols sit on delta_j (j >= 1), beside their constant parts
-        assert set(d._sym) == {delta(1), delta(2), delta(3)}
+        symbolic = [key for key in d._nums if type(key) is tuple]
+        assert {name for name, _ in symbolic} == {delta(1), delta(2), delta(3)}
         assert {delta(1), delta(2), delta(3)} <= set(d._nums)
         numeric = ext.apply(d)
         assert_canonical(numeric)
-        assert not numeric._sym
+        assert all(type(key) is str for key in numeric._nums)
         values = ext.substitution()
         assert model(numeric) == {g: e.substitute(values) for g, e in model(d).items()}
 
@@ -334,20 +342,21 @@ def test_constant_affine_and_fraction_classes_are_identical():
     wrapped = DivisorClass(basis, {E0: AffineExpr(3)})
     assert plain == wrapped
     assert hash(plain) == hash(wrapped)
-    assert (wrapped._den, wrapped._nums, wrapped._sym) == (1, {E0: 3}, {})
+    assert (wrapped._den, wrapped._nums) == (1, {E0: 3})
     assert wrapped.coefficient(E0) == AffineExpr(3)
     # a symbolic sum that cancels is stored as its constant
     sym = DivisorClass(mg_basis(1), {delta(1): AffineExpr(1, {c_sym(1): 1})})
     cancelled = sym - DivisorClass(mg_basis(1), {delta(1): AffineExpr(0, {c_sym(1): 1})})
-    stored = (cancelled._den, cancelled._nums, cancelled._sym)
-    assert stored == (1, {delta(1): 1}, {})
+    assert (cancelled._den, cancelled._nums) == (1, {delta(1): 1})
     # constant and symbol parts of one coefficient share the denominator
     mixed = DivisorClass(
         mg_basis(1),
         {delta(1): AffineExpr(Fraction(1, 2), {c_sym(1): Fraction(1, 3)}), LAMBDA: 5},
     )
-    stored = (mixed._den, mixed._nums, mixed._sym)
-    assert stored == (6, {delta(1): 3, LAMBDA: 30}, {delta(1): {c_sym(1): 2}})
+    stored = (mixed._den, mixed._nums)
+    assert stored == (6, {delta(1): 3, (delta(1), c_sym(1)): 2, LAMBDA: 30})
+    # the symbol key is the plain tuple (generator, symbol)
+    assert {type(key) for key in mixed._nums} == {str, tuple}
 
 
 # Integer kernel: a ClassMap keeps one common denominator and one integer
@@ -515,7 +524,7 @@ def test_symbolic_kernel_substitute_matches_affine_model(d, table, order, cut):
         result = d.substitute(values)
         assert_canonical(result)
         assert model(result) == {g: e.substitute(values) for g, e in model(d).items()}
-    assert not d.substitute(full)._sym
+    assert all(type(key) is str for key in d.substitute(full)._nums)
 
 
 @given(st.data())
@@ -544,6 +553,11 @@ def test_symbolic_source_on_symbolic_row_is_rejected():
     d = DivisorClass(basis, {delta(1): AffineExpr(1, {b_sym(1): Fraction(2, 7)})})
     with pytest.raises(ValueError, match="not affine"):
         m.apply(d)
+    # compose runs the same product rule: a symbolic column of the inner
+    # map meets a symbolic column of the outer one
+    inner = ClassMap(basis, basis, {LAMBDA: d})
+    with pytest.raises(ValueError, match="not affine"):
+        m.compose(inner)
     # the same class is fine when it meets only plain rows
     plain = ClassMap(basis, basis, {delta(1): DivisorClass(basis, {LAMBDA: 3})})
     assert plain.apply(d).coefficient(LAMBDA) == AffineExpr(3, {b_sym(1): Fraction(6, 7)})
@@ -654,7 +668,7 @@ def test_linear_combination_edge_cases():
         basis, {LAMBDA: Fraction(1, 3), delta(1): AffineExpr(0, {c_sym(1): 2})}
     )
     empty = linear_combination(basis, [])
-    assert empty.is_zero() and (empty._den, empty._nums, empty._sym) == (1, {}, {})
+    assert empty.is_zero() and (empty._den, empty._nums) == (1, {})
     assert linear_combination(basis, [(0, d), (Fraction(0), d)]).is_zero()
     assert linear_combination(basis, [(1, d), (-1, d)]).is_zero()
     halves = [(Fraction(3, 2), d), (Fraction(1, 2), d)]
@@ -756,8 +770,13 @@ def test_compose_runs_on_integer_columns(monkeypatch):
         result = composed[k]
         assert result._den == outer._den * inner._den
         assert all(col and all(col.values()) for col in result._cols.values())
-        for col in result._sym.values():
-            assert col and all(terms and all(terms.values()) for terms in col.values())
+        for col in result._cols.values():
+            for key, n in col.items():
+                assert_stored_key(result.target, key)
+                assert type(n) is int
+        # E3 (k >= 2) carries b_j, so the T2 column does too
+        t2_keys = {type(key) for key in result._cols[T2]}
+        assert t2_keys == ({str, tuple} if k >= 2 else {str})
         for g, row in expected[k].items():
             assert result.row(g) == row
 

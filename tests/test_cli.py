@@ -373,6 +373,22 @@ def test_m0n_malformed_set(capsys):
     assert code == 2
     code, _, err = run(capsys, "m0n", "--b", "6", "intersect", "1,2")
     assert code == 2
+    # each member is an index literal, 0|[1-9][0-9]*, and none is empty
+    for b, text in (
+        ("12", "\u0663,4"),
+        ("12", " 3,4"),
+        ("12", "+3,4"),
+        ("12", "03,4"),
+        ("12", "3,4,"),
+        ("12", "1_0,4"),
+        ("6", "1,,2"),
+        ("6", ""),
+    ):
+        code, out, err = run(capsys, "m0n", "--b", b, "normalize", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed marked set {text!r}\n"
+    code, out, _ = run(capsys, "m0n", "--b", "12", "normalize", "3,4")
+    assert (code, out) == (0, "{3,4}\n")
 
 
 def test_table_genus_csv(capsys):

@@ -377,6 +377,16 @@ def test_external_coeffs_validation():
         ExternalCoeffs(2, {1: Fraction(1)}, {1: Fraction(0), 2: Fraction(1)})
     with pytest.raises(ValueError):
         ExternalCoeffs(1, {1: Fraction(1), 2: Fraction(1)}, {1: Fraction(0)})
+    # k keys, but not the indices 1..k
+    for c in ({1: 1, 3: 1}, {1: 1, Fraction(3, 2): 1}, {0: 1, 1: 1}):
+        with pytest.raises(ValueError, match=r"must cover exactly 1\.\.2"):
+            ExternalCoeffs(2, c, {1: 0, 2: 0})
+
+
+def test_external_coeffs_refuse_a_huge_declared_k_at_once():
+    # coverage is checked without building range(1, k + 1)
+    with pytest.raises(ValueError, match=r"'c' must cover exactly 1\.\.10{18}, got indices \[1\]"):
+        ExternalCoeffs(10**18, {1: 1}, {1: 1})
 
 
 def test_external_coeffs_substitution_is_built_once_and_handed_out_fresh():
