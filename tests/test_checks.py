@@ -205,6 +205,33 @@ def test_closed_forms_fail_names_the_pushed_class(monkeypatch, name):
     ]
 
 
+@pytest.mark.parametrize("family, what", [("t", "trace"), ("u", "reduced")])
+def test_closed_forms_fail_names_the_delta_j_generator(monkeypatch, family, what):
+    # the e.t (or e.u) row of delta_2 off by one FAILs the second
+    # closed-forms result with the text that names delta_2 and the class
+    from hurwitzdiv import pushforward
+
+    real = pushforward.jc_rows
+
+    def off_by_one(k, fam):
+        rows = real(k, fam)
+        if fam != family:
+            return rows
+        row = rows[2]
+        return rows[:2] + ((row[0] + 1,) + row[1:],) + rows[3:]
+
+    assert [(r.status, r.detail) for r in run_checks(4, 4, ["closed-forms"])] == [
+        (PASS, ""),
+        (PASS, ""),
+    ]
+    monkeypatch.setattr(pushforward, "jc_rows", off_by_one)
+    results = run_checks(4, 4, ["closed-forms"])
+    assert [(r.status, r.detail) for r in results] == [
+        (PASS, ""),
+        (FAIL, f"delta_2 coefficient of the pushed {what} Hodge class"),
+    ]
+
+
 def test_catalan_fail_names_the_row(monkeypatch):
     from hurwitzdiv import trace
 
