@@ -254,10 +254,9 @@ class DivisorClass:
     reduction treat every key alike.  ``+`` and ``-`` are two-term
     calls of :func:`linear_combination`; a longer sum should be one call
     of it, which copies and reduces the result once instead of once per
-    term.  Only the accessors
-    :meth:`coefficient` and :meth:`items`, and multiplication by a
-    symbolic scalar, which goes through them, build an
-    :class:`AffineExpr`.  Instances are immutable.
+    term.  Only the accessors :meth:`coefficient` and :meth:`items`
+    build an :class:`AffineExpr`; a scalar must be constant, as the
+    symbols occur linearly.  Instances are immutable.
     """
 
     __slots__ = ("basis", "_den", "_nums")
@@ -446,11 +445,7 @@ class DivisorClass:
 
     def __mul__(self, scalar: AffineLike) -> "DivisorClass":
         if isinstance(scalar, AffineExpr):
-            if not scalar.is_constant():
-                return DivisorClass(
-                    self.basis, {name: e * scalar for name, e in self.items()}
-                )
-            scalar = scalar.const
+            scalar = scalar.constant_value()
         elif not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return self._scaled(scalar)

@@ -20,8 +20,11 @@ empties the builder caches between two values of k
 Each identity is stated once: ``closed-forms``, ``hygiene`` and
 ``delta-j-checks`` read one list of the pushed classes
 (:func:`_pushed_classes`), ``catalan`` and ``closed-forms`` one cached
-composite ``pushforward.p_q_composed``.  Builders are looked up in their
-modules at call time, so a patched builder is the one checked.
+composite ``pushforward.p_q_composed``, and ``closed-forms`` compares
+each pushed Hodge class whole with its expected class
+(``pushforward.p_phi_lambda_expected``/``p_phihat_lambda_expected``).
+Builders are looked up in their modules at call time, so a patched
+builder is the one checked.
 """
 
 from __future__ import annotations
@@ -212,19 +215,15 @@ def _composite_rows(k: int, externals) -> None:
 def _pushed_closed_forms(k: int, externals) -> None:
     for what, d, closed in _pushed_classes(k):
         _require(_lambda_delta0(d) == closed(k), f"{what} differs from closed form")
-    hodge = pushforward.p_phi_lambda(k)
-    reduced = pushforward.p_phihat_lambda(k)
-    for j in range(1, k + 1):
-        _require(
-            hodge.coefficient(delta(j))
-            == pushforward.p_phi_lambda_delta_expected(k, j),
-            f"delta_{j} coefficient of the pushed trace Hodge class",
-        )
-        _require(
-            reduced.coefficient(delta(j))
-            == pushforward.p_phihat_lambda_delta_expected(k, j),
-            f"delta_{j} coefficient of the pushed reduced Hodge class",
-        )
+    pf = pushforward
+    for what, pushed, expected in (
+        ("trace", pf.p_phi_lambda(k), pf.p_phi_lambda_expected(k)),
+        ("reduced", pf.p_phihat_lambda(k), pf.p_phihat_lambda_expected(k)),
+    ):
+        if pushed != expected:
+            # lambda and delta_0 agree by now, so this names a delta_j
+            name = (pushed - expected).support()[0]
+            raise CheckFailure(f"{name} coefficient of the pushed {what} Hodge class")
 
 
 _SLOPE_GRID = (Fraction(23, 2), Fraction(12), Fraction(13), Fraction(20))

@@ -126,7 +126,8 @@ class ExtSymbol(_SymbolFields):
     def __new__(cls, family: str, index: int) -> "ExtSymbol":
         if family not in ("c", "b"):
             raise ValueError(f"symbol family must be 'c' or 'b', got {family!r}")
-        if index < 1:
+        # a bool or a float would print as c_True or b_2.0
+        if type(index) is not int or index < 1:
             raise ValueError(f"symbol index must be >= 1, got {index}")
         return super().__new__(cls, family, index)
 

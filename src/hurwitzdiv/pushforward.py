@@ -12,10 +12,10 @@ coefficients of delta_j for j >= 1 involve the external symbols c_j and
 b_j, which stay symbolic unless an :class:`ExternalCoeffs` table is
 supplied; the lambda and delta_0 coefficients are always symbol-free.
 
-The E_{j,c} rows of :func:`p_push` and the delta_j predictions
-:func:`p_phi_lambda_delta_expected`/:func:`p_phihat_lambda_delta_expected`
-read the per-k row tables ``trace.jc_rows`` (the e, t and u families)
-instead of evaluating each coefficient again.
+The E_{j,c} rows of :func:`p_push` and the whole expected Hodge classes
+:func:`p_phi_lambda_expected`/:func:`p_phihat_lambda_expected` read the
+per-k row tables ``trace.jc_rows`` (the e, t and u families) instead of
+evaluating each coefficient again.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .bases import (
     E0,
     E2,
     E3,
-    IndexRangeError,
     LAMBDA,
     T3j,
     T2,
@@ -45,7 +44,7 @@ from .bases import (
     mg_basis,
     numerator_over,
 )
-from .core import AffineExpr, ExtSymbol, b_sym, c_sym, per_k_cache
+from .core import ExtSymbol, b_sym, c_sym, per_k_cache
 from .m0b import kappa_class
 from .trace import (
     alpha_coeff,
@@ -97,12 +96,12 @@ class ExternalCoeffs:
     b: Mapping[int, Fraction]
 
     def __post_init__(self) -> None:
-        # k distinct keys, each an int in 1..k, are exactly 1..k; no
-        # range(1, k + 1) is built, so a huge declared k costs nothing
+        # k distinct keys, each an int (no bool) in 1..k, are exactly
+        # 1..k; no range(1, k + 1) is built, so a huge k costs nothing
         k = self.k
         for label, table in (("c", self.c), ("b", self.b)):
             if len(table) != k or not all(
-                isinstance(j, int) and 1 <= j <= k for j in table
+                type(j) is int and 1 <= j <= k for j in table
             ):
                 raise ValueError(
                     f"external table {label!r} must cover exactly 1..{self.k}, "
@@ -223,39 +222,42 @@ def p_phihat_delta0_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
     return lam, d0
 
 
-def _delta_expected(k: int, j: int, family: str, c_weight, b_weight) -> AffineExpr:
-    """One twelfth of sum_c e_{j,c} w_{j,c}, for a weight family given
-    by its :func:`~hurwitzdiv.trace.jc_rows` numerators over 2(6k-1)
-    and summed in integers, plus ``c_weight`` c_j (from E2, k >= 3) and
-    -N ``b_weight`` b_j (from E3, k >= 2)."""
-    if not 1 <= j <= k:
-        raise IndexRangeError(f"j = {j} out of range for k = {k}")
-    total = sum(e * w for e, w in zip(jc_rows(k, "e")[j], jc_rows(k, family)[j]))
-    terms: dict[ExtSymbol, Fraction] = {}
-    if k >= 3:
-        terms[c_sym(j)] = c_weight
-    if k >= 2:
-        terms[b_sym(j)] = -catalan_number(k) * b_weight
-    const = Fraction(total, 24 * (j + 1) * (2 * k - j + 1) * (6 * k - 1))
-    return AffineExpr(const, terms)
+def _hodge_expected(k: int, closed, family: str, c_weight, b_weight) -> DivisorClass:
+    """A pushed Hodge class as predicted: lambda and delta_0 from
+    ``closed(k)``; on delta_j one twelfth of sum_c e_{j,c} w_{j,c}, the
+    weights w given by their :func:`~hurwitzdiv.trace.jc_rows` numerators
+    over 2(6k-1) and summed in integers, plus ``c_weight`` c_j (from E2,
+    k >= 3) and -N ``b_weight`` b_j (from E3, k >= 2)."""
+    lam, d0 = closed(k)
+    b_weight = -catalan_number(k) * b_weight
+    e_dens = [24 * (j + 1) * (2 * k - j + 1) * (6 * k - 1) for j in range(k + 1)]
+    den = lcm(*(x.denominator for x in (lam, d0, c_weight, b_weight)), *e_dens[1:])
+    c = numerator_over(c_weight, den) if k >= 3 else 0
+    b = numerator_over(b_weight, den) if k >= 2 else 0
+    nums = {LAMBDA: numerator_over(lam, den), delta(0): numerator_over(d0, den)}
+    e_rows, w_rows = jc_rows(k, "e"), jc_rows(k, family)
+    for j in range(1, k + 1):
+        total = sum(e * w for e, w in zip(e_rows[j], w_rows[j]))
+        nums[delta(j)] = total * (den // e_dens[j])
+        nums[delta(j), c_sym(j)] = c
+        nums[delta(j), b_sym(j)] = b
+    return DivisorClass._raw(mg_basis(k), den, {key: n for key, n in nums.items() if n})
 
 
-def p_phi_lambda_delta_expected(k: int, j: int) -> AffineExpr:
-    """The delta_j coefficient of :func:`p_phi_lambda` predicted by the
-    row structure of the push-forward: the c_j part carries
-    (10k-1)/(4(6k-1)), the b_j part carries the E3 weight, and the
-    constant is one twelfth of sum e_{j,c} (a_{j,c} + d_{j,c})."""
+def p_phi_lambda_expected(k: int) -> DivisorClass:
+    """:func:`p_phi_lambda` as predicted by the closed forms and the row
+    structure of the push-forward: c_j carries (10k-1)/(4(6k-1)), b_j the
+    E3 weight, the constant one twelfth of sum e_{j,c} (a_{j,c} + d_{j,c})."""
     c_weight = Fraction(10 * k - 1, 4 * (6 * k - 1))
     b_weight = Fraction(6 * k * k + 11 * k + 1, 4 * (12 * k * k - 8 * k + 1))
-    return _delta_expected(k, j, "t", c_weight, b_weight)
+    return _hodge_expected(k, p_phi_lambda_closed_coeffs, "t", c_weight, b_weight)
 
 
-def p_phihat_lambda_delta_expected(k: int, j: int) -> AffineExpr:
-    """The delta_j coefficient of :func:`p_phihat_lambda` predicted by
-    the row structure of the push-forward."""
+def p_phihat_lambda_expected(k: int) -> DivisorClass:
+    """:func:`p_phihat_lambda` as predicted, with the weights u_{j,c}."""
     c_weight = Fraction(5 * k, 4 * (6 * k - 1))
     b_weight = Fraction(3 * k * k - 8 * k + 5, 4 * (6 * k - 1) * (2 * k - 1))
-    return _delta_expected(k, j, "u", c_weight, b_weight)
+    return _hodge_expected(k, p_phihat_lambda_closed_coeffs, "u", c_weight, b_weight)
 
 
 @per_k_cache

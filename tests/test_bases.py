@@ -267,6 +267,11 @@ def test_mixed_arithmetic_matches_affine_model(d1, d2, a):
         quotient = d1 / a
         assert_canonical(quotient)
         assert model(quotient) == {g: m1[g] / a_affine for g in m1}
+    # a non-constant scalar is refused on either side, as by division
+    symbolic = AffineExpr(a_affine.const, {c_sym(1): 1})
+    for op in (lambda: d1 * symbolic, lambda: symbolic * d1, lambda: d1 / symbolic):
+        with pytest.raises(ValueError, match="not constant"):
+            op()
 
 
 @given(

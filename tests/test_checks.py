@@ -232,6 +232,27 @@ def test_closed_forms_fail_names_the_delta_j_generator(monkeypatch, family, what
     ]
 
 
+def test_closed_forms_reads_a_fixed_number_of_coefficients(monkeypatch):
+    # the Hodge classes are compared whole, so only the lambda/delta_0
+    # reads of the six pushed classes call coefficient, at every k
+    from hurwitzdiv import bases
+
+    real = bases.DivisorClass.coefficient
+    calls = []
+
+    def counted(self, name):
+        calls.append(name)
+        return real(self, name)
+
+    monkeypatch.setattr(bases.DivisorClass, "coefficient", counted)
+    counts = []
+    for k in (10, 40):
+        calls.clear()
+        assert {r.status for r in run_checks(k, k, ["closed-forms"])} == {PASS}
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_catalan_fail_names_the_row(monkeypatch):
     from hurwitzdiv import trace
 

@@ -93,8 +93,9 @@ def test_ext_symbol_validation():
     assert str(b_sym(1)) == "b_1"
     with pytest.raises(ValueError):
         ExtSymbol("x", 1)
-    with pytest.raises(ValueError):
-        ExtSymbol("c", 0)
+    for index in (0, True, 2.0, "2"):
+        with pytest.raises(ValueError, match="symbol index must be >= 1"):
+            ExtSymbol("c", index)
 
 
 def test_ext_symbol_identity_order_and_text():
