@@ -37,11 +37,11 @@ scaling, substitution and the application and composition of class maps
 run on plain ``int``: ``ClassMap.compose`` maps each inner integer
 column through the outer columns over the product of the two
 denominators, without building a row as a class.  A ``Fraction`` or an
-:class:`AffineExpr` is built only at the public accessors
-``DivisorClass.coefficient``/``items``.  Beside ``items`` sits the
-internal ``DivisorClass._formatted_items``, the same values as "p/q"
-text rendered from the integers, which ``serialize`` and the ``cli``
-tables emit from.  It renders the class times an int ``scale`` without
+:class:`AffineExpr`, the read-only value of a coefficient, is built only
+at the public accessors ``DivisorClass.coefficient``/``items``.  Beside
+``items`` sits the internal ``DivisorClass._formatted_items``, the same
+values as "p/q" text rendered from the integers, which ``serialize`` and
+the ``cli`` tables emit from.  It renders the class times an int ``scale`` without
 building that product: a raw pushed class is emitted as its
 per-factorial-b class with scale (6k)!, whose decimal digits are
 computed once per call (exact ``decimal`` arithmetic in a context of its
@@ -61,7 +61,6 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     AffineExpr,
-    AffineLike,
     ExtSymbol,
     RationalLike,
     display_key,
@@ -255,13 +254,16 @@ class DivisorClass:
     calls of :func:`linear_combination`; a longer sum should be one call
     of it, which copies and reduces the result once instead of once per
     term.  Only the accessors :meth:`coefficient` and :meth:`items`
-    build an :class:`AffineExpr`; a scalar must be constant, as the
-    symbols occur linearly.  Instances are immutable.
+    build an :class:`AffineExpr`; a scalar is an ``int`` or a
+    ``Fraction``, as the symbols occur linearly.  Instances are
+    immutable.
     """
 
     __slots__ = ("basis", "_den", "_nums")
 
-    def __init__(self, basis: Basis, coeffs: Mapping[str, AffineLike] | None = None):
+    def __init__(
+        self, basis: Basis, coeffs: Mapping[str, RationalLike | AffineExpr] | None = None
+    ):
         self.basis = basis
         values: dict[str | tuple[str, ExtSymbol], int | Fraction] = {}
         if coeffs:
@@ -443,19 +445,15 @@ class DivisorClass:
         nums = {key: n // g * p for key, n in self._nums.items()}
         return DivisorClass._raw(self.basis, den * (q // g), nums)
 
-    def __mul__(self, scalar: AffineLike) -> "DivisorClass":
-        if isinstance(scalar, AffineExpr):
-            scalar = scalar.constant_value()
-        elif not isinstance(scalar, (int, Fraction)):
+    def __mul__(self, scalar: RationalLike) -> "DivisorClass":
+        if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return self._scaled(scalar)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar: AffineLike) -> "DivisorClass":
-        if isinstance(scalar, AffineExpr):
-            scalar = scalar.constant_value()
-        elif not isinstance(scalar, (int, Fraction)):
+    def __truediv__(self, scalar: RationalLike) -> "DivisorClass":
+        if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         if scalar == 0:
             raise ZeroDivisionError("division of a divisor class by zero")

@@ -36,10 +36,10 @@ from math import inf
 from typing import Callable
 
 from . import m0b, pushforward, slopes, trace
-from .bases import DivisorClass, E0, E3, Ejc, LAMBDA, T2, T3j, delta, hurwitz_basis, mg_basis
+from .bases import DivisorClass, E0, E3, Ejc, T2, T3j, delta, hurwitz_basis, mg_basis
 from .core import clear_caches
 from .pushforward import ExternalCoeffs, PER_FACTORIAL_B, RAW
-from .slopes import VerificationError
+from .slopes import VerificationError, lambda_delta0
 from .trace import InvariantError
 
 PASS = "PASS"
@@ -190,13 +190,6 @@ def _pushed_classes(k: int) -> tuple[tuple[str, DivisorClass, Callable], ...]:
     )
 
 
-def _lambda_delta0(d: DivisorClass) -> tuple[Fraction, Fraction]:
-    return (
-        d.coefficient(LAMBDA).constant_value(),
-        d.coefficient(delta(0)).constant_value(),
-    )
-
-
 def _composite_rows(k: int, externals) -> None:
     # the T3j rows of the composite are alpha(k, j) delta_j in p_q_map
     # and p_q_composed alike; catalan checks them at every k
@@ -207,14 +200,14 @@ def _composite_rows(k: int, externals) -> None:
     else:
         # at k = 2 the dropped E2 generator only affects the c_j terms
         _require(
-            _lambda_delta0(direct) == _lambda_delta0(composed),
+            lambda_delta0(direct) == lambda_delta0(composed),
             "composite row T2 lambda/delta_0 mismatch",
         )
 
 
 def _pushed_closed_forms(k: int, externals) -> None:
     for what, d, closed in _pushed_classes(k):
-        _require(_lambda_delta0(d) == closed(k), f"{what} differs from closed form")
+        _require(lambda_delta0(d) == closed(k), f"{what} differs from closed form")
     pf = pushforward
     for what, pushed, expected in (
         ("trace", pf.p_phi_lambda(k), pf.p_phi_lambda_expected(k)),
@@ -301,11 +294,12 @@ def _m0n(k: int, externals) -> None:
 
 def _hygiene(k: int, externals) -> None:
     for _, d, _ in _pushed_classes(k):
-        _require(
-            d.coefficient(LAMBDA).is_constant()
-            and d.coefficient(delta(0)).is_constant(),
-            "symbols leaked into a lambda or delta_0 coefficient",
-        )
+        try:
+            lambda_delta0(d)
+        except slopes.SlopeError:
+            raise CheckFailure(
+                "symbols leaked into a lambda or delta_0 coefficient"
+            ) from None
         raw = pushforward.convert_normalization(d, k, PER_FACTORIAL_B, RAW)
         back = pushforward.convert_normalization(raw, k, RAW, PER_FACTORIAL_B)
         _require(back == d, "normalization round-trip is not the identity")

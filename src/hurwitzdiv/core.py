@@ -5,11 +5,11 @@ Every value is immutable and every operation is exact; no floating point
 is used anywhere in the package.  Rationals are ``fractions.Fraction``,
 which already keeps gcd-reduced canonical form with a positive
 denominator and arbitrary-precision integer parts.  An
-:class:`AffineExpr` is the public value type of a coefficient that may
-carry a symbol; it mixes freely with ``int`` and ``Fraction`` operands,
-and a constant expression compares and hashes equal to its ``Fraction``
-value.  Divisor classes store their symbolic terms as integers and build
-an :class:`AffineExpr` only at their public accessors
+:class:`AffineExpr` is the read-only public value of a coefficient that
+may carry a symbol: it has no arithmetic operators, and a constant
+expression compares and hashes equal to its ``Fraction`` value.  Divisor
+classes do their arithmetic on integer numerators and build an
+:class:`AffineExpr` only at their public accessors
 (``DivisorClass.coefficient``/``items``), so it is not on the hot path.
 The text form of an affine expression is defined once, by
 :func:`affine_text` over already formatted "p/q" parts; both
@@ -128,7 +128,10 @@ class ExtSymbol(_SymbolFields):
             raise ValueError(f"symbol family must be 'c' or 'b', got {family!r}")
         # a bool or a float would print as c_True or b_2.0
         if type(index) is not int or index < 1:
-            raise ValueError(f"symbol index must be >= 1, got {index}")
+            raise ValueError(
+                f"symbol index must be an int >= 1, "
+                f"got {index!r} ({type(index).__name__})"
+            )
         return super().__new__(cls, family, index)
 
     def __str__(self) -> str:
@@ -169,11 +172,8 @@ def affine_text(const: str, terms: Sequence[tuple[ExtSymbol, str]]) -> str:
 
 class AffineExpr:
     """An exact affine-linear combination ``const + sum coef_s * s`` over
-    the external symbols.
-
-    The symbols only ever occur linearly, so multiplying two expressions
-    that both carry symbols is rejected.  Instances are immutable; all
-    arithmetic returns new objects.
+    the external symbols, as a read-only value: its parts, equality,
+    hashing and text.  Instances are immutable.
     """
 
     __slots__ = ("_const", "_terms")
@@ -223,63 +223,6 @@ class AffineExpr:
                 terms[sym] = coef
         return AffineExpr(const, terms)
 
-    def __add__(self, other) -> "AffineExpr":
-        if isinstance(other, (int, Fraction)):
-            return AffineExpr(self._const + other, self._terms)
-        if not isinstance(other, AffineExpr):
-            return NotImplemented
-        terms = dict(self._terms)
-        for sym, coef in other._terms.items():
-            terms[sym] = terms.get(sym, Fraction(0)) + coef
-        return AffineExpr(self._const + other._const, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "AffineExpr":
-        return AffineExpr(-self._const, {s: -c for s, c in self._terms.items()})
-
-    def __sub__(self, other) -> "AffineExpr":
-        if isinstance(other, (int, Fraction)):
-            return AffineExpr(self._const - other, self._terms)
-        if not isinstance(other, AffineExpr):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "AffineExpr":
-        return -self + other
-
-    def __mul__(self, other) -> "AffineExpr":
-        if isinstance(other, (int, Fraction)):
-            scalar = other
-        elif not isinstance(other, AffineExpr):
-            return NotImplemented
-        elif self._terms and other._terms:
-            raise ValueError(
-                "product of two non-constant affine expressions is not affine"
-            )
-        else:
-            if other._terms:
-                self, other = other, self
-            scalar = other._const
-        return AffineExpr(
-            self._const * scalar, {s: c * scalar for s, c in self._terms.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "AffineExpr":
-        if isinstance(other, (int, Fraction)):
-            scalar = other
-        elif not isinstance(other, AffineExpr):
-            return NotImplemented
-        else:
-            scalar = other.constant_value()
-        if scalar == 0:
-            raise ZeroDivisionError("division of affine expression by zero")
-        return AffineExpr(
-            self._const / scalar, {s: c / scalar for s, c in self._terms.items()}
-        )
-
     def __bool__(self) -> bool:
         return bool(self._const) or bool(self._terms)
 
@@ -308,13 +251,3 @@ class AffineExpr:
     def __repr__(self) -> str:
         return f"AffineExpr({self})"
 
-
-AffineLike = Union[int, Fraction, AffineExpr]
-
-
-def as_affine(x: AffineLike) -> AffineExpr:
-    if isinstance(x, AffineExpr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return AffineExpr(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as an affine expression")

@@ -100,13 +100,17 @@ class ExternalCoeffs:
         # 1..k; no range(1, k + 1) is built, so a huge k costs nothing
         k = self.k
         for label, table in (("c", self.c), ("b", self.b)):
-            if len(table) != k or not all(
-                type(j) is int and 1 <= j <= k for j in table
-            ):
-                raise ValueError(
-                    f"external table {label!r} must cover exactly 1..{self.k}, "
-                    f"got indices {sorted(table)}"
-                )
+            odd = [j for j in table if type(j) is not int]
+            if odd:
+                # the first one, named with its type: mixed keys do not sort
+                got = f"index {odd[0]!r} ({type(odd[0]).__name__})"
+            elif len(table) != k or not all(1 <= j <= k for j in table):
+                got = f"indices {sorted(table)}"
+            else:
+                continue
+            raise ValueError(
+                f"external table {label!r} must cover exactly 1..{k}, got {got}"
+            )
 
     @cached_property
     def _values(self) -> dict[ExtSymbol, int | Fraction]:

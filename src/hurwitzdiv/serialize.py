@@ -13,7 +13,8 @@ canonical JSON text directly.  The class writers and
 ``d * scale`` without building it: a raw pushed class is emitted as its
 per-factorial-b class with scale (6k)!, whose decimal digits are
 computed once per call instead of once per (6k)!-sized numerator.  An
-:class:`AffineExpr` is built only by the accessors
+:class:`AffineExpr`, the read-only value of a coefficient, is built only
+by the accessors
 ``DivisorClass.coefficient``/``items``, which the library objects
 ``class_to_obj``/``affine_to_obj`` use; ``dumps_canonical`` of those
 objects is the reference the direct writers are tested against.

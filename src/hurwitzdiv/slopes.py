@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bases import DivisorClass, LAMBDA, MG, delta, linear_combination, mg_basis
-from .core import AffineExpr, RationalLike
+from .core import AffineExpr, RationalLike, format_rational
 from .pushforward import (
     ExternalCoeffs,
     p_phi_delta,
@@ -56,19 +56,26 @@ class SlopeReport:
     witnesses: list[tuple[int, AffineExpr]] = field(default_factory=list)
 
 
+def lambda_delta0(d: DivisorClass) -> tuple[Fraction, Fraction]:
+    """The lambda and delta_0 coefficients of a class over the genus-2k
+    moduli basis; a symbol in either is a :class:`SlopeError`."""
+    lam = d.coefficient(LAMBDA)
+    d0 = d.coefficient(delta(0))
+    if not (lam.is_constant() and d0.is_constant()):
+        raise SlopeError("lambda and delta_0 coefficients must be symbol-free")
+    return lam.const, d0.const
+
+
 def slope_of(d: DivisorClass) -> SlopeReport:
     """Slope of a class over the genus-2k moduli basis, together with
     the status of the proviso b_0 <= b_j on the stored delta_j terms."""
     if d.basis.kind != MG:
         raise SlopeError(f"slope is defined over the Mg basis, got {d.basis.kind}")
-    lam = d.coefficient(LAMBDA)
-    d0 = d.coefficient(delta(0))
-    if not (lam.is_constant() and d0.is_constant()):
-        raise SlopeError("lambda and delta_0 coefficients must be symbol-free")
-    b0 = -d0.constant_value()
+    lam, d0 = lambda_delta0(d)
+    b0 = -d0
     if b0 == 0:
         raise SlopeError("delta_0 coefficient is zero; slope undefined")
-    slope = lam.constant_value() / b0
+    slope = lam / b0
     witnesses: list[tuple[int, AffineExpr]] = []
     symbolic = False
     violated = False
@@ -120,13 +127,9 @@ def _mobius_substitution(
     """The same Moebius map assembled from the pushed Hodge and boundary
     classes."""
     hodge_of, boundary_of = _pushed(variant)
-    hodge = hodge_of(k)
-    boundary = boundary_of(k, 0)
-    alpha_lam = hodge.coefficient(LAMBDA).constant_value()
-    alpha_0 = -hodge.coefficient(delta(0)).constant_value()
-    beta_lam = boundary.coefficient(LAMBDA).constant_value()
-    beta_0 = boundary.coefficient(delta(0)).constant_value()
-    return (alpha_lam, -beta_lam), (alpha_0, beta_0)
+    alpha_lam, alpha_0 = lambda_delta0(hodge_of(k))
+    beta_lam, beta_0 = lambda_delta0(boundary_of(k, 0))
+    return (alpha_lam, -beta_lam), (-alpha_0, beta_0)
 
 
 def mobius_consistency(k: int, variant: str) -> Fraction:
@@ -196,8 +199,15 @@ def kappa_slope_bound(k: int, externals: ExternalCoeffs | None = None) -> Fracti
     if externals is not None:
         numeric = slope_of(externals.apply(pushed))
         if numeric.valid != HOLDS:
+            # b_j is minus the delta_j coefficient; a table for another k
+            # leaves a symbol there, which constant_value refuses
+            b0 = format_rational(-lambda_delta0(pushed)[1])
+            exceeded = ", ".join(
+                f"b_{j} = {format_rational(-value.constant_value())}"
+                for j, value in numeric.witnesses
+            )
             raise VerificationError(
-                f"kappa slope proviso fails at k={k}: witnesses {numeric.witnesses}"
+                f"kappa slope proviso fails at k={k}: b_0 = {b0} exceeds {exceeded}"
             )
     return report.slope
 

@@ -217,7 +217,11 @@ def test_verify_externals_violation_fails(tmp_path, capsys):
         str(path),
     )
     assert code == 1
-    assert "FAIL" in out
+    # the witnesses read as named values: b_j is minus the delta_j coefficient
+    assert out.splitlines()[0] == (
+        "k=1   delta-j-checks       FAIL  "
+        "kappa slope proviso fails at k=1: b_0 = 6/1 exceeds b_1 = -8/5"
+    )
 
 
 def test_verify_malformed_externals(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from affine_model import affine, combine, expr, substitute
+from hurwitzdiv.bases import DivisorClass, LAMBDA, mg_basis
 from hurwitzdiv.core import (
     AffineExpr,
     ExtSymbol,
@@ -93,8 +96,15 @@ def test_ext_symbol_validation():
     assert str(b_sym(1)) == "b_1"
     with pytest.raises(ValueError):
         ExtSymbol("x", 1)
-    for index in (0, True, 2.0, "2"):
-        with pytest.raises(ValueError, match="symbol index must be >= 1"):
+    # the text names the type: True and "2" would read as valid indices
+    for index, got in (
+        (0, "0 (int)"),
+        (True, "True (bool)"),
+        (2.0, "2.0 (float)"),
+        ("2", "'2' (str)"),
+    ):
+        text = f"symbol index must be an int >= 1, got {got}"
+        with pytest.raises(ValueError, match=re.escape(text)):
             ExtSymbol("c", index)
 
 
@@ -141,16 +151,20 @@ def test_constant_affine_hashes_like_its_fraction(value):
     assert len({AffineExpr(3), Fraction(3), 3}) == 1
 
 
-def test_affine_product_rules():
-    symbolic = AffineExpr(1, {c_sym(1): 1})
-    assert symbolic * 2 == AffineExpr(2, {c_sym(1): 2})
-    assert Fraction(1, 3) * symbolic == AffineExpr(Fraction(1, 3), {c_sym(1): Fraction(1, 3)})
-    with pytest.raises(ValueError):
-        symbolic * AffineExpr(0, {b_sym(1): 1})
-    with pytest.raises(ValueError):
-        symbolic.constant_value()
-    with pytest.raises(ZeroDivisionError):
-        symbolic / 0
+def test_affine_expr_has_no_arithmetic():
+    # a read-only value: no operator takes it, not even a divisor class
+    d = DivisorClass(mg_basis(1), {LAMBDA: 1})
+    for op in (
+        lambda: AffineExpr(1) + 1,
+        lambda: 2 * AffineExpr(1),
+        lambda: AffineExpr(1) / 2,
+        lambda: d * AffineExpr(2),
+        lambda: AffineExpr(2) * d,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(ValueError, match="not constant"):
+        AffineExpr(1, {c_sym(1): 1}).constant_value()
 
 
 def test_substitute_examples():
@@ -170,9 +184,13 @@ def test_substitute_full_substitution_is_constant():
 
 @given(affines, affines, rationals, st.dictionaries(symbols, rationals, max_size=4))
 def test_substitute_is_linear(e1, e2, a, values):
-    left = (a * e1 + e2).substitute(values)
-    right = a * e1.substitute(values) + e2.substitute(values)
-    assert left == right
+    # a * e1 + e2 is formed in the reference model of tests/affine_model.py
+    combined = combine([(a, affine(e1)), (1, affine(e2))])
+    left = affine(expr(combined).substitute(values))
+    right = combine(
+        [(a, affine(e1.substitute(values))), (1, affine(e2.substitute(values)))]
+    )
+    assert left == right == substitute(combined, values)
 
 
 def test_affine_text_rendering():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -382,9 +383,17 @@ def test_external_coeffs_validation():
         ExternalCoeffs(2, {1: Fraction(1)}, {1: Fraction(0), 2: Fraction(1)})
     with pytest.raises(ValueError):
         ExternalCoeffs(1, {1: Fraction(1), 2: Fraction(1)}, {1: Fraction(0)})
-    # k keys, but not the indices 1..k, which are ints and not bools
-    for c in ({1: 1, 3: 1}, {1: 1, Fraction(3, 2): 1}, {0: 1, 1: 1}, {True: 1, 2: 1}):
-        with pytest.raises(ValueError, match=r"must cover exactly 1\.\.2"):
+    # k keys, but not the indices 1..k, which are ints and not bools; the
+    # first key that is not an int is named with its type
+    for c, got in (
+        ({1: 1, 3: 1}, "indices [1, 3]"),
+        ({1: 1, Fraction(3, 2): 1}, "index Fraction(3, 2) (Fraction)"),
+        ({0: 1, 1: 1}, "indices [0, 1]"),
+        ({True: 1, 2: 1}, "index True (bool)"),
+        ({1: 1, "x": 1}, "index 'x' (str)"),
+    ):
+        text = f"'c' must cover exactly 1..2, got {got}"
+        with pytest.raises(ValueError, match=re.escape(text)):
             ExternalCoeffs(2, c, {1: 0, 2: 0})
     with pytest.raises(ValueError, match=r"'c' must cover exactly 1\.\.1"):
         ExternalCoeffs(1, {True: 1}, {True: 0})

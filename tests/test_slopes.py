@@ -161,8 +161,12 @@ def test_kappa_slope_bound_with_externals():
     good = ExternalCoeffs(1, {1: Fraction(-20)}, {1: Fraction(0)})
     assert kappa_slope_bound(1, good) == Fraction(21, 2)
     bad = ExternalCoeffs(1, {1: Fraction(0)}, {1: Fraction(0)})
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match=r"b_0 = 6/1 exceeds b_1 = -8/5$"):
         kappa_slope_bound(1, bad)
+    # a table for a smaller k leaves c_2/b_2 symbolic: refused, not
+    # reported as a proviso that fails
+    with pytest.raises(ValueError, match="not constant"):
+        kappa_slope_bound(2, bad)
 
 
 def test_bound_inequalities():
