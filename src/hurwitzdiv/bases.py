@@ -14,34 +14,54 @@ The groups are handled as free modules on named generators:
   genus g = 5k^2 - 4k + 1 and (5k - 2)(k - 1)/2.
 
 Generators are plain strings so that they serialize unchanged.  One
-spec per kind, ``_SPECS``, lists its generators.  The order of every
-basis is cached per (kind, k) as a name -> position map, which answers
-both membership and position, and the Hurwitz builders take their
-E_{j,c} names from :func:`ejc_names`, a cached table sliced from that
-order, instead of formatting them again.
+spec per kind, ``_SPECS``, lists its generators; the E_{j,c} names of
+``Hurwitz(k)`` come from :func:`ejc_names`, a cached table in the row
+layout.  The order of every basis is cached per (kind, k) as a name ->
+position map, which answers both membership and position.
 
 Every coefficient is stored as integer numerators over one positive
-common denominator, in one map per class: the constant part of a
-generator's coefficient is keyed by the generator name, the coefficient
-of an external symbol c_j, b_j in it by the plain tuple (name, symbol).
-A divisor class keeps that map in lowest terms; a class map keeps its
-images as sparse integer columns keyed the same way, one per source
-generator, which the builders write directly.  Sums, scalings,
-reduction, equality, hashing and composition treat every key alike; only
-the constructor, the accessors, substitution and the product rule of
-:meth:`ClassMap._map_numerators` tell the two kinds of key apart.  Sums
-run through one n-ary kernel, :func:`linear_combination`, which puts all
-its terms over one lcm, sums their numerators in a single pass and
-reduces once; ``+`` and ``-`` are its two-term calls.  Addition,
-scaling, substitution and the application and composition of class maps
-run on plain ``int``: ``ClassMap.compose`` maps each inner integer
-column through the outer columns over the product of the two
-denominators, without building a row as a class.  A ``Fraction`` or an
-:class:`AffineExpr`, the read-only value of a coefficient, is built only
-at the public accessors ``DivisorClass.coefficient``/``items``.  Beside
-``items`` sits the internal ``DivisorClass._formatted_items``, the same
-values as "p/q" text rendered from the integers, which ``serialize`` and
-the ``cli`` tables emit from.  It renders the class times an int ``scale`` without
+common denominator.  A class keeps two parts over that denominator:
+
+* the head map ``_nums``: the constant part of a generator's
+  coefficient keyed by the generator name, the coefficient of an
+  external symbol c_j, b_j in it by the plain tuple (name, symbol).  It
+  holds every generator of the four small kinds, E0/E2/E3 of
+  ``Hurwitz(k)``, and every symbol term, E_{j,c} ones included;
+* on ``Hurwitz(k)`` only, the rows ``_rows``: the constant parts of the
+  E_{j,c} in the layout of :func:`ejc_names` and ``trace.jc_rows``, a
+  tuple of k + 1 rows whose entry j holds the numerators for c = 0 ..
+  floor(j/2), and is ``()`` when all of them are zero (entry 0 always
+  is).  Every other kind has ``_rows == ()``.
+
+The form is unique: no head numerator is zero, the gcd of the
+denominator and every numerator is 1, and the denominator is 1 for the
+zero class; so two classes are equal exactly when their stored parts
+agree.  A class map stores its images as integer columns over one
+common denominator in the same two parts (a column's rows as the sparse
+(j, row) pairs of its nonzero rows), and a map from ``Hurwitz(k)`` keeps
+its E_{j,c} columns blocked by j: per j, each target key holds the row
+of its entries over c, so that applying the map to a class costs one
+C-level dot product ``sum(map(mul, weights, row))`` per j and target
+key.  The push-forward ``p_push`` sends E_{j,c} to e_{j,c} delta_j
+only, so its block j is the one row e_{j,*} on delta_j.  Sums,
+scalings, reduction, equality, hashing, substitution, application and
+composition each run once over "head map + rows"; only the constructor,
+the accessors, substitution and the product rule of
+:meth:`ClassMap._map` tell a symbol key from a constant one.  Sums run
+through one n-ary kernel, :func:`linear_combination`, which puts all
+its terms over one lcm, sums their numerators in a single pass (row by
+row for the rows) and reduces once; ``+`` and ``-`` are its two-term
+calls.  Addition, scaling, substitution and the application and
+composition of class maps run on plain ``int``: ``ClassMap.compose``
+maps each inner integer column through the outer map over the product
+of the two denominators, without building a row as a class.  A
+``Fraction`` or an :class:`AffineExpr`, the read-only value of a
+coefficient, is built only at the public accessors
+``DivisorClass.coefficient``/``items``, which stay keyed by generator
+name.  Beside ``items`` sits the internal
+``DivisorClass._formatted_items``, the same values as "p/q" text
+rendered from the integers, which ``serialize`` and the ``cli`` tables
+emit from.  It renders the class times an int ``scale`` without
 building that product: a raw pushed class is emitted as its
 per-factorial-b class with scale (6k)!, whose decimal digits are
 computed once per call (exact ``decimal`` arithmetic in a context of its
@@ -55,8 +75,9 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain
 from math import gcd, lcm
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
@@ -146,7 +167,7 @@ def _moduli(lead: str, family: Callable[[int], str], genus) -> _KindSpec:
 _SPECS = {
     HURWITZ: _KindSpec(
         lambda k: (E0,) + ((E2,) if k >= 3 else ()) + ((E3,) if k >= 2 else ()),
-        lambda k: (Ejc(j, c) for j in range(1, k + 1) for c in range(j // 2 + 1)),
+        lambda k: chain.from_iterable(ejc_names(k)),
     ),
     MG: _KindSpec(lambda k: (LAMBDA,), lambda k: map(delta, range(k + 1))),
     M0B_SYM: _KindSpec(lambda k: (T2,), lambda k: map(T3j, range(1, k + 1))),
@@ -205,11 +226,26 @@ def _generator_index(kind: str, k: int) -> dict[str, int]:
 
 @per_k_cache
 def ejc_names(k: int) -> tuple[tuple[str, ...], ...]:
-    """The E_{j,c} names of ``Hurwitz(k)``, sliced from the cached
-    generator order for the builders: entry j holds E_j_0 ..
-    E_j_floor(j/2), entry 0 is empty."""
-    names = iter(list(_generator_index(HURWITZ, k))[len(_SPECS[HURWITZ].head(k)) :])
-    return ((),) + tuple(tuple(islice(names, j // 2 + 1)) for j in range(1, k + 1))
+    """The E_{j,c} names of ``Hurwitz(k)`` in the row layout: entry j
+    holds E_j_0 .. E_j_floor(j/2), entry 0 is empty."""
+    return ((),) + tuple(
+        tuple(Ejc(j, c) for c in range(j // 2 + 1)) for j in range(1, k + 1)
+    )
+
+
+_HEAD_NAMES = frozenset((E0, E2, E3))
+
+
+def _ejc_index(name: str) -> tuple[int, int]:
+    """(j, c) of a generator ``E_j_c`` of a Hurwitz basis."""
+    _, j, c = name.split("_")
+    return int(j), int(c)
+
+
+def _zero_rows(basis: Basis) -> tuple:
+    """The rows of the zero class over ``basis``: k + 1 empty rows on
+    ``Hurwitz(k)``, none on the other kinds."""
+    return ((),) * (basis.k + 1) if basis.kind == HURWITZ else ()
 
 
 def hurwitz_head(k: int, e0, e2, e3) -> dict:
@@ -242,24 +278,26 @@ def mg_hat_basis(k: int) -> Basis:
 class DivisorClass:
     """A sparse divisor class: a finite sum of generators of one basis.
 
-    Every coefficient is stored in one map ``_nums`` of integer
-    numerators over one positive common denominator ``_den``.  The
-    constant part of a generator's coefficient is keyed by the generator
-    name, and the coefficient of an external symbol c_j, b_j in it by the
-    plain tuple ``(name, symbol)``.  No numerator is zero,
-    ``gcd(_den, *every numerator) == 1``, and ``_den == 1`` when there
-    are no numerators.  This form is unique, so two classes are equal
-    exactly when their stored parts agree, and sums, scalings and
-    reduction treat every key alike.  ``+`` and ``-`` are two-term
-    calls of :func:`linear_combination`; a longer sum should be one call
-    of it, which copies and reduces the result once instead of once per
-    term.  Only the accessors :meth:`coefficient` and :meth:`items`
-    build an :class:`AffineExpr`; a scalar is an ``int`` or a
-    ``Fraction``, as the symbols occur linearly.  Instances are
-    immutable.
+    Every coefficient is stored as integer numerators over one positive
+    common denominator ``_den``, in two parts: the head map ``_nums``,
+    which keys the constant part of a generator's coefficient by the
+    generator name and the coefficient of an external symbol c_j, b_j
+    in it by the plain tuple ``(name, symbol)``, and, on a Hurwitz
+    basis, the rows ``_rows`` of the E_{j,c} constant parts in the
+    :func:`ejc_names` layout (an all-zero row is ``()``; ``_rows`` is
+    ``()`` on the other kinds).  No head numerator is zero,
+    ``gcd(_den, *every numerator) == 1``, and ``_den == 1`` for the zero
+    class.  This form is unique, so two classes are equal exactly when
+    their stored parts agree.  ``+`` and ``-`` are two-term calls of
+    :func:`linear_combination`; a longer sum should be one call of it,
+    which copies and reduces the result once instead of once per term.
+    Only the accessors :meth:`coefficient` and :meth:`items` build an
+    :class:`AffineExpr`; a scalar is an ``int`` or a ``Fraction``, as
+    the symbols occur linearly.  Instances are immutable; the symbol
+    terms are grouped by generator once, on the first accessor call.
     """
 
-    __slots__ = ("basis", "_den", "_nums")
+    __slots__ = ("basis", "_den", "_nums", "_rows", "_grouped")
 
     def __init__(
         self, basis: Basis, coeffs: Mapping[str, RationalLike | AffineExpr] | None = None
@@ -282,69 +320,114 @@ class DivisorClass:
         # over the lcm of reduced denominators the numerators share no
         # factor with it, so the stored form is already in lowest terms
         den = lcm(*(value.denominator for value in values.values()))
+        rows = _zero_rows(basis)
+        nums, cells = {}, {}
+        for key, value in values.items():
+            if rows and type(key) is str and key not in _HEAD_NAMES:
+                cells[_ejc_index(key)] = numerator_over(value, den)
+            else:
+                nums[key] = numerator_over(value, den)
         self._den = den
-        self._nums = {key: numerator_over(value, den) for key, value in values.items()}
+        self._nums = nums
+        self._rows = _add_cells(rows, cells)
+        self._grouped = None
 
     @classmethod
-    def _raw(cls, basis: Basis, den: int, nums: dict) -> "DivisorClass":
-        # internal: keys already validated, every numerator nonzero over
-        # ``den`` > 0; only the common factor of ``den`` and the
-        # numerators is removed here
-        if not nums:
-            den = 1
-        elif den != 1:
-            g = gcd(den, *nums.values())
+    def _raw(
+        cls, basis: Basis, den: int, nums: dict, rows: tuple | None = None
+    ) -> "DivisorClass":
+        # internal: keys already validated, every head numerator nonzero
+        # over ``den`` > 0, ``rows`` canonical for the basis (None: no
+        # E_{j,c} part); only the common factor of ``den`` and the
+        # numerators is removed here, which makes the zero class 0/1
+        if rows is None:
+            rows = _zero_rows(basis)
+        if den != 1:
+            g = gcd(den, *nums.values(), *chain.from_iterable(rows))
             if g != 1:
                 den //= g
                 nums = {key: n // g for key, n in nums.items()}
+                rows = _scale_rows(rows, 1, g)
         obj = cls.__new__(cls)
         obj.basis = basis
         obj._den = den
         obj._nums = nums
+        obj._rows = rows
+        obj._grouped = None
         return obj
 
     def _symbolic(self) -> dict[str, dict[ExtSymbol, int]]:
         """The symbol numerators, grouped as generator -> symbol ->
-        numerator."""
-        grouped: dict[str, dict[ExtSymbol, int]] = {}
-        for key, n in self._nums.items():
-            if type(key) is tuple:
-                name, s = key
-                grouped.setdefault(name, {})[s] = n
+        numerator; built once per class."""
+        grouped = self._grouped
+        if grouped is None:
+            grouped = {}
+            for key, n in self._nums.items():
+                if type(key) is tuple:
+                    name, s = key
+                    grouped.setdefault(name, {})[s] = n
+            self._grouped = grouped
         return grouped
 
-    def _value(self, name: str, terms: Mapping[ExtSymbol, int] | None) -> AffineExpr:
+    def _value(self, n: int, terms: Mapping[ExtSymbol, int] | None) -> AffineExpr:
         den = self._den
         return AffineExpr(
-            Fraction(self._nums.get(name, 0), den),
-            terms and {s: Fraction(n, den) for s, n in terms.items()},
+            Fraction(n, den), terms and {s: Fraction(t, den) for s, t in terms.items()}
         )
 
     def coefficient(self, name: str) -> AffineExpr:
         self.basis.check(name)
-        terms = {
-            key[1]: n
-            for key, n in self._nums.items()
-            if type(key) is tuple and key[0] == name
-        }
-        return self._value(name, terms)
+        rows = self._rows
+        if rows and name not in _HEAD_NAMES:
+            j, c = _ejc_index(name)
+            n = rows[j][c] if rows[j] else 0
+        else:
+            n = self._nums.get(name, 0)
+        return self._value(n, self._symbolic().get(name))
+
+    def _entries(self) -> list[tuple[str, int, dict[ExtSymbol, int] | None]]:
+        """(generator, constant numerator, symbol numerators or None) of
+        every generator in the support, in basis order."""
+        nums, sym, rows = self._nums, self._symbolic(), self._rows
+        if not rows:
+            # the constant keys in stored order, then the generators that
+            # have only symbol terms; a list near basis order sorts fast
+            names = [key for key in nums if type(key) is str]
+            names += [name for name in sym if name not in nums]
+            position = _generator_index(self.basis.kind, self.basis.k)
+            names.sort(key=position.__getitem__)
+            return [(name, nums.get(name, 0), sym.get(name)) for name in names]
+        k = self.basis.k
+        out = [
+            (name, nums.get(name, 0), sym.get(name))
+            for name in _SPECS[HURWITZ].head(k)
+            if name in nums or name in sym
+        ]
+        # the symbol terms of E_{j,c}, by cell; a cell with no constant
+        # part lies in a row padded with zeros here
+        cells = {_ejc_index(n): t for n, t in sym.items() if n not in _HEAD_NAMES}
+        if cells:
+            rows = list(rows)
+            for j, _ in cells:
+                rows[j] = rows[j] or (0,) * (j // 2 + 1)
+        for row_names, row, j in zip(ejc_names(k), rows, range(k + 1)):
+            if not row:
+                continue
+            if cells:
+                out.extend(
+                    (row_names[c], n, cells.get((j, c)))
+                    for c, n in enumerate(row)
+                    if n or (j, c) in cells
+                )
+            else:
+                out.extend((name, n, None) for name, n in zip(row_names, row) if n)
+        return out
 
     def support(self) -> list[str]:
-        return self._support(self._symbolic())
-
-    def _support(self, sym: Mapping[str, Mapping[ExtSymbol, int]]) -> list[str]:
-        # the constant keys in stored order, then the generators of the
-        # grouped symbol terms ``sym`` that have no constant part; a list
-        # near basis order sorts faster than a set
-        nums = self._nums
-        names = [key for key in nums if type(key) is str]
-        names += [name for name in sym if name not in nums]
-        position = _generator_index(self.basis.kind, self.basis.k)
-        return sorted(names, key=position.__getitem__)
+        return [name for name, _, _ in self._entries()]
 
     def items(self) -> list[tuple[str, AffineExpr]]:
-        sym = self._symbolic()
-        return [(name, self._value(name, sym.get(name))) for name in self._support(sym)]
+        return [(name, self._value(n, terms)) for name, n, terms in self._entries()]
 
     def _formatted_items(
         self, scale: int = 1
@@ -365,7 +448,7 @@ class DivisorClass:
         conversion per (6k)!-sized value."""
         if not isinstance(scale, int) or scale < 1:
             raise ValueError(f"scale must be a positive int, got {scale!r}")
-        den, nums = self._den, self._nums
+        den = self._den
         if scale == 1:
             def text(n: int) -> str:
                 # core.format_ratio, inlined: this runs once per emitted value
@@ -387,19 +470,17 @@ class DivisorClass:
                 if q is None:
                     q = quotients[g1] = ctx.divide_int(whole, g1)
                 return f"{ctx.multiply(q, n // g)}/{d0 // g1}"
-        sym = self._symbolic()
         rendered = []
-        for name in self._support(sym):
-            terms = sym.get(name)
+        for name, n, terms in self._entries():
             if terms:
                 terms = tuple((s, text(terms[s])) for s in sorted(terms, key=display_key))
             else:
                 terms = ()
-            rendered.append((name, text(nums.get(name, 0)), terms))
+            rendered.append((name, text(n), terms))
         return rendered
 
     def is_zero(self) -> bool:
-        return not self._nums
+        return not self._nums and not any(self._rows)
 
     def substitute(self, values: Mapping[ExtSymbol, RationalLike]) -> "DivisorClass":
         """Replace every symbol present in ``values``; others stay
@@ -411,15 +492,22 @@ class DivisorClass:
             return self
         common = lcm(*(v.denominator for v in used.values()))
         used = {s: numerator_over(v, common) for s, v in used.items()}
+        rows = self._rows
         nums: dict = {}
+        cells: dict[tuple[int, int], int] = {}
         for key, n in self._nums.items():
             if type(key) is tuple and key[1] in used:
                 # a substituted symbol term joins its generator's constant
                 key, n = key[0], n * used[key[1]]
+                if rows and key not in _HEAD_NAMES:
+                    cell = _ejc_index(key)
+                    cells[cell] = cells.get(cell, 0) + n
+                    continue
             else:
                 n *= common
             nums[key] = nums.get(key, 0) + n
-        return DivisorClass._raw(self.basis, self._den * common, _nonzero(nums))
+        rows = _add_cells(_scale_rows(rows, common), cells)
+        return DivisorClass._raw(self.basis, self._den * common, _nonzero(nums), rows)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
@@ -441,9 +529,10 @@ class DivisorClass:
         p, q = x.numerator, x.denominator
         g = gcd(self._den, p)
         den, p = self._den // g, p // g
-        g = gcd(q, *self._nums.values())
+        g = gcd(q, *self._nums.values(), *chain.from_iterable(self._rows))
         nums = {key: n // g * p for key, n in self._nums.items()}
-        return DivisorClass._raw(self.basis, den * (q // g), nums)
+        rows = _scale_rows(self._rows, p, g)
+        return DivisorClass._raw(self.basis, den * (q // g), nums, rows)
 
     def __mul__(self, scalar: RationalLike) -> "DivisorClass":
         if not isinstance(scalar, (int, Fraction)):
@@ -466,10 +555,11 @@ class DivisorClass:
             self.basis == other.basis
             and self._den == other._den
             and self._nums == other._nums
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.basis, self._den, frozenset(self._nums.items())))
+        return hash((self.basis, self._den, frozenset(self._nums.items()), self._rows))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -502,6 +592,57 @@ def _nonzero(nums: dict) -> dict:
     return {key: n for key, n in nums.items() if n}
 
 
+def _scale_rows(rows: tuple, p: int, g: int = 1) -> tuple:
+    """Every entry n of ``rows`` as n // g * p; ``g`` divides each one
+    and ``p`` is not zero, so a nonzero row stays nonzero."""
+    if g == 1:
+        if p == 1:
+            return rows
+        times = p.__mul__
+        return tuple([tuple(map(times, row)) if row else () for row in rows])
+    over = g.__rfloordiv__
+    if p == 1:
+        return tuple([tuple(map(over, row)) if row else () for row in rows])
+    times = p.__mul__
+    return tuple([tuple(map(times, map(over, row))) if row else () for row in rows])
+
+
+def _add_cells(rows: tuple, cells: Mapping[tuple[int, int], int]) -> tuple:
+    """``rows`` with the numerator of each (j, c) of ``cells`` added;
+    a row that sums to zero becomes ``()``."""
+    if not cells:
+        return rows
+    touched: dict[int, list[int]] = {}
+    for (j, c), n in cells.items():
+        row = touched.get(j)
+        if row is None:
+            row = touched[j] = list(rows[j]) or [0] * (j // 2 + 1)
+        row[c] += n
+    out = list(rows)
+    for j, row in touched.items():
+        out[j] = tuple(row) if any(row) else ()
+    return tuple(out)
+
+
+def _combine_rows(terms: list[tuple[int, tuple]]) -> tuple:
+    """The rows of ``sum(f * rows)`` over the (int f, rows) terms, all
+    over one basis: per row, one chain of C-level maps over the terms'
+    rows, materialized once."""
+    scalers = [None if f == 1 else f.__mul__ for f, _ in terms]
+    out = []
+    for parts in zip(*(rows for _, rows in terms)):
+        acc = None
+        for times, row in zip(scalers, parts):
+            if row:
+                if times is not None:
+                    row = map(times, row)
+                acc = row if acc is None else map(add, acc, row)
+        if acc is not None:
+            acc = tuple(acc)
+        out.append(acc if acc and any(acc) else ())
+    return tuple(out)
+
+
 def zero_class(basis: Basis) -> DivisorClass:
     return DivisorClass(basis, {})
 
@@ -511,9 +652,10 @@ def linear_combination(
 ) -> DivisorClass:
     """The class ``sum(x * d for x, d in terms)`` over ``basis``, in one
     pass: every product is summed in ``int`` over one lcm of the
-    ``d._den * x.denominator``, and the result is reduced once.  Zero
-    scalars are skipped, no terms give the zero class, and a class over
-    another basis raises :class:`BasisMismatchError`."""
+    ``d._den * x.denominator``, head key by key and row by row, and the
+    result is reduced once.  Zero scalars are skipped, no terms give the
+    zero class, and a class over another basis raises
+    :class:`BasisMismatchError`."""
     scaled = []
     for x, d in terms:
         if d.basis != basis:
@@ -529,30 +671,86 @@ def linear_combination(
     if not scaled:
         return DivisorClass._raw(basis, 1, {})
     den = lcm(*(q for _, q, _ in scaled))
+    factors = [(den // q * p, d) for p, q, d in scaled]
     # the first term is copied scaled, the others are added onto it
-    p, q, d = scaled[0]
-    f = den // q * p
+    f, d = factors[0]
     nums = {key: n * f for key, n in d._nums.items()}
-    for p, q, d in scaled[1:]:
-        _add_scaled(nums, d._nums, den // q * p)
-    return DivisorClass._raw(basis, den, _nonzero(nums))
+    for f, d in factors[1:]:
+        _add_scaled(nums, d._nums, f)
+    rows = _combine_rows([(f, d._rows) for f, d in factors])
+    return DivisorClass._raw(basis, den, _nonzero(nums), rows)
+
+
+# A column of a class map: the image of one source generator, as its head
+# numerators and the (j, row) pairs of its nonzero E_{j,c} rows (none
+# unless the target is a Hurwitz basis).
+_Column = tuple[dict, tuple]
+
+
+def _block_column(block: tuple, c: int) -> _Column | None:
+    """The column of E_{j,c} from the block of row j, or None for 0."""
+    weights, rows = block
+    nums = {t: w[c] for t, w in weights.items() if w[c]}
+    pairs = rows[c] if rows else ()
+    return (nums, pairs) if nums or pairs else None
+
+
+def _blocked(source: Basis, target: Basis, columns: Mapping[str, _Column]):
+    """Split nonzero columns by source generator into the head columns
+    and, for a Hurwitz source, the blocks of the E_{j,c} columns: per j,
+    target key -> entries over c, and for a Hurwitz target the row pairs
+    of each c."""
+    if source.kind != HURWITZ:
+        return dict(columns), ()
+    cols, by_row = {}, {}
+    for name, column in columns.items():
+        if name in _HEAD_NAMES:
+            cols[name] = column
+        else:
+            j, c = _ejc_index(name)
+            by_row.setdefault(j, {})[c] = column
+    blocks: list = [None] * (source.k + 1)
+    for j, by_c in by_row.items():
+        width = j // 2 + 1
+        weights: dict = {}
+        for c, (nums, _) in by_c.items():
+            for t, n in nums.items():
+                weights.setdefault(t, [0] * width)[c] = n
+        rows = None
+        if target.kind == HURWITZ:
+            rows = tuple(by_c[c][1] if c in by_c else () for c in range(width))
+        blocks[j] = ({t: tuple(w) for t, w in weights.items()}, rows)
+    return cols, tuple(blocks)
+
+
+def _add_row(acc: dict, j: int, row: tuple, x: int) -> None:
+    """``acc[j] += x * row``, entry by entry."""
+    times = x.__mul__
+    old = acc.get(j)
+    acc[j] = list(map(times, row)) if old is None else list(map(add, old, map(times, row)))
 
 
 class ClassMap:
     """A linear map between class groups, given by the images of the
     source generators.  Generators without an image map to zero.
 
-    The images are sparse integer columns over one common denominator
-    ``_den``, not necessarily in lowest terms: ``_cols`` maps a source
-    generator to the numerators of its image, keyed as in
-    :class:`DivisorClass` (a target generator for a constant part,
-    ``(target, symbol)`` for a c_j/b_j part); none is zero.  :meth:`row`
-    builds the reduced class, and :meth:`apply` sums every product in
-    ``int``.  The symbols occur linearly: a symbolic source coefficient
-    meeting a column with symbolic entries raises ``ValueError``.
+    The images are integer columns over one common denominator
+    ``_den``, not necessarily in lowest terms, stored like a
+    :class:`DivisorClass`: head numerators keyed by target generator or
+    ``(target, symbol)``, and for a Hurwitz target the (j, row) pairs of
+    the nonzero E_{j,c} rows.  ``_cols`` maps a source generator to its
+    column, except the E_{j,c} of a Hurwitz source: ``_blocks[j]`` holds
+    those of row j as (target key -> entries over c, the row pairs of
+    each c for a Hurwitz target or None), or is None when all of them
+    map to zero, so :meth:`apply` meets row j of a class with one dot
+    product per target key.  No column and no block entry is zero.
+    :meth:`row` builds the reduced class, and :meth:`apply` sums every
+    product in ``int``.  The symbols occur linearly: a symbolic source
+    coefficient meeting a column with symbolic entries raises
+    ``ValueError``.
     """
 
-    __slots__ = ("source", "target", "_den", "_cols")
+    __slots__ = ("source", "target", "_den", "_cols", "_blocks")
 
     def __init__(self, source: Basis, target: Basis, rows: Mapping[str, DivisorClass]):
         for name, image in rows.items():
@@ -562,89 +760,168 @@ class ClassMap:
                     f"row for {name!r} lives over {image.basis}, expected {target}"
                 )
         den = lcm(*(image._den for image in rows.values()))
-        cols: dict[str, dict] = {}
+        columns = {}
         for name, image in rows.items():
-            if image._nums:
+            if not image.is_zero():
                 f = den // image._den
-                cols[name] = {key: n * f for key, n in image._nums.items()}
-        self.source, self.target = source, target
-        self._den, self._cols = den, cols
+                nums = {key: n * f for key, n in image._nums.items()}
+                pairs = tuple(
+                    (j, tuple(map(f.__mul__, row)))
+                    for j, row in enumerate(image._rows)
+                    if row
+                )
+                columns[name] = (nums, pairs)
+        self.source, self.target, self._den = source, target, den
+        self._cols, self._blocks = _blocked(source, target, columns)
 
     @classmethod
-    def _raw(cls, source: Basis, target: Basis, den: int, cols) -> "ClassMap":
+    def _raw(
+        cls, source: Basis, target: Basis, den: int, cols: dict, blocks: tuple | None = None
+    ) -> "ClassMap":
         # internal: columns as stored, keys already validated, every
-        # numerator nonzero over ``den`` > 0, no column empty
+        # numerator nonzero over ``den`` > 0, no column empty; ``blocks``
+        # None means no E_{j,c} column of a Hurwitz source
+        if blocks is None:
+            blocks = (None,) * (source.k + 1) if source.kind == HURWITZ else ()
         obj = cls.__new__(cls)
         obj.source, obj.target = source, target
-        obj._den, obj._cols = den, cols
+        obj._den, obj._cols, obj._blocks = den, cols, blocks
         return obj
+
+    def _column(self, name: str) -> _Column | None:
+        if self._blocks and name not in _HEAD_NAMES:
+            j, c = _ejc_index(name)
+            block = self._blocks[j]
+            return None if block is None else _block_column(block, c)
+        return self._cols.get(name)
+
+    def _columns(self) -> Iterator[tuple[str, _Column]]:
+        """(source generator, column) of every nonzero image: the head
+        columns as stored, then the E_{j,c} in (j, c) order."""
+        yield from self._cols.items()
+        if self._blocks:
+            for names, block in zip(ejc_names(self.source.k), self._blocks):
+                if block is not None:
+                    for c, name in enumerate(names):
+                        column = _block_column(block, c)
+                        if column is not None:
+                            yield name, column
+
+    def _image(self, column: _Column | None) -> DivisorClass:
+        if column is None:
+            return DivisorClass._raw(self.target, 1, {})
+        nums, pairs = column
+        rows = _zero_rows(self.target)
+        if pairs:
+            rows = list(rows)
+            for j, row in pairs:
+                rows[j] = row
+            rows = tuple(rows)
+        return DivisorClass._raw(self.target, self._den, nums, rows)
 
     def row(self, name: str) -> DivisorClass:
         self.source.check(name)
-        return DivisorClass._raw(self.target, self._den, self._cols.get(name, {}))
+        return self._image(self._column(name))
 
     @property
     def rows(self) -> dict[str, DivisorClass]:
         """The nonzero images, by source generator."""
-        return {
-            name: DivisorClass._raw(self.target, self._den, col)
-            for name, col in self._cols.items()
-        }
+        return {name: self._image(column) for name, column in self._columns()}
 
-    def _map_numerators(self, nums: Mapping) -> dict:
-        """The image of the class with numerators ``nums`` over some
-        denominator q, as numerators over q * ``_den``, zeros dropped.
-        Every product is summed in int.  The symbols occur linearly: a
-        symbol term (name, s) of the source maps through a constant
-        entry t of name's column to (t, s), and through a symbolic entry
-        it raises ``ValueError``."""
-        cols = self._cols
+    def _map(self, nums: Mapping, rows: Iterable[tuple[int, tuple]]) -> tuple[dict, dict]:
+        """The image of the vector with head numerators ``nums`` and the
+        (j, row) pairs ``rows`` (a row may be ``()``) over some
+        denominator q, as numerators over q * ``_den``: the head map,
+        zeros dropped, and the target rows as j -> list.  Every product
+        is summed in int; a row meets its block by one dot product per
+        target key.  The symbols occur linearly: a symbol term (name, s)
+        of the source maps through a constant entry t of name's column
+        to (t, s), and through a symbolic entry it raises
+        ``ValueError``."""
+        cols, blocks = self._cols, self._blocks
         sums: dict = {}
         get = sums.get
+        target_rows: dict[int, list[int]] = {}
         for key, x in nums.items():
             if type(key) is tuple:
                 name, s = key
-                for t, r in cols.get(name, {}).items():
+                column = self._column(name)
+                if column is None:
+                    continue
+                entries = list(column[0].items())
+                if column[1]:
+                    names = ejc_names(self.target.k)
+                    entries += [
+                        (t, r) for j, row in column[1] for t, r in zip(names[j], row) if r
+                    ]
+                for t, r in entries:
                     if type(t) is tuple:
                         raise ValueError(
                             "product of two non-constant affine expressions is not affine"
                         )
                     sums[t, s] = get((t, s), 0) + x * r
-            else:
-                for t, r in cols.get(key, {}).items():
-                    sums[t] = get(t, 0) + x * r
-        return _nonzero(sums)
+                continue
+            column = cols.get(key)
+            if column is None:
+                continue
+            for t, r in column[0].items():
+                sums[t] = get(t, 0) + x * r
+            for j, row in column[1]:
+                _add_row(target_rows, j, row, x)
+        for j, x_row in rows:
+            block = blocks[j] if x_row else None
+            if block is None:
+                continue
+            weights, block_rows = block
+            for t, w in weights.items():
+                sums[t] = get(t, 0) + sum(map(mul, w, x_row))
+            if block_rows:
+                for x, pairs in zip(x_row, block_rows):
+                    if x:
+                        for jj, row in pairs:
+                            _add_row(target_rows, jj, row, x)
+        return _nonzero(sums), target_rows
 
     def apply(self, d: DivisorClass) -> DivisorClass:
         if d.basis != self.source:
             raise BasisMismatchError(
                 f"class over {d.basis} cannot be fed to a map from {self.source}"
             )
-        return DivisorClass._raw(
-            self.target, d._den * self._den, self._map_numerators(d._nums)
-        )
+        nums, target_rows = self._map(d._nums, enumerate(d._rows))
+        rows = _zero_rows(self.target)
+        if target_rows:
+            rows = list(rows)
+            for j, acc in target_rows.items():
+                rows[j] = tuple(acc) if any(acc) else ()
+            rows = tuple(rows)
+        return DivisorClass._raw(self.target, d._den * self._den, nums, rows)
 
     def compose(self, inner: "ClassMap") -> "ClassMap":
         """The map ``self o inner``; requires inner.target == self.source.
-        Each inner column is mapped through this map's columns in int,
-        over the denominator ``self._den * inner._den``; no row is built
-        as a class."""
+        Each inner column is mapped through this map in int, over the
+        denominator ``self._den * inner._den``; no row is built as a
+        class."""
         if inner.target != self.source:
             raise BasisMismatchError(
                 f"cannot compose: inner map lands in {inner.target}, "
                 f"outer map starts from {self.source}"
             )
-        cols = {}
-        for name, col in inner._cols.items():
-            mapped = self._map_numerators(col)
-            if mapped:
-                cols[name] = mapped
-        return ClassMap._raw(inner.source, self.target, self._den * inner._den, cols)
+        columns = {}
+        for name, (nums, pairs) in inner._columns():
+            mapped, target_rows = self._map(nums, pairs)
+            pairs = tuple(
+                (j, tuple(acc)) for j, acc in sorted(target_rows.items()) if any(acc)
+            )
+            if mapped or pairs:
+                columns[name] = (mapped, pairs)
+        cols, blocks = _blocked(inner.source, self.target, columns)
+        return ClassMap._raw(inner.source, self.target, self._den * inner._den, cols, blocks)
 
     def __repr__(self) -> str:
         return (
             f"ClassMap({self.source.kind}(k={self.source.k}) -> "
-            f"{self.target.kind}(k={self.target.k}), {len(self._cols)} rows)"
+            f"{self.target.kind}(k={self.target.k}), "
+            f"{sum(1 for _ in self._columns())} rows)"
         )
 
 

@@ -12,10 +12,14 @@ coefficients of delta_j for j >= 1 involve the external symbols c_j and
 b_j, which stay symbolic unless an :class:`ExternalCoeffs` table is
 supplied; the lambda and delta_0 coefficients are always symbol-free.
 
-The E_{j,c} rows of :func:`p_push` and the whole expected Hodge classes
-:func:`p_phi_lambda_expected`/:func:`p_phihat_lambda_expected` read the
-per-k row tables ``trace.jc_rows`` (the e, t and u families) instead of
-evaluating each coefficient again.
+:func:`p_push` sends E_{j,c} to e_{j,c} delta_j only, so its E_{j,c}
+columns are stored as one block per j, the row ``trace.jc_rows(k,
+"e")[j]`` on delta_j: applying it to a Hurwitz class, whose E_{j,c}
+part is stored in the same rows, is one dot product per j, and so is
+each T3j column of :func:`p_q_composed`.  The whole expected Hodge
+classes :func:`p_phi_lambda_expected`/:func:`p_phihat_lambda_expected`
+dot the e rows with the t and u rows, and the R of :func:`eh_divisor`
+is built as rows of ones; no builder here forms an E_{j,c} name.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Mapping
 
 from .bases import (
@@ -36,7 +41,6 @@ from .bases import (
     T3j,
     T2,
     delta,
-    ejc_names,
     exact_rational,
     hurwitz_basis,
     hurwitz_head,
@@ -135,32 +139,43 @@ def p_push(k: int) -> ClassMap:
     n = catalan_number(k)
     lead2 = Fraction(k - 2, 2 * k - 1) * n
     lead3 = Fraction(3, 2 * (2 * k - 1)) * n
-    e_dens = [(j + 1) * (2 * k - j + 1) for j in range(k + 1)]
+    # row j of e_{j,c} is jc_rows(k, "e")[j] over (j+1)(2k-j+1); each
+    # row is reduced by its own gcd first (it is integral for every k
+    # tried), so the map's denominator stays that of the E0/E2/E3 columns
+    e_rows = jc_rows(k, "e")
+    e_gcds = [gcd((j + 1) * (2 * k - j + 1), *e_rows[j]) for j in range(k + 1)]
+    e_dens = [(j + 1) * (2 * k - j + 1) // g for j, g in enumerate(e_gcds)]
     den = lcm(2, lead2.denominator, lead3.denominator, *e_dens[1:])
     deltas = [delta(j) for j in range(k + 1)]
-    cols = {E0: {deltas[0]: numerator_over(n / 2, den)}}
+    heads = {E0: {deltas[0]: numerator_over(n / 2, den)}}
     # E2/E3 reach lambda, delta_0 and, on each delta_j, c_j or b_j
     if k >= 3:
-        cols[E2] = {
+        heads[E2] = {
             LAMBDA: numerator_over(lead2 * (18 * k * k + 51 * k - 9), den),
             deltas[0]: numerator_over(-lead2 * (3 * k * k + 4 * k - 1), den),
         }
-        cols[E2].update(((deltas[j], c_sym(j)), den // 2) for j in range(1, k + 1))
+        heads[E2].update(((deltas[j], c_sym(j)), den // 2) for j in range(1, k + 1))
     if k >= 2:
-        cols[E3] = {
+        heads[E3] = {
             LAMBDA: numerator_over(lead3 * (12 * k * k + 46 * k - 8), den),
             deltas[0]: numerator_over(-lead3 * (2 * k * k + 4 * k - 1), den),
         }
         b = numerator_over(-lead3, den)
-        cols[E3].update(((deltas[j], b_sym(j)), b) for j in range(1, k + 1))
-    names = ejc_names(k)
-    e_rows = jc_rows(k, "e")
-    for j in range(1, k + 1):
-        f = den // e_dens[j]
-        for name, e in zip(names[j], e_rows[j]):
-            # e_{j,c} as its integer numerator, which is positive
-            cols[name] = {deltas[j]: e * f}
-    return ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols)
+        heads[E3].update(((deltas[j], b_sym(j)), b) for j in range(1, k + 1))
+    cols = {name: (head, ()) for name, head in heads.items()}
+    # block j: the e_{j,c} numerators, all positive, on delta_j alone
+    blocks = (None,) + tuple(
+        (
+            {
+                deltas[j]: tuple(
+                    map((den // e_dens[j]).__mul__, map(e_gcds[j].__rfloordiv__, e_rows[j]))
+                )
+            },
+            None,
+        )
+        for j in range(1, k + 1)
+    )
+    return ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, blocks)
 
 
 @per_k_cache
@@ -234,17 +249,24 @@ def _hodge_expected(k: int, closed, family: str, c_weight, b_weight) -> DivisorC
     k >= 3) and -N ``b_weight`` b_j (from E3, k >= 2)."""
     lam, d0 = closed(k)
     b_weight = -catalan_number(k) * b_weight
-    e_dens = [24 * (j + 1) * (2 * k - j + 1) * (6 * k - 1) for j in range(k + 1)]
-    den = lcm(*(x.denominator for x in (lam, d0, c_weight, b_weight)), *e_dens[1:])
+    # delta_j: the dot product of the two rows over 24(j+1)(2k-j+1)(6k-1),
+    # each reduced on its own so that the common denominator stays small
+    e_rows, w_rows = jc_rows(k, "e"), jc_rows(k, family)
+    sums = []
+    for j in range(1, k + 1):
+        total = sum(map(mul, e_rows[j], w_rows[j]))
+        full = 24 * (j + 1) * (2 * k - j + 1) * (6 * k - 1)
+        g = gcd(total, full)
+        sums.append((total // g, full // g))
+    den = lcm(*(x.denominator for x in (lam, d0, c_weight, b_weight)), *(q for _, q in sums))
     c = numerator_over(c_weight, den) if k >= 3 else 0
     b = numerator_over(b_weight, den) if k >= 2 else 0
     nums = {LAMBDA: numerator_over(lam, den), delta(0): numerator_over(d0, den)}
-    e_rows, w_rows = jc_rows(k, "e"), jc_rows(k, family)
-    for j in range(1, k + 1):
-        total = sum(e * w for e, w in zip(e_rows[j], w_rows[j]))
-        nums[delta(j)] = total * (den // e_dens[j])
-        nums[delta(j), c_sym(j)] = c
-        nums[delta(j), b_sym(j)] = b
+    for j, (total, q) in enumerate(sums, 1):
+        name = delta(j)
+        nums[name] = total * (den // q)
+        nums[name, c_sym(j)] = c
+        nums[name, b_sym(j)] = b
     return DivisorClass._raw(mg_basis(k), den, {key: n for key, n in nums.items() if n})
 
 
@@ -283,13 +305,14 @@ def p_q_map(k: int) -> ClassMap:
     den = lcm(lead.denominator, b3_weight.denominator, *(a.denominator for a in alphas))
     # the T2 column carries c_j and b_j on each delta_j
     t2 = {LAMBDA: 3 * (2 * k + 5) * lead, delta(0): -(k + 1) * lead}
-    cols = {T2: {t: numerator_over(v, den) for t, v in t2.items()}}
+    t2 = {t: numerator_over(v, den) for t, v in t2.items()}
     b3 = numerator_over(-b3_weight, den)
     for j in range(1, k + 1):
-        cols[T2][delta(j), c_sym(j)] = den
-        cols[T2][delta(j), b_sym(j)] = b3
+        t2[delta(j), c_sym(j)] = den
+        t2[delta(j), b_sym(j)] = b3
+    cols = {T2: (t2, ())}
     for j, alpha in enumerate(alphas, 1):
-        cols[T3j(j)] = {delta(j): numerator_over(alpha, den)}
+        cols[T3j(j)] = ({delta(j): numerator_over(alpha, den)}, ())
     return ClassMap._raw(q_pullback(k).source, mg_basis(k), den, cols)
 
 
@@ -348,10 +371,9 @@ def eh_divisor(k: int) -> DivisorClass:
     The closed-form lambda and delta_0 coefficients are meaningful for
     k >= 3; for smaller k the assembled value is returned as-is.
     """
-    hur = hurwitz_basis(k)
-    r = hurwitz_head(k, 2, 2, 2)
-    r.update((name, 1) for names in ejc_names(k) for name in names)
-    assembly = q_pullback(k).apply(kappa_class(k)) - DivisorClass._raw(hur, 1, r)
+    ones = ((),) + tuple((1,) * (j // 2 + 1) for j in range(1, k + 1))
+    r = DivisorClass._raw(hurwitz_basis(k), 1, hurwitz_head(k, 2, 2, 2), ones)
+    assembly = q_pullback(k).apply(kappa_class(k)) - r
     pushed = p_push(k).apply(assembly)
     return linear_combination(
         pushed.basis, ((1, pushed), (-catalan_number(k), mg_canonical_class(k)))

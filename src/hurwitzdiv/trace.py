@@ -12,11 +12,15 @@ reduced-trace node coefficient at k = 1, see :func:`_s_int`.
 The integer families over E_{j,c} (the push-forward multiplicities e,
 the node counts d and s, the dualizing terms a and the closed-form
 numerators t and u) are each built once per k, as a row table
-:func:`jc_rows` laid out like ``bases.ejc_names``.  The class builders,
-:func:`alpha_coeff` and the delta_j predictions of ``pushforward`` read
-those rows; a family is built only when something asks for it.  The
-per-coefficient functions (:func:`e_row`, :func:`t_numerator`, ...)
-stay as the definitions that the tests hold the rows to.
+:func:`jc_rows` laid out like ``bases.ejc_names``, which is also the
+layout in which a Hurwitz class stores its E_{j,c} part.  The class
+builders hand those tables to the class as its rows, and the boundary
+pullbacks and q* build theirs in the same layout, so no builder forms
+an E_{j,c} name; :func:`alpha_coeff` and the delta_j predictions of
+``pushforward`` dot the rows with ``sum(map(mul, ...))``.  A family is
+built only when something asks for it.  The per-coefficient functions
+(:func:`e_row`, :func:`t_numerator`, ...) stay as the definitions that
+the tests hold the rows to.
 The pulled-back cotangent class :func:`pulled_psi` is likewise built
 once and shared by :func:`grr_pieces` and :func:`s_omega_sq`.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from .bases import (
@@ -34,7 +39,6 @@ from .bases import (
     IndexRangeError,
     T2,
     T3j,
-    ejc_names,
     genus_reduced_trace,
     genus_trace,
     hurwitz_basis,
@@ -135,12 +139,18 @@ def e_coeff(k: int, j: int, c: int) -> Fraction:
     return Fraction(e_numerator(k, j, c), (j + 1) * (2 * k - j + 1))
 
 
+def t3j_weights(j: int) -> tuple[int, ...]:
+    """The multiplicities j+1-2c, c = 0 .. floor(j/2), of E_{j,c} in the
+    pullback q^*T3j: the E_{j,c} row j of that class."""
+    return tuple(range(j + 1, 0, -2))
+
+
 def alpha_coeff(k: int, j: int) -> Fraction:
     """Total weight sum((j+1-2c) e_{j,c}) of the pushed symmetric
     boundary class T3j."""
     if not 1 <= j <= k:
         raise IndexRangeError(f"j = {j} out of range for k = {k}")
-    total = sum((j + 1 - 2 * c) * e for c, e in enumerate(jc_rows(k, "e")[j]))
+    total = sum(map(mul, jc_rows(k, "e")[j], t3j_weights(j)))
     return Fraction(total, (j + 1) * (2 * k - j + 1))
 
 
@@ -267,22 +277,31 @@ def jc_rows(k: int, family: str) -> tuple[tuple[int, ...], ...]:
     return ((),) + tuple(map(tuple, rows))
 
 
-def _integer_class(k: int, nums: dict[str, int], den: int = 1) -> DivisorClass:
-    """A Hurwitz class from integer numerators over ``den``; every name
-    is built here from a legal index, and zeros are dropped."""
+def _hurwitz_class(k: int, den: int, head: dict[str, int], rows) -> DivisorClass:
+    """A Hurwitz class from integer numerators over ``den``: a head map
+    (zeros dropped) and k + 1 E_{j,c} rows in the :func:`jc_rows`
+    layout, handed over as they are except that an all-zero row becomes
+    ``()``."""
     return DivisorClass._raw(
-        hurwitz_basis(k), den, {name: n for name, n in nums.items() if n}
+        hurwitz_basis(k),
+        den,
+        {name: n for name, n in head.items() if n},
+        tuple([row if any(row) else () for row in rows]),
     )
+
+
+def _one_entry(k: int, j: int, n: int) -> DivisorClass:
+    """The class n E_{j,0}: one nonzero row."""
+    rows = [()] * (k + 1)
+    rows[j] = (n,) + (0,) * (j // 2)
+    return _hurwitz_class(k, 1, {}, rows)
 
 
 def _build(k: int, den: int, e0: int, e2: int, e3: int, rows) -> DivisorClass:
     """Assemble a Hurwitz class from integer numerators over ``den``: an
     E0 value, E2/E3 values (dropped when the generator does not exist)
     and a :func:`jc_rows` table for E_{j,c}."""
-    nums = hurwitz_head(k, e0, e2, e3)
-    for names, row in zip(ejc_names(k), rows):
-        nums.update(zip(names, row))
-    return _integer_class(k, nums, den)
+    return _hurwitz_class(k, den, hurwitz_head(k, e0, e2, e3), rows)
 
 
 @per_k_cache
@@ -311,10 +330,10 @@ def omega_tau_sq(k: int) -> DivisorClass:
 def q_pullback(k: int) -> ClassMap:
     """The pullback map along q from the symmetric boundary classes of
     the space of 6k-pointed rational curves to the Hurwitz basis."""
-    cols = {T2: hurwitz_head(k, 1, 2, 3)}
-    names = ejc_names(k)
+    cols = {T2: (hurwitz_head(k, 1, 2, 3), ())}
     for j in range(1, k + 1):
-        cols[T3j(j)] = {name: j + 1 - 2 * c for c, name in enumerate(names[j])}
+        # q^*T3j is the one E_{j,c} row of weights j + 1 - 2c
+        cols[T3j(j)] = ({}, ((j, t3j_weights(j)),))
     return ClassMap._raw(m0b_sym_basis(k), hurwitz_basis(k), 1, cols)
 
 
@@ -432,17 +451,15 @@ def phi_pull_boundary(k: int, j_prime: int) -> DivisorClass:
             f"boundary index {j_prime} out of range 0..{genus_trace(k) // 2}"
         )
     if j_prime == 0:
-        nums = hurwitz_head(k, 4 * k - 2, 4, 2)
-        names = ejc_names(k)
-        for j in range(2, k + 1):
-            nums[names[j][0]] = j
-            for c in range(1, j // 2 + 1):
-                nums[names[j][c]] = 2 * (k - j + c) * (c + 1) + j
-        return _integer_class(k, nums)
+        rows = [(), ()] + [
+            (j,) + tuple(2 * (k - j + c) * (c + 1) + j for c in range(1, j // 2 + 1))
+            for j in range(2, k + 1)
+        ]
+        return _hurwitz_class(k, 1, hurwitz_head(k, 4 * k - 2, 4, 2), rows[: k + 1])
     if j_prime == 1:
-        return _integer_class(k, {ejc_names(k)[1][0]: 2 * k - 1})
+        return _one_entry(k, 1, 2 * k - 1)
     if j_prime <= k:
-        return _integer_class(k, {ejc_names(k)[j_prime][0]: 2 * k - 2 * j_prime})
+        return _one_entry(k, j_prime, 2 * k - 2 * j_prime)
     return zero_class(hurwitz_basis(k))
 
 
@@ -462,16 +479,18 @@ def phihat_pull_boundary(k: int, j_hat: int) -> DivisorClass:
             f"boundary index {j_hat} out of range 0..{genus_reduced_trace(k) // 2}"
         )
     if j_hat == 0:
-        nums = hurwitz_head(k, 2 * k - 2, 2, 0)
-        names = ejc_names(k)
-        for j in range(2, k + 1):
-            for c in range(1, j // 2 + 1):
-                nums[names[j][c]] = (k - j + c) * (c + 1) + (j + 1) // 2 + _eps(j, c)
-        for j in range(3, k + 1):
-            nums[names[j][0]] = (j + 1) // 2 + _eps(j, 0)
-        return _integer_class(k, nums)
+        # E_{2,0} is not in the class: its c = 0 entry is 0
+        rows = [(), ()] + [
+            ((j + 1) // 2 + _eps(j, 0) if j >= 3 else 0,)
+            + tuple(
+                (k - j + c) * (c + 1) + (j + 1) // 2 + _eps(j, c)
+                for c in range(1, j // 2 + 1)
+            )
+            for j in range(2, k + 1)
+        ]
+        return _hurwitz_class(k, 1, hurwitz_head(k, 2 * k - 2, 2, 0), rows[: k + 1])
     if j_hat in (1, 2):
-        return _integer_class(k, {ejc_names(k)[j_hat][0]: k - 1})
+        return _one_entry(k, j_hat, k - 1)
     if j_hat <= k:
-        return _integer_class(k, {ejc_names(k)[j_hat][0]: k - j_hat})
+        return _one_entry(k, j_hat, k - j_hat)
     return zero_class(hurwitz_basis(k))

@@ -7,6 +7,11 @@ The model is independent of the package's integer kernel and of
 ``AffineExpr``, which is a read-only value without arithmetic; every
 operation of a divisor class or a class map is checked against the same
 operation done here, coefficient by coefficient.
+
+A class is read into the model two ways: through its public accessor
+(:func:`class_model`) and straight from its stored form
+(:func:`stored_model`), whose E_{j,c} rows are read here by their layout
+alone, so the two agree only if the accessors and the row layout do.
 """
 
 from fractions import Fraction
@@ -71,3 +76,31 @@ def class_model(d):
     """A divisor class as generator -> model value over its whole basis,
     read through the public accessor ``coefficient``."""
     return {g: affine(d.coefficient(g)) for g in d.basis.generators()}
+
+
+def stored_model(d):
+    """A divisor class as generator -> model value, read from its stored
+    parts: the numerators over ``d._den`` of the head map, keyed by
+    generator or (generator, symbol), and on a Hurwitz basis entry c of
+    row j of ``d._rows`` as the constant part of E_j_c."""
+    parts = {g: {} for g in d.basis.generators()}
+    cells = [(key, n) for key, n in d._nums.items()]
+    cells += [(f"E_{j}_{c}", n) for j, row in enumerate(d._rows) for c, n in enumerate(row)]
+    for key, n in cells:
+        name, sym = key if type(key) is tuple else (key, None)
+        part = parts[name]  # a KeyError names a key outside the basis
+        part[sym] = part.get(sym, 0) + Fraction(n, d._den)
+    return {g: _nonzero(part) for g, part in parts.items()}
+
+
+def apply_model(m, d):
+    """The image of class ``d`` under map ``m`` as a model over the
+    target, from the images ``m.row(g)`` of the source generators; the
+    symbols occur linearly, so one side of each product is plain, and
+    two symbolic sides raise ``ValueError`` as :func:`product` does."""
+    source = class_model(d)
+    out = {g: {} for g in m.target.generators()}
+    for g, coef in source.items():
+        for t, row_coef in class_model(m.row(g)).items():
+            out[t] = add(out[t], product(row_coef, coef))
+    return out

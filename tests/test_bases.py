@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hurwitzdiv.bases import (
     Basis,
@@ -16,6 +16,7 @@ from hurwitzdiv.bases import (
     HURWITZ,
     LAMBDA,
     T2,
+    T3j,
     UnknownGeneratorError,
     delta,
     delta_hat,
@@ -29,7 +30,14 @@ from hurwitzdiv.bases import (
     m0b_sym_basis,
     zero_class,
 )
-from affine_model import add, class_model as model, product, scale, substitute
+from affine_model import (
+    add,
+    apply_model,
+    class_model as model,
+    scale,
+    stored_model,
+    substitute,
+)
 from hurwitzdiv.core import AffineExpr, ExtSymbol, b_sym, c_sym
 from hurwitzdiv.trace import q_pullback
 
@@ -234,17 +242,39 @@ def assert_stored_key(basis, key):
     assert type(key) is str and basis.contains(key), f"bad key {key!r}"
 
 
+def assert_canonical_rows(basis, rows):
+    """The E_{j,c} rows of the stored form: on Hurwitz(k), k + 1 tuples
+    in the ejc_names layout, row j either () or floor(j/2) + 1 ints not
+    all zero, row 0 always (); no rows on the other kinds."""
+    if basis.kind != HURWITZ:
+        assert rows == ()
+        return
+    assert type(rows) is tuple and len(rows) == basis.k + 1 and rows[0] == ()
+    for j, row in enumerate(rows):
+        assert type(row) is tuple, f"row {j} is not a tuple"
+        if row:
+            assert len(row) == j // 2 + 1 and any(row), f"non-canonical row {j}: {row}"
+            assert all(type(n) is int for n in row)
+
+
 def assert_canonical(d):
-    """The unique stored form: one map of integer numerators over one
-    positive denominator in lowest terms (1 when there are none), keyed
-    by generator for the constant parts and by (generator, symbol) for
-    the symbol coefficients, with no zero numerator."""
+    """The unique stored form: integer numerators over one positive
+    denominator in lowest terms (1 for the zero class), in a head map
+    keyed by generator for the constant parts and by (generator, symbol)
+    for the symbol coefficients, with no zero numerator, and on a
+    Hurwitz basis the E_{j,c} constant parts in rows, never in the head
+    map; the stored parts read back as the accessors' values."""
     assert type(d._den) is int and d._den > 0
     for key, n in d._nums.items():
         assert_stored_key(d.basis, key)
         assert type(n) is int and n, f"non-canonical numerator {n!r}"
-    assert math.gcd(d._den, *d._nums.values()) == 1
-    assert d._nums or d._den == 1
+        if d.basis.kind == HURWITZ and type(key) is str:
+            assert key in (E0, E2, E3), f"E_(j,c) constant {key!r} outside the rows"
+    assert_canonical_rows(d.basis, d._rows)
+    entries = [*d._nums.values(), *(n for row in d._rows for n in row)]
+    assert math.gcd(d._den, *entries) == 1
+    assert any(entries) or d._den == 1
+    assert stored_model(d) == model(d)
 
 
 @given(mg_classes(mixed_values), mg_classes(mixed_values), scalars)
@@ -288,16 +318,6 @@ def mixed_maps(row_values, k=2):
     return st.dictionaries(st.sampled_from(gens), row, max_size=4).map(
         lambda rows: ClassMap(mg_basis(k), mg_basis(k), rows)
     )
-
-
-def apply_model(m, d):
-    # the symbols occur linearly, so one side of each product is plain
-    source = model(d)
-    out = {g: {} for g in m.target.generators()}
-    for g, coef in source.items():
-        for t, row_coef in model(m.row(g)).items():
-            out[t] = add(out[t], product(row_coef, coef))
-    return out
 
 
 @given(st.data())
@@ -358,6 +378,26 @@ def test_constant_affine_and_fraction_classes_are_identical():
     assert stored == (6, {delta(1): 3, (delta(1), c_sym(1)): 2, LAMBDA: 30})
     # the symbol key is the plain tuple (generator, symbol)
     assert {type(key) for key in mixed._nums} == {str, tuple}
+    # on a Hurwitz basis E0/E2/E3 stay in the head map and the E_{j,c}
+    # constants go to their rows; a symbol term of E_{j,c} stays in the
+    # head map beside them, and an untouched row is ()
+    hur = DivisorClass(
+        hurwitz_basis(3),
+        {
+            E2: Fraction(1, 2),
+            Ejc(2, 1): AffineExpr(Fraction(1, 3), {c_sym(1): Fraction(1, 6)}),
+            Ejc(3, 0): 4,
+        },
+    )
+    assert hur._den == 6
+    assert hur._nums == {E2: 3, (Ejc(2, 1), c_sym(1)): 1}
+    assert hur._rows == ((), (), (0, 2), (24, 0))
+    assert hur == DivisorClass(hurwitz_basis(3), dict(hur.items()))
+    # a symbol-only E_{j,c} leaves its row empty
+    symbol_only = DivisorClass(hurwitz_basis(2), {Ejc(1, 0): AffineExpr(0, {b_sym(2): 3})})
+    assert (symbol_only._den, symbol_only._rows) == (1, ((), (), ()))
+    assert symbol_only._nums == {(Ejc(1, 0), b_sym(2)): 3}
+    assert symbol_only.support() == [Ejc(1, 0)]
 
 
 # Integer kernel: a ClassMap keeps one common denominator and one integer
@@ -770,14 +810,21 @@ def test_compose_runs_on_integer_columns(monkeypatch):
     for k, (outer, inner) in maps.items():
         result = composed[k]
         assert result._den == outer._den * inner._den
-        assert all(col and all(col.values()) for col in result._cols.values())
-        for col in result._cols.values():
-            for key, n in col.items():
+        # an M0bSym source has no E_{j,c} blocks, an Mg target no rows
+        assert result._blocks == ()
+        for nums, pairs in result._cols.values():
+            assert nums and all(nums.values()) and pairs == ()
+            for key, n in nums.items():
                 assert_stored_key(result.target, key)
                 assert type(n) is int
         # E3 (k >= 2) carries b_j, so the T2 column does too
-        t2_keys = {type(key) for key in result._cols[T2]}
+        t2_keys = {type(key) for key in result._cols[T2][0]}
         assert t2_keys == ({str, tuple} if k >= 2 else {str})
+        # q^*T3j is the one weight row j + 1 - 2c, and p_push sends row j
+        # to delta_j alone: the composite's T3j column is one entry
+        for j in range(1, k + 1):
+            assert inner._cols[T3j(j)] == ({}, ((j, tuple(range(j + 1, 0, -2))),))
+            assert set(result._cols[T3j(j)][0]) == {delta(j)}
         for g, row in expected[k].items():
             assert result.row(g) == row
 
@@ -796,5 +843,273 @@ def test_compose_drops_cancelled_entries():
         },
     )
     composed = outer.compose(inner)
-    assert composed._cols == {LAMBDA: {delta(0): -2 * outer._den}}
+    assert composed._cols == {LAMBDA: ({delta(0): -2 * outer._den}, ())}
     assert composed.row(LAMBDA) == DivisorClass(basis, {delta(0): -2})
+
+
+# Row layout: a Hurwitz(k) class keeps E0/E2/E3 and every symbol term in
+# its head map and the E_{j,c} constants in k + 1 rows; a map from
+# Hurwitz(k) keeps its E_{j,c} columns blocked by row.  For k = 1..6,
+# with symbolic values on head and E_{j,c} generators, empty rows,
+# one-entry and dense classes, every operation must agree with the
+# affine model, and every result must be in the canonical stored form.
+
+HURWITZ_KS = st.integers(1, 6)
+
+
+def hurwitz_row_classes(k, values):
+    """Hurwitz(k) classes: zero, one entry, a few entries (mostly empty
+    rows) or every generator (every row full)."""
+    basis = hurwitz_basis(k)
+    gens = list(basis.generators())
+    return st.one_of(
+        st.just(zero_class(basis)),
+        st.builds(lambda g, v: DivisorClass(basis, {g: v}), st.sampled_from(gens), values),
+        st.dictionaries(st.sampled_from(gens), values, max_size=6).map(
+            lambda coeffs: DivisorClass(basis, coeffs)
+        ),
+        st.lists(values, min_size=len(gens), max_size=len(gens)).map(
+            lambda vals: DivisorClass(basis, dict(zip(gens, vals)))
+        ),
+    )
+
+
+@given(st.data())
+def test_hurwitz_rows_match_affine_model(data):
+    k = data.draw(HURWITZ_KS)
+    basis = hurwitz_basis(k)
+    d1 = data.draw(hurwitz_row_classes(k, spread_values))
+    d2 = data.draw(hurwitz_row_classes(k, mixed_values))
+    a = data.draw(kernel_scalars)
+    m1, m2 = model(d1), model(d2)
+    for result, expected in (
+        (d1 + d2, {g: add(m1[g], m2[g]) for g in m1}),
+        (d1 - d2, {g: add(m1[g], scale(m2[g], -1)) for g in m1}),
+        (-d1, {g: scale(m1[g], -1) for g in m1}),
+        (d1 * a, {g: scale(m1[g], a) for g in m1}),
+        (linear_combination(basis, [(a, d1), (1, d2), (-a, d1)]), m2),
+    ):
+        assert_canonical(result)
+        assert model(result) == expected
+    if a:
+        assert model(d1 / a) == {g: scale(m1[g], 1 / Fraction(a)) for g in m1}
+    # a part of the symbols, then all of them
+    table = data.draw(st.lists(spread_rationals, min_size=4, max_size=4))
+    full = dict(zip(MIXED_SYMBOLS, table))
+    for values in (dict(list(full.items())[:2]), full):
+        result = d1.substitute(values)
+        assert_canonical(result)
+        assert model(result) == {g: substitute(e, values) for g, e in m1.items()}
+    assert all(type(key) is str for key in d1.substitute(full)._nums)
+    # the same class built again by name is equal and hashes alike
+    rebuilt = DivisorClass(basis, dict(d1.items()))
+    assert rebuilt == d1 and hash(rebuilt) == hash(d1)
+    assert (d1 == d2) == (m1 == m2)
+    assert d1.support() == [g for g in basis.generators() if m1[g]]
+    assert d1.is_zero() == (not any(m1.values()))
+
+
+def hurwitz_to_mg_maps(k, values):
+    row = st.dictionaries(st.sampled_from(list(mg_basis(k).generators())), values, max_size=3)
+    sources = list(hurwitz_basis(k).generators())
+    return st.dictionaries(st.sampled_from(sources), row, max_size=8).map(
+        lambda rows: ClassMap(
+            hurwitz_basis(k),
+            mg_basis(k),
+            {g: DivisorClass(mg_basis(k), r) for g, r in rows.items()},
+        )
+    )
+
+
+def m0b_to_hurwitz_maps(k, values):
+    sources = list(m0b_sym_basis(k).generators())
+    return st.dictionaries(
+        st.sampled_from(sources), hurwitz_row_classes(k, values), max_size=4
+    ).map(lambda rows: ClassMap(m0b_sym_basis(k), hurwitz_basis(k), rows))
+
+
+def assert_apply_matches_model(m, d):
+    try:
+        expected = apply_model(m, d)
+    except ValueError:
+        with pytest.raises(ValueError, match="not affine"):
+            m.apply(d)
+        return
+    applied = m.apply(d)
+    assert_canonical(applied)
+    assert model(applied) == expected
+
+
+def assert_compose_matches_model(outer, inner):
+    try:
+        expected = {g: apply_model(outer, inner.row(g)) for g in inner.source.generators()}
+    except ValueError:
+        with pytest.raises(ValueError, match="not affine"):
+            outer.compose(inner)
+        return
+    composed = outer.compose(inner)
+    assert (composed.source, composed.target) == (inner.source, outer.target)
+    for g in inner.source.generators():
+        row = composed.row(g)
+        assert_canonical(row)
+        assert model(row) == expected[g]
+
+
+# an example at k = 6 reads every column of an 18-generator identity
+# through the model, which can outrun the default per-example deadline
+@settings(deadline=None)
+@given(st.data())
+def test_hurwitz_maps_match_affine_model(data):
+    from hurwitzdiv.pushforward import p_push
+
+    k = data.draw(HURWITZ_KS)
+    hur = hurwitz_basis(k)
+    # random maps with symbolic entries meet plain and symbolic classes;
+    # a symbolic class on a symbolic column must raise like the model
+    from_hurwitz = [
+        data.draw(hurwitz_to_mg_maps(k, mixed_values)),
+        data.draw(hurwitz_to_mg_maps(k, big_rationals)),
+        p_push(k),
+        identity_map(hur),
+    ]
+    into_hurwitz = [
+        data.draw(m0b_to_hurwitz_maps(k, mixed_values)),
+        data.draw(m0b_to_hurwitz_maps(k, big_rationals)),
+        q_pullback(k),
+    ]
+    hurwitz_class = data.draw(hurwitz_row_classes(k, plain_values))
+    symbolic_class = data.draw(hurwitz_row_classes(k, mixed_values))
+    m0b_gens = list(m0b_sym_basis(k).generators())
+    m0b_class = data.draw(
+        st.dictionaries(st.sampled_from(m0b_gens), mixed_values, max_size=4).map(
+            lambda coeffs: DivisorClass(m0b_sym_basis(k), coeffs)
+        )
+    )
+    for m in from_hurwitz:
+        assert_apply_matches_model(m, hurwitz_class)
+        assert_apply_matches_model(m, symbolic_class)
+    for m in into_hurwitz:
+        assert_apply_matches_model(m, m0b_class)
+    # one composition per example, each pair of kinds in turn
+    outer = data.draw(st.sampled_from(from_hurwitz))
+    inner = data.draw(st.sampled_from(into_hurwitz + [identity_map(hur)]))
+    assert_compose_matches_model(outer, inner)
+    # the identity keeps every class, blocks and all
+    assert identity_map(hur).apply(symbolic_class) == symbolic_class
+
+
+@given(st.data())
+def test_hurwitz_column_store_gives_back_its_rows(data):
+    k = data.draw(HURWITZ_KS)
+    hur = hurwitz_basis(k)
+    target = data.draw(st.sampled_from([mg_basis(k), hur]))
+    sources = list(hur.generators())
+    images = (
+        hurwitz_row_classes(k, spread_values)
+        if target == hur
+        else st.dictionaries(st.sampled_from(list(target.generators())), spread_values, max_size=3).map(
+            lambda coeffs: DivisorClass(target, coeffs)
+        )
+    )
+    rows = data.draw(st.dictionaries(st.sampled_from(sources), images, max_size=8))
+    m = ClassMap(hur, target, rows)
+    assert m.rows == {g: row for g, row in rows.items() if not row.is_zero()}
+    for g in sources:
+        row = m.row(g)
+        assert_canonical(row)
+        assert row == rows.get(g, zero_class(target))
+    for block in m._blocks:
+        if block is not None:
+            weights, block_rows = block
+            assert (block_rows is None) == (target != hur)
+            assert all(any(w) for w in weights.values())
+
+
+def test_row_builders_equal_the_classes_built_by_name():
+    from hurwitzdiv import trace
+
+    for k in range(1, 9):
+        hur = hurwitz_basis(k)
+
+        def by_name(head, entry, den=1, rows=range(1, k + 1)):
+            coeffs = {g: Fraction(v, den) for g, v in head.items() if hur.contains(g)}
+            for j in rows:
+                for c in range(j // 2 + 1):
+                    coeffs[Ejc(j, c)] = Fraction(entry(j, c), den)
+            return DivisorClass(hur, coeffs)
+
+        def phi_boundary(j, c):
+            return j if c == 0 else 2 * (k - j + c) * (c + 1) + j
+
+        def phihat_boundary(j, c):
+            eps = -1 if (j, c) == (2, 1) else j % 2
+            if c == 0:
+                return 0 if j < 3 else (j + 1) // 2 + eps
+            return (k - j + c) * (c + 1) + (j + 1) // 2 + eps
+
+        w = 2 * (6 * k - 1)
+        lead = 2 * (-6 * k**3 + 31 * k * k - 29 * k + 6)
+        cases = [
+            (
+                trace.delta_tau(k),
+                by_name(
+                    {E0: k * k + k, E2: 2 * k * k - 10 * k + 18, E3: 3 * k * k - 13 * k + 16},
+                    lambda j, c: trace._d_int(k, j, c),
+                ),
+            ),
+            (
+                trace.omega_tau_sq(k),
+                by_name(
+                    {E0: lead, E2: 2 * lead, E3: 3 * lead},
+                    lambda j, c: trace._a_numerator(k, j, c),
+                    w,
+                ),
+            ),
+            (
+                trace.twelve_lambda_trace_closed(k),
+                by_name(
+                    {
+                        E0: 4 * (18 * k * k - 15 * k + 3),
+                        E2: 4 * (30 * k - 3),
+                        E3: 4 * (6 * k * k + 11 * k + 1),
+                    },
+                    lambda j, c: trace.t_numerator(k, j, c),
+                    w,
+                ),
+            ),
+            (
+                trace.twelve_lambda_reduced_closed(k),
+                by_name(
+                    {
+                        E0: 4 * (9 * k * k - 12 * k + 3),
+                        E2: 4 * 15 * k,
+                        E3: 4 * (3 * k * k - 8 * k + 5),
+                    },
+                    lambda j, c: trace.u_numerator(k, j, c),
+                    w,
+                ),
+            ),
+            (
+                trace.phi_pull_boundary(k, 0),
+                by_name({E0: 4 * k - 2, E2: 4, E3: 2}, phi_boundary, rows=range(2, k + 1)),
+            ),
+            (
+                trace.phihat_pull_boundary(k, 0),
+                by_name({E0: 2 * k - 2, E2: 2}, phihat_boundary, rows=range(2, k + 1)),
+            ),
+            (trace.phi_pull_boundary(k, 1), DivisorClass(hur, {Ejc(1, 0): 2 * k - 1})),
+            (trace.q_pullback(k).row(T2), by_name({E0: 1, E2: 2, E3: 3}, None, rows=())),
+        ]
+        for j in range(2, k + 1):
+            cases.append(
+                (trace.phi_pull_boundary(k, j), DivisorClass(hur, {Ejc(j, 0): 2 * k - 2 * j}))
+            )
+            value = k - 1 if j == 2 else k - j
+            cases.append((trace.phihat_pull_boundary(k, j), DivisorClass(hur, {Ejc(j, 0): value})))
+        for j in range(1, k + 1):
+            cases.append(
+                (trace.q_pullback(k).row(T3j(j)), by_name({}, lambda jj, c: jj + 1 - 2 * c, rows=[j]))
+            )
+        for built, named in cases:
+            assert_canonical(built)
+            assert built == named and hash(built) == hash(named), (k, named)
