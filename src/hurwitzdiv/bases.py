@@ -410,9 +410,11 @@ class DivisorClass:
             rows = list(rows)
             for j, _ in cells:
                 rows[j] = rows[j] or (0,) * (j // 2 + 1)
-        for row_names, row, j in zip(ejc_names(k), rows, range(k + 1)):
+        names = ejc_names(k)
+        for j, row in enumerate(rows):
             if not row:
                 continue
+            row_names = names[j]
             if cells:
                 out.extend(
                     (row_names[c], n, cells.get((j, c)))
@@ -598,13 +600,10 @@ def _scale_rows(rows: tuple, p: int, g: int = 1) -> tuple:
     if g == 1:
         if p == 1:
             return rows
-        times = p.__mul__
-        return tuple([tuple(map(times, row)) if row else () for row in rows])
-    over = g.__rfloordiv__
+        return tuple([tuple([n * p for n in row]) if row else () for row in rows])
     if p == 1:
-        return tuple([tuple(map(over, row)) if row else () for row in rows])
-    times = p.__mul__
-    return tuple([tuple(map(times, map(over, row))) if row else () for row in rows])
+        return tuple([tuple([n // g for n in row]) if row else () for row in rows])
+    return tuple([tuple([n // g * p for n in row]) if row else () for row in rows])
 
 
 def _add_cells(rows: tuple, cells: Mapping[tuple[int, int], int]) -> tuple:
@@ -723,11 +722,25 @@ def _blocked(source: Basis, target: Basis, columns: Mapping[str, _Column]):
     return cols, tuple(blocks)
 
 
+def _dense_rows(basis: Basis, pairs: Iterable[tuple[int, tuple]]) -> tuple:
+    """The rows of a class over ``basis`` from the (j, row) pairs of its
+    nonzero rows."""
+    rows = _zero_rows(basis)
+    if pairs:
+        rows = list(rows)
+        for j, row in pairs:
+            rows[j] = row
+        rows = tuple(rows)
+    return rows
+
+
 def _add_row(acc: dict, j: int, row: tuple, x: int) -> None:
     """``acc[j] += x * row``, entry by entry."""
-    times = x.__mul__
     old = acc.get(j)
-    acc[j] = list(map(times, row)) if old is None else list(map(add, old, map(times, row)))
+    if old is None:
+        acc[j] = [n * x for n in row]
+    else:
+        acc[j] = list(map(add, old, map(x.__mul__, row)))
 
 
 class ClassMap:
@@ -811,13 +824,7 @@ class ClassMap:
         if column is None:
             return DivisorClass._raw(self.target, 1, {})
         nums, pairs = column
-        rows = _zero_rows(self.target)
-        if pairs:
-            rows = list(rows)
-            for j, row in pairs:
-                rows[j] = row
-            rows = tuple(rows)
-        return DivisorClass._raw(self.target, self._den, nums, rows)
+        return DivisorClass._raw(self.target, self._den, nums, _dense_rows(self.target, pairs))
 
     def row(self, name: str) -> DivisorClass:
         self.source.check(name)
@@ -828,11 +835,11 @@ class ClassMap:
         """The nonzero images, by source generator."""
         return {name: self._image(column) for name, column in self._columns()}
 
-    def _map(self, nums: Mapping, rows: Iterable[tuple[int, tuple]]) -> tuple[dict, dict]:
+    def _map(self, nums: Mapping, rows: Iterable[tuple[int, tuple]]) -> _Column:
         """The image of the vector with head numerators ``nums`` and the
         (j, row) pairs ``rows`` (a row may be ``()``) over some
-        denominator q, as numerators over q * ``_den``: the head map,
-        zeros dropped, and the target rows as j -> list.  Every product
+        denominator q, as a column over q * ``_den``: the head map, zeros
+        dropped, and the pairs of the nonzero target rows.  Every product
         is summed in int; a row meets its block by one dot product per
         target key.  The symbols occur linearly: a symbol term (name, s)
         of the source maps through a constant entry t of name's column
@@ -880,20 +887,16 @@ class ClassMap:
                     if x:
                         for jj, row in pairs:
                             _add_row(target_rows, jj, row, x)
-        return _nonzero(sums), target_rows
+        pairs = tuple(sorted((j, tuple(acc)) for j, acc in target_rows.items() if any(acc)))
+        return _nonzero(sums), pairs
 
     def apply(self, d: DivisorClass) -> DivisorClass:
         if d.basis != self.source:
             raise BasisMismatchError(
                 f"class over {d.basis} cannot be fed to a map from {self.source}"
             )
-        nums, target_rows = self._map(d._nums, enumerate(d._rows))
-        rows = _zero_rows(self.target)
-        if target_rows:
-            rows = list(rows)
-            for j, acc in target_rows.items():
-                rows[j] = tuple(acc) if any(acc) else ()
-            rows = tuple(rows)
+        nums, pairs = self._map(d._nums, enumerate(d._rows))
+        rows = _dense_rows(self.target, pairs)
         return DivisorClass._raw(self.target, d._den * self._den, nums, rows)
 
     def compose(self, inner: "ClassMap") -> "ClassMap":
@@ -908,12 +911,9 @@ class ClassMap:
             )
         columns = {}
         for name, (nums, pairs) in inner._columns():
-            mapped, target_rows = self._map(nums, pairs)
-            pairs = tuple(
-                (j, tuple(acc)) for j, acc in sorted(target_rows.items()) if any(acc)
-            )
-            if mapped or pairs:
-                columns[name] = (mapped, pairs)
+            column = self._map(nums, pairs)
+            if column[0] or column[1]:
+                columns[name] = column
         cols, blocks = _blocked(inner.source, self.target, columns)
         return ClassMap._raw(inner.source, self.target, self._den * inner._den, cols, blocks)
 

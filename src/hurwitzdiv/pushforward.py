@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from itertools import repeat
+from math import factorial, lcm
 from operator import mul
 from typing import Mapping
 
@@ -133,20 +134,27 @@ class ExternalCoeffs:
 
 
 @per_k_cache
+def _delta_keys(k: int) -> tuple[tuple[str, ...], tuple, tuple]:
+    """The keys of the genus-2k moduli basis that the push-forward
+    builders write, built once per k: the names delta_0 .. delta_k, and
+    the symbol keys (delta_j, c_j) and (delta_j, b_j), at index j - 1 for
+    j = 1 .. k."""
+    names = tuple(map(delta, range(k + 1)))
+    js = range(1, k + 1)
+    return names, tuple((names[j], c_sym(j)) for j in js), tuple((names[j], b_sym(j)) for j in js)
+
+
+@per_k_cache
 def p_push(k: int) -> ClassMap:
     """The push-forward map from the Hurwitz basis to the genus-2k
     moduli basis, row by generator, per factorial b."""
     n = catalan_number(k)
     lead2 = Fraction(k - 2, 2 * k - 1) * n
     lead3 = Fraction(3, 2 * (2 * k - 1)) * n
-    # row j of e_{j,c} is jc_rows(k, "e")[j] over (j+1)(2k-j+1); each
-    # row is reduced by its own gcd first (it is integral for every k
-    # tried), so the map's denominator stays that of the E0/E2/E3 columns
-    e_rows = jc_rows(k, "e")
-    e_gcds = [gcd((j + 1) * (2 * k - j + 1), *e_rows[j]) for j in range(k + 1)]
-    e_dens = [(j + 1) * (2 * k - j + 1) // g for j, g in enumerate(e_gcds)]
-    den = lcm(2, lead2.denominator, lead3.denominator, *e_dens[1:])
-    deltas = [delta(j) for j in range(k + 1)]
+    # e_{j,c} is an integer (trace.e_numerator), so the E_{j,c} columns
+    # add nothing to the denominator of the E0/E2/E3 ones
+    den = lcm(2, lead2.denominator, lead3.denominator)
+    deltas, c_keys, b_keys = _delta_keys(k)
     heads = {E0: {deltas[0]: numerator_over(n / 2, den)}}
     # E2/E3 reach lambda, delta_0 and, on each delta_j, c_j or b_j
     if k >= 3:
@@ -154,28 +162,23 @@ def p_push(k: int) -> ClassMap:
             LAMBDA: numerator_over(lead2 * (18 * k * k + 51 * k - 9), den),
             deltas[0]: numerator_over(-lead2 * (3 * k * k + 4 * k - 1), den),
         }
-        heads[E2].update(((deltas[j], c_sym(j)), den // 2) for j in range(1, k + 1))
+        heads[E2].update(zip(c_keys, repeat(den // 2)))
     if k >= 2:
         heads[E3] = {
             LAMBDA: numerator_over(lead3 * (12 * k * k + 46 * k - 8), den),
             deltas[0]: numerator_over(-lead3 * (2 * k * k + 4 * k - 1), den),
         }
         b = numerator_over(-lead3, den)
-        heads[E3].update(((deltas[j], b_sym(j)), b) for j in range(1, k + 1))
+        heads[E3].update(zip(b_keys, repeat(b)))
     cols = {name: (head, ()) for name, head in heads.items()}
-    # block j: the e_{j,c} numerators, all positive, on delta_j alone
-    blocks = (None,) + tuple(
-        (
-            {
-                deltas[j]: tuple(
-                    map((den // e_dens[j]).__mul__, map(e_gcds[j].__rfloordiv__, e_rows[j]))
-                )
-            },
-            None,
-        )
-        for j in range(1, k + 1)
-    )
-    return ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, blocks)
+    # block j: the e_{j,c}, all positive, on delta_j alone; row j of
+    # jc_rows(k, "e") is divided exactly by (j+1)(2k-j+1)
+    e_rows = jc_rows(k, "e")
+    blocks = [None]
+    for j in range(1, k + 1):
+        full = (j + 1) * (2 * k - j + 1)
+        blocks.append(({deltas[j]: tuple([e // full * den for e in e_rows[j]])}, None))
+    return ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, tuple(blocks))
 
 
 @per_k_cache
@@ -249,24 +252,20 @@ def _hodge_expected(k: int, closed, family: str, c_weight, b_weight) -> DivisorC
     k >= 3) and -N ``b_weight`` b_j (from E3, k >= 2)."""
     lam, d0 = closed(k)
     b_weight = -catalan_number(k) * b_weight
-    # delta_j: the dot product of the two rows over 24(j+1)(2k-j+1)(6k-1),
-    # each reduced on its own so that the common denominator stays small
-    e_rows, w_rows = jc_rows(k, "e"), jc_rows(k, family)
-    sums = []
-    for j in range(1, k + 1):
-        total = sum(map(mul, e_rows[j], w_rows[j]))
-        full = 24 * (j + 1) * (2 * k - j + 1) * (6 * k - 1)
-        g = gcd(total, full)
-        sums.append((total // g, full // g))
-    den = lcm(*(x.denominator for x in (lam, d0, c_weight, b_weight)), *(q for _, q in sums))
+    # delta_j: the e.w dot product over 24(j+1)(2k-j+1)(6k-1), where
+    # (j+1)(2k-j+1) divides every e numerator (trace.e_numerator)
+    w_den = 24 * (6 * k - 1)
+    den = lcm(*(x.denominator for x in (lam, d0, c_weight, b_weight)), w_den)
     c = numerator_over(c_weight, den) if k >= 3 else 0
     b = numerator_over(b_weight, den) if k >= 2 else 0
-    nums = {LAMBDA: numerator_over(lam, den), delta(0): numerator_over(d0, den)}
-    for j, (total, q) in enumerate(sums, 1):
-        name = delta(j)
-        nums[name] = total * (den // q)
-        nums[name, c_sym(j)] = c
-        nums[name, b_sym(j)] = b
+    names, c_keys, b_keys = _delta_keys(k)
+    nums = {LAMBDA: numerator_over(lam, den), names[0]: numerator_over(d0, den)}
+    e_rows, w_rows, f = jc_rows(k, "e"), jc_rows(k, family), den // w_den
+    for j in range(1, k + 1):
+        total = sum(map(mul, e_rows[j], w_rows[j])) // ((j + 1) * (2 * k - j + 1))
+        nums[names[j]] = total * f
+    nums.update(zip(c_keys, repeat(c)))
+    nums.update(zip(b_keys, repeat(b)))
     return DivisorClass._raw(mg_basis(k), den, {key: n for key, n in nums.items() if n})
 
 
@@ -304,15 +303,14 @@ def p_q_map(k: int) -> ClassMap:
     alphas = [alpha_coeff(k, j) for j in range(1, k + 1)]
     den = lcm(lead.denominator, b3_weight.denominator, *(a.denominator for a in alphas))
     # the T2 column carries c_j and b_j on each delta_j
-    t2 = {LAMBDA: 3 * (2 * k + 5) * lead, delta(0): -(k + 1) * lead}
+    names, c_keys, b_keys = _delta_keys(k)
+    t2 = {LAMBDA: 3 * (2 * k + 5) * lead, names[0]: -(k + 1) * lead}
     t2 = {t: numerator_over(v, den) for t, v in t2.items()}
-    b3 = numerator_over(-b3_weight, den)
-    for j in range(1, k + 1):
-        t2[delta(j), c_sym(j)] = den
-        t2[delta(j), b_sym(j)] = b3
+    t2.update(zip(c_keys, repeat(den)))
+    t2.update(zip(b_keys, repeat(numerator_over(-b3_weight, den))))
     cols = {T2: (t2, ())}
     for j, alpha in enumerate(alphas, 1):
-        cols[T3j(j)] = ({delta(j): numerator_over(alpha, den)}, ())
+        cols[T3j(j)] = ({names[j]: numerator_over(alpha, den)}, ())
     return ClassMap._raw(q_pullback(k).source, mg_basis(k), den, cols)
 
 

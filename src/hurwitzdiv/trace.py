@@ -115,7 +115,10 @@ def _check_jc(k: int, j: int, c: int) -> None:
 
 
 def e_numerator(k: int, j: int, c: int) -> int:
-    """e_{j,c} times its denominator (j+1)(2k-j+1)."""
+    """e_{j,c} times its denominator (j+1)(2k-j+1), which divides it:
+    with m = j+1-2c, m C(j+1, c)/(j+1) = C(j, c) - C(j, c-1) and
+    m C(2k-j+1, k+1-c)/(2k-j+1) = C(2k-j, k-c) - C(2k-j, k+1-c), so
+    e_{j,c} is a product of two ballot numbers, an integer."""
     m = j + 1 - 2 * c
     return m * m * comb(j + 1, c) * comb(2 * k - j + 1, k + 1 - c)
 
@@ -150,8 +153,10 @@ def alpha_coeff(k: int, j: int) -> Fraction:
     boundary class T3j."""
     if not 1 <= j <= k:
         raise IndexRangeError(f"j = {j} out of range for k = {k}")
+    # an integer: every e numerator of row j is a multiple of its
+    # denominator (see e_numerator)
     total = sum(map(mul, jc_rows(k, "e")[j], t3j_weights(j)))
-    return Fraction(total, (j + 1) * (2 * k - j + 1))
+    return Fraction(total // ((j + 1) * (2 * k - j + 1)))
 
 
 def _d_int(k: int, j: int, c: int) -> int:
