@@ -460,7 +460,7 @@ def phi_pull_boundary(k: int, j_prime: int) -> DivisorClass:
             (j,) + tuple(2 * (k - j + c) * (c + 1) + j for c in range(1, j // 2 + 1))
             for j in range(2, k + 1)
         ]
-        return _hurwitz_class(k, 1, hurwitz_head(k, 4 * k - 2, 4, 2), rows[: k + 1])
+        return _hurwitz_class(k, 1, hurwitz_head(k, 4 * k - 2, 4, 2), rows)
     if j_prime == 1:
         return _one_entry(k, 1, 2 * k - 1)
     if j_prime <= k:
@@ -493,7 +493,7 @@ def phihat_pull_boundary(k: int, j_hat: int) -> DivisorClass:
             )
             for j in range(2, k + 1)
         ]
-        return _hurwitz_class(k, 1, hurwitz_head(k, 2 * k - 2, 2, 0), rows[: k + 1])
+        return _hurwitz_class(k, 1, hurwitz_head(k, 2 * k - 2, 2, 0), rows)
     if j_hat in (1, 2):
         return _one_entry(k, j_hat, k - 1)
     if j_hat <= k:
