@@ -1,8 +1,8 @@
 """Byte-identity gate at large k: the sha256 of ``verify --k-min 1
 --k-max 60``, of every Hurwitz and pushed ``class`` output at k = 40 in
-csv (raw, and ``--normalized`` for the pushed classes), and of two
-one-entry boundary pullbacks at k = 12 in json must match the digests in
-``golden_large_k.json``.
+csv and json (raw, and ``--normalized`` for the pushed classes), and of
+two one-entry boundary pullbacks at k = 12 in json must match the
+digests in ``golden_large_k.json``.
 
 ``golden_outputs.json`` stops at k = 8, where every E_{j,c} row of a
 Hurwitz class is short; these digests pin the bytes where the rows are
@@ -26,6 +26,7 @@ from test_golden import HURWITZ_CLASSES, PUSHED_CLASSES, digest
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_large_k.json")
 VERIFY_ARGV = ("verify", "--k-min", "1", "--k-max", "60")
 CLASS_K = "40"
+CLASS_FORMATS = ("csv", "json")
 ONE_ENTRY_ARGVS = (
     ("class", "phi-delta:7", "--k", "12", "--format", "json"),
     ("class", "phihat-delta:5", "--k", "12", "--format", "json"),
@@ -35,10 +36,11 @@ ONE_ENTRY_ARGVS = (
 def class_argvs() -> list[tuple[str, ...]]:
     argvs = []
     for name in HURWITZ_CLASSES + PUSHED_CLASSES:
-        argv = ("class", name, "--k", CLASS_K, "--format", "csv")
-        argvs.append(argv)
-        if name in PUSHED_CLASSES:
-            argvs.append(argv + ("--normalized",))
+        for fmt in CLASS_FORMATS:
+            argv = ("class", name, "--k", CLASS_K, "--format", fmt)
+            argvs.append(argv)
+            if name in PUSHED_CLASSES:
+                argvs.append(argv + ("--normalized",))
     return argvs + list(ONE_ENTRY_ARGVS)
 
 
