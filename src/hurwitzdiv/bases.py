@@ -227,10 +227,15 @@ def _generator_index(kind: str, k: int) -> dict[str, int]:
 @per_k_cache
 def ejc_names(k: int) -> tuple[tuple[str, ...], ...]:
     """The E_{j,c} names of ``Hurwitz(k)`` in the row layout: entry j
-    holds E_j_0 .. E_j_floor(j/2), entry 0 is empty."""
-    return ((),) + tuple(
-        tuple(Ejc(j, c) for c in range(j // 2 + 1)) for j in range(1, k + 1)
-    )
+    holds E_j_0 .. E_j_floor(j/2), entry 0 is empty.  Each name is
+    :func:`Ejc` (j, c), built as the row prefix "E_j_" plus the text of
+    c from one table shared by every row."""
+    indices = [str(c) for c in range(k // 2 + 1)]
+    rows: list[tuple[str, ...]] = [()]
+    for j in range(1, k + 1):
+        prefix = f"E_{j}_"
+        rows.append(tuple([prefix + c for c in indices[: j // 2 + 1]]))
+    return tuple(rows)
 
 
 _HEAD_NAMES = frozenset((E0, E2, E3))
@@ -438,7 +443,9 @@ class DivisorClass:
         generator in support order, its constant part and its (symbol,
         coefficient) terms in display order, each rendered as "p/q" in
         lowest terms straight from the stored numerators; no
-        ``Fraction`` or :class:`AffineExpr` is built.
+        ``Fraction`` or :class:`AffineExpr` is built.  A Hurwitz class
+        with no symbol term is rendered in one pass over its head map and
+        its rows, each row zipped with its :func:`ejc_names` row.
 
         ``scale`` is a positive int.  A value n0/d0 in lowest terms
         becomes n0 * (scale // g) over d0 // g with g = gcd(scale, d0),
@@ -451,12 +458,7 @@ class DivisorClass:
         if not isinstance(scale, int) or scale < 1:
             raise ValueError(f"scale must be a positive int, got {scale!r}")
         den = self._den
-        if scale == 1:
-            def text(n: int) -> str:
-                # core.format_ratio, inlined: this runs once per emitted value
-                g = gcd(n, den)
-                return f"{n // g}/{den // g}"
-        else:
+        if scale != 1:
             # a fresh context per call; an inexact step raises instead of
             # printing wrong digits
             ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
@@ -472,6 +474,43 @@ class DivisorClass:
                 if q is None:
                     q = quotients[g1] = ctx.divide_int(whole, g1)
                 return f"{ctx.multiply(q, n // g)}/{d0 // g1}"
+        elif den == 1:
+            def text(n: int) -> str:
+                return f"{n}/1"
+        else:
+            def text(n: int) -> str:
+                # core.format_ratio, inlined: this runs once per emitted value
+                g = gcd(n, den)
+                return f"{n // g}/{den // g}"
+        if self._rows and not self._symbolic():
+            nums = self._nums
+            rendered = [
+                (name, text(nums[name]), ())
+                for name in _SPECS[HURWITZ].head(self.basis.k)
+                if name in nums
+            ]
+            for names, row in zip(ejc_names(self.basis.k), self._rows):
+                if not row:
+                    continue
+                # text(n) inlined for scale 1: this is most of the values
+                # emitted at large k
+                if scale != 1:
+                    rendered += [(name, text(n), ()) for name, n in zip(names, row) if n]
+                elif den == 1:
+                    rendered += [(name, f"{n}/1", ()) for name, n in zip(names, row) if n]
+                else:
+                    # most values are already in lowest terms over den
+                    over = f"/{den}"
+                    rendered += [
+                        (
+                            name,
+                            f"{n}{over}" if (g := gcd(n, den)) == 1 else f"{n // g}/{den // g}",
+                            (),
+                        )
+                        for name, n in zip(names, row)
+                        if n
+                    ]
+            return rendered
         rendered = []
         for name, n, terms in self._entries():
             if terms:

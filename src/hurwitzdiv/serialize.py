@@ -148,39 +148,40 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _json_object(fields: list[str], indent: str) -> str:
-    """A JSON object in the layout of ``json.dumps(indent=2)``, from its
-    rendered ``"key": value`` fields in key order; ``indent`` is the
-    indentation of the line the object starts on."""
-    if not fields:
-        return "{}"
-    inner = indent + "  "
-    return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}"
+def _json_terms(terms: tuple[tuple[ExtSymbol, str], ...]) -> str:
+    """The ``"b"`` and ``"c"`` fields of a coefficient object, each with
+    its index-sorted entries, in the layout of ``json.dumps(indent=2)``."""
+    fields = ""
+    for family in ("b", "c"):
+        part = sorted((str(s.index), v) for s, v in terms if s.family == family)
+        if part:
+            entries = ",\n        ".join([f'"{index}": "{v}"' for index, v in part])
+            fields += f'      "{family}": {{\n        {entries}\n      }},\n'
+    return fields
 
 
 def class_to_json(d: DivisorClass, normalization: str = RAW, scale: int = 1) -> str:
     """``dumps_canonical(class_to_obj(d * scale, normalization))``,
     written straight from the stored numerators: the same bytes, with no
-    ``AffineExpr`` and no scaled class built."""
+    ``AffineExpr`` and no scaled class built.
+
+    Each coefficient object is one f-string.  Generator names, "p/q"
+    values and symbol indices are ASCII letters, digits, ``_``, ``-`` and
+    ``/`` by construction, so they are written without JSON escaping."""
+    coefficients = ",\n    ".join(
+        [
+            f'"{name}": {{\n{_json_terms(terms) if terms else ""}'
+            f'      "const": "{const}"\n    }}'
+            for name, const, terms in sorted(d._formatted_items(scale), key=itemgetter(0))
+        ]
+    )
+    body = "{\n    " + coefficients + "\n  }" if coefficients else "{}"
     q = encode_basestring_ascii
-    coefficients = []
-    for name, const, terms in sorted(d._formatted_items(scale), key=itemgetter(0)):
-        fields = []
-        for family in ("b", "c") if terms else ():
-            part = sorted((str(s.index), v) for s, v in terms if s.family == family)
-            if part:
-                entries = [f"{q(index)}: {q(v)}" for index, v in part]
-                fields.append(f'"{family}": ' + _json_object(entries, "      "))
-        fields.append(f'"const": {q(const)}')
-        coefficients.append(f"{q(name)}: " + _json_object(fields, "    "))
-    top = [
-        f'"basis": {q(d.basis.kind)}',
-        '"coefficients": ' + _json_object(coefficients, "  "),
-        f'"k": {json.dumps(d.basis.k)}',
-        f'"normalization": {q(normalization)}',
-        f'"schema": {q(CLASS_SCHEMA)}',
-    ]
-    return _json_object(top, "") + "\n"
+    return (
+        f'{{\n  "basis": {q(d.basis.kind)},\n  "coefficients": {body},\n'
+        f'  "k": {d.basis.k},\n  "normalization": {q(normalization)},\n'
+        f'  "schema": {q(CLASS_SCHEMA)}\n}}\n'
+    )
 
 
 def coefficient_texts(d: DivisorClass, scale: int = 1) -> list[tuple[str, str]]:
@@ -194,12 +195,18 @@ def coefficient_texts(d: DivisorClass, scale: int = 1) -> list[tuple[str, str]]:
 
 def class_to_csv(d: DivisorClass, scale: int = 1) -> str:
     """Rows "generator,value" of ``d * scale`` in natural basis order,
-    no header.
+    no header, written in one pass over ``DivisorClass._formatted_items``.
 
     Generator names and coefficient texts hold no comma, quote or line
     break, so no field needs csv quoting and the rows are joined
-    directly; the bytes are those of ``csv.writer``."""
-    return "".join(f"{name},{text}\n" for name, text in coefficient_texts(d, scale))
+    directly; the bytes are those of ``csv.writer`` over
+    :func:`coefficient_texts`."""
+    return "".join(
+        [
+            f"{name},{affine_text(const, terms) if terms else const}\n"
+            for name, const, terms in d._formatted_items(scale)
+        ]
+    )
 
 
 def class_to_md(d: DivisorClass, scale: int = 1) -> str:
@@ -227,15 +234,18 @@ def table_to_md(columns: list[str], rows: Sequence[Sequence[str]]) -> str:
 def table_to_json(columns: list[str], rows: list[list[str]]) -> str:
     """``dumps_canonical([dict(zip(columns, row)) for row in rows])`` for
     rows of strings as long as ``columns``, written directly."""
+    if not rows:
+        return "[]\n"
     q = encode_basestring_ascii
     # column -> position of its value, the last one for a repeated column
     positions = dict(zip(columns, range(len(columns))))
     keys = [(q(column), i) for column, i in sorted(positions.items())]
     objects = [
-        _json_object([f"{key}: {q(row[i])}" for key, i in keys], "  ") for row in rows
+        "{\n    " + ",\n    ".join([f"{key}: {q(row[i])}" for key, i in keys]) + "\n  }"
+        if keys
+        else "{}"
+        for row in rows
     ]
-    if not objects:
-        return "[]\n"
     return "[\n  " + ",\n  ".join(objects) + "\n]\n"
 
 

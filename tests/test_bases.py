@@ -21,6 +21,7 @@ from hurwitzdiv.bases import (
     delta,
     delta_hat,
     delta_prime,
+    ejc_names,
     hurwitz_basis,
     identity_map,
     linear_combination,
@@ -723,6 +724,15 @@ def test_linear_combination_edge_cases():
         linear_combination(basis, [(1, other)])
     with pytest.raises(TypeError):
         linear_combination(basis, [(0.5, d)])
+
+
+def test_ejc_names_follow_their_definition():
+    # built from one "E_j_" prefix per row and a shared index table, the
+    # names must be those of Ejc(j, c)
+    for k in range(1, 61):
+        assert ejc_names(k) == ((),) + tuple(
+            tuple(Ejc(j, c) for c in range(j // 2 + 1)) for j in range(1, k + 1)
+        )
 
 
 # Scaled emission: _formatted_items(scale) renders self * scale without

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hurwitzdiv.bases import (
+    E0,
+    E3,
     HURWITZ,
     M0B_SYM,
     MG,
@@ -41,6 +43,7 @@ from hurwitzdiv.serialize import (
     table_to_md,
 )
 from hurwitzdiv.trace import delta_tau, phi_pull_lambda
+from test_bases import emission_scales
 
 
 def test_affine_obj_round_trip():
@@ -216,17 +219,38 @@ MIXED_CLASS = DivisorClass(
 )
 
 
-@given(any_classes(), st.sampled_from((RAW, PER_FACTORIAL_B)))
-@example(MIXED_CLASS, RAW)
-@example(DivisorClass(mg_basis(3)), PER_FACTORIAL_B)
-def test_renderer_matches_affine_reference(d, mode):
-    assert class_to_json(d, mode) == dumps_canonical(class_to_obj(d, mode))
-    rows = [(name, str(value)) for name, value in d.items()]
-    assert coefficient_texts(d) == rows
+# constant-only Hurwitz classes, rendered row by row: over denominator 1,
+# and over a denominator that some entries share a factor with
+INTEGER_ROWS_CLASS = DivisorClass(
+    hurwitz_basis(12), {E0: -3, Ejc(10, 4): 7, Ejc(11, 0): -12, Ejc(12, 6): 1}
+)
+FRACTION_ROWS_CLASS = DivisorClass(
+    hurwitz_basis(12),
+    {E3: Fraction(5, 6), Ejc(1, 0): Fraction(-1, 3), Ejc(12, 6): Fraction(7, 4)},
+)
+
+
+@given(any_classes(), st.sampled_from((RAW, PER_FACTORIAL_B)), emission_scales)
+@example(MIXED_CLASS, RAW, 1)
+@example(MIXED_CLASS, RAW, factorial(6 * 12))
+@example(INTEGER_ROWS_CLASS, RAW, 1)
+@example(INTEGER_ROWS_CLASS, RAW, factorial(6 * 40))
+@example(FRACTION_ROWS_CLASS, RAW, 1)
+@example(FRACTION_ROWS_CLASS, RAW, 10)
+@example(DivisorClass(mg_basis(3)), PER_FACTORIAL_B, 1)
+def test_renderer_matches_affine_reference(d, mode, scale):
+    # each writer renders d * scale without building it; the reference
+    # builds it and goes through AffineExpr and the json/csv modules
+    scaled = d * scale
+    assert class_to_json(d, mode, scale) == dumps_canonical(class_to_obj(scaled, mode))
+    rows = [(name, str(value)) for name, value in scaled.items()]
+    assert coefficient_texts(d, scale) == rows
     reference_csv = io.StringIO()
     csv.writer(reference_csv, lineterminator="\n").writerows(rows)
-    assert class_to_csv(d) == reference_csv.getvalue()
-    assert class_to_md(d).splitlines()[2:] == [f"| {name} | {text} |" for name, text in rows]
+    assert class_to_csv(d, scale) == reference_csv.getvalue()
+    assert class_to_md(d, scale).splitlines()[2:] == [
+        f"| {name} | {text} |" for name, text in rows
+    ]
 
 
 def test_mixed_class_renders_both_families_and_index_order():
