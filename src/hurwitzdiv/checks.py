@@ -36,7 +36,7 @@ from math import inf
 from typing import Callable
 
 from . import m0b, pushforward, slopes, trace
-from .bases import DivisorClass, E0, E3, Ejc, T2, T3j, delta, hurwitz_basis, mg_basis
+from .bases import DivisorClass, E0, E3, Ejc, T2, T3j, delta, hurwitz_basis
 from .core import clear_caches
 from .pushforward import ExternalCoeffs, PER_FACTORIAL_B, RAW
 from .slopes import VerificationError, lambda_delta0
@@ -84,12 +84,13 @@ def _genus(k: int, externals) -> None:
 def _catalan(k: int, externals) -> None:
     n = trace.catalan_number(k)
     _require(trace.e_coeff(k, 1, 0) == n, "e_{1,0} differs from the pencil count")
+    # the T3j column of the composite, over its denominator, must be the
+    # one integer alpha(k, j) * den on delta_j, as in p_q_map
     composed = pushforward.p_q_composed(k)
-    mg = mg_basis(k)
-    for j in range(1, k + 1):
-        expected = DivisorClass(mg, {delta(j): trace.alpha_coeff(k, j)})
+    den = composed._den
+    for j, alpha in enumerate(trace.alpha_table(k)[1:], 1):
         _require(
-            composed.row(T3j(j)) == expected,
+            composed._column(T3j(j)) == ({delta(j): alpha * den}, ()),
             f"pushed T3j_{j} differs from alpha(k, j) delta_{j}",
         )
 

@@ -52,7 +52,7 @@ from .bases import (
 from .core import ExtSymbol, b_sym, c_sym, per_k_cache
 from .m0b import kappa_class
 from .trace import (
-    alpha_coeff,
+    alpha_table,
     catalan_number,
     jc_rows,
     phi_pull_boundary,
@@ -300,8 +300,7 @@ def p_q_map(k: int) -> ClassMap:
     n = catalan_number(k)
     lead = Fraction(k * (6 * k - 1), 2 * k - 1) * n
     b3_weight = Fraction(9, 4 * k - 2) * n
-    alphas = [alpha_coeff(k, j) for j in range(1, k + 1)]
-    den = lcm(lead.denominator, b3_weight.denominator, *(a.denominator for a in alphas))
+    den = lcm(lead.denominator, b3_weight.denominator)
     # the T2 column carries c_j and b_j on each delta_j
     names, c_keys, b_keys = _delta_keys(k)
     t2 = {LAMBDA: 3 * (2 * k + 5) * lead, names[0]: -(k + 1) * lead}
@@ -309,8 +308,9 @@ def p_q_map(k: int) -> ClassMap:
     t2.update(zip(c_keys, repeat(den)))
     t2.update(zip(b_keys, repeat(numerator_over(-b3_weight, den))))
     cols = {T2: (t2, ())}
-    for j, alpha in enumerate(alphas, 1):
-        cols[T3j(j)] = ({names[j]: numerator_over(alpha, den)}, ())
+    alphas = alpha_table(k)
+    for j in range(1, k + 1):
+        cols[T3j(j)] = ({names[j]: alphas[j] * den}, ())
     return ClassMap._raw(q_pullback(k).source, mg_basis(k), den, cols)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bases import DivisorClass, LAMBDA, MG, delta, linear_combination, mg_basis
-from .core import AffineExpr, RationalLike, format_rational
+from .core import AffineExpr, RationalLike, format_rational, per_k_cache
 from .pushforward import (
     ExternalCoeffs,
     p_phi_delta,
@@ -121,11 +121,13 @@ def _pushed(variant: str):
     raise ValueError(f"unknown slope variant {variant!r}")
 
 
+@per_k_cache
 def _mobius_substitution(
     k: int, variant: str
 ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """The same Moebius map assembled from the pushed Hodge and boundary
-    classes."""
+    classes; read once per (k, variant), as every induced slope of that
+    k and variant uses the same two pairs."""
     hodge_of, boundary_of = _pushed(variant)
     alpha_lam, alpha_0 = lambda_delta0(hodge_of(k))
     beta_lam, beta_0 = lambda_delta0(boundary_of(k, 0))

@@ -16,7 +16,7 @@ numerators t and u) are each built once per k, as a row table
 layout in which a Hurwitz class stores its E_{j,c} part.  The class
 builders hand those tables to the class as its rows, and the boundary
 pullbacks and q* build theirs in the same layout, so no builder forms
-an E_{j,c} name; :func:`alpha_coeff` and the delta_j predictions of
+an E_{j,c} name; :func:`alpha_table` and the delta_j predictions of
 ``pushforward`` dot the rows with ``sum(map(mul, ...))``.  A family is
 built only when something asks for it.  The per-coefficient functions
 (:func:`e_row`, :func:`t_numerator`, ...) stay as the definitions that
@@ -148,15 +148,26 @@ def t3j_weights(j: int) -> tuple[int, ...]:
     return tuple(range(j + 1, 0, -2))
 
 
+@per_k_cache
+def alpha_table(k: int) -> tuple[int, ...]:
+    """The total weights alpha(k, j) = sum((j+1-2c) e_{j,c}) of the
+    pushed symmetric boundary classes T3j, indexed by j = 1 .. k (entry
+    0 is 0: there is no T3j_0).  Each is an integer, as every e
+    numerator of row j is a multiple of its denominator (see
+    :func:`e_numerator`)."""
+    rows = jc_rows(k, "e")
+    return (0,) + tuple(
+        sum(map(mul, rows[j], t3j_weights(j))) // ((j + 1) * (2 * k - j + 1))
+        for j in range(1, k + 1)
+    )
+
+
 def alpha_coeff(k: int, j: int) -> Fraction:
     """Total weight sum((j+1-2c) e_{j,c}) of the pushed symmetric
-    boundary class T3j."""
+    boundary class T3j, read from :func:`alpha_table`."""
     if not 1 <= j <= k:
         raise IndexRangeError(f"j = {j} out of range for k = {k}")
-    # an integer: every e numerator of row j is a multiple of its
-    # denominator (see e_numerator)
-    total = sum(map(mul, jc_rows(k, "e")[j], t3j_weights(j)))
-    return Fraction(total // ((j + 1) * (2 * k - j + 1)))
+    return Fraction(alpha_table(k)[j])
 
 
 def _d_int(k: int, j: int, c: int) -> int:

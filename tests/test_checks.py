@@ -253,11 +253,39 @@ def test_closed_forms_reads_a_fixed_number_of_coefficients(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_a_cold_verify_reads_each_mobius_pair_once(monkeypatch):
+    # the Moebius pair of each variant is read from its two pushed classes
+    # once per k: 2 variants x 2 classes, beside the 6 + 6 reads of
+    # closed-forms and hygiene and the 1 of bounds
+    from hurwitzdiv import checks as checks_mod
+    from hurwitzdiv import slopes
+    from hurwitzdiv.core import clear_caches
+
+    real = slopes.lambda_delta0
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(slopes, "lambda_delta0", counted)
+    monkeypatch.setattr(checks_mod, "lambda_delta0", counted)
+    for k, expected in ((1, 7), (2, 9), (3, 17), (4, 17), (10, 17)):
+        clear_caches()
+        calls.clear()
+        assert FAIL not in {r.status for r in run_checks(k, k)}
+        assert len(calls) == expected, k
+    clear_caches()
+
+
 def test_catalan_fail_names_the_row(monkeypatch):
     from hurwitzdiv import trace
 
-    real = trace.alpha_coeff
-    monkeypatch.setattr(trace, "alpha_coeff", lambda k, j: real(k, j) + (j == 1))
+    # catalan reads the integer alpha table that p_q_map shares
+    real = trace.alpha_table
+    monkeypatch.setattr(
+        trace, "alpha_table", lambda k: tuple(a + (j == 1) for j, a in enumerate(real(k)))
+    )
     [result] = run_checks(4, 4, ["catalan"])
     assert (result.status, result.detail) == (
         FAIL,
