@@ -221,20 +221,20 @@ def _table_rows(args) -> tuple[list[str], list[list[str]]]:
             [str(k), format_rational(slopes.kappa_slope_bound(k))] for k in k_range
         ]
     if quantity == "slope-bound":
-        columns = ["k", "trace_slope_s11", "reduced_slope_s11", "bound_6_20_g"]
-        rows = []
-        for k in k_range:
-            if k < 3:
-                continue
-            rows.append(
-                [
-                    str(k),
-                    format_rational(slopes.induced_slope(k, Fraction(11), slopes.TRACE)),
-                    format_rational(slopes.induced_slope(k, Fraction(11), slopes.REDUCED)),
-                    format_rational(6 + Fraction(20, 2 * k)),
-                ]
+        if args.k_max < 3:
+            raise UsageError(
+                f"slope-bound rows start at k=3; the range {args.k_min}..{args.k_max} has none"
             )
-        return columns, rows
+        columns = ["k", "trace_slope_s11", "reduced_slope_s11", "bound_6_20_g"]
+        return columns, [
+            [
+                str(k),
+                format_rational(slopes.induced_slope(k, Fraction(11), slopes.TRACE)),
+                format_rational(slopes.induced_slope(k, Fraction(11), slopes.REDUCED)),
+                format_rational(6 + Fraction(20, 2 * k)),
+            ]
+            for k in range(max(args.k_min, 3), args.k_max + 1)
+        ]
     if quantity.startswith("coefficients:"):
         name = quantity.split(":", 1)[1]
         columns = ["k", "generator", "coefficient"]

@@ -494,6 +494,22 @@ def test_table_slope_bound(capsys):
     assert any(line.startswith("3,") for line in lines)
 
 
+def test_slope_bound_table_with_no_k_from_3_is_refused(capsys):
+    # rows start at k = 3: a range below it is bad input, not an empty table
+    for k_max in ("1", "2"):
+        code, out, err = run(
+            capsys, "table", "--quantity", "slope-bound", "--k-min", "1", "--k-max", k_max
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: slope-bound rows start at k=3; the range 1..{k_max} has none\n"
+    code, out, _ = run(
+        capsys, "table", "--quantity", "slope-bound", "--k-min", "1", "--k-max", "3",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == ["3,4321/523,1181/143,28/3"]
+
+
 @pytest.mark.parametrize("quantity", ["genus", "slope-bound", "coefficients:delta-tau"])
 @pytest.mark.parametrize("k_min, k_max", [("3", "1"), ("-2", "3"), ("0", "0")])
 def test_table_refuses_an_invalid_range(capsys, quantity, k_min, k_max):
