@@ -16,7 +16,8 @@ The groups are handled as free modules on named generators:
 Generators are plain strings so that they serialize unchanged.  One
 spec per kind, ``_SPECS``, lists its generators; the E_{j,c} names of
 ``Hurwitz(k)`` come from :func:`ejc_names`, a cached table in the row
-layout.  The order of every basis is cached per (kind, k) as a name ->
+layout, built from one "E_j_" prefix per row and one shared table of
+index strings.  The order of every basis is cached per (kind, k) as a name ->
 position map, which answers both membership and position.
 
 Every coefficient is stored as integer numerators over one positive
@@ -61,13 +62,16 @@ coefficient, is built only at the public accessors
 name.  Beside ``items`` sits the internal
 ``DivisorClass._formatted_items``, the same values as "p/q" text
 rendered from the integers, which ``serialize`` and the ``cli`` tables
-emit from.  It renders the class times an int ``scale`` without
-building that product: a raw pushed class is emitted as its
-per-factorial-b class with scale (6k)!, whose decimal digits are
-computed once per call (exact ``decimal`` arithmetic in a context of its
-own) rather than once per (6k)!-sized numerator, so no emitted value is
-converted to text through Python's quadratic, digit-limited int
-conversion.
+emit from.  It renders a class over denominator 1 as "n/1" with no gcd,
+and a Hurwitz class with no symbol term in one pass over its head map
+and its rows, each row zipped with its :func:`ejc_names` row, without
+first listing (name, numerator) entries.  It renders the class times an
+int ``scale`` without building that product: a raw pushed class is
+emitted as its per-factorial-b class with scale (6k)!, whose decimal
+digits are computed once per call (exact ``decimal`` arithmetic in a
+context of its own) rather than once per (6k)!-sized numerator, so no
+emitted value is converted to text through Python's quadratic,
+digit-limited int conversion.
 """
 
 from __future__ import annotations
@@ -483,7 +487,11 @@ class DivisorClass:
                 g = gcd(n, den)
                 return f"{n // g}/{den // g}"
         if self._rows and not self._symbolic():
-            nums = self._nums
+            # a constant Hurwitz class: the head map, then each row zipped
+            # with its names.  At scale 1, most of the values emitted at
+            # large k, text(n) is inlined, and a value already in lowest
+            # terms over den (most are) skips the two divisions
+            nums, over = self._nums, f"/{den}"
             rendered = [
                 (name, text(nums[name]), ())
                 for name in _SPECS[HURWITZ].head(self.basis.k)
@@ -492,15 +500,11 @@ class DivisorClass:
             for names, row in zip(ejc_names(self.basis.k), self._rows):
                 if not row:
                     continue
-                # text(n) inlined for scale 1: this is most of the values
-                # emitted at large k
                 if scale != 1:
                     rendered += [(name, text(n), ()) for name, n in zip(names, row) if n]
                 elif den == 1:
                     rendered += [(name, f"{n}/1", ()) for name, n in zip(names, row) if n]
                 else:
-                    # most values are already in lowest terms over den
-                    over = f"/{den}"
                     rendered += [
                         (
                             name,

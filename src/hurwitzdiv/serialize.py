@@ -6,9 +6,15 @@ JSON is the canonical machine format and rationals appear there only as
 "p/q" strings; csv and md are lossy renderings of the same data.
 
 Emission renders from the integer numerators a divisor class stores
-(``DivisorClass._formatted_items``): every coefficient costs one gcd and
-one string format, and ``class_to_json``/``table_to_json`` write the
-canonical JSON text directly.  The class writers and
+(``DivisorClass._formatted_items``), in one pass over its head map and
+rows: every coefficient costs at most one gcd and one string format (a
+class over denominator 1 needs no gcd), and ``class_to_json``/
+``table_to_json`` write the canonical JSON text directly.
+``class_to_json`` puts out each coefficient object as one f-string and
+escapes none of its generator names, "p/q" values and symbol indices,
+which are ASCII letters, digits, ``_``, ``-`` and ``/`` by
+construction; only the basis kind, the normalization label and the
+table cells go through JSON string escaping.  The class writers and
 ``coefficient_texts`` take a positive int ``scale`` and render
 ``d * scale`` without building it: a raw pushed class is emitted as its
 per-factorial-b class with scale (6k)!, whose decimal digits are
