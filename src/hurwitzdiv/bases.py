@@ -482,38 +482,25 @@ class DivisorClass:
             def text(n: int) -> str:
                 return f"{n}/1"
         else:
+            over = f"/{den}"
+
             def text(n: int) -> str:
-                # core.format_ratio, inlined: this runs once per emitted value
+                # core.format_ratio, inlined: this runs once per emitted
+                # value, and a value already in lowest terms over den
+                # (most are) skips the two divisions
                 g = gcd(n, den)
-                return f"{n // g}/{den // g}"
+                return f"{n}{over}" if g == 1 else f"{n // g}/{den // g}"
         if self._rows and not self._symbolic():
             # a constant Hurwitz class: the head map, then each row zipped
-            # with its names.  At scale 1, most of the values emitted at
-            # large k, text(n) is inlined, and a value already in lowest
-            # terms over den (most are) skips the two divisions
-            nums, over = self._nums, f"/{den}"
+            # with its names
+            nums = self._nums
             rendered = [
                 (name, text(nums[name]), ())
                 for name in _SPECS[HURWITZ].head(self.basis.k)
                 if name in nums
             ]
             for names, row in zip(ejc_names(self.basis.k), self._rows):
-                if not row:
-                    continue
-                if scale != 1:
-                    rendered += [(name, text(n), ()) for name, n in zip(names, row) if n]
-                elif den == 1:
-                    rendered += [(name, f"{n}/1", ()) for name, n in zip(names, row) if n]
-                else:
-                    rendered += [
-                        (
-                            name,
-                            f"{n}{over}" if (g := gcd(n, den)) == 1 else f"{n // g}/{den // g}",
-                            (),
-                        )
-                        for name, n in zip(names, row)
-                        if n
-                    ]
+                rendered += [(name, text(n), ()) for name, n in zip(names, row) if n]
             return rendered
         rendered = []
         for name, n, terms in self._entries():
@@ -872,6 +859,18 @@ class ClassMap:
     def row(self, name: str) -> DivisorClass:
         self.source.check(name)
         return self._image(self._column(name))
+
+    def numerators(self, name: str) -> tuple[dict, int]:
+        """The image of ``name`` as integers, with no class built: its
+        numerators by target key (generator or (generator, symbol)) and
+        their common denominator, not necessarily in lowest terms.  The
+        target must have no E_{j,c} rows, so the map is the whole
+        image."""
+        self.source.check(name)
+        if self.target.kind == HURWITZ:
+            raise ValueError("numerators() needs a target without E_{j,c} rows")
+        column = self._column(name)
+        return ({}, 1) if column is None else (dict(column[0]), self._den)
 
     @property
     def rows(self) -> dict[str, DivisorClass]:

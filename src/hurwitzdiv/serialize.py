@@ -201,18 +201,11 @@ def coefficient_texts(d: DivisorClass, scale: int = 1) -> list[tuple[str, str]]:
 
 def class_to_csv(d: DivisorClass, scale: int = 1) -> str:
     """Rows "generator,value" of ``d * scale`` in natural basis order,
-    no header, written in one pass over ``DivisorClass._formatted_items``.
-
-    Generator names and coefficient texts hold no comma, quote or line
-    break, so no field needs csv quoting and the rows are joined
-    directly; the bytes are those of ``csv.writer`` over
-    :func:`coefficient_texts`."""
-    return "".join(
-        [
-            f"{name},{affine_text(const, terms) if terms else const}\n"
-            for name, const, terms in d._formatted_items(scale)
-        ]
-    )
+    no header.  Generator names and coefficient texts hold no comma,
+    quote or line break, so no field needs csv quoting and the rows of
+    :func:`coefficient_texts` are joined directly; the bytes are those
+    of ``csv.writer``."""
+    return "".join([f"{name},{text}\n" for name, text in coefficient_texts(d, scale)])
 
 
 def class_to_md(d: DivisorClass, scale: int = 1) -> str:

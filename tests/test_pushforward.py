@@ -160,6 +160,24 @@ def test_column_maps_equal_their_row_definitions(k):
             assert built.row(name) == expected.get(name, DivisorClass(built.target))
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_numerators_are_the_rows_as_integers(k):
+    for built in (p_push(k), p_q_map(k)):
+        for name in built.source.generators():
+            nums, den = built.numerators(name)
+            # (generator, symbol) keys hold the symbol terms
+            values = {key: Fraction(n, den) for key, n in nums.items()}
+            expected = {}
+            for target, value in built.row(name).items():
+                if value.const:
+                    expected[target] = value.const
+                for sym, t in value.terms.items():
+                    expected[target, sym] = t
+            assert values == expected
+    with pytest.raises(ValueError, match="E_"):
+        q_pullback(k).numerators(T2)
+
+
 def eh_divisor_fraction_assembly(k):
     """:func:`eh_divisor` per factorial b, assembled in Fraction
     arithmetic coefficient by coefficient from the weights written out:
