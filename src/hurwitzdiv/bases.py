@@ -787,8 +787,10 @@ class ClassMap:
     each c for a Hurwitz target or None), or is None when all of them
     map to zero, so :meth:`apply` meets row j of a class with one dot
     product per target key.  No column and no block entry is zero.
-    :meth:`row` builds the reduced class, and :meth:`apply` sums every
-    product in ``int``.  The symbols occur linearly: a symbolic source
+    :meth:`row` builds the reduced class, :meth:`numerators` hands an
+    image over a target without rows out as integers, so this layout
+    stays private to this module, and :meth:`apply` sums every product
+    in ``int``.  The symbols occur linearly: a symbolic source
     coefficient meeting a column with symbolic entries raises
     ``ValueError``.
     """
