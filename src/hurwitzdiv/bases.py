@@ -59,7 +59,12 @@ of the two denominators, without building a row as a class.  A
 ``Fraction`` or an :class:`AffineExpr`, the read-only value of a
 coefficient, is built only at the public accessors
 ``DivisorClass.coefficient``/``items``, which stay keyed by generator
-name.  Beside ``items`` sits the internal
+name; ``DivisorClass.numerators`` hands a class without rows out as its
+integers instead, as ``ClassMap.numerators`` does for an image.
+Substitution is one kernel, ``DivisorClass._substituted``, which takes
+integer values over one denominator: ``substitute`` converts the values
+it is given, and ``pushforward.ExternalCoeffs`` converts its table once.
+Beside ``items`` sits the internal
 ``DivisorClass._formatted_items``, the same values as "p/q" text
 rendered from the integers, which ``serialize`` and the ``cli`` tables
 emit from.  It renders a class over denominator 1 as "n/1" with no gcd,
@@ -301,8 +306,9 @@ class DivisorClass:
     :func:`linear_combination`; a longer sum should be one call of it,
     which copies and reduces the result once instead of once per term.
     Only the accessors :meth:`coefficient` and :meth:`items` build an
-    :class:`AffineExpr`; a scalar is an ``int`` or a ``Fraction``, as
-    the symbols occur linearly.  Instances are immutable; the symbol
+    :class:`AffineExpr`, and :meth:`numerators` hands out the integers;
+    a scalar is an ``int`` or a ``Fraction``, as the symbols occur
+    linearly.  Instances are immutable; the symbol
     terms are grouped by generator once, on the first accessor call.
     """
 
@@ -514,32 +520,50 @@ class DivisorClass:
     def is_zero(self) -> bool:
         return not self._nums and not any(self._rows)
 
+    def numerators(self) -> tuple[dict, int]:
+        """The class as integers, with no value built: its numerators by
+        key (generator or (generator, symbol)) and their common
+        denominator, in lowest terms.  The basis must have no E_{j,c}
+        rows, so the map is the whole class."""
+        if self.basis.kind == HURWITZ:
+            raise ValueError("numerators() needs a basis without E_{j,c} rows")
+        return dict(self._nums), self._den
+
     def substitute(self, values: Mapping[ExtSymbol, RationalLike]) -> "DivisorClass":
         """Replace every symbol present in ``values``; others stay
-        symbolic.  Everything is put over one lcm of the denominators of
-        the values used."""
+        symbolic.  The values used are put over the lcm of their
+        denominators and handed to :meth:`_substituted`."""
         present = {key[1] for key in self._nums if type(key) is tuple}
         used = {s: exact_rational(values[s]) for s in present if s in values}
         if not used:
             return self
         common = lcm(*(v.denominator for v in used.values()))
-        used = {s: numerator_over(v, common) for s, v in used.items()}
+        return self._substituted({s: numerator_over(v, common) for s, v in used.items()}, common)
+
+    def _substituted(self, values: Mapping[ExtSymbol, int], den: int) -> "DivisorClass":
+        """The substitution kernel: every symbol s of ``values`` becomes
+        ``values[s] / den`` (an int over a positive int), the others stay
+        symbolic.  The class is put over ``self._den * den`` in one pass
+        and reduced once, so the result does not depend on which common
+        denominator the values were given over."""
         rows = self._rows
         nums: dict = {}
+        get = nums.get
         cells: dict[tuple[int, int], int] = {}
         for key, n in self._nums.items():
-            if type(key) is tuple and key[1] in used:
+            v = values.get(key[1]) if type(key) is tuple else None
+            if v is None:
+                n *= den
+            else:
                 # a substituted symbol term joins its generator's constant
-                key, n = key[0], n * used[key[1]]
+                key, n = key[0], n * v
                 if rows and key not in _HEAD_NAMES:
                     cell = _ejc_index(key)
                     cells[cell] = cells.get(cell, 0) + n
                     continue
-            else:
-                n *= common
-            nums[key] = nums.get(key, 0) + n
-        rows = _add_cells(_scale_rows(rows, common), cells)
-        return DivisorClass._raw(self.basis, self._den * common, _nonzero(nums), rows)
+            nums[key] = get(key, 0) + n
+        rows = _add_cells(_scale_rows(rows, den), cells)
+        return DivisorClass._raw(self.basis, self._den * den, _nonzero(nums), rows)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):

@@ -8,7 +8,9 @@ where the paper's identity holds, and one runner, ``_run``, turns every
 part that covers k into one PASS/FAIL/SKIP :class:`CheckResult`.
 ``CHECKS`` maps each name to that runner, and :func:`run_checks` looks
 the name up there at each call.  ``delta-j-checks`` is skipped unless
-the external coefficient table for that k is supplied.
+the external coefficient table for that k is supplied; a table for a k
+outside the range is refused before any check runs.  The check
+substitutes the table into each pushed class once, in integers.
 
 A check FAILs only on a check-level failure: a :class:`CheckFailure`
 from one of its own comparisons, a ``slopes.VerificationError`` or a
@@ -168,13 +170,17 @@ def _hodge_closed_forms(k: int, externals) -> None:
     )
 
 
+_TRACE_HODGE = "pushed trace Hodge class"
+_AMPLE = "pushed ample class"
+
+
 def _pushed_classes(k: int) -> tuple[tuple[str, DivisorClass, Callable], ...]:
     """(what, class, closed-form coefficients) of the pushed classes
     whose lambda and delta_0 coefficients have closed forms for k >= 3,
     per factorial b."""
     pf = pushforward
     return (
-        ("pushed trace Hodge class", pf.p_phi_lambda(k), pf.p_phi_lambda_closed_coeffs),
+        (_TRACE_HODGE, pf.p_phi_lambda(k), pf.p_phi_lambda_closed_coeffs),
         (
             "pushed reduced Hodge class",
             pf.p_phihat_lambda(k),
@@ -187,7 +193,7 @@ def _pushed_classes(k: int) -> tuple[tuple[str, DivisorClass, Callable], ...]:
             pf.p_phihat_delta0_closed_coeffs,
         ),
         ("branch divisor", pf.eh_divisor(k), pf.eh_closed_coeffs),
-        ("pushed ample class", pf.p_q_kappa(k), pf.p_q_kappa_closed_coeffs),
+        (_AMPLE, pf.p_q_kappa(k), pf.p_q_kappa_closed_coeffs),
     )
 
 
@@ -309,15 +315,18 @@ def _hygiene(k: int, externals) -> None:
 def _delta_j(k: int, externals: ExternalCoeffs | None) -> None:
     if externals is None or externals.k != k:
         raise _Skip("external coefficient table not supplied for this k")
-    for _, d, _ in _pushed_classes(k):
-        numeric = externals.apply(d)
-        for _, value in numeric.items():
-            _require(
-                value.is_constant(), "substitution left a symbolic coefficient behind"
-            )
-    slopes.kappa_slope_bound(k, externals)
-    hodge = pushforward.p_phi_lambda(k)
-    report = slopes.slope_of(externals.apply(hodge))
+    # each pushed class is substituted once; the kappa proviso and the
+    # Hodge slope are read from these substituted classes
+    numeric = {what: externals.apply(d) for what, d, _ in _pushed_classes(k)}
+    for d in numeric.values():
+        nums, _ = d.numerators()
+        _require(
+            all(type(key) is str for key in nums),
+            "substitution left a symbolic coefficient behind",
+        )
+    slopes.kappa_slope_bound(k)
+    slopes.kappa_proviso(k, numeric[_AMPLE])
+    report = slopes.slope_of(numeric[_TRACE_HODGE])
     _require(report.valid != slopes.UNKNOWN, "slope validity still unknown")
 
 
@@ -378,6 +387,10 @@ def run_checks(
     no names, runs every check once, in registry order."""
     if not 1 <= k_min <= k_max:
         raise ValueError(f"invalid range 1 <= {k_min} <= {k_max}")
+    if externals is not None and not k_min <= externals.k <= k_max:
+        raise ValueError(
+            f"external table is for k={externals.k}, not k={k_min}..{k_max}"
+        )
     selected = list(names) if names else [ALL]
     for name in selected:
         if name != ALL and name not in CHECKS:

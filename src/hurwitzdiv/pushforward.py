@@ -94,7 +94,13 @@ def convert_normalization(
 @dataclass(frozen=True)
 class ExternalCoeffs:
     """A complete table of the external coefficients c_1..c_k and
-    b_1..b_k for one value of k.  Partial tables are rejected."""
+    b_1..b_k for one value of k.  Partial tables are rejected.
+
+    On first use the table is turned, once, into integer numerators
+    over one common denominator; :meth:`apply` hands those integers to
+    the substitution kernel of ``DivisorClass``, the one that
+    ``DivisorClass.substitute`` also ends in, so no value is converted
+    again per substituted class."""
 
     k: int
     c: Mapping[int, Fraction]
@@ -125,12 +131,20 @@ class ExternalCoeffs:
         values.update((b_sym(j), exact_rational(value)) for j, value in self.b.items())
         return values
 
+    @cached_property
+    def _numerators(self) -> tuple[dict[ExtSymbol, int], int]:
+        # the table over the lcm of its denominators, built once per table
+        values = self._values
+        den = lcm(*(value.denominator for value in values.values()))
+        return {s: numerator_over(value, den) for s, value in values.items()}, den
+
     def substitution(self) -> dict[ExtSymbol, int | Fraction]:
         """The table as symbol -> value, a fresh dict on every call."""
         return dict(self._values)
 
     def apply(self, d: DivisorClass) -> DivisorClass:
-        return d.substitute(self._values)
+        """``d.substitute(self.substitution())``, from the integer table."""
+        return d._substituted(*self._numerators)
 
 
 @per_k_cache

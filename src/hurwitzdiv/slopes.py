@@ -3,9 +3,13 @@ the induced-slope rational functions of the two correspondences, and the
 moving-slope bounds.
 
 For a class written a*lambda - sum b_j delta_j the slope is a/b_0.  The
-ratio only bounds the moving slope when b_0 <= b_j for every j >= 1;
-since the delta_j coefficients involve the external symbols, that
-proviso is surfaced as a three-state validity instead of being assumed.
+ratio only bounds the moving slope when b_0 <= b_j for every
+j = 1..k, a delta_j absent from the class counting as b_j = 0; since
+the delta_j coefficients involve the external symbols, that proviso is
+surfaced as a three-state validity instead of being assumed.  It is
+decided on the class's integer numerators (``DivisorClass.numerators``),
+which also give the lambda and delta_0 coefficients; an
+:class:`AffineExpr` is built only for a witness.
 
 The correspondence phi (trace curve) is the variant ``TRACE``, phi-hat
 (reduced trace curve) is ``REDUCED``; ``_pushed`` alone maps a variant
@@ -25,8 +29,10 @@ from .pushforward import (
     p_phi_lambda,
     p_phihat_delta,
     p_phihat_lambda,
+    p_push,
     p_q_kappa,
 )
+from .trace import phi_pull_boundary_sum, phihat_pull_boundary_sum
 
 
 HOLDS = "Holds"
@@ -35,6 +41,9 @@ UNKNOWN = "Unknown"
 
 TRACE = "trace"
 REDUCED = "reduced"
+
+
+_DELTA_0 = delta(0)
 
 
 class SlopeError(ValueError):
@@ -56,40 +65,55 @@ class SlopeReport:
     witnesses: list[tuple[int, AffineExpr]] = field(default_factory=list)
 
 
+def _mg_numerators(d: DivisorClass) -> tuple[dict, int, set[str]]:
+    """The numerators of a class over the genus-2k moduli basis, their
+    denominator and the generators that carry a symbol; a class over
+    another basis, or a symbol on lambda or delta_0, is a
+    :class:`SlopeError`."""
+    if d.basis.kind != MG:
+        raise SlopeError(f"slope is defined over the Mg basis, got {d.basis.kind}")
+    nums, den = d.numerators()
+    symbolic = {key[0] for key in nums if type(key) is tuple}
+    if LAMBDA in symbolic or _DELTA_0 in symbolic:
+        raise SlopeError("lambda and delta_0 coefficients must be symbol-free")
+    return nums, den, symbolic
+
+
 def lambda_delta0(d: DivisorClass) -> tuple[Fraction, Fraction]:
     """The lambda and delta_0 coefficients of a class over the genus-2k
-    moduli basis; a symbol in either is a :class:`SlopeError`."""
-    lam = d.coefficient(LAMBDA)
-    d0 = d.coefficient(delta(0))
-    if not (lam.is_constant() and d0.is_constant()):
-        raise SlopeError("lambda and delta_0 coefficients must be symbol-free")
-    return lam.const, d0.const
+    moduli basis, read from its numerators; a symbol in either is a
+    :class:`SlopeError`."""
+    nums, den, _ = _mg_numerators(d)
+    return Fraction(nums.get(LAMBDA, 0), den), Fraction(nums.get(_DELTA_0, 0), den)
 
 
 def slope_of(d: DivisorClass) -> SlopeReport:
     """Slope of a class over the genus-2k moduli basis, together with
-    the status of the proviso b_0 <= b_j on the stored delta_j terms."""
-    if d.basis.kind != MG:
-        raise SlopeError(f"slope is defined over the Mg basis, got {d.basis.kind}")
-    lam, d0 = lambda_delta0(d)
-    b0 = -d0
-    if b0 == 0:
+    the status of the proviso b_0 <= b_j for every j = 1..k.
+
+    b_j is minus the delta_j coefficient, so a delta_j absent from the
+    class has b_j = 0.  The proviso is decided on the integer
+    numerators over the class's one denominator; an :class:`AffineExpr`
+    is built only for a witness: a delta_j that carries a symbol
+    (``UNKNOWN``) or one whose b_j is below b_0 (``FAILS``)."""
+    nums, den, symbolic = _mg_numerators(d)
+    n0 = nums.get(_DELTA_0, 0)
+    if n0 == 0:
         raise SlopeError("delta_0 coefficient is zero; slope undefined")
-    slope = lam / b0
+    slope = Fraction(nums.get(LAMBDA, 0), -n0)
     witnesses: list[tuple[int, AffineExpr]] = []
-    symbolic = False
-    violated = False
-    for name, value in d.items():
-        if name == LAMBDA or name == delta(0):
-            continue
-        j = d.basis.sort_index(name) - 1
-        if not value.is_constant():
-            symbolic = True
-            witnesses.append((j, value))
-        elif -value.constant_value() < b0:
+    unknown = violated = False
+    for j in range(1, d.basis.k + 1):
+        name = delta(j)
+        if name in symbolic:
+            unknown = True
+        elif nums.get(name, 0) > n0:
+            # -n_j < -n_0 over the same positive denominator: b_j < b_0
             violated = True
-            witnesses.append((j, value))
-    valid = UNKNOWN if symbolic else (FAILS if violated else HOLDS)
+        else:
+            continue
+        witnesses.append((j, d.coefficient(name)))
+    valid = UNKNOWN if unknown else (FAILS if violated else HOLDS)
     return SlopeReport(slope, valid, witnesses)
 
 
@@ -113,11 +137,12 @@ def _mobius_closed(k: int, variant: str) -> tuple[tuple[Fraction, Fraction], tup
 
 def _pushed(variant: str):
     """The builders k -> p_*phi^*lambda and (k, j) -> p_*phi^*delta'_j of
-    the variant, phi-hat in place of phi for ``REDUCED``."""
+    the variant, and k -> the Hurwitz-side sum of phi^*delta'_j over
+    j = 1..k; phi-hat in place of phi for ``REDUCED``."""
     if variant == TRACE:
-        return p_phi_lambda, p_phi_delta
+        return p_phi_lambda, p_phi_delta, phi_pull_boundary_sum
     if variant == REDUCED:
-        return p_phihat_lambda, p_phihat_delta
+        return p_phihat_lambda, p_phihat_delta, phihat_pull_boundary_sum
     raise ValueError(f"unknown slope variant {variant!r}")
 
 
@@ -128,7 +153,7 @@ def _mobius_substitution(
     """The same Moebius map assembled from the pushed Hodge and boundary
     classes; read once per (k, variant), as every induced slope of that
     k and variant uses the same two pairs."""
-    hodge_of, boundary_of = _pushed(variant)
+    hodge_of, boundary_of, _ = _pushed(variant)
     alpha_lam, alpha_0 = lambda_delta0(hodge_of(k))
     beta_lam, beta_0 = lambda_delta0(boundary_of(k, 0))
     return (alpha_lam, -beta_lam), (-alpha_0, beta_0)
@@ -176,11 +201,14 @@ def induced_slope(k: int, s: RationalLike, variant: str) -> Fraction:
 
 def slope_target(k: int, s: RationalLike, variant: str) -> DivisorClass:
     """s * p_*phi^*lambda - sum_j p_*phi^*delta'_j over j = 0..k (the
-    higher ones push forward to zero) in one pass, phi-hat for
-    ``REDUCED``; its slope is :func:`induced_slope`."""
-    hodge, boundary = _pushed(variant)
-    terms = [(s, hodge(k))]
-    terms.extend((-1, boundary(k, j)) for j in range(k + 1))
+    higher ones push forward to zero), phi-hat for ``REDUCED``; its
+    slope is :func:`induced_slope`.  By the linearity of ``p_push`` the
+    terms j >= 1 are pushed as one class, their Hurwitz-side sum, so
+    the target costs three applications of ``p_push``, two of them the
+    cached classes that :func:`induced_slope` reads too."""
+    hodge, boundary, boundary_sum = _pushed(variant)
+    higher = p_push(k).apply(boundary_sum(k))
+    terms = ((s, hodge(k)), (-1, boundary(k, 0)), (-1, higher))
     return linear_combination(mg_basis(k), terms)
 
 
@@ -189,29 +217,36 @@ def kappa_slope_bound(k: int, externals: ExternalCoeffs | None = None) -> Fracti
     equals 6 + 18/(g+2) with g = 2k.
 
     With an external coefficient table the proviso b_j >= b_0 is checked
-    on the delta_j coefficients and a violation raises
-    :class:`VerificationError`.
+    on the substituted class by :func:`kappa_proviso`.
     """
     pushed = p_q_kappa(k)
-    report = slope_of(pushed)
-    if report.slope != Fraction(3 * (2 * k + 5), k + 1):
+    lam, d0 = lambda_delta0(pushed)
+    slope = lam / -d0
+    if slope != Fraction(3 * (2 * k + 5), k + 1):
         raise VerificationError(
-            f"kappa slope {report.slope} differs from 3(2k+5)/(k+1) at k={k}"
+            f"kappa slope {slope} differs from 3(2k+5)/(k+1) at k={k}"
         )
     if externals is not None:
-        numeric = slope_of(externals.apply(pushed))
-        if numeric.valid != HOLDS:
-            # b_j is minus the delta_j coefficient; a table for another k
-            # leaves a symbol there, which constant_value refuses
-            b0 = format_rational(-lambda_delta0(pushed)[1])
-            exceeded = ", ".join(
-                f"b_{j} = {format_rational(-value.constant_value())}"
-                for j, value in numeric.witnesses
-            )
-            raise VerificationError(
-                f"kappa slope proviso fails at k={k}: b_0 = {b0} exceeds {exceeded}"
-            )
-    return report.slope
+        kappa_proviso(k, externals.apply(pushed))
+    return slope
+
+
+def kappa_proviso(k: int, numeric: DivisorClass) -> None:
+    """Raise :class:`VerificationError` unless b_0 <= b_j for every
+    j = 1..k on ``numeric``, the pushed ample class with an external
+    table substituted; the message names each b_j below b_0."""
+    report = slope_of(numeric)
+    if report.valid != HOLDS:
+        # b_j is minus the delta_j coefficient; a table for another k
+        # leaves a symbol there, which constant_value refuses
+        b0 = format_rational(-lambda_delta0(numeric)[1])
+        exceeded = ", ".join(
+            f"b_{j} = {format_rational(-value.constant_value())}"
+            for j, value in report.witnesses
+        )
+        raise VerificationError(
+            f"kappa slope proviso fails at k={k}: b_0 = {b0} exceeds {exceeded}"
+        )
 
 
 def ample_cone_test(x: RationalLike, y: RationalLike) -> bool:

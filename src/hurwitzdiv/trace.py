@@ -22,7 +22,10 @@ built only when something asks for it.  The per-coefficient functions
 (:func:`e_row`, :func:`t_numerator`, ...) stay as the definitions that
 the tests hold the rows to.
 The pulled-back cotangent class :func:`pulled_psi` is likewise built
-once and shared by :func:`grr_pieces` and :func:`s_omega_sq`.
+once and shared by :func:`grr_pieces` and :func:`s_omega_sq`.  The
+boundary pullbacks of index j = 1..k are one entry on E_{j,0}, given by
+one function per correspondence, which also builds their sum over j as
+one class (:func:`phi_pull_boundary_sum`) for ``slopes.slope_target``.
 """
 
 from __future__ import annotations
@@ -458,25 +461,50 @@ def twelve_lambda_reduced_closed(k: int) -> DivisorClass:
     return _build(k, 2 * (6 * k - 1), 4 * u0, 4 * u2, 4 * u3, jc_rows(k, "u"))
 
 
+def _check_boundary_index(j: int, genus: int) -> None:
+    if not 0 <= j <= genus // 2:
+        raise IndexRangeError(f"boundary index {j} out of range 0..{genus // 2}")
+
+
+def _phi_boundary_entry(k: int, j: int) -> int:
+    """The one entry, on E_{j,0}, of phi^*delta'_j for 1 <= j <= k."""
+    return 2 * k - 1 if j == 1 else 2 * k - 2 * j
+
+
+def _phihat_boundary_entry(k: int, j: int) -> int:
+    """The one entry, on E_{j,0}, of phi-hat^*delta-hat_j for 1 <= j <= k."""
+    return k - 1 if j <= 2 else k - j
+
+
+def _boundary_sum(k: int, entry, genus: int) -> DivisorClass:
+    """The sum over j = 1..k of the one-entry boundary pullbacks
+    ``entry(k, j)`` E_{j,0}, as one class; the index k must exist in a
+    moduli space of curves of genus ``genus``."""
+    _check_boundary_index(k, genus)
+    rows = [()] + [(entry(k, j),) + (0,) * (j // 2) for j in range(1, k + 1)]
+    return _hurwitz_class(k, 1, {}, rows)
+
+
 @per_k_cache
 def phi_pull_boundary(k: int, j_prime: int) -> DivisorClass:
     """Pullback of the boundary class delta'_{j'} of the trace-curve
     moduli space; zero for j' > k."""
-    if not 0 <= j_prime <= genus_trace(k) // 2:
-        raise IndexRangeError(
-            f"boundary index {j_prime} out of range 0..{genus_trace(k) // 2}"
-        )
+    _check_boundary_index(j_prime, genus_trace(k))
     if j_prime == 0:
         rows = [(), ()] + [
             (j,) + tuple(2 * (k - j + c) * (c + 1) + j for c in range(1, j // 2 + 1))
             for j in range(2, k + 1)
         ]
         return _hurwitz_class(k, 1, hurwitz_head(k, 4 * k - 2, 4, 2), rows)
-    if j_prime == 1:
-        return _one_entry(k, 1, 2 * k - 1)
     if j_prime <= k:
-        return _one_entry(k, j_prime, 2 * k - 2 * j_prime)
+        return _one_entry(k, j_prime, _phi_boundary_entry(k, j_prime))
     return zero_class(hurwitz_basis(k))
+
+
+def phi_pull_boundary_sum(k: int) -> DivisorClass:
+    """The sum of :func:`phi_pull_boundary` over j' = 1..k (the higher
+    ones are zero), built as one class."""
+    return _boundary_sum(k, _phi_boundary_entry, genus_trace(k))
 
 
 def _eps(j: int, c: int) -> int:
@@ -490,10 +518,7 @@ def _eps(j: int, c: int) -> int:
 def phihat_pull_boundary(k: int, j_hat: int) -> DivisorClass:
     """Pullback of the boundary class of the reduced-trace moduli
     space; zero for indices above k."""
-    if not 0 <= j_hat <= genus_reduced_trace(k) // 2:
-        raise IndexRangeError(
-            f"boundary index {j_hat} out of range 0..{genus_reduced_trace(k) // 2}"
-        )
+    _check_boundary_index(j_hat, genus_reduced_trace(k))
     if j_hat == 0:
         # E_{2,0} is not in the class: its c = 0 entry is 0
         rows = [(), ()] + [
@@ -505,8 +530,12 @@ def phihat_pull_boundary(k: int, j_hat: int) -> DivisorClass:
             for j in range(2, k + 1)
         ]
         return _hurwitz_class(k, 1, hurwitz_head(k, 2 * k - 2, 2, 0), rows)
-    if j_hat in (1, 2):
-        return _one_entry(k, j_hat, k - 1)
     if j_hat <= k:
-        return _one_entry(k, j_hat, k - j_hat)
+        return _one_entry(k, j_hat, _phihat_boundary_entry(k, j_hat))
     return zero_class(hurwitz_basis(k))
+
+
+def phihat_pull_boundary_sum(k: int) -> DivisorClass:
+    """The sum of :func:`phihat_pull_boundary` over j = 1..k, built as
+    one class."""
+    return _boundary_sum(k, _phihat_boundary_entry, genus_reduced_trace(k))

@@ -40,6 +40,7 @@ from affine_model import (
     substitute,
 )
 from hurwitzdiv.core import AffineExpr, ExtSymbol, b_sym, c_sym
+from hurwitzdiv.pushforward import ExternalCoeffs
 from hurwitzdiv.trace import q_pullback
 
 rationals = st.fractions(
@@ -917,6 +918,71 @@ def test_hurwitz_rows_match_affine_model(data):
     assert (d1 == d2) == (m1 == m2)
     assert d1.support() == [g for g in basis.generators() if m1[g]]
     assert d1.is_zero() == (not any(m1.values()))
+
+
+# The substitution kernel: ExternalCoeffs.apply hands its table, built
+# once as integers over one common denominator, to the same kernel that
+# DivisorClass.substitute ends in.  On Mg and Hurwitz classes, symbol
+# terms on E_{j,c} included, and tables whose values have pairwise
+# different denominators, both must agree with each other and with the
+# affine model.
+
+external_tables = st.lists(spread_rationals, min_size=4, max_size=4).map(
+    lambda t: ExternalCoeffs(2, {1: t[0], 2: t[1]}, {1: t[2], 2: t[3]})
+)
+
+
+@given(st.data())
+def test_external_table_apply_is_substitute_on_one_kernel(data):
+    k = data.draw(HURWITZ_KS)
+    d = data.draw(
+        st.one_of(
+            hurwitz_row_classes(k, spread_values),
+            mg3_classes(spread_values),
+            mg_classes(mixed_values),
+        )
+    )
+    ext = data.draw(external_tables)
+    values = ext.substitution()
+    applied = ext.apply(d)
+    assert_canonical(applied)
+    assert applied == d.substitute(values)
+    assert model(applied) == {g: substitute(e, values) for g, e in model(d).items()}
+    # k = 2 covers every symbol of the strategies, so none is left
+    assert all(type(key) is str for key in applied._nums)
+
+
+def test_substitute_and_apply_share_the_kernel(monkeypatch):
+    # one kernel: both paths end in DivisorClass._substituted, and the
+    # table's integers are built once
+    real = DivisorClass._substituted
+    calls = []
+
+    def counted(self, values, den):
+        calls.append((dict(values), den))
+        return real(self, values, den)
+
+    monkeypatch.setattr(DivisorClass, "_substituted", counted)
+    ext = ExternalCoeffs(
+        2, {1: Fraction(1, 6), 2: Fraction(-3, 4)}, {1: Fraction(5), 2: Fraction(2, 9)}
+    )
+    d = DivisorClass(
+        hurwitz_basis(4),
+        {
+            E0: AffineExpr(1, {c_sym(1): Fraction(1, 5)}),
+            Ejc(3, 1): AffineExpr(Fraction(2, 3), {b_sym(2): 7, c_sym(2): -1}),
+            Ejc(4, 0): AffineExpr(0, {b_sym(1): Fraction(-1, 2)}),
+        },
+    )
+    assert ext.apply(d) == d.substitute(ext.substitution())
+    # the table over lcm(6, 4, 1, 9) = 36; substitute uses the values it needs
+    assert calls[0] == ({c_sym(1): 6, c_sym(2): -27, b_sym(1): 180, b_sym(2): 8}, 36)
+    assert calls[1][1] == 36
+    assert ext._numerators is ext._numerators
+    # a class with no symbol of the table is returned as it is
+    plain = DivisorClass(mg_basis(3), {LAMBDA: 1})
+    assert plain.substitute(ext.substitution()) is plain
+    assert len(calls) == 2
 
 
 def hurwitz_to_mg_maps(k, values):

@@ -82,6 +82,42 @@ def test_delta_j_checks_detects_proviso_violation():
     assert results[0].status == FAIL
 
 
+def test_an_externals_table_outside_the_range_is_refused():
+    # it used to SKIP every k of the range with the table unused
+    ext = ExternalCoeffs(5, {j: Fraction(j) for j in range(1, 6)}, {j: Fraction(0) for j in range(1, 6)})
+    for k_min, k_max in ((1, 4), (6, 9), (1, 1)):
+        with pytest.raises(ValueError, match=rf"^external table is for k=5, not k={k_min}\.\.{k_max}$"):
+            run_checks(k_min, k_max, ["genus"], ext)
+    assert [r.status for r in run_checks(4, 6, ["delta-j-checks"], ext)] == [SKIP, FAIL, SKIP]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_a_cold_delta_j_check_substitutes_each_pushed_class_once(monkeypatch, k):
+    # six pushed classes, six substitutions: the kappa proviso and the
+    # Hodge slope are read from the substituted classes
+    from hurwitzdiv import bases
+    from hurwitzdiv.core import clear_caches
+
+    real = bases.DivisorClass._substituted
+    calls = []
+
+    def counted(self, values, den):
+        calls.append(self)
+        return real(self, values, den)
+
+    monkeypatch.setattr(bases.DivisorClass, "_substituted", counted)
+    ext = ExternalCoeffs(
+        k,
+        {j: Fraction(-j, 3) for j in range(1, k + 1)},
+        {j: Fraction(10**6 * j, 7) for j in range(1, k + 1)},
+    )
+    clear_caches()
+    assert [r.status for r in run_checks(k, k, ["delta-j-checks"], ext)] == [PASS]
+    assert len(calls) == 6
+    assert len(set(map(id, calls))) == 6
+    clear_caches()
+
+
 def test_m0n_fails_when_one_intersection_pair_is_flipped(monkeypatch):
     from hurwitzdiv import m0b
 

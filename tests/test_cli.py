@@ -609,6 +609,76 @@ def test_slope_rejects_externals_for_another_k(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "b_1, validity, got",
+    [
+        # c_1 = 0, b_1 = 16/27 make the delta_1 coefficient exactly 0,
+        # so b_1 = 0 < b_0 = 6; it used to read as "holds" and PASS
+        ("16/27", "fails", "0/1"),
+        ("16000001/27000000", "fails", "1/10000000"),
+        # b_1 = 76/27 makes it -6, so b_1 = b_0: the proviso holds
+        ("76/27", "holds", None),
+    ],
+)
+def test_a_zero_delta_j_coefficient_fails_the_proviso(tmp_path, capsys, b_1, validity, got):
+    path = _write_json(
+        tmp_path, {"schema": "external-coeffs/1", "k": 1, "c": {"1": "0"}, "b": {"1": b_1}}
+    )
+    code, out, _ = run(capsys, "slope", "--k", "1", "--variant", "kappa", "--externals", path)
+    assert (code, out) == (0, f"21/2 ≈ 10.500000 validity={validity}\n")
+    code, out, _ = run(
+        capsys,
+        "verify", "--k-min", "1", "--k-max", "1",
+        "--checks", "delta-j-checks",
+        "--externals", path,
+    )
+    if got is None:
+        assert (code, out.splitlines()[0]) == (0, "k=1   delta-j-checks       PASS")
+    else:
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "k=1   delta-j-checks       FAIL  "
+            f"kappa slope proviso fails at k=1: b_0 = 6/1 exceeds b_1 = {got}"
+        )
+
+
+def test_verify_refuses_an_externals_table_outside_the_range(tmp_path, capsys):
+    k30 = {
+        "schema": "external-coeffs/1",
+        "k": 30,
+        "c": {str(j): "1" for j in range(1, 31)},
+        "b": {str(j): "10/3" for j in range(1, 31)},
+    }
+    path = _write_json(tmp_path, k30)
+    code, out, err = run(
+        capsys,
+        "verify", "--k-min", "1", "--k-max", "3",
+        "--checks", "delta-j-checks",
+        "--externals", path,
+    )
+    assert (code, out, err) == (2, "", "error: external table is for k=30, not k=1..3\n")
+    # a table inside the range keeps its lines: SKIP for the other k
+    k3 = {
+        "schema": "external-coeffs/1",
+        "k": 3,
+        "c": {"1": "1", "2": "2", "3": "3"},
+        "b": {"1": "4000", "2": "4100", "3": "4200"},
+    }
+    code, out, err = run(
+        capsys,
+        "verify", "--k-min", "2", "--k-max", "4",
+        "--checks", "delta-j-checks",
+        "--externals", _write_json(tmp_path, k3),
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "k=2   delta-j-checks       SKIP  external coefficient table not supplied for this k\n"
+        "k=3   delta-j-checks       PASS\n"
+        "k=4   delta-j-checks       SKIP  external coefficient table not supplied for this k\n"
+        "summary: 1 passed, 0 failed, 2 skipped\n"
+    )
+
+
+@pytest.mark.parametrize(
     "text",
     [
         # an Arabic-Indic digit one was read as index 1

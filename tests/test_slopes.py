@@ -28,10 +28,11 @@ def mclass(k, coeffs):
 
 
 def test_slope_of_two_term_class():
+    # delta_1..delta_3 are absent, so b_1 = b_2 = b_3 = 0 < b_0 = 2
     report = slope_of(mclass(3, {LAMBDA: 13, delta(0): -2}))
     assert report.slope == Fraction(13, 2)
-    assert report.valid == HOLDS
-    assert report.witnesses == []
+    assert report.valid == FAILS
+    assert report.witnesses == [(1, AffineExpr(0)), (2, AffineExpr(0)), (3, AffineExpr(0))]
 
 
 def test_slope_of_pushed_kappa_k1():
@@ -50,9 +51,50 @@ def test_slope_of_pushed_hodge_k3():
 def test_slope_of_detects_violations():
     report = slope_of(mclass(2, {LAMBDA: 10, delta(0): -2, delta(1): -1}))
     assert report.valid == FAILS
-    assert report.witnesses == [(1, AffineExpr(-1))]
-    ok = slope_of(mclass(2, {LAMBDA: 10, delta(0): -2, delta(2): -7}))
-    assert ok.valid == HOLDS
+    assert report.witnesses == [(1, AffineExpr(-1)), (2, AffineExpr(0))]
+    # an absent delta_j is b_j = 0, below b_0 = 2
+    no_delta_1 = slope_of(mclass(2, {LAMBDA: 10, delta(0): -2, delta(2): -7}))
+    assert no_delta_1.valid == FAILS
+    assert no_delta_1.witnesses == [(1, AffineExpr(0))]
+    # every delta_j present and b_j >= b_0, with equality at j = 1
+    ok = slope_of(mclass(2, {LAMBDA: 10, delta(0): -2, delta(1): -2, delta(2): -7}))
+    assert (ok.slope, ok.valid, ok.witnesses) == (5, HOLDS, [])
+    # b_0 < 0: an absent delta_j (b_j = 0) is above it
+    negative = slope_of(mclass(2, {LAMBDA: 10, delta(0): 2, delta(1): 1}))
+    assert (negative.slope, negative.valid) == (-5, HOLDS)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_slope_of_reads_every_delta_j_in_integers(k):
+    # the integer reader agrees with the proviso read off the Fraction
+    # values of items(), an absent delta_j counted as b_j = 0
+    from hurwitzdiv.pushforward import p_phihat_lambda
+
+    # b_j of the size of N(k) make every delta_j dominate delta_0; one
+    # negated b_j makes its delta_j the minimum
+    scale = 10 ** (3 + k // 3)
+    c = {j: Fraction(j - 3, j + 1) for j in range(1, k + 1)}
+    b = {j: Fraction(scale * (j + 1), 3) for j in range(1, k + 1)}
+    tables = (ExternalCoeffs(k, c, b), ExternalCoeffs(k, c, {**b, k // 2 + 1: -b[1]}))
+    classes = [p_q_kappa(k), p_phi_lambda(k)] + [p_phihat_lambda(k)] * (k >= 3)
+    outcomes = set()
+    for table, d in [(table, d) for table in tables for d in classes]:
+        numeric = table.apply(d)
+        values = {name: value.constant_value() for name, value in numeric.items()}
+        b0 = -values[delta(0)]
+        below = [
+            (j, AffineExpr(values.get(delta(j), 0)))
+            for j in range(1, k + 1)
+            if -values.get(delta(j), 0) < b0
+        ]
+        report = slope_of(numeric)
+        assert report.slope == values.get(LAMBDA, 0) / b0
+        assert report.witnesses == below
+        assert report.valid == (FAILS if below else HOLDS)
+        if numeric != d:  # at k = 1 the Hodge class carries no symbol
+            assert slope_of(d).valid == UNKNOWN
+        outcomes.add(report.valid)
+    assert outcomes == {HOLDS, FAILS}
 
 
 def test_slope_of_errors():
@@ -133,6 +175,33 @@ def test_slope_target_is_the_chained_sum(variant):
                 assert slope_of(slope_target(k, s, variant)).slope == induced_slope(
                     k, s, variant
                 )
+
+
+@pytest.mark.parametrize("variant", ["trace", "reduced"])
+@pytest.mark.parametrize("k", [3, 10])
+def test_a_cold_induced_slope_op_applies_p_push_three_times(monkeypatch, capsys, variant, k):
+    # the pushed Hodge class and delta'_0, which the Moebius pair reads
+    # too, and one push of the Hurwitz-side sum of the delta'_j, j >= 1;
+    # the reduced Hodge class also applies q^* once, to psi
+    from hurwitzdiv import bases
+    from hurwitzdiv.cli import main
+    from hurwitzdiv.core import clear_caches
+
+    real = bases.ClassMap.apply
+    calls = []
+
+    def counted(self, d):
+        calls.append(d)
+        return real(self, d)
+
+    monkeypatch.setattr(bases.ClassMap, "apply", counted)
+    clear_caches()
+    assert main(["slope", "--k", str(k), "--s-prime", "12", "--variant", variant]) == 0
+    assert capsys.readouterr().out.endswith("validity=unknown\n")
+    pushes = [d for d in calls if d.basis.kind == bases.HURWITZ]
+    assert len(pushes) == 3
+    assert len(calls) == (3 if variant == "trace" else 4)
+    clear_caches()
 
 
 def test_unknown_slope_variant_is_a_value_error():

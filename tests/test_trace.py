@@ -12,6 +12,7 @@ from hurwitzdiv.bases import (
     T2,
     T3j,
     hurwitz_basis,
+    linear_combination,
     m0b_sym_basis,
 )
 from hurwitzdiv import trace as trace_mod
@@ -30,8 +31,10 @@ from hurwitzdiv.trace import (
     grr_pieces,
     omega_tau_sq,
     phi_pull_boundary,
+    phi_pull_boundary_sum,
     phi_pull_lambda,
     phihat_pull_boundary,
+    phihat_pull_boundary_sum,
     phihat_pull_lambda,
     q_pullback,
     s_omega_sq,
@@ -405,3 +408,23 @@ def test_pulled_psi_is_shared_by_its_two_consumers():
     assert pulled == q_pullback(k).apply(psi_restricted(k))
     assert grr_pieces(k).cross == pulled * (k - 1)
     assert s_omega_sq(k) == Fraction(1, 2) * omega_tau_sq(k) - Fraction(3, 4) * pulled
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+def test_boundary_sums_are_the_sums_of_the_pullbacks(k):
+    # the one-class sums over j = 1..k that slope_target pushes, against
+    # the sums of the per-j pullbacks
+    basis = hurwitz_basis(k)
+    phi = linear_combination(basis, [(1, phi_pull_boundary(k, j)) for j in range(1, k + 1)])
+    assert phi_pull_boundary_sum(k) == phi
+    if k == 1:
+        # the reduced trace curve has genus 0: delta-hat_1 does not exist
+        with pytest.raises(IndexRangeError, match=r"boundary index 1 out of range 0\.\.0"):
+            phihat_pull_boundary_sum(k)
+        with pytest.raises(IndexRangeError, match=r"boundary index 1 out of range 0\.\.0"):
+            phihat_pull_boundary(k, 1)
+        return
+    hat = linear_combination(
+        basis, [(1, phihat_pull_boundary(k, j)) for j in range(1, k + 1)]
+    )
+    assert phihat_pull_boundary_sum(k) == hat
