@@ -20,14 +20,22 @@ layout, built from one "E_j_" prefix per row and one shared table of
 index strings.  The order of every basis is cached per (kind, k) as a name ->
 position map, which answers both membership and position.
 
+Where symbols live: the external symbols c_j, b_j are the unknown
+delta_j coefficients of the pushed classes on M_g-bar, so a symbol term
+may occur only in a class over ``Mg(k)``; the constructor refuses one on
+any other basis with a ``ClassGroupError``.  A ``ClassMap`` maps only
+classes without symbols (a symbolic source raises ``ValueError``), while
+its images over ``Mg(k)`` may keep symbolic entries, as the E2/E3
+columns of ``p_push`` and the T2 column of ``p_q_map`` do.
+
 Every coefficient is stored as integer numerators over one positive
 common denominator.  A class keeps two parts over that denominator:
 
 * the head map ``_nums``: the constant part of a generator's
   coefficient keyed by the generator name, the coefficient of an
-  external symbol c_j, b_j in it by the plain tuple (name, symbol).  It
-  holds every generator of the four small kinds, E0/E2/E3 of
-  ``Hurwitz(k)``, and every symbol term, E_{j,c} ones included;
+  external symbol c_j, b_j in it (over ``Mg(k)`` only) by the plain
+  tuple (name, symbol).  It holds every generator of the four small
+  kinds and E0/E2/E3 of ``Hurwitz(k)``;
 * on ``Hurwitz(k)`` only, the rows ``_rows``: the constant parts of the
   E_{j,c} in the layout of :func:`ejc_names` and ``trace.jc_rows``, a
   tuple of k + 1 rows whose entry j holds the numerators for c = 0 ..
@@ -45,14 +53,14 @@ of its entries over c, so that applying the map to a class costs one
 C-level dot product ``sum(map(mul, weights, row))`` per j and target
 key.  The push-forward ``p_push`` sends E_{j,c} to e_{j,c} delta_j
 only, so its block j is the one row e_{j,*} on delta_j.  Sums,
-scalings, reduction, equality, hashing, substitution, application and
-composition each run once over "head map + rows"; only the constructor,
-the accessors, substitution and the product rule of
-:meth:`ClassMap._map` tell a symbol key from a constant one.  Sums run
-through one n-ary kernel, :func:`linear_combination`, which puts all
-its terms over one lcm, sums their numerators in a single pass (row by
-row for the rows) and reduces once; ``+`` and ``-`` are its two-term
-calls.  Addition, scaling, substitution and the application and
+scalings, reduction, equality, hashing, application and composition
+each run once over "head map + rows"; only the constructor, the
+accessors, substitution and the refusal of :meth:`ClassMap._map` tell a
+symbol key from a constant one, and substitution, like the symbols,
+never meets a row.  Sums run through one n-ary kernel,
+:func:`linear_combination`, which puts all its terms over one lcm, sums
+their numerators in a single pass (row by row for the rows) and reduces
+once; ``+`` and ``-`` are its two-term calls.  Addition, scaling, substitution and the application and
 composition of class maps run on plain ``int``: ``ClassMap.compose``
 maps each inner integer column through the outer map over the product
 of the two denominators, without building a row as a class.  A
@@ -62,15 +70,16 @@ coefficient, is built only at the public accessors
 name; ``DivisorClass.numerators`` hands a class without rows out as its
 integers instead, as ``ClassMap.numerators`` does for an image.
 Substitution is one kernel, ``DivisorClass._substituted``, which takes
-integer values over one denominator: ``substitute`` converts the values
-it is given, and ``pushforward.ExternalCoeffs`` converts its table once.
+integer values over one denominator: ``substitute`` converts the
+``int``/``Fraction`` values it is given, and
+``pushforward.ExternalCoeffs`` converts its table once.
 Beside ``items`` sits the internal
 ``DivisorClass._formatted_items``, the same values as "p/q" text
 rendered from the integers, which ``serialize`` and the ``cli`` tables
 emit from.  It renders a class over denominator 1 as "n/1" with no gcd,
-and a Hurwitz class with no symbol term in one pass over its head map
-and its rows, each row zipped with its :func:`ejc_names` row, without
-first listing (name, numerator) entries.  It renders the class times an
+and a Hurwitz class in one pass over its head map and its rows, each
+row zipped with its :func:`ejc_names` row, without first listing
+(name, numerator) entries.  It renders the class times an
 int ``scale`` without building that product: a raw pushed class is
 emitted as its per-factorial-b class with scale (6k)!, whose decimal
 digits are computed once per call (exact ``decimal`` arithmetic in a
@@ -308,8 +317,11 @@ class DivisorClass:
     Only the accessors :meth:`coefficient` and :meth:`items` build an
     :class:`AffineExpr`, and :meth:`numerators` hands out the integers;
     a scalar is an ``int`` or a ``Fraction``, as the symbols occur
-    linearly.  Instances are immutable; the symbol
-    terms are grouped by generator once, on the first accessor call.
+    linearly.  Symbol terms occur only over ``Mg(k)``: a coefficient
+    with a symbol on any other basis raises :class:`ClassGroupError`,
+    so a class with rows is constant.  Instances are immutable; the
+    symbol terms are grouped by generator once, on the first accessor
+    call.
     """
 
     __slots__ = ("basis", "_den", "_nums", "_rows", "_grouped")
@@ -323,6 +335,11 @@ class DivisorClass:
             for name, value in coeffs.items():
                 basis.check(name)
                 if isinstance(value, AffineExpr):
+                    if basis.kind != MG and not value.is_constant():
+                        raise ClassGroupError(
+                            f"generator {name!r} of {basis.kind}(k={basis.k}) cannot "
+                            f"carry an external symbol; symbols live only over Mg"
+                        )
                     for s, coef in value.terms.items():
                         values[name, s] = coef
                     value = value.const
@@ -335,16 +352,17 @@ class DivisorClass:
         # over the lcm of reduced denominators the numerators share no
         # factor with it, so the stored form is already in lowest terms
         den = lcm(*(value.denominator for value in values.values()))
-        rows = _zero_rows(basis)
-        nums, cells = {}, {}
+        hurwitz = basis.kind == HURWITZ
+        nums, rows = {}, {}
         for key, value in values.items():
-            if rows and type(key) is str and key not in _HEAD_NAMES:
-                cells[_ejc_index(key)] = numerator_over(value, den)
+            if hurwitz and key not in _HEAD_NAMES:
+                j, c = _ejc_index(key)
+                rows.setdefault(j, [0] * (j // 2 + 1))[c] = numerator_over(value, den)
             else:
                 nums[key] = numerator_over(value, den)
         self._den = den
         self._nums = nums
-        self._rows = _add_cells(rows, cells)
+        self._rows = _dense_rows(basis, [(j, tuple(row)) for j, row in rows.items()])
         self._grouped = None
 
     @classmethod
@@ -412,32 +430,12 @@ class DivisorClass:
             position = _generator_index(self.basis.kind, self.basis.k)
             names.sort(key=position.__getitem__)
             return [(name, nums.get(name, 0), sym.get(name)) for name in names]
+        # a Hurwitz class carries no symbol: the head map, then each row
+        # zipped with its names
         k = self.basis.k
-        out = [
-            (name, nums.get(name, 0), sym.get(name))
-            for name in _SPECS[HURWITZ].head(k)
-            if name in nums or name in sym
-        ]
-        # the symbol terms of E_{j,c}, by cell; a cell with no constant
-        # part lies in a row padded with zeros here
-        cells = {_ejc_index(n): t for n, t in sym.items() if n not in _HEAD_NAMES}
-        if cells:
-            rows = list(rows)
-            for j, _ in cells:
-                rows[j] = rows[j] or (0,) * (j // 2 + 1)
-        names = ejc_names(k)
-        for j, row in enumerate(rows):
-            if not row:
-                continue
-            row_names = names[j]
-            if cells:
-                out.extend(
-                    (row_names[c], n, cells.get((j, c)))
-                    for c, n in enumerate(row)
-                    if n or (j, c) in cells
-                )
-            else:
-                out.extend((name, n, None) for name, n in zip(row_names, row) if n)
+        out = [(name, nums[name], None) for name in _SPECS[HURWITZ].head(k) if name in nums]
+        for names, row in zip(ejc_names(k), rows):
+            out += [(name, n, None) for name, n in zip(names, row) if n]
         return out
 
     def support(self) -> list[str]:
@@ -453,9 +451,9 @@ class DivisorClass:
         generator in support order, its constant part and its (symbol,
         coefficient) terms in display order, each rendered as "p/q" in
         lowest terms straight from the stored numerators; no
-        ``Fraction`` or :class:`AffineExpr` is built.  A Hurwitz class
-        with no symbol term is rendered in one pass over its head map and
-        its rows, each row zipped with its :func:`ejc_names` row.
+        ``Fraction`` or :class:`AffineExpr` is built.  A Hurwitz class,
+        which carries no symbol, is rendered in one pass over its head
+        map and its rows, each row zipped with its :func:`ejc_names` row.
 
         ``scale`` is a positive int.  A value n0/d0 in lowest terms
         becomes n0 * (scale // g) over d0 // g with g = gcd(scale, d0),
@@ -496,9 +494,9 @@ class DivisorClass:
                 # (most are) skips the two divisions
                 g = gcd(n, den)
                 return f"{n}{over}" if g == 1 else f"{n // g}/{den // g}"
-        if self._rows and not self._symbolic():
-            # a constant Hurwitz class: the head map, then each row zipped
-            # with its names
+        if self._rows:
+            # a Hurwitz class: the head map, then each row zipped with its
+            # names
             nums = self._nums
             rendered = [
                 (name, text(nums[name]), ())
@@ -531,10 +529,14 @@ class DivisorClass:
 
     def substitute(self, values: Mapping[ExtSymbol, RationalLike]) -> "DivisorClass":
         """Replace every symbol present in ``values``; others stay
-        symbolic.  The values used are put over the lcm of their
-        denominators and handed to :meth:`_substituted`."""
+        symbolic.  Each value must be an ``int`` or a ``Fraction``.  The
+        values used are put over the lcm of their denominators and handed
+        to :meth:`_substituted`."""
+        for value in values.values():
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"cannot interpret {type(value).__name__} as a coefficient")
         present = {key[1] for key in self._nums if type(key) is tuple}
-        used = {s: exact_rational(values[s]) for s in present if s in values}
+        used = {s: values[s] for s in present if s in values}
         if not used:
             return self
         common = lcm(*(v.denominator for v in used.values()))
@@ -543,13 +545,15 @@ class DivisorClass:
     def _substituted(self, values: Mapping[ExtSymbol, int], den: int) -> "DivisorClass":
         """The substitution kernel: every symbol s of ``values`` becomes
         ``values[s] / den`` (an int over a positive int), the others stay
-        symbolic.  The class is put over ``self._den * den`` in one pass
-        and reduced once, so the result does not depend on which common
-        denominator the values were given over."""
-        rows = self._rows
+        symbolic.  A class with no symbol term is returned as it is;
+        otherwise it lies over ``Mg(k)``, has no rows, and is put over
+        ``self._den * den`` in one pass over its head map and reduced
+        once, so the result does not depend on which common denominator
+        the values were given over."""
+        if not self._symbolic():
+            return self
         nums: dict = {}
         get = nums.get
-        cells: dict[tuple[int, int], int] = {}
         for key, n in self._nums.items():
             v = values.get(key[1]) if type(key) is tuple else None
             if v is None:
@@ -557,13 +561,8 @@ class DivisorClass:
             else:
                 # a substituted symbol term joins its generator's constant
                 key, n = key[0], n * v
-                if rows and key not in _HEAD_NAMES:
-                    cell = _ejc_index(key)
-                    cells[cell] = cells.get(cell, 0) + n
-                    continue
             nums[key] = get(key, 0) + n
-        rows = _add_cells(_scale_rows(rows, den), cells)
-        return DivisorClass._raw(self.basis, self._den * den, _nonzero(nums), rows)
+        return DivisorClass._raw(self.basis, self._den * den, _nonzero(nums))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
@@ -625,12 +624,6 @@ class DivisorClass:
         return f"<{self.basis.kind}(k={self.basis.k}): {body}>"
 
 
-def exact_rational(value) -> int | Fraction:
-    """``value`` as an ``int`` or ``Fraction``: one that already is one
-    is returned as it is, anything else goes through ``Fraction``."""
-    return value if isinstance(value, (int, Fraction)) else Fraction(value)
-
-
 def numerator_over(value: int | Fraction, den: int) -> int:
     """The numerator of ``value`` over ``den``, a multiple of its
     denominator."""
@@ -658,23 +651,6 @@ def _scale_rows(rows: tuple, p: int, g: int = 1) -> tuple:
     if p == 1:
         return tuple([tuple([n // g for n in row]) if row else () for row in rows])
     return tuple([tuple([n // g * p for n in row]) if row else () for row in rows])
-
-
-def _add_cells(rows: tuple, cells: Mapping[tuple[int, int], int]) -> tuple:
-    """``rows`` with the numerator of each (j, c) of ``cells`` added;
-    a row that sums to zero becomes ``()``."""
-    if not cells:
-        return rows
-    touched: dict[int, list[int]] = {}
-    for (j, c), n in cells.items():
-        row = touched.get(j)
-        if row is None:
-            row = touched[j] = list(rows[j]) or [0] * (j // 2 + 1)
-        row[c] += n
-    out = list(rows)
-    for j, row in touched.items():
-        out[j] = tuple(row) if any(row) else ()
-    return tuple(out)
 
 
 def _combine_rows(terms: list[tuple[int, tuple]]) -> tuple:
@@ -814,9 +790,10 @@ class ClassMap:
     :meth:`row` builds the reduced class, :meth:`numerators` hands an
     image over a target without rows out as integers, so this layout
     stays private to this module, and :meth:`apply` sums every product
-    in ``int``.  The symbols occur linearly: a symbolic source
-    coefficient meeting a column with symbolic entries raises
-    ``ValueError``.
+    in ``int``.  Only a class without symbols is mapped: :meth:`apply`
+    of a symbolic class and :meth:`compose` after a map with symbolic
+    images raise ``ValueError``.  An image over ``Mg(k)`` may keep
+    symbolic entries, so only a map onto ``Mg(k)`` carries symbols.
     """
 
     __slots__ = ("source", "target", "_den", "_cols", "_blocks")
@@ -909,35 +886,19 @@ class ClassMap:
         denominator q, as a column over q * ``_den``: the head map, zeros
         dropped, and the pairs of the nonzero target rows.  Every product
         is summed in int; a row meets its block by one dot product per
-        target key.  The symbols occur linearly: a symbol term (name, s)
-        of the source maps through a constant entry t of name's column
-        to (t, s), and through a symbolic entry it raises
-        ``ValueError``."""
+        target key.  The vector carries no symbol: a symbol key (name, s)
+        raises ``ValueError``."""
         cols, blocks = self._cols, self._blocks
         sums: dict = {}
         get = sums.get
         target_rows: dict[int, list[int]] = {}
         for key, x in nums.items():
-            if type(key) is tuple:
-                name, s = key
-                column = self._column(name)
-                if column is None:
-                    continue
-                entries = list(column[0].items())
-                if column[1]:
-                    names = ejc_names(self.target.k)
-                    entries += [
-                        (t, r) for j, row in column[1] for t, r in zip(names[j], row) if r
-                    ]
-                for t, r in entries:
-                    if type(t) is tuple:
-                        raise ValueError(
-                            "product of two non-constant affine expressions is not affine"
-                        )
-                    sums[t, s] = get((t, s), 0) + x * r
-                continue
             column = cols.get(key)
             if column is None:
+                if type(key) is tuple:
+                    raise ValueError(
+                        f"a class map takes no external symbol, got {key[1]} on {key[0]!r}"
+                    )
                 continue
             for t, r in column[0].items():
                 sums[t] = get(t, 0) + x * r

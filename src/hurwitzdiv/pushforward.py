@@ -42,7 +42,6 @@ from .bases import (
     T3j,
     T2,
     delta,
-    exact_rational,
     hurwitz_basis,
     hurwitz_head,
     linear_combination,
@@ -94,7 +93,8 @@ def convert_normalization(
 @dataclass(frozen=True)
 class ExternalCoeffs:
     """A complete table of the external coefficients c_1..c_k and
-    b_1..b_k for one value of k.  Partial tables are rejected.
+    b_1..b_k for one value of k.  Partial tables are rejected, and so is
+    a value that is not an ``int`` or a ``Fraction``.
 
     On first use the table is turned, once, into integer numerators
     over one common denominator; :meth:`apply` hands those integers to
@@ -118,6 +118,12 @@ class ExternalCoeffs:
             elif len(table) != k or not all(1 <= j <= k for j in table):
                 got = f"indices {sorted(table)}"
             else:
+                odd = [v for v in table.values() if not isinstance(v, (int, Fraction))]
+                if odd:
+                    raise TypeError(
+                        f"external table {label!r}: cannot interpret "
+                        f"{type(odd[0]).__name__} as a coefficient"
+                    )
                 continue
             raise ValueError(
                 f"external table {label!r} must cover exactly 1..{k}, got {got}"
@@ -125,10 +131,9 @@ class ExternalCoeffs:
 
     @cached_property
     def _values(self) -> dict[ExtSymbol, int | Fraction]:
-        # built once per table, on first use, without copying the values
-        # that already are exact rationals
-        values = {c_sym(j): exact_rational(value) for j, value in self.c.items()}
-        values.update((b_sym(j), exact_rational(value)) for j, value in self.b.items())
+        # built once per table, on first use, from the checked values
+        values = {c_sym(j): value for j, value in self.c.items()}
+        values.update((b_sym(j), value) for j, value in self.b.items())
         return values
 
     @cached_property

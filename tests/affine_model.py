@@ -52,16 +52,6 @@ def scale(m, x):
     return combine([(x, m)])
 
 
-def product(m1, m2):
-    """The product of two model values, one of them constant: the
-    symbols occur linearly."""
-    if set(m1) - {None}:
-        m1, m2 = m2, m1
-    if set(m1) - {None}:
-        raise ValueError("product of two non-constant affine values is not affine")
-    return scale(m2, m1.get(None, 0))
-
-
 def substitute(m, values):
     """Replace every symbol present in ``values``; others stay symbolic."""
     out = {}
@@ -95,12 +85,14 @@ def stored_model(d):
 
 def apply_model(m, d):
     """The image of class ``d`` under map ``m`` as a model over the
-    target, from the images ``m.row(g)`` of the source generators; the
-    symbols occur linearly, so one side of each product is plain, and
-    two symbolic sides raise ``ValueError`` as :func:`product` does."""
+    target, from the images ``m.row(g)`` of the source generators.  A
+    class map takes only a class without symbols: a symbolic source
+    coefficient raises ``ValueError``, as ``ClassMap`` does."""
     source = class_model(d)
+    if any(set(coef) - {None} for coef in source.values()):
+        raise ValueError("a class map takes no external symbol")
     out = {g: {} for g in m.target.generators()}
     for g, coef in source.items():
         for t, row_coef in class_model(m.row(g)).items():
-            out[t] = add(out[t], product(row_coef, coef))
+            out[t] = add(out[t], scale(row_coef, coef.get(None, 0)))
     return out

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hurwitzdiv.bases import (
     Basis,
     BasisMismatchError,
+    ClassGroupError,
     ClassMap,
     DivisorClass,
     E0,
@@ -15,6 +17,7 @@ from hurwitzdiv.bases import (
     Ejc,
     HURWITZ,
     LAMBDA,
+    MG,
     T2,
     T3j,
     UnknownGeneratorError,
@@ -152,6 +155,28 @@ def test_symbolic_coefficients_supported():
     d = DivisorClass(mg_basis(1), {delta(1): AffineExpr(0, {c_sym(1): 1})})
     doubled = d * 2
     assert doubled.coefficient(delta(1)) == AffineExpr(0, {c_sym(1): 2})
+
+
+@pytest.mark.parametrize(
+    "basis, name",
+    [
+        (hurwitz_basis(3), E0),
+        (hurwitz_basis(3), Ejc(2, 1)),
+        (m0b_sym_basis(3), T2),
+        (mg_prime_basis(2), delta_prime(3)),
+        (mg_hat_basis(3), "lambdaH"),
+    ],
+)
+def test_symbols_are_refused_off_mg(basis, name):
+    text = (
+        f"generator '{name}' of {basis.kind}(k={basis.k}) cannot carry an "
+        "external symbol; symbols live only over Mg"
+    )
+    for value in (AffineExpr(0, {c_sym(1): 1}), AffineExpr(2, {b_sym(3): Fraction(1, 2)})):
+        with pytest.raises(ClassGroupError, match=f"^{re.escape(text)}$"):
+            DivisorClass(basis, {name: value})
+    # a constant AffineExpr is a plain value there
+    assert DivisorClass(basis, {name: AffineExpr(2)}) == DivisorClass(basis, {name: 2})
 
 
 @given(hurwitz_classes(3), hurwitz_classes(3), rationals, mg_rows(3))
@@ -324,22 +349,13 @@ def mixed_maps(row_values, k=2):
 
 @given(st.data())
 def test_mixed_apply_and_compose_match_affine_model(data):
-    # symbolic rows act on plain classes, plain rows on symbolic classes
-    symbolic_rows = data.draw(st.booleans())
-    row_values = mixed_values if symbolic_rows else plain_values
-    class_values = plain_values if symbolic_rows else mixed_values
-    m = data.draw(mixed_maps(row_values))
-    d = data.draw(mg_classes(class_values))
-    applied = m.apply(d)
-    assert_canonical(applied)
-    assert model(applied) == apply_model(m, d)
-
-    inner = data.draw(mixed_maps(plain_values))
-    composed = m.compose(inner)
-    for g in inner.source.generators():
-        row = composed.row(g)
-        assert_canonical(row)
-        assert model(row) == apply_model(m, inner.row(g))
+    # symbolic or plain rows act on plain classes; a symbolic class is
+    # refused, as the model refuses it
+    m = data.draw(mixed_maps(data.draw(st.sampled_from((mixed_values, plain_values)))))
+    assert_apply_matches_model(m, data.draw(mg_classes(plain_values)))
+    assert_apply_matches_model(m, data.draw(mg_classes(mixed_values)))
+    assert_compose_matches_model(m, data.draw(mixed_maps(plain_values)))
+    assert_compose_matches_model(m, data.draw(mixed_maps(mixed_values)))
 
 
 @given(st.lists(rationals, min_size=6, max_size=6))
@@ -381,25 +397,20 @@ def test_constant_affine_and_fraction_classes_are_identical():
     # the symbol key is the plain tuple (generator, symbol)
     assert {type(key) for key in mixed._nums} == {str, tuple}
     # on a Hurwitz basis E0/E2/E3 stay in the head map and the E_{j,c}
-    # constants go to their rows; a symbol term of E_{j,c} stays in the
-    # head map beside them, and an untouched row is ()
+    # constants go to their rows, a constant AffineExpr among them; an
+    # untouched row is ()
     hur = DivisorClass(
         hurwitz_basis(3),
-        {
-            E2: Fraction(1, 2),
-            Ejc(2, 1): AffineExpr(Fraction(1, 3), {c_sym(1): Fraction(1, 6)}),
-            Ejc(3, 0): 4,
-        },
+        {E2: Fraction(1, 2), Ejc(2, 1): AffineExpr(Fraction(1, 3)), Ejc(3, 0): 4},
     )
     assert hur._den == 6
-    assert hur._nums == {E2: 3, (Ejc(2, 1), c_sym(1)): 1}
+    assert hur._nums == {E2: 3}
     assert hur._rows == ((), (), (0, 2), (24, 0))
     assert hur == DivisorClass(hurwitz_basis(3), dict(hur.items()))
-    # a symbol-only E_{j,c} leaves its row empty
-    symbol_only = DivisorClass(hurwitz_basis(2), {Ejc(1, 0): AffineExpr(0, {b_sym(2): 3})})
-    assert (symbol_only._den, symbol_only._rows) == (1, ((), (), ()))
-    assert symbol_only._nums == {(Ejc(1, 0), b_sym(2)): 3}
-    assert symbol_only.support() == [Ejc(1, 0)]
+    # a symbol term, symbol-only or beside a constant, is refused there
+    for value in (AffineExpr(0, {b_sym(2): 3}), AffineExpr(1, {c_sym(1): Fraction(1, 6)})):
+        with pytest.raises(ClassGroupError, match="symbols live only over Mg"):
+            DivisorClass(hurwitz_basis(2), {Ejc(1, 0): value})
 
 
 # Integer kernel: a ClassMap keeps one common denominator and one integer
@@ -519,6 +530,14 @@ def spread_affines(draw):
 
 MG3 = list(mg_basis(3).generators())
 spread_values = st.one_of(spread_affines(), big_rationals)
+spread_rationals = st.builds(Fraction, st.integers(-50, 50), row_denominators)
+spread_constants = st.one_of(spread_rationals, big_rationals)
+
+
+def values_over(basis, values, constants=spread_constants):
+    """``values`` over Mg, the one kind whose classes carry symbols, and
+    ``constants`` over every other kind."""
+    return values if basis.kind == MG else constants
 
 
 def mg3_classes(values):
@@ -551,9 +570,6 @@ def test_symbolic_kernel_arithmetic_matches_affine_model(d1, d2, a):
         assert model(quotient) == {g: scale(m1[g], 1 / a) for g in m1}
 
 
-spread_rationals = st.builds(Fraction, st.integers(-50, 50), row_denominators)
-
-
 @given(
     mg3_classes(spread_values),
     st.lists(spread_rationals, min_size=4, max_size=4),
@@ -572,38 +588,39 @@ def test_symbolic_kernel_substitute_matches_affine_model(d, table, order, cut):
 
 @given(st.data())
 def test_symbolic_kernel_apply_and_compose_match_affine_model(data):
-    # symbolic rows act on plain classes, plain rows on symbolic classes
+    # symbolic and plain rows act on plain classes; a symbolic class, or
+    # a symbolic inner column, is refused by both the kernel and the model
     symbolic = data.draw(mg3_maps(spread_values))
     plain = class_map(data.draw(fraction_maps()))
     plain_class = data.draw(mg3_classes(big_rationals))
     symbolic_class = data.draw(mg3_classes(spread_values))
-    for m, d in ((symbolic, plain_class), (plain, symbolic_class)):
-        applied = m.apply(d)
-        assert_canonical(applied)
-        assert model(applied) == apply_model(m, d)
+    for m in (symbolic, plain):
+        assert_apply_matches_model(m, plain_class)
+        assert_apply_matches_model(m, symbolic_class)
     for outer, inner in ((symbolic, plain), (plain, symbolic)):
-        composed = outer.compose(inner)
-        for g in MG3:
-            row = composed.row(g)
-            assert_canonical(row)
-            assert model(row) == apply_model(outer, inner.row(g))
+        assert_compose_matches_model(outer, inner)
 
 
-def test_symbolic_source_on_symbolic_row_is_rejected():
+def test_symbolic_source_is_rejected():
     basis = mg_basis(1)
     row = DivisorClass(basis, {delta(1): AffineExpr(0, {c_sym(1): Fraction(1, 2)})})
     m = ClassMap(basis, basis, {delta(1): row, LAMBDA: DivisorClass(basis, {LAMBDA: 3})})
     d = DivisorClass(basis, {delta(1): AffineExpr(1, {b_sym(1): Fraction(2, 7)})})
-    with pytest.raises(ValueError, match="not affine"):
-        m.apply(d)
-    # compose runs the same product rule: a symbolic column of the inner
-    # map meets a symbolic column of the outer one
-    inner = ClassMap(basis, basis, {LAMBDA: d})
-    with pytest.raises(ValueError, match="not affine"):
-        m.compose(inner)
-    # the same class is fine when it meets only plain rows
+    refusal = "a class map takes no external symbol, got b_1 on 'delta_1'"
+    # a symbolic source is refused whatever column it meets, a zero one too
     plain = ClassMap(basis, basis, {delta(1): DivisorClass(basis, {LAMBDA: 3})})
-    assert plain.apply(d).coefficient(LAMBDA) == AffineExpr(3, {b_sym(1): Fraction(6, 7)})
+    for outer in (m, plain, ClassMap(basis, basis, {})):
+        with pytest.raises(ValueError, match=refusal):
+            outer.apply(d)
+        # compose shares the path: a symbolic column of the inner map
+        with pytest.raises(ValueError, match=refusal):
+            outer.compose(ClassMap(basis, basis, {LAMBDA: d}))
+    # the constant half: a symbolic column times a plain class stays symbolic
+    constant = DivisorClass(basis, {delta(1): 4, LAMBDA: Fraction(1, 3)})
+    assert m.apply(constant) == DivisorClass(
+        basis, {delta(1): AffineExpr(0, {c_sym(1): 2}), LAMBDA: 1}
+    )
+    assert m.compose(ClassMap(basis, basis, {LAMBDA: constant})).row(LAMBDA) == m.apply(constant)
 
 
 # Column store: a ClassMap keeps its images as integer columns over one
@@ -624,14 +641,11 @@ def test_column_store_gives_back_its_rows(rows, data):
         row = m.row(g)
         assert_canonical(row)
         assert row == rows.get(g, zero_class(basis))
-    # composing with a plain map on either side
+    # composing with a plain map on either side; as the inner map, a map
+    # with a symbolic column is refused
     plain = class_map(data.draw(fraction_maps()))
     for outer, inner in ((plain, m), (m, plain)):
-        composed = outer.compose(inner)
-        for g in MG3:
-            row = composed.row(g)
-            assert_canonical(row)
-            assert model(row) == apply_model(outer, inner.row(g))
+        assert_compose_matches_model(outer, inner)
 
 
 # Index grammar of the index-bounded kinds: a boundary generator has one
@@ -654,9 +668,9 @@ def test_boundary_index_has_one_spelling(basis, digits):
 
 
 # The n-ary kernel: linear_combination sums x * d over its terms in one
-# pass.  Over every kind of basis, with symbolic terms, zero and negative
-# scalars, (6k)!-sized and pairwise different denominators and a class
-# repeated among the terms, it must agree with the affine model and
+# pass.  Over every kind of basis, with symbolic terms on Mg, zero and
+# negative scalars, (6k)!-sized and pairwise different denominators and a
+# class repeated among the terms, it must agree with the affine model and
 # with the chained binary operators.
 
 KERNEL_BASES = (
@@ -678,9 +692,10 @@ kernel_scalars = st.one_of(
 def test_linear_combination_matches_affine_model(data):
     basis = data.draw(st.sampled_from(KERNEL_BASES))
     gens = list(basis.generators())
+    values = values_over(basis, spread_values)
     pool = data.draw(
         st.lists(
-            st.dictionaries(st.sampled_from(gens), spread_values, max_size=4).map(
+            st.dictionaries(st.sampled_from(gens), values, max_size=4).map(
                 lambda coeffs: DivisorClass(basis, coeffs)
             ),
             min_size=1,
@@ -739,9 +754,9 @@ def test_ejc_names_follow_their_definition():
 # Scaled emission: _formatted_items(scale) renders self * scale without
 # building it, through one exact decimal conversion of the scale.  It
 # must give the text of the materialized product, over every kind of
-# basis, for constant, symbol-only and mixed coefficients whose parts
-# have pairwise different denominators, and for (6k)! as for any
-# positive scale.
+# basis, for constant coefficients and, on Mg, for symbol-only and mixed
+# ones whose parts have pairwise different denominators, and for (6k)!
+# as for any positive scale.
 
 FIVE_BASES = (
     hurwitz_basis(4),
@@ -751,9 +766,8 @@ FIVE_BASES = (
     mg_hat_basis(3),
 )
 symbol_only_affines = spread_affines().map(lambda e: AffineExpr(0, e.terms))
-emitted_values = st.one_of(
-    big_rationals, st.integers(-50, 50), spread_affines(), symbol_only_affines
-)
+emitted_constants = st.one_of(big_rationals, st.integers(-50, 50))
+emitted_values = st.one_of(emitted_constants, spread_affines(), symbol_only_affines)
 emission_scales = st.one_of(
     st.integers(1, 60).map(lambda k: math.factorial(6 * k)),
     st.integers(min_value=1),
@@ -764,7 +778,8 @@ emission_scales = st.one_of(
 def emitted_classes(draw):
     basis = draw(st.sampled_from(FIVE_BASES))
     gens = list(basis.generators())
-    coeffs = draw(st.dictionaries(st.sampled_from(gens), emitted_values, max_size=5))
+    values = values_over(basis, emitted_values, emitted_constants)
+    coeffs = draw(st.dictionaries(st.sampled_from(gens), values, max_size=5))
     return DivisorClass(basis, coeffs)
 
 
@@ -858,12 +873,12 @@ def test_compose_drops_cancelled_entries():
     assert composed.row(LAMBDA) == DivisorClass(basis, {delta(0): -2})
 
 
-# Row layout: a Hurwitz(k) class keeps E0/E2/E3 and every symbol term in
-# its head map and the E_{j,c} constants in k + 1 rows; a map from
+# Row layout: a Hurwitz(k) class keeps E0/E2/E3 in its head map and the
+# E_{j,c} constants in k + 1 rows, and carries no symbol; a map from
 # Hurwitz(k) keeps its E_{j,c} columns blocked by row.  For k = 1..6,
-# with symbolic values on head and E_{j,c} generators, empty rows,
-# one-entry and dense classes, every operation must agree with the
-# affine model, and every result must be in the canonical stored form.
+# with empty rows, one-entry and dense classes, every operation must
+# agree with the affine model, and every result must be in the canonical
+# stored form.
 
 HURWITZ_KS = st.integers(1, 6)
 
@@ -889,8 +904,8 @@ def hurwitz_row_classes(k, values):
 def test_hurwitz_rows_match_affine_model(data):
     k = data.draw(HURWITZ_KS)
     basis = hurwitz_basis(k)
-    d1 = data.draw(hurwitz_row_classes(k, spread_values))
-    d2 = data.draw(hurwitz_row_classes(k, mixed_values))
+    d1 = data.draw(hurwitz_row_classes(k, spread_constants))
+    d2 = data.draw(hurwitz_row_classes(k, plain_values))
     a = data.draw(kernel_scalars)
     m1, m2 = model(d1), model(d2)
     for result, expected in (
@@ -904,14 +919,9 @@ def test_hurwitz_rows_match_affine_model(data):
         assert model(result) == expected
     if a:
         assert model(d1 / a) == {g: scale(m1[g], 1 / Fraction(a)) for g in m1}
-    # a part of the symbols, then all of them
+    # a class without symbols is its own substitution
     table = data.draw(st.lists(spread_rationals, min_size=4, max_size=4))
-    full = dict(zip(MIXED_SYMBOLS, table))
-    for values in (dict(list(full.items())[:2]), full):
-        result = d1.substitute(values)
-        assert_canonical(result)
-        assert model(result) == {g: substitute(e, values) for g, e in m1.items()}
-    assert all(type(key) is str for key in d1.substitute(full)._nums)
+    assert d1.substitute(dict(zip(MIXED_SYMBOLS, table))) is d1
     # the same class built again by name is equal and hashes alike
     rebuilt = DivisorClass(basis, dict(d1.items()))
     assert rebuilt == d1 and hash(rebuilt) == hash(d1)
@@ -922,10 +932,10 @@ def test_hurwitz_rows_match_affine_model(data):
 
 # The substitution kernel: ExternalCoeffs.apply hands its table, built
 # once as integers over one common denominator, to the same kernel that
-# DivisorClass.substitute ends in.  On Mg and Hurwitz classes, symbol
-# terms on E_{j,c} included, and tables whose values have pairwise
-# different denominators, both must agree with each other and with the
-# affine model.
+# DivisorClass.substitute ends in.  On symbolic Mg classes and constant
+# Hurwitz classes, and tables whose values have pairwise different
+# denominators, both must agree with each other and with the affine
+# model.
 
 external_tables = st.lists(spread_rationals, min_size=4, max_size=4).map(
     lambda t: ExternalCoeffs(2, {1: t[0], 2: t[1]}, {1: t[2], 2: t[3]})
@@ -937,7 +947,7 @@ def test_external_table_apply_is_substitute_on_one_kernel(data):
     k = data.draw(HURWITZ_KS)
     d = data.draw(
         st.one_of(
-            hurwitz_row_classes(k, spread_values),
+            hurwitz_row_classes(k, spread_constants),
             mg3_classes(spread_values),
             mg_classes(mixed_values),
         )
@@ -967,11 +977,11 @@ def test_substitute_and_apply_share_the_kernel(monkeypatch):
         2, {1: Fraction(1, 6), 2: Fraction(-3, 4)}, {1: Fraction(5), 2: Fraction(2, 9)}
     )
     d = DivisorClass(
-        hurwitz_basis(4),
+        mg_basis(4),
         {
-            E0: AffineExpr(1, {c_sym(1): Fraction(1, 5)}),
-            Ejc(3, 1): AffineExpr(Fraction(2, 3), {b_sym(2): 7, c_sym(2): -1}),
-            Ejc(4, 0): AffineExpr(0, {b_sym(1): Fraction(-1, 2)}),
+            LAMBDA: AffineExpr(1, {c_sym(1): Fraction(1, 5)}),
+            delta(3): AffineExpr(Fraction(2, 3), {b_sym(2): 7, c_sym(2): -1}),
+            delta(4): AffineExpr(0, {b_sym(1): Fraction(-1, 2)}),
         },
     )
     assert ext.apply(d) == d.substitute(ext.substitution())
@@ -983,6 +993,9 @@ def test_substitute_and_apply_share_the_kernel(monkeypatch):
     plain = DivisorClass(mg_basis(3), {LAMBDA: 1})
     assert plain.substitute(ext.substitution()) is plain
     assert len(calls) == 2
+    # and so does the kernel, for a Hurwitz class too
+    hur = DivisorClass(hurwitz_basis(4), {E0: 1, Ejc(3, 1): Fraction(2, 3)})
+    assert ext.apply(plain) is plain and ext.apply(hur) is hur
 
 
 def hurwitz_to_mg_maps(k, values):
@@ -1008,7 +1021,7 @@ def assert_apply_matches_model(m, d):
     try:
         expected = apply_model(m, d)
     except ValueError:
-        with pytest.raises(ValueError, match="not affine"):
+        with pytest.raises(ValueError, match="takes no external symbol"):
             m.apply(d)
         return
     applied = m.apply(d)
@@ -1020,7 +1033,7 @@ def assert_compose_matches_model(outer, inner):
     try:
         expected = {g: apply_model(outer, inner.row(g)) for g in inner.source.generators()}
     except ValueError:
-        with pytest.raises(ValueError, match="not affine"):
+        with pytest.raises(ValueError, match="takes no external symbol"):
             outer.compose(inner)
         return
     composed = outer.compose(inner)
@@ -1040,8 +1053,8 @@ def test_hurwitz_maps_match_affine_model(data):
 
     k = data.draw(HURWITZ_KS)
     hur = hurwitz_basis(k)
-    # random maps with symbolic entries meet plain and symbolic classes;
-    # a symbolic class on a symbolic column must raise like the model
+    # random maps onto Mg with symbolic entries, and constant maps into
+    # Hurwitz, meet constant classes
     from_hurwitz = [
         data.draw(hurwitz_to_mg_maps(k, mixed_values)),
         data.draw(hurwitz_to_mg_maps(k, big_rationals)),
@@ -1049,21 +1062,21 @@ def test_hurwitz_maps_match_affine_model(data):
         identity_map(hur),
     ]
     into_hurwitz = [
-        data.draw(m0b_to_hurwitz_maps(k, mixed_values)),
+        data.draw(m0b_to_hurwitz_maps(k, plain_values)),
         data.draw(m0b_to_hurwitz_maps(k, big_rationals)),
         q_pullback(k),
     ]
     hurwitz_class = data.draw(hurwitz_row_classes(k, plain_values))
-    symbolic_class = data.draw(hurwitz_row_classes(k, mixed_values))
+    spread_class = data.draw(hurwitz_row_classes(k, spread_constants))
     m0b_gens = list(m0b_sym_basis(k).generators())
     m0b_class = data.draw(
-        st.dictionaries(st.sampled_from(m0b_gens), mixed_values, max_size=4).map(
+        st.dictionaries(st.sampled_from(m0b_gens), plain_values, max_size=4).map(
             lambda coeffs: DivisorClass(m0b_sym_basis(k), coeffs)
         )
     )
     for m in from_hurwitz:
         assert_apply_matches_model(m, hurwitz_class)
-        assert_apply_matches_model(m, symbolic_class)
+        assert_apply_matches_model(m, spread_class)
     for m in into_hurwitz:
         assert_apply_matches_model(m, m0b_class)
     # one composition per example, each pair of kinds in turn
@@ -1071,7 +1084,7 @@ def test_hurwitz_maps_match_affine_model(data):
     inner = data.draw(st.sampled_from(into_hurwitz + [identity_map(hur)]))
     assert_compose_matches_model(outer, inner)
     # the identity keeps every class, blocks and all
-    assert identity_map(hur).apply(symbolic_class) == symbolic_class
+    assert identity_map(hur).apply(spread_class) == spread_class
 
 
 @given(st.data())
@@ -1081,7 +1094,7 @@ def test_hurwitz_column_store_gives_back_its_rows(data):
     target = data.draw(st.sampled_from([mg_basis(k), hur]))
     sources = list(hur.generators())
     images = (
-        hurwitz_row_classes(k, spread_values)
+        hurwitz_row_classes(k, spread_constants)
         if target == hur
         else st.dictionaries(st.sampled_from(list(target.generators())), spread_values, max_size=3).map(
             lambda coeffs: DivisorClass(target, coeffs)

@@ -417,6 +417,54 @@ def test_external_coeffs_validation():
         ExternalCoeffs(1, {True: 1}, {True: 0})
 
 
+def test_inexact_values_are_refused_by_tables_and_substitute():
+    # a float would be stored as its binary value (0.1 as
+    # 3602879701896397/36028797018963968) and a str parsed on the way;
+    # both take only int and Fraction, as the DivisorClass constructor does
+    for value, kind in ((0.1, "float"), ("1/3", "str")):
+        text = f"external table 'b': cannot interpret {kind} as a coefficient"
+        with pytest.raises(TypeError, match=f"^{re.escape(text)}$"):
+            ExternalCoeffs(2, {1: 1, 2: Fraction(1, 2)}, {1: value, 2: 0})
+        text = f"cannot interpret {kind} as a coefficient"
+        with pytest.raises(TypeError, match=f"^{text}$"):
+            p_phi_lambda(2).substitute({c_sym(1): 1, b_sym(1): value})
+        # also a value for a symbol the class does not carry
+        with pytest.raises(TypeError, match=f"^{text}$"):
+            mclass(2, {LAMBDA: 1}).substitute({c_sym(1): value})
+        with pytest.raises(TypeError, match=f"^{text}$"):
+            mclass(2, {LAMBDA: value})
+    # int, bool (an int) and Fraction stay exact
+    ext = ExternalCoeffs(1, {1: True}, {1: Fraction(1, 3)})
+    assert ext.substitution() == {c_sym(1): 1, b_sym(1): Fraction(1, 3)}
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_symbols_occur_only_over_mg_on_every_package_path(k):
+    # the constructor refuses a symbol off Mg(k), and ClassMap a symbolic
+    # source; every class of the class table and every column of the
+    # package maps keeps its symbols over Mg(k), so neither refusal can
+    # fire on a package path
+    from hurwitzdiv.bases import IndexRangeError, MG, UnknownGeneratorError
+    from hurwitzdiv.cli import _CLASSES
+    from hurwitzdiv.pushforward import p_q_composed
+
+    classes = []
+    for name, (builder, indexed, _) in _CLASSES.items():
+        if not indexed:
+            classes.append(builder(k))
+            continue
+        for j in range(k + 2):
+            try:
+                classes.append(builder(k, j))
+            except (IndexRangeError, UnknownGeneratorError):
+                pass  # an index that the basis lacks
+    maps = (p_push(k), q_pullback(k), p_q_map(k), p_q_composed(k))
+    for m in maps:
+        classes.extend(m.rows.values())
+    symbolic = [d for d in classes if any(type(key) is tuple for key in d._nums)]
+    assert symbolic and all(d.basis.kind == MG for d in symbolic)
+
+
 def test_external_coeffs_refuse_a_huge_declared_k_at_once():
     # coverage is checked without building range(1, k + 1)
     with pytest.raises(ValueError, match=r"'c' must cover exactly 1\.\.10{18}, got indices \[1\]"):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -189,18 +190,21 @@ affine_values = st.builds(
     st.one_of(st.just(0), big_rationals),
     st.dictionaries(symbols, big_rationals, max_size=4),
 )
+constant_values = st.one_of(st.just(0), big_rationals)
 
 
 @st.composite
 def any_classes(draw):
     """Divisor classes over all five basis kinds, k up to 12 (so names
-    such as E_10_0 and deltaP_10 occur), with constant, symbolic and
-    symbol-only coefficients of (6*20)!-sized numerators over pairwise
-    different denominators; the zero class included."""
+    such as E_10_0 and deltaP_10 occur), with constant coefficients of
+    (6*20)!-sized numerators over pairwise different denominators, and
+    on Mg, where symbols live, symbolic and symbol-only ones too; the
+    zero class included."""
     kind = draw(st.sampled_from((HURWITZ, MG, M0B_SYM, MG_PRIME, MG_HAT)))
     basis = Basis(kind, draw(st.integers(1, 12)))
     generators = list(basis.generators())
-    coeffs = draw(st.dictionaries(st.sampled_from(generators), affine_values, max_size=8))
+    values = affine_values if kind == MG else constant_values
+    coeffs = draw(st.dictionaries(st.sampled_from(generators), values, max_size=8))
     return DivisorClass(basis, coeffs)
 
 
@@ -208,13 +212,13 @@ def any_classes(draw):
 # >= 10, which JSON orders before 2 ("10" < "2"), in both generator
 # names and symbol indices
 MIXED_CLASS = DivisorClass(
-    hurwitz_basis(10),
+    mg_basis(12),
     {
-        Ejc(2, 0): AffineExpr(
+        delta(2): AffineExpr(
             Fraction(-BIG, 7), {c_sym(2): Fraction(3, 4), b_sym(2): Fraction(-1, 5)}
         ),
-        Ejc(10, 0): AffineExpr(0, {c_sym(10): Fraction(BIG + 1, 11), c_sym(2): Fraction(-2, 3)}),
-        Ejc(10, 5): AffineExpr(Fraction(5, 13), {b_sym(12): Fraction(-7, BIG + 1)}),
+        delta(10): AffineExpr(0, {c_sym(10): Fraction(BIG + 1, 11), c_sym(2): Fraction(-2, 3)}),
+        delta(11): AffineExpr(Fraction(5, 13), {b_sym(12): Fraction(-7, BIG + 1)}),
     },
 )
 
@@ -256,10 +260,10 @@ def test_renderer_matches_affine_reference(d, mode, scale):
 def test_mixed_class_renders_both_families_and_index_order():
     text = class_to_json(MIXED_CLASS, RAW)
     obj = json.loads(text)["coefficients"]
-    assert list(obj) == [Ejc(10, 0), Ejc(10, 5), Ejc(2, 0)]
-    assert obj[Ejc(10, 0)] == {"c": {"10": f"{BIG + 1}/11", "2": "-2/3"}, "const": "0/1"}
-    assert list(obj[Ejc(2, 0)]) == ["b", "c", "const"]
-    assert dict(coefficient_texts(MIXED_CLASS))[Ejc(10, 0)] == f"-2/3*c_2 + {BIG + 1}/11*c_10"
+    assert list(obj) == [delta(10), delta(11), delta(2)]
+    assert obj[delta(10)] == {"c": {"10": f"{BIG + 1}/11", "2": "-2/3"}, "const": "0/1"}
+    assert list(obj[delta(2)]) == ["b", "c", "const"]
+    assert dict(coefficient_texts(MIXED_CLASS))[delta(10)] == f"-2/3*c_2 + {BIG + 1}/11*c_10"
 
 
 @given(
@@ -312,11 +316,27 @@ def _malformed(**changes):
         _malformed(coefficients={"delta_1": {"const": "1", "b": {"1": 1}}}),
         _malformed(coefficients={"delta_1": {"const": "1", "b": {"1": "1/0"}}}),
         _malformed(coefficients={"E0": {"const": "1"}}),
+        # a symbol off Mg: on Hurwitz E_{j,c} and E0, and on M0bSym
+        _malformed(basis="Hurwitz", coefficients={"E_2_1": {"const": "1", "c": {"1": "1/2"}}}),
+        _malformed(basis="Hurwitz", coefficients={"E0": {"const": "0", "b": {"2": "1"}}}),
+        _malformed(basis="M0bSym", coefficients={"T2": {"const": "1", "c": {"1": "1"}}}),
     ],
 )
 def test_class_from_obj_rejects_malformed_shapes(obj):
     with pytest.raises(ValueError):
         class_from_obj(obj)
+
+
+def test_class_from_obj_refuses_a_symbol_off_mg():
+    # the JSON shape is fine, the class is not: symbols live only over Mg
+    for basis, name in (("Hurwitz", "E_2_1"), ("M0bSym", "T2"), ("MgPrime", "deltaP_3")):
+        obj = _malformed(basis=basis, coefficients={name: {"const": "1", "c": {"1": "1/2"}}})
+        text = f"generator {name!r} of {basis}(k=2) cannot carry an external symbol"
+        with pytest.raises(ValueError, match=re.escape(text)):
+            class_from_obj(obj)
+    # the constant half of the same object is read
+    obj = _malformed(basis="Hurwitz", coefficients={"E_2_1": {"const": "1/2"}})
+    assert class_from_obj(obj) == (DivisorClass(hurwitz_basis(2), {Ejc(2, 1): Fraction(1, 2)}), RAW)
 
 
 def test_class_from_obj_accepts_the_reference_object():
