@@ -757,7 +757,7 @@ def test_raw_emission_matches_the_materialized_raw_class(capsys, name, k):
 
 # The command list that CI runs under `python -O` and plain `python`
 # (tests/cli_commands.txt): each command, run in-process in a directory
-# that holds the listed externals tables, exits with its listed code.
+# that holds the listed externals tables, exits 0.
 
 _COMMAND_LIST = Path(__file__).with_name("cli_commands.txt")
 
@@ -767,12 +767,11 @@ def _command_list():
     for line in _COMMAND_LIST.read_text().splitlines():
         if not line or line.startswith("#"):
             continue
-        first, rest = line.split(" ", 1)
-        if first == "table":
-            name, text = rest.split(" ", 1)
+        if line.startswith("> "):
+            name, text = line[2:].split(" ", 1)
             tables[name] = text
         else:
-            commands.append((int(first), rest.split(" ")))
+            commands.append(line.split(" "))
     return tables, commands
 
 
@@ -783,16 +782,14 @@ def test_command_list_is_whole():
     # every command of the CI list, every table valid JSON and read by
     # some command
     assert len(_COMMANDS) == 32
-    named = {arg for _, argv in _COMMANDS for arg in argv}
+    named = {arg for argv in _COMMANDS for arg in argv}
     assert set(_TABLES) <= named
     for text in _TABLES.values():
         json.loads(text)
 
 
-@pytest.mark.parametrize(
-    "code, argv", _COMMANDS, ids=[" ".join(argv) for _, argv in _COMMANDS]
-)
-def test_listed_command_exits_with_its_code(code, argv, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv", _COMMANDS, ids=[" ".join(argv) for argv in _COMMANDS])
+def test_listed_command_exits_zero(argv, tmp_path, monkeypatch, capsys):
     for name, text in _TABLES.items():
         (tmp_path / name).write_text(text + "\n")
     monkeypatch.chdir(tmp_path)
@@ -801,5 +798,5 @@ def test_listed_command_exits_with_its_code(code, argv, tmp_path, monkeypatch, c
     except SystemExit as exc:  # --help
         got = exc.code
     out = capsys.readouterr().out
-    assert got == code
+    assert got == 0
     assert out
