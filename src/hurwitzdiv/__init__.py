@@ -67,8 +67,8 @@ from .pushforward import (
     PER_FACTORIAL_B,
     RAW,
     ExternalCoeffs,
-    convert_normalization,
     eh_divisor,
+    factorial_b,
     mg_canonical_class,
     p_phi_delta,
     p_phi_lambda,

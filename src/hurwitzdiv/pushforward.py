@@ -6,8 +6,9 @@ Every push-forward builder returns its class per factorial b: the
 (6k)! factor that the labelling of the branch points contributes to the
 degree of the covering-space map is divided out, so tables stay
 readable.  The ``raw`` normalization, which carries that factor, is a
-way of rendering, not a second build path: :func:`convert_normalization`
-turns a per-factorial-b class into its raw value exactly.  The
+way of rendering, not a second build path: the raw class is the
+per-factorial-b class times :func:`factorial_b`, and the writers render
+it from the stored integers and that scale.  The
 coefficients of delta_j for j >= 1 involve the external symbols c_j and
 b_j, which stay symbolic unless an :class:`ExternalCoeffs` table is
 supplied; the lambda and delta_0 coefficients are always symbol-free.
@@ -35,7 +36,6 @@ from typing import Mapping
 from .bases import (
     ClassMap,
     DivisorClass,
-    E0,
     E2,
     E3,
     LAMBDA,
@@ -70,24 +70,6 @@ NORMALIZATIONS = (RAW, PER_FACTORIAL_B)
 def factorial_b(k: int) -> int:
     """(6k)!, the branch-point labelling factor."""
     return factorial(6 * k)
-
-
-def _check_normalization(normalization: str) -> None:
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {normalization!r}")
-
-
-def convert_normalization(
-    d: DivisorClass, k: int, source: str, target: str
-) -> DivisorClass:
-    """Exact conversion between the two normalizations."""
-    _check_normalization(source)
-    _check_normalization(target)
-    if source == target:
-        return d
-    if target == RAW:
-        return d * factorial_b(k)
-    return d / factorial_b(k)
 
 
 @dataclass(frozen=True)
@@ -174,21 +156,19 @@ def p_push(k: int) -> ClassMap:
     # add nothing to the denominator of the E0/E2/E3 ones
     den = lcm(2, lead2.denominator, lead3.denominator)
     deltas, c_keys, b_keys = _delta_keys(k)
-    heads = {E0: {deltas[0]: numerator_over(n / 2, den)}}
+    e0 = {deltas[0]: numerator_over(n / 2, den)}
     # E2/E3 reach lambda, delta_0 and, on each delta_j, c_j or b_j
-    if k >= 3:
-        heads[E2] = {
-            LAMBDA: numerator_over(lead2 * (18 * k * k + 51 * k - 9), den),
-            deltas[0]: numerator_over(-lead2 * (3 * k * k + 4 * k - 1), den),
-        }
-        heads[E2].update(zip(c_keys, repeat(den // 2)))
-    if k >= 2:
-        heads[E3] = {
-            LAMBDA: numerator_over(lead3 * (12 * k * k + 46 * k - 8), den),
-            deltas[0]: numerator_over(-lead3 * (2 * k * k + 4 * k - 1), den),
-        }
-        b = numerator_over(-lead3, den)
-        heads[E3].update(zip(b_keys, repeat(b)))
+    e2 = {
+        LAMBDA: numerator_over(lead2 * (18 * k * k + 51 * k - 9), den),
+        deltas[0]: numerator_over(-lead2 * (3 * k * k + 4 * k - 1), den),
+    }
+    e2.update(zip(c_keys, repeat(den // 2)))
+    e3 = {
+        LAMBDA: numerator_over(lead3 * (12 * k * k + 46 * k - 8), den),
+        deltas[0]: numerator_over(-lead3 * (2 * k * k + 4 * k - 1), den),
+    }
+    e3.update(zip(b_keys, repeat(numerator_over(-lead3, den))))
+    heads = hurwitz_head(k, e0, e2, e3)
     cols = {name: (head, ()) for name, head in heads.items()}
     # block j: the e_{j,c}, all positive, on delta_j alone; row j of
     # jc_rows(k, "e") is divided exactly by (j+1)(2k-j+1)
@@ -267,16 +247,17 @@ def _hodge_expected(k: int, closed, family: str, c_weight, b_weight) -> DivisorC
     """A pushed Hodge class as predicted: lambda and delta_0 from
     ``closed(k)``; on delta_j one twelfth of sum_c e_{j,c} w_{j,c}, the
     weights w given by their :func:`~hurwitzdiv.trace.jc_rows` numerators
-    over 2(6k-1) and summed in integers, plus ``c_weight`` c_j (from E2,
-    k >= 3) and -N ``b_weight`` b_j (from E3, k >= 2)."""
+    over 2(6k-1) and summed in integers, plus ``c_weight`` c_j (from E2)
+    and -N ``b_weight`` b_j (from E3), each where ``Hurwitz(k)`` has the
+    generator."""
     lam, d0 = closed(k)
     b_weight = -catalan_number(k) * b_weight
     # delta_j: the e.w dot product over 24(j+1)(2k-j+1)(6k-1), where
     # (j+1)(2k-j+1) divides every e numerator (trace.e_numerator)
     w_den = 24 * (6 * k - 1)
     den = lcm(*(x.denominator for x in (lam, d0, c_weight, b_weight)), w_den)
-    c = numerator_over(c_weight, den) if k >= 3 else 0
-    b = numerator_over(b_weight, den) if k >= 2 else 0
+    head = hurwitz_head(k, None, c_weight, b_weight)
+    c, b = (numerator_over(head.get(name, 0), den) for name in (E2, E3))
     names, c_keys, b_keys = _delta_keys(k)
     nums = {LAMBDA: numerator_over(lam, den), names[0]: numerator_over(d0, den)}
     e_rows, w_rows, f = jc_rows(k, "e"), jc_rows(k, family), den // w_den

@@ -292,7 +292,11 @@ def externals_from_obj(obj: Any) -> ExternalCoeffs:
 
 def load_externals(path: str) -> ExternalCoeffs:
     with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle, object_pairs_hook=_unique_keys)
+        try:
+            obj = json.load(handle, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            # the decoder recurses once per nested array or object
+            raise ValueError("externals JSON is nested too deeply") from None
     return externals_from_obj(obj)
 
 

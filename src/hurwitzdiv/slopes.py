@@ -24,7 +24,6 @@ from fractions import Fraction
 from .bases import DivisorClass, LAMBDA, MG, delta, linear_combination, mg_basis
 from .core import AffineExpr, RationalLike, format_rational, per_k_cache
 from .pushforward import (
-    ExternalCoeffs,
     p_phi_delta,
     p_phi_lambda,
     p_phihat_delta,
@@ -212,22 +211,18 @@ def slope_target(k: int, s: RationalLike, variant: str) -> DivisorClass:
     return linear_combination(mg_basis(k), terms)
 
 
-def kappa_slope_bound(k: int, externals: ExternalCoeffs | None = None) -> Fraction:
+def kappa_slope_bound(k: int) -> Fraction:
     """Slope of the pushed ample boundary class: 3(2k+5)/(k+1), which
-    equals 6 + 18/(g+2) with g = 2k.
-
-    With an external coefficient table the proviso b_j >= b_0 is checked
-    on the substituted class by :func:`kappa_proviso`.
+    equals 6 + 18/(g+2) with g = 2k.  The proviso b_j >= b_0 needs an
+    external coefficient table; :func:`kappa_proviso` checks it on the
+    substituted class.
     """
-    pushed = p_q_kappa(k)
-    lam, d0 = lambda_delta0(pushed)
+    lam, d0 = lambda_delta0(p_q_kappa(k))
     slope = lam / -d0
     if slope != Fraction(3 * (2 * k + 5), k + 1):
         raise VerificationError(
             f"kappa slope {slope} differs from 3(2k+5)/(k+1) at k={k}"
         )
-    if externals is not None:
-        kappa_proviso(k, externals.apply(pushed))
     return slope
 
 

@@ -366,3 +366,36 @@ def test_catalan_reads_the_cached_composite(monkeypatch):
         info = pushforward.p_q_composed.cache_info()
         assert (info.misses, info.hits) == (1, 1 if k >= 2 else 0)
     clear_caches()
+
+
+def test_hygiene_fails_on_a_symbol_in_lambda(monkeypatch):
+    # a c_1 term on lambda of a pushed class is a FAIL of hygiene
+    from hurwitzdiv import pushforward
+    from hurwitzdiv.bases import DivisorClass, LAMBDA, mg_basis
+    from hurwitzdiv.core import AffineExpr, c_sym
+
+    assert [r.status for r in run_checks(1, 1, ["hygiene"])] == [PASS]
+    real = pushforward.eh_divisor
+    leak = DivisorClass(mg_basis(1), {LAMBDA: AffineExpr(0, {c_sym(1): 1})})
+    monkeypatch.setattr(pushforward, "eh_divisor", lambda k: real(k) + leak)
+    [result] = run_checks(1, 1, ["hygiene"])
+    assert (result.status, result.detail) == (
+        FAIL,
+        "symbols leaked into a lambda or delta_0 coefficient",
+    )
+
+
+def test_hygiene_fails_when_raw_output_is_not_integral(monkeypatch):
+    # 7 does not divide 6! = 720, so a coefficient 1/7 at k = 1 leaves a
+    # fraction in the raw class; p_phi_lambda(1) is delta_0/10 + delta_1/5
+    from hurwitzdiv import pushforward
+    from hurwitzdiv.bases import DivisorClass, delta, mg_basis
+
+    real = pushforward.p_phi_lambda
+    seventh = DivisorClass(mg_basis(1), {delta(1): Fraction(1, 7)})
+    monkeypatch.setattr(pushforward, "p_phi_lambda", lambda k: real(k) + seventh)
+    [result] = run_checks(1, 1, ["hygiene"])
+    assert (result.status, result.detail) == (
+        FAIL,
+        "denominator 70 of the pushed trace Hodge class does not divide (6k)!",
+    )

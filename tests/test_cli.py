@@ -9,7 +9,7 @@ import pytest
 from hurwitzdiv import pushforward, serialize
 from hurwitzdiv.checks import run_checks
 from hurwitzdiv.cli import main
-from hurwitzdiv.pushforward import PER_FACTORIAL_B, RAW, convert_normalization
+from hurwitzdiv.pushforward import RAW, factorial_b
 from hurwitzdiv.serialize import dumps_canonical
 
 
@@ -580,6 +580,28 @@ def test_verify_externals_numeric_rational_is_an_input_error(tmp_path, capsys):
     assert "c_1" in err and "p/q" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100000 + "]" * 100000,
+        '{"schema": "external-coeffs/1", "k": 1, "c": {"1": '
+        + "[" * 100000 + "]" * 100000 + '}, "b": {"1": "0"}}',
+    ],
+    ids=["bare", "in-a-table"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [("slope", "--k", "1", "--variant", "kappa"), ("verify", "--k-min", "1", "--k-max", "1")],
+    ids=["slope", "verify"],
+)
+def test_deeply_nested_externals_json_is_an_input_error(tmp_path, capsys, text, command):
+    # the JSON decoder's RecursionError is one error line and exit 2
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *command, "--externals", str(path))
+    assert (code, out, err) == (2, "", "error: externals JSON is nested too deeply\n")
+
+
 def test_slope_rejects_externals_for_another_k(tmp_path, capsys):
     path = _write_json(
         tmp_path,
@@ -733,7 +755,7 @@ def test_raw_emission_matches_the_materialized_raw_class(capsys, name, k):
     assert (context.prec, context.Emax, dict(context.traps), dict(context.flags)) == saved
     assert sys.get_int_max_str_digits() == limit
 
-    raw = convert_normalization(PUSHED[name](k), k, PER_FACTORIAL_B, RAW)
+    raw = PUSHED[name](k) * factorial_b(k)
     # the reference converts the (6k)!-sized ints one by one, which passes
     # the default limit at k = 255
     sys.set_int_max_str_digits(0)
@@ -781,7 +803,7 @@ _TABLES, _COMMANDS = _command_list()
 def test_command_list_is_whole():
     # every command of the CI list, every table valid JSON and read by
     # some command
-    assert len(_COMMANDS) == 32
+    assert len(_COMMANDS) == 33
     named = {arg for argv in _COMMANDS for arg in argv}
     assert set(_TABLES) <= named
     for text in _TABLES.values():

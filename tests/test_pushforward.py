@@ -21,9 +21,6 @@ from hurwitzdiv.bases import (
 from hurwitzdiv.core import AffineExpr, b_sym, c_sym
 from hurwitzdiv.pushforward import (
     ExternalCoeffs,
-    PER_FACTORIAL_B,
-    RAW,
-    convert_normalization,
     eh_closed_coeffs,
     eh_divisor,
     factorial_b,
@@ -278,7 +275,7 @@ def test_pushed_boundary_closed_forms_k3():
     assert p_phi_delta0_closed_coeffs(3) == (1938, -214)
     assert lam_d0(p_phihat_delta(3, 0)) == (612, -66)
     assert p_phihat_delta0_closed_coeffs(3) == (612, -66)
-    raw = convert_normalization(p_phi_delta(3, 0), 3, PER_FACTORIAL_B, RAW)
+    raw = p_phi_delta(3, 0) * factorial_b(3)
     raw_lam = raw.coefficient(LAMBDA).constant_value()
     assert raw_lam == 1938 * factorial_b(3)
 
@@ -380,14 +377,14 @@ def test_symbol_hygiene_lambda_delta0_constant():
 
 
 def test_normalization_round_trip():
+    # the raw class is the per-factorial-b class times (6k)!, exactly
     for k in (1, 4):
         d = p_phi_lambda(k)
-        raw = convert_normalization(d, k, PER_FACTORIAL_B, RAW)
-        assert convert_normalization(raw, k, RAW, PER_FACTORIAL_B) == d
-        assert raw == d * factorial_b(k)
-        assert convert_normalization(d, k, RAW, RAW) == d
-    with pytest.raises(ValueError):
-        convert_normalization(p_phi_lambda(1), 1, "raw", "nope")
+        raw = d * factorial_b(k)
+        assert raw / factorial_b(k) == d
+        assert raw.coefficient(LAMBDA).constant_value() == (
+            d.coefficient(LAMBDA).constant_value() * factorial_b(k)
+        )
 
 
 def test_external_coeffs_validation():

@@ -16,6 +16,7 @@ from hurwitzdiv.slopes import (
     VerificationError,
     ample_cone_test,
     induced_slope,
+    kappa_proviso,
     kappa_slope_bound,
     mobius_consistency,
     slope_of,
@@ -224,18 +225,18 @@ def test_kappa_slope_identity_range():
         assert value - 6 - Fraction(18, 2 * k + 2) == 0
 
 
-def test_kappa_slope_bound_with_externals():
+def test_kappa_proviso_with_externals():
     # c_1 = -20, b_1 = 0 makes the delta_1 coefficient large and
     # negative, so the proviso holds
     good = ExternalCoeffs(1, {1: Fraction(-20)}, {1: Fraction(0)})
-    assert kappa_slope_bound(1, good) == Fraction(21, 2)
+    assert kappa_proviso(1, good.apply(p_q_kappa(1))) is None
     bad = ExternalCoeffs(1, {1: Fraction(0)}, {1: Fraction(0)})
     with pytest.raises(VerificationError, match=r"b_0 = 6/1 exceeds b_1 = -8/5$"):
-        kappa_slope_bound(1, bad)
+        kappa_proviso(1, bad.apply(p_q_kappa(1)))
     # a table for a smaller k leaves c_2/b_2 symbolic: refused, not
     # reported as a proviso that fails
     with pytest.raises(ValueError, match="not constant"):
-        kappa_slope_bound(2, bad)
+        kappa_proviso(2, bad.apply(p_q_kappa(2)))
 
 
 def test_bound_inequalities():
