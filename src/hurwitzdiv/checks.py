@@ -265,11 +265,12 @@ def _bounds(k: int, externals) -> None:
         _require(excess < Fraction(10, k), f"{variant} slope exceeds 6 + 20/g")
 
 
-def _intersection_oracle(a: m0b.MarkedSet, b: m0b.MarkedSet, full: frozenset) -> bool:
+def _intersection_oracle(a: m0b.MarkedSet, b: m0b.MarkedSet, full: int) -> bool:
     # four-corner test: the labels are incompatible exactly when all four
-    # mutual intersections of the parts are nonempty; ``full`` is 1..b
-    sa, sb = a.members, b.members
-    return not (sa & sb and sa - sb and sb - sa and (full - (sa | sb)))
+    # mutual intersections of the parts are nonempty; ``full`` is the
+    # mask of 1..b
+    sa, sb = a.mask, b.mask
+    return not (sa & sb and sa & ~sb and sb & ~sa and full & ~(sa | sb))
 
 
 def _m0n(k: int, externals) -> None:
@@ -286,14 +287,15 @@ def _m0n(k: int, externals) -> None:
     if k == 1:
         for bb in (6, 8):
             labels = list(m0b.enumerate_boundary(bb))
-            full = frozenset(range(1, bb + 1))
-            for x in labels:
-                for y in labels:
-                    _require(
-                        m0b.intersect_nonempty(x, y)
-                        == _intersection_oracle(x, y, full),
-                        f"intersection criterion differs from oracle at b={bb}",
-                    )
+            full = (1 << (bb + 1)) - 2
+            _require(
+                all(
+                    m0b.intersect_nonempty(x, y) == _intersection_oracle(x, y, full)
+                    for x in labels
+                    for y in labels
+                ),
+                f"intersection criterion differs from oracle at b={bb}",
+            )
         images = set()
         for label in m0b.enumerate_boundary(6):
             images.update(m0b.forgetful_pullback(label))

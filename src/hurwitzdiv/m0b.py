@@ -8,12 +8,14 @@ generators kappa = K + delta; :func:`kappa_class` is the class that
 A boundary divisor is labelled by a subset L of {1..b} with
 2 <= #L <= b-2, up to complement.  The normal form keeps the
 representative meeting {1, 2, 3} in at most one point; exactly one of
-L, complement(L) satisfies this.
+L, complement(L) satisfies this.  A label also carries its members as
+one int bitmask, bit i for point i, built once when the label is made:
+validation and the intersection test run on it in integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -23,31 +25,57 @@ from .core import per_k_cache
 
 
 class MarkedSetError(ValueError):
-    """Invalid boundary label data (size range or mismatched b)."""
+    """Invalid boundary label data (member type, size range or
+    mismatched b)."""
+
+
+# points 1, 2 and 3 as a mask; a normalized label holds at most one
+_FIRST_THREE = 0b1110
+
+
+def _mask(b: int, members: frozenset) -> int:
+    """The members as a bitmask, bit i for point i; a member that is not
+    an int in 1..b is a :class:`MarkedSetError`."""
+    mask = 0
+    for point in members:
+        # a bool or a float would hash and print as a point
+        if type(point) is not int:
+            raise MarkedSetError(
+                f"marked points must be int, got {point!r} ({type(point).__name__})"
+            )
+        if not 1 <= point <= b:
+            raise MarkedSetError(f"members {set(members)} not within 1..{b}")
+        mask |= 1 << point
+    return mask
+
+
+def _check_size(b: int, n: int) -> None:
+    if not 2 <= n <= b - 2:
+        raise MarkedSetError(
+            f"label size must satisfy 2 <= size <= b-2, got {n} with b={b}"
+        )
 
 
 @dataclass(frozen=True)
 class MarkedSet:
-    """A normalized boundary-divisor label for b-pointed rational curves."""
+    """A normalized boundary-divisor label for b-pointed rational curves;
+    ``mask`` holds its members, bit i for point i."""
 
     b: int
     members: frozenset[int]
+    mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.b < 4:
             raise MarkedSetError(f"need b >= 4 marked points, got b={self.b}")
-        if not self.members <= frozenset(range(1, self.b + 1)):
-            raise MarkedSetError(f"members {set(self.members)} not within 1..{self.b}")
-        n = len(self.members)
-        if not 2 <= n <= self.b - 2:
-            raise MarkedSetError(
-                f"label size must satisfy 2 <= size <= b-2, got {n} with b={self.b}"
-            )
-        if len(self.members & {1, 2, 3}) > 1:
+        mask = _mask(self.b, self.members)
+        _check_size(self.b, len(self.members))
+        if (mask & _FIRST_THREE).bit_count() > 1:
             raise MarkedSetError(
                 f"label {set(self.members)} is not normalized; "
                 "use normalize() to build MarkedSets"
             )
+        object.__setattr__(self, "mask", mask)
 
     def complement(self) -> frozenset[int]:
         return frozenset(range(1, self.b + 1)) - self.members
@@ -60,13 +88,8 @@ def normalize(b: int, s: Iterable[int]) -> MarkedSet:
     """Return the normalized representative of the label s (or its
     complement), the one meeting {1,2,3} in at most one point."""
     members = frozenset(s)
-    if not 2 <= len(members) <= b - 2:
-        raise MarkedSetError(
-            f"label size must satisfy 2 <= size <= b-2, got {len(members)} with b={b}"
-        )
-    if not members <= frozenset(range(1, b + 1)):
-        raise MarkedSetError(f"members {set(members)} not within 1..{b}")
-    if len(members & {1, 2, 3}) > 1:
+    _check_size(b, len(members))
+    if (_mask(b, members) & _FIRST_THREE).bit_count() > 1:
         members = frozenset(range(1, b + 1)) - members
     return MarkedSet(b, members)
 
@@ -79,9 +102,8 @@ def intersect_nonempty(a: MarkedSet, b: MarkedSet) -> bool:
     representative of either label is used."""
     if a.b != b.b:
         raise MarkedSetError(f"mismatched number of marked points: {a.b} != {b.b}")
-    sa, sb = a.members, b.members
-    union = len(sa | sb)
-    return union in (len(sa), len(sb), len(sa) + len(sb), a.b)
+    na, nb = len(a.members), len(b.members)
+    return (a.mask | b.mask).bit_count() in (na, nb, na + nb, a.b)
 
 
 def forgetful_pullback(s: MarkedSet) -> tuple[MarkedSet, MarkedSet]:
@@ -105,9 +127,10 @@ def enumerate_boundary(b: int) -> Iterator[MarkedSet]:
     points = range(1, b + 1)
     for size in range(2, b - 1):
         for combo in combinations(points, size):
-            members = frozenset(combo)
-            if len(members & {1, 2, 3}) <= 1:
-                yield MarkedSet(b, members)
+            # a sorted combination meets {1, 2, 3} at most once exactly
+            # when its second point lies above 3
+            if combo[1] > 3:
+                yield MarkedSet(b, frozenset(combo))
 
 
 def psi_full(b: int) -> dict[int, Fraction]:

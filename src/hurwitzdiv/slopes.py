@@ -8,8 +8,14 @@ j = 1..k, a delta_j absent from the class counting as b_j = 0; since
 the delta_j coefficients involve the external symbols, that proviso is
 surfaced as a three-state validity instead of being assumed.  It is
 decided on the class's integer numerators (``DivisorClass.numerators``),
-which also give the lambda and delta_0 coefficients; an
-:class:`AffineExpr` is built only for a witness.
+which also give the lambda and delta_0 coefficients; the
+:class:`AffineExpr` witnesses are built only when read.
+
+An induced slope is a Moebius map of the source slope s = p/q.  Both of
+its routes, the closed form and the one read from the numerators of the
+pushed classes, are pairs of integer linear polynomials, evaluated at
+(p, q) in integers and compared by cross-multiplying; one ``Fraction``
+is built for the result.
 
 The correspondence phi (trace curve) is the variant ``TRACE``, phi-hat
 (reduced trace curve) is ``REDUCED``; ``_pushed`` alone maps a variant
@@ -59,9 +65,18 @@ class VerificationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SlopeReport:
+    """The slope of ``source``, the status of its proviso and the j of
+    each delta_j that keeps the proviso from holding."""
+
     slope: Fraction
     valid: str
-    witnesses: list[tuple[int, AffineExpr]] = field(default_factory=list)
+    source: DivisorClass = field(repr=False)
+    witness_indices: tuple[int, ...] = ()
+
+    @property
+    def witnesses(self) -> list[tuple[int, AffineExpr]]:
+        """(j, delta_j coefficient) for each witness j, built on each read."""
+        return [(j, self.source.coefficient(delta(j))) for j in self.witness_indices]
 
 
 def _mg_numerators(d: DivisorClass) -> tuple[dict, int, set[str]]:
@@ -92,15 +107,16 @@ def slope_of(d: DivisorClass) -> SlopeReport:
 
     b_j is minus the delta_j coefficient, so a delta_j absent from the
     class has b_j = 0.  The proviso is decided on the integer
-    numerators over the class's one denominator; an :class:`AffineExpr`
-    is built only for a witness: a delta_j that carries a symbol
-    (``UNKNOWN``) or one whose b_j is below b_0 (``FAILS``)."""
+    numerators over the class's one denominator.  A witness is a delta_j
+    that carries a symbol (``UNKNOWN``) or one whose b_j is below b_0
+    (``FAILS``); the report keeps its j, and its coefficient is built
+    only when :attr:`SlopeReport.witnesses` is read."""
     nums, den, symbolic = _mg_numerators(d)
     n0 = nums.get(_DELTA_0, 0)
     if n0 == 0:
         raise SlopeError("delta_0 coefficient is zero; slope undefined")
     slope = Fraction(nums.get(LAMBDA, 0), -n0)
-    witnesses: list[tuple[int, AffineExpr]] = []
+    witnesses: list[int] = []
     unknown = violated = False
     for j in range(1, d.basis.k + 1):
         name = delta(j)
@@ -111,14 +127,18 @@ def slope_of(d: DivisorClass) -> SlopeReport:
             violated = True
         else:
             continue
-        witnesses.append((j, d.coefficient(name)))
+        witnesses.append(j)
     valid = UNKNOWN if unknown else (FAILS if violated else HOLDS)
-    return SlopeReport(slope, valid, witnesses)
+    return SlopeReport(slope, valid, d, tuple(witnesses))
 
 
-def _mobius_closed(k: int, variant: str) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+# (n1, n0), (q1, q0): the induced slope at s is (n1 s + n0)/(q1 s + q0)
+_MobiusPair = tuple[tuple[int, int], tuple[int, int]]
+
+
+def _mobius_closed(k: int, variant: str) -> _MobiusPair:
     """Numerator and denominator of the closed-form induced slope as
-    linear polynomials in the source slope."""
+    integer linear polynomials in the source slope."""
     if variant == TRACE:
         n1 = 18 * k**3 + 31 * k * k - 69 * k + 11
         n0 = -72 * k**3 - 96 * k * k + 306 * k - 48
@@ -131,7 +151,7 @@ def _mobius_closed(k: int, variant: str) -> tuple[tuple[Fraction, Fraction], tup
         q0 = -12 * k**3 + 12 * k * k + 30 * k - 6
     else:
         raise ValueError(f"unknown slope variant {variant!r}")
-    return (Fraction(n1), Fraction(n0)), (Fraction(q1), Fraction(q0))
+    return (n1, n0), (q1, q0)
 
 
 def _pushed(variant: str):
@@ -146,16 +166,20 @@ def _pushed(variant: str):
 
 
 @per_k_cache
-def _mobius_substitution(
-    k: int, variant: str
-) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """The same Moebius map assembled from the pushed Hodge and boundary
-    classes; read once per (k, variant), as every induced slope of that
-    k and variant uses the same two pairs."""
+def _mobius_substitution(k: int, variant: str) -> tuple[_MobiusPair, int]:
+    """The same Moebius map assembled from the pushed Hodge class A and
+    boundary class B, as integer polynomials over the common denominator
+    den_A * den_B, and that denominator: the ratio cancels it.  Read
+    once per (k, variant), as every induced slope of that k and variant
+    uses the same two pairs."""
     hodge_of, boundary_of, _ = _pushed(variant)
-    alpha_lam, alpha_0 = lambda_delta0(hodge_of(k))
-    beta_lam, beta_0 = lambda_delta0(boundary_of(k, 0))
-    return (alpha_lam, -beta_lam), (-alpha_0, beta_0)
+    a, den_a, _ = _mg_numerators(hodge_of(k))
+    b, den_b, _ = _mg_numerators(boundary_of(k, 0))
+    pair = (
+        (a.get(LAMBDA, 0) * den_b, -b.get(LAMBDA, 0) * den_a),
+        (-a.get(_DELTA_0, 0) * den_b, b.get(_DELTA_0, 0) * den_a),
+    )
+    return pair, den_a * den_b
 
 
 def mobius_consistency(k: int, variant: str) -> Fraction:
@@ -163,23 +187,26 @@ def mobius_consistency(k: int, variant: str) -> Fraction:
     common rational multiple of the closed-form ones and return that
     factor."""
     (n1, n0), (q1, q0) = _mobius_closed(k, variant)
-    (a1, a0), (d1, d0) = _mobius_substitution(k, variant)
+    ((a1, a0), (d1, d0)), den = _mobius_substitution(k, variant)
     if n1 == 0 or a1 == 0:
         raise VerificationError(f"degenerate Moebius data at k={k}")
-    rho = a1 / n1
-    if (a0, d1, d0) != (rho * n0, rho * q1, rho * q0):
+    # (a0, d1, d0) = rho (n0, q1, q0) with rho = a1 / n1, by cross-products
+    if a0 * n1 != a1 * n0 or d1 * n1 != a1 * q1 or d0 * n1 != a1 * q0:
         raise VerificationError(
             f"Moebius coefficients disagree at k={k} for variant {variant!r}"
         )
-    return rho
+    return Fraction(a1, n1 * den)
 
 
-def _evaluate(pair, s: Fraction) -> Fraction:
+def _evaluate(pair: _MobiusPair, s: Fraction) -> tuple[int, int]:
+    """The Moebius map at s = p/q as (numerator, denominator) ints:
+    (n1 p + n0 q, q1 p + q0 q)."""
     (n1, n0), (q1, q0) = pair
-    den = q1 * s + q0
+    p, q = s.numerator, s.denominator
+    den = q1 * p + q0 * q
     if den == 0:
         raise PoleError(f"slope denominator vanishes at s = {s}")
-    return (n1 * s + n0) / den
+    return n1 * p + n0 * q, den
 
 
 def induced_slope(k: int, s: RationalLike, variant: str) -> Fraction:
@@ -188,14 +215,14 @@ def induced_slope(k: int, s: RationalLike, variant: str) -> Fraction:
     if k < 3:
         raise ValueError(f"induced slopes are stated for k >= 3, got k={k}")
     s = Fraction(s)
-    closed = _evaluate(_mobius_closed(k, variant), s)
-    substituted = _evaluate(_mobius_substitution(k, variant), s)
-    if closed != substituted:
+    num, den = _evaluate(_mobius_closed(k, variant), s)
+    sub_num, sub_den = _evaluate(_mobius_substitution(k, variant)[0], s)
+    if num * sub_den != sub_num * den:
         raise VerificationError(
-            f"closed form {closed} != substitution route {substituted} "
-            f"at (k, s) = ({k}, {s})"
+            f"closed form {Fraction(num, den)} != substitution route "
+            f"{Fraction(sub_num, sub_den)} at (k, s) = ({k}, {s})"
         )
-    return closed
+    return Fraction(num, den)
 
 
 def slope_target(k: int, s: RationalLike, variant: str) -> DivisorClass:

@@ -286,27 +286,37 @@ def test_closed_forms_reads_a_fixed_number_of_coefficients(monkeypatch):
 
 
 def test_a_cold_verify_reads_each_mobius_pair_once(monkeypatch):
-    # the Moebius pair of each variant is read from its two pushed classes
-    # once per k: 2 variants x 2 classes, beside the 6 + 6 reads of
+    # the Moebius pair of each variant is read from the numerators of its
+    # two pushed classes once per k: one read per (k, variant), 2 x 2
+    # numerator reads, beside the 6 + 6 lambda_delta0 reads of
     # closed-forms and hygiene and the 1 of bounds
     from hurwitzdiv import checks as checks_mod
     from hurwitzdiv import slopes
     from hurwitzdiv.core import clear_caches
 
-    real = slopes.lambda_delta0
-    calls = []
+    real_pair, real_nums = slopes.lambda_delta0, slopes._mg_numerators
+    pairs, nums = [], []
 
-    def counted(d):
-        calls.append(d)
-        return real(d)
+    def counted_pair(d):
+        pairs.append(d)
+        return real_pair(d)
 
-    monkeypatch.setattr(slopes, "lambda_delta0", counted)
-    monkeypatch.setattr(checks_mod, "lambda_delta0", counted)
-    for k, expected in ((1, 7), (2, 9), (3, 17), (4, 17), (10, 17)):
+    def counted_nums(d):
+        nums.append(d)
+        return real_nums(d)
+
+    monkeypatch.setattr(slopes, "lambda_delta0", counted_pair)
+    monkeypatch.setattr(checks_mod, "lambda_delta0", counted_pair)
+    monkeypatch.setattr(slopes, "_mg_numerators", counted_nums)
+    for k, expected in ((1, 7), (2, 9), (3, 13), (4, 13), (10, 13)):
         clear_caches()
-        calls.clear()
+        pairs.clear()
+        nums.clear()
         assert FAIL not in {r.status for r in run_checks(k, k)}
-        assert len(calls) == expected, k
+        variants = 2 if k >= 3 else 0
+        assert slopes._mobius_substitution.cache_info().misses == variants, k
+        assert len(pairs) == expected, k
+        assert len(nums) == expected + 2 * variants, k
     clear_caches()
 
 

@@ -2,8 +2,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hurwitzdiv.bases import T2, T3j, m0b_sym_basis
+from hurwitzdiv.cli import MAX_MARKED_POINTS
 from hurwitzdiv.m0b import (
     MarkedSet,
     MarkedSetError,
@@ -51,6 +53,31 @@ def test_normalize_rejects_bad_sizes():
         MarkedSet(6, frozenset({1, 2}))  # not normalized
 
 
+@pytest.mark.parametrize(
+    "members, text",
+    [
+        ({2.0, 5}, "marked points must be int, got 2.0 (float)"),
+        ({True, 5}, "marked points must be int, got True (bool)"),
+    ],
+)
+def test_non_int_members_are_refused(members, text):
+    # a float or a bool would hash as the point and print as 2.0 or True
+    with pytest.raises(MarkedSetError) as exc:
+        normalize(6, members)
+    assert str(exc.value) == text
+    with pytest.raises(MarkedSetError) as exc:
+        MarkedSet(6, frozenset(members))
+    assert str(exc.value) == text
+
+
+def test_marked_set_mask_holds_the_members():
+    label = normalize(8, {1, 2})
+    assert label.mask == sum(1 << i for i in label.members) == 0b111111000
+    # the mask is derived: equality, hash and repr read (b, members) only
+    assert label == MarkedSet(8, frozenset(range(3, 9)))
+    assert "mask" not in repr(label)
+
+
 def test_normalize_idempotent_and_complement_invariant():
     for b in (6, 7, 8):
         full = frozenset(range(1, b + 1))
@@ -83,6 +110,31 @@ def test_intersect_matches_crossing_oracle():
         for x in labels:
             for y in labels:
                 assert intersect_nonempty(x, y) == crossing_oracle(b, x.members, y.members)
+
+
+@st.composite
+def label_pairs(draw):
+    b = draw(st.integers(4, 14))
+    label = st.frozensets(st.integers(1, b), min_size=2, max_size=b - 2)
+    return b, draw(label), draw(label)
+
+
+@given(label_pairs())
+def test_mask_intersection_matches_crossing_oracle_on_random_labels(case):
+    b, sa, sb = case
+    x, y = normalize(b, sa), normalize(b, sb)
+    assert intersect_nonempty(x, y) == crossing_oracle(b, x.members, y.members)
+    assert intersect_nonempty(x, y) == crossing_oracle(b, sa, sb)
+
+
+def test_mask_intersection_at_the_marked_point_cap():
+    # the largest b that m0n accepts: two labels that cross
+    b = MAX_MARKED_POINTS
+    x = normalize(b, range(4, b // 2 + 4))
+    y = normalize(b, range(b // 2, b - 1000))
+    assert crossing_oracle(b, x.members, y.members) is False
+    assert intersect_nonempty(x, y) is False
+    assert intersect_nonempty(x, x) is True
 
 
 def test_intersect_representative_independent():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hurwitzdiv.bases import DivisorClass, LAMBDA, delta, hurwitz_basis, mg_basis
 from hurwitzdiv.core import AffineExpr, c_sym
@@ -133,6 +134,79 @@ def test_induced_slope_pole():
         induced_slope(3, Fraction(214, 67), TRACE)
     with pytest.raises(PoleError):
         induced_slope(3, Fraction(66, 19), REDUCED)
+
+
+@given(
+    k=st.integers(3, 60),
+    variant=st.sampled_from([TRACE, REDUCED]),
+    s=st.fractions(max_denominator=10**6),
+)
+def test_integer_induced_slope_is_the_moebius_map(k, variant, s):
+    from hurwitzdiv.slopes import _mobius_closed
+
+    (n1, n0), (q1, q0) = _mobius_closed(k, variant)
+    den = q1 * s + q0
+    if den == 0:
+        with pytest.raises(PoleError):
+            induced_slope(k, s, variant)
+    else:
+        assert induced_slope(k, s, variant) == (n1 * s + n0) / den
+
+
+@pytest.mark.parametrize("variant", [TRACE, REDUCED])
+def test_both_moebius_routes_have_the_pole_of_the_closed_form(variant):
+    from hurwitzdiv.core import clear_caches
+    from hurwitzdiv.slopes import _evaluate, _mobius_closed, _mobius_substitution
+
+    for k in range(3, 61):
+        closed = _mobius_closed(k, variant)
+        (_, (q1, q0)) = closed
+        pole = Fraction(-q0, q1)
+        text = f"slope denominator vanishes at s = {pole}"
+        for pair in (closed, _mobius_substitution(k, variant)[0]):
+            with pytest.raises(PoleError) as exc:
+                _evaluate(pair, pole)
+            assert str(exc.value) == text
+        with pytest.raises(PoleError):
+            induced_slope(k, pole, variant)
+        clear_caches()
+
+
+def test_mobius_consistency_factor_is_the_fraction_ratio():
+    # rho is the substitution-route lambda coefficient of the pushed Hodge
+    # class over n1 of the closed form
+    from hurwitzdiv.pushforward import p_phihat_lambda
+    from hurwitzdiv.slopes import _mobius_closed, lambda_delta0
+
+    for k in (3, 7, 20):
+        for variant, hodge in ((TRACE, p_phi_lambda), (REDUCED, p_phihat_lambda)):
+            (n1, _), _ = _mobius_closed(k, variant)
+            assert mobius_consistency(k, variant) == lambda_delta0(hodge(k))[0] / n1
+
+
+def test_a_kappa_slope_without_a_table_builds_no_witness(monkeypatch, capsys):
+    # slope prints no witness, so no delta_j coefficient is built
+    from hurwitzdiv import bases
+    from hurwitzdiv.cli import main
+    from hurwitzdiv.core import clear_caches
+
+    real = bases.DivisorClass.coefficient
+    calls = []
+
+    def counted(self, name):
+        calls.append(name)
+        return real(self, name)
+
+    monkeypatch.setattr(bases.DivisorClass, "coefficient", counted)
+    clear_caches()
+    assert main(["slope", "--k", "40", "--variant", "kappa"]) == 0
+    assert capsys.readouterr().out == "255/41 ≈ 6.219512 validity=unknown\n"
+    assert calls == []
+    # the witnesses are still there when read
+    report = slope_of(p_q_kappa(40))
+    assert [j for j, _ in report.witnesses] == list(range(1, 41))
+    assert len(calls) == 40
+    clear_caches()
 
 
 def test_induced_slope_reduced_spot_value():
