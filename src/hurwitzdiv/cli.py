@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands, each one entry of the command table ``_COMMANDS`` (handler,
-help, description, arguments).  ``main`` builds the parser of the invoked
-command only; the full tree only when the first argument names no command
-(``-h``, no arguments, an unknown command, an option first):
+help, description, arguments).  When the first argument names a command,
+``main`` builds that command's parser alone and parses the rest with it;
+it builds the full tree only when the first argument names no command
+(``-h``, no arguments, an unknown command, an option first) or arguments
+are left over, because only the root reports those:
 
 * ``class``: emit one divisor class in json, csv or md.  Every class
   name is one entry of the class table ``_CLASSES`` (builder, indexed,
@@ -269,6 +271,7 @@ def _cmd_table(args) -> int:
     return 0
 
 
+_PROG = "hurwitzdiv"
 _FORMAT = ("--format", {"choices": ("json", "csv", "md"), "default": "json"})
 _NORMALIZED = ("--normalized", {"action": "store_true"})
 
@@ -352,39 +355,55 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with only ``command``'s subparser when it names one,
-    else the full tree."""
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the arguments of command ``name``, then ``--out``,
+    and the defaults ``func`` and ``command``."""
+    handler, _, _, arguments = _COMMANDS[name]
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.add_argument("--out", default=None)
+    parser.set_defaults(func=handler, command=name)
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full tree: the root parser with one subparser per command."""
     parser = argparse.ArgumentParser(
-        prog="hurwitzdiv",
+        prog=_PROG,
         description=(
             "Exact divisor-class calculus for the correspondences that trace "
             "curves of pencils induce between Hurwitz spaces and moduli of "
             "curves."
         ),
     )
-    one = command in _COMMANDS
-    # with one subparser the usage line must still name every command; the
-    # full tree takes no metavar, which would rename "argument command"
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar="{" + ",".join(_COMMANDS) + "}" if one else None,
-    )
-    for name in (command,) if one else _COMMANDS:
-        handler, help_text, description, arguments = _COMMANDS[name]
-        sub_parser = sub.add_parser(name, help=help_text, description=description)
-        for flag, options in arguments:
-            sub_parser.add_argument(flag, **options)
-        sub_parser.add_argument("--out", default=None)
-        sub_parser.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, description, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text, description=description), name)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, building only the invoked
+    command's parser when ``argv[0]`` names one.
+
+    That parser is the subparser the full tree would build, with the
+    same prog, so its help and its own errors are the same bytes, and it
+    parses ``argv[1:]`` as that subparser does.  Only the root reports
+    arguments left over, an unknown command or an option first, so then
+    the full tree parses."""
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = argparse.ArgumentParser(prog=f"{_PROG} {name}", description=_COMMANDS[name][2])
+        args, rest = _add_arguments(parser, name).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except VerificationError as exc:

@@ -58,11 +58,12 @@ def clear_caches() -> None:
         cached.cache_clear()
 
 
-_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal "p/q"; a bare integer "p" means p/1.
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The ints (p, q) of a rational literal "p/q", as written and not
+    reduced; a bare integer "p" gives (p, 1).
 
     The grammar is strict: an optional sign ``+`` or ``-``, one or more
     ASCII digits, and optionally ``/`` followed by one or more ASCII
@@ -70,12 +71,22 @@ def parse_rational(text: str) -> Fraction:
     whitespace, decimal point, exponent, digit separator or sign on the
     denominator.  Anything else raises ``ValueError``.
     """
-    if not isinstance(text, str) or not _RATIONAL_LITERAL.fullmatch(text):
+    match = _RATIONAL_LITERAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    numerator, _, denominator = text.partition("/")
-    if denominator and not denominator.strip("0"):
+    numerator, denominator = match.groups()
+    if denominator is None:
+        return int(numerator), 1
+    q = int(denominator)
+    if not q:
         raise ValueError(f"zero denominator in rational literal {text!r}")
-    return Fraction(int(numerator), int(denominator or 1))
+    return int(numerator), q
+
+
+def parse_rational(text: str) -> Fraction:
+    """The value of a rational literal "p/q" in the grammar of
+    :func:`parse_ratio`."""
+    return Fraction(*parse_ratio(text))
 
 
 INDEX_GRAMMAR = "0|[1-9][0-9]*"

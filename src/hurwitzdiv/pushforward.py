@@ -25,7 +25,6 @@ is built as rows of ones; no builder here forms an E_{j,c} name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
@@ -72,62 +71,97 @@ def factorial_b(k: int) -> int:
     return factorial(6 * k)
 
 
-@dataclass(frozen=True)
+def _check_indices(k: int, label: str, table: Mapping) -> None:
+    """Refuse a table whose keys are not exactly the ints 1..k."""
+    # k distinct keys, each an int (no bool) in 1..k, are exactly 1..k;
+    # no range(1, k + 1) is built, so a huge k costs nothing
+    odd = [j for j in table if type(j) is not int]
+    if odd:
+        # the first one, named with its type: mixed keys do not sort
+        got = f"index {odd[0]!r} ({type(odd[0]).__name__})"
+    elif len(table) != k or not all(1 <= j <= k for j in table):
+        got = f"indices {sorted(table)}"
+    else:
+        return
+    raise ValueError(f"external table {label!r} must cover exactly 1..{k}, got {got}")
+
+
 class ExternalCoeffs:
     """A complete table of the external coefficients c_1..c_k and
     b_1..b_k for one value of k.  Partial tables are rejected, and so is
     a value that is not an ``int`` or a ``Fraction``.
 
-    On first use the table is turned, once, into integer numerators
-    over one common denominator; :meth:`apply` hands those integers to
-    the substitution kernel of ``DivisorClass``, the one that
-    ``DivisorClass.substitute`` also ends in, so no value is converted
-    again per substituted class."""
+    The table is held as (numerator, denominator) int pairs, read
+    straight from "p/q" text by ``serialize`` (:meth:`_from_ratios`)
+    without a reduced ``Fraction`` per value.  On first use the pairs
+    are put over the lcm of their denominators, once per table;
+    :meth:`apply` hands those integer numerators to the substitution
+    kernel of ``DivisorClass``, the one that ``DivisorClass.substitute``
+    also ends in, so no value is converted again per substituted class.
+    The ``Fraction`` views :attr:`c`, :attr:`b` and :meth:`substitution`
+    are built only when read; ``k``, ``c`` and ``b`` are read-only."""
 
-    k: int
-    c: Mapping[int, Fraction]
-    b: Mapping[int, Fraction]
-
-    def __post_init__(self) -> None:
-        # k distinct keys, each an int (no bool) in 1..k, are exactly
-        # 1..k; no range(1, k + 1) is built, so a huge k costs nothing
-        k = self.k
-        for label, table in (("c", self.c), ("b", self.b)):
-            odd = [j for j in table if type(j) is not int]
+    def __init__(self, k: int, c: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> None:
+        for label, table in (("c", c), ("b", b)):
+            _check_indices(k, label, table)
+            odd = [v for v in table.values() if not isinstance(v, (int, Fraction))]
             if odd:
-                # the first one, named with its type: mixed keys do not sort
-                got = f"index {odd[0]!r} ({type(odd[0]).__name__})"
-            elif len(table) != k or not all(1 <= j <= k for j in table):
-                got = f"indices {sorted(table)}"
-            else:
-                odd = [v for v in table.values() if not isinstance(v, (int, Fraction))]
-                if odd:
-                    raise TypeError(
-                        f"external table {label!r}: cannot interpret "
-                        f"{type(odd[0]).__name__} as a coefficient"
-                    )
-                continue
-            raise ValueError(
-                f"external table {label!r} must cover exactly 1..{k}, got {got}"
-            )
+                raise TypeError(
+                    f"external table {label!r}: cannot interpret "
+                    f"{type(odd[0]).__name__} as a coefficient"
+                )
+        self._k = k
+        self._c = {j: (v.numerator, v.denominator) for j, v in c.items()}
+        self._b = {j: (v.numerator, v.denominator) for j, v in b.items()}
 
-    @cached_property
-    def _values(self) -> dict[ExtSymbol, int | Fraction]:
-        # built once per table, on first use, from the checked values
-        values = {c_sym(j): value for j, value in self.c.items()}
-        values.update((b_sym(j), value) for j, value in self.b.items())
-        return values
+    @classmethod
+    def _from_ratios(
+        cls, k: int, c: dict[int, tuple[int, int]], b: dict[int, tuple[int, int]]
+    ) -> "ExternalCoeffs":
+        """The table of the int pairs (p, q), q > 0, that stand for p/q,
+        keyed by index; the dicts are kept, not copied."""
+        _check_indices(k, "c", c)
+        _check_indices(k, "b", b)
+        ext = cls.__new__(cls)
+        ext._k, ext._c, ext._b = k, c, b
+        return ext
+
+    @property
+    def k(self) -> int:
+        return self._k
+
+    @property
+    def c(self) -> dict[int, Fraction]:
+        """c_j by index j, a fresh dict on every read."""
+        return {j: Fraction(p, q) for j, (p, q) in self._c.items()}
+
+    @property
+    def b(self) -> dict[int, Fraction]:
+        """b_j by index j, a fresh dict on every read."""
+        return {j: Fraction(p, q) for j, (p, q) in self._b.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExternalCoeffs):
+            return NotImplemented
+        return (self.k, self.c, self.b) == (other.k, other.c, other.b)
+
+    def __repr__(self) -> str:
+        return f"ExternalCoeffs(k={self.k!r}, c={self.c!r}, b={self.b!r})"
 
     @cached_property
     def _numerators(self) -> tuple[dict[ExtSymbol, int], int]:
         # the table over the lcm of its denominators, built once per table
-        values = self._values
-        den = lcm(*(value.denominator for value in values.values()))
-        return {s: numerator_over(value, den) for s, value in values.items()}, den
+        c, b = self._c, self._b
+        den = lcm(*(q for _, q in c.values()), *(q for _, q in b.values()))
+        nums = {c_sym(j): p * (den // q) for j, (p, q) in c.items()}
+        nums.update((b_sym(j), p * (den // q)) for j, (p, q) in b.items())
+        return nums, den
 
-    def substitution(self) -> dict[ExtSymbol, int | Fraction]:
+    def substitution(self) -> dict[ExtSymbol, Fraction]:
         """The table as symbol -> value, a fresh dict on every call."""
-        return dict(self._values)
+        values = {c_sym(j): v for j, v in self.c.items()}
+        values.update((b_sym(j), v) for j, v in self.b.items())
+        return values
 
     def apply(self, d: DivisorClass) -> DivisorClass:
         """``d.substitute(self.substitution())``, from the integer table."""

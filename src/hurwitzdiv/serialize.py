@@ -24,6 +24,11 @@ by the accessors
 ``DivisorClass.coefficient``/``items``, which the library objects
 ``class_to_obj``/``affine_to_obj`` use; ``dumps_canonical`` of those
 objects is the reference the direct writers are tested against.
+
+An external-coefficients table is read once, straight into integers:
+each "p/q" goes through the one strict grammar of ``core.parse_ratio``
+into a pair of ints, with no reduced ``Fraction`` per value, and
+``ExternalCoeffs`` puts those pairs over one common denominator.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from operator import itemgetter
 from typing import Any, Sequence
 
 from .bases import Basis, DivisorClass
-from .core import AffineExpr, ExtSymbol, affine_text, format_rational, parse_rational
-from .core import is_index_literal
+from .core import AffineExpr, ExtSymbol, affine_text, format_rational, parse_ratio
+from .core import is_index_literal, parse_rational
 from .pushforward import NORMALIZATIONS, ExternalCoeffs, RAW
 
 CLASS_SCHEMA = "divisor-class/1"
@@ -53,12 +58,13 @@ def _kind_of(obj: Any) -> str:
     return "an object" if isinstance(obj, dict) else kind.get(type(obj), "a number")
 
 
-def _index_table(table: Any, family: str, where: str) -> dict[int, Fraction]:
-    """Parse a JSON map from c_j or b_j indices to "p/q" strings; any
-    other shape is a ``ValueError``."""
+def _index_table(table: Any, family: str, where: str) -> dict[int, tuple[int, int]]:
+    """Parse a JSON map from c_j or b_j indices to "p/q" strings into
+    the int pairs (p, q) of ``core.parse_ratio``, not reduced; any other
+    shape is a ``ValueError``."""
     if not isinstance(table, dict):
         raise ValueError(f'{where} {family!r} must map indices to "p/q" strings')
-    parsed: dict[int, Fraction] = {}
+    parsed: dict[int, tuple[int, int]] = {}
     for index, value in table.items():
         # the index grammar without 0: [1-9][0-9]*, one spelling per index
         if not (isinstance(index, str) and is_index_literal(index)) or index == "0":
@@ -71,7 +77,7 @@ def _index_table(table: Any, family: str, where: str) -> dict[int, Fraction]:
                 f'{family}_{index} must be a "p/q" string, '
                 f"got {json.dumps(value, default=repr)}"
             )
-        parsed[int(index)] = parse_rational(value)
+        parsed[int(index)] = parse_ratio(value)
     return parsed
 
 
@@ -100,8 +106,8 @@ def affine_from_obj(obj: Any, where: str = "coefficient") -> AffineExpr:
         raise ValueError(f'{where} has no "const" value')
     terms: dict[ExtSymbol, Fraction] = {}
     for family in ("c", "b"):
-        for index, value in _index_table(obj.get(family, {}), family, where).items():
-            terms[ExtSymbol(family, index)] = value
+        for index, ratio in _index_table(obj.get(family, {}), family, where).items():
+            terms[ExtSymbol(family, index)] = Fraction(*ratio)
     return AffineExpr(parse_rational(obj["const"]), terms)
 
 
@@ -283,7 +289,7 @@ def externals_from_obj(obj: Any) -> ExternalCoeffs:
     k = obj.get("k")
     if type(k) is not int or k < 1:
         raise ValueError(f"external table 'k' must be a positive integer, got {k!r}")
-    return ExternalCoeffs(
+    return ExternalCoeffs._from_ratios(
         k,
         _index_table(obj.get("c", {}), "c", "external table"),
         _index_table(obj.get("b", {}), "b", "external table"),

@@ -190,15 +190,46 @@ def test_main_exits_with_an_honest_code(argv):
     assert code in (0, 1, 2)
 
 
+# command lines on which the one-command parser and the full tree part
+# ways inside argparse: arguments left over, "--" after the command, -h
+# before, among and after the arguments, and negative numbers as values
+PARSER_CASES = (
+    ("verify", "--k-min", "1", "--k-max", "1", "--bogus"),
+    ("verify", "--k-min", "1", "--k-max", "1", "extra"),
+    ("m0n", "--b", "5", "count", "--bogus", "x"),
+    ("verify", "--", "--k-min", "1", "--k-max", "1"),
+    ("verify", "--k-min", "1", "--k-max", "1", "--"),
+    ("m0n", "--b", "5", "--", "count"),
+    ("m0n", "--b", "5", "normalize", "--", "-1"),
+    ("-h", "verify"),
+    ("verify", "-h"),
+    ("verify", "--k-min", "1", "-h", "--bogus"),
+    ("verify", "--bogus", "-h"),
+    ("slope", "--k", "3", "--variant", "trace", "--s-prime", "12", "-h"),
+    ("class", "-h", "delta-tau", "--k", "2"),
+    ("class", "delta-tau", "--k", "-2"),
+    ("slope", "--k", "3", "--variant", "trace", "--s-prime", "-7"),
+    ("slope", "--k", "3", "--variant", "trace", "--s-prime", "-7/2"),
+    ("m0n", "--b", "-5", "count"),
+    ("table", "--quantity", "genus", "--k-min", "-1", "--k-max", "2"),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(ARGVS)
+@given(st.one_of(st.sampled_from(PARSER_CASES), ARGVS))
 def test_one_command_parser_matches_the_full_tree(argv):
-    # building only argv[0]'s subparser gives the same namespace, or the
-    # same exit code and the same text
+    # the path main takes, which builds only argv[0]'s parser when it
+    # names a command, gives the namespace of the full tree, or the same
+    # exit code and the same text
     with _paths(argv) as concrete:
-        one = outcome(cli._build_parser(argv[0] if argv else None).parse_args, concrete)
+        taken = outcome(cli._parse_args, concrete)
         full = outcome(cli._build_parser().parse_args, concrete)
-    assert one == full
+    assert taken == full
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_one_command_parser_matches_the_full_tree_on_each_case(argv):
+    assert outcome(cli._parse_args, argv) == outcome(cli._build_parser().parse_args, argv)
 
 
 if __name__ == "__main__":

@@ -482,7 +482,7 @@ def test_external_coeffs_substitution_is_built_once_and_handed_out_fresh():
     assert ext.substitution()[c_sym(1)] == 1
     applied = ext.apply(p_phi_lambda(2))
     assert applied == p_phi_lambda(2).substitute(ext.substitution())
-    assert ext._values is ext._values
+    assert ext._numerators is ext._numerators
 
 
 def test_external_coeffs_substitution_eliminates_symbols():

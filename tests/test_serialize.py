@@ -23,8 +23,14 @@ from hurwitzdiv.bases import (
     hurwitz_basis,
     mg_basis,
 )
-from hurwitzdiv.core import AffineExpr, ExtSymbol, b_sym, c_sym
-from hurwitzdiv.pushforward import ExternalCoeffs, PER_FACTORIAL_B, RAW, p_phihat_lambda
+from hurwitzdiv.core import AffineExpr, ExtSymbol, b_sym, c_sym, parse_rational
+from hurwitzdiv.pushforward import (
+    ExternalCoeffs,
+    PER_FACTORIAL_B,
+    RAW,
+    p_phihat_lambda,
+    p_q_kappa,
+)
 from hurwitzdiv.serialize import (
     affine_from_obj,
     affine_to_obj,
@@ -178,6 +184,60 @@ def test_externals_index_outside_the_grammar_is_named(index):
     obj = {"schema": "external-coeffs/1", "k": 1, "c": {"1": "0", index: "0"}, "b": {"1": "0"}}
     with pytest.raises(ValueError, match="'c' has a malformed index"):
         externals_from_obj(obj)
+
+
+def reference_rational(text: str) -> Fraction:
+    """The rational grammar read independently of ``core.parse_ratio``:
+    one regex over the whole text, then a reduced ``Fraction``."""
+    if not re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+)?", text):
+        raise ValueError(f"not a rational literal: {text!r}")
+    numerator, _, denominator = text.partition("/")
+    if denominator and not denominator.strip("0"):
+        raise ValueError(f"zero denominator in rational literal {text!r}")
+    return Fraction(int(numerator), int(denominator or 1))
+
+
+def _value_or_error(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+# texts in the grammar, and just outside it: whitespace, digit
+# separators, non-ASCII digits, decimal points, exponents, signs in the
+# wrong place, zero denominators
+RATIONAL_TEXTS = st.one_of(
+    st.from_regex(r"[+-]?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+    st.text(alphabet="0123456789+-/ _.e\u0661\u00b2\u2212", max_size=8),
+    st.sampled_from(
+        ("+6/4", "-0", "007/010", "1/0", "1/000", "0.5", "1_0", " 1", "1 ", "1\n",
+         "\u0661", "\uff11", "", "+", "-", "/2", "1/", "3/-4", "+-1", "1e3")
+    ),
+)
+
+
+@given(RATIONAL_TEXTS, RATIONAL_TEXTS)
+@example("+6/4", "007/010")
+@example("-0", "1/0")
+@example("12", "0.5")
+def test_externals_reader_matches_parse_rational(c_text, b_text):
+    # value for value, and the same ValueError text for the first
+    # malformed value, c before b
+    expected = [_value_or_error(reference_rational, text) for text in (c_text, b_text)]
+    assert [_value_or_error(parse_rational, text) for text in (c_text, b_text)] == expected
+    obj = {"schema": "external-coeffs/1", "k": 1, "c": {"1": c_text}, "b": {"1": b_text}}
+    got = _value_or_error(externals_from_obj, obj)
+    errors = [value for value in expected if type(value) is tuple]
+    if errors:
+        assert got == errors[0]
+        return
+    assert [got.c, got.b] == [{1: expected[0]}, {1: expected[1]}]
+    assert all(type(value) is Fraction for value in (*got.c.values(), *got.b.values()))
+    d = p_q_kappa(1)  # carries c_1 and b_1 on delta_1
+    applied = got.apply(d)
+    assert applied == d.substitute(got.substitution())
+    assert all(type(key) is str for key in applied._nums)
 
 
 BIG = factorial(6 * 20)
