@@ -190,9 +190,11 @@ def test_main_exits_with_an_honest_code(argv):
     assert code in (0, 1, 2)
 
 
-# command lines on which the one-command parser and the full tree part
-# ways inside argparse: arguments left over, "--" after the command, -h
-# before, among and after the arguments, and negative numbers as values
+# command lines where argparse treats a token by its position or shape,
+# so the one-command parser must hand over to the full tree or match it:
+# arguments left over, "--" after the command, -h before, among and after
+# the arguments, and negative numbers as values; the fuzz draws them too,
+# and the parametrized test runs each one every time
 PARSER_CASES = (
     ("verify", "--k-min", "1", "--k-max", "1", "--bogus"),
     ("verify", "--k-min", "1", "--k-max", "1", "extra"),
