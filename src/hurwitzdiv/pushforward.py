@@ -150,11 +150,13 @@ class ExternalCoeffs:
 
     @cached_property
     def _numerators(self) -> tuple[dict[ExtSymbol, int], int]:
-        # the table over the lcm of its denominators, built once per table
+        # the table over the lcm of its denominators, built once per table;
+        # the symbols are the cached ones of the push-forward builders
         c, b = self._c, self._b
         den = lcm(*(q for _, q in c.values()), *(q for _, q in b.values()))
-        nums = {c_sym(j): p * (den // q) for j, (p, q) in c.items()}
-        nums.update((b_sym(j), p * (den // q)) for j, (p, q) in b.items())
+        _, c_keys, b_keys = _delta_keys(self._k)
+        nums = {c_keys[j - 1][1]: p * (den // q) for j, (p, q) in c.items()}
+        nums.update((b_keys[j - 1][1], p * (den // q)) for j, (p, q) in b.items())
         return nums, den
 
     def substitution(self) -> dict[ExtSymbol, Fraction]:

@@ -189,6 +189,7 @@ def test_only_check_level_failures_become_fail(monkeypatch):
     from hurwitzdiv import trace
     from hurwitzdiv.cli import main
     from hurwitzdiv.bases import IndexRangeError
+    from hurwitzdiv.slopes import SlopeError, VerificationError
 
     def raising(error):
         def builder(k):
@@ -196,9 +197,12 @@ def test_only_check_level_failures_become_fail(monkeypatch):
 
         return builder
 
-    monkeypatch.setattr(trace, "grr_pieces", raising(trace.InvariantError))
-    [result] = run_checks(3, 3, ["grr-assembly"])
-    assert (result.status, result.detail) == (FAIL, "patched builder")
+    # a failed identity, and a class the package built that has no
+    # slope shape, are FAILs
+    for error in (VerificationError, SlopeError):
+        monkeypatch.setattr(trace, "grr_pieces", raising(error))
+        [result] = run_checks(3, 3, ["grr-assembly"])
+        assert (result.status, result.detail) == (FAIL, "patched builder")
     monkeypatch.setattr(trace, "grr_pieces", raising(TypeError))
     with pytest.raises(TypeError, match="patched builder"):
         run_checks(3, 3, ["grr-assembly"])
@@ -391,8 +395,76 @@ def test_hygiene_fails_on_a_symbol_in_lambda(monkeypatch):
     [result] = run_checks(1, 1, ["hygiene"])
     assert (result.status, result.detail) == (
         FAIL,
-        "symbols leaked into a lambda or delta_0 coefficient",
+        "lambda and delta_0 coefficients must be symbol-free",
     )
+
+
+def test_a_symbol_in_lambda_fails_a_full_verify(monkeypatch, capsys):
+    # closed-forms reads the leaked lambda first, and hygiene still runs:
+    # both FAIL, the report is whole, and the exit code is 1
+    from hurwitzdiv import pushforward
+    from hurwitzdiv.bases import DivisorClass, LAMBDA, mg_basis
+    from hurwitzdiv.cli import main
+    from hurwitzdiv.core import AffineExpr, c_sym
+
+    real = pushforward.eh_divisor
+    leak = DivisorClass(mg_basis(3), {LAMBDA: AffineExpr(0, {c_sym(1): 1})})
+    monkeypatch.setattr(pushforward, "eh_divisor", lambda k: real(k) + leak)
+    assert main(["verify", "--k-min", "3", "--k-max", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    leaked = "FAIL  lambda and delta_0 coefficients must be symbol-free"
+    assert lines[5] == f"k=3   closed-forms         {leaked}"
+    assert lines[9] == f"k=3   hygiene              {leaked}"
+    assert lines[-1] == "summary: 8 passed, 2 failed, 1 skipped"
+
+
+@pytest.fixture
+def cold_caches():
+    # the builders sit behind lru_cache; start and end cold so a patched
+    # value neither hides behind nor leaks into the cache
+    from hurwitzdiv.core import clear_caches
+
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def _verify_fails(capsys, check, detail):
+    from hurwitzdiv.cli import main
+
+    argv = ["verify", "--k-min", "3", "--k-max", "3", "--checks", check]
+    assert main(argv) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == f"k=3   {check:<20s} FAIL  {detail}"
+
+
+@pytest.mark.parametrize(
+    "patched, detail",
+    [
+        ("genus_trace", "trace genus mismatch"),
+        ("genus_reduced_trace", "Prym dimension closed form"),
+    ],
+)
+def test_a_genus_mutant_fails_genus(monkeypatch, capsys, cold_caches, patched, detail):
+    # genus_data takes each genus from its one builder; the check holds
+    # g' to (g - 1)(2d - 3) + (d - 1)^2 and the Prym dimension to its
+    # closed form
+    from hurwitzdiv import trace
+
+    monkeypatch.setattr(trace, patched, lambda k: 0)
+    _verify_fails(capsys, "genus", detail)
+
+
+def test_a_catalan_mutant_fails_catalan(monkeypatch, capsys, cold_caches):
+    # catalan_number is C(2k, k)/(k + 1); the check holds k N(k) to
+    # C(2k, k + 1)
+    from hurwitzdiv import trace
+
+    real = trace.binomial
+    monkeypatch.setattr(
+        trace, "binomial", lambda n, m: real(n, m) + (1 if 2 * m == n else 0)
+    )
+    _verify_fails(capsys, "catalan", "the two Catalan expressions disagree")
 
 
 def test_hygiene_fails_when_raw_output_is_not_integral(monkeypatch):
@@ -409,3 +481,20 @@ def test_hygiene_fails_when_raw_output_is_not_integral(monkeypatch):
         FAIL,
         "denominator 70 of the pushed trace Hodge class does not divide (6k)!",
     )
+
+
+@pytest.mark.parametrize("patched", ["omega_tau_sq", "delta_tau"])
+def test_a_hodge_summand_mutant_fails_hodge_closed_forms(
+    monkeypatch, capsys, cold_caches, patched
+):
+    # phi_pull_lambda is (omega^2 + delta)/12 by construction, so a wrong
+    # summand shows in its comparison with the closed form
+    from hurwitzdiv import trace
+    from hurwitzdiv.bases import DivisorClass, E0, hurwitz_basis
+
+    real = getattr(trace, patched)
+    monkeypatch.setattr(
+        trace, patched, lambda k: real(k) + DivisorClass(hurwitz_basis(k), {E0: 1})
+    )
+    detail = "trace Hodge pullback differs from its closed form"
+    _verify_fails(capsys, "hodge-closed-forms", detail)

@@ -1,5 +1,6 @@
 import decimal
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -779,7 +780,8 @@ def test_raw_emission_matches_the_materialized_raw_class(capsys, name, k):
 
 # The command list that CI runs under `python -O` and plain `python`
 # (tests/cli_commands.txt): each command, run in-process in a directory
-# that holds the listed externals tables, exits 0.
+# that holds the listed externals tables, exits 1 exactly when it prints
+# a FAIL line of verify, and 0 otherwise.
 
 _COMMAND_LIST = Path(__file__).with_name("cli_commands.txt")
 
@@ -803,7 +805,7 @@ _TABLES, _COMMANDS = _command_list()
 def test_command_list_is_whole():
     # every command of the CI list, every table valid JSON and read by
     # some command
-    assert len(_COMMANDS) == 37
+    assert len(_COMMANDS) == 38
     named = {arg for argv in _COMMANDS for arg in argv}
     assert set(_TABLES) <= named
     for text in _TABLES.values():
@@ -811,7 +813,7 @@ def test_command_list_is_whole():
 
 
 @pytest.mark.parametrize("argv", _COMMANDS, ids=[" ".join(argv) for argv in _COMMANDS])
-def test_listed_command_exits_zero(argv, tmp_path, monkeypatch, capsys):
+def test_listed_command_exits_one_only_on_fail(argv, tmp_path, monkeypatch, capsys):
     for name, text in _TABLES.items():
         (tmp_path / name).write_text(text + "\n")
     monkeypatch.chdir(tmp_path)
@@ -820,5 +822,6 @@ def test_listed_command_exits_zero(argv, tmp_path, monkeypatch, capsys):
     except SystemExit as exc:  # --help
         got = exc.code
     out = capsys.readouterr().out
-    assert got == 0
+    failed = re.search(r"^k=\d+ +\S+ +FAIL\b", out, re.MULTILINE)
+    assert got == (1 if failed else 0)
     assert out

@@ -485,6 +485,31 @@ def test_external_coeffs_substitution_is_built_once_and_handed_out_fresh():
     assert ext._numerators is ext._numerators
 
 
+def test_a_warm_external_coeffs_apply_builds_no_symbol(monkeypatch):
+    # the table's symbols are the ones the pushed builders already cached
+    # for this k; a table keyed out of order lands on the right symbols
+    from hurwitzdiv.core import ExtSymbol
+
+    d = p_q_kappa(3)
+    ext = ExternalCoeffs(
+        3,
+        {3: Fraction(5), 1: Fraction(1, 2), 2: Fraction(-2)},
+        {2: Fraction(7, 3), 3: Fraction(0), 1: Fraction(4)},
+    )
+    real = ExtSymbol.__new__
+    built = []
+
+    def counted(cls, family, index):
+        built.append((family, index))
+        return real(cls, family, index)
+
+    monkeypatch.setattr(ExtSymbol, "__new__", staticmethod(counted))
+    applied = ext.apply(d)
+    assert built == []
+    monkeypatch.undo()
+    assert applied == d.substitute(ext.substitution())
+
+
 def test_external_coeffs_substitution_eliminates_symbols():
     ext = ExternalCoeffs(
         2,

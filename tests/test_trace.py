@@ -16,10 +16,8 @@ from hurwitzdiv.bases import (
     m0b_sym_basis,
 )
 from hurwitzdiv import trace as trace_mod
-from hurwitzdiv.cli import main
 from hurwitzdiv.m0b import psi_restricted
 from hurwitzdiv.trace import (
-    InvariantError,
     alpha_coeff,
     catalan_number,
     delta_s,
@@ -316,36 +314,6 @@ def test_small_k_drop_matches_general_formula():
     assert d2.coefficient(E3).constant_value() == 3 * 4 - 13 * 2 + 16
     s2 = delta_s(2)
     assert s2.coefficient(E3).constant_value() == Fraction(3 * 4 - 13 * 2 + 16, 2)
-
-
-@pytest.fixture
-def cold_invariants():
-    # the invariant checks sit behind lru_cache; start and end cold so a
-    # patched value neither hides behind nor leaks into the cache
-    genus_data.cache_clear()
-    catalan_number.cache_clear()
-    yield
-    genus_data.cache_clear()
-    catalan_number.cache_clear()
-
-
-@pytest.mark.parametrize("patched", ["genus_trace", "genus_reduced_trace"])
-def test_genus_invariant_raises_typed_error(monkeypatch, cold_invariants, patched):
-    monkeypatch.setattr(trace_mod, patched, lambda k: 0)
-    with pytest.raises(InvariantError):
-        genus_data(3)
-    # a ValueError, so the command line reports it with exit code 2
-    assert main(["table", "--quantity", "genus", "--k-min", "3", "--k-max", "3"]) == 2
-
-
-def test_catalan_invariant_raises_typed_error(monkeypatch, cold_invariants):
-    real = trace_mod.binomial
-    monkeypatch.setattr(
-        trace_mod, "binomial", lambda n, m: real(n, m) + (1 if 2 * m == n else 0)
-    )
-    with pytest.raises(InvariantError):
-        catalan_number(4)
-    assert issubclass(InvariantError, ValueError)
 
 
 def test_e_row_running_product_matches_e_numerator():
