@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands, each one entry of the command table ``_COMMANDS`` (handler,
-help, description, arguments).  When the first argument names a command,
-``main`` builds that command's parser alone and parses the rest with it;
-it builds the full tree only when the first argument names no command
-(``-h``, no arguments, an unknown command, an option first) or arguments
-are left over, because only the root reports those:
+help, description, arguments).  ``main`` reads a plain command line (a
+command, then exact flags with ordinary values and one run of
+positionals; see ``_parse_plain``) straight from that table, without
+argparse.  Every other line, and so all help, usage and error text, goes
+through the full argparse tree built from the same table:
 
 * ``class``: emit one divisor class in json, csv or md.  Every class
   name is one entry of the class table ``_CLASSES`` (builder, indexed,
@@ -274,6 +274,7 @@ def _cmd_table(args) -> int:
 _PROG = "hurwitzdiv"
 _FORMAT = ("--format", {"choices": ("json", "csv", "md"), "default": "json"})
 _NORMALIZED = ("--normalized", {"action": "store_true"})
+_OUT = ("--out", {"default": None})
 
 # name -> (handler, help, description, arguments); each argument is
 # (name or flag, add_argument keywords), in the order of the usage line,
@@ -293,6 +294,7 @@ _COMMANDS = {
             ("--k", {"type": int, "required": True}),
             _FORMAT,
             _NORMALIZED,
+            _OUT,
         ),
     ),
     "verify": (
@@ -308,6 +310,7 @@ _COMMANDS = {
             ("--k-max", {"type": int, "required": True}),
             ("--checks", {"default": None, "help": "comma-separated list"}),
             ("--externals", {"default": None}),
+            _OUT,
         ),
     ),
     "slope": (
@@ -322,6 +325,7 @@ _COMMANDS = {
             ("--s-prime", {"default": None, "help": 'source slope "p/q"'}),
             ("--variant", {"choices": ("trace", "reduced", "kappa"), "required": True}),
             ("--externals", {"default": None}),
+            _OUT,
         ),
     ),
     "m0n": (
@@ -333,6 +337,7 @@ _COMMANDS = {
             ("--b", {"type": int, "required": True}),
             ("op", {"choices": ("count", "normalize", "intersect")}),
             ("sets", {"nargs": "*"}),
+            _OUT,
         ),
     ),
     "table": (
@@ -350,20 +355,10 @@ _COMMANDS = {
             ("--k-max", {"type": int, "required": True}),
             _FORMAT,
             _NORMALIZED,
+            _OUT,
         ),
     ),
 }
-
-
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """``parser`` with the arguments of command ``name``, then ``--out``,
-    and the defaults ``func`` and ``command``."""
-    handler, _, _, arguments = _COMMANDS[name]
-    for flag, options in arguments:
-        parser.add_argument(flag, **options)
-    parser.add_argument("--out", default=None)
-    parser.set_defaults(func=handler, command=name)
-    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -377,25 +372,86 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, description, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text, description=description), name)
+    for name, (handler, help_text, description, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, description=description)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
+        command.set_defaults(func=handler, command=name)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, building only the invoked
-    command's parser when ``argv[0]`` names one.
+def _parse_plain(name: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace ``_build_parser().parse_args([name, *tokens])``
+    gives, read from the arguments of ``name`` in ``_COMMANDS``, or None
+    when the line is not plain.
 
-    That parser is the subparser the full tree would build, with the
-    same prog, so its help and its own errors are the same bytes, and it
-    parses ``argv[1:]`` as that subparser does.  Only the root reports
-    arguments left over, an unknown command or an option first, so then
-    the full tree parses."""
+    A line is plain when every option is an exact flag of the command,
+    at most once, whose value (if it takes one) is the next token and
+    does not start with "-"; every value passes argparse's checks in
+    argparse's order, ``type`` then ``choices``; every required option
+    is given; and the positionals are one contiguous run, of which a
+    ``nargs="*"`` argument takes the rest.  Help, errors and every other
+    shape (abbreviations, ``--flag=value``, ``--``, a value or positional
+    starting with "-", positionals split by options) are left to
+    argparse."""
+    handler, _, _, arguments = _COMMANDS[name]
+    by_flag = dict(arguments)
+    given: dict[str, str | bool] = {}
+    run: list[str] = []  # the positional tokens
+    run_end = 0  # the index just past the last positional token
+    index = 0
+    while index < len(tokens):
+        token = tokens[index]
+        index += 1
+        if not token.startswith("-"):
+            if run and run_end != index - 1:
+                return None
+            run.append(token)
+            run_end = index
+        elif token not in by_flag or token in given:
+            return None
+        elif by_flag[token].get("action") == "store_true":
+            given[token] = True
+        elif index < len(tokens) and not tokens[index].startswith("-"):
+            given[token] = tokens[index]
+            index += 1
+        else:
+            return None
+    namespace = argparse.Namespace(func=handler, command=name)
+    for flag, keywords in arguments:
+        if keywords.get("action") == "store_true":
+            value = flag in given
+        elif keywords.get("nargs") == "*":
+            value, run = run, []
+        elif flag.startswith("-") and flag not in given:
+            if keywords.get("required"):
+                return None
+            value = keywords.get("default")
+        else:
+            if flag.startswith("-"):
+                text = given[flag]
+            elif run:
+                text, *run = run
+            else:
+                return None
+            try:
+                value = keywords.get("type", str)(text)
+            except (TypeError, ValueError):
+                return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        setattr(namespace, flag.lstrip("-").replace("-", "_"), value)
+    return None if run else namespace
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``: a plain line (see
+    ``_parse_plain``) is read straight from ``_COMMANDS``, and every
+    other line goes through the full argparse tree, so argparse alone
+    writes help, usage and error text."""
     if argv and argv[0] in _COMMANDS:
-        name = argv[0]
-        parser = argparse.ArgumentParser(prog=f"{_PROG} {name}", description=_COMMANDS[name][2])
-        args, rest = _add_arguments(parser, name).parse_known_args(argv[1:])
-        if not rest:
+        args = _parse_plain(argv[0], argv[1:])
+        if args is not None:
             return args
     return _build_parser().parse_args(argv)
 

@@ -1,5 +1,5 @@
-"""The command-line grammar: the bytes argparse writes, and a fuzz over
-the grammar.
+"""The command-line grammar: the bytes argparse writes, a fuzz over the
+grammar, and the plain parse, which reads most lines without argparse.
 
 ``golden_parser.json`` pins the exit code and the sha256 of stdout and
 stderr of every command line in ``PARSER_ARGVS``: the help texts, the
@@ -12,6 +12,7 @@ change that is meant to alter these bytes, and name it in CHANGES.md:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitzdiv import cli
+from test_cli import _COMMANDS as LISTED
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_parser.json")
 COMMANDS = ("class", "verify", "slope", "m0n", "table")
@@ -190,11 +192,14 @@ def test_main_exits_with_an_honest_code(argv):
     assert code in (0, 1, 2)
 
 
-# command lines where argparse treats a token by its position or shape,
-# so the one-command parser must hand over to the full tree or match it:
-# arguments left over, "--" after the command, -h before, among and after
-# the arguments, and negative numbers as values; the fuzz draws them too,
-# and the parametrized test runs each one every time
+# command lines on both sides of the boundary of the plain parse, which
+# main reads straight from the command table, and the lines it leaves to
+# the full tree: arguments left over, "--" after the command, -h before,
+# among and after the arguments, values and positionals starting with
+# "-", an option given twice, abbreviations, --flag=value, positionals
+# split by an option, and values that int reads although they are not
+# ASCII digits; the fuzz draws such lines too, and the parametrized test
+# runs each one every time
 PARSER_CASES = (
     ("verify", "--k-min", "1", "--k-max", "1", "--bogus"),
     ("verify", "--k-min", "1", "--k-max", "1", "extra"),
@@ -214,15 +219,30 @@ PARSER_CASES = (
     ("slope", "--k", "3", "--variant", "trace", "--s-prime", "-7/2"),
     ("m0n", "--b", "-5", "count"),
     ("table", "--quantity", "genus", "--k-min", "-1", "--k-max", "2"),
+    ("slope", "--k", "2", "--k", "3", "--variant", "kappa"),
+    ("class", "eh-divisor", "--k", "3", "--normalized", "--normalized"),
+    ("class", "delta-tau", "--k", ""),
+    ("verify", "--k-min", "1", "--k-max", "1", "--checks", ""),
+    ("class", "delta-tau", "--k", " 3"),
+    ("class", "delta-tau", "--k", "١"),
+    ("class", "delta-tau", "--k", "2", "--out", "-"),
+    ("class", "-x y", "--k", "2"),
+    ("slope", "--k", "3", "--var", "trace", "--s-prime", "12"),
+    ("verify", "--k-m", "1", "--k-max", "1"),
+    ("class", "delta-tau", "--k=2"),
+    ("m0n", "normalize", "--b", "5", "4,5"),
+    ("m0n", "--b", "5", "intersect", "4,5", "5,6"),
+    ("m0n", "intersect", "4,5", "5,6", "--b", "5", "--out", "x"),
+    ("class", "--normalized", "eh-divisor", "--k", "3", "--format", "csv"),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.sampled_from(PARSER_CASES), ARGVS))
-def test_one_command_parser_matches_the_full_tree(argv):
-    # the path main takes, which builds only argv[0]'s parser when it
-    # names a command, gives the namespace of the full tree, or the same
-    # exit code and the same text
+def test_parse_args_matches_the_full_tree(argv):
+    # the path main takes, which reads a plain line straight from the
+    # command table and hands every other line to the full tree, gives
+    # the namespace of the full tree, or the same exit code and text
     with _paths(argv) as concrete:
         taken = outcome(cli._parse_args, concrete)
         full = outcome(cli._build_parser().parse_args, concrete)
@@ -230,8 +250,82 @@ def test_one_command_parser_matches_the_full_tree(argv):
 
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
-def test_one_command_parser_matches_the_full_tree_on_each_case(argv):
+def test_parse_args_matches_the_full_tree_on_each_case(argv):
     assert outcome(cli._parse_args, argv) == outcome(cli._build_parser().parse_args, argv)
+
+
+def test_plain_parse_reads_every_keyword_of_the_command_table():
+    # _parse_plain knows these keywords and no others (help text is
+    # argparse's alone); argparse would also put a str default through
+    # the type, and a "*" positional before another one would not take
+    # the rest of the run
+    for _, _, _, arguments in cli._COMMANDS.values():
+        for flag, options in arguments:
+            assert set(options) <= {"action", "choices", "default", "help", "nargs", "required", "type"}
+            assert options.get("action", "store_true") == "store_true"
+            assert options.get("nargs", "*") == "*"
+            assert not ("type" in options and isinstance(options.get("default"), str))
+        positionals = [options for flag, options in arguments if not flag.startswith("-")]
+        assert all("nargs" not in options for options in positionals[:-1])
+
+
+# The fast path, pinned: no ArgumentParser is built for a line of any
+# shape the benchmark issues (perfbench/workloads.py, and the set-up
+# command of perfbench/run.py), nor for a line of the CI command list
+# other than the ones listed below, which only the full tree parses.
+WORKLOAD_LINES = (
+    ("m0n", "--b", "4", "count"),
+    ("verify", "--k-min", "51", "--k-max", "51"),
+    ("class", "delta-tau", "--k", "86", "--format", "json"),
+    ("class", "eh-divisor", "--k", "90", "--format", "csv", "--normalized"),
+    ("table", "--quantity", "coefficients:p-phi-lambda", "--k-min", "26", "--k-max", "38",
+     "--format", "json"),
+    ("table", "--quantity", "coefficients:p-phi-lambda", "--k-min", "26", "--k-max", "38",
+     "--format", "json", "--normalized"),
+    ("verify", "--k-min", "6", "--k-max", "8", "--checks", "delta-j-checks",
+     "--externals", "externals-k7.json"),
+    ("slope", "--k", "7", "--s-prime", "23/2", "--variant", "reduced",
+     "--externals", "externals-k7.json"),
+    ("slope", "--k", "7", "--variant", "kappa", "--externals", "externals-k7.json"),
+)
+FULL_TREE_LINES = {
+    "--help",
+    "slope --help",
+    "class delta-tau --k=2",
+    "slope --k 3 --var trace --s-prime 12",
+    "verify --k-min=1 --k-max 2 --checks genus",
+}
+
+
+@pytest.fixture
+def parsers_built(monkeypatch) -> list:
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("argv", WORKLOAD_LINES, ids=" ".join)
+def test_a_workload_line_builds_no_parser(argv, parsers_built):
+    taken = outcome(cli._parse_args, argv)
+    assert parsers_built == []
+    assert taken == outcome(cli._build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", LISTED, ids=" ".join)
+def test_a_listed_line_builds_no_parser_unless_only_the_full_tree_reads_it(argv, parsers_built):
+    taken = outcome(cli._parse_args, argv)
+    assert (parsers_built == []) == (" ".join(argv) not in FULL_TREE_LINES)
+    assert taken == outcome(cli._build_parser().parse_args, argv)
+
+
+def test_every_full_tree_line_is_listed():
+    assert FULL_TREE_LINES <= {" ".join(argv) for argv in LISTED}
 
 
 if __name__ == "__main__":
