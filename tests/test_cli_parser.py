@@ -158,6 +158,29 @@ ARGVS = st.one_of(
 )
 
 
+@st.composite
+def table_lines(draw) -> tuple[str, ...]:
+    """A line of one command built from its entry of the command table,
+    so that many are plain: each required option and some others with a
+    drawn value, in a drawn order, the positionals as one run among them,
+    and now and then one more token anywhere after the command."""
+    name = draw(st.sampled_from(COMMANDS))
+    arguments = cli._COMMANDS[name][3]
+    chunks = [
+        draw(_option(flag))
+        for flag, options in arguments
+        if flag.startswith("-") and (options.get("required") or draw(st.booleans()))
+    ]
+    chunks = draw(st.permutations(chunks))
+    width = sum(not flag.startswith("-") for flag, _ in arguments)
+    run = draw(st.lists(st.sampled_from(POSITIONALS), min_size=width, max_size=2 * width))
+    chunks.insert(draw(st.integers(0, len(chunks))), run)
+    argv = [name, *(token for chunk in chunks for token in chunk)]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(TOKENS)))
+    return tuple(argv)
+
+
 @contextlib.contextmanager
 def _paths(argv):
     """``argv`` with the path placeholders replaced by paths in a fresh
@@ -238,7 +261,7 @@ PARSER_CASES = (
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.sampled_from(PARSER_CASES), ARGVS))
+@given(st.one_of(st.sampled_from(PARSER_CASES), ARGVS, table_lines()))
 def test_parse_args_matches_the_full_tree(argv):
     # the path main takes, which reads a plain line straight from the
     # command table and hands every other line to the full tree, gives
@@ -310,15 +333,8 @@ def parsers_built(monkeypatch) -> list:
     return built
 
 
-@pytest.mark.parametrize("argv", WORKLOAD_LINES, ids=" ".join)
-def test_a_workload_line_builds_no_parser(argv, parsers_built):
-    taken = outcome(cli._parse_args, argv)
-    assert parsers_built == []
-    assert taken == outcome(cli._build_parser().parse_args, argv)
-
-
-@pytest.mark.parametrize("argv", LISTED, ids=" ".join)
-def test_a_listed_line_builds_no_parser_unless_only_the_full_tree_reads_it(argv, parsers_built):
+@pytest.mark.parametrize("argv", (*WORKLOAD_LINES, *LISTED), ids=" ".join)
+def test_only_a_full_tree_line_builds_a_parser(argv, parsers_built):
     taken = outcome(cli._parse_args, argv)
     assert (parsers_built == []) == (" ".join(argv) not in FULL_TREE_LINES)
     assert taken == outcome(cli._build_parser().parse_args, argv)
