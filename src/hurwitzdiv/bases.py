@@ -67,8 +67,15 @@ of the two denominators, without building a row as a class.  A
 ``Fraction`` or an :class:`AffineExpr`, the read-only value of a
 coefficient, is built only at the public accessors
 ``DivisorClass.coefficient``/``items``, which stay keyed by generator
-name; ``DivisorClass.numerators`` hands a class without rows out as its
-integers instead, as ``ClassMap.numerators`` does for an image.
+name; ``DivisorClass.numerators_view`` hands a class without rows out
+as its integers instead, for reading, without a copy, as
+``ClassMap.numerators`` does for an image.  The package's builders
+write their integer numerators over one denominator straight into the
+stored form through the trusted ``DivisorClass._raw``/``ClassMap._raw``,
+the classes of ``M0bSym(k)`` and ``Mg(k)`` as well as the Hurwitz rows,
+naming generators from the bases' own tables, so no builder pays for
+the name checks and ``Fraction`` reduction of the validating
+constructor, which stays for callers.
 Substitution is one kernel, ``DivisorClass._substituted``, which takes
 integer values over one denominator: ``substitute`` converts the
 ``int``/``Fraction`` values it is given, and
@@ -315,7 +322,7 @@ class DivisorClass:
     :func:`linear_combination`; a longer sum should be one call of it,
     which copies and reduces the result once instead of once per term.
     Only the accessors :meth:`coefficient` and :meth:`items` build an
-    :class:`AffineExpr`, and :meth:`numerators` hands out the integers;
+    :class:`AffineExpr`, and :meth:`numerators_view` hands out the integers;
     a scalar is an ``int`` or a ``Fraction``, as the symbols occur
     linearly.  Symbol terms occur only over ``Mg(k)``: a coefficient
     with a symbol on any other basis raises :class:`ClassGroupError`,
@@ -518,14 +525,17 @@ class DivisorClass:
     def is_zero(self) -> bool:
         return not self._nums and not any(self._rows)
 
-    def numerators(self) -> tuple[dict, int]:
-        """The class as integers, with no value built: its numerators by
-        key (generator or (generator, symbol)) and their common
-        denominator, in lowest terms.  The basis must have no E_{j,c}
-        rows, so the map is the whole class."""
+    def numerators_view(self) -> tuple[Mapping, int, Mapping[str, Mapping[ExtSymbol, int]]]:
+        """The class as integers, with no value built and nothing
+        copied: its numerators by key (generator or (generator,
+        symbol)), their common denominator, in lowest terms, and the
+        symbol numerators grouped as generator -> symbol -> numerator
+        (built once per class).  Both maps are the class's own and
+        read-only by contract: a caller must not change them.  The basis
+        must have no E_{j,c} rows, so the map is the whole class."""
         if self.basis.kind == HURWITZ:
-            raise ValueError("numerators() needs a basis without E_{j,c} rows")
-        return dict(self._nums), self._den
+            raise ValueError("numerators_view() needs a basis without E_{j,c} rows")
+        return self._nums, self._den, self._symbolic()
 
     def substitute(self, values: Mapping[ExtSymbol, RationalLike]) -> "DivisorClass":
         """Replace every symbol present in ``values``; others stay

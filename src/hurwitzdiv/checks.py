@@ -38,7 +38,7 @@ builder is the one checked.
 coefficients of each pushed class carry no symbol, and its reduced
 denominator divides (6k)!, so the raw class, the per-factorial-b class
 times ``pushforward.factorial_b(k)``, has integer coefficients.  It
-reads the denominator from ``DivisorClass.numerators`` and builds no
+reads the denominator from ``DivisorClass.numerators_view`` and builds no
 scaled class.
 """
 
@@ -260,12 +260,12 @@ def _bounds(k: int, externals) -> None:
         _require(excess < Fraction(10, k), f"{variant} slope exceeds 6 + 20/g")
 
 
-def _intersection_oracle(a: m0b.MarkedSet, b: m0b.MarkedSet, full: int) -> bool:
-    # four-corner test: the labels are incompatible exactly when all four
-    # mutual intersections of the parts are nonempty; ``full`` is the
-    # mask of 1..b
-    sa, sb = a.mask, b.mask
-    return not (sa & sb and sa & ~sb and sb & ~sa and full & ~(sa | sb))
+def _intersection_oracle(sa: int, masks: list[int], full: int) -> list[bool]:
+    # four-corner test of the label of mask ``sa`` against each of
+    # ``masks``: two labels are incompatible exactly when all four mutual
+    # intersections of the parts are nonempty; ``full`` is the mask of
+    # 1..b
+    return [not (sa & sb and sa & ~sb and sb & ~sa and full & ~(sa | sb)) for sb in masks]
 
 
 def _m0n(k: int, externals) -> None:
@@ -282,12 +282,15 @@ def _m0n(k: int, externals) -> None:
     if k == 1:
         for bb in (6, 8):
             labels = list(m0b.enumerate_boundary(bb))
+            masks = [label.mask for label in labels]
             full = (1 << (bb + 1)) - 2
+            # each label's row of answers against every label, oracle row
+            # on the masks
             _require(
                 all(
-                    m0b.intersect_nonempty(x, y) == _intersection_oracle(x, y, full)
+                    [m0b.intersect_nonempty(x, y) for y in labels]
+                    == _intersection_oracle(x.mask, masks, full)
                     for x in labels
-                    for y in labels
                 ),
                 f"intersection criterion differs from oracle at b={bb}",
             )
@@ -308,7 +311,7 @@ def _hygiene(k: int, externals) -> None:
     for what, d, _ in _pushed_classes(k):
         # a symbol on lambda or delta_0 is a SlopeError, a FAIL
         lambda_delta0(d)
-        _, den = d.numerators()
+        _, den, _ = d.numerators_view()
         _require(
             labellings % den == 0, f"denominator {den} of the {what} does not divide (6k)!"
         )
@@ -321,7 +324,7 @@ def _delta_j(k: int, externals: ExternalCoeffs | None) -> None:
     # Hodge slope are read from these substituted classes
     numeric = {what: externals.apply(d) for what, d, _ in _pushed_classes(k)}
     for d in numeric.values():
-        nums, _ = d.numerators()
+        nums, _, _ = d.numerators_view()
         _require(
             all(type(key) is str for key in nums),
             "substitution left a symbolic coefficient behind",

@@ -11,6 +11,13 @@ representative meeting {1, 2, 3} in at most one point; exactly one of
 L, complement(L) satisfies this.  A label also carries its members as
 one int bitmask, bit i for point i, built once when the label is made:
 validation and the intersection test run on it in integers.
+:func:`enumerate_boundary` makes its labels without a re-check, as
+each combination it keeps is valid and normalized by construction; the
+public constructor ``MarkedSet(b, members)`` validates every label.
+
+The restricted classes are written as integer numerators over one
+denominator straight into the stored form (``DivisorClass._raw``), named
+by the generators of ``M0bSym(k)`` without a re-check.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .bases import DivisorClass, T2, T3j, m0b_sym_basis
+from .bases import DivisorClass, m0b_sym_basis
 from .core import per_k_cache
 
 
@@ -77,6 +84,14 @@ class MarkedSet:
             )
         object.__setattr__(self, "mask", mask)
 
+    @classmethod
+    def _make(cls, b: int, members: frozenset[int], mask: int) -> "MarkedSet":
+        # internal: a normalized label whose ``mask`` holds ``members``,
+        # made without the checks of __post_init__
+        label = cls.__new__(cls)
+        label.__dict__.update(b=b, members=members, mask=mask)
+        return label
+
     def complement(self) -> frozenset[int]:
         return frozenset(range(1, self.b + 1)) - self.members
 
@@ -121,16 +136,23 @@ def count_boundary(b: int) -> int:
 
 
 def enumerate_boundary(b: int) -> Iterator[MarkedSet]:
-    """All normalized boundary labels, by exhaustive enumeration."""
+    """All normalized boundary labels, by exhaustive enumeration.  Each
+    combination of sizes 2 .. b-2 is valid and, once its second point
+    lies above 3, normalized, so its label is made with its mask and
+    without a re-check."""
     if b < 4:
         raise MarkedSetError(f"need b >= 4, got {b}")
     points = range(1, b + 1)
+    bits = [1 << point for point in points]
+    make = MarkedSet._make
     for size in range(2, b - 1):
-        for combo in combinations(points, size):
+        # the two runs list the same combinations in the same order, as
+        # points and as their bits
+        for combo, combo_bits in zip(combinations(points, size), combinations(bits, size)):
             # a sorted combination meets {1, 2, 3} at most once exactly
             # when its second point lies above 3
             if combo[1] > 3:
-                yield MarkedSet(b, frozenset(combo))
+                yield make(b, frozenset(combo), sum(combo_bits))
 
 
 def psi_full(b: int) -> dict[int, Fraction]:
@@ -142,22 +164,33 @@ def psi_full(b: int) -> dict[int, Fraction]:
 
 
 @per_k_cache
+def _sym_names(k: int) -> tuple[str, ...]:
+    """The generators T2, T3j_1 .. T3j_k of ``M0bSym(k)``, in basis
+    order."""
+    return tuple(m0b_sym_basis(k).generators())
+
+
+def _restricted(k: int, den: int, t2: int, t3j: list[int]) -> DivisorClass:
+    """The class with the nonzero integer numerators ``t2`` on T2 and
+    ``t3j[j - 1]`` on T3j_j over ``den``, built from the basis names
+    without a re-check."""
+    nums = dict(zip(_sym_names(k), [t2, *t3j]))
+    return DivisorClass._raw(m0b_sym_basis(k), den, nums)
+
+
+@per_k_cache
 def psi_restricted(k: int) -> DivisorClass:
-    """The total cotangent class restricted to {T2, T3j}, with b = 6k."""
+    """The total cotangent class restricted to {T2, T3j}, with b = 6k:
+    2(b-2)/(b-1) on T2 and 3j(b-3j)/(b-1) on T3j."""
     b = 6 * k
-    coeffs = {T2: Fraction(2 * (b - 2), b - 1)}
-    for j in range(1, k + 1):
-        coeffs[T3j(j)] = Fraction(3 * j * (b - 3 * j), b - 1)
-    return DivisorClass(m0b_sym_basis(k), coeffs)
+    t3j = [3 * j * (b - 3 * j) for j in range(1, k + 1)]
+    return _restricted(k, b - 1, 2 * (b - 2), t3j)
 
 
 @per_k_cache
 def delta_restricted(k: int) -> DivisorClass:
     """The total boundary class restricted to {T2, T3j}."""
-    coeffs = {T2: Fraction(1)}
-    for j in range(1, k + 1):
-        coeffs[T3j(j)] = Fraction(1)
-    return DivisorClass(m0b_sym_basis(k), coeffs)
+    return _restricted(k, 1, 1, [1] * k)
 
 
 @per_k_cache
@@ -166,10 +199,8 @@ def kappa_class(k: int) -> DivisorClass:
     coefficient is (b-3)/(b-1) and the T3j coefficient is
     (3j-1)(b-3j-1)/(b-1), with b = 6k."""
     b = 6 * k
-    coeffs = {T2: Fraction(b - 3, b - 1)}
-    for j in range(1, k + 1):
-        coeffs[T3j(j)] = Fraction((3 * j - 1) * (b - 3 * j - 1), b - 1)
-    return DivisorClass(m0b_sym_basis(k), coeffs)
+    t3j = [(3 * j - 1) * (b - 3 * j - 1) for j in range(1, k + 1)]
+    return _restricted(k, b - 1, b - 3, t3j)
 
 
 @per_k_cache

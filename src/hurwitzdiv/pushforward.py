@@ -175,39 +175,43 @@ def _delta_keys(k: int) -> tuple[tuple[str, ...], tuple, tuple]:
     """The keys of the genus-2k moduli basis that the push-forward
     builders write, built once per k: the names delta_0 .. delta_k, and
     the symbol keys (delta_j, c_j) and (delta_j, b_j), at index j - 1 for
-    j = 1 .. k."""
+    j = 1 .. k.  The indices 1 .. k are valid, so the symbols are made
+    without the checks of ``ExtSymbol.__new__``."""
     names = tuple(map(delta, range(k + 1)))
     js = range(1, k + 1)
-    return names, tuple((names[j], c_sym(j)) for j in js), tuple((names[j], b_sym(j)) for j in js)
+    c_keys = tuple(zip(names[1:], map(ExtSymbol._make, zip(repeat("c"), js))))
+    b_keys = tuple(zip(names[1:], map(ExtSymbol._make, zip(repeat("b"), js))))
+    return names, c_keys, b_keys
 
 
 @per_k_cache
 def p_push(k: int) -> ClassMap:
     """The push-forward map from the Hurwitz basis to the genus-2k
-    moduli basis, row by generator, per factorial b."""
+    moduli basis, row by generator, per factorial b.  Every column is
+    written in integers over the one denominator 2(2k-1): E0 sends
+    N/2 to delta_0, and with the leads (k-2)N/(2k-1) of E2 and
+    3N/(2(2k-1)) of E3 the E2/E3 columns reach lambda, delta_0 and, on
+    each delta_j, c_j/2 or -lead_3 b_j."""
     n = catalan_number(k)
-    lead2 = Fraction(k - 2, 2 * k - 1) * n
-    lead3 = Fraction(3, 2 * (2 * k - 1)) * n
-    # e_{j,c} is an integer (trace.e_numerator), so the E_{j,c} columns
-    # add nothing to the denominator of the E0/E2/E3 ones
-    den = lcm(2, lead2.denominator, lead3.denominator)
+    den = 2 * (2 * k - 1)
+    lead2, lead3 = 2 * (k - 2) * n, 3 * n  # the two leads over den
     deltas, c_keys, b_keys = _delta_keys(k)
-    e0 = {deltas[0]: numerator_over(n / 2, den)}
-    # E2/E3 reach lambda, delta_0 and, on each delta_j, c_j or b_j
+    e0 = {deltas[0]: (2 * k - 1) * n}
     e2 = {
-        LAMBDA: numerator_over(lead2 * (18 * k * k + 51 * k - 9), den),
-        deltas[0]: numerator_over(-lead2 * (3 * k * k + 4 * k - 1), den),
+        LAMBDA: lead2 * (18 * k * k + 51 * k - 9),
+        deltas[0]: -lead2 * (3 * k * k + 4 * k - 1),
     }
-    e2.update(zip(c_keys, repeat(den // 2)))
+    e2.update(zip(c_keys, repeat(2 * k - 1)))
     e3 = {
-        LAMBDA: numerator_over(lead3 * (12 * k * k + 46 * k - 8), den),
-        deltas[0]: numerator_over(-lead3 * (2 * k * k + 4 * k - 1), den),
+        LAMBDA: lead3 * (12 * k * k + 46 * k - 8),
+        deltas[0]: -lead3 * (2 * k * k + 4 * k - 1),
     }
-    e3.update(zip(b_keys, repeat(numerator_over(-lead3, den))))
+    e3.update(zip(b_keys, repeat(-lead3)))
     heads = hurwitz_head(k, e0, e2, e3)
     cols = {name: (head, ()) for name, head in heads.items()}
-    # block j: the e_{j,c}, all positive, on delta_j alone; row j of
-    # jc_rows(k, "e") is divided exactly by (j+1)(2k-j+1)
+    # block j: the e_{j,c}, all positive integers (trace.e_numerator), on
+    # delta_j alone; row j of jc_rows(k, "e") is divided exactly by
+    # (j+1)(2k-j+1)
     e_rows = jc_rows(k, "e")
     blocks = [None]
     for j in range(1, k + 1):
@@ -334,15 +338,15 @@ def p_q_map(k: int) -> ClassMap:
     boundary class holds for every k.
     """
     n = catalan_number(k)
-    lead = Fraction(k * (6 * k - 1), 2 * k - 1) * n
-    b3_weight = Fraction(9, 4 * k - 2) * n
-    den = lcm(lead.denominator, b3_weight.denominator)
+    # over den = 2(2k-1): the lead k(6k-1)N/(2k-1) and the b_j weight
+    # 9N/(2(2k-1))
+    den = 2 * (2 * k - 1)
+    lead = 2 * k * (6 * k - 1) * n
     # the T2 column carries c_j and b_j on each delta_j
     names, c_keys, b_keys = _delta_keys(k)
     t2 = {LAMBDA: 3 * (2 * k + 5) * lead, names[0]: -(k + 1) * lead}
-    t2 = {t: numerator_over(v, den) for t, v in t2.items()}
     t2.update(zip(c_keys, repeat(den)))
-    t2.update(zip(b_keys, repeat(numerator_over(-b3_weight, den))))
+    t2.update(zip(b_keys, repeat(-9 * n)))
     cols = {T2: (t2, ())}
     alphas = alpha_table(k)
     for j in range(1, k + 1):
@@ -374,16 +378,13 @@ def p_q_kappa_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
 
 @per_k_cache
 def mg_canonical_class(k: int) -> DivisorClass:
-    """The canonical class of the genus-2k moduli space on the truncated
-    basis lambda, delta_0..delta_k."""
-    coeffs: dict[str, Fraction] = {
-        LAMBDA: Fraction(13),
-        delta(0): Fraction(-2),
-        delta(1): Fraction(-3),
-    }
-    for j in range(2, k + 1):
-        coeffs[delta(j)] = Fraction(-2)
-    return DivisorClass(mg_basis(k), coeffs)
+    """The canonical class 13 lambda - 2 delta_0 - 3 delta_1 - 2 delta_2
+    - ... - 2 delta_k of the genus-2k moduli space on the truncated basis
+    lambda, delta_0..delta_k."""
+    names = _delta_keys(k)[0]
+    nums = {LAMBDA: 13, **dict.fromkeys(names, -2)}
+    nums[names[1]] = -3
+    return DivisorClass._raw(mg_basis(k), 1, nums)
 
 
 @per_k_cache

@@ -7,9 +7,10 @@ ratio only bounds the moving slope when b_0 <= b_j for every
 j = 1..k, a delta_j absent from the class counting as b_j = 0; since
 the delta_j coefficients involve the external symbols, that proviso is
 surfaced as a three-state validity instead of being assumed.  It is
-decided on the class's integer numerators (``DivisorClass.numerators``),
-which also give the lambda and delta_0 coefficients; the
-:class:`AffineExpr` witnesses are built only when read.
+decided on the class's integer numerators, read without a copy
+(``DivisorClass.numerators_view``), which also give the lambda and
+delta_0 coefficients; the :class:`AffineExpr` witnesses are built only
+when read.
 
 An induced slope is a Moebius map of the source slope s = p/q.  Both of
 its routes, the closed form and the one read from the numerators of the
@@ -79,15 +80,16 @@ class SlopeReport:
         return [(j, self.source.coefficient(delta(j))) for j in self.witness_indices]
 
 
-def _mg_numerators(d: DivisorClass) -> tuple[dict, int, set[str]]:
+def _mg_numerators(d: DivisorClass) -> tuple[dict, int, dict[str, dict]]:
     """The numerators of a class over the genus-2k moduli basis, their
-    denominator and the generators that carry a symbol; a class over
-    another basis, or a symbol on lambda or delta_0, is a
-    :class:`SlopeError`."""
+    denominator and its symbol numerators by generator, so that a
+    generator carries a symbol exactly when it is a key of the last;
+    all three are read, not copied, from the class
+    (``DivisorClass.numerators_view``).  A class over another basis, or
+    a symbol on lambda or delta_0, is a :class:`SlopeError`."""
     if d.basis.kind != MG:
         raise SlopeError(f"slope is defined over the Mg basis, got {d.basis.kind}")
-    nums, den = d.numerators()
-    symbolic = {key[0] for key in nums if type(key) is tuple}
+    nums, den, symbolic = d.numerators_view()
     if LAMBDA in symbolic or _DELTA_0 in symbolic:
         raise SlopeError("lambda and delta_0 coefficients must be symbol-free")
     return nums, den, symbolic

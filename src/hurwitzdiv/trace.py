@@ -50,7 +50,7 @@ from .bases import (
     m0b_sym_basis,
     zero_class,
 )
-from .core import binomial, per_k_cache
+from .core import per_k_cache
 from .m0b import delta_restricted, psi_restricted
 
 
@@ -83,13 +83,13 @@ def genus_data(k: int) -> GenusData:
 
 
 @per_k_cache
-def catalan_number(k: int) -> Fraction:
+def catalan_number(k: int) -> int:
     """N(k) = C(2k, k)/(k+1), the number of degree-(k+1) pencils on a
-    general curve of genus 2k.  The ``catalan`` check compares k N(k)
-    with C(2k, k+1)."""
+    general curve of genus 2k, as an int: k + 1 divides C(2k, k).  The
+    ``catalan`` check compares k N(k) with C(2k, k+1)."""
     if k < 1:
         raise IndexRangeError(f"k must be >= 1, got {k}")
-    return binomial(2 * k, k) / (k + 1)
+    return comb(2 * k, k) // (k + 1)
 
 
 def _check_jc(k: int, j: int, c: int) -> None:
@@ -478,7 +478,7 @@ def phi_pull_boundary(k: int, j_prime: int) -> DivisorClass:
     _check_boundary_index(j_prime, genus_trace(k))
     if j_prime == 0:
         rows = [(), ()] + [
-            (j,) + tuple(2 * (k - j + c) * (c + 1) + j for c in range(1, j // 2 + 1))
+            (j, *[2 * (k - j + c) * (c + 1) + j for c in range(1, j // 2 + 1)])
             for j in range(2, k + 1)
         ]
         return _hurwitz_class(k, 1, hurwitz_head(k, 4 * k - 2, 4, 2), rows)
@@ -493,28 +493,20 @@ def phi_pull_boundary_sum(k: int) -> DivisorClass:
     return _boundary_sum(k, _phi_boundary_entry, genus_trace(k))
 
 
-def _eps(j: int, c: int) -> int:
-    # the (j, c) = (2, 1) clause overrides the parity rule
-    if j == 2 and c == 1:
-        return -1
-    return 1 if j % 2 == 1 else 0
-
-
 @per_k_cache
 def phihat_pull_boundary(k: int, j_hat: int) -> DivisorClass:
     """Pullback of the boundary class of the reduced-trace moduli
     space; zero for indices above k."""
     _check_boundary_index(j_hat, genus_reduced_trace(k))
     if j_hat == 0:
-        # E_{2,0} is not in the class: its c = 0 entry is 0
-        rows = [(), ()] + [
-            ((j + 1) // 2 + _eps(j, 0) if j >= 3 else 0,)
-            + tuple(
-                (k - j + c) * (c + 1) + (j + 1) // 2 + _eps(j, c)
-                for c in range(1, j // 2 + 1)
-            )
-            for j in range(2, k + 1)
-        ]
+        # entry (j, c) is (k - j + c)(c + 1) + tail_j, tail_j = (j + 1)//2
+        # + (j mod 2), for c >= 1, and tail_j on E_{j,0}; row 2 is the
+        # exception: E_{2,0} is not in the class, and the (j, c) = (2, 1)
+        # entry is one below the rule, 2k - 2
+        rows = [(), (), (0, 2 * k - 2)][: k + 1]
+        for j in range(3, k + 1):
+            tail = (j + 1) // 2 + j % 2
+            rows.append((tail, *[(k - j + c) * (c + 1) + tail for c in range(1, j // 2 + 1)]))
         return _hurwitz_class(k, 1, hurwitz_head(k, 2 * k - 2, 2, 0), rows)
     if j_hat <= k:
         return _one_entry(k, j_hat, _phihat_boundary_entry(k, j_hat))

@@ -1202,3 +1202,20 @@ def test_row_builders_equal_the_classes_built_by_name():
         for built, named in cases:
             assert_canonical(built)
             assert built == named and hash(built) == hash(named), (k, named)
+
+
+@given(mg_classes(mixed_values))
+def test_numerators_view_reads_the_stored_class(d):
+    # the stored maps themselves, not copies, and the same values as the
+    # accessors
+    nums, den, symbolic = d.numerators_view()
+    assert nums is d._nums and den == d._den and symbolic is d._symbolic()
+    for name, value in d.items():
+        assert Fraction(nums.get(name, 0), den) == value.const
+        assert {s: Fraction(n, den) for s, n in symbolic.get(name, {}).items()} == value.terms
+    assert set(symbolic) == {key[0] for key in nums if type(key) is tuple}
+
+
+def test_numerators_view_refuses_a_class_with_rows():
+    with pytest.raises(ValueError, match="E_"):
+        zero_class(hurwitz_basis(2)).numerators_view()

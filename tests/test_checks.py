@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -456,13 +457,14 @@ def test_a_genus_mutant_fails_genus(monkeypatch, capsys, cold_caches, patched, d
 
 
 def test_a_catalan_mutant_fails_catalan(monkeypatch, capsys, cold_caches):
-    # catalan_number is C(2k, k)/(k + 1); the check holds k N(k) to
-    # C(2k, k + 1)
+    # catalan_number is C(2k, k) // (k + 1); the check holds k N(k) to
+    # C(2k, k + 1).  The mutant adds k + 1 to C(2k, k), so that N(k)
+    # grows by one: a smaller change could vanish in the floor division
     from hurwitzdiv import trace
 
-    real = trace.binomial
+    real = trace.comb
     monkeypatch.setattr(
-        trace, "binomial", lambda n, m: real(n, m) + (1 if 2 * m == n else 0)
+        trace, "comb", lambda n, m: real(n, m) + (m + 1 if 2 * m == n else 0)
     )
     _verify_fails(capsys, "catalan", "the two Catalan expressions disagree")
 
@@ -498,3 +500,45 @@ def test_a_hodge_summand_mutant_fails_hodge_closed_forms(
     )
     detail = "trace Hodge pullback differs from its closed form"
     _verify_fails(capsys, "hodge-closed-forms", detail)
+
+
+def _externals_k7(directory):
+    # every b_j far above b_0, so the slope proviso holds
+    table = {
+        "schema": "external-coeffs/1",
+        "k": 7,
+        "c": {str(j): "-3/2" for j in range(1, 8)},
+        "b": {str(j): "1000000" for j in range(1, 8)},
+    }
+    (directory / "externals-k7.json").write_text(json.dumps(table), encoding="utf-8")
+
+
+def _argvs_of_the_workloads():
+    from test_cli_parser import WORKLOAD_LINES
+
+    return (("verify", "--k-min", "30", "--k-max", "30"), *WORKLOAD_LINES)
+
+
+@pytest.mark.parametrize("argv", _argvs_of_the_workloads(), ids=" ".join)
+def test_a_cold_command_builds_no_class_through_the_validating_constructor(
+    monkeypatch, tmp_path, capsys, cold_caches, argv
+):
+    # every builder on these paths writes its integers into the stored
+    # form; DivisorClass.__init__ re-checks names a builder made itself
+    from hurwitzdiv import bases
+    from hurwitzdiv.cli import main
+
+    _externals_k7(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    real = bases.DivisorClass.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(bases.DivisorClass, "__init__", counting_init)
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert out and "FAIL" not in out
+    assert calls == []

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from hurwitzdiv.bases import T2, T3j, m0b_sym_basis
+from hurwitzdiv.bases import DivisorClass, T2, T3j, m0b_sym_basis
 from hurwitzdiv.cli import MAX_MARKED_POINTS
 from hurwitzdiv.m0b import (
     MarkedSet,
@@ -20,6 +20,7 @@ from hurwitzdiv.m0b import (
     psi_full,
     psi_restricted,
 )
+from test_bases import assert_canonical
 
 
 def all_labels(b):
@@ -189,8 +190,6 @@ def test_psi_full_coefficients():
 
 def test_psi_restricted_examples():
     basis = m0b_sym_basis(1)
-    from hurwitzdiv.bases import DivisorClass
-
     assert psi_restricted(1) == DivisorClass(
         basis, {T2: Fraction(8, 5), T3j(1): Fraction(9, 5)}
     )
@@ -237,3 +236,74 @@ def test_canonical_class_examples():
 
 def test_marked_set_str():
     assert str(normalize(6, {1, 2})) == "{3,4,5,6}"
+
+
+# The restricted classes as they were built before they were written in
+# integers: one Fraction per coefficient, by generator name, through the
+# validating DivisorClass constructor.  The builders are held to them.
+
+
+def psi_by_name(k):
+    b = 6 * k
+    coeffs = {T2: Fraction(2 * (b - 2), b - 1)}
+    for j in range(1, k + 1):
+        coeffs[T3j(j)] = Fraction(3 * j * (b - 3 * j), b - 1)
+    return DivisorClass(m0b_sym_basis(k), coeffs)
+
+
+def delta_by_name(k):
+    coeffs = {T2: Fraction(1)}
+    for j in range(1, k + 1):
+        coeffs[T3j(j)] = Fraction(1)
+    return DivisorClass(m0b_sym_basis(k), coeffs)
+
+
+def kappa_by_name(k):
+    b = 6 * k
+    coeffs = {T2: Fraction(b - 3, b - 1)}
+    for j in range(1, k + 1):
+        coeffs[T3j(j)] = Fraction((3 * j - 1) * (b - 3 * j - 1), b - 1)
+    return DivisorClass(m0b_sym_basis(k), coeffs)
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_restricted_classes_equal_their_definitions_by_name(k):
+    for built, expected in (
+        (psi_restricted(k), psi_by_name(k)),
+        (delta_restricted(k), delta_by_name(k)),
+        (kappa_class(k), kappa_by_name(k)),
+    ):
+        assert_canonical(built)
+        assert built == expected and hash(built) == hash(expected)
+
+
+@pytest.mark.parametrize("b", range(4, 13))
+def test_enumerated_labels_equal_the_validated_ones(b):
+    # mask is compare=False, so equality alone would miss a wrong mask
+    for label in enumerate_boundary(b):
+        checked = MarkedSet(b, label.members)
+        assert type(label) is MarkedSet and type(label.members) is frozenset
+        assert label == checked and hash(label) == hash(checked)
+        assert label.mask == checked.mask
+        assert repr(label) == repr(checked) and str(label) == str(checked)
+
+
+@pytest.mark.parametrize(
+    "b, members, text",
+    [
+        (3, {1, 2}, "need b >= 4 marked points, got b=3"),
+        (6, {4, 9}, "members {9, 4} not within 1..6"),
+        (6, {0, 4}, "members {0, 4} not within 1..6"),
+        (6, {4}, "label size must satisfy 2 <= size <= b-2, got 1 with b=6"),
+        (6, {2, 4, 5, 6, 1}, "label size must satisfy 2 <= size <= b-2, got 5 with b=6"),
+        (
+            6,
+            {1, 2},
+            "label {1, 2} is not normalized; use normalize() to build MarkedSets",
+        ),
+    ],
+)
+def test_the_public_constructor_still_refuses_bad_labels(b, members, text):
+    with pytest.raises(MarkedSetError) as exc:
+        MarkedSet(b, frozenset(members))
+    assert str(exc.value) == text

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,9 +19,10 @@ from hurwitzdiv.bases import (
     hurwitz_basis,
     mg_basis,
 )
-from hurwitzdiv.core import AffineExpr, b_sym, c_sym
+from hurwitzdiv.core import AffineExpr, ExtSymbol, b_sym, c_sym
 from hurwitzdiv.pushforward import (
     ExternalCoeffs,
+    _delta_keys,
     eh_closed_coeffs,
     eh_divisor,
     factorial_b,
@@ -52,6 +54,7 @@ from hurwitzdiv.trace import (
     phihat_pull_lambda,
     q_pullback,
 )
+from test_bases import assert_canonical
 
 
 def mclass(k, coeffs):
@@ -86,10 +89,17 @@ def test_p_push_symbol_rows_structure():
     assert e3_row.coefficient(LAMBDA).constant_value() == Fraction(3 * 5, 2 * 5) * 238
 
 
+def pencil_count(k):
+    """N(k) = C(2k, k)/(k + 1) as a Fraction, independent of
+    :func:`catalan_number`."""
+    return Fraction(comb(2 * k, k), k + 1)
+
+
 def p_push_by_rows(k):
-    """:func:`p_push` row by row: e_{j,c} on delta_j, and the E2/E3
-    weights on lambda, delta_0 and the c_j/b_j of every delta_j."""
-    n = catalan_number(k)
+    """:func:`p_push` row by row, one Fraction per coefficient: e_{j,c}
+    on delta_j, and the E2/E3 weights on lambda, delta_0 and the c_j/b_j
+    of every delta_j."""
+    n = pencil_count(k)
     rows = {E0: mclass(k, {delta(0): n / 2})}
     if k >= 3:
         lead = Fraction(k - 2, 2 * k - 1) * n
@@ -112,8 +122,9 @@ def p_push_by_rows(k):
 
 
 def p_q_map_by_rows(k):
-    """:func:`p_q_map` row by row: the T2 weights and alpha_j on T3j."""
-    n = catalan_number(k)
+    """:func:`p_q_map` row by row, one Fraction per coefficient: the T2
+    weights and alpha_j on T3j."""
+    n = pencil_count(k)
     lead = Fraction(k * (6 * k - 1), 2 * k - 1) * n
     b3_weight = Fraction(9, 4 * k - 2) * n
     coeffs = {
@@ -145,8 +156,9 @@ def q_pullback_by_rows(k):
     return rows
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", range(1, 31))
 def test_column_maps_equal_their_row_definitions(k):
+    # p_push and p_q_map write their columns as integers over 2(2k - 1)
     for built, expected in (
         (p_push(k), p_push_by_rows(k)),
         (p_q_map(k), p_q_map_by_rows(k)),
@@ -154,7 +166,9 @@ def test_column_maps_equal_their_row_definitions(k):
     ):
         assert built.rows == expected
         for name in built.source.generators():
-            assert built.row(name) == expected.get(name, DivisorClass(built.target))
+            row = built.row(name)
+            assert_canonical(row)
+            assert row == expected.get(name, DivisorClass(built.target))
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -338,6 +352,41 @@ def test_mg_canonical_class():
     assert mg_canonical_class(3) == mclass(
         3, {LAMBDA: 13, delta(0): -2, delta(1): -3, delta(2): -2, delta(3): -2}
     )
+
+
+def mg_canonical_by_name(k):
+    """:func:`mg_canonical_class` as it was built before it was written
+    in integers: one Fraction per coefficient, by generator name."""
+    coeffs = {LAMBDA: Fraction(13), delta(0): Fraction(-2), delta(1): Fraction(-3)}
+    for j in range(2, k + 1):
+        coeffs[delta(j)] = Fraction(-2)
+    return DivisorClass(mg_basis(k), coeffs)
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_mg_canonical_class_equals_its_definition_by_name(k):
+    built, expected = mg_canonical_class(k), mg_canonical_by_name(k)
+    assert_canonical(built)
+    assert built == expected and hash(built) == hash(expected)
+
+
+@pytest.mark.parametrize("k", (1, 2, 7, 40))
+def test_delta_keys_hold_the_validated_symbols(k):
+    names, c_keys, b_keys = _delta_keys(k)
+    assert names == tuple(delta(j) for j in range(k + 1))
+    for j, (c_key, b_key) in enumerate(zip(c_keys, b_keys), 1):
+        for key, family, expected in ((c_key, "c", c_sym(j)), (b_key, "b", b_sym(j))):
+            assert type(key) is tuple and key[0] == delta(j)
+            symbol = key[1]
+            assert type(symbol) is ExtSymbol
+            assert symbol == expected and hash(symbol) == hash(expected)
+            assert (symbol.family, symbol.index, str(symbol)) == (family, j, f"{family}_{j}")
+
+
+def test_catalan_number_is_an_int():
+    for k in range(1, 41):
+        n = catalan_number(k)
+        assert type(n) is int and n == pencil_count(k)
 
 
 def test_eh_divisor_closed_form():
