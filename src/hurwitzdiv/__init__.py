@@ -3,11 +3,12 @@ curves of pencils induce between Hurwitz spaces of even-genus covers and
 moduli spaces of curves.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     AffineExpr,
     ExtSymbol,
     b_sym,
-    binomial,
     c_sym,
     format_rational,
     parse_rational,
@@ -25,7 +26,6 @@ from .bases import (
     T3j,
     delta,
     hurwitz_basis,
-    identity_map,
     m0b_sym_basis,
     mg_basis,
     mg_hat_basis,
@@ -34,7 +34,6 @@ from .bases import (
 )
 from .m0b import (
     MarkedSet,
-    canonical_class,
     count_boundary,
     delta_restricted,
     enumerate_boundary,
@@ -42,13 +41,11 @@ from .m0b import (
     intersect_nonempty,
     kappa_class,
     normalize,
-    psi_full,
     psi_restricted,
 )
 from .trace import (
     GenusData,
     GrrPieces,
-    alpha_coeff,
     catalan_number,
     delta_s,
     delta_tau,
@@ -85,7 +82,6 @@ from .slopes import (
     HOLDS,
     UNKNOWN,
     SlopeReport,
-    ample_cone_test,
     induced_slope,
     kappa_slope_bound,
     slope_of,
@@ -93,6 +89,12 @@ from .slopes import (
 )
 from .checks import CHECKS, CheckResult, run_checks
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names bound above; the submodules that the imports bind as
+# attributes of the package stay out, so ``import *`` binds no module
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 
 __version__ = "0.1.0"

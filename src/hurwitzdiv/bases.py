@@ -18,7 +18,8 @@ spec per kind, ``_SPECS``, lists its generators; the E_{j,c} names of
 ``Hurwitz(k)`` come from :func:`ejc_names`, a cached table in the row
 layout, built from one "E_j_" prefix per row and one shared table of
 index strings.  The order of every basis is cached per (kind, k) as a name ->
-position map, which answers both membership and position.
+position map, which answers membership and puts the generators of a
+class in natural order.
 
 Where symbols live: the external symbols c_j, b_j are the unknown
 delta_j coefficients of the pushed classes on M_g-bar, so a symbol term
@@ -227,14 +228,6 @@ class Basis:
         return UnknownGeneratorError(
             f"generator {name!r} does not belong to {self.kind}(k={self.k})"
         )
-
-    def sort_index(self, name: str) -> int:
-        """Position of ``name`` in :meth:`generators`, the natural
-        display order."""
-        index = _generator_index(self.kind, self.k).get(name)
-        if index is None:
-            raise self._unknown(name)
-        return index
 
     def generators(self) -> Iterator[str]:
         """All generators of the basis in natural order."""
@@ -962,8 +955,3 @@ class ClassMap:
             f"{self.target.kind}(k={self.target.k}), "
             f"{sum(1 for _ in self._columns())} rows)"
         )
-
-
-def identity_map(basis: Basis) -> ClassMap:
-    rows = {g: DivisorClass(basis, {g: Fraction(1)}) for g in basis.generators()}
-    return ClassMap(basis, basis, rows)

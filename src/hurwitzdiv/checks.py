@@ -85,7 +85,6 @@ def _genus(k: int, externals) -> None:
         gd.g_prime == (g - 1) * (2 * d - 3) + (d - 1) ** 2, "trace genus mismatch"
     )
     _require(2 * gd.prym_dim == 5 * k * k - k, "Prym dimension closed form")
-    _require(2 * gd.quotient_dim == (5 * k - 1) * (k - 2), "quotient dimension")
     if k == 2:
         _require((gd.g_prime, gd.g_hat) == (13, 4), "k=2 genus values")
     if k == 3:

@@ -1,4 +1,4 @@
-"""Exact arithmetic layer: rationals, binomial coefficients, and the
+"""Exact arithmetic layer: rationals, their strict "p/q" parsing, and the
 affine-linear symbolic expressions in the external coefficients c_j, b_j.
 
 Every value is immutable and every operation is exact; no floating point
@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import gcd
 from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 RationalLike = Union[int, Fraction]
@@ -110,15 +110,6 @@ def format_rational(x: RationalLike) -> str:
     """Render a rational as "p/q" with the sign carried by the numerator."""
     x = Fraction(x)
     return format_ratio(x.numerator, x.denominator)
-
-
-def binomial(n: int, m: int) -> Fraction:
-    """Binomial coefficient C(n, m) as a Fraction; 0 when m < 0 or m > n."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if m < 0 or m > n:
-        return Fraction(0)
-    return Fraction(comb(n, m))
 
 
 class _SymbolFields(NamedTuple):

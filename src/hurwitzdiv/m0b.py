@@ -1,14 +1,13 @@
 """Boundary combinatorics of the moduli space of b-pointed rational
-curves, and the symmetric divisor classes psi, kappa, delta and the
-canonical class restricted to the generators that matter for branch
-divisors of the covers studied here (T2 and the T3j).  On those
-generators kappa = K + delta; :func:`kappa_class` is the class that
-``pushforward.eh_divisor`` pulls back.
+curves, and the symmetric divisor classes psi, delta and kappa = psi -
+delta restricted to the generators that matter for branch divisors of
+the covers studied here (T2 and the T3j).  :func:`kappa_class` is the
+class that ``pushforward.eh_divisor`` pulls back.
 
 A boundary divisor is labelled by a subset L of {1..b} with
-2 <= #L <= b-2, up to complement.  The normal form keeps the
-representative meeting {1, 2, 3} in at most one point; exactly one of
-L, complement(L) satisfies this.  A label also carries its members as
+2 <= #L <= b-2; L and {1..b} - L label the same divisor.  The normal
+form keeps the representative meeting {1, 2, 3} in at most one point;
+exactly one of L, {1..b} - L satisfies this.  A label also carries its members as
 one int bitmask, bit i for point i, built once when the label is made:
 validation and the intersection test run on it in integers.
 :func:`enumerate_boundary` makes its labels without a re-check, as
@@ -23,7 +22,6 @@ by the generators of ``M0bSym(k)`` without a re-check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -92,16 +90,13 @@ class MarkedSet:
         label.__dict__.update(b=b, members=members, mask=mask)
         return label
 
-    def complement(self) -> frozenset[int]:
-        return frozenset(range(1, self.b + 1)) - self.members
-
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in sorted(self.members)) + "}"
 
 
 def normalize(b: int, s: Iterable[int]) -> MarkedSet:
-    """Return the normalized representative of the label s (or its
-    complement), the one meeting {1,2,3} in at most one point."""
+    """Return the normalized representative of the label s (or of
+    {1..b} - s), the one meeting {1,2,3} in at most one point."""
     members = frozenset(s)
     _check_size(b, len(members))
     if (_mask(b, members) & _FIRST_THREE).bit_count() > 1:
@@ -155,14 +150,6 @@ def enumerate_boundary(b: int) -> Iterator[MarkedSet]:
                 yield make(b, frozenset(combo), sum(combo_bits))
 
 
-def psi_full(b: int) -> dict[int, Fraction]:
-    """Coefficients of the total cotangent class on the full symmetric
-    boundary basis: j -> (b-j)j/(b-1) for 2 <= j <= floor(b/2)."""
-    if b < 4:
-        raise MarkedSetError(f"need b >= 4, got {b}")
-    return {j: Fraction((b - j) * j, b - 1) for j in range(2, b // 2 + 1)}
-
-
 @per_k_cache
 def _sym_names(k: int) -> tuple[str, ...]:
     """The generators T2, T3j_1 .. T3j_k of ``M0bSym(k)``, in basis
@@ -201,11 +188,3 @@ def kappa_class(k: int) -> DivisorClass:
     b = 6 * k
     t3j = [(3 * j - 1) * (b - 3 * j - 1) for j in range(1, k + 1)]
     return _restricted(k, b - 1, b - 3, t3j)
-
-
-@per_k_cache
-def canonical_class(k: int) -> DivisorClass:
-    """The canonical class K = kappa - delta of the b-pointed rational
-    moduli space restricted to {T2, T3j}; the other symmetric generators
-    pull back to zero on the Hurwitz space, so they are dropped."""
-    return kappa_class(k) - delta_restricted(k)

@@ -254,25 +254,19 @@ def table_to_json(columns: list[str], rows: list[list[str]]) -> str:
     return "[\n  " + ",\n  ".join(objects) + "\n]\n"
 
 
-def decimal_approx(x: Fraction, places: int = 6) -> str:
-    """Decimal approximation of a rational with exact integer rounding
-    (ties to even); used only for display."""
+_PLACES = 6
+
+
+def decimal_approx(x: Fraction) -> str:
+    """Decimal approximation of a rational to six places with exact
+    integer rounding (ties to even); used only for display."""
     sign = "-" if x < 0 else ""
     n, d = abs(x).numerator, abs(x).denominator
-    scaled, remainder = divmod(n * 10**places, d)
+    scaled, remainder = divmod(n * 10**_PLACES, d)
     if 2 * remainder > d or (2 * remainder == d and scaled % 2 == 1):
         scaled += 1
-    whole, frac = divmod(scaled, 10**places)
-    return f"{sign}{whole}.{frac:0{places}d}"
-
-
-def externals_to_obj(ext: ExternalCoeffs) -> dict[str, Any]:
-    return {
-        "schema": EXTERNALS_SCHEMA,
-        "k": ext.k,
-        "c": {str(j): format_rational(v) for j, v in sorted(ext.c.items())},
-        "b": {str(j): format_rational(v) for j, v in sorted(ext.b.items())},
-    }
+    whole, frac = divmod(scaled, 10**_PLACES)
+    return f"{sign}{whole}.{frac:0{_PLACES}d}"
 
 
 def externals_from_obj(obj: Any) -> ExternalCoeffs:

@@ -271,8 +271,3 @@ def kappa_proviso(k: int, numeric: DivisorClass) -> None:
         raise VerificationError(
             f"kappa slope proviso fails at k={k}: b_0 = {b0} exceeds {exceeded}"
         )
-
-
-def ample_cone_test(x: RationalLike, y: RationalLike) -> bool:
-    """Whether x*lambda - y*delta lies in the ample cone: x > 11 y."""
-    return Fraction(x) > 11 * Fraction(y)

@@ -65,7 +65,6 @@ class GenusData:
     g_prime: int
     g_hat: int
     prym_dim: int
-    quotient_dim: int
 
 
 @per_k_cache
@@ -76,10 +75,7 @@ def genus_data(k: int) -> GenusData:
     if k < 1:
         raise IndexRangeError(f"k must be >= 1, got {k}")
     g_prime, g_hat = genus_trace(k), genus_reduced_trace(k)
-    quotient_dim = (5 * k - 1) * (k - 2) // 2
-    return GenusData(
-        k, 2 * k, k + 1, 6 * k, g_prime, g_hat, g_prime - g_hat, quotient_dim
-    )
+    return GenusData(k, 2 * k, k + 1, 6 * k, g_prime, g_hat, g_prime - g_hat)
 
 
 @per_k_cache
@@ -99,8 +95,8 @@ def _check_jc(k: int, j: int, c: int) -> None:
 
 # The coefficient families below are evaluated in integers, each over a
 # single denominator.  The class builders pass those integers to the
-# divisor class as they are; only :func:`e_coeff` and :func:`alpha_coeff`
-# turn theirs into one Fraction at the end.
+# divisor class as they are; only :func:`e_coeff` turns its value into
+# one Fraction at the end.
 
 
 def e_numerator(k: int, j: int, c: int) -> int:
@@ -113,7 +109,7 @@ def e_numerator(k: int, j: int, c: int) -> int:
 
 
 def e_row(k: int, j: int) -> list[int]:
-    """:func:`e_numerator` for c = 0 .. floor(j/2), with one binomial per
+    """:func:`e_numerator` for c = 0 .. floor(j/2), with one ``comb`` per
     row: B_c = C(j+1, c) C(2k-j+1, k+1-c) runs as the exact integer step
     B_{c+1} = B_c (j+1-c)(k+1-c) / ((c+1)(k-j+c+1))."""
     binom = comb(2 * k - j + 1, k + 1)
@@ -149,14 +145,6 @@ def alpha_table(k: int) -> tuple[int, ...]:
         sum(map(mul, rows[j], t3j_weights(j))) // ((j + 1) * (2 * k - j + 1))
         for j in range(1, k + 1)
     )
-
-
-def alpha_coeff(k: int, j: int) -> Fraction:
-    """Total weight sum((j+1-2c) e_{j,c}) of the pushed symmetric
-    boundary class T3j, read from :func:`alpha_table`."""
-    if not 1 <= j <= k:
-        raise IndexRangeError(f"j = {j} out of range for k = {k}")
-    return Fraction(alpha_table(k)[j])
 
 
 def _d_int(k: int, j: int, c: int) -> int:

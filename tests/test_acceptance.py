@@ -45,7 +45,7 @@ from hurwitzdiv.pushforward import (
 )
 from hurwitzdiv.slopes import TRACE, induced_slope, kappa_slope_bound
 from hurwitzdiv.trace import (
-    alpha_coeff,
+    alpha_table,
     catalan_number,
     delta_s,
     delta_tau,
@@ -178,11 +178,11 @@ def test_criterion_9_e_and_alpha_consistency():
         push = p_push(k)
         q = q_pullback(k)
         for j in range(1, k + 1):
-            assert alpha_coeff(k, j) == sum(
+            assert alpha_table(k)[j] == sum(
                 (j + 1 - 2 * c) * e_coeff(k, j, c) for c in range(j // 2 + 1)
             )
             assert push.apply(q.row(T3j(j))) == DivisorClass(
-                mg_basis(k), {delta(j): alpha_coeff(k, j)}
+                mg_basis(k), {delta(j): alpha_table(k)[j]}
             )
 
 

@@ -10,7 +10,6 @@ from hurwitzdiv.core import (
     AffineExpr,
     ExtSymbol,
     b_sym,
-    binomial,
     c_sym,
     display_key,
     format_rational,
@@ -26,25 +25,6 @@ affines = st.builds(
     rationals,
     st.dictionaries(symbols, rationals, max_size=3),
 )
-
-
-def test_binomial_small_values():
-    assert binomial(4, 2) == 6
-    assert binomial(6, 3) == 20
-    assert binomial(5, 7) == 0
-    assert binomial(5, -1) == 0
-    assert binomial(0, 0) == 1
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-def test_binomial_pascal_rule():
-    for n in range(1, 61):
-        for m in range(n + 1):
-            assert binomial(n, m) == binomial(n - 1, m - 1) + binomial(n - 1, m)
 
 
 @given(rationals, rationals, rationals)

@@ -9,7 +9,6 @@ from hurwitzdiv.cli import MAX_MARKED_POINTS
 from hurwitzdiv.m0b import (
     MarkedSet,
     MarkedSetError,
-    canonical_class,
     count_boundary,
     delta_restricted,
     enumerate_boundary,
@@ -17,7 +16,6 @@ from hurwitzdiv.m0b import (
     intersect_nonempty,
     kappa_class,
     normalize,
-    psi_full,
     psi_restricted,
 )
 from test_bases import assert_canonical
@@ -180,14 +178,6 @@ def test_count_boundary_matches_enumeration():
         assert count_boundary(b) == sum(1 for _ in enumerate_boundary(b))
 
 
-def test_psi_full_coefficients():
-    psi6 = psi_full(6)
-    assert psi6[2] == Fraction(8, 5)
-    assert psi6[3] == Fraction(9, 5)
-    assert psi_full(12)[6] == Fraction(36, 11)
-    assert set(psi6) == {2, 3}
-
-
 def test_psi_restricted_examples():
     basis = m0b_sym_basis(1)
     assert psi_restricted(1) == DivisorClass(
@@ -197,8 +187,12 @@ def test_psi_restricted_examples():
 
 
 def test_psi_restricted_is_projection_of_psi_full():
-    for k in (1, 2, 3):
-        full = psi_full(6 * k)
+    # on the full symmetric boundary basis of b points, psi has the
+    # coefficient j(b - j)/(b - 1) on the class of the j-point labels,
+    # 2 <= j <= b/2; T2 is j = 2 and T3j_j is 3j, with b = 6k
+    for k in range(1, 21):
+        b = 6 * k
+        full = {j: Fraction((b - j) * j, b - 1) for j in range(2, b // 2 + 1)}
         restricted = psi_restricted(k)
         assert restricted.coefficient(T2).constant_value() == full[2]
         for j in range(1, k + 1):
@@ -225,13 +219,6 @@ def test_kappa_coefficient_identity_per_generator():
             assert Fraction(j * (b - j), b - 1) - 1 == Fraction(
                 (j - 1) * (b - j - 1), b - 1
             )
-
-
-def test_canonical_class_examples():
-    c1 = canonical_class(1)
-    assert c1.coefficient(T2).constant_value() == Fraction(-2, 5)
-    assert c1.coefficient(T3j(1)).constant_value() == Fraction(-1, 5)
-    assert canonical_class(2).coefficient(T3j(2)).constant_value() == Fraction(14, 11)
 
 
 def test_marked_set_str():

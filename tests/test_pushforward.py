@@ -45,7 +45,7 @@ from hurwitzdiv.pushforward import (
     prym_hodge_class,
 )
 from hurwitzdiv.trace import (
-    alpha_coeff,
+    alpha_table,
     catalan_number,
     e_coeff,
     phi_pull_boundary,
@@ -135,7 +135,7 @@ def p_q_map_by_rows(k):
     coeffs[delta(0)] = -(k + 1) * lead
     rows = {T2: mclass(k, coeffs)}
     for j in range(1, k + 1):
-        rows[T3j(j)] = mclass(k, {delta(j): alpha_coeff(k, j)})
+        rows[T3j(j)] = mclass(k, {delta(j): alpha_table(k)[j]})
     return rows
 
 
@@ -226,7 +226,7 @@ def test_pushed_t3j_matches_alpha_display():
         q = q_pullback(k)
         for j in range(1, k + 1):
             assert push.apply(q.row(T3j(j))) == mclass(
-                k, {delta(j): alpha_coeff(k, j)}
+                k, {delta(j): alpha_table(k)[j]}
             )
 
 

@@ -15,7 +15,6 @@ from hurwitzdiv.slopes import (
     TRACE,
     UNKNOWN,
     VerificationError,
-    ample_cone_test,
     induced_slope,
     kappa_proviso,
     kappa_slope_bound,
@@ -323,9 +322,3 @@ def test_bound_inequalities():
         assert excess == Fraction(209 * k * k - 243 * k + 31, 21 * k**3 + 6 * k * k - 35 * k + 7)
         reduced_excess = induced_slope(k, Fraction(11), REDUCED) - 6
         assert reduced_excess < Fraction(10, k)
-
-
-def test_ample_cone_test():
-    assert ample_cone_test(12, 1)
-    assert not ample_cone_test(11, 1)
-    assert ample_cone_test(Fraction(23, 2), 1)

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import types
 
 import hurwitzdiv
 
@@ -23,3 +24,50 @@ def test_no_invariant_depends_on_assert():
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
     assert (SRC / "cli.py").is_file()
+
+
+def _imported_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """The names that the top-level imports of a module bind, with the
+    line of each import; ``from __future__`` binds none."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.append((alias.asname or alias.name.partition(".")[0], node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.extend((alias.asname or alias.name, node.lineno) for alias in node.names)
+    return names
+
+
+def test_every_import_is_used():
+    # a name imported at the top of a module and never read there is
+    # left over from deleted code; __init__ imports only to re-export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in _imported_names(tree)
+            if name not in read
+        ]
+    assert unused == []
+    assert (SRC / "core.py").is_file()
+
+
+def test_star_import_binds_no_module():
+    # the imports of __init__ bind each submodule as an attribute of the
+    # package; ``from hurwitzdiv import *`` must not bind those over the
+    # importer's own names
+    assert hurwitzdiv.__all__
+    for name in hurwitzdiv.__all__:
+        assert not isinstance(getattr(hurwitzdiv, name), types.ModuleType), name
+    namespace = {}
+    exec("from hurwitzdiv import *", namespace)
+    assert "trace" not in namespace and "checks" not in namespace

@@ -18,7 +18,7 @@ from hurwitzdiv.bases import (
 from hurwitzdiv import trace as trace_mod
 from hurwitzdiv.m0b import psi_restricted
 from hurwitzdiv.trace import (
-    alpha_coeff,
+    alpha_table,
     catalan_number,
     delta_s,
     delta_tau,
@@ -63,7 +63,6 @@ def test_genus_identities_across_range():
         assert gd.g_prime == (gd.g - 1) * (2 * gd.d - 3) + (gd.d - 1) ** 2
         assert gd.g_prime == 5 * k * k - 4 * k + 1
         assert gd.prym_dim == gd.g_prime - gd.g_hat
-        assert 2 * gd.quotient_dim == (5 * k - 1) * (k - 2)
 
 
 def test_catalan_number_values():
@@ -91,9 +90,9 @@ def test_e_coeff_range_errors():
 
 
 def test_alpha_values():
-    assert alpha_coeff(1, 1) == 2
-    assert alpha_coeff(2, 1) == 4
-    assert alpha_coeff(2, 2) == 3 * e_coeff(2, 2, 0) + e_coeff(2, 2, 1)
+    assert alpha_table(1)[1] == 2
+    assert alpha_table(2)[1] == 4
+    assert alpha_table(2)[2] == 3 * e_coeff(2, 2, 0) + e_coeff(2, 2, 1)
 
 
 def test_delta_tau_small_k_cases():
