@@ -779,6 +779,23 @@ def emitted_classes(draw):
     return DivisorClass(basis, coeffs)
 
 
+constant_classes = st.sampled_from(FIVE_BASES).flatmap(
+    lambda basis: st.dictionaries(
+        st.sampled_from(list(basis.generators())), emitted_constants, max_size=5
+    ).map(lambda coeffs: DivisorClass(basis, coeffs))
+)
+
+
+@given(constant_classes)
+def test_identity_map_keeps_every_class_of_every_kind(d):
+    # a map whose row of g is g itself, on each of the five bases; a
+    # class map applies to constant classes only
+    b = d.basis
+    ident = ClassMap(b, b, {g: DivisorClass(b, {g: 1}) for g in b.generators()})
+    assert ident.apply(d) == d
+    assert ident.compose(ident).apply(d) == d
+
+
 @given(emitted_classes(), emission_scales)
 def test_scaled_formatted_items_match_the_materialized_product(d, scale):
     assert d._formatted_items(scale) == (d * scale)._formatted_items()

@@ -199,6 +199,18 @@ def test_psi_restricted_is_projection_of_psi_full():
             assert restricted.coefficient(T3j(j)).constant_value() == full[3 * j]
 
 
+def test_psi_minus_two_delta_examples():
+    # the canonical class of the b-pointed moduli space is psi - 2 delta;
+    # on T2 and T3j_j its coefficient is j(b - j)/(b - 1) - 2, here at
+    # j = 2, 3 with b = 6 and j = 6 with b = 12
+    k1 = psi_restricted(1) - delta_restricted(1) * 2
+    assert k1 == DivisorClass(
+        m0b_sym_basis(1), {T2: Fraction(-2, 5), T3j(1): Fraction(-1, 5)}
+    )
+    k2 = psi_restricted(2) - delta_restricted(2) * 2
+    assert k2.coefficient(T3j(2)).constant_value() == Fraction(14, 11)
+
+
 def test_kappa_examples():
     k1 = kappa_class(1)
     assert k1.coefficient(T2).constant_value() == Fraction(3, 5)

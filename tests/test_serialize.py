@@ -124,6 +124,19 @@ def test_decimal_approx():
     assert decimal_approx(Fraction(0)) == "0.000000"
 
 
+@given(st.fractions(max_denominator=10**9))
+@example(Fraction(5, 2_000_000))
+@example(Fraction(-3, 2_000_000))
+@example(Fraction(-1, 2_000_000))
+def test_decimal_approx_is_the_fraction_rounded_to_six_places(x):
+    # Fraction.__round__ rounds exactly, ties to even, and the sign is
+    # the sign of x even where the rounded value is zero
+    text = decimal_approx(x)
+    assert re.fullmatch(r"-?[0-9]+\.[0-9]{6}", text)
+    assert Fraction(text) == round(x, 6)
+    assert text.startswith("-") == (x < 0)
+
+
 def test_externals_round_trip(tmp_path):
     ext = ExternalCoeffs(2, {1: Fraction(1, 2), 2: Fraction(3)}, {1: Fraction(0), 2: Fraction(-5, 7)})
     obj = {

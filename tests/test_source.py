@@ -39,6 +39,17 @@ def _imported_names(tree: ast.Module) -> list[tuple[str, int]]:
     return names
 
 
+def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """The names that a top-level import binds and that the module never
+    reads, with the line of each import."""
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [(name, line) for name, line in _imported_names(tree) if name not in read]
+
+
 def test_every_import_is_used():
     # a name imported at the top of a module and never read there is
     # left over from deleted code; __init__ imports only to re-export
@@ -47,18 +58,26 @@ def test_every_import_is_used():
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        read = {
-            node.id
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-        }
-        unused += [
-            f"{path.name}:{line} {name}"
-            for name, line in _imported_names(tree)
-            if name not in read
-        ]
+        unused += [f"{path.name}:{line} {name}" for name, line in _unused_imports(tree)]
     assert unused == []
     assert (SRC / "core.py").is_file()
+
+
+def test_import_scan_reads_the_names_an_import_binds():
+    # ``import a.b`` binds a, an alias binds the alias, a name that is
+    # only assigned to is not read, and ``from __future__`` binds nothing
+    source = """
+from __future__ import annotations
+import os.path
+import json as js
+from math import comb, gcd as g
+from fractions import Fraction
+
+def f():
+    Fraction = 1
+    return os.path.join(js.dumps(g(4, 6)))
+"""
+    assert _unused_imports(ast.parse(source)) == [("comb", 5), ("Fraction", 6)]
 
 
 def test_star_import_binds_no_module():

@@ -72,6 +72,15 @@ def test_catalan_number_values():
     assert catalan_number(10) == 16796
 
 
+def test_catalan_number_segner_recurrence():
+    # C(n + 1) = sum of C(i) C(n - i) over i = 0..n, with C(0) = 1: a
+    # definition with no binomial in it
+    cat = [1]
+    for n in range(40):
+        cat.append(sum(cat[i] * cat[n - i] for i in range(n + 1)))
+        assert catalan_number(n + 1) == cat[n + 1]
+
+
 def test_e_coeff_values():
     assert e_coeff(2, 2, 1) == 1
     assert e_coeff(3, 2, 0) == 3
