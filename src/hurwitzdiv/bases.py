@@ -24,10 +24,11 @@ class in natural order.
 Where symbols live: the external symbols c_j, b_j are the unknown
 delta_j coefficients of the pushed classes on M_g-bar, so a symbol term
 may occur only in a class over ``Mg(k)``; the constructor refuses one on
-any other basis with a ``ClassGroupError``.  A ``ClassMap`` maps only
-classes without symbols (a symbolic source raises ``ValueError``), while
-its images over ``Mg(k)`` may keep symbolic entries, as the E2/E3
-columns of ``p_push`` and the T2 column of ``p_q_map`` do.
+any other basis with a ``ClassGroupError``.  No ``ClassMap`` starts from
+``Mg(k)``, so a symbolic class meets a map only as the
+``BasisMismatchError`` of ``apply``, while the images over ``Mg(k)`` may
+keep symbolic entries, as the E2/E3 columns of ``p_push`` and the T2
+column of ``p_q_map`` do.
 
 Every coefficient is stored as integer numerators over one positive
 common denominator.  A class keeps two parts over that denominator:
@@ -46,19 +47,23 @@ common denominator.  A class keeps two parts over that denominator:
 The form is unique: no head numerator is zero, the gcd of the
 denominator and every numerator is 1, and the denominator is 1 for the
 zero class; so two classes are equal exactly when their stored parts
-agree.  A class map stores its images as integer columns over one
-common denominator in the same two parts (a column's rows as the sparse
-(j, row) pairs of its nonzero rows), and a map from ``Hurwitz(k)`` keeps
-its E_{j,c} columns blocked by j: per j, each target key holds the row
-of its entries over c, so that applying the map to a class costs one
-C-level dot product ``sum(map(mul, weights, row))`` per j and target
-key.  The push-forward ``p_push`` sends E_{j,c} to e_{j,c} delta_j
-only, so its block j is the one row e_{j,*} on delta_j.  Sums,
-scalings, reduction, equality, hashing, application and composition
-each run once over "head map + rows"; only the constructor, the
-accessors, substitution and the refusal of :meth:`ClassMap._map` tell a
-symbol key from a constant one, and substitution, like the symbols,
-never meets a row.  Sums run through one n-ary kernel,
+agree.  The class maps are the package's own: q^* (``trace.q_pullback``,
+``M0bSym(k)`` to ``Hurwitz(k)``), p_* (``pushforward.p_push``,
+``Hurwitz(k)`` to ``Mg(k)``), the correspondence action
+(``pushforward.p_q_map``, ``M0bSym(k)`` to ``Mg(k)``) and the composite
+p_* o q^*; ``ClassMap`` has no public constructor.  A map stores its
+images as integer columns over one common denominator in the same two
+parts (a column's rows as the sparse (j, row) pairs of its nonzero
+rows), and p_*, the one map from ``Hurwitz(k)``, keeps its E_{j,c}
+columns blocked by j: block j is one weight dict, target key -> entries
+over c, so that applying the map to a class costs one C-level dot
+product ``sum(map(mul, weights, row))`` per j and target key.  p_*
+sends E_{j,c} to e_{j,c} delta_j only, so its block j is the one row
+e_{j,*} on delta_j.  Sums, scalings, reduction, equality, hashing,
+application and composition each run once over "head map + rows"; only
+the constructor, the accessors and substitution tell a symbol key from
+a constant one, and substitution, like the symbols, never meets a
+row.  Sums run through one n-ary kernel,
 :func:`linear_combination`, which puts all its terms over one lcm, sums
 their numerators in a single pass (row by row for the rows) and reduces
 once; ``+`` and ``-`` are its two-term calls.  Addition, scaling, substitution and the application and
@@ -719,40 +724,10 @@ def linear_combination(
 _Column = tuple[dict, tuple]
 
 
-def _block_column(block: tuple, c: int) -> _Column | None:
+def _block_column(weights: dict, c: int) -> _Column | None:
     """The column of E_{j,c} from the block of row j, or None for 0."""
-    weights, rows = block
     nums = {t: w[c] for t, w in weights.items() if w[c]}
-    pairs = rows[c] if rows else ()
-    return (nums, pairs) if nums or pairs else None
-
-
-def _blocked(source: Basis, target: Basis, columns: Mapping[str, _Column]):
-    """Split nonzero columns by source generator into the head columns
-    and, for a Hurwitz source, the blocks of the E_{j,c} columns: per j,
-    target key -> entries over c, and for a Hurwitz target the row pairs
-    of each c."""
-    if source.kind != HURWITZ:
-        return dict(columns), ()
-    cols, by_row = {}, {}
-    for name, column in columns.items():
-        if name in _HEAD_NAMES:
-            cols[name] = column
-        else:
-            j, c = _ejc_index(name)
-            by_row.setdefault(j, {})[c] = column
-    blocks: list = [None] * (source.k + 1)
-    for j, by_c in by_row.items():
-        width = j // 2 + 1
-        weights: dict = {}
-        for c, (nums, _) in by_c.items():
-            for t, n in nums.items():
-                weights.setdefault(t, [0] * width)[c] = n
-        rows = None
-        if target.kind == HURWITZ:
-            rows = tuple(by_c[c][1] if c in by_c else () for c in range(width))
-        blocks[j] = ({t: tuple(w) for t, w in weights.items()}, rows)
-    return cols, tuple(blocks)
+    return (nums, ()) if nums else None
 
 
 def _dense_rows(basis: Basis, pairs: Iterable[tuple[int, tuple]]) -> tuple:
@@ -780,58 +755,34 @@ class ClassMap:
     """A linear map between class groups, given by the images of the
     source generators.  Generators without an image map to zero.
 
-    The images are integer columns over one common denominator
-    ``_den``, not necessarily in lowest terms, stored like a
-    :class:`DivisorClass`: head numerators keyed by target generator or
-    ``(target, symbol)``, and for a Hurwitz target the (j, row) pairs of
-    the nonzero E_{j,c} rows.  ``_cols`` maps a source generator to its
-    column, except the E_{j,c} of a Hurwitz source: ``_blocks[j]`` holds
-    those of row j as (target key -> entries over c, the row pairs of
-    each c for a Hurwitz target or None), or is None when all of them
-    map to zero, so :meth:`apply` meets row j of a class with one dot
-    product per target key.  No column and no block entry is zero.
-    :meth:`row` builds the reduced class, :meth:`numerators` hands an
-    image over a target without rows out as integers, so this layout
-    stays private to this module, and :meth:`apply` sums every product
-    in ``int``.  Only a class without symbols is mapped: :meth:`apply`
-    of a symbolic class and :meth:`compose` after a map with symbolic
-    images raise ``ValueError``.  An image over ``Mg(k)`` may keep
-    symbolic entries, so only a map onto ``Mg(k)`` carries symbols.
+    There is no public constructor: each map is one of the package's,
+    written into its stored form by ``_raw`` or made by :meth:`compose`.
+    The images are integer columns over one common denominator ``_den``,
+    not necessarily in lowest terms, stored like a :class:`DivisorClass`:
+    head numerators keyed by target generator or ``(target, symbol)``,
+    and for a Hurwitz target the (j, row) pairs of the nonzero E_{j,c}
+    rows.  ``_cols`` maps a source generator to its column, except the
+    E_{j,c} of a Hurwitz source: ``_blocks[j]`` holds those of row j as
+    one weight dict, target key -> entries over c, or is None when all
+    of them map to zero, so :meth:`apply` meets row j of a class with
+    one dot product per target key.  No column and no block entry is
+    zero.  :meth:`row` builds the reduced class, :meth:`numerators`
+    hands an image over a target without rows out as integers, so this
+    layout stays private to this module, and :meth:`apply` sums every
+    product in ``int``.  No map starts from ``Mg(k)``, the one basis
+    whose classes carry symbols, so a map meets only classes without
+    symbols; its images over ``Mg(k)`` may keep symbolic entries.
     """
 
     __slots__ = ("source", "target", "_den", "_cols", "_blocks")
 
-    def __init__(self, source: Basis, target: Basis, rows: Mapping[str, DivisorClass]):
-        for name, image in rows.items():
-            source.check(name)
-            if image.basis != target:
-                raise BasisMismatchError(
-                    f"row for {name!r} lives over {image.basis}, expected {target}"
-                )
-        den = lcm(*(image._den for image in rows.values()))
-        columns = {}
-        for name, image in rows.items():
-            if not image.is_zero():
-                f = den // image._den
-                nums = {key: n * f for key, n in image._nums.items()}
-                pairs = tuple(
-                    (j, tuple(map(f.__mul__, row)))
-                    for j, row in enumerate(image._rows)
-                    if row
-                )
-                columns[name] = (nums, pairs)
-        self.source, self.target, self._den = source, target, den
-        self._cols, self._blocks = _blocked(source, target, columns)
-
     @classmethod
     def _raw(
-        cls, source: Basis, target: Basis, den: int, cols: dict, blocks: tuple | None = None
+        cls, source: Basis, target: Basis, den: int, cols: dict, blocks: tuple = ()
     ) -> "ClassMap":
         # internal: columns as stored, keys already validated, every
         # numerator nonzero over ``den`` > 0, no column empty; ``blocks``
-        # None means no E_{j,c} column of a Hurwitz source
-        if blocks is None:
-            blocks = (None,) * (source.k + 1) if source.kind == HURWITZ else ()
+        # the k + 1 blocks of a Hurwitz source (p_*), () for any other
         obj = cls.__new__(cls)
         obj.source, obj.target = source, target
         obj._den, obj._cols, obj._blocks = den, cols, blocks
@@ -889,8 +840,7 @@ class ClassMap:
         denominator q, as a column over q * ``_den``: the head map, zeros
         dropped, and the pairs of the nonzero target rows.  Every product
         is summed in int; a row meets its block by one dot product per
-        target key.  The vector carries no symbol: a symbol key (name, s)
-        raises ``ValueError``."""
+        target key."""
         cols, blocks = self._cols, self._blocks
         sums: dict = {}
         get = sums.get
@@ -898,27 +848,16 @@ class ClassMap:
         for key, x in nums.items():
             column = cols.get(key)
             if column is None:
-                if type(key) is tuple:
-                    raise ValueError(
-                        f"a class map takes no external symbol, got {key[1]} on {key[0]!r}"
-                    )
                 continue
             for t, r in column[0].items():
                 sums[t] = get(t, 0) + x * r
             for j, row in column[1]:
                 _add_row(target_rows, j, row, x)
         for j, x_row in rows:
-            block = blocks[j] if x_row else None
-            if block is None:
-                continue
-            weights, block_rows = block
-            for t, w in weights.items():
-                sums[t] = get(t, 0) + sum(map(mul, w, x_row))
-            if block_rows:
-                for x, pairs in zip(x_row, block_rows):
-                    if x:
-                        for jj, row in pairs:
-                            _add_row(target_rows, jj, row, x)
+            weights = blocks[j] if x_row else None
+            if weights is not None:
+                for t, w in weights.items():
+                    sums[t] = get(t, 0) + sum(map(mul, w, x_row))
         pairs = tuple(sorted((j, tuple(acc)) for j, acc in target_rows.items() if any(acc)))
         return _nonzero(sums), pairs
 
@@ -935,7 +874,9 @@ class ClassMap:
         """The map ``self o inner``; requires inner.target == self.source.
         Each inner column is mapped through this map in int, over the
         denominator ``self._den * inner._den``; no row is built as a
-        class."""
+        class.  The one map from ``Hurwitz(k)``, p_*, lands in ``Mg(k)``,
+        where no map starts, so the inner map never has a Hurwitz source
+        and its images are stored as plain columns, with no blocks."""
         if inner.target != self.source:
             raise BasisMismatchError(
                 f"cannot compose: inner map lands in {inner.target}, "
@@ -946,8 +887,7 @@ class ClassMap:
             column = self._map(nums, pairs)
             if column[0] or column[1]:
                 columns[name] = column
-        cols, blocks = _blocked(inner.source, self.target, columns)
-        return ClassMap._raw(inner.source, self.target, self._den * inner._den, cols, blocks)
+        return ClassMap._raw(inner.source, self.target, self._den * inner._den, columns)
 
     def __repr__(self) -> str:
         return (

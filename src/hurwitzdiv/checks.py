@@ -387,15 +387,16 @@ def run_checks(
     externals: ExternalCoeffs | None = None,
 ) -> list[CheckResult]:
     """Run the named checks for every k in the inclusive range and
-    return the individual results.  ``all`` anywhere among the names, or
-    no names, runs every check once, in registry order."""
+    return the individual results.  Each named check runs once, in the
+    order it was first named; ``all`` anywhere among the names, or no
+    names, runs every check once, in registry order."""
     if not 1 <= k_min <= k_max:
         raise ValueError(f"invalid range 1 <= {k_min} <= {k_max}")
     if externals is not None and not k_min <= externals.k <= k_max:
         raise ValueError(
             f"external table is for k={externals.k}, not k={k_min}..{k_max}"
         )
-    selected = list(names) if names else [ALL]
+    selected = list(dict.fromkeys(names)) if names else [ALL]
     for name in selected:
         if name != ALL and name not in CHECKS:
             raise ValueError(

@@ -54,6 +54,11 @@ def _mask(b: int, members: frozenset) -> int:
     return mask
 
 
+def _check_points(b: int) -> None:
+    if b < 4:
+        raise MarkedSetError(f"need b >= 4, got {b}")
+
+
 def _check_size(b: int, n: int) -> None:
     if not 2 <= n <= b - 2:
         raise MarkedSetError(
@@ -96,7 +101,9 @@ class MarkedSet:
 
 def normalize(b: int, s: Iterable[int]) -> MarkedSet:
     """Return the normalized representative of the label s (or of
-    {1..b} - s), the one meeting {1,2,3} in at most one point."""
+    {1..b} - s), the one meeting {1,2,3} in at most one point.  A b
+    below 4 is refused before the label is read."""
+    _check_points(b)
     members = frozenset(s)
     _check_size(b, len(members))
     if (_mask(b, members) & _FIRST_THREE).bit_count() > 1:
@@ -125,8 +132,7 @@ def forgetful_pullback(s: MarkedSet) -> tuple[MarkedSet, MarkedSet]:
 
 def count_boundary(b: int) -> int:
     """Number of boundary divisors, 2^(b-1) - b - 1."""
-    if b < 4:
-        raise MarkedSetError(f"need b >= 4, got {b}")
+    _check_points(b)
     return 2 ** (b - 1) - b - 1
 
 
@@ -135,8 +141,7 @@ def enumerate_boundary(b: int) -> Iterator[MarkedSet]:
     combination of sizes 2 .. b-2 is valid and, once its second point
     lies above 3, normalized, so its label is made with its mask and
     without a re-check."""
-    if b < 4:
-        raise MarkedSetError(f"need b >= 4, got {b}")
+    _check_points(b)
     points = range(1, b + 1)
     bits = [1 << point for point in points]
     make = MarkedSet._make

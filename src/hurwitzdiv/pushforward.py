@@ -216,7 +216,7 @@ def p_push(k: int) -> ClassMap:
     blocks = [None]
     for j in range(1, k + 1):
         full = (j + 1) * (2 * k - j + 1)
-        blocks.append(({deltas[j]: tuple([e // full * den for e in e_rows[j]])}, None))
+        blocks.append({deltas[j]: tuple([e // full * den for e in e_rows[j]])})
     return ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, tuple(blocks))
 
 

@@ -85,12 +85,13 @@ def stored_model(d):
 
 def apply_model(m, d):
     """The image of class ``d`` under map ``m`` as a model over the
-    target, from the images ``m.row(g)`` of the source generators.  A
-    class map takes only a class without symbols: a symbolic source
-    coefficient raises ``ValueError``, as ``ClassMap`` does."""
+    target, from the images ``m.row(g)`` of the source generators.  The
+    maps are the package's, and none starts from ``Mg(k)``, the one
+    basis whose classes carry symbols, so ``d`` is constant; a symbolic
+    coefficient is outside the model and raises ``ValueError``."""
     source = class_model(d)
     if any(set(coef) - {None} for coef in source.values()):
-        raise ValueError("a class map takes no external symbol")
+        raise ValueError("the model maps only classes without symbols")
     out = {g: {} for g in m.target.generators()}
     for g, coef in source.items():
         for t, row_coef in class_model(m.row(g)).items():

@@ -42,30 +42,12 @@ from affine_model import (
     substitute,
 )
 from hurwitzdiv.core import AffineExpr, ExtSymbol, b_sym, c_sym
-from hurwitzdiv.pushforward import ExternalCoeffs
+from hurwitzdiv.pushforward import ExternalCoeffs, p_push, p_q_composed, p_q_map
 from hurwitzdiv.trace import q_pullback
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=12
 )
-
-
-def hurwitz_classes(k):
-    gens = list(hurwitz_basis(k).generators())
-    return st.dictionaries(st.sampled_from(gens), rationals, max_size=5).map(
-        lambda coeffs: DivisorClass(hurwitz_basis(k), coeffs)
-    )
-
-
-def mg_rows(k):
-    gens = list(mg_basis(k).generators())
-    row = st.dictionaries(st.sampled_from(gens), rationals, max_size=3).map(
-        lambda coeffs: DivisorClass(mg_basis(k), coeffs)
-    )
-    sources = list(hurwitz_basis(k).generators())
-    return st.dictionaries(st.sampled_from(sources), row, max_size=6).map(
-        lambda rows: ClassMap(hurwitz_basis(k), mg_basis(k), rows)
-    )
 
 
 def test_basis_membership_small_k_rule():
@@ -124,15 +106,6 @@ def test_addition_requires_same_basis():
         )
 
 
-def test_apply_zero_and_identity():
-    q = q_pullback(2)
-    assert q.apply(zero_class(m0b_sym_basis(2))).is_zero()
-    b = mg_basis(2)
-    ident = ClassMap(b, b, {g: DivisorClass(b, {g: 1}) for g in b.generators()})
-    d = DivisorClass(b, {LAMBDA: 1, delta(0): -2})
-    assert ident.apply(d) == d
-
-
 def test_apply_q_star_at_k1():
     q = q_pullback(1)
     t2 = DivisorClass(m0b_sym_basis(1), {T2: 1})
@@ -179,22 +152,6 @@ def test_symbols_are_refused_off_mg(basis, name):
     assert DivisorClass(basis, {name: AffineExpr(2)}) == DivisorClass(basis, {name: 2})
 
 
-@given(hurwitz_classes(3), hurwitz_classes(3), rationals, mg_rows(3))
-def test_apply_is_linear(d1, d2, a, m):
-    assert m.apply(d1 * a + d2) == m.apply(d1) * a + m.apply(d2)
-
-
-@given(hurwitz_classes(2), mg_rows(2))
-def test_compose_matches_sequential_application(d, outer):
-    inner = q_pullback(2)
-    composed = outer.compose(inner)
-    for t in inner.source.generators():
-        probe = DivisorClass(inner.source, {t: 1})
-        assert composed.apply(probe) == outer.apply(inner.apply(probe))
-    assert composed.source == inner.source
-    assert composed.target == outer.target
-
-
 def test_basis_validation():
     with pytest.raises(ValueError):
         Basis("Nope", 1)
@@ -203,8 +160,6 @@ def test_basis_validation():
 
 
 def test_builtin_pushforward_map_linearity():
-    from hurwitzdiv.pushforward import p_push
-
     push = p_push(3)
     d1 = DivisorClass(hurwitz_basis(3), {E0: Fraction(1, 2), Ejc(2, 1): 3})
     d2 = DivisorClass(hurwitz_basis(3), {E2: 1, Ejc(3, 0): Fraction(-7, 5)})
@@ -217,8 +172,6 @@ def test_q_pullback_row_structure():
     # so any class supported elsewhere is annihilated structurally
     q = q_pullback(4)
     assert set(q.rows) == {T2, *(f"T3j_{j}" for j in range(1, 5))}
-    from hurwitzdiv.pushforward import p_push
-
     assert set(p_push(4).rows) == set(hurwitz_basis(4).generators())
 
 
@@ -331,27 +284,6 @@ def test_mixed_substitute_matches_affine_model(d, values):
     assert model(result) == {g: substitute(e, values) for g, e in model(d).items()}
 
 
-def mixed_maps(row_values, k=2):
-    gens = list(mg_basis(k).generators())
-    row = st.dictionaries(st.sampled_from(gens), row_values, max_size=3).map(
-        lambda coeffs: DivisorClass(mg_basis(k), coeffs)
-    )
-    return st.dictionaries(st.sampled_from(gens), row, max_size=4).map(
-        lambda rows: ClassMap(mg_basis(k), mg_basis(k), rows)
-    )
-
-
-@given(st.data())
-def test_mixed_apply_and_compose_match_affine_model(data):
-    # symbolic or plain rows act on plain classes; a symbolic class is
-    # refused, as the model refuses it
-    m = data.draw(mixed_maps(data.draw(st.sampled_from((mixed_values, plain_values)))))
-    assert_apply_matches_model(m, data.draw(mg_classes(plain_values)))
-    assert_apply_matches_model(m, data.draw(mg_classes(mixed_values)))
-    assert_compose_matches_model(m, data.draw(mixed_maps(plain_values)))
-    assert_compose_matches_model(m, data.draw(mixed_maps(mixed_values)))
-
-
 @given(st.lists(rationals, min_size=6, max_size=6))
 def test_full_substitution_stores_only_fractions(table):
     from hurwitzdiv.pushforward import ExternalCoeffs, p_phi_lambda, p_q_kappa
@@ -407,9 +339,8 @@ def test_constant_affine_and_fraction_classes_are_identical():
             DivisorClass(hurwitz_basis(2), {Ejc(1, 0): value})
 
 
-# Integer kernel: a ClassMap keeps one common denominator and one integer
-# factor per row.  Rows over pairwise different denominators, some of the
-# size of (6k)!, must apply and compose exactly like plain Fraction sums.
+# Values over pairwise different denominators, some of the size of
+# (6k)!, which the integer kernel must handle exactly.
 
 FACTORIAL_SIZED = math.factorial(6 * 20)
 row_denominators = st.one_of(
@@ -419,66 +350,6 @@ big_rationals = st.one_of(
     rationals,
     st.integers(-(10**40), 10**40).map(lambda n: Fraction(n, FACTORIAL_SIZED)),
 )
-
-
-@st.composite
-def fraction_maps(draw, k=3):
-    """A map Mg(k) -> Mg(k) as a plain Fraction reference: each row has
-    its own denominator, and a 1/den entry keeps it from reducing."""
-    gens = list(mg_basis(k).generators())
-    sources = draw(st.lists(st.sampled_from(gens), unique=True, max_size=len(gens)))
-    n = len(sources)
-    dens = draw(st.lists(row_denominators, min_size=n, max_size=n, unique=True))
-    rows = {}
-    for source, den in zip(sources, dens):
-        first = draw(st.sampled_from(gens))
-        extra = draw(
-            st.dictionaries(st.sampled_from(gens), st.integers(-50, 50), max_size=3)
-        )
-        row = {g: Fraction(n, den) for g, n in extra.items() if n}
-        row[first] = Fraction(1, den)
-        rows[source] = row
-    return rows
-
-
-def fraction_apply(rows, coeffs):
-    out = {}
-    for g, x in coeffs.items():
-        for t, r in rows.get(g, {}).items():
-            out[t] = out.get(t, 0) + x * r
-    return {t: v for t, v in out.items() if v}
-
-
-def as_fractions(d):
-    return {g: v.constant_value() for g, v in d.items()}
-
-
-def class_map(rows, k=3):
-    basis = mg_basis(k)
-    images = {g: DivisorClass(basis, row) for g, row in rows.items()}
-    return ClassMap(basis, basis, images)
-
-
-@given(
-    fraction_maps(),
-    fraction_maps(),
-    st.dictionaries(st.sampled_from(list(mg_basis(3).generators())), big_rationals),
-)
-def test_integer_kernel_matches_fraction_reference(outer_rows, inner_rows, coeffs):
-    outer, inner = class_map(outer_rows), class_map(inner_rows)
-    d = DivisorClass(mg_basis(3), coeffs)
-    applied = outer.apply(d)
-    assert_canonical(applied)
-    assert as_fractions(applied) == fraction_apply(outer_rows, coeffs)
-    composed = outer.compose(inner)
-    for g in mg_basis(3).generators():
-        row = composed.row(g)
-        assert_canonical(row)
-        assert as_fractions(row) == fraction_apply(outer_rows, inner_rows.get(g, {}))
-    scale = Fraction(FACTORIAL_SIZED, 7)
-    assert as_fractions(applied * scale) == {
-        t: v * scale for t, v in fraction_apply(outer_rows, coeffs).items()
-    }
 
 
 def test_generator_order_is_cached_and_shared_by_all_kinds():
@@ -542,13 +413,6 @@ def mg3_classes(values):
     )
 
 
-def mg3_maps(values):
-    row = mg3_classes(values)
-    return st.dictionaries(st.sampled_from(MG3), row, max_size=4).map(
-        lambda rows: ClassMap(mg_basis(3), mg_basis(3), rows)
-    )
-
-
 @given(mg3_classes(spread_values), mg3_classes(spread_values), big_rationals)
 def test_symbolic_kernel_arithmetic_matches_affine_model(d1, d2, a):
     m1, m2 = model(d1), model(d2)
@@ -580,68 +444,6 @@ def test_symbolic_kernel_substitute_matches_affine_model(d, table, order, cut):
         assert_canonical(result)
         assert model(result) == {g: substitute(e, values) for g, e in model(d).items()}
     assert all(type(key) is str for key in d.substitute(full)._nums)
-
-
-@given(st.data())
-def test_symbolic_kernel_apply_and_compose_match_affine_model(data):
-    # symbolic and plain rows act on plain classes; a symbolic class, or
-    # a symbolic inner column, is refused by both the kernel and the model
-    symbolic = data.draw(mg3_maps(spread_values))
-    plain = class_map(data.draw(fraction_maps()))
-    plain_class = data.draw(mg3_classes(big_rationals))
-    symbolic_class = data.draw(mg3_classes(spread_values))
-    for m in (symbolic, plain):
-        assert_apply_matches_model(m, plain_class)
-        assert_apply_matches_model(m, symbolic_class)
-    for outer, inner in ((symbolic, plain), (plain, symbolic)):
-        assert_compose_matches_model(outer, inner)
-
-
-def test_symbolic_source_is_rejected():
-    basis = mg_basis(1)
-    row = DivisorClass(basis, {delta(1): AffineExpr(0, {c_sym(1): Fraction(1, 2)})})
-    m = ClassMap(basis, basis, {delta(1): row, LAMBDA: DivisorClass(basis, {LAMBDA: 3})})
-    d = DivisorClass(basis, {delta(1): AffineExpr(1, {b_sym(1): Fraction(2, 7)})})
-    refusal = "a class map takes no external symbol, got b_1 on 'delta_1'"
-    # a symbolic source is refused whatever column it meets, a zero one too
-    plain = ClassMap(basis, basis, {delta(1): DivisorClass(basis, {LAMBDA: 3})})
-    for outer in (m, plain, ClassMap(basis, basis, {})):
-        with pytest.raises(ValueError, match=refusal):
-            outer.apply(d)
-        # compose shares the path: a symbolic column of the inner map
-        with pytest.raises(ValueError, match=refusal):
-            outer.compose(ClassMap(basis, basis, {LAMBDA: d}))
-    # the constant half: a symbolic column times a plain class stays symbolic
-    constant = DivisorClass(basis, {delta(1): 4, LAMBDA: Fraction(1, 3)})
-    assert m.apply(constant) == DivisorClass(
-        basis, {delta(1): AffineExpr(0, {c_sym(1): 2}), LAMBDA: 1}
-    )
-    assert m.compose(ClassMap(basis, basis, {LAMBDA: constant})).row(LAMBDA) == m.apply(constant)
-
-
-# Column store: a ClassMap keeps its images as integer columns over one
-# common denominator.  Rows given to the constructor, symbolic or not and
-# over pairwise different denominators, must come back unchanged.
-
-
-@given(
-    st.dictionaries(st.sampled_from(MG3), mg3_classes(spread_values), max_size=4),
-    st.data(),
-)
-def test_column_store_gives_back_its_rows(rows, data):
-    basis = mg_basis(3)
-    m = ClassMap(basis, basis, rows)
-    nonzero = {g: row for g, row in rows.items() if not row.is_zero()}
-    assert m.rows == nonzero
-    for g in MG3:
-        row = m.row(g)
-        assert_canonical(row)
-        assert row == rows.get(g, zero_class(basis))
-    # composing with a plain map on either side; as the inner map, a map
-    # with a symbolic column is refused
-    plain = class_map(data.draw(fraction_maps()))
-    for outer, inner in ((plain, m), (m, plain)):
-        assert_compose_matches_model(outer, inner)
 
 
 # Index grammar of the index-bounded kinds: a boundary generator has one
@@ -779,23 +581,6 @@ def emitted_classes(draw):
     return DivisorClass(basis, coeffs)
 
 
-constant_classes = st.sampled_from(FIVE_BASES).flatmap(
-    lambda basis: st.dictionaries(
-        st.sampled_from(list(basis.generators())), emitted_constants, max_size=5
-    ).map(lambda coeffs: DivisorClass(basis, coeffs))
-)
-
-
-@given(constant_classes)
-def test_identity_map_keeps_every_class_of_every_kind(d):
-    # a map whose row of g is g itself, on each of the five bases; a
-    # class map applies to constant classes only
-    b = d.basis
-    ident = ClassMap(b, b, {g: DivisorClass(b, {g: 1}) for g in b.generators()})
-    assert ident.apply(d) == d
-    assert ident.compose(ident).apply(d) == d
-
-
 @given(emitted_classes(), emission_scales)
 def test_scaled_formatted_items_match_the_materialized_product(d, scale):
     assert d._formatted_items(scale) == (d * scale)._formatted_items()
@@ -830,8 +615,6 @@ def test_scaled_formatted_items_edge_cases():
 
 
 def test_compose_runs_on_integer_columns(monkeypatch):
-    from hurwitzdiv.pushforward import p_push
-
     maps = {k: (p_push(k), q_pullback(k)) for k in (1, 2, 3, 7)}
     expected = {
         k: {g: outer.apply(inner.row(g)) for g in inner.source.generators()}
@@ -868,27 +651,8 @@ def test_compose_runs_on_integer_columns(monkeypatch):
             assert result.row(g) == row
 
 
-def test_compose_drops_cancelled_entries():
-    basis = mg_basis(1)
-    inner = ClassMap(
-        basis, basis, {LAMBDA: DivisorClass(basis, {delta(0): 1, delta(1): -1})}
-    )
-    outer = ClassMap(
-        basis,
-        basis,
-        {
-            delta(0): DivisorClass(basis, {LAMBDA: Fraction(1, 3)}),
-            delta(1): DivisorClass(basis, {LAMBDA: Fraction(1, 3), delta(0): 2}),
-        },
-    )
-    composed = outer.compose(inner)
-    assert composed._cols == {LAMBDA: ({delta(0): -2 * outer._den}, ())}
-    assert composed.row(LAMBDA) == DivisorClass(basis, {delta(0): -2})
-
-
 # Row layout: a Hurwitz(k) class keeps E0/E2/E3 in its head map and the
-# E_{j,c} constants in k + 1 rows, and carries no symbol; a map from
-# Hurwitz(k) keeps its E_{j,c} columns blocked by row.  For k = 1..6,
+# E_{j,c} constants in k + 1 rows, and carries no symbol.  For k = 1..6,
 # with empty rows, one-entry and dense classes, every operation must
 # agree with the affine model, and every result must be in the canonical
 # stored form.
@@ -899,7 +663,12 @@ HURWITZ_KS = st.integers(1, 6)
 def hurwitz_row_classes(k, values):
     """Hurwitz(k) classes: zero, one entry, a few entries (mostly empty
     rows) or every generator (every row full)."""
-    basis = hurwitz_basis(k)
+    return basis_classes(hurwitz_basis(k), values)
+
+
+def basis_classes(basis, values):
+    """Classes over ``basis``: zero, one entry, a few entries or every
+    generator."""
     gens = list(basis.generators())
     return st.one_of(
         st.just(zero_class(basis)),
@@ -1011,123 +780,6 @@ def test_substitute_and_apply_share_the_kernel(monkeypatch):
     assert ext.apply(plain) is plain and ext.apply(hur) is hur
 
 
-def hurwitz_to_mg_maps(k, values):
-    row = st.dictionaries(st.sampled_from(list(mg_basis(k).generators())), values, max_size=3)
-    sources = list(hurwitz_basis(k).generators())
-    return st.dictionaries(st.sampled_from(sources), row, max_size=8).map(
-        lambda rows: ClassMap(
-            hurwitz_basis(k),
-            mg_basis(k),
-            {g: DivisorClass(mg_basis(k), r) for g, r in rows.items()},
-        )
-    )
-
-
-def m0b_to_hurwitz_maps(k, values):
-    sources = list(m0b_sym_basis(k).generators())
-    return st.dictionaries(
-        st.sampled_from(sources), hurwitz_row_classes(k, values), max_size=4
-    ).map(lambda rows: ClassMap(m0b_sym_basis(k), hurwitz_basis(k), rows))
-
-
-def assert_apply_matches_model(m, d):
-    try:
-        expected = apply_model(m, d)
-    except ValueError:
-        with pytest.raises(ValueError, match="takes no external symbol"):
-            m.apply(d)
-        return
-    applied = m.apply(d)
-    assert_canonical(applied)
-    assert model(applied) == expected
-
-
-def assert_compose_matches_model(outer, inner):
-    try:
-        expected = {g: apply_model(outer, inner.row(g)) for g in inner.source.generators()}
-    except ValueError:
-        with pytest.raises(ValueError, match="takes no external symbol"):
-            outer.compose(inner)
-        return
-    composed = outer.compose(inner)
-    assert (composed.source, composed.target) == (inner.source, outer.target)
-    for g in inner.source.generators():
-        row = composed.row(g)
-        assert_canonical(row)
-        assert model(row) == expected[g]
-
-
-# an example at k = 6 reads every column of an 18-generator identity
-# through the model, which can outrun the default per-example deadline
-@settings(deadline=None)
-@given(st.data())
-def test_hurwitz_maps_match_affine_model(data):
-    from hurwitzdiv.pushforward import p_push
-
-    k = data.draw(HURWITZ_KS)
-    hur = hurwitz_basis(k)
-    ident = ClassMap(hur, hur, {g: DivisorClass(hur, {g: 1}) for g in hur.generators()})
-    # random maps onto Mg with symbolic entries, and constant maps into
-    # Hurwitz, meet constant classes
-    from_hurwitz = [
-        data.draw(hurwitz_to_mg_maps(k, mixed_values)),
-        data.draw(hurwitz_to_mg_maps(k, big_rationals)),
-        p_push(k),
-        ident,
-    ]
-    into_hurwitz = [
-        data.draw(m0b_to_hurwitz_maps(k, plain_values)),
-        data.draw(m0b_to_hurwitz_maps(k, big_rationals)),
-        q_pullback(k),
-    ]
-    hurwitz_class = data.draw(hurwitz_row_classes(k, plain_values))
-    spread_class = data.draw(hurwitz_row_classes(k, spread_constants))
-    m0b_gens = list(m0b_sym_basis(k).generators())
-    m0b_class = data.draw(
-        st.dictionaries(st.sampled_from(m0b_gens), plain_values, max_size=4).map(
-            lambda coeffs: DivisorClass(m0b_sym_basis(k), coeffs)
-        )
-    )
-    for m in from_hurwitz:
-        assert_apply_matches_model(m, hurwitz_class)
-        assert_apply_matches_model(m, spread_class)
-    for m in into_hurwitz:
-        assert_apply_matches_model(m, m0b_class)
-    # one composition per example, each pair of kinds in turn
-    outer = data.draw(st.sampled_from(from_hurwitz))
-    inner = data.draw(st.sampled_from(into_hurwitz + [ident]))
-    assert_compose_matches_model(outer, inner)
-    # the identity keeps every class, blocks and all
-    assert ident.apply(spread_class) == spread_class
-
-
-@given(st.data())
-def test_hurwitz_column_store_gives_back_its_rows(data):
-    k = data.draw(HURWITZ_KS)
-    hur = hurwitz_basis(k)
-    target = data.draw(st.sampled_from([mg_basis(k), hur]))
-    sources = list(hur.generators())
-    images = (
-        hurwitz_row_classes(k, spread_constants)
-        if target == hur
-        else st.dictionaries(st.sampled_from(list(target.generators())), spread_values, max_size=3).map(
-            lambda coeffs: DivisorClass(target, coeffs)
-        )
-    )
-    rows = data.draw(st.dictionaries(st.sampled_from(sources), images, max_size=8))
-    m = ClassMap(hur, target, rows)
-    assert m.rows == {g: row for g, row in rows.items() if not row.is_zero()}
-    for g in sources:
-        row = m.row(g)
-        assert_canonical(row)
-        assert row == rows.get(g, zero_class(target))
-    for block in m._blocks:
-        if block is not None:
-            weights, block_rows = block
-            assert (block_rows is None) == (target != hur)
-            assert all(any(w) for w in weights.values())
-
-
 def test_row_builders_equal_the_classes_built_by_name():
     from hurwitzdiv import trace
 
@@ -1233,3 +885,118 @@ def test_numerators_view_reads_the_stored_class(d):
 def test_numerators_view_refuses_a_class_with_rows():
     with pytest.raises(ValueError, match="E_"):
         zero_class(hurwitz_basis(2)).numerators_view()
+
+
+# The package's maps: q^* (M0bSym(k) -> Hurwitz(k)), p_* (Hurwitz(k) ->
+# Mg(k), its E_{j,c} columns blocked by row), the correspondence action
+# p_q_map (M0bSym(k) -> Mg(k)) and the composite p_* o q^*.  A ClassMap
+# has no public constructor, so these are all the maps there are.  For
+# k = 1..6 and plain, spread and (6k)!-sized values, applying and
+# composing them must agree with the affine model, and every image must
+# be in the canonical stored form.
+
+
+def package_maps(k):
+    return {
+        "q_pullback": q_pullback(k),
+        "p_push": p_push(k),
+        "p_q_map": p_q_map(k),
+        "p_q_composed": p_q_composed(k),
+    }
+
+
+def assert_apply_matches_model(m, d):
+    applied = m.apply(d)
+    assert_canonical(applied)
+    assert model(applied) == apply_model(m, d)
+
+
+# an example at k = 6 reads every column of p_push through the model,
+# which can outrun the default per-example deadline
+@settings(deadline=None)
+@given(st.data())
+def test_package_maps_apply_matches_affine_model(data):
+    k = data.draw(HURWITZ_KS)
+    values = data.draw(st.sampled_from((plain_values, spread_constants, big_rationals)))
+    a = data.draw(kernel_scalars)
+    for m in (p_push(k), q_pullback(k), p_q_map(k)):
+        d1 = data.draw(basis_classes(m.source, values))
+        d2 = data.draw(basis_classes(m.source, spread_constants))
+        assert_apply_matches_model(m, d1)
+        assert_apply_matches_model(m, d2)
+        combined = linear_combination(m.source, [(a, d1), (1, d2)])
+        assert m.apply(combined) == linear_combination(
+            m.target, [(a, m.apply(d1)), (1, m.apply(d2))]
+        )
+    # the composite applies as q^* and then p_*
+    d = data.draw(basis_classes(m0b_sym_basis(k), values))
+    assert p_q_composed(k).apply(d) == p_push(k).apply(q_pullback(k).apply(d))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_package_compose_matches_affine_model(k):
+    push, pull = p_push(k), q_pullback(k)
+    composed = push.compose(pull)
+    assert (composed.source, composed.target) == (pull.source, push.target)
+    cached = p_q_composed(k)
+    for g in pull.source.generators():
+        row = composed.row(g)
+        assert_canonical(row)
+        assert model(row) == apply_model(push, pull.row(g))
+        assert row == cached.row(g)
+    assert composed.rows == cached.rows
+    if k >= 3:
+        assert composed.rows == p_q_map(k).rows
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_package_map_readers_agree(k):
+    for m in package_maps(k).values():
+        rows = m.rows
+        assert not any(row.is_zero() for row in rows.values())
+        for g in m.source.generators():
+            row = m.row(g)
+            assert_canonical(row)
+            assert row == rows.get(g, zero_class(m.target))
+            if m.target.kind == HURWITZ:
+                with pytest.raises(ValueError, match="E_"):
+                    m.numerators(g)
+                continue
+            nums, den = m.numerators(g)
+            values = {t: {} for t in m.target.generators()}
+            for key, n in nums.items():
+                name, sym = key if type(key) is tuple else (key, None)
+                values[name][sym] = Fraction(n, den)
+            assert values == model(row)
+        with pytest.raises(UnknownGeneratorError):
+            m.row("E_99_0")
+        # a block of p_* is one weight dict, target key -> entries over c
+        for block in m._blocks:
+            assert block is None or all(any(w) for w in block.values())
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_package_maps_refuse_what_they_cannot_map(k):
+    # no map starts from Mg(k), so an Mg(k) class, with or without a
+    # symbol, meets every map as a basis mismatch
+    mg = mg_basis(k)
+    mg_classes = (
+        DivisorClass(mg, {LAMBDA: 1}),
+        DivisorClass(mg, {delta(k): AffineExpr(1, {c_sym(k): 2, b_sym(1): -1})}),
+    )
+    maps = package_maps(k)
+    for m in maps.values():
+        for d in mg_classes:
+            with pytest.raises(BasisMismatchError, match="cannot be fed to a map from"):
+                m.apply(d)
+    # p_* o q^* is the one composite whose bases meet
+    for outer_name, outer in maps.items():
+        for inner_name, inner in maps.items():
+            if (outer_name, inner_name) != ("p_push", "q_pullback"):
+                with pytest.raises(BasisMismatchError, match="cannot compose"):
+                    outer.compose(inner)
+    with pytest.raises(BasisMismatchError):
+        p_push(k + 1).compose(q_pullback(k))
+    # and there is no constructor to build another map
+    with pytest.raises(TypeError):
+        ClassMap(m0b_sym_basis(k), hurwitz_basis(k), {})

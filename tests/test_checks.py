@@ -60,6 +60,25 @@ def test_run_checks_small_range():
     assert {r.check for r in skipped} == {"delta-j-checks"}
 
 
+def test_a_repeated_check_name_runs_once(capsys):
+    # each named check runs once, in the order it was first named; a
+    # repeat is validated like any name
+    named = run_checks(1, 2, ["catalan", "genus", "catalan", "genus"])
+    assert [(r.check, r.k) for r in named] == [
+        ("catalan", 1), ("genus", 1), ("catalan", 2), ("genus", 2)
+    ]
+    assert run_checks(1, 1, ["genus", "all", "genus"]) == run_checks(1, 1)
+    with pytest.raises(ValueError, match="unknown check 'nope'"):
+        run_checks(1, 1, ["genus", "genus", "nope"])
+    from hurwitzdiv.cli import main
+
+    assert main(["verify", "--k-min", "1", "--k-max", "1", "--checks", "genus,genus"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in out] == [
+        ["k=1", "genus", "PASS"], ["summary:", "1", "passed,", "0", "failed,", "0", "skipped"]
+    ]
+
+
 def test_run_checks_validates_input():
     with pytest.raises(ValueError):
         run_checks(0, 3)

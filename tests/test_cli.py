@@ -358,6 +358,19 @@ def test_m0n_refuses_b_above_the_cap_before_any_work(capsys, monkeypatch):
         assert err == f"error: --b is capped at {cli.MAX_MARKED_POINTS} marked points, got {b}\n"
 
 
+@pytest.mark.parametrize("b", ["3", "0", "-2"])
+def test_m0n_refuses_a_b_below_four_with_one_text_for_every_op(capsys, b):
+    # normalize checks b before the label size, so each op refuses b < 4
+    # with the text of count
+    for argv in (
+        ("m0n", "--b", b, "count"),
+        ("m0n", "--b", b, "normalize", "1,2"),
+        ("m0n", "--b", b, "intersect", "1,2", "2,3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: need b >= 4, got {b}\n")
+
+
 def test_m0n_count_at_the_cap_fits_the_default_int_text_limit(capsys):
     from hurwitzdiv import cli
 
@@ -805,7 +818,7 @@ _TABLES, _COMMANDS = _command_list()
 def test_command_list_is_whole():
     # every command of the CI list, every table valid JSON and read by
     # some command
-    assert len(_COMMANDS) == 41
+    assert len(_COMMANDS) == 42
     named = {arg for argv in _COMMANDS for arg in argv}
     assert set(_TABLES) <= named
     for text in _TABLES.values():

@@ -287,6 +287,23 @@ def test_enumerated_labels_equal_the_validated_ones(b):
         assert repr(label) == repr(checked) and str(label) == str(checked)
 
 
+@pytest.mark.parametrize("b", [3, 2, 0])
+def test_every_label_function_refuses_b_below_four_alike(b):
+    # normalize refuses b before it reads the label, with the text of
+    # count_boundary and enumerate_boundary
+    text = f"need b >= 4, got {b}"
+    for call in (
+        lambda: count_boundary(b),
+        lambda: list(enumerate_boundary(b)),
+        lambda: normalize(b, {1, 2}),
+        lambda: normalize(b, {1}),
+        lambda: normalize(b, {"x"}),
+    ):
+        with pytest.raises(MarkedSetError) as exc:
+            call()
+        assert str(exc.value) == text
+
+
 @pytest.mark.parametrize(
     "b, members, text",
     [

@@ -486,10 +486,10 @@ def test_inexact_values_are_refused_by_tables_and_substitute():
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_symbols_occur_only_over_mg_on_every_package_path(k):
-    # the constructor refuses a symbol off Mg(k), and ClassMap a symbolic
-    # source; every class of the class table and every column of the
-    # package maps keeps its symbols over Mg(k), so neither refusal can
-    # fire on a package path
+    # the constructor refuses a symbol off Mg(k), and no package map
+    # starts from Mg(k); every class of the class table and every column
+    # of the package maps keeps its symbols over Mg(k), so the refusal
+    # cannot fire on a package path and no map meets a symbolic class
     from hurwitzdiv.bases import IndexRangeError, MG, UnknownGeneratorError
     from hurwitzdiv.cli import _CLASSES
     from hurwitzdiv.pushforward import p_q_composed

@@ -90,3 +90,93 @@ def test_star_import_binds_no_module():
     namespace = {}
     exec("from hurwitzdiv import *", namespace)
     assert "trace" not in namespace and "checks" not in namespace
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of each private name that a module
+    defines: its functions, classes and methods at any depth, and the
+    names assigned in the module body and in class bodies.  Private is
+    one leading underscore: neither a dunder nor ``_`` itself."""
+    found = []
+    bodies = [tree.body]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            bodies.append(node.body)
+    for body in bodies:
+        for node in body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [
+                    (n.id, node.lineno, node.end_lineno)
+                    for target in targets
+                    for n in ast.walk(target)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+    return [
+        (name, first, last)
+        for name, first, last in found
+        if name.startswith("_") and not name.startswith("__") and name != "_"
+    ]
+
+
+def _unread_private_names(modules: dict[str, ast.Module]) -> list[str]:
+    """Each private name defined in one of ``modules`` (file name ->
+    tree) that no ``Name`` or ``Attribute`` node of any of them reads,
+    outside the lines of its own definition."""
+    reads: dict[str, list[tuple[str, int]]] = {}
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((module, node.lineno))
+    unread = []
+    for module, tree in modules.items():
+        for name, first, last in sorted(_private_definitions(tree), key=lambda d: d[1]):
+            if all(m == module and first <= line <= last for m, line in reads.get(name, ())):
+                unread.append(f"{module}:{first} {name}")
+    return unread
+
+
+def test_every_private_name_is_read():
+    # a private function, class, method or constant that nothing in the
+    # package reads is left over from deleted code; only the package
+    # counts, not the tests or the benchmark
+    modules = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert "bases.py" in modules
+    assert _unread_private_names(modules) == []
+
+
+def test_private_name_census_reads_its_rules():
+    # a read inside the definition (recursion) does not count, a read in
+    # another module does, methods and class constants count, and
+    # neither a dunder nor ``_`` is private
+    source = """
+_USED = 1
+_UNUSED = 2
+def _recursive(n):
+    return _recursive(n - 1) if n else _USED
+class _Kept:
+    _flag = True
+    _idle: int = 0
+    def _method(self):
+        return self._flag
+    def _orphan(self):
+        return self._orphan()
+def public():
+    return _Kept()._method(), other._shared
+_, x = 1, 2
+__dunder__ = 3
+"""
+    modules = {"m.py": ast.parse(source), "n.py": ast.parse("_shared = 4\n")}
+    assert _unread_private_names(modules) == [
+        "m.py:3 _UNUSED",
+        "m.py:4 _recursive",
+        "m.py:8 _idle",
+        "m.py:11 _orphan",
+    ]
