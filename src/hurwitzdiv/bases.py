@@ -55,12 +55,11 @@ p_* o q^*; ``ClassMap`` has no public constructor.  A map stores its
 images as integer columns over one common denominator in the same two
 parts (a column's rows as the sparse (j, row) pairs of its nonzero
 rows), and p_*, the one map from ``Hurwitz(k)``, keeps its E_{j,c}
-columns blocked by j: block j is one weight dict, target key -> entries
-over c, so that applying the map to a class costs one C-level dot
-product ``sum(map(mul, weights, row))`` per j and target key.  p_*
-sends E_{j,c} to e_{j,c} delta_j only, so its block j is the one row
-e_{j,*} on delta_j.  Sums, scalings, reduction, equality, hashing,
-application and composition each run once over "head map + rows"; only
+columns blocked by j: p_* sends E_{j,c} to e_{j,c} delta_j only, so
+block j is the pair (delta_j, entries over c), and applying the map to
+a class costs one C-level dot product ``sum(map(mul, weights, row))``
+per j.  Sums, scalings, reduction, equality, hashing, application and
+composition each run once over "head map + rows"; only
 the constructor, the accessors and substitution tell a symbol key from
 a constant one, and substitution, like the symbols, never meets a
 row.  Sums run through one n-ary kernel,
@@ -219,7 +218,7 @@ class Basis:
         if self.kind not in _KINDS:
             raise ClassGroupError(f"unknown basis kind {self.kind!r}")
         if self.k < 1:
-            raise ClassGroupError(f"basis parameter k must be >= 1, got {self.k}")
+            raise ClassGroupError(f"k must be >= 1, got {self.k}")
 
     def contains(self, name: str) -> bool:
         return name in _generator_index(self.kind, self.k)
@@ -724,10 +723,10 @@ def linear_combination(
 _Column = tuple[dict, tuple]
 
 
-def _block_column(weights: dict, c: int) -> _Column | None:
-    """The column of E_{j,c} from the block of row j, or None for 0."""
-    nums = {t: w[c] for t, w in weights.items() if w[c]}
-    return (nums, ()) if nums else None
+def _block_column(block: tuple, c: int) -> _Column | None:
+    """The column of E_{j,c} from the block (key, weights) of row j."""
+    t, weights = block
+    return ({t: weights[c]}, ()) if weights[c] else None
 
 
 def _dense_rows(basis: Basis, pairs: Iterable[tuple[int, tuple]]) -> tuple:
@@ -742,15 +741,6 @@ def _dense_rows(basis: Basis, pairs: Iterable[tuple[int, tuple]]) -> tuple:
     return rows
 
 
-def _add_row(acc: dict, j: int, row: tuple, x: int) -> None:
-    """``acc[j] += x * row``, entry by entry."""
-    old = acc.get(j)
-    if old is None:
-        acc[j] = [n * x for n in row]
-    else:
-        acc[j] = list(map(add, old, map(x.__mul__, row)))
-
-
 class ClassMap:
     """A linear map between class groups, given by the images of the
     source generators.  Generators without an image map to zero.
@@ -762,16 +752,17 @@ class ClassMap:
     head numerators keyed by target generator or ``(target, symbol)``,
     and for a Hurwitz target the (j, row) pairs of the nonzero E_{j,c}
     rows.  ``_cols`` maps a source generator to its column, except the
-    E_{j,c} of a Hurwitz source: ``_blocks[j]`` holds those of row j as
-    one weight dict, target key -> entries over c, or is None when all
-    of them map to zero, so :meth:`apply` meets row j of a class with
-    one dot product per target key.  No column and no block entry is
-    zero.  :meth:`row` builds the reduced class, :meth:`numerators`
-    hands an image over a target without rows out as integers, so this
-    layout stays private to this module, and :meth:`apply` sums every
-    product in ``int``.  No map starts from ``Mg(k)``, the one basis
-    whose classes carry symbols, so a map meets only classes without
-    symbols; its images over ``Mg(k)`` may keep symbolic entries.
+    E_{j,c} of a Hurwitz source: ``_blocks[j]``, j >= 1, holds those of
+    row j as the pair (target key, entries over c), as p_* sends each of
+    them to one key, so :meth:`apply` meets row j of a class with one
+    dot product (``_blocks[0]`` is None: there is no row 0).  No column
+    is zero and no block is all zero.  :meth:`row` builds the reduced class,
+    :meth:`numerators` hands an image over a target without rows out as
+    integers, so this layout stays private to this module, and
+    :meth:`apply` sums every product in ``int``.  No map starts from
+    ``Mg(k)``, the one basis whose classes carry symbols, so a map meets
+    only classes without symbols; its images over ``Mg(k)`` may keep
+    symbolic entries.
     """
 
     __slots__ = ("source", "target", "_den", "_cols", "_blocks")
@@ -791,8 +782,7 @@ class ClassMap:
     def _column(self, name: str) -> _Column | None:
         if self._blocks and name not in _HEAD_NAMES:
             j, c = _ejc_index(name)
-            block = self._blocks[j]
-            return None if block is None else _block_column(block, c)
+            return _block_column(self._blocks[j], c)
         return self._cols.get(name)
 
     def _columns(self) -> Iterator[tuple[str, _Column]]:
@@ -800,12 +790,11 @@ class ClassMap:
         columns as stored, then the E_{j,c} in (j, c) order."""
         yield from self._cols.items()
         if self._blocks:
-            for names, block in zip(ejc_names(self.source.k), self._blocks):
-                if block is not None:
-                    for c, name in enumerate(names):
-                        column = _block_column(block, c)
-                        if column is not None:
-                            yield name, column
+            for names, block in zip(ejc_names(self.source.k)[1:], self._blocks[1:]):
+                for c, name in enumerate(names):
+                    column = _block_column(block, c)
+                    if column is not None:
+                        yield name, column
 
     def _image(self, column: _Column | None) -> DivisorClass:
         if column is None:
@@ -839,8 +828,7 @@ class ClassMap:
         (j, row) pairs ``rows`` (a row may be ``()``) over some
         denominator q, as a column over q * ``_den``: the head map, zeros
         dropped, and the pairs of the nonzero target rows.  Every product
-        is summed in int; a row meets its block by one dot product per
-        target key."""
+        is summed in int; a row meets its block by one dot product."""
         cols, blocks = self._cols, self._blocks
         sums: dict = {}
         get = sums.get
@@ -851,13 +839,14 @@ class ClassMap:
                 continue
             for t, r in column[0].items():
                 sums[t] = get(t, 0) + x * r
+            # q^* is the only map into Hurwitz(k), each of its columns owns
+            # its row j, and nothing composes after q^*: one write per row
             for j, row in column[1]:
-                _add_row(target_rows, j, row, x)
+                target_rows[j] = [n * x for n in row]
         for j, x_row in rows:
-            weights = blocks[j] if x_row else None
-            if weights is not None:
-                for t, w in weights.items():
-                    sums[t] = get(t, 0) + sum(map(mul, w, x_row))
+            if x_row:
+                t, weights = blocks[j]
+                sums[t] = get(t, 0) + sum(map(mul, weights, x_row))
         pairs = tuple(sorted((j, tuple(acc)) for j, acc in target_rows.items() if any(acc)))
         return _nonzero(sums), pairs
 

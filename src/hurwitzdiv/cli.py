@@ -34,6 +34,7 @@ from . import checks as checks_mod
 from . import m0b, pushforward, serialize, slopes, trace
 from .bases import DivisorClass, IndexRangeError, T2, T3j, UnknownGeneratorError
 from .core import INDEX_GRAMMAR, format_rational, is_index_literal, parse_rational
+from .core import parse_ratio
 from .pushforward import PER_FACTORIAL_B, RAW
 from .slopes import VerificationError
 
@@ -179,6 +180,14 @@ def _parse_set(text: str) -> set[int]:
     return set(map(int, pieces))
 
 
+def integer(text: str) -> int:
+    """The ``type`` of the integer options, the numerator grammar of
+    ``core.parse_ratio``; argparse names it: ``invalid integer value``."""
+    if "/" in text:
+        raise ValueError(f"not an integer literal: {text!r}")
+    return parse_ratio(text)[0]
+
+
 def _cmd_m0n(args) -> int:
     b = args.b
     if b > MAX_MARKED_POINTS:
@@ -291,7 +300,7 @@ _COMMANDS = {
         "header; JSON objects are key-sorted.",
         (
             ("name", {}),
-            ("--k", {"type": int, "required": True}),
+            ("--k", {"type": integer, "required": True}),
             _FORMAT,
             _NORMALIZED,
             _OUT,
@@ -306,8 +315,8 @@ _COMMANDS = {
         "coefficient table are SKIPped unless --externals is given.  Exit "
         "code 1 when any check fails.",
         (
-            ("--k-min", {"type": int, "required": True}),
-            ("--k-max", {"type": int, "required": True}),
+            ("--k-min", {"type": integer, "required": True}),
+            ("--k-max", {"type": integer, "required": True}),
             ("--checks", {"default": None, "help": "comma-separated list"}),
             ("--externals", {"default": None}),
             _OUT,
@@ -321,7 +330,7 @@ _COMMANDS = {
         "boundary coefficient (unknown while the delta_j coefficients "
         "stay symbolic).",
         (
-            ("--k", {"type": int, "required": True}),
+            ("--k", {"type": integer, "required": True}),
             ("--s-prime", {"default": None, "help": 'source slope "p/q"'}),
             ("--variant", {"choices": ("trace", "reduced", "kappa"), "required": True}),
             ("--externals", {"default": None}),
@@ -334,7 +343,7 @@ _COMMANDS = {
         "Operations: count; normalize SET; intersect SET SET.  Sets are "
         "comma-separated integers, e.g. 4,5.",
         (
-            ("--b", {"type": int, "required": True}),
+            ("--b", {"type": integer, "required": True}),
             ("op", {"choices": ("count", "normalize", "intersect")}),
             ("sets", {"nargs": "*"}),
             _OUT,
@@ -351,8 +360,8 @@ _COMMANDS = {
         "order.",
         (
             ("--quantity", {"required": True}),
-            ("--k-min", {"type": int, "required": True}),
-            ("--k-max", {"type": int, "required": True}),
+            ("--k-min", {"type": integer, "required": True}),
+            ("--k-max", {"type": integer, "required": True}),
             _FORMAT,
             _NORMALIZED,
             _OUT,

@@ -76,8 +76,7 @@ class MarkedSet:
     mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.b < 4:
-            raise MarkedSetError(f"need b >= 4 marked points, got b={self.b}")
+        _check_points(self.b)
         mask = _mask(self.b, self.members)
         _check_size(self.b, len(self.members))
         if (mask & _FIRST_THREE).bit_count() > 1:
@@ -106,9 +105,12 @@ def normalize(b: int, s: Iterable[int]) -> MarkedSet:
     _check_points(b)
     members = frozenset(s)
     _check_size(b, len(members))
-    if (_mask(b, members) & _FIRST_THREE).bit_count() > 1:
+    mask = _mask(b, members)
+    if (mask & _FIRST_THREE).bit_count() > 1:
+        # the complement is a valid label too
         members = frozenset(range(1, b + 1)) - members
-    return MarkedSet(b, members)
+        mask ^= (1 << (b + 1)) - 2
+    return MarkedSet._make(b, members, mask)
 
 
 def intersect_nonempty(a: MarkedSet, b: MarkedSet) -> bool:

@@ -13,14 +13,15 @@ coefficients of delta_j for j >= 1 involve the external symbols c_j and
 b_j, which stay symbolic unless an :class:`ExternalCoeffs` table is
 supplied; the lambda and delta_0 coefficients are always symbol-free.
 
-:func:`p_push` sends E_{j,c} to e_{j,c} delta_j only, so its E_{j,c}
-columns are stored as one block per j, the row ``trace.jc_rows(k,
-"e")[j]`` on delta_j: applying it to a Hurwitz class, whose E_{j,c}
-part is stored in the same rows, is one dot product per j, and so is
-each T3j column of :func:`p_q_composed`.  The whole expected Hodge
-classes :func:`p_phi_lambda_expected`/:func:`p_phihat_lambda_expected`
-dot the e rows with the t and u rows, and the R of :func:`eh_divisor`
-is built as rows of ones; no builder here forms an E_{j,c} name.
+:func:`p_push` sends E_{j,c} to e_{j,c} delta_j only, with e_{j,c}
+the integer ``trace.jc_rows(k, "e")[j][c]``, so its E_{j,c} columns are
+stored as one block per j, the pair (delta_j, e row): applying it to a
+Hurwitz class, whose E_{j,c} part is stored in the same rows, is one
+dot product per j, and so is each T3j column of :func:`p_q_composed`.
+The whole expected Hodge classes :func:`p_phi_lambda_expected`/
+:func:`p_phihat_lambda_expected` dot the e rows with the t and u rows,
+and the R of :func:`eh_divisor` is built as rows of ones; no builder
+here forms an E_{j,c} name.
 """
 
 from __future__ import annotations
@@ -209,14 +210,11 @@ def p_push(k: int) -> ClassMap:
     e3.update(zip(b_keys, repeat(-lead3)))
     heads = hurwitz_head(k, e0, e2, e3)
     cols = {name: (head, ()) for name, head in heads.items()}
-    # block j: the e_{j,c}, all positive integers (trace.e_numerator), on
-    # delta_j alone; row j of jc_rows(k, "e") is divided exactly by
-    # (j+1)(2k-j+1)
-    e_rows = jc_rows(k, "e")
+    # block j: the row of the e_{j,c}, all positive integers
+    # (trace.e_numerator), on delta_j alone
     blocks = [None]
-    for j in range(1, k + 1):
-        full = (j + 1) * (2 * k - j + 1)
-        blocks.append({deltas[j]: tuple([e // full * den for e in e_rows[j]])})
+    for d, row in zip(deltas[1:], jc_rows(k, "e")[1:]):
+        blocks.append((d, tuple([e * den for e in row])))
     return ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, tuple(blocks))
 
 
@@ -292,8 +290,7 @@ def _hodge_expected(k: int, closed, family: str, c_weight, b_weight) -> DivisorC
     generator."""
     lam, d0 = closed(k)
     b_weight = -catalan_number(k) * b_weight
-    # delta_j: the e.w dot product over 24(j+1)(2k-j+1)(6k-1), where
-    # (j+1)(2k-j+1) divides every e numerator (trace.e_numerator)
+    # delta_j: the e.w dot product over 24(6k-1)
     w_den = 24 * (6 * k - 1)
     den = lcm(*(x.denominator for x in (lam, d0, c_weight, b_weight)), w_den)
     head = hurwitz_head(k, None, c_weight, b_weight)
@@ -302,8 +299,7 @@ def _hodge_expected(k: int, closed, family: str, c_weight, b_weight) -> DivisorC
     nums = {LAMBDA: numerator_over(lam, den), names[0]: numerator_over(d0, den)}
     e_rows, w_rows, f = jc_rows(k, "e"), jc_rows(k, family), den // w_den
     for j in range(1, k + 1):
-        total = sum(map(mul, e_rows[j], w_rows[j])) // ((j + 1) * (2 * k - j + 1))
-        nums[names[j]] = total * f
+        nums[names[j]] = sum(map(mul, e_rows[j], w_rows[j])) * f
     nums.update(zip(c_keys, repeat(c)))
     nums.update(zip(b_keys, repeat(b)))
     return DivisorClass._raw(mg_basis(k), den, {key: n for key, n in nums.items() if n})

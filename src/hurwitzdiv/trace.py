@@ -17,10 +17,11 @@ layout in which a Hurwitz class stores its E_{j,c} part.  The class
 builders hand those tables to the class as its rows, and the boundary
 pullbacks and q* build theirs in the same layout, so no builder forms
 an E_{j,c} name; :func:`alpha_table` and the delta_j predictions of
-``pushforward`` dot the rows with ``sum(map(mul, ...))``.  A family is
+``pushforward`` dot the rows with ``sum(map(mul, ...))``; the "e" rows
+hold the integers e_{j,c} themselves, so no reader divides.  A family is
 built only when something asks for it.  The per-coefficient functions
-(:func:`e_row`, :func:`t_numerator`, ...) stay as the definitions that
-the tests hold the rows to.
+(:func:`e_numerator`, :func:`t_numerator`, ...) stay as the
+definitions that the tests hold the rows to.
 The pulled-back cotangent class :func:`pulled_psi` is likewise built
 once and shared by :func:`grr_pieces` and :func:`s_omega_sq`.  The
 boundary pullbacks of index j = 1..k are one entry on E_{j,0}, given by
@@ -109,14 +110,16 @@ def e_numerator(k: int, j: int, c: int) -> int:
 
 
 def e_row(k: int, j: int) -> list[int]:
-    """:func:`e_numerator` for c = 0 .. floor(j/2), with one ``comb`` per
-    row: B_c = C(j+1, c) C(2k-j+1, k+1-c) runs as the exact integer step
-    B_{c+1} = B_c (j+1-c)(k+1-c) / ((c+1)(k-j+c+1))."""
+    """The integers e_{j,c} for c = 0 .. floor(j/2), each
+    :func:`e_numerator` (j+1-2c)^2 B_c over its denominator, with one
+    ``comb`` per row: B_c = C(j+1, c) C(2k-j+1, k+1-c) runs as the exact
+    integer step B_{c+1} = B_c (j+1-c)(k+1-c) / ((c+1)(k-j+c+1))."""
     binom = comb(2 * k - j + 1, k + 1)
+    full = (j + 1) * (2 * k - j + 1)
     row = []
     for c in range(j // 2 + 1):
         m = j + 1 - 2 * c
-        row.append(m * m * binom)
+        row.append(m * m * binom // full)
         binom = binom * (j + 1 - c) * (k + 1 - c) // ((c + 1) * (k - j + c + 1))
     return row
 
@@ -137,14 +140,9 @@ def t3j_weights(j: int) -> tuple[int, ...]:
 def alpha_table(k: int) -> tuple[int, ...]:
     """The total weights alpha(k, j) = sum((j+1-2c) e_{j,c}) of the
     pushed symmetric boundary classes T3j, indexed by j = 1 .. k (entry
-    0 is 0: there is no T3j_0).  Each is an integer, as every e
-    numerator of row j is a multiple of its denominator (see
-    :func:`e_numerator`)."""
+    0 is 0: there is no T3j_0)."""
     rows = jc_rows(k, "e")
-    return (0,) + tuple(
-        sum(map(mul, rows[j], t3j_weights(j))) // ((j + 1) * (2 * k - j + 1))
-        for j in range(1, k + 1)
-    )
+    return (0,) + tuple(sum(map(mul, rows[j], t3j_weights(j))) for j in range(1, k + 1))
 
 
 def _d_int(k: int, j: int, c: int) -> int:
@@ -241,9 +239,10 @@ def jc_rows(k: int, family: str) -> tuple[tuple[int, ...], ...]:
     """One integer family over E_{j,c}, laid out like :func:`ejc_names`:
     entry j holds the values for c = 0 .. floor(j/2), entry 0 is empty.
 
-    The families are the numerators of :func:`e_row` (``"e"``), the node
-    counts :func:`_d_int` (``"d"``) and :func:`_s_int` (``"s"``), and
-    the numerators over 2(6k-1) given by :func:`_a_numerator` (``"a"``),
+    The families are the push-forward multiplicities e_{j,c}
+    themselves, integers (:func:`e_row`, ``"e"``), the node counts
+    :func:`_d_int` (``"d"``) and :func:`_s_int` (``"s"``), and the
+    numerators over 2(6k-1) given by :func:`_a_numerator` (``"a"``),
     :func:`t_numerator` (``"t"``) and :func:`u_numerator` (``"u"``); the
     last two are derived from the cached ``"a"``, ``"d"`` and ``"s"``
     rows.  Each (k, family) is built on first use, so a caller that
@@ -270,15 +269,15 @@ def jc_rows(k: int, family: str) -> tuple[tuple[int, ...], ...]:
     return ((),) + tuple(map(tuple, rows))
 
 
-def _hurwitz_class(k: int, den: int, head: dict[str, int], rows) -> DivisorClass:
-    """A Hurwitz class from integer numerators over ``den``: a head map
-    (zeros dropped) and k + 1 E_{j,c} rows in the :func:`jc_rows`
-    layout, handed over as they are except that an all-zero row becomes
-    ``()``."""
+def _build(k: int, den: int, e0: int, e2: int, e3: int, rows) -> DivisorClass:
+    """A Hurwitz class from integer numerators over ``den``: the E0,
+    E2 and E3 values (dropped when zero or when the generator does not
+    exist) and k + 1 E_{j,c} rows in the :func:`jc_rows` layout, handed
+    over as they are except that an all-zero row becomes ``()``."""
     return DivisorClass._raw(
         hurwitz_basis(k),
         den,
-        {name: n for name, n in head.items() if n},
+        {name: n for name, n in hurwitz_head(k, e0, e2, e3).items() if n},
         tuple([row if any(row) else () for row in rows]),
     )
 
@@ -287,14 +286,7 @@ def _one_entry(k: int, j: int, n: int) -> DivisorClass:
     """The class n E_{j,0}: one nonzero row."""
     rows = [()] * (k + 1)
     rows[j] = (n,) + (0,) * (j // 2)
-    return _hurwitz_class(k, 1, {}, rows)
-
-
-def _build(k: int, den: int, e0: int, e2: int, e3: int, rows) -> DivisorClass:
-    """Assemble a Hurwitz class from integer numerators over ``den``: an
-    E0 value, E2/E3 values (dropped when the generator does not exist)
-    and a :func:`jc_rows` table for E_{j,c}."""
-    return _hurwitz_class(k, den, hurwitz_head(k, e0, e2, e3), rows)
+    return _build(k, 1, 0, 0, 0, rows)
 
 
 @per_k_cache
@@ -456,7 +448,7 @@ def _boundary_sum(k: int, entry, genus: int) -> DivisorClass:
     moduli space of curves of genus ``genus``."""
     _check_boundary_index(k, genus)
     rows = [()] + [(entry(k, j),) + (0,) * (j // 2) for j in range(1, k + 1)]
-    return _hurwitz_class(k, 1, {}, rows)
+    return _build(k, 1, 0, 0, 0, rows)
 
 
 @per_k_cache
@@ -469,7 +461,7 @@ def phi_pull_boundary(k: int, j_prime: int) -> DivisorClass:
             (j, *[2 * (k - j + c) * (c + 1) + j for c in range(1, j // 2 + 1)])
             for j in range(2, k + 1)
         ]
-        return _hurwitz_class(k, 1, hurwitz_head(k, 4 * k - 2, 4, 2), rows)
+        return _build(k, 1, 4 * k - 2, 4, 2, rows)
     if j_prime <= k:
         return _one_entry(k, j_prime, _phi_boundary_entry(k, j_prime))
     return zero_class(hurwitz_basis(k))
@@ -495,7 +487,7 @@ def phihat_pull_boundary(k: int, j_hat: int) -> DivisorClass:
         for j in range(3, k + 1):
             tail = (j + 1) // 2 + j % 2
             rows.append((tail, *[(k - j + c) * (c + 1) + tail for c in range(1, j // 2 + 1)]))
-        return _hurwitz_class(k, 1, hurwitz_head(k, 2 * k - 2, 2, 0), rows)
+        return _build(k, 1, 2 * k - 2, 2, 0, rows)
     if j_hat <= k:
         return _one_entry(k, j_hat, _phihat_boundary_entry(k, j_hat))
     return zero_class(hurwitz_basis(k))

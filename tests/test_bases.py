@@ -970,9 +970,9 @@ def test_package_map_readers_agree(k):
             assert values == model(row)
         with pytest.raises(UnknownGeneratorError):
             m.row("E_99_0")
-        # a block of p_* is one weight dict, target key -> entries over c
+        # a block of p_* is the pair (target key, entries over c)
         for block in m._blocks:
-            assert block is None or all(any(w) for w in block.values())
+            assert block is None or any(block[1])
 
 
 @pytest.mark.parametrize("k", range(1, 6))

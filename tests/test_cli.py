@@ -9,7 +9,7 @@ import pytest
 
 from hurwitzdiv import pushforward, serialize
 from hurwitzdiv.checks import run_checks
-from hurwitzdiv.cli import main
+from hurwitzdiv.cli import _CLASSES, main
 from hurwitzdiv.pushforward import RAW, factorial_b
 from hurwitzdiv.serialize import dumps_canonical
 
@@ -320,6 +320,54 @@ def test_slope_accepts_signed_and_integer_rationals(capsys):
         )
         assert code == 0 and err == ""
         assert "validity=unknown" in out
+
+
+# one command line per use of an integer option; "V" is the value
+_INTEGER_OPTION_LINES = [
+    ("class", "delta-tau", "--k", "V"),
+    ("slope", "--k", "V", "--variant", "kappa"),
+    ("verify", "--k-min", "V", "--k-max", "3"),
+    ("verify", "--k-min", "1", "--k-max", "V"),
+    ("table", "--quantity", "genus", "--k-min", "V", "--k-max", "3"),
+    ("table", "--quantity", "genus", "--k-min", "1", "--k-max", "V"),
+    ("m0n", "--b", "V", "count"),
+]
+
+
+@pytest.mark.parametrize(
+    "value", ["\u0663", "\uff13", "\u00b3", "1_0", " 3", "3 ", "3/1", "3.0", "", "0x3"]
+)
+@pytest.mark.parametrize("line", _INTEGER_OPTION_LINES, ids=lambda line: " ".join(line))
+def test_integer_options_refuse_what_rationals_refuse(capsys, line, value):
+    # the numerator grammar of a rational, [+-]?[0-9]+: no non-ASCII
+    # digit, underscore, space or "/"; argparse's one usage error
+    argv = [value if arg == "V" else arg for arg in line]
+    flag = line[line.index("V") - 1]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    errors = [text for text in captured.err.splitlines() if "error:" in text]
+    assert errors == [
+        f"hurwitzdiv {line[0]}: error: argument {flag}: invalid integer value: {value!r}"
+    ]
+
+
+@pytest.mark.parametrize("value", ["+3", "0003"])
+def test_integer_options_keep_a_sign_and_leading_zeros(capsys, value):
+    for line in _INTEGER_OPTION_LINES:
+        plain = run(capsys, *["3" if arg == "V" else arg for arg in line])
+        assert run(capsys, *[value if arg == "V" else arg for arg in line]) == plain
+    # a negative value reaches the library's range text
+    assert run(capsys, "m0n", "--b", "-2", "count") == (2, "", "error: need b >= 4, got -2\n")
+
+
+@pytest.mark.parametrize("name", _CLASSES)
+def test_class_refuses_k_zero_with_one_text(capsys, name):
+    # the bases and the builders refuse k < 1 alike
+    indexed = _CLASSES[name][1]
+    code, out, err = run(capsys, "class", name + ":0" * indexed, "--k", "0")
+    assert (code, out, err) == (2, "", "error: k must be >= 1, got 0\n")
 
 
 def test_m0n_count(capsys):
@@ -794,7 +842,8 @@ def test_raw_emission_matches_the_materialized_raw_class(capsys, name, k):
 # The command list that CI runs under `python -O` and plain `python`
 # (tests/cli_commands.txt): each command, run in-process in a directory
 # that holds the listed externals tables, exits 1 exactly when it prints
-# a FAIL line of verify, and 0 otherwise.
+# a FAIL line of verify, and 0 otherwise; the listed input errors exit 2
+# and print nothing on stdout.
 
 _COMMAND_LIST = Path(__file__).with_name("cli_commands.txt")
 
@@ -813,12 +862,14 @@ def _command_list():
 
 
 _TABLES, _COMMANDS = _command_list()
+_INPUT_ERRORS = {"class delta-tau --k \u0663", "m0n --b 1_0 count", "class phi-lambda --k 0"}
 
 
 def test_command_list_is_whole():
     # every command of the CI list, every table valid JSON and read by
     # some command
-    assert len(_COMMANDS) == 42
+    assert len(_COMMANDS) == 45
+    assert _INPUT_ERRORS <= {" ".join(argv) for argv in _COMMANDS}
     named = {arg for argv in _COMMANDS for arg in argv}
     assert set(_TABLES) <= named
     for text in _TABLES.values():
@@ -835,6 +886,9 @@ def test_listed_command_exits_one_only_on_fail(argv, tmp_path, monkeypatch, caps
     except SystemExit as exc:  # --help
         got = exc.code
     out = capsys.readouterr().out
+    if " ".join(argv) in _INPUT_ERRORS:
+        assert (got, out) == (2, "")
+        return
     failed = re.search(r"^k=\d+ +\S+ +FAIL\b", out, re.MULTILINE)
     assert got == (1 if failed else 0)
     assert out

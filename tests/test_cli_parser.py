@@ -317,6 +317,9 @@ FULL_TREE_LINES = {
     "class delta-tau --k=2",
     "slope --k 3 --var trace --s-prime 12",
     "verify --k-min=1 --k-max 2 --checks genus",
+    # an integer option spelled outside [+-]?[0-9]+ is argparse's error
+    "class delta-tau --k \u0663",
+    "m0n --b 1_0 count",
 }
 
 

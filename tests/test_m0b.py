@@ -86,6 +86,18 @@ def test_normalize_idempotent_and_complement_invariant():
             assert normalize(b, full - s) == n
 
 
+@pytest.mark.parametrize("b", range(4, 10))
+def test_normalized_labels_equal_the_validated_ones(b):
+    # normalize builds its label from the mask it computed; mask is
+    # compare=False, so it is compared on its own
+    for n in range(2, b - 1):
+        for s in combinations(range(1, b + 1), n):
+            label = normalize(b, s)
+            checked = MarkedSet(b, label.members)
+            assert label == checked and label.mask == checked.mask
+            assert label.members in (frozenset(s), frozenset(range(1, b + 1)) - set(s))
+
+
 def test_intersect_examples():
     assert intersect_nonempty(normalize(8, {4, 5}), normalize(8, {4, 5, 6}))
     assert intersect_nonempty(normalize(8, {4, 5}), normalize(8, {6, 7}))
@@ -307,7 +319,7 @@ def test_every_label_function_refuses_b_below_four_alike(b):
 @pytest.mark.parametrize(
     "b, members, text",
     [
-        (3, {1, 2}, "need b >= 4 marked points, got b=3"),
+        (3, {1, 2}, "need b >= 4, got 3"),
         (6, {4, 9}, "members {9, 4} not within 1..6"),
         (6, {0, 4}, "members {0, 4} not within 1..6"),
         (6, {4}, "label size must satisfy 2 <= size <= b-2, got 1 with b=6"),

@@ -48,6 +48,7 @@ from hurwitzdiv.trace import (
     alpha_table,
     catalan_number,
     e_coeff,
+    jc_rows,
     phi_pull_boundary,
     phi_pull_lambda,
     phihat_pull_boundary,
@@ -187,6 +188,20 @@ def test_numerators_are_the_rows_as_integers(k):
             assert values == expected
     with pytest.raises(ValueError, match="E_"):
         q_pullback(k).numerators(T2)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_p_push_blocks_are_delta_j_and_the_e_row(k):
+    # p_* sends E_{j,c} to e_{j,c} delta_j only, over the denominator
+    # 2(2k - 1)
+    blocks = p_push(k)._blocks
+    assert len(blocks) == k + 1 and blocks[0] is None
+    e_rows = jc_rows(k, "e")
+    for j in range(1, k + 1):
+        target, row = blocks[j]
+        assert target == delta(j)
+        assert row == tuple(e * 2 * (2 * k - 1) for e in e_rows[j])
+        assert any(row)
 
 
 def eh_divisor_fraction_assembly(k):

@@ -327,11 +327,14 @@ def test_small_k_drop_matches_general_formula():
 def test_e_row_running_product_matches_e_numerator():
     for k in range(1, 61):
         for j in range(1, k + 1):
-            assert e_row(k, j) == [e_numerator(k, j, c) for c in range(j // 2 + 1)]
+            full = (j + 1) * (2 * k - j + 1)
+            assert [e * full for e in e_row(k, j)] == [
+                e_numerator(k, j, c) for c in range(j // 2 + 1)
+            ]
 
 
 def test_e_numerator_is_its_denominator_times_two_ballot_numbers():
-    # the push-forward divides each e row by (j+1)(2k-j+1) exactly
+    # e_row divides each numerator by (j+1)(2k-j+1) exactly
     from math import comb
 
     def binom(n, m):
@@ -344,6 +347,22 @@ def test_e_numerator_is_its_denominator_times_two_ballot_numbers():
                 second = binom(2 * k - j, k - c) - binom(2 * k - j, k + 1 - c)
                 full = (j + 1) * (2 * k - j + 1)
                 assert e_numerator(k, j, c) == full * first * second
+
+
+def test_e_rows_are_the_ballot_products():
+    # the table that p_* reads holds e_{j,c} itself
+    from math import comb
+
+    def binom(n, m):
+        return comb(n, m) if 0 <= m <= n else 0
+
+    for k in range(1, 41):
+        rows = trace_mod.jc_rows(k, "e")
+        for j in range(1, k + 1):
+            for c in range(j // 2 + 1):
+                first = binom(j, c) - binom(j, c - 1)
+                second = binom(2 * k - j, k - c) - binom(2 * k - j, k + 1 - c)
+                assert rows[j][c] == first * second, (k, j, c)
 
 
 # The E_(j,c) row tables: each family is built once per k and read by
