@@ -22,22 +22,22 @@ position map, which answers membership and puts the generators of a
 class in natural order.
 
 Where symbols live: the external symbols c_j, b_j are the unknown
-delta_j coefficients of the pushed classes on M_g-bar, so a symbol term
-may occur only in a class over ``Mg(k)``; the constructor refuses one on
-any other basis with a ``ClassGroupError``.  No ``ClassMap`` starts from
-``Mg(k)``, so a symbolic class meets a map only as the
-``BasisMismatchError`` of ``apply``, while the images over ``Mg(k)`` may
-keep symbolic entries, as the E2/E3 columns of ``p_push`` and the T2
-column of ``p_q_map`` do.
+delta_j coefficients of the pushed classes on M_g-bar, and each class
+carries them as gamma_c c_j + gamma_b b_j on every delta_j, j >= 1, of
+``Mg(k)``, with one pair (gamma_c, gamma_b) per class: the E2/E3
+columns of ``p_push`` and the T2 column of ``p_q_map`` write one weight
+for every j.  The constructor refuses any other symbolic shape with a
+``ClassGroupError`` that names the generator.  No ``ClassMap`` starts
+from ``Mg(k)``, so a symbolic class meets a map only as the
+``BasisMismatchError`` of ``apply``.
 
 Every coefficient is stored as integer numerators over one positive
 common denominator.  A class keeps two parts over that denominator:
 
 * the head map ``_nums``: the constant part of a generator's
-  coefficient keyed by the generator name, the coefficient of an
-  external symbol c_j, b_j in it (over ``Mg(k)`` only) by the plain
-  tuple (name, symbol).  It holds every generator of the four small
-  kinds and E0/E2/E3 of ``Hurwitz(k)``;
+  coefficient keyed by the generator name and, over ``Mg(k)``, the two
+  weights keyed by ``C_WEIGHT``/``B_WEIGHT``.  It holds every
+  generator of the four small kinds and E0/E2/E3 of ``Hurwitz(k)``;
 * on ``Hurwitz(k)`` only, the rows ``_rows``: the constant parts of the
   E_{j,c} in the layout of :func:`ejc_names` and ``trace.jc_rows``, a
   tuple of k + 1 rows whose entry j holds the numerators for c = 0 ..
@@ -59,45 +59,40 @@ columns blocked by j: p_* sends E_{j,c} to e_{j,c} delta_j only, so
 block j is the pair (delta_j, entries over c), and applying the map to
 a class costs one C-level dot product ``sum(map(mul, weights, row))``
 per j.  Sums, scalings, reduction, equality, hashing, application and
-composition each run once over "head map + rows"; only
-the constructor, the accessors and substitution tell a symbol key from
-a constant one, and substitution, like the symbols, never meets a
-row.  Sums run through one n-ary kernel,
+composition each run once over "head map + rows", a weight key like
+any other; only the constructor, the accessors and substitution tell a
+weight from a constant.  Sums run through one n-ary kernel,
 :func:`linear_combination`, which puts all its terms over one lcm, sums
 their numerators in a single pass (row by row for the rows) and reduces
-once; ``+`` and ``-`` are its two-term calls.  Addition, scaling, substitution and the application and
-composition of class maps run on plain ``int``: ``ClassMap.compose``
-maps each inner integer column through the outer map over the product
-of the two denominators, without building a row as a class.  A
-``Fraction`` or an :class:`AffineExpr`, the read-only value of a
-coefficient, is built only at the public accessors
-``DivisorClass.coefficient``/``items``, which stay keyed by generator
-name; ``DivisorClass.numerators_view`` hands a class without rows out
-as its integers instead, for reading, without a copy, as
-``ClassMap.numerators`` does for an image.  The package's builders
-write their integer numerators over one denominator straight into the
-stored form through the trusted ``DivisorClass._raw``/``ClassMap._raw``,
-the classes of ``M0bSym(k)`` and ``Mg(k)`` as well as the Hurwitz rows,
-naming generators from the bases' own tables, so no builder pays for
-the name checks and ``Fraction`` reduction of the validating
-constructor, which stays for callers.
-Substitution is one kernel, ``DivisorClass._substituted``, which takes
-integer values over one denominator: ``substitute`` converts the
-``int``/``Fraction`` values it is given, and
-``pushforward.ExternalCoeffs`` converts its table once.
-Beside ``items`` sits the internal
-``DivisorClass._formatted_items``, the same values as "p/q" text
-rendered from the integers, which ``serialize`` and the ``cli`` tables
-emit from.  It renders a class over denominator 1 as "n/1" with no gcd,
-and a Hurwitz class in one pass over its head map and its rows, each
-row zipped with its :func:`ejc_names` row, without first listing
-(name, numerator) entries.  It renders the class times an
-int ``scale`` without building that product: a raw pushed class is
-emitted as its per-factorial-b class with scale (6k)!, whose decimal
-digits are computed once per call (exact ``decimal`` arithmetic in a
-context of its own) rather than once per (6k)!-sized numerator, so no
-emitted value is converted to text through Python's quadratic,
-digit-limited int conversion.
+once; ``+`` and ``-`` are its two-term calls.  All of it runs on plain
+``int``: ``ClassMap.compose`` maps each inner integer column through
+the outer map over the product of the two denominators, without
+building a row as a class.  A ``Fraction`` or an :class:`AffineExpr`,
+the read-only value of a coefficient, is built only at the public
+accessors ``DivisorClass.coefficient``/``items``;
+``DivisorClass.numerators_view`` hands a class without rows out as its
+integers, without a copy, as ``ClassMap.numerators`` does for an image.
+The package's builders write their integer numerators over one
+denominator straight into the stored form through the trusted
+``DivisorClass._raw``/``ClassMap._raw``, naming generators from the
+bases' own tables, so no builder pays for the name checks and
+``Fraction`` reduction of the validating constructor, which stays for
+callers.  Substitution is one kernel, ``DivisorClass._substituted``: it
+takes the c_j and b_j values by j as integers over one denominator, as
+``pushforward.ExternalCoeffs`` puts its table once, and adds gamma_c
+c_j + gamma_b b_j to each delta_j in one pass over j.
+
+Beside ``items`` sits the internal ``DivisorClass._formatted_items``,
+the same values as "p/q" text rendered from the integers, which
+``serialize`` and the ``cli`` tables emit from.  It renders a class
+over denominator 1 as "n/1" with no gcd, the two weights once for every
+delta_j, and a Hurwitz class in one pass over its head map and its
+rows.  It renders the class times an int ``scale`` without building
+that product: a raw pushed class is emitted as its per-factorial-b
+class with scale (6k)!, whose decimal digits are computed once per call
+(exact ``decimal`` arithmetic in a context of its own) rather than once
+per (6k)!-sized numerator, so no emitted value is converted to text
+through Python's quadratic, digit-limited int conversion.
 """
 
 from __future__ import annotations
@@ -108,15 +103,9 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .core import (
-    AffineExpr,
-    ExtSymbol,
-    RationalLike,
-    display_key,
-    per_k_cache,
-)
+from .core import AffineExpr, ExtSymbol, RationalLike, b_sym, c_sym, per_k_cache
 
 
 class ClassGroupError(ValueError):
@@ -156,6 +145,20 @@ def Ejc(j: int, c: int) -> str:
 
 def delta(j: int) -> str:
     return f"delta_{j}"
+
+
+@per_k_cache
+def delta_names(k: int) -> tuple[str, ...]:
+    """The names delta_0 .. delta_k of ``Mg(k)``, built once per k."""
+    return tuple(map(delta, range(k + 1)))
+
+
+# The reserved head keys of an Mg(k) class: its weights gamma_c and
+# gamma_b, the coefficients of c_j and b_j on every delta_j, j >= 1.  Each
+# is the family letter of its symbols, which no generator is named.
+C_WEIGHT = "c"
+B_WEIGHT = "b"
+_WEIGHT_KEYS = (C_WEIGHT, B_WEIGHT)
 
 
 def T3j(j: int) -> str:
@@ -199,7 +202,7 @@ _SPECS = {
         lambda k: (E0,) + ((E2,) if k >= 3 else ()) + ((E3,) if k >= 2 else ()),
         lambda k: chain.from_iterable(ejc_names(k)),
     ),
-    MG: _KindSpec(lambda k: (LAMBDA,), lambda k: map(delta, range(k + 1))),
+    MG: _KindSpec(lambda k: (LAMBDA,), delta_names),
     M0B_SYM: _KindSpec(lambda k: (T2,), lambda k: map(T3j, range(1, k + 1))),
     MG_PRIME: _moduli(LAMBDA_PRIME, delta_prime, genus_trace),
     MG_HAT: _moduli(LAMBDA_HAT, delta_hat, genus_reduced_trace),
@@ -308,44 +311,40 @@ class DivisorClass:
     Every coefficient is stored as integer numerators over one positive
     common denominator ``_den``, in two parts: the head map ``_nums``,
     which keys the constant part of a generator's coefficient by the
-    generator name and the coefficient of an external symbol c_j, b_j
-    in it by the plain tuple ``(name, symbol)``, and, on a Hurwitz
-    basis, the rows ``_rows`` of the E_{j,c} constant parts in the
-    :func:`ejc_names` layout (an all-zero row is ``()``; ``_rows`` is
-    ``()`` on the other kinds).  No head numerator is zero,
+    generator name and, over ``Mg(k)``, the weights gamma_c and gamma_b
+    by the reserved keys ``C_WEIGHT`` and ``B_WEIGHT``, and, on a
+    Hurwitz basis, the rows ``_rows`` of the E_{j,c} constant parts in
+    the :func:`ejc_names` layout (an all-zero row is ``()``; ``_rows``
+    is ``()`` on the other kinds).  No head numerator is zero,
     ``gcd(_den, *every numerator) == 1``, and ``_den == 1`` for the zero
     class.  This form is unique, so two classes are equal exactly when
     their stored parts agree.  ``+`` and ``-`` are two-term calls of
     :func:`linear_combination`; a longer sum should be one call of it,
     which copies and reduces the result once instead of once per term.
     Only the accessors :meth:`coefficient` and :meth:`items` build an
-    :class:`AffineExpr`, and :meth:`numerators_view` hands out the integers;
-    a scalar is an ``int`` or a ``Fraction``, as the symbols occur
-    linearly.  Symbol terms occur only over ``Mg(k)``: a coefficient
-    with a symbol on any other basis raises :class:`ClassGroupError`,
-    so a class with rows is constant.  Instances are immutable; the
-    symbol terms are grouped by generator once, on the first accessor
-    call.
+    :class:`AffineExpr`, and :meth:`numerators_view` hands out the
+    integers; a scalar is an ``int`` or a ``Fraction``, as the symbols
+    occur linearly.  The constructor takes a symbol term only in the
+    shape the store holds: gamma_c c_j + gamma_b b_j on every delta_j,
+    j >= 1, of ``Mg(k)``, one pair for all j; any other raises
+    :class:`ClassGroupError` naming the generator.  Instances are
+    immutable.
     """
 
-    __slots__ = ("basis", "_den", "_nums", "_rows", "_grouped")
+    __slots__ = ("basis", "_den", "_nums", "_rows")
 
     def __init__(
         self, basis: Basis, coeffs: Mapping[str, RationalLike | AffineExpr] | None = None
     ):
         self.basis = basis
-        values: dict[str | tuple[str, ExtSymbol], int | Fraction] = {}
+        values: dict[str, int | Fraction] = {}
+        weights: dict[str, tuple[Fraction, Fraction]] = {}
         if coeffs:
             for name, value in coeffs.items():
                 basis.check(name)
                 if isinstance(value, AffineExpr):
-                    if basis.kind != MG and not value.is_constant():
-                        raise ClassGroupError(
-                            f"generator {name!r} of {basis.kind}(k={basis.k}) cannot "
-                            f"carry an external symbol; symbols live only over Mg"
-                        )
-                    for s, coef in value.terms.items():
-                        values[name, s] = coef
+                    if not value.is_constant():
+                        weights[name] = _weights_of(basis, name, value)
                     value = value.const
                 elif not isinstance(value, (int, Fraction)):
                     raise TypeError(
@@ -353,6 +352,14 @@ class DivisorClass:
                     )
                 if value:
                     values[name] = value
+        if weights:
+            # every delta_j, j >= 1, carries the pair of delta_1
+            names = delta_names(basis.k)
+            pair = weights.get(names[1], (0, 0))
+            for name in names[2:]:
+                if weights.get(name, (0, 0)) != pair:
+                    raise _shape_error(basis, name)
+            values.update((key, w) for key, w in zip(_WEIGHT_KEYS, pair) if w)
         # over the lcm of reduced denominators the numerators share no
         # factor with it, so the stored form is already in lowest terms
         den = lcm(*(value.denominator for value in values.values()))
@@ -367,7 +374,6 @@ class DivisorClass:
         self._den = den
         self._nums = nums
         self._rows = _dense_rows(basis, [(j, tuple(row)) for j, row in rows.items()])
-        self._grouped = None
 
     @classmethod
     def _raw(
@@ -390,63 +396,58 @@ class DivisorClass:
         obj._den = den
         obj._nums = nums
         obj._rows = rows
-        obj._grouped = None
         return obj
 
-    def _symbolic(self) -> dict[str, dict[ExtSymbol, int]]:
-        """The symbol numerators, grouped as generator -> symbol ->
-        numerator; built once per class."""
-        grouped = self._grouped
-        if grouped is None:
-            grouped = {}
-            for key, n in self._nums.items():
-                if type(key) is tuple:
-                    name, s = key
-                    grouped.setdefault(name, {})[s] = n
-            self._grouped = grouped
-        return grouped
+    def _value(self, n: int, j: int) -> AffineExpr:
+        """The coefficient with constant numerator ``n``, carrying the
+        weights on c_j and b_j when ``j`` >= 1."""
+        den, get = self._den, self._nums.get
+        weights = j and {
+            c_sym(j): Fraction(get(C_WEIGHT, 0), den),
+            b_sym(j): Fraction(get(B_WEIGHT, 0), den),
+        }
+        return AffineExpr(Fraction(n, den), weights)
 
-    def _value(self, n: int, terms: Mapping[ExtSymbol, int] | None) -> AffineExpr:
-        den = self._den
-        return AffineExpr(
-            Fraction(n, den), terms and {s: Fraction(t, den) for s, t in terms.items()}
-        )
+    def _weighted(self) -> bool:
+        return C_WEIGHT in self._nums or B_WEIGHT in self._nums
 
     def coefficient(self, name: str) -> AffineExpr:
         self.basis.check(name)
         rows = self._rows
         if rows and name not in _HEAD_NAMES:
             j, c = _ejc_index(name)
-            n = rows[j][c] if rows[j] else 0
-        else:
-            n = self._nums.get(name, 0)
-        return self._value(n, self._symbolic().get(name))
+            return self._value(rows[j][c] if rows[j] else 0, 0)
+        # delta_j sits at position j + 1 of Mg(k); lambda (j = -1) and
+        # delta_0 carry no weight
+        j = _generator_index(MG, self.basis.k)[name] - 1 if self._weighted() else 0
+        return self._value(self._nums.get(name, 0), max(j, 0))
 
-    def _entries(self) -> list[tuple[str, int, dict[ExtSymbol, int] | None]]:
-        """(generator, constant numerator, symbol numerators or None) of
-        every generator in the support, in basis order."""
-        nums, sym, rows = self._nums, self._symbolic(), self._rows
-        if not rows:
-            # the constant keys in stored order, then the generators that
-            # have only symbol terms; a list near basis order sorts fast
-            names = [key for key in nums if type(key) is str]
-            names += [name for name in sym if name not in nums]
-            position = _generator_index(self.basis.kind, self.basis.k)
-            names.sort(key=position.__getitem__)
-            return [(name, nums.get(name, 0), sym.get(name)) for name in names]
-        # a Hurwitz class carries no symbol: the head map, then each row
-        # zipped with its names
-        k = self.basis.k
-        out = [(name, nums[name], None) for name in _SPECS[HURWITZ].head(k) if name in nums]
-        for names, row in zip(ejc_names(k), rows):
-            out += [(name, n, None) for name, n in zip(names, row) if n]
-        return out
+    def _entries(self) -> list[tuple[str, int, int]]:
+        """(generator, constant numerator, j) of every generator in the
+        support, in basis order; j >= 1 for a delta_j that carries the
+        weights, else 0."""
+        nums, rows, k = self._nums, self._rows, self.basis.k
+        if rows:
+            # a Hurwitz class: the head map, then each row zipped with its
+            # names
+            out = [(name, nums[name], 0) for name in _SPECS[HURWITZ].head(k) if name in nums]
+            for names, row in zip(ejc_names(k), rows):
+                out += [(name, n, 0) for name, n in zip(names, row) if n]
+            return out
+        if self._weighted():
+            # lambda and delta_0 as stored, then every delta_j, j >= 1
+            names = delta_names(k)
+            out = [(name, nums[name], 0) for name in (LAMBDA, names[0]) if name in nums]
+            return out + [(name, nums.get(name, 0), j) for j, name in enumerate(names[1:], 1)]
+        # a list near basis order sorts fast
+        position = _generator_index(self.basis.kind, k)
+        return [(name, nums[name], 0) for name in sorted(nums, key=position.__getitem__)]
 
     def support(self) -> list[str]:
         return [name for name, _, _ in self._entries()]
 
     def items(self) -> list[tuple[str, AffineExpr]]:
-        return [(name, self._value(n, terms)) for name, n, terms in self._entries()]
+        return [(name, self._value(n, j)) for name, n, j in self._entries()]
 
     def _formatted_items(
         self, scale: int = 1
@@ -455,9 +456,10 @@ class DivisorClass:
         generator in support order, its constant part and its (symbol,
         coefficient) terms in display order, each rendered as "p/q" in
         lowest terms straight from the stored numerators; no
-        ``Fraction`` or :class:`AffineExpr` is built.  A Hurwitz class,
-        which carries no symbol, is rendered in one pass over its head
-        map and its rows, each row zipped with its :func:`ejc_names` row.
+        ``Fraction`` or :class:`AffineExpr` is built.  A Hurwitz class
+        is rendered in one pass over its head map and its rows, each row
+        zipped with its :func:`ejc_names` row, and the two weights of an
+        ``Mg(k)`` class are rendered once for every delta_j.
 
         ``scale`` is a positive int.  A value n0/d0 in lowest terms
         becomes n0 * (scale // g) over d0 // g with g = gcd(scale, d0),
@@ -498,78 +500,56 @@ class DivisorClass:
                 # (most are) skips the two divisions
                 g = gcd(n, den)
                 return f"{n}{over}" if g == 1 else f"{n // g}/{den // g}"
-        if self._rows:
+        nums, rows, k = self._nums, self._rows, self.basis.k
+        if rows:
             # a Hurwitz class: the head map, then each row zipped with its
             # names
-            nums = self._nums
             rendered = [
-                (name, text(nums[name]), ())
-                for name in _SPECS[HURWITZ].head(self.basis.k)
-                if name in nums
+                (name, text(nums[name]), ()) for name in _SPECS[HURWITZ].head(k) if name in nums
             ]
-            for names, row in zip(ejc_names(self.basis.k), self._rows):
+            for names, row in zip(ejc_names(k), rows):
                 rendered += [(name, text(n), ()) for name, n in zip(names, row) if n]
             return rendered
-        rendered = []
-        for name, n, terms in self._entries():
-            if terms:
-                terms = tuple((s, text(terms[s])) for s in sorted(terms, key=display_key))
-            else:
-                terms = ()
-            rendered.append((name, text(n), terms))
-        return rendered
+        # a reserved key is the family letter of its symbols
+        weights = [(key, text(nums[key])) for key in _WEIGHT_KEYS if key in nums]
+        return [
+            (name, text(n), tuple([(ExtSymbol(f, j), w) for f, w in weights]) if j else ())
+            for name, n, j in self._entries()
+        ]
 
     def is_zero(self) -> bool:
         return not self._nums and not any(self._rows)
 
-    def numerators_view(self) -> tuple[Mapping, int, Mapping[str, Mapping[ExtSymbol, int]]]:
+    def numerators_view(self) -> tuple[Mapping, int]:
         """The class as integers, with no value built and nothing
-        copied: its numerators by key (generator or (generator,
-        symbol)), their common denominator, in lowest terms, and the
-        symbol numerators grouped as generator -> symbol -> numerator
-        (built once per class).  Both maps are the class's own and
-        read-only by contract: a caller must not change them.  The basis
+        copied: its numerators by generator, the weights gamma_c and
+        gamma_b by ``C_WEIGHT`` and ``B_WEIGHT``, and their common
+        denominator, in lowest terms.  The map is the class's own and
+        read-only by contract: a caller must not change it.  The basis
         must have no E_{j,c} rows, so the map is the whole class."""
         if self.basis.kind == HURWITZ:
             raise ValueError("numerators_view() needs a basis without E_{j,c} rows")
-        return self._nums, self._den, self._symbolic()
+        return self._nums, self._den
 
-    def substitute(self, values: Mapping[ExtSymbol, RationalLike]) -> "DivisorClass":
-        """Replace every symbol present in ``values``; others stay
-        symbolic.  Each value must be an ``int`` or a ``Fraction``.  The
-        values used are put over the lcm of their denominators and handed
-        to :meth:`_substituted`."""
-        for value in values.values():
-            if not isinstance(value, (int, Fraction)):
-                raise TypeError(f"cannot interpret {type(value).__name__} as a coefficient")
-        present = {key[1] for key in self._nums if type(key) is tuple}
-        used = {s: values[s] for s in present if s in values}
-        if not used:
+    def _substituted(self, c: Sequence[int], b: Sequence[int], den: int) -> "DivisorClass":
+        """The substitution kernel: c_j becomes ``c[j - 1] / den`` and
+        b_j becomes ``b[j - 1] / den`` for j = 1..k (ints over a
+        positive int).  A class without weights is returned as it is;
+        otherwise it lies over ``Mg(k)``, the table must be for that k,
+        and each delta_j gains gamma_c c_j + gamma_b b_j in one pass over
+        j, over ``self._den * den``, reduced once."""
+        nums = self._nums
+        gc, gb = nums.get(C_WEIGHT, 0), nums.get(B_WEIGHT, 0)
+        if not (gc or gb):
             return self
-        common = lcm(*(v.denominator for v in used.values()))
-        return self._substituted({s: numerator_over(v, common) for s, v in used.items()}, common)
-
-    def _substituted(self, values: Mapping[ExtSymbol, int], den: int) -> "DivisorClass":
-        """The substitution kernel: every symbol s of ``values`` becomes
-        ``values[s] / den`` (an int over a positive int), the others stay
-        symbolic.  A class with no symbol term is returned as it is;
-        otherwise it lies over ``Mg(k)``, has no rows, and is put over
-        ``self._den * den`` in one pass over its head map and reduced
-        once, so the result does not depend on which common denominator
-        the values were given over."""
-        if not self._symbolic():
-            return self
-        nums: dict = {}
-        get = nums.get
-        for key, n in self._nums.items():
-            v = values.get(key[1]) if type(key) is tuple else None
-            if v is None:
-                n *= den
-            else:
-                # a substituted symbol term joins its generator's constant
-                key, n = key[0], n * v
-            nums[key] = get(key, 0) + n
-        return DivisorClass._raw(self.basis, self._den * den, _nonzero(nums))
+        k = self.basis.k
+        if len(c) != k:
+            raise ValueError(f"external table is for k={len(c)}, not k={k}")
+        out = {key: n * den for key, n in nums.items() if key not in _WEIGHT_KEYS}
+        get = out.get
+        for name, x, y in zip(delta_names(k)[1:], c, b):
+            out[name] = get(name, 0) + gc * x + gb * y
+        return DivisorClass._raw(self.basis, self._den * den, _nonzero(out))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
@@ -629,6 +609,30 @@ class DivisorClass:
         else:
             body = " + ".join(f"({v})*{g}" for g, v in self.items())
         return f"<{self.basis.kind}(k={self.basis.k}): {body}>"
+
+
+def _shape_error(basis: Basis, name: str) -> ClassGroupError:
+    if basis.kind != MG:
+        return ClassGroupError(
+            f"generator {name!r} of {basis.kind}(k={basis.k}) cannot carry an "
+            f"external symbol; symbols live only over Mg"
+        )
+    return ClassGroupError(
+        f"generator {name!r} of Mg(k={basis.k}) breaks the shape of the "
+        f"external symbols: every delta_j, j >= 1, carries the same "
+        f"gamma_c*c_j + gamma_b*b_j, and lambda and delta_0 carry none"
+    )
+
+
+def _weights_of(basis: Basis, name: str, value: AffineExpr) -> tuple[Fraction, Fraction]:
+    """(gamma_c, gamma_b) of the symbolic coefficient ``value`` of
+    ``name``: its coefficients of c_j and b_j, where ``name`` is delta_j,
+    j >= 1, of ``Mg(k)`` and ``value`` carries no other symbol."""
+    # lambda and delta_0 sit at positions 0 and 1 of Mg(k), delta_j at j + 1
+    j = _generator_index(MG, basis.k)[name] - 1 if basis.kind == MG else 0
+    if j < 1 or not value.terms.keys() <= {c_sym(j), b_sym(j)}:
+        raise _shape_error(basis, name)
+    return value.coefficient(c_sym(j)), value.coefficient(b_sym(j))
 
 
 def numerator_over(value: int | Fraction, den: int) -> int:
@@ -749,7 +753,7 @@ class ClassMap:
     written into its stored form by ``_raw`` or made by :meth:`compose`.
     The images are integer columns over one common denominator ``_den``,
     not necessarily in lowest terms, stored like a :class:`DivisorClass`:
-    head numerators keyed by target generator or ``(target, symbol)``,
+    head numerators keyed by target generator or weight key,
     and for a Hurwitz target the (j, row) pairs of the nonzero E_{j,c}
     rows.  ``_cols`` maps a source generator to its column, except the
     E_{j,c} of a Hurwitz source: ``_blocks[j]``, j >= 1, holds those of
@@ -761,8 +765,8 @@ class ClassMap:
     integers, so this layout stays private to this module, and
     :meth:`apply` sums every product in ``int``.  No map starts from
     ``Mg(k)``, the one basis whose classes carry symbols, so a map meets
-    only classes without symbols; its images over ``Mg(k)`` may keep
-    symbolic entries.
+    only classes without symbols; its images over ``Mg(k)`` may carry
+    the two weights.
     """
 
     __slots__ = ("source", "target", "_den", "_cols", "_blocks")
@@ -808,7 +812,7 @@ class ClassMap:
 
     def numerators(self, name: str) -> tuple[dict, int]:
         """The image of ``name`` as integers, with no class built: its
-        numerators by target key (generator or (generator, symbol)) and
+        numerators by target key (generator or weight key) and
         their common denominator, not necessarily in lowest terms.  The
         target must have no E_{j,c} rows, so the map is the whole
         image."""

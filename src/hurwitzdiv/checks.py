@@ -16,9 +16,9 @@ A check FAILs only when an identity of the paper does not hold, and
 every such failure is one type, ``slopes.VerificationError``: the
 checks' own comparisons raise it, and so do the slope identities of
 ``slopes``.  A ``slopes.SlopeError`` inside a check also FAILs it: every
-class a check reads is one the package built, so a symbol on its lambda
-or delta_0 coefficient, or a zero delta_0, is a failed identity, not bad
-input.  Any other exception is a defect or bad input and propagates out
+class a check reads is one the package built, so a class off ``Mg(k)``
+or a zero delta_0 coefficient is a failed identity, not bad input.  A
+symbol on lambda or delta_0 cannot occur: the class store refuses it.  Any other exception is a defect or bad input and propagates out
 of :func:`run_checks`.  The builders compare nothing; where a quantity
 has two expressions, the builder takes one and a check compares the
 other.  A sweep over several k empties the builder caches between two
@@ -34,12 +34,14 @@ each pushed Hodge class whole with its expected class
 Builders are looked up in their modules at call time, so a patched
 builder is the one checked.
 
-``hygiene`` holds what raw output rests on: the lambda and delta_0
-coefficients of each pushed class carry no symbol, and its reduced
-denominator divides (6k)!, so the raw class, the per-factorial-b class
+``hygiene`` holds what raw output rests on: each pushed class lies over
+``Mg(k)``, where its lambda and delta_0 coefficients are constants, and
+its reduced denominator, shared by the constants and the two weights of
+c_j and b_j, divides (6k)!, so the raw class, the per-factorial-b class
 times ``pushforward.factorial_b(k)``, has integer coefficients.  It
 reads the denominator from ``DivisorClass.numerators_view`` and builds no
-scaled class.
+scaled class.  ``delta-j-checks`` requires that no weight is left after
+the substitution.
 """
 
 from __future__ import annotations
@@ -308,9 +310,8 @@ def _m0n(k: int, externals) -> None:
 def _hygiene(k: int, externals) -> None:
     labellings = pushforward.factorial_b(k)
     for what, d, _ in _pushed_classes(k):
-        # a symbol on lambda or delta_0 is a SlopeError, a FAIL
         lambda_delta0(d)
-        _, den, _ = d.numerators_view()
+        _, den = d.numerators_view()
         _require(
             labellings % den == 0, f"denominator {den} of the {what} does not divide (6k)!"
         )
@@ -323,9 +324,8 @@ def _delta_j(k: int, externals: ExternalCoeffs | None) -> None:
     # Hodge slope are read from these substituted classes
     numeric = {what: externals.apply(d) for what, d, _ in _pushed_classes(k)}
     for d in numeric.values():
-        nums, _, _ = d.numerators_view()
         _require(
-            all(type(key) is str for key in nums),
+            not slopes._mg_numerators(d)[2],
             "substitution left a symbolic coefficient behind",
         )
     slopes.kappa_slope_bound(k)

@@ -121,7 +121,7 @@ class ExtSymbol(_SymbolFields):
     """An external coefficient symbol: family "c" models c_j, "b" models b_j.
 
     A named tuple, so that hashing, equality and ordering, by (family,
-    index), run in C: symbols key every symbolic dict of the kernel."""
+    index), run in C: symbols key the terms of every :class:`AffineExpr`."""
 
     __slots__ = ()
 

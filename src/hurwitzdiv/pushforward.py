@@ -12,6 +12,11 @@ it from the stored integers and that scale.  The
 coefficients of delta_j for j >= 1 involve the external symbols c_j and
 b_j, which stay symbolic unless an :class:`ExternalCoeffs` table is
 supplied; the lambda and delta_0 coefficients are always symbol-free.
+The symbols enter only through the E2/E3 columns of :func:`p_push` and
+the T2 column of :func:`p_q_map`, each of which writes one weight of
+c_j or b_j that every delta_j carries, so a pushed class stores its
+symbols as two weights (``bases.C_WEIGHT``/``B_WEIGHT``), and
+:meth:`ExternalCoeffs.apply` substitutes a table in one pass over j.
 
 :func:`p_push` sends E_{j,c} to e_{j,c} delta_j only, with e_{j,c}
 the integer ``trace.jc_rows(k, "e")[j][c]``, so its E_{j,c} columns are
@@ -28,12 +33,13 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from itertools import repeat
 from math import factorial, lcm
 from operator import mul
 from typing import Mapping
 
 from .bases import (
+    B_WEIGHT,
+    C_WEIGHT,
     ClassMap,
     DivisorClass,
     E2,
@@ -41,14 +47,14 @@ from .bases import (
     LAMBDA,
     T3j,
     T2,
-    delta,
+    delta_names,
     hurwitz_basis,
     hurwitz_head,
     linear_combination,
     mg_basis,
     numerator_over,
 )
-from .core import ExtSymbol, b_sym, c_sym, per_k_cache
+from .core import per_k_cache
 from .m0b import kappa_class
 from .trace import (
     alpha_table,
@@ -95,12 +101,12 @@ class ExternalCoeffs:
     The table is held as (numerator, denominator) int pairs, read
     straight from "p/q" text by ``serialize`` (:meth:`_from_ratios`)
     without a reduced ``Fraction`` per value.  On first use the pairs
-    are put over the lcm of their denominators, once per table;
-    :meth:`apply` hands those integer numerators to the substitution
-    kernel of ``DivisorClass``, the one that ``DivisorClass.substitute``
-    also ends in, so no value is converted again per substituted class.
-    The ``Fraction`` views :attr:`c`, :attr:`b` and :meth:`substitution`
-    are built only when read; ``k``, ``c`` and ``b`` are read-only."""
+    are put over the lcm of their denominators, once per table, as the
+    c and b numerators by j; :meth:`apply` hands them to the
+    substitution kernel of ``DivisorClass``, so no value is converted
+    again per substituted class.  The ``Fraction`` views :attr:`c` and
+    :attr:`b` are built only when read; ``k``, ``c`` and ``b`` are
+    read-only."""
 
     def __init__(self, k: int, c: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> None:
         for label, table in (("c", c), ("b", b)):
@@ -150,39 +156,22 @@ class ExternalCoeffs:
         return f"ExternalCoeffs(k={self.k!r}, c={self.c!r}, b={self.b!r})"
 
     @cached_property
-    def _numerators(self) -> tuple[dict[ExtSymbol, int], int]:
-        # the table over the lcm of its denominators, built once per table;
-        # the symbols are the cached ones of the push-forward builders
-        c, b = self._c, self._b
+    def _numerators(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        # c_1..c_k and b_1..b_k over the lcm of their denominators, built
+        # once per table
+        c, b, js = self._c, self._b, range(1, self._k + 1)
         den = lcm(*(q for _, q in c.values()), *(q for _, q in b.values()))
-        _, c_keys, b_keys = _delta_keys(self._k)
-        nums = {c_keys[j - 1][1]: p * (den // q) for j, (p, q) in c.items()}
-        nums.update((b_keys[j - 1][1], p * (den // q)) for j, (p, q) in b.items())
-        return nums, den
-
-    def substitution(self) -> dict[ExtSymbol, Fraction]:
-        """The table as symbol -> value, a fresh dict on every call."""
-        values = {c_sym(j): v for j, v in self.c.items()}
-        values.update((b_sym(j), v) for j, v in self.b.items())
-        return values
+        return (
+            tuple([p * (den // q) for p, q in map(c.__getitem__, js)]),
+            tuple([p * (den // q) for p, q in map(b.__getitem__, js)]),
+            den,
+        )
 
     def apply(self, d: DivisorClass) -> DivisorClass:
-        """``d.substitute(self.substitution())``, from the integer table."""
+        """``d`` with c_j and b_j replaced by the table's values, from
+        the integer table; a class that carries symbols must lie over
+        ``Mg(k)`` of the table's k."""
         return d._substituted(*self._numerators)
-
-
-@per_k_cache
-def _delta_keys(k: int) -> tuple[tuple[str, ...], tuple, tuple]:
-    """The keys of the genus-2k moduli basis that the push-forward
-    builders write, built once per k: the names delta_0 .. delta_k, and
-    the symbol keys (delta_j, c_j) and (delta_j, b_j), at index j - 1 for
-    j = 1 .. k.  The indices 1 .. k are valid, so the symbols are made
-    without the checks of ``ExtSymbol.__new__``."""
-    names = tuple(map(delta, range(k + 1)))
-    js = range(1, k + 1)
-    c_keys = tuple(zip(names[1:], map(ExtSymbol._make, zip(repeat("c"), js))))
-    b_keys = tuple(zip(names[1:], map(ExtSymbol._make, zip(repeat("b"), js))))
-    return names, c_keys, b_keys
 
 
 @per_k_cache
@@ -191,23 +180,23 @@ def p_push(k: int) -> ClassMap:
     moduli basis, row by generator, per factorial b.  Every column is
     written in integers over the one denominator 2(2k-1): E0 sends
     N/2 to delta_0, and with the leads (k-2)N/(2k-1) of E2 and
-    3N/(2(2k-1)) of E3 the E2/E3 columns reach lambda, delta_0 and, on
-    each delta_j, c_j/2 or -lead_3 b_j."""
+    3N/(2(2k-1)) of E3 the E2/E3 columns reach lambda, delta_0 and the
+    weight 1/2 of c_j or -lead_3 of b_j, which every delta_j carries."""
     n = catalan_number(k)
     den = 2 * (2 * k - 1)
     lead2, lead3 = 2 * (k - 2) * n, 3 * n  # the two leads over den
-    deltas, c_keys, b_keys = _delta_keys(k)
+    deltas = delta_names(k)
     e0 = {deltas[0]: (2 * k - 1) * n}
     e2 = {
         LAMBDA: lead2 * (18 * k * k + 51 * k - 9),
         deltas[0]: -lead2 * (3 * k * k + 4 * k - 1),
+        C_WEIGHT: 2 * k - 1,
     }
-    e2.update(zip(c_keys, repeat(2 * k - 1)))
     e3 = {
         LAMBDA: lead3 * (12 * k * k + 46 * k - 8),
         deltas[0]: -lead3 * (2 * k * k + 4 * k - 1),
+        B_WEIGHT: -lead3,
     }
-    e3.update(zip(b_keys, repeat(-lead3)))
     heads = hurwitz_head(k, e0, e2, e3)
     cols = {name: (head, ()) for name, head in heads.items()}
     # block j: the row of the e_{j,c}, all positive integers
@@ -295,13 +284,12 @@ def _hodge_expected(k: int, closed, family: str, c_weight, b_weight) -> DivisorC
     den = lcm(*(x.denominator for x in (lam, d0, c_weight, b_weight)), w_den)
     head = hurwitz_head(k, None, c_weight, b_weight)
     c, b = (numerator_over(head.get(name, 0), den) for name in (E2, E3))
-    names, c_keys, b_keys = _delta_keys(k)
+    names = delta_names(k)
     nums = {LAMBDA: numerator_over(lam, den), names[0]: numerator_over(d0, den)}
     e_rows, w_rows, f = jc_rows(k, "e"), jc_rows(k, family), den // w_den
     for j in range(1, k + 1):
         nums[names[j]] = sum(map(mul, e_rows[j], w_rows[j])) * f
-    nums.update(zip(c_keys, repeat(c)))
-    nums.update(zip(b_keys, repeat(b)))
+    nums[C_WEIGHT], nums[B_WEIGHT] = c, b
     return DivisorClass._raw(mg_basis(k), den, {key: n for key, n in nums.items() if n})
 
 
@@ -338,11 +326,15 @@ def p_q_map(k: int) -> ClassMap:
     # 9N/(2(2k-1))
     den = 2 * (2 * k - 1)
     lead = 2 * k * (6 * k - 1) * n
-    # the T2 column carries c_j and b_j on each delta_j
-    names, c_keys, b_keys = _delta_keys(k)
-    t2 = {LAMBDA: 3 * (2 * k + 5) * lead, names[0]: -(k + 1) * lead}
-    t2.update(zip(c_keys, repeat(den)))
-    t2.update(zip(b_keys, repeat(-9 * n)))
+    # the T2 column carries c_j and b_j on each delta_j: weights 1 and
+    # -9N/(2(2k-1))
+    names = delta_names(k)
+    t2 = {
+        LAMBDA: 3 * (2 * k + 5) * lead,
+        names[0]: -(k + 1) * lead,
+        C_WEIGHT: den,
+        B_WEIGHT: -9 * n,
+    }
     cols = {T2: (t2, ())}
     alphas = alpha_table(k)
     for j in range(1, k + 1):
@@ -377,7 +369,7 @@ def mg_canonical_class(k: int) -> DivisorClass:
     """The canonical class 13 lambda - 2 delta_0 - 3 delta_1 - 2 delta_2
     - ... - 2 delta_k of the genus-2k moduli space on the truncated basis
     lambda, delta_0..delta_k."""
-    names = _delta_keys(k)[0]
+    names = delta_names(k)
     nums = {LAMBDA: 13, **dict.fromkeys(names, -2)}
     nums[names[1]] = -3
     return DivisorClass._raw(mg_basis(k), 1, nums)

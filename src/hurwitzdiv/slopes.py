@@ -9,7 +9,10 @@ the delta_j coefficients involve the external symbols, that proviso is
 surfaced as a three-state validity instead of being assumed.  It is
 decided on the class's integer numerators, read without a copy
 (``DivisorClass.numerators_view``), which also give the lambda and
-delta_0 coefficients; the :class:`AffineExpr` witnesses are built only
+delta_0 coefficients.  A class stores its symbols as two weights, the
+coefficients of c_j and b_j on every delta_j, so a nonzero weight makes
+the proviso unknown at every j, and a class without one is decided
+delta_j by delta_j; the :class:`AffineExpr` witnesses are built only
 when read.
 
 An induced slope is a Moebius map of the source slope s = p/q.  Both of
@@ -27,8 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Mapping
 
-from .bases import DivisorClass, LAMBDA, MG, delta, linear_combination, mg_basis
+from .bases import B_WEIGHT, C_WEIGHT, DivisorClass, LAMBDA, MG, delta, delta_names
+from .bases import linear_combination, mg_basis
 from .core import AffineExpr, RationalLike, format_rational, per_k_cache
 from .pushforward import (
     p_phi_delta,
@@ -80,25 +85,21 @@ class SlopeReport:
         return [(j, self.source.coefficient(delta(j))) for j in self.witness_indices]
 
 
-def _mg_numerators(d: DivisorClass) -> tuple[dict, int, dict[str, dict]]:
+def _mg_numerators(d: DivisorClass) -> tuple[Mapping, int, bool]:
     """The numerators of a class over the genus-2k moduli basis, their
-    denominator and its symbol numerators by generator, so that a
-    generator carries a symbol exactly when it is a key of the last;
-    all three are read, not copied, from the class
-    (``DivisorClass.numerators_view``).  A class over another basis, or
-    a symbol on lambda or delta_0, is a :class:`SlopeError`."""
+    denominator, and whether its delta_j, j >= 1, carry the symbols (a
+    nonzero weight); the map is read, not copied, from the class
+    (``DivisorClass.numerators_view``).  A class over another basis is a
+    :class:`SlopeError`."""
     if d.basis.kind != MG:
         raise SlopeError(f"slope is defined over the Mg basis, got {d.basis.kind}")
-    nums, den, symbolic = d.numerators_view()
-    if LAMBDA in symbolic or _DELTA_0 in symbolic:
-        raise SlopeError("lambda and delta_0 coefficients must be symbol-free")
-    return nums, den, symbolic
+    nums, den = d.numerators_view()
+    return nums, den, C_WEIGHT in nums or B_WEIGHT in nums
 
 
 def lambda_delta0(d: DivisorClass) -> tuple[Fraction, Fraction]:
     """The lambda and delta_0 coefficients of a class over the genus-2k
-    moduli basis, read from its numerators; a symbol in either is a
-    :class:`SlopeError`."""
+    moduli basis, read from its numerators; neither carries a symbol."""
     nums, den, _ = _mg_numerators(d)
     return Fraction(nums.get(LAMBDA, 0), den), Fraction(nums.get(_DELTA_0, 0), den)
 
@@ -118,20 +119,14 @@ def slope_of(d: DivisorClass) -> SlopeReport:
     if n0 == 0:
         raise SlopeError("delta_0 coefficient is zero; slope undefined")
     slope = Fraction(nums.get(LAMBDA, 0), -n0)
-    witnesses: list[int] = []
-    unknown = violated = False
-    for j in range(1, d.basis.k + 1):
-        name = delta(j)
-        if name in symbolic:
-            unknown = True
-        elif nums.get(name, 0) > n0:
-            # -n_j < -n_0 over the same positive denominator: b_j < b_0
-            violated = True
-        else:
-            continue
-        witnesses.append(j)
-    valid = UNKNOWN if unknown else (FAILS if violated else HOLDS)
-    return SlopeReport(slope, valid, d, tuple(witnesses))
+    js = range(1, d.basis.k + 1)
+    if symbolic:
+        # every delta_j carries the weights
+        return SlopeReport(slope, UNKNOWN, d, tuple(js))
+    # -n_j < -n_0 over the same positive denominator: b_j < b_0
+    names = delta_names(d.basis.k)
+    witnesses = tuple([j for j in js if nums.get(names[j], 0) > n0])
+    return SlopeReport(slope, FAILS if witnesses else HOLDS, d, witnesses)
 
 
 # (n1, n0), (q1, q0): the induced slope at s is (n1 s + n0)/(q1 s + q0)
@@ -261,8 +256,8 @@ def kappa_proviso(k: int, numeric: DivisorClass) -> None:
     table substituted; the message names each b_j below b_0."""
     report = slope_of(numeric)
     if report.valid != HOLDS:
-        # b_j is minus the delta_j coefficient; a table for another k
-        # leaves a symbol there, which constant_value refuses
+        # b_j is minus the delta_j coefficient; a class that still
+        # carries the symbols has them there, which constant_value refuses
         b0 = format_rational(-lambda_delta0(numeric)[1])
         exceeded = ", ".join(
             f"b_{j} = {format_rational(-value.constant_value())}"

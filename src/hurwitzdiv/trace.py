@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .bases import (
     ClassMap,
@@ -427,9 +427,12 @@ def twelve_lambda_reduced_closed(k: int) -> DivisorClass:
     return _build(k, 2 * (6 * k - 1), 4 * u0, 4 * u2, 4 * u3, jc_rows(k, "u"))
 
 
-def _check_boundary_index(j: int, genus: int) -> None:
-    if not 0 <= j <= genus // 2:
-        raise IndexRangeError(f"boundary index {j} out of range 0..{genus // 2}")
+def _check_boundary_index(k: int, j: int, genus: Callable[[int], int]) -> None:
+    """Refuse k < 1, then an index j outside 0..floor(g/2), g = genus(k)."""
+    if k < 1:
+        raise IndexRangeError(f"k must be >= 1, got {k}")
+    if not 0 <= j <= genus(k) // 2:
+        raise IndexRangeError(f"boundary index {j} out of range 0..{genus(k) // 2}")
 
 
 def _phi_boundary_entry(k: int, j: int) -> int:
@@ -442,11 +445,11 @@ def _phihat_boundary_entry(k: int, j: int) -> int:
     return k - 1 if j <= 2 else k - j
 
 
-def _boundary_sum(k: int, entry, genus: int) -> DivisorClass:
+def _boundary_sum(k: int, entry, genus: Callable[[int], int]) -> DivisorClass:
     """The sum over j = 1..k of the one-entry boundary pullbacks
     ``entry(k, j)`` E_{j,0}, as one class; the index k must exist in a
-    moduli space of curves of genus ``genus``."""
-    _check_boundary_index(k, genus)
+    moduli space of curves of genus ``genus(k)``."""
+    _check_boundary_index(k, k, genus)
     rows = [()] + [(entry(k, j),) + (0,) * (j // 2) for j in range(1, k + 1)]
     return _build(k, 1, 0, 0, 0, rows)
 
@@ -455,7 +458,7 @@ def _boundary_sum(k: int, entry, genus: int) -> DivisorClass:
 def phi_pull_boundary(k: int, j_prime: int) -> DivisorClass:
     """Pullback of the boundary class delta'_{j'} of the trace-curve
     moduli space; zero for j' > k."""
-    _check_boundary_index(j_prime, genus_trace(k))
+    _check_boundary_index(k, j_prime, genus_trace)
     if j_prime == 0:
         rows = [(), ()] + [
             (j, *[2 * (k - j + c) * (c + 1) + j for c in range(1, j // 2 + 1)])
@@ -470,14 +473,14 @@ def phi_pull_boundary(k: int, j_prime: int) -> DivisorClass:
 def phi_pull_boundary_sum(k: int) -> DivisorClass:
     """The sum of :func:`phi_pull_boundary` over j' = 1..k (the higher
     ones are zero), built as one class."""
-    return _boundary_sum(k, _phi_boundary_entry, genus_trace(k))
+    return _boundary_sum(k, _phi_boundary_entry, genus_trace)
 
 
 @per_k_cache
 def phihat_pull_boundary(k: int, j_hat: int) -> DivisorClass:
     """Pullback of the boundary class of the reduced-trace moduli
     space; zero for indices above k."""
-    _check_boundary_index(j_hat, genus_reduced_trace(k))
+    _check_boundary_index(k, j_hat, genus_reduced_trace)
     if j_hat == 0:
         # entry (j, c) is (k - j + c)(c + 1) + tail_j, tail_j = (j + 1)//2
         # + (j mod 2), for c >= 1, and tail_j on E_{j,0}; row 2 is the
@@ -496,4 +499,4 @@ def phihat_pull_boundary(k: int, j_hat: int) -> DivisorClass:
 def phihat_pull_boundary_sum(k: int) -> DivisorClass:
     """The sum of :func:`phihat_pull_boundary` over j = 1..k, built as
     one class."""
-    return _boundary_sum(k, _phihat_boundary_entry, genus_reduced_trace(k))
+    return _boundary_sum(k, _phihat_boundary_entry, genus_reduced_trace)

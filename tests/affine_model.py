@@ -10,13 +10,15 @@ operation done here, coefficient by coefficient.
 
 A class is read into the model two ways: through its public accessor
 (:func:`class_model`) and straight from its stored form
-(:func:`stored_model`), whose E_{j,c} rows are read here by their layout
-alone, so the two agree only if the accessors and the row layout do.
+(:func:`stored_model`), whose two weights and E_{j,c} rows are read here
+by their layout alone, so the two agree only if the accessors and the
+layout do.
 """
 
 from fractions import Fraction
 
-from hurwitzdiv.core import AffineExpr
+from hurwitzdiv.bases import B_WEIGHT, C_WEIGHT
+from hurwitzdiv.core import AffineExpr, ExtSymbol
 
 
 def _nonzero(parts):
@@ -71,13 +73,21 @@ def class_model(d):
 def stored_model(d):
     """A divisor class as generator -> model value, read from its stored
     parts: the numerators over ``d._den`` of the head map, keyed by
-    generator or (generator, symbol), and on a Hurwitz basis entry c of
-    row j of ``d._rows`` as the constant part of E_j_c."""
+    generator for a constant part and by ``C_WEIGHT``/``B_WEIGHT`` (over
+    Mg(k)) for the weight of c_j or b_j on every delta_j, j >= 1, and
+    on a Hurwitz basis entry c of row j of ``d._rows`` as the constant
+    part of E_j_c."""
     parts = {g: {} for g in d.basis.generators()}
-    cells = [(key, n) for key, n in d._nums.items()]
-    cells += [(f"E_{j}_{c}", n) for j, row in enumerate(d._rows) for c, n in enumerate(row)]
-    for key, n in cells:
-        name, sym = key if type(key) is tuple else (key, None)
+    cells = []
+    for key, n in d._nums.items():
+        if key in (C_WEIGHT, B_WEIGHT):
+            cells += [(f"delta_{j}", ExtSymbol(key, j), n) for j in range(1, d.basis.k + 1)]
+        else:
+            cells.append((key, None, n))
+    cells += [
+        (f"E_{j}_{c}", None, n) for j, row in enumerate(d._rows) for c, n in enumerate(row)
+    ]
+    for name, sym, n in cells:
         part = parts[name]  # a KeyError names a key outside the basis
         part[sym] = part.get(sym, 0) + Fraction(n, d._den)
     return {g: _nonzero(part) for g, part in parts.items()}

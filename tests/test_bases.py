@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitzdiv.bases import (
+    B_WEIGHT,
+    C_WEIGHT,
     Basis,
     BasisMismatchError,
     ClassGroupError,
@@ -152,6 +154,79 @@ def test_symbols_are_refused_off_mg(basis, name):
     assert DivisorClass(basis, {name: AffineExpr(2)}) == DivisorClass(basis, {name: 2})
 
 
+# The two-weight shape: over Mg(k) the store holds the symbols only as
+# gamma_c c_j + gamma_b b_j on every delta_j, j >= 1, one pair per class.
+# Every other symbolic shape is refused, by the constructor and so by
+# serialize.class_from_obj, with one text that names the generator.
+
+
+def assert_shape_refused(k, coeffs, name):
+    from hurwitzdiv.serialize import affine_to_obj, class_from_obj
+
+    text = (
+        f"generator '{name}' of Mg(k={k}) breaks the shape of the external "
+        "symbols: every delta_j, j >= 1, carries the same gamma_c*c_j + "
+        "gamma_b*b_j, and lambda and delta_0 carry none"
+    )
+    with pytest.raises(ClassGroupError, match=f"^{re.escape(text)}$"):
+        DivisorClass(mg_basis(k), coeffs)
+    obj = {
+        "schema": "divisor-class/1",
+        "k": k,
+        "basis": MG,
+        "normalization": "raw",
+        "coefficients": {g: affine_to_obj(v) for g, v in coeffs.items()},
+    }
+    with pytest.raises(ClassGroupError, match=f"^{re.escape(text)}$"):
+        class_from_obj(obj)
+
+
+def test_a_symbol_on_one_delta_j_alone_is_refused():
+    # delta_2 carries no weight where delta_1 carries c_1
+    assert_shape_refused(2, {delta(1): AffineExpr(0, {c_sym(1): 1})}, delta(2))
+    assert_shape_refused(3, {delta(3): AffineExpr(4, {b_sym(3): 1})}, delta(3))
+
+
+def test_a_symbol_of_another_index_is_refused():
+    # c_2 on delta_1, even where every delta_j carries one weight
+    coeffs = {delta(1): AffineExpr(0, {c_sym(2): 1}), delta(2): AffineExpr(0, {c_sym(2): 1})}
+    assert_shape_refused(2, coeffs, delta(1))
+    coeffs = with_weights(2, {}, 1, 1)
+    coeffs[delta(2)] = AffineExpr(0, {c_sym(2): 1, b_sym(1): 1})
+    assert_shape_refused(2, coeffs, delta(2))
+
+
+def test_unequal_weights_across_j_are_refused():
+    coeffs = with_weights(3, {}, 1, Fraction(1, 2))
+    coeffs[delta(3)] = AffineExpr(0, {c_sym(3): 2, b_sym(3): Fraction(1, 2)})
+    assert_shape_refused(3, coeffs, delta(3))
+    coeffs[delta(3)] = AffineExpr(0, {c_sym(3): 1})
+    assert_shape_refused(3, coeffs, delta(3))
+
+
+@pytest.mark.parametrize("name", [LAMBDA, delta(0)])
+def test_a_symbol_on_lambda_or_delta_0_is_refused(name):
+    assert_shape_refused(1, {name: AffineExpr(1, {c_sym(1): 1})}, name)
+    # even beside a valid pair of weights
+    coeffs = with_weights(2, {}, 1, 2)
+    coeffs[name] = AffineExpr(0, {b_sym(1): 3})
+    assert_shape_refused(2, coeffs, name)
+
+
+def test_the_two_weight_shape_is_accepted_and_read_back():
+    from hurwitzdiv.serialize import class_from_obj, class_to_obj
+
+    for coeffs in (
+        with_weights(3, {LAMBDA: 2, delta(2): Fraction(1, 3)}, Fraction(3, 4), -5),
+        with_weights(3, {}, 0, 1),
+        # a zero weight may be given or left out
+        {delta(j): AffineExpr(0, {c_sym(j): 2, b_sym(j): 0}) for j in (1, 2, 3)},
+    ):
+        d = DivisorClass(mg_basis(3), coeffs)
+        assert dict(d.items()) == {g: v for g, v in coeffs.items() if v}
+        assert class_from_obj(class_to_obj(d)) == (d, "raw")
+
+
 def test_basis_validation():
     with pytest.raises(ValueError):
         Basis("Nope", 1)
@@ -182,38 +257,74 @@ def test_lazy_basis_enumeration():
     assert hat == ["lambdaH", "deltaH_0", "deltaH_1", "deltaH_2"]  # genus 4
 
 
-# Mixed representation: symbol-free coefficients are integer numerators
-# over one common denominator, and only coefficients that carry a symbol
-# are AffineExpr.  Every operation must agree with the same operation
-# done coefficient by coefficient in the affine reference model of
-# tests/affine_model.py.
+# Mixed representation: every coefficient is an integer numerator over
+# one common denominator, and an Mg(k) class carries the symbols in the
+# one shape the store holds: gamma_c c_j + gamma_b b_j on every delta_j,
+# j >= 1, one pair per class.  Every operation must agree with the same
+# operation done coefficient by coefficient in the affine reference
+# model of tests/affine_model.py.
 
-MIXED_SYMBOLS = [c_sym(1), c_sym(2), b_sym(1), b_sym(2)]
 constant_affines = rationals.map(AffineExpr)
-symbolic_affines = st.builds(
-    AffineExpr,
-    rationals,
-    st.dictionaries(st.sampled_from(MIXED_SYMBOLS), rationals, min_size=1, max_size=2),
-)
 plain_values = st.one_of(rationals, st.integers(-9, 9), constant_affines)
-mixed_values = st.one_of(plain_values, symbolic_affines)
 scalars = st.one_of(rationals, st.integers(-9, 9))
+plain_weights = st.one_of(st.just(0), rationals)
+plain_pairs = st.tuples(plain_weights, plain_weights)
 
 
-def mg_classes(values, k=2):
-    gens = list(mg_basis(k).generators())
-    return st.dictionaries(st.sampled_from(gens), values, max_size=4).map(
+def with_weights(k, coeffs, gc, gb):
+    """``coeffs`` over Mg(k) with gamma_c c_j + gamma_b b_j added to
+    every delta_j, j >= 1: the two-weight shape of a symbolic class."""
+    out = dict(coeffs)
+    for j in range(1, k + 1):
+        const = out.get(delta(j), 0)
+        const = const.const if isinstance(const, AffineExpr) else const
+        out[delta(j)] = AffineExpr(const, {c_sym(j): gc, b_sym(j): gb})
+    return out
+
+
+def class_maps(basis, constants, pairs, max_size=4):
+    """Coefficient maps over ``basis``: ``constants`` on up to
+    ``max_size`` generators and, over Mg(k), one pair of weights drawn
+    from ``pairs`` (zeros among them) on every delta_j, j >= 1."""
+    gens = list(basis.generators())
+    coeffs = st.dictionaries(st.sampled_from(gens), constants, max_size=max_size)
+    if basis.kind != MG:
+        return coeffs
+    return st.builds(lambda c, pair: with_weights(basis.k, c, *pair), coeffs, pairs)
+
+
+def mg_classes(constants=plain_values, pairs=plain_pairs, k=2):
+    return class_maps(mg_basis(k), constants, pairs).map(
         lambda coeffs: DivisorClass(mg_basis(k), coeffs)
     )
 
 
 def assert_stored_key(basis, key):
-    """A stored key: a generator of ``basis`` for a constant part, the
-    plain tuple (generator, ExtSymbol) for a symbol coefficient."""
-    if type(key) is tuple:
-        assert len(key) == 2 and type(key[1]) is ExtSymbol, f"bad key {key!r}"
-        key = key[0]
+    """A stored key: a generator of ``basis`` for a constant part, or
+    over Mg(k) one of the two weight keys."""
+    if key in (C_WEIGHT, B_WEIGHT):
+        assert basis.kind == MG, f"weight key {key!r} off Mg"
+        return
     assert type(key) is str and basis.contains(key), f"bad key {key!r}"
+
+
+def table_values(ext):
+    """The table of ``ext`` as symbol -> value, for the oracle
+    ``AffineExpr.substitute``."""
+    values = {c_sym(j): v for j, v in ext.c.items()}
+    values.update((b_sym(j), v) for j, v in ext.b.items())
+    return values
+
+
+def assert_apply_is_substitute(ext, d):
+    """``ext.apply(d)`` is canonical and holds, generator by generator,
+    ``AffineExpr.substitute`` of each coefficient of ``d.items()``."""
+    applied = ext.apply(d)
+    assert_canonical(applied)
+    values = table_values(ext)
+    expected = {name: value.substitute(values) for name, value in d.items()}
+    assert dict(applied.items()) == {name: v for name, v in expected.items() if v}
+    return applied
 
 
 def assert_canonical_rows(basis, rows):
@@ -234,10 +345,10 @@ def assert_canonical_rows(basis, rows):
 def assert_canonical(d):
     """The unique stored form: integer numerators over one positive
     denominator in lowest terms (1 for the zero class), in a head map
-    keyed by generator for the constant parts and by (generator, symbol)
-    for the symbol coefficients, with no zero numerator, and on a
-    Hurwitz basis the E_{j,c} constant parts in rows, never in the head
-    map; the stored parts read back as the accessors' values."""
+    keyed by generator for the constant parts and, over Mg(k), by
+    C_WEIGHT/B_WEIGHT for the two weights, with no zero numerator, and
+    on a Hurwitz basis the E_{j,c} constant parts in rows, never in the
+    head map; the stored parts read back as the accessors' values."""
     assert type(d._den) is int and d._den > 0
     for key, n in d._nums.items():
         assert_stored_key(d.basis, key)
@@ -251,7 +362,7 @@ def assert_canonical(d):
     assert stored_model(d) == model(d)
 
 
-@given(mg_classes(mixed_values), mg_classes(mixed_values), scalars)
+@given(mg_classes(), mg_classes(), scalars)
 def test_mixed_arithmetic_matches_affine_model(d1, d2, a):
     m1, m2 = model(d1), model(d2)
     for result, expected in (
@@ -274,14 +385,16 @@ def test_mixed_arithmetic_matches_affine_model(d1, d2, a):
                 op()
 
 
-@given(
-    mg_classes(mixed_values),
-    st.dictionaries(st.sampled_from(MIXED_SYMBOLS), rationals, max_size=4),
+external_tables_2 = st.lists(rationals, min_size=4, max_size=4).map(
+    lambda t: ExternalCoeffs(2, {1: t[0], 2: t[1]}, {1: t[2], 2: t[3]})
 )
-def test_mixed_substitute_matches_affine_model(d, values):
-    result = d.substitute(values)
-    assert_canonical(result)
-    assert model(result) == {g: substitute(e, values) for g, e in model(d).items()}
+
+
+@given(mg_classes(), external_tables_2)
+def test_mixed_apply_matches_affine_substitute(d, ext):
+    applied = assert_apply_is_substitute(ext, d)
+    values = table_values(ext)
+    assert model(applied) == {g: substitute(e, values) for g, e in model(d).items()}
 
 
 @given(st.lists(rationals, min_size=6, max_size=6))
@@ -290,14 +403,11 @@ def test_full_substitution_stores_only_fractions(table):
 
     ext = ExternalCoeffs(3, dict(zip((1, 2, 3), table[:3])), dict(zip((1, 2, 3), table[3:])))
     for d in (p_phi_lambda(3), p_q_kappa(3)):
-        # the symbols sit on delta_j (j >= 1), beside their constant parts
-        symbolic = [key for key in d._nums if type(key) is tuple]
-        assert {name for name, _ in symbolic} == {delta(1), delta(2), delta(3)}
-        assert {delta(1), delta(2), delta(3)} <= set(d._nums)
-        numeric = ext.apply(d)
-        assert_canonical(numeric)
-        assert all(type(key) is str for key in numeric._nums)
-        values = ext.substitution()
+        # the symbols are the two weights, beside the delta_j constants
+        assert {C_WEIGHT, B_WEIGHT, delta(1), delta(2), delta(3)} <= set(d._nums)
+        numeric = assert_apply_is_substitute(ext, d)
+        assert not {C_WEIGHT, B_WEIGHT} & set(numeric._nums)
+        values = table_values(ext)
         assert model(numeric) == {g: substitute(e, values) for g, e in model(d).items()}
 
 
@@ -319,9 +429,9 @@ def test_constant_affine_and_fraction_classes_are_identical():
         {delta(1): AffineExpr(Fraction(1, 2), {c_sym(1): Fraction(1, 3)}), LAMBDA: 5},
     )
     stored = (mixed._den, mixed._nums)
-    assert stored == (6, {delta(1): 3, (delta(1), c_sym(1)): 2, LAMBDA: 30})
-    # the symbol key is the plain tuple (generator, symbol)
-    assert {type(key) for key in mixed._nums} == {str, tuple}
+    assert stored == (6, {delta(1): 3, C_WEIGHT: 2, LAMBDA: 30})
+    # a weight key is the family letter of its symbols
+    assert (C_WEIGHT, B_WEIGHT) == ("c", "b")
     # on a Hurwitz basis E0/E2/E3 stay in the head map and the E_{j,c}
     # constants go to their rows, a constant AffineExpr among them; an
     # untouched row is ()
@@ -372,48 +482,30 @@ def test_generator_order_is_cached_and_shared_by_all_kinds():
     assert not mg_basis(2).contains("delta_x")
 
 
-# Symbolic kernel: the c_j/b_j terms are integer numerators over the same
-# common denominator as the constants.  Coefficients whose constant and
-# symbol parts have pairwise different denominators, some of the size of
+# Symbolic kernel: the two weights are integer numerators over the same
+# common denominator as the constants.  Classes whose constants and
+# weights have pairwise different denominators, some of the size of
 # (6k)!, must agree with the affine model under every operation.
 
 
 @st.composite
-def spread_affines(draw):
-    """A symbolic AffineExpr whose constant and symbol coefficients have
-    pairwise different denominators."""
-    syms = draw(
-        st.lists(st.sampled_from(MIXED_SYMBOLS), unique=True, min_size=1, max_size=3)
-    )
-    n = len(syms) + 1
-    dens = draw(st.lists(row_denominators, min_size=n, max_size=n, unique=True))
-    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
-    const = draw(st.integers(-50, 50))
-    return AffineExpr(
-        Fraction(const, dens[0]),
-        {s: Fraction(sign, den) for s, sign, den in zip(syms, signs[1:], dens[1:])},
-    )
+def spread_pairs(draw):
+    """(gamma_c, gamma_b) over two different denominators, either one
+    possibly zero."""
+    dens = draw(st.lists(row_denominators, min_size=2, max_size=2, unique=True))
+    nums = draw(st.lists(st.integers(-50, 50), min_size=2, max_size=2))
+    return Fraction(nums[0], dens[0]), Fraction(nums[1], dens[1])
 
 
-MG3 = list(mg_basis(3).generators())
-spread_values = st.one_of(spread_affines(), big_rationals)
 spread_rationals = st.builds(Fraction, st.integers(-50, 50), row_denominators)
 spread_constants = st.one_of(spread_rationals, big_rationals)
 
 
-def values_over(basis, values, constants=spread_constants):
-    """``values`` over Mg, the one kind whose classes carry symbols, and
-    ``constants`` over every other kind."""
-    return values if basis.kind == MG else constants
-
-
-def mg3_classes(values):
-    return st.dictionaries(st.sampled_from(MG3), values, max_size=4).map(
-        lambda coeffs: DivisorClass(mg_basis(3), coeffs)
-    )
-
-
-@given(mg3_classes(spread_values), mg3_classes(spread_values), big_rationals)
+@given(
+    mg_classes(spread_constants, spread_pairs(), k=3),
+    mg_classes(spread_constants, spread_pairs(), k=3),
+    big_rationals,
+)
 def test_symbolic_kernel_arithmetic_matches_affine_model(d1, d2, a):
     m1, m2 = model(d1), model(d2)
     for result, expected in (
@@ -430,20 +522,32 @@ def test_symbolic_kernel_arithmetic_matches_affine_model(d1, d2, a):
         assert model(quotient) == {g: scale(m1[g], 1 / a) for g in m1}
 
 
-@given(
-    mg3_classes(spread_values),
-    st.lists(spread_rationals, min_size=4, max_size=4),
-    st.permutations(MIXED_SYMBOLS),
-    st.integers(1, 3),
-)
-def test_symbolic_kernel_substitute_matches_affine_model(d, table, order, cut):
-    # a proper part of the symbols, then all of them
-    full = dict(zip(order, table))
-    for values in ({s: full[s] for s in order[:cut]}, full):
-        result = d.substitute(values)
-        assert_canonical(result)
-        assert model(result) == {g: substitute(e, values) for g, e in model(d).items()}
-    assert all(type(key) is str for key in d.substitute(full)._nums)
+def external_tables(k, values=spread_rationals):
+    return st.lists(values, min_size=2 * k, max_size=2 * k).map(
+        lambda t: ExternalCoeffs(
+            k, dict(enumerate(t[:k], 1)), dict(enumerate(t[k:], 1))
+        )
+    )
+
+
+@given(mg_classes(spread_constants, spread_pairs(), k=3), external_tables(3))
+def test_symbolic_kernel_apply_matches_affine_model(d, ext):
+    applied = assert_apply_is_substitute(ext, d)
+    values = table_values(ext)
+    assert model(applied) == {g: substitute(e, values) for g, e in model(d).items()}
+    assert not {C_WEIGHT, B_WEIGHT} & set(applied._nums)
+
+
+@given(mg_classes(spread_constants, spread_pairs(), k=3), st.sampled_from([1, 2, 4]))
+def test_a_table_of_another_k_is_refused_by_a_symbolic_class(d, k):
+    # the two-weight store has no partial substitution: a table either
+    # covers c_1..c_k and b_1..b_k of the class or is refused
+    ext = ExternalCoeffs(k, dict.fromkeys(range(1, k + 1), 1), dict.fromkeys(range(1, k + 1), 2))
+    if d._weighted():
+        with pytest.raises(ValueError, match=f"^external table is for k={k}, not k=3$"):
+            ext.apply(d)
+    else:
+        assert ext.apply(d) is d
 
 
 # Index grammar of the index-bounded kinds: a boundary generator has one
@@ -490,10 +594,9 @@ kernel_scalars = st.one_of(
 def test_linear_combination_matches_affine_model(data):
     basis = data.draw(st.sampled_from(KERNEL_BASES))
     gens = list(basis.generators())
-    values = values_over(basis, spread_values)
     pool = data.draw(
         st.lists(
-            st.dictionaries(st.sampled_from(gens), values, max_size=4).map(
+            class_maps(basis, spread_constants, spread_pairs()).map(
                 lambda coeffs: DivisorClass(basis, coeffs)
             ),
             min_size=1,
@@ -520,9 +623,7 @@ def test_linear_combination_matches_affine_model(data):
 
 def test_linear_combination_edge_cases():
     basis = mg_basis(2)
-    d = DivisorClass(
-        basis, {LAMBDA: Fraction(1, 3), delta(1): AffineExpr(0, {c_sym(1): 2})}
-    )
+    d = DivisorClass(basis, with_weights(2, {LAMBDA: Fraction(1, 3)}, 2, 0))
     empty = linear_combination(basis, [])
     assert empty.is_zero() and (empty._den, empty._nums) == (1, {})
     assert linear_combination(basis, [(0, d), (Fraction(0), d)]).is_zero()
@@ -563,9 +664,9 @@ FIVE_BASES = (
     mg_prime_basis(2),
     mg_hat_basis(3),
 )
-symbol_only_affines = spread_affines().map(lambda e: AffineExpr(0, e.terms))
 emitted_constants = st.one_of(big_rationals, st.integers(-50, 50))
-emitted_values = st.one_of(emitted_constants, spread_affines(), symbol_only_affines)
+big_weights = st.one_of(st.just(0), big_rationals)
+emitted_pairs = st.one_of(spread_pairs(), st.tuples(big_weights, big_weights))
 emission_scales = st.one_of(
     st.integers(1, 60).map(lambda k: math.factorial(6 * k)),
     st.integers(min_value=1),
@@ -575,10 +676,7 @@ emission_scales = st.one_of(
 @st.composite
 def emitted_classes(draw):
     basis = draw(st.sampled_from(FIVE_BASES))
-    gens = list(basis.generators())
-    values = values_over(basis, emitted_values, emitted_constants)
-    coeffs = draw(st.dictionaries(st.sampled_from(gens), values, max_size=5))
-    return DivisorClass(basis, coeffs)
+    return DivisorClass(basis, draw(class_maps(basis, emitted_constants, emitted_pairs, 5)))
 
 
 @given(emitted_classes(), emission_scales)
@@ -590,19 +688,25 @@ def test_scaled_formatted_items_edge_cases():
     basis = mg_basis(2)
     d = DivisorClass(
         basis,
-        {
-            LAMBDA: Fraction(-7, 12),
-            delta(0): AffineExpr(0, {c_sym(1): Fraction(5, 8), b_sym(1): -3}),
-            delta(1): AffineExpr(Fraction(1, 9), {b_sym(2): Fraction(-1, 16)}),
-        },
+        with_weights(
+            2, {LAMBDA: Fraction(-7, 12), delta(1): Fraction(1, 9)}, Fraction(5, 8), Fraction(-1, 16)
+        ),
     )
-    # 12 = 4 * 3 absorbs 12 and 4 of 8 and 3 of 9 and 4 of 16
+    # 12 = 4 * 3 absorbs 12 and 4 of 8 and 3 of 9 and 4 of 16; the weights
+    # sit on every delta_j, j >= 1, a symbol-only delta_2 among them
     assert d._formatted_items(12) == [
         (LAMBDA, "-7/1", ()),
-        (delta(0), "0/1", ((c_sym(1), "15/2"), (b_sym(1), "-36/1"))),
-        (delta(1), "4/3", ((b_sym(2), "-3/4"),)),
+        (delta(1), "4/3", ((c_sym(1), "15/2"), (b_sym(1), "-3/4"))),
+        (delta(2), "0/1", ((c_sym(2), "15/2"), (b_sym(2), "-3/4"))),
     ]
     assert d._formatted_items(12) == (d * 12)._formatted_items()
+    # one weight alone
+    only_b = DivisorClass(basis, with_weights(2, {delta(0): 3}, 0, -3))
+    assert only_b._formatted_items(2) == [
+        (delta(0), "6/1", ()),
+        (delta(1), "0/1", ((b_sym(1), "-6/1"),)),
+        (delta(2), "0/1", ((b_sym(2), "-6/1"),)),
+    ]
     assert zero_class(basis)._formatted_items(10**50) == []
     for scale in (0, -6, Fraction(1), 1.0):
         with pytest.raises(ValueError):
@@ -639,9 +743,10 @@ def test_compose_runs_on_integer_columns(monkeypatch):
             for key, n in nums.items():
                 assert_stored_key(result.target, key)
                 assert type(n) is int
-        # E3 (k >= 2) carries b_j, so the T2 column does too
-        t2_keys = {type(key) for key in result._cols[T2][0]}
-        assert t2_keys == ({str, tuple} if k >= 2 else {str})
+        # E3 (k >= 2) carries the weight of b_j and E2 (k >= 3) that of
+        # c_j, so the T2 column does too
+        t2_weights = {C_WEIGHT, B_WEIGHT} & set(result._cols[T2][0])
+        assert t2_weights == {1: set(), 2: {B_WEIGHT}}.get(k, {C_WEIGHT, B_WEIGHT})
         # q^*T3j is the one weight row j + 1 - 2c, and p_push sends row j
         # to delta_j alone: the composite's T3j column is one entry
         for j in range(1, k + 1):
@@ -701,9 +806,8 @@ def test_hurwitz_rows_match_affine_model(data):
         assert model(result) == expected
     if a:
         assert model(d1 / a) == {g: scale(m1[g], 1 / Fraction(a)) for g in m1}
-    # a class without symbols is its own substitution
-    table = data.draw(st.lists(spread_rationals, min_size=4, max_size=4))
-    assert d1.substitute(dict(zip(MIXED_SYMBOLS, table))) is d1
+    # a class without symbols is its own substitution, for any table
+    assert data.draw(external_tables(2)).apply(d1) is d1
     # the same class built again by name is equal and hashes alike
     rebuilt = DivisorClass(basis, dict(d1.items()))
     assert rebuilt == d1 and hash(rebuilt) == hash(d1)
@@ -713,69 +817,58 @@ def test_hurwitz_rows_match_affine_model(data):
 
 
 # The substitution kernel: ExternalCoeffs.apply hands its table, built
-# once as integers over one common denominator, to the same kernel that
-# DivisorClass.substitute ends in.  On symbolic Mg classes and constant
-# Hurwitz classes, and tables whose values have pairwise different
-# denominators, both must agree with each other and with the affine
-# model.
-
-external_tables = st.lists(spread_rationals, min_size=4, max_size=4).map(
-    lambda t: ExternalCoeffs(2, {1: t[0], 2: t[1]}, {1: t[2], 2: t[3]})
-)
+# once as integers by j over one common denominator, to
+# DivisorClass._substituted, which adds gamma_c c_j + gamma_b b_j to each
+# delta_j in one pass.  On symbolic Mg(k) classes and constant Hurwitz
+# classes, and tables whose values have pairwise different
+# denominators, it must agree with AffineExpr.substitute of each
+# coefficient and with the affine model.
 
 
 @given(st.data())
-def test_external_table_apply_is_substitute_on_one_kernel(data):
+def test_external_table_apply_matches_affine_substitute(data):
     k = data.draw(HURWITZ_KS)
     d = data.draw(
         st.one_of(
             hurwitz_row_classes(k, spread_constants),
-            mg3_classes(spread_values),
-            mg_classes(mixed_values),
+            mg_classes(spread_constants, spread_pairs(), k=k),
+            mg_classes(k=k),
         )
     )
-    ext = data.draw(external_tables)
-    values = ext.substitution()
-    applied = ext.apply(d)
-    assert_canonical(applied)
-    assert applied == d.substitute(values)
+    ext = data.draw(external_tables(k))
+    applied = assert_apply_is_substitute(ext, d)
+    values = table_values(ext)
     assert model(applied) == {g: substitute(e, values) for g, e in model(d).items()}
-    # k = 2 covers every symbol of the strategies, so none is left
-    assert all(type(key) is str for key in applied._nums)
+    # the table covers every symbol, so none is left
+    assert not {C_WEIGHT, B_WEIGHT} & set(applied._nums)
 
 
-def test_substitute_and_apply_share_the_kernel(monkeypatch):
-    # one kernel: both paths end in DivisorClass._substituted, and the
-    # table's integers are built once
+def test_apply_hands_the_integer_table_to_the_kernel(monkeypatch):
+    # ExternalCoeffs.apply ends in DivisorClass._substituted, with the
+    # table's integers by j, built once
     real = DivisorClass._substituted
     calls = []
 
-    def counted(self, values, den):
-        calls.append((dict(values), den))
-        return real(self, values, den)
+    def counted(self, c, b, den):
+        calls.append((c, b, den))
+        return real(self, c, b, den)
 
     monkeypatch.setattr(DivisorClass, "_substituted", counted)
     ext = ExternalCoeffs(
-        2, {1: Fraction(1, 6), 2: Fraction(-3, 4)}, {1: Fraction(5), 2: Fraction(2, 9)}
+        2, {2: Fraction(-3, 4), 1: Fraction(1, 6)}, {1: Fraction(5), 2: Fraction(2, 9)}
     )
     d = DivisorClass(
-        mg_basis(4),
-        {
-            LAMBDA: AffineExpr(1, {c_sym(1): Fraction(1, 5)}),
-            delta(3): AffineExpr(Fraction(2, 3), {b_sym(2): 7, c_sym(2): -1}),
-            delta(4): AffineExpr(0, {b_sym(1): Fraction(-1, 2)}),
-        },
+        mg_basis(2),
+        with_weights(2, {LAMBDA: 1, delta(1): Fraction(2, 3)}, Fraction(1, 5), 7),
     )
-    assert ext.apply(d) == d.substitute(ext.substitution())
-    # the table over lcm(6, 4, 1, 9) = 36; substitute uses the values it needs
-    assert calls[0] == ({c_sym(1): 6, c_sym(2): -27, b_sym(1): 180, b_sym(2): 8}, 36)
-    assert calls[1][1] == 36
+    assert_apply_is_substitute(ext, d)
+    # the table over lcm(6, 4, 1, 9) = 36, in index order whatever the
+    # order of the given dict
+    assert calls == [((6, -27), (180, 8), 36)]
     assert ext._numerators is ext._numerators
-    # a class with no symbol of the table is returned as it is
+    # a class without weights is returned as it is, over any k, a
+    # Hurwitz class too
     plain = DivisorClass(mg_basis(3), {LAMBDA: 1})
-    assert plain.substitute(ext.substitution()) is plain
-    assert len(calls) == 2
-    # and so does the kernel, for a Hurwitz class too
     hur = DivisorClass(hurwitz_basis(4), {E0: 1, Ejc(3, 1): Fraction(2, 3)})
     assert ext.apply(plain) is plain and ext.apply(hur) is hur
 
@@ -870,16 +963,20 @@ def test_row_builders_equal_the_classes_built_by_name():
             assert built == named and hash(built) == hash(named), (k, named)
 
 
-@given(mg_classes(mixed_values))
+@given(mg_classes())
 def test_numerators_view_reads_the_stored_class(d):
-    # the stored maps themselves, not copies, and the same values as the
-    # accessors
-    nums, den, symbolic = d.numerators_view()
-    assert nums is d._nums and den == d._den and symbolic is d._symbolic()
+    # the stored map itself, not a copy, and the same values as the
+    # accessors: the constants by generator, the weights by their keys
+    nums, den = d.numerators_view()
+    assert nums is d._nums and den == d._den
+    gc, gb = (Fraction(nums.get(key, 0), den) for key in (C_WEIGHT, B_WEIGHT))
     for name, value in d.items():
         assert Fraction(nums.get(name, 0), den) == value.const
-        assert {s: Fraction(n, den) for s, n in symbolic.get(name, {}).items()} == value.terms
-    assert set(symbolic) == {key[0] for key in nums if type(key) is tuple}
+        if name in (LAMBDA, delta(0)):
+            assert value.is_constant()
+        else:
+            j = int(name.split("_")[1])
+            assert value.coefficient(c_sym(j)) == gc and value.coefficient(b_sym(j)) == gb
 
 
 def test_numerators_view_refuses_a_class_with_rows():
@@ -965,8 +1062,12 @@ def test_package_map_readers_agree(k):
             nums, den = m.numerators(g)
             values = {t: {} for t in m.target.generators()}
             for key, n in nums.items():
-                name, sym = key if type(key) is tuple else (key, None)
-                values[name][sym] = Fraction(n, den)
+                if key in (C_WEIGHT, B_WEIGHT):
+                    # a weight: c_j or b_j on every delta_j, j >= 1
+                    for j in range(1, k + 1):
+                        values[delta(j)][ExtSymbol(key, j)] = Fraction(n, den)
+                else:
+                    values[key][None] = Fraction(n, den)
             assert values == model(row)
         with pytest.raises(UnknownGeneratorError):
             m.row("E_99_0")
@@ -982,7 +1083,7 @@ def test_package_maps_refuse_what_they_cannot_map(k):
     mg = mg_basis(k)
     mg_classes = (
         DivisorClass(mg, {LAMBDA: 1}),
-        DivisorClass(mg, {delta(k): AffineExpr(1, {c_sym(k): 2, b_sym(1): -1})}),
+        DivisorClass(mg, with_weights(k, {delta(k): 1}, 2, -1)),
     )
     maps = package_maps(k)
     for m in maps.values():

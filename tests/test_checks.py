@@ -117,9 +117,9 @@ def test_a_cold_delta_j_check_substitutes_each_pushed_class_once(monkeypatch, k)
     real = bases.DivisorClass._substituted
     calls = []
 
-    def counted(self, values, den):
+    def counted(self, c, b, den):
         calls.append(self)
-        return real(self, values, den)
+        return real(self, c, b, den)
 
     monkeypatch.setattr(bases.DivisorClass, "_substituted", counted)
     ext = ExternalCoeffs(
@@ -402,40 +402,32 @@ def test_catalan_reads_the_cached_composite(monkeypatch):
     clear_caches()
 
 
-def test_hygiene_fails_on_a_symbol_in_lambda(monkeypatch):
-    # a c_1 term on lambda of a pushed class is a FAIL of hygiene
-    from hurwitzdiv import pushforward
-    from hurwitzdiv.bases import DivisorClass, LAMBDA, mg_basis
+def test_a_symbol_in_lambda_is_refused_before_hygiene():
+    # the store holds symbols only on delta_j, j >= 1, so a c_1 term on
+    # lambda is refused where the class is built and never reaches a
+    # check; hygiene still reads lambda and delta_0 of each pushed class
+    from hurwitzdiv.bases import ClassGroupError, DivisorClass, LAMBDA, mg_basis
     from hurwitzdiv.core import AffineExpr, c_sym
 
+    with pytest.raises(ClassGroupError, match="^generator 'lambda' of Mg\\(k=1\\) breaks"):
+        DivisorClass(mg_basis(1), {LAMBDA: AffineExpr(0, {c_sym(1): 1})})
     assert [r.status for r in run_checks(1, 1, ["hygiene"])] == [PASS]
-    real = pushforward.eh_divisor
-    leak = DivisorClass(mg_basis(1), {LAMBDA: AffineExpr(0, {c_sym(1): 1})})
-    monkeypatch.setattr(pushforward, "eh_divisor", lambda k: real(k) + leak)
-    [result] = run_checks(1, 1, ["hygiene"])
-    assert (result.status, result.detail) == (
-        FAIL,
-        "lambda and delta_0 coefficients must be symbol-free",
-    )
 
 
-def test_a_symbol_in_lambda_fails_a_full_verify(monkeypatch, capsys):
-    # closed-forms reads the leaked lambda first, and hygiene still runs:
-    # both FAIL, the report is whole, and the exit code is 1
-    from hurwitzdiv import pushforward
-    from hurwitzdiv.bases import DivisorClass, LAMBDA, mg_basis
+def test_a_symbol_in_lambda_cannot_reach_a_full_verify(capsys):
+    # the leak that closed-forms and hygiene used to FAIL on cannot be
+    # built, and the full verify passes
+    from hurwitzdiv.bases import ClassGroupError, DivisorClass, LAMBDA, mg_basis
     from hurwitzdiv.cli import main
     from hurwitzdiv.core import AffineExpr, c_sym
 
-    real = pushforward.eh_divisor
-    leak = DivisorClass(mg_basis(3), {LAMBDA: AffineExpr(0, {c_sym(1): 1})})
-    monkeypatch.setattr(pushforward, "eh_divisor", lambda k: real(k) + leak)
-    assert main(["verify", "--k-min", "3", "--k-max", "3"]) == 1
+    with pytest.raises(ClassGroupError, match="^generator 'lambda' of Mg\\(k=3\\) breaks"):
+        DivisorClass(mg_basis(3), {LAMBDA: AffineExpr(0, {c_sym(1): 1})})
+    assert main(["verify", "--k-min", "3", "--k-max", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    leaked = "FAIL  lambda and delta_0 coefficients must be symbol-free"
-    assert lines[5] == f"k=3   closed-forms         {leaked}"
-    assert lines[9] == f"k=3   hygiene              {leaked}"
-    assert lines[-1] == "summary: 8 passed, 2 failed, 1 skipped"
+    assert lines[5] == "k=3   closed-forms         PASS"
+    assert lines[9] == "k=3   hygiene              PASS"
+    assert lines[-1] == "summary: 10 passed, 0 failed, 1 skipped"
 
 
 @pytest.fixture

@@ -5,6 +5,8 @@ from math import comb
 import pytest
 
 from hurwitzdiv.bases import (
+    B_WEIGHT,
+    C_WEIGHT,
     DivisorClass,
     E0,
     E2,
@@ -14,6 +16,7 @@ from hurwitzdiv.bases import (
     T2,
     T3j,
     delta,
+    delta_names,
     genus_reduced_trace,
     genus_trace,
     hurwitz_basis,
@@ -22,7 +25,6 @@ from hurwitzdiv.bases import (
 from hurwitzdiv.core import AffineExpr, ExtSymbol, b_sym, c_sym
 from hurwitzdiv.pushforward import (
     ExternalCoeffs,
-    _delta_keys,
     eh_closed_coeffs,
     eh_divisor,
     factorial_b,
@@ -55,7 +57,7 @@ from hurwitzdiv.trace import (
     phihat_pull_lambda,
     q_pullback,
 )
-from test_bases import assert_canonical
+from test_bases import assert_apply_is_substitute, assert_canonical
 
 
 def mclass(k, coeffs):
@@ -177,14 +179,15 @@ def test_numerators_are_the_rows_as_integers(k):
     for built in (p_push(k), p_q_map(k)):
         for name in built.source.generators():
             nums, den = built.numerators(name)
-            # (generator, symbol) keys hold the symbol terms
+            # the weight keys hold the coefficient of c_j or b_j, one value
+            # for every delta_j
             values = {key: Fraction(n, den) for key, n in nums.items()}
             expected = {}
             for target, value in built.row(name).items():
                 if value.const:
                     expected[target] = value.const
                 for sym, t in value.terms.items():
-                    expected[target, sym] = t
+                    assert expected.setdefault(sym.family, t) == t
             assert values == expected
     with pytest.raises(ValueError, match="E_"):
         q_pullback(k).numerators(T2)
@@ -386,16 +389,13 @@ def test_mg_canonical_class_equals_its_definition_by_name(k):
 
 
 @pytest.mark.parametrize("k", (1, 2, 7, 40))
-def test_delta_keys_hold_the_validated_symbols(k):
-    names, c_keys, b_keys = _delta_keys(k)
+def test_delta_names_are_the_boundary_generators_of_mg(k):
+    # the one per-k table of the names delta_0 .. delta_k that the
+    # builders, the accessors and the substitution kernel read
+    names = delta_names(k)
     assert names == tuple(delta(j) for j in range(k + 1))
-    for j, (c_key, b_key) in enumerate(zip(c_keys, b_keys), 1):
-        for key, family, expected in ((c_key, "c", c_sym(j)), (b_key, "b", b_sym(j))):
-            assert type(key) is tuple and key[0] == delta(j)
-            symbol = key[1]
-            assert type(symbol) is ExtSymbol
-            assert symbol == expected and hash(symbol) == hash(expected)
-            assert (symbol.family, symbol.index, str(symbol)) == (family, j, f"{family}_{j}")
+    assert names == tuple(mg_basis(k).generators())[1:]
+    assert delta_names(k) is names
 
 
 def test_catalan_number_is_an_int():
@@ -457,7 +457,7 @@ def test_external_coeffs_validation():
         {1: Fraction(1), 2: Fraction(2)},
         {1: Fraction(0), 2: Fraction(-1, 3)},
     )
-    assert good.substitution()[c_sym(2)] == 2
+    assert good.c[2] == 2 and good.b[2] == Fraction(-1, 3)
     with pytest.raises(ValueError):
         ExternalCoeffs(2, {1: Fraction(1)}, {1: Fraction(0), 2: Fraction(1)})
     with pytest.raises(ValueError):
@@ -478,25 +478,22 @@ def test_external_coeffs_validation():
         ExternalCoeffs(1, {True: 1}, {True: 0})
 
 
-def test_inexact_values_are_refused_by_tables_and_substitute():
+def test_inexact_values_are_refused_by_tables_and_classes():
     # a float would be stored as its binary value (0.1 as
     # 3602879701896397/36028797018963968) and a str parsed on the way;
-    # both take only int and Fraction, as the DivisorClass constructor does
+    # a table takes only int and Fraction, as the DivisorClass
+    # constructor does
     for value, kind in ((0.1, "float"), ("1/3", "str")):
         text = f"external table 'b': cannot interpret {kind} as a coefficient"
         with pytest.raises(TypeError, match=f"^{re.escape(text)}$"):
             ExternalCoeffs(2, {1: 1, 2: Fraction(1, 2)}, {1: value, 2: 0})
         text = f"cannot interpret {kind} as a coefficient"
         with pytest.raises(TypeError, match=f"^{text}$"):
-            p_phi_lambda(2).substitute({c_sym(1): 1, b_sym(1): value})
-        # also a value for a symbol the class does not carry
-        with pytest.raises(TypeError, match=f"^{text}$"):
-            mclass(2, {LAMBDA: 1}).substitute({c_sym(1): value})
-        with pytest.raises(TypeError, match=f"^{text}$"):
             mclass(2, {LAMBDA: value})
     # int, bool (an int) and Fraction stay exact
     ext = ExternalCoeffs(1, {1: True}, {1: Fraction(1, 3)})
-    assert ext.substitution() == {c_sym(1): 1, b_sym(1): Fraction(1, 3)}
+    assert (ext.c, ext.b) == ({1: 1}, {1: Fraction(1, 3)})
+    assert ext._numerators == ((3,), (1,), 3)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -522,7 +519,7 @@ def test_symbols_occur_only_over_mg_on_every_package_path(k):
     maps = (p_push(k), q_pullback(k), p_q_map(k), p_q_composed(k))
     for m in maps:
         classes.extend(m.rows.values())
-    symbolic = [d for d in classes if any(type(key) is tuple for key in d._nums)]
+    symbolic = [d for d in classes if {C_WEIGHT, B_WEIGHT} & set(d._nums)]
     assert symbolic and all(d.basis.kind == MG for d in symbolic)
 
 
@@ -532,27 +529,25 @@ def test_external_coeffs_refuse_a_huge_declared_k_at_once():
         ExternalCoeffs(10**18, {1: 1}, {1: 1})
 
 
-def test_external_coeffs_substitution_is_built_once_and_handed_out_fresh():
+def test_external_coeffs_views_are_fresh_and_the_integers_built_once():
     ext = ExternalCoeffs(
         2, {1: Fraction(1), 2: Fraction(2)}, {1: Fraction(3), 2: Fraction(-1, 3)}
     )
-    first = ext.substitution()
-    assert first == {
-        c_sym(1): 1, c_sym(2): 2, b_sym(1): 3, b_sym(2): Fraction(-1, 3)
-    }
-    assert ext.substitution() is not first
+    first = ext.c
+    assert (first, ext.b) == ({1: 1, 2: 2}, {1: 3, 2: Fraction(-1, 3)})
+    assert ext.c is not first
     # changing a handed-out dict leaves the table alone
-    first[c_sym(1)] = Fraction(99)
-    assert ext.substitution()[c_sym(1)] == 1
-    applied = ext.apply(p_phi_lambda(2))
-    assert applied == p_phi_lambda(2).substitute(ext.substitution())
+    first[1] = Fraction(99)
+    assert ext.c[1] == 1
+    # the c and b numerators by j over the lcm 3
+    assert ext._numerators == ((3, 6), (9, -1), 3)
+    assert_apply_is_substitute(ext, p_phi_lambda(2))
     assert ext._numerators is ext._numerators
 
 
-def test_a_warm_external_coeffs_apply_builds_no_symbol(monkeypatch):
-    # the table's symbols are the ones the pushed builders already cached
-    # for this k; a table keyed out of order lands on the right symbols
-    from hurwitzdiv.core import ExtSymbol
+def test_an_external_coeffs_apply_builds_no_symbol(monkeypatch):
+    # the kernel reads the table by j, with no symbol; a table keyed out
+    # of order lands on the right j
 
     d = p_q_kappa(3)
     ext = ExternalCoeffs(
@@ -571,7 +566,7 @@ def test_a_warm_external_coeffs_apply_builds_no_symbol(monkeypatch):
     applied = ext.apply(d)
     assert built == []
     monkeypatch.undo()
-    assert applied == d.substitute(ext.substitution())
+    assert applied == assert_apply_is_substitute(ext, d)
 
 
 def test_external_coeffs_substitution_eliminates_symbols():

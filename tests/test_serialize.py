@@ -23,7 +23,7 @@ from hurwitzdiv.bases import (
     hurwitz_basis,
     mg_basis,
 )
-from hurwitzdiv.core import AffineExpr, ExtSymbol, b_sym, c_sym, parse_rational
+from hurwitzdiv.core import AffineExpr, b_sym, c_sym, parse_rational
 from hurwitzdiv.pushforward import (
     ExternalCoeffs,
     PER_FACTORIAL_B,
@@ -49,7 +49,7 @@ from hurwitzdiv.serialize import (
     table_to_md,
 )
 from hurwitzdiv.trace import delta_tau, phi_pull_lambda
-from test_bases import emission_scales
+from test_bases import assert_apply_is_substitute, emission_scales, with_weights
 
 
 def test_affine_obj_round_trip():
@@ -250,21 +250,14 @@ def test_externals_reader_matches_parse_rational(c_text, b_text):
     assert [got.c, got.b] == [{1: expected[0]}, {1: expected[1]}]
     assert all(type(value) is Fraction for value in (*got.c.values(), *got.b.values()))
     d = p_q_kappa(1)  # carries c_1 and b_1 on delta_1
-    applied = got.apply(d)
-    assert applied == d.substitute(got.substitution())
-    assert all(type(key) is str for key in applied._nums)
+    applied = assert_apply_is_substitute(got, d)
+    assert all(value.is_constant() for _, value in applied.items())
 
 
 BIG = factorial(6 * 20)
 numerators = st.one_of(st.integers(-60, 60), st.integers(-BIG, BIG))
 denominators = st.one_of(st.integers(1, 60), st.integers(1, BIG))
 big_rationals = st.builds(Fraction, numerators, denominators)
-symbols = st.builds(ExtSymbol, st.sampled_from("cb"), st.integers(1, 15))
-affine_values = st.builds(
-    AffineExpr,
-    st.one_of(st.just(0), big_rationals),
-    st.dictionaries(symbols, big_rationals, max_size=4),
-)
 constant_values = st.one_of(st.just(0), big_rationals)
 
 
@@ -273,28 +266,28 @@ def any_classes(draw):
     """Divisor classes over all five basis kinds, k up to 12 (so names
     such as E_10_0 and deltaP_10 occur), with constant coefficients of
     (6*20)!-sized numerators over pairwise different denominators, and
-    on Mg, where symbols live, symbolic and symbol-only ones too; the
-    zero class included."""
+    on Mg, where symbols live, the two weights of c_j and b_j on every
+    delta_j, so symbolic and symbol-only coefficients too; the zero
+    class included."""
     kind = draw(st.sampled_from((HURWITZ, MG, M0B_SYM, MG_PRIME, MG_HAT)))
     basis = Basis(kind, draw(st.integers(1, 12)))
     generators = list(basis.generators())
-    values = affine_values if kind == MG else constant_values
-    coeffs = draw(st.dictionaries(st.sampled_from(generators), values, max_size=8))
+    coeffs = draw(st.dictionaries(st.sampled_from(generators), constant_values, max_size=8))
+    if kind == MG:
+        coeffs = with_weights(basis.k, coeffs, draw(constant_values), draw(constant_values))
     return DivisorClass(basis, coeffs)
 
 
-# c_j and b_j on one generator, a symbol-only coefficient, and indices
-# >= 10, which JSON orders before 2 ("10" < "2"), in both generator
-# names and symbol indices
+# c_j and b_j on every delta_j, symbol-only coefficients among them, and
+# indices >= 10, which JSON orders before 2 ("10" < "2")
 MIXED_CLASS = DivisorClass(
     mg_basis(12),
-    {
-        delta(2): AffineExpr(
-            Fraction(-BIG, 7), {c_sym(2): Fraction(3, 4), b_sym(2): Fraction(-1, 5)}
-        ),
-        delta(10): AffineExpr(0, {c_sym(10): Fraction(BIG + 1, 11), c_sym(2): Fraction(-2, 3)}),
-        delta(11): AffineExpr(Fraction(5, 13), {b_sym(12): Fraction(-7, BIG + 1)}),
-    },
+    with_weights(
+        12,
+        {delta(2): Fraction(-BIG, 7), delta(11): Fraction(5, 13)},
+        Fraction(BIG + 1, 11),
+        Fraction(-7, BIG + 1),
+    ),
 )
 
 
@@ -335,10 +328,16 @@ def test_renderer_matches_affine_reference(d, mode, scale):
 def test_mixed_class_renders_both_families_and_index_order():
     text = class_to_json(MIXED_CLASS, RAW)
     obj = json.loads(text)["coefficients"]
-    assert list(obj) == [delta(10), delta(11), delta(2)]
-    assert obj[delta(10)] == {"c": {"10": f"{BIG + 1}/11", "2": "-2/3"}, "const": "0/1"}
+    assert list(obj)[:5] == [delta(1), delta(10), delta(11), delta(12), delta(2)]
+    assert obj[delta(10)] == {
+        "b": {"10": f"-7/{BIG + 1}"},
+        "c": {"10": f"{BIG + 1}/11"},
+        "const": "0/1",
+    }
     assert list(obj[delta(2)]) == ["b", "c", "const"]
-    assert dict(coefficient_texts(MIXED_CLASS))[delta(10)] == f"-2/3*c_2 + {BIG + 1}/11*c_10"
+    texts = dict(coefficient_texts(MIXED_CLASS))
+    assert texts[delta(10)] == f"{BIG + 1}/11*c_10 - 7/{BIG + 1}*b_10"
+    assert texts[delta(11)] == f"5/13 + {BIG + 1}/11*c_11 - 7/{BIG + 1}*b_11"
 
 
 @given(
@@ -353,12 +352,17 @@ def test_table_json_matches_reference(columns, data):
 
 
 _DROP = object()
+# the weight 2 of c_j on delta_1 and delta_2, and a constant on delta_1
+REFERENCE_CLASS = DivisorClass(
+    mg_basis(2),
+    {delta(1): AffineExpr(1, {c_sym(1): 2}), delta(2): AffineExpr(0, {c_sym(2): 2})},
+)
 
 
 def _malformed(**changes):
     """A valid divisor-class/1 object with ``changes`` applied; a key set
     to ``_DROP`` is removed."""
-    obj = class_to_obj(DivisorClass(mg_basis(2), {delta(1): AffineExpr(1, {c_sym(1): 2})}), RAW)
+    obj = class_to_obj(REFERENCE_CLASS, RAW)
     obj.update(changes)
     return {key: value for key, value in obj.items() if value is not _DROP}
 
@@ -415,5 +419,4 @@ def test_class_from_obj_refuses_a_symbol_off_mg():
 
 
 def test_class_from_obj_accepts_the_reference_object():
-    d = DivisorClass(mg_basis(2), {delta(1): AffineExpr(1, {c_sym(1): 2})})
-    assert class_from_obj(_malformed()) == (d, RAW)
+    assert class_from_obj(_malformed()) == (REFERENCE_CLASS, RAW)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hurwitzdiv.bases import DivisorClass, LAMBDA, delta, hurwitz_basis, mg_basis
+from hurwitzdiv.bases import ClassGroupError, DivisorClass, LAMBDA, delta, hurwitz_basis, mg_basis
 from hurwitzdiv.core import AffineExpr, c_sym
 from hurwitzdiv.pushforward import ExternalCoeffs, p_phi_lambda, p_q_kappa
 from hurwitzdiv.slopes import (
@@ -101,10 +101,10 @@ def test_slope_of_reads_every_delta_j_in_integers(k):
 def test_slope_of_errors():
     with pytest.raises(SlopeError):
         slope_of(mclass(2, {LAMBDA: 10}))  # delta_0 coefficient zero
-    with pytest.raises(SlopeError):
-        slope_of(
-            mclass(2, {LAMBDA: AffineExpr(0, {c_sym(1): 1}), delta(0): -1})
-        )
+    # a symbol on lambda is refused where the class is built, so no slope
+    # meets one
+    with pytest.raises(ClassGroupError, match="^generator 'lambda' of Mg\\(k=2\\) breaks"):
+        mclass(2, {LAMBDA: AffineExpr(0, {c_sym(1): 1}), delta(0): -1})
     with pytest.raises(SlopeError):
         slope_of(DivisorClass(hurwitz_basis(2), {}))
 
@@ -306,10 +306,13 @@ def test_kappa_proviso_with_externals():
     bad = ExternalCoeffs(1, {1: Fraction(0)}, {1: Fraction(0)})
     with pytest.raises(VerificationError, match=r"b_0 = 6/1 exceeds b_1 = -8/5$"):
         kappa_proviso(1, bad.apply(p_q_kappa(1)))
-    # a table for a smaller k leaves c_2/b_2 symbolic: refused, not
-    # reported as a proviso that fails
+    # a table for a smaller k is refused by the substitution, and a class
+    # that still carries the symbols is refused, not reported as a
+    # proviso that fails
+    with pytest.raises(ValueError, match="^external table is for k=1, not k=2$"):
+        bad.apply(p_q_kappa(2))
     with pytest.raises(ValueError, match="not constant"):
-        kappa_proviso(2, bad.apply(p_q_kappa(2)))
+        kappa_proviso(2, p_q_kappa(2))
 
 
 def test_bound_inequalities():
