@@ -18,8 +18,9 @@ checks' own comparisons raise it, and so do the slope identities of
 ``slopes``.  A ``slopes.SlopeError`` inside a check also FAILs it: every
 class a check reads is one the package built, so a class off ``Mg(k)``
 or a zero delta_0 coefficient is a failed identity, not bad input.  A
-symbol on lambda or delta_0 cannot occur: the class store refuses it.  Any other exception is a defect or bad input and propagates out
-of :func:`run_checks`.  The builders compare nothing; where a quantity
+symbol on lambda or delta_0 cannot occur: the class store refuses it.
+Any other exception is a defect or bad input and propagates out of
+:func:`run_checks`.  The builders compare nothing; where a quantity
 has two expressions, the builder takes one and a check compares the
 other.  A sweep over several k empties the builder caches between two
 values of k (``core.clear_caches``), so it holds one k's classes at a

@@ -364,10 +364,16 @@ def test_integer_options_keep_a_sign_and_leading_zeros(capsys, value):
 
 @pytest.mark.parametrize("name", _CLASSES)
 def test_class_refuses_k_zero_with_one_text(capsys, name):
-    # the bases and the builders refuse k < 1 alike
+    # the bases and the builders refuse k < 1 alike, and an indexed
+    # class checks k before its index: at k = 0 the boundary classes have
+    # no index 1 to check against
     indexed = _CLASSES[name][1]
-    code, out, err = run(capsys, "class", name + ":0" * indexed, "--k", "0")
-    assert (code, out, err) == (2, "", "error: k must be >= 1, got 0\n")
+    for index in ("0", "1", "2")[: 3 if indexed else 1]:
+        code, out, err = run(capsys, "class", name + f":{index}" * indexed, "--k", "0")
+        assert (code, out, err) == (2, "", "error: k must be >= 1, got 0\n")
+    if indexed:
+        code, out, err = run(capsys, "class", f"{name}:1", "--k", "-2")
+        assert (code, out, err) == (2, "", "error: k must be >= 1, got -2\n")
 
 
 def test_m0n_count(capsys):
@@ -862,13 +868,19 @@ def _command_list():
 
 
 _TABLES, _COMMANDS = _command_list()
-_INPUT_ERRORS = {"class delta-tau --k \u0663", "m0n --b 1_0 count", "class phi-lambda --k 0"}
+_INPUT_ERRORS = {
+    "class delta-tau --k \u0663",
+    "m0n --b 1_0 count",
+    "class phi-lambda --k 0",
+    "class phi-delta:1 --k 0",
+    "class phihat-delta:1 --k 0",
+}
 
 
 def test_command_list_is_whole():
     # every command of the CI list, every table valid JSON and read by
     # some command
-    assert len(_COMMANDS) == 45
+    assert len(_COMMANDS) == 48
     assert _INPUT_ERRORS <= {" ".join(argv) for argv in _COMMANDS}
     named = {arg for argv in _COMMANDS for arg in argv}
     assert set(_TABLES) <= named

@@ -100,7 +100,13 @@ def test_every_commented_example_is_pinned():
     commands = dict(_code_block("Command line", "sh"))
     assert set(DESCRIBED.items()) <= set(commands.items())
     outputs = [comment for code, comment in commands.items() if code not in DESCRIBED]
-    assert outputs == ["E_1_0,5/1", "21/2 ≈ 10.500000", "{3,4,5,6}", "empty"]
+    assert outputs == [
+        "E_1_0,5/1",
+        "delta_1,64/11 + 9/11*c_1 - 27/11*b_1",
+        "21/2 ≈ 10.500000",
+        "{3,4,5,6}",
+        "empty",
+    ]
 
 
 @pytest.mark.parametrize("code, comment", _code_block("Library use", "python"))
@@ -119,6 +125,18 @@ def test_command_example_prints_its_comment(code, comment, capsys):
     assert main(argv[1:]) == 0
     out = capsys.readouterr().out.splitlines()
     assert any(line == comment or line.startswith(comment + " ") for line in out), out
+
+
+def test_the_symbolic_example_carries_one_weight_pair(capsys):
+    # "Where the symbols live": both delta_j of p-q-kappa at k = 2 carry
+    # 9/11 c_j - 27/11 b_j, and lambda and delta_0 carry no symbol
+    assert main(["class", "p-q-kappa", "--k", "2", "--normalized", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "lambda,324/1\n"
+        "delta_0,-36/1\n"
+        "delta_1,64/11 + 9/11*c_1 - 27/11*b_1\n"
+        "delta_2,100/11 + 9/11*c_2 - 27/11*b_2\n"
+    )
 
 
 def test_the_leading_terms_reader_reads_signs_and_the_rest():
