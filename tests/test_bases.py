@@ -308,6 +308,13 @@ def assert_stored_key(basis, key):
     assert type(key) is str and basis.contains(key), f"bad key {key!r}"
 
 
+def external_tables(k, values):
+    """Complete tables c_1..c_k, b_1..b_k of values drawn from ``values``."""
+    return st.lists(values, min_size=2 * k, max_size=2 * k).map(
+        lambda t: ExternalCoeffs(k, dict(enumerate(t[:k], 1)), dict(enumerate(t[k:], 1)))
+    )
+
+
 def table_values(ext):
     """The table of ``ext`` as symbol -> value, for the oracle
     ``AffineExpr.substitute``."""
@@ -385,12 +392,7 @@ def test_mixed_arithmetic_matches_affine_model(d1, d2, a):
                 op()
 
 
-external_tables_2 = st.lists(rationals, min_size=4, max_size=4).map(
-    lambda t: ExternalCoeffs(2, {1: t[0], 2: t[1]}, {1: t[2], 2: t[3]})
-)
-
-
-@given(mg_classes(), external_tables_2)
+@given(mg_classes(), external_tables(2, rationals))
 def test_mixed_apply_matches_affine_substitute(d, ext):
     applied = assert_apply_is_substitute(ext, d)
     values = table_values(ext)
@@ -522,15 +524,7 @@ def test_symbolic_kernel_arithmetic_matches_affine_model(d1, d2, a):
         assert model(quotient) == {g: scale(m1[g], 1 / a) for g in m1}
 
 
-def external_tables(k, values=spread_rationals):
-    return st.lists(values, min_size=2 * k, max_size=2 * k).map(
-        lambda t: ExternalCoeffs(
-            k, dict(enumerate(t[:k], 1)), dict(enumerate(t[k:], 1))
-        )
-    )
-
-
-@given(mg_classes(spread_constants, spread_pairs(), k=3), external_tables(3))
+@given(mg_classes(spread_constants, spread_pairs(), k=3), external_tables(3, spread_rationals))
 def test_symbolic_kernel_apply_matches_affine_model(d, ext):
     applied = assert_apply_is_substitute(ext, d)
     values = table_values(ext)
@@ -689,7 +683,10 @@ def test_scaled_formatted_items_edge_cases():
     d = DivisorClass(
         basis,
         with_weights(
-            2, {LAMBDA: Fraction(-7, 12), delta(1): Fraction(1, 9)}, Fraction(5, 8), Fraction(-1, 16)
+            2,
+            {LAMBDA: Fraction(-7, 12), delta(1): Fraction(1, 9)},
+            Fraction(5, 8),
+            Fraction(-1, 16),
         ),
     )
     # 12 = 4 * 3 absorbs 12 and 4 of 8 and 3 of 9 and 4 of 16; the weights
@@ -807,7 +804,7 @@ def test_hurwitz_rows_match_affine_model(data):
     if a:
         assert model(d1 / a) == {g: scale(m1[g], 1 / Fraction(a)) for g in m1}
     # a class without symbols is its own substitution, for any table
-    assert data.draw(external_tables(2)).apply(d1) is d1
+    assert data.draw(external_tables(2, spread_rationals)).apply(d1) is d1
     # the same class built again by name is equal and hashes alike
     rebuilt = DivisorClass(basis, dict(d1.items()))
     assert rebuilt == d1 and hash(rebuilt) == hash(d1)
@@ -835,7 +832,7 @@ def test_external_table_apply_matches_affine_substitute(data):
             mg_classes(k=k),
         )
     )
-    ext = data.draw(external_tables(k))
+    ext = data.draw(external_tables(k, spread_rationals))
     applied = assert_apply_is_substitute(ext, d)
     values = table_values(ext)
     assert model(applied) == {g: substitute(e, values) for g, e in model(d).items()}
