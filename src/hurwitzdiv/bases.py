@@ -15,11 +15,12 @@ The groups are handled as free modules on named generators:
 
 Generators are plain strings so that they serialize unchanged.  One
 spec per kind, ``_SPECS``, lists its generators; the E_{j,c} names of
-``Hurwitz(k)`` come from :func:`ejc_names`, a cached table in the row
-layout, built from one "E_j_" prefix per row and one shared table of
-index strings.  The order of every basis is cached per (kind, k) as a name ->
-position map, which answers membership and puts the generators of a
-class in natural order.
+``Hurwitz(k)`` come from :func:`ejc_names`, a cached flat table in
+(j, c) order built from one "E_j_" prefix per row j and one shared
+table of index strings; row j, E_j_0 .. E_j_floor(j/2), runs from
+:func:`ejc_offsets` (k)[j] to [j + 1].  The order of every basis is
+cached per (kind, k) as a name -> position map, which answers
+membership and puts the generators of a class in natural order.
 
 Where symbols live: the external symbols c_j, b_j are the unknown
 delta_j coefficients of the pushed classes on M_g-bar, and each class
@@ -38,11 +39,10 @@ common denominator.  A class keeps two parts over that denominator:
   coefficient keyed by the generator name and, over ``Mg(k)``, the two
   weights keyed by ``C_WEIGHT``/``B_WEIGHT``.  It holds every
   generator of the four small kinds and E0/E2/E3 of ``Hurwitz(k)``;
-* on ``Hurwitz(k)`` only, the rows ``_rows``: the constant parts of the
-  E_{j,c} in the layout of :func:`ejc_names` and ``trace.jc_rows``, a
-  tuple of k + 1 rows whose entry j holds the numerators for c = 0 ..
-  floor(j/2), and is ``()`` when all of them are zero (entry 0 always
-  is).  Every other kind has ``_rows == ()``.
+* on ``Hurwitz(k)`` only, the flat tuple ``_flat``: the constant part
+  of every E_{j,c}, in the order of :func:`ejc_names` and of
+  ``trace.jc_family``, one int per generator, 0 for a zero one.  Every
+  other kind has ``_flat == ()``.
 
 The form is unique: no head numerator is zero, the gcd of the
 denominator and every numerator is 1, and the denominator is 1 for the
@@ -53,27 +53,28 @@ agree.  The class maps are the package's own: q^* (``trace.q_pullback``,
 (``pushforward.p_q_map``, ``M0bSym(k)`` to ``Mg(k)``) and the composite
 p_* o q^*; ``ClassMap`` has no public constructor.  A map stores its
 images as integer columns over one common denominator in the same two
-parts (a column's rows as the sparse (j, row) pairs of its nonzero
-rows), and p_*, the one map from ``Hurwitz(k)``, keeps its E_{j,c}
-columns blocked by j: p_* sends E_{j,c} to e_{j,c} delta_j only, so
-block j is the pair (delta_j, entries over c), and applying the map to
-a class costs one C-level dot product ``sum(map(mul, weights, row))``
-per j.  Sums, scalings, reduction, equality, hashing, application and
-composition each run once over "head map + rows", a weight key like
-any other; only the constructor, the accessors and substitution tell a
-weight from a constant.  Sums run through one n-ary kernel,
+parts, a column's E_{j,c} part as its one row (j, entries over c),
+which q^* writes into the slice of row j.  p_* sends E_{j,c} to
+e_{j,c} delta_j only, so it keeps its E_{j,c} part as the flat tuple of
+the e_{j,c} itself, and applying it to a class is one C-level product
+pass, one prefix-sum difference per row (:func:`row_sums`) and one
+multiplication by the denominator per j.  Sums, scalings, reduction,
+equality, hashing, application and composition each run once over
+"head map + flat tuple", a weight key like any other; only the
+constructor, the accessors and substitution tell a weight from a
+constant.  Sums run through one n-ary kernel,
 :func:`linear_combination`, which puts all its terms over one lcm, sums
-their numerators in a single pass (row by row for the rows) and reduces
-once; ``+`` and ``-`` are its two-term calls.  All of it runs on plain
-``int``: ``ClassMap.compose`` maps each inner integer column through
-the outer map over the product of the two denominators, without
-building a row as a class.  A ``Fraction`` or an :class:`AffineExpr`,
-the read-only value of a coefficient, is built only at the public
-accessors ``DivisorClass.coefficient``/``items``;
-``DivisorClass.numerators_view`` hands a class without rows out as its
-integers, without a copy, as ``ClassMap.numerators`` does for an image.
-The package's builders write their integer numerators over one
-denominator straight into the stored form through the trusted
+their numerators in one pass (one chain of C-level maps over the flat
+tuples) and reduces once; ``+`` and ``-`` are its two-term calls.  All
+of it runs on plain ``int``: ``ClassMap.compose`` maps each inner
+integer column through the outer map over the product of the two
+denominators, without building a row as a class.  A ``Fraction`` or an
+:class:`AffineExpr`, the read-only value of a coefficient, is built
+only at the public accessors ``DivisorClass.coefficient``/``items``;
+``DivisorClass.numerators_view`` hands a class without an E_{j,c} part
+out as its integers, without a copy, as ``ClassMap.numerators`` does
+for an image.  The package's builders write their integer numerators
+over one denominator straight into the stored form through the trusted
 ``DivisorClass._raw``/``ClassMap._raw``, naming generators from the
 bases' own tables, so no builder pays for the name checks and
 ``Fraction`` reduction of the validating constructor, which stays for
@@ -87,7 +88,7 @@ the same values as "p/q" text rendered from the integers, which
 ``serialize`` and the ``cli`` tables emit from.  It renders a class
 over denominator 1 as "n/1" with no gcd, the two weights once for every
 delta_j, and a Hurwitz class in one pass over its head map and its
-rows.  It renders the class times an int ``scale`` without building
+flat tuple.  It renders the class times an int ``scale`` without building
 that product: a raw pushed class is emitted as its per-factorial-b
 class with scale (6k)!, whose decimal digits are computed once per call
 (exact ``decimal`` arithmetic in a context of its own) rather than once
@@ -100,9 +101,9 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import AffineExpr, ExtSymbol, RationalLike, b_sym, c_sym, per_k_cache
@@ -200,7 +201,7 @@ def _moduli(lead: str, family: Callable[[int], str], genus) -> _KindSpec:
 _SPECS = {
     HURWITZ: _KindSpec(
         lambda k: (E0,) + ((E2,) if k >= 3 else ()) + ((E3,) if k >= 2 else ()),
-        lambda k: chain.from_iterable(ejc_names(k)),
+        lambda k: ejc_names(k),
     ),
     MG: _KindSpec(lambda k: (LAMBDA,), delta_names),
     M0B_SYM: _KindSpec(lambda k: (T2,), lambda k: map(T3j, range(1, k + 1))),
@@ -250,17 +251,29 @@ def _generator_index(kind: str, k: int) -> dict[str, int]:
 
 
 @per_k_cache
-def ejc_names(k: int) -> tuple[tuple[str, ...], ...]:
-    """The E_{j,c} names of ``Hurwitz(k)`` in the row layout: entry j
-    holds E_j_0 .. E_j_floor(j/2), entry 0 is empty.  Each name is
-    :func:`Ejc` (j, c), built as the row prefix "E_j_" plus the text of
-    c from one table shared by every row."""
+def ejc_names(k: int) -> tuple[str, ...]:
+    """The E_{j,c} names of ``Hurwitz(k)`` in the flat layout: E_j_0 ..
+    E_j_floor(j/2) for j = 1..k, each :func:`Ejc` (j, c), built as the
+    row prefix "E_j_" plus the text of c from one shared table."""
     indices = [str(c) for c in range(k // 2 + 1)]
-    rows: list[tuple[str, ...]] = [()]
-    for j in range(1, k + 1):
-        prefix = f"E_{j}_"
-        rows.append(tuple([prefix + c for c in indices[: j // 2 + 1]]))
-    return tuple(rows)
+    return tuple([f"E_{j}_" + c for j in range(1, k + 1) for c in indices[: j // 2 + 1]])
+
+
+@per_k_cache
+def ejc_offsets(k: int) -> tuple[int, ...]:
+    """Where the rows of the flat E_{j,c} layout of ``Hurwitz(k)`` start:
+    row j, the entries for c = 0 .. floor(j/2), is ``flat[off[j]:off[j +
+    1]]`` for j = 1..k, and ``off[k + 1]`` is the number of E_{j,c}
+    (``off[0] == off[1] == 0``: there is no row 0)."""
+    return (0,) + tuple(accumulate([j // 2 + 1 for j in range(1, k + 1)], initial=0))
+
+
+def row_sums(k: int, values: Iterable[int]) -> list[int]:
+    """The sums over c of a flat E_{j,c} sequence of ``Hurwitz(k)``, row
+    by row for j = 1..k: one pass of prefix sums, read at the row ends
+    off[1..k + 1] in one call, then one difference per row."""
+    ends = itemgetter(*ejc_offsets(k)[1:])(list(accumulate(values, initial=0)))
+    return list(map(sub, ends[1:], ends))
 
 
 _HEAD_NAMES = frozenset((E0, E2, E3))
@@ -272,10 +285,10 @@ def _ejc_index(name: str) -> tuple[int, int]:
     return int(j), int(c)
 
 
-def _zero_rows(basis: Basis) -> tuple:
-    """The rows of the zero class over ``basis``: k + 1 empty rows on
-    ``Hurwitz(k)``, none on the other kinds."""
-    return ((),) * (basis.k + 1) if basis.kind == HURWITZ else ()
+def _zero_flat(basis: Basis) -> tuple:
+    """The E_{j,c} part of the zero class over ``basis``: one 0 per
+    E_{j,c} on ``Hurwitz(k)``, none on the other kinds."""
+    return (0,) * ejc_offsets(basis.k)[-1] if basis.kind == HURWITZ else ()
 
 
 def hurwitz_head(k: int, e0, e2, e3) -> dict:
@@ -313,9 +326,9 @@ class DivisorClass:
     which keys the constant part of a generator's coefficient by the
     generator name and, over ``Mg(k)``, the weights gamma_c and gamma_b
     by the reserved keys ``C_WEIGHT`` and ``B_WEIGHT``, and, on a
-    Hurwitz basis, the rows ``_rows`` of the E_{j,c} constant parts in
-    the :func:`ejc_names` layout (an all-zero row is ``()``; ``_rows``
-    is ``()`` on the other kinds).  No head numerator is zero,
+    Hurwitz basis, the flat tuple ``_flat`` of the E_{j,c} constant
+    parts, one int per name of :func:`ejc_names` and 0 for a zero one
+    (``_flat`` is ``()`` on the other kinds).  No head numerator is zero,
     ``gcd(_den, *every numerator) == 1``, and ``_den == 1`` for the zero
     class.  This form is unique, so two classes are equal exactly when
     their stored parts agree.  ``+`` and ``-`` are two-term calls of
@@ -331,7 +344,7 @@ class DivisorClass:
     immutable.
     """
 
-    __slots__ = ("basis", "_den", "_nums", "_rows")
+    __slots__ = ("basis", "_den", "_nums", "_flat")
 
     def __init__(
         self, basis: Basis, coeffs: Mapping[str, RationalLike | AffineExpr] | None = None
@@ -364,38 +377,40 @@ class DivisorClass:
         # factor with it, so the stored form is already in lowest terms
         den = lcm(*(value.denominator for value in values.values()))
         hurwitz = basis.kind == HURWITZ
-        nums, rows = {}, {}
+        nums = {}
+        flat = list(_zero_flat(basis))
         for key, value in values.items():
             if hurwitz and key not in _HEAD_NAMES:
                 j, c = _ejc_index(key)
-                rows.setdefault(j, [0] * (j // 2 + 1))[c] = numerator_over(value, den)
+                flat[ejc_offsets(basis.k)[j] + c] = numerator_over(value, den)
             else:
                 nums[key] = numerator_over(value, den)
         self._den = den
         self._nums = nums
-        self._rows = _dense_rows(basis, [(j, tuple(row)) for j, row in rows.items()])
+        self._flat = tuple(flat)
 
     @classmethod
     def _raw(
-        cls, basis: Basis, den: int, nums: dict, rows: tuple | None = None
+        cls, basis: Basis, den: int, nums: dict, flat: tuple | None = None
     ) -> "DivisorClass":
         # internal: keys already validated, every head numerator nonzero
-        # over ``den`` > 0, ``rows`` canonical for the basis (None: no
-        # E_{j,c} part); only the common factor of ``den`` and the
-        # numerators is removed here, which makes the zero class 0/1
-        if rows is None:
-            rows = _zero_rows(basis)
+        # over ``den`` > 0, ``flat`` a tuple of one int per E_{j,c} of
+        # the basis (None: no E_{j,c} part); only the common factor of
+        # ``den`` and the numerators is removed here, which makes the
+        # zero class 0/1
+        if flat is None:
+            flat = _zero_flat(basis)
         if den != 1:
-            g = gcd(den, *nums.values(), *chain.from_iterable(rows))
+            g = gcd(den, *nums.values(), *flat)
             if g != 1:
                 den //= g
                 nums = {key: n // g for key, n in nums.items()}
-                rows = _scale_rows(rows, 1, g)
+                flat = tuple([n // g for n in flat])
         obj = cls.__new__(cls)
         obj.basis = basis
         obj._den = den
         obj._nums = nums
-        obj._rows = rows
+        obj._flat = flat
         return obj
 
     def _value(self, n: int, j: int) -> AffineExpr:
@@ -413,10 +428,9 @@ class DivisorClass:
 
     def coefficient(self, name: str) -> AffineExpr:
         self.basis.check(name)
-        rows = self._rows
-        if rows and name not in _HEAD_NAMES:
+        if self._flat and name not in _HEAD_NAMES:
             j, c = _ejc_index(name)
-            return self._value(rows[j][c] if rows[j] else 0, 0)
+            return self._value(self._flat[ejc_offsets(self.basis.k)[j] + c], 0)
         # delta_j sits at position j + 1 of Mg(k); lambda (j = -1) and
         # delta_0 carry no weight
         j = _generator_index(MG, self.basis.k)[name] - 1 if self._weighted() else 0
@@ -426,14 +440,12 @@ class DivisorClass:
         """(generator, constant numerator, j) of every generator in the
         support, in basis order; j >= 1 for a delta_j that carries the
         weights, else 0."""
-        nums, rows, k = self._nums, self._rows, self.basis.k
-        if rows:
-            # a Hurwitz class: the head map, then each row zipped with its
-            # names
+        nums, flat, k = self._nums, self._flat, self.basis.k
+        if flat:
+            # a Hurwitz class: the head map, then the flat tuple zipped
+            # with its names
             out = [(name, nums[name], 0) for name in _SPECS[HURWITZ].head(k) if name in nums]
-            for names, row in zip(ejc_names(k), rows):
-                out += [(name, n, 0) for name, n in zip(names, row) if n]
-            return out
+            return out + [(name, n, 0) for name, n in zip(ejc_names(k), flat) if n]
         if self._weighted():
             # lambda and delta_0 as stored, then every delta_j, j >= 1
             names = delta_names(k)
@@ -457,8 +469,8 @@ class DivisorClass:
         coefficient) terms in display order, each rendered as "p/q" in
         lowest terms straight from the stored numerators; no
         ``Fraction`` or :class:`AffineExpr` is built.  A Hurwitz class
-        is rendered in one pass over its head map and its rows, each row
-        zipped with its :func:`ejc_names` row, and the two weights of an
+        is rendered in one pass over its head map and its flat tuple,
+        zipped with :func:`ejc_names`, and the two weights of an
         ``Mg(k)`` class are rendered once for every delta_j.
 
         ``scale`` is a positive int.  A value n0/d0 in lowest terms
@@ -500,16 +512,14 @@ class DivisorClass:
                 # (most are) skips the two divisions
                 g = gcd(n, den)
                 return f"{n}{over}" if g == 1 else f"{n // g}/{den // g}"
-        nums, rows, k = self._nums, self._rows, self.basis.k
-        if rows:
-            # a Hurwitz class: the head map, then each row zipped with its
-            # names
+        nums, flat, k = self._nums, self._flat, self.basis.k
+        if flat:
+            # a Hurwitz class: the head map, then the flat tuple zipped
+            # with its names
             rendered = [
                 (name, text(nums[name]), ()) for name in _SPECS[HURWITZ].head(k) if name in nums
             ]
-            for names, row in zip(ejc_names(k), rows):
-                rendered += [(name, text(n), ()) for name, n in zip(names, row) if n]
-            return rendered
+            return rendered + [(name, text(n), ()) for name, n in zip(ejc_names(k), flat) if n]
         # a reserved key is the family letter of its symbols
         weights = [(key, text(nums[key])) for key in _WEIGHT_KEYS if key in nums]
         return [
@@ -518,7 +528,7 @@ class DivisorClass:
         ]
 
     def is_zero(self) -> bool:
-        return not self._nums and not any(self._rows)
+        return not self._nums and not any(self._flat)
 
     def numerators_view(self) -> tuple[Mapping, int]:
         """The class as integers, with no value built and nothing
@@ -526,9 +536,9 @@ class DivisorClass:
         gamma_b by ``C_WEIGHT`` and ``B_WEIGHT``, and their common
         denominator, in lowest terms.  The map is the class's own and
         read-only by contract: a caller must not change it.  The basis
-        must have no E_{j,c} rows, so the map is the whole class."""
+        must have no E_{j,c} generators, so the map is the whole class."""
         if self.basis.kind == HURWITZ:
-            raise ValueError("numerators_view() needs a basis without E_{j,c} rows")
+            raise ValueError("numerators_view() needs a basis without E_{j,c} generators")
         return self._nums, self._den
 
     def _substituted(self, c: Sequence[int], b: Sequence[int], den: int) -> "DivisorClass":
@@ -571,10 +581,10 @@ class DivisorClass:
         p, q = x.numerator, x.denominator
         g = gcd(self._den, p)
         den, p = self._den // g, p // g
-        g = gcd(q, *self._nums.values(), *chain.from_iterable(self._rows))
+        g = gcd(q, *self._nums.values(), *self._flat)
         nums = {key: n // g * p for key, n in self._nums.items()}
-        rows = _scale_rows(self._rows, p, g)
-        return DivisorClass._raw(self.basis, den * (q // g), nums, rows)
+        flat = tuple([n // g * p for n in self._flat])
+        return DivisorClass._raw(self.basis, den * (q // g), nums, flat)
 
     def __mul__(self, scalar: RationalLike) -> "DivisorClass":
         if not isinstance(scalar, (int, Fraction)):
@@ -597,11 +607,11 @@ class DivisorClass:
             self.basis == other.basis
             and self._den == other._den
             and self._nums == other._nums
-            and self._rows == other._rows
+            and self._flat == other._flat
         )
 
     def __hash__(self) -> int:
-        return hash((self.basis, self._den, frozenset(self._nums.items()), self._rows))
+        return hash((self.basis, self._den, frozenset(self._nums.items()), self._flat))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -641,46 +651,8 @@ def numerator_over(value: int | Fraction, den: int) -> int:
     return value.numerator * (den // value.denominator)
 
 
-def _add_scaled(acc: dict, terms: Mapping, factor: int) -> None:
-    """``acc += factor * terms`` key by key; zeros are left in place."""
-    get = acc.get
-    for key, n in terms.items():
-        acc[key] = get(key, 0) + n * factor
-
-
 def _nonzero(nums: dict) -> dict:
     return {key: n for key, n in nums.items() if n}
-
-
-def _scale_rows(rows: tuple, p: int, g: int = 1) -> tuple:
-    """Every entry n of ``rows`` as n // g * p; ``g`` divides each one
-    and ``p`` is not zero, so a nonzero row stays nonzero."""
-    if g == 1:
-        if p == 1:
-            return rows
-        return tuple([tuple([n * p for n in row]) if row else () for row in rows])
-    if p == 1:
-        return tuple([tuple([n // g for n in row]) if row else () for row in rows])
-    return tuple([tuple([n // g * p for n in row]) if row else () for row in rows])
-
-
-def _combine_rows(terms: list[tuple[int, tuple]]) -> tuple:
-    """The rows of ``sum(f * rows)`` over the (int f, rows) terms, all
-    over one basis: per row, one chain of C-level maps over the terms'
-    rows, materialized once."""
-    scalers = [None if f == 1 else f.__mul__ for f, _ in terms]
-    out = []
-    for parts in zip(*(rows for _, rows in terms)):
-        acc = None
-        for times, row in zip(scalers, parts):
-            if row:
-                if times is not None:
-                    row = map(times, row)
-                acc = row if acc is None else map(add, acc, row)
-        if acc is not None:
-            acc = tuple(acc)
-        out.append(acc if acc and any(acc) else ())
-    return tuple(out)
 
 
 def zero_class(basis: Basis) -> DivisorClass:
@@ -692,7 +664,8 @@ def linear_combination(
 ) -> DivisorClass:
     """The class ``sum(x * d for x, d in terms)`` over ``basis``, in one
     pass: every product is summed in ``int`` over one lcm of the
-    ``d._den * x.denominator``, head key by key and row by row, and the
+    ``d._den * x.denominator``, head key by key and, for the flat
+    tuples, in one chain of C-level maps materialized once, and the
     result is reduced once.  Zero scalars are skipped, no terms give the
     zero class, and a class over another basis raises
     :class:`BasisMismatchError`."""
@@ -715,34 +688,19 @@ def linear_combination(
     # the first term is copied scaled, the others are added onto it
     f, d = factors[0]
     nums = {key: n * f for key, n in d._nums.items()}
+    get = nums.get
+    flat = d._flat if f == 1 else map(f.__mul__, d._flat)
     for f, d in factors[1:]:
-        _add_scaled(nums, d._nums, f)
-    rows = _combine_rows([(f, d._rows) for f, d in factors])
-    return DivisorClass._raw(basis, den, _nonzero(nums), rows)
+        for key, n in d._nums.items():
+            nums[key] = get(key, 0) + n * f
+        flat = map(add, flat, d._flat if f == 1 else map(f.__mul__, d._flat))
+    return DivisorClass._raw(basis, den, _nonzero(nums), tuple(flat))
 
 
 # A column of a class map: the image of one source generator, as its head
-# numerators and the (j, row) pairs of its nonzero E_{j,c} rows (none
-# unless the target is a Hurwitz basis).
+# numerators and, into Hurwitz(k), its one E_{j,c} row as the pair (j,
+# entries over c); () when it has none.
 _Column = tuple[dict, tuple]
-
-
-def _block_column(block: tuple, c: int) -> _Column | None:
-    """The column of E_{j,c} from the block (key, weights) of row j."""
-    t, weights = block
-    return ({t: weights[c]}, ()) if weights[c] else None
-
-
-def _dense_rows(basis: Basis, pairs: Iterable[tuple[int, tuple]]) -> tuple:
-    """The rows of a class over ``basis`` from the (j, row) pairs of its
-    nonzero rows."""
-    rows = _zero_rows(basis)
-    if pairs:
-        rows = list(rows)
-        for j, row in pairs:
-            rows[j] = row
-        rows = tuple(rows)
-    return rows
 
 
 class ClassMap:
@@ -752,59 +710,65 @@ class ClassMap:
     There is no public constructor: each map is one of the package's,
     written into its stored form by ``_raw`` or made by :meth:`compose`.
     The images are integer columns over one common denominator ``_den``,
-    not necessarily in lowest terms, stored like a :class:`DivisorClass`:
-    head numerators keyed by target generator or weight key,
-    and for a Hurwitz target the (j, row) pairs of the nonzero E_{j,c}
-    rows.  ``_cols`` maps a source generator to its column, except the
-    E_{j,c} of a Hurwitz source: ``_blocks[j]``, j >= 1, holds those of
-    row j as the pair (target key, entries over c), as p_* sends each of
-    them to one key, so :meth:`apply` meets row j of a class with one
-    dot product (``_blocks[0]`` is None: there is no row 0).  No column
-    is zero and no block is all zero.  :meth:`row` builds the reduced class,
-    :meth:`numerators` hands an image over a target without rows out as
-    integers, so this layout stays private to this module, and
-    :meth:`apply` sums every product in ``int``.  No map starts from
-    ``Mg(k)``, the one basis whose classes carry symbols, so a map meets
-    only classes without symbols; its images over ``Mg(k)`` may carry
-    the two weights.
+    not necessarily in lowest terms, none of them zero: head numerators
+    keyed by target generator or weight key and, for a Hurwitz target,
+    the one E_{j,c} row (j, entries over c).  ``_cols`` maps a source
+    generator to its column, except the E_{j,c} of a Hurwitz source,
+    which p_* sends each to one key: ``_block`` is then the pair (key of
+    each row j = 1..k, flat tuple of ints w), E_{j,c} going to w_{j,c}
+    times the key of row j (None for any other source).  :meth:`row`
+    builds the reduced class, :meth:`numerators` hands an image over a
+    target without E_{j,c} generators out as integers, so this layout
+    stays private to this module, and :meth:`apply` sums every product
+    in ``int``.  No map starts from ``Mg(k)``, the one basis whose
+    classes carry symbols, so a map meets only classes without symbols;
+    its images over ``Mg(k)`` may carry the two weights.
     """
 
-    __slots__ = ("source", "target", "_den", "_cols", "_blocks")
+    __slots__ = ("source", "target", "_den", "_cols", "_block")
 
     @classmethod
     def _raw(
-        cls, source: Basis, target: Basis, den: int, cols: dict, blocks: tuple = ()
+        cls, source: Basis, target: Basis, den: int, cols: dict, block: tuple | None = None
     ) -> "ClassMap":
-        # internal: columns as stored, keys already validated, every
-        # numerator nonzero over ``den`` > 0, no column empty; ``blocks``
-        # the k + 1 blocks of a Hurwitz source (p_*), () for any other
+        # internal: columns as stored, keys already validated, every head
+        # numerator nonzero over ``den`` > 0, no column empty; ``block``
+        # the E_{j,c} part of a Hurwitz source (p_*), None for any other
         obj = cls.__new__(cls)
         obj.source, obj.target = source, target
-        obj._den, obj._cols, obj._blocks = den, cols, blocks
+        obj._den, obj._cols, obj._block = den, cols, block
         return obj
 
     def _column(self, name: str) -> _Column | None:
-        if self._blocks and name not in _HEAD_NAMES:
+        if self._block and name not in _HEAD_NAMES:
             j, c = _ejc_index(name)
-            return _block_column(self._blocks[j], c)
+            keys, weights = self._block
+            w = weights[ejc_offsets(self.source.k)[j] + c]
+            return ({keys[j - 1]: w * self._den}, ()) if w else None
         return self._cols.get(name)
 
     def _columns(self) -> Iterator[tuple[str, _Column]]:
         """(source generator, column) of every nonzero image: the head
         columns as stored, then the E_{j,c} in (j, c) order."""
         yield from self._cols.items()
-        if self._blocks:
-            for names, block in zip(ejc_names(self.source.k)[1:], self._blocks[1:]):
-                for c, name in enumerate(names):
-                    column = _block_column(block, c)
-                    if column is not None:
-                        yield name, column
+        if self._block:
+            for name in ejc_names(self.source.k):
+                column = self._column(name)
+                if column is not None:
+                    yield name, column
 
     def _image(self, column: _Column | None) -> DivisorClass:
         if column is None:
             return DivisorClass._raw(self.target, 1, {})
-        nums, pairs = column
-        return DivisorClass._raw(self.target, self._den, nums, _dense_rows(self.target, pairs))
+        nums, row = column
+        flat = None
+        if row:
+            j, entries = row
+            start = ejc_offsets(self.target.k)[j]
+            flat = list(_zero_flat(self.target))
+            flat[start : start + len(entries)] = entries
+            flat = tuple(flat)
+        return DivisorClass._raw(self.target, self._den, nums, flat)
 
     def row(self, name: str) -> DivisorClass:
         self.source.check(name)
@@ -814,11 +778,11 @@ class ClassMap:
         """The image of ``name`` as integers, with no class built: its
         numerators by target key (generator or weight key) and
         their common denominator, not necessarily in lowest terms.  The
-        target must have no E_{j,c} rows, so the map is the whole
+        target must have no E_{j,c} generators, so the map is the whole
         image."""
         self.source.check(name)
         if self.target.kind == HURWITZ:
-            raise ValueError("numerators() needs a target without E_{j,c} rows")
+            raise ValueError("numerators() needs a target without E_{j,c} generators")
         column = self._column(name)
         return ({}, 1) if column is None else (dict(column[0]), self._den)
 
@@ -827,41 +791,56 @@ class ClassMap:
         """The nonzero images, by source generator."""
         return {name: self._image(column) for name, column in self._columns()}
 
-    def _map(self, nums: Mapping, rows: Iterable[tuple[int, tuple]]) -> _Column:
-        """The image of the vector with head numerators ``nums`` and the
-        (j, row) pairs ``rows`` (a row may be ``()``) over some
-        denominator q, as a column over q * ``_den``: the head map, zeros
-        dropped, and the pairs of the nonzero target rows.  Every product
-        is summed in int; a row meets its block by one dot product."""
-        cols, blocks = self._cols, self._blocks
+    def _map(self, nums: Mapping, flat: Sequence[int] = (), row: tuple = ()) -> tuple:
+        """The image of the vector with head numerators ``nums`` and, on
+        a Hurwitz source, E_{j,c} part the flat tuple ``flat`` or the one
+        row ``row`` = (j, entries over c), over some denominator q: the
+        head map over q * ``_den``, zeros dropped, and the flat list of
+        the target's E_{j,c} part (None when no column has one).  Every
+        product is summed in int."""
+        cols = self._cols
         sums: dict = {}
         get = sums.get
-        target_rows: dict[int, list[int]] = {}
+        out = None
         for key, x in nums.items():
             column = cols.get(key)
             if column is None:
                 continue
-            for t, r in column[0].items():
+            head, target_row = column
+            for t, r in head.items():
                 sums[t] = get(t, 0) + x * r
-            # q^* is the only map into Hurwitz(k), each of its columns owns
-            # its row j, and nothing composes after q^*: one write per row
-            for j, row in column[1]:
-                target_rows[j] = [n * x for n in row]
-        for j, x_row in rows:
-            if x_row:
-                t, weights = blocks[j]
-                sums[t] = get(t, 0) + sum(map(mul, weights, x_row))
-        pairs = tuple(sorted((j, tuple(acc)) for j, acc in target_rows.items() if any(acc)))
-        return _nonzero(sums), pairs
+            if target_row:
+                # q^* is the only map into Hurwitz(k), each of its columns
+                # owns its row j, and nothing composes after q^*: one write
+                # per row
+                j, entries = target_row
+                start = ejc_offsets(self.target.k)[j]
+                if out is None:
+                    out = list(_zero_flat(self.target))
+                out[start : start + len(entries)] = [n * x for n in entries]
+        if self._block:
+            keys, weights = self._block
+            if row:
+                j, entries = row
+                start = ejc_offsets(self.source.k)[j]
+                dots = [(keys[j - 1], sum(map(mul, weights[start : start + len(entries)], entries)))]
+            else:
+                dots = zip(keys, row_sums(self.source.k, map(mul, weights, flat)) if flat else ())
+            den = self._den
+            for t, s in dots:
+                if s:
+                    sums[t] = get(t, 0) + s * den
+        return _nonzero(sums), out
 
     def apply(self, d: DivisorClass) -> DivisorClass:
         if d.basis != self.source:
             raise BasisMismatchError(
                 f"class over {d.basis} cannot be fed to a map from {self.source}"
             )
-        nums, pairs = self._map(d._nums, enumerate(d._rows))
-        rows = _dense_rows(self.target, pairs)
-        return DivisorClass._raw(self.target, d._den * self._den, nums, rows)
+        nums, flat = self._map(d._nums, d._flat)
+        return DivisorClass._raw(
+            self.target, d._den * self._den, nums, None if flat is None else tuple(flat)
+        )
 
     def compose(self, inner: "ClassMap") -> "ClassMap":
         """The map ``self o inner``; requires inner.target == self.source.
@@ -869,17 +848,18 @@ class ClassMap:
         denominator ``self._den * inner._den``; no row is built as a
         class.  The one map from ``Hurwitz(k)``, p_*, lands in ``Mg(k)``,
         where no map starts, so the inner map never has a Hurwitz source
-        and its images are stored as plain columns, with no blocks."""
+        and no composite has a Hurwitz target: its images are plain head
+        columns."""
         if inner.target != self.source:
             raise BasisMismatchError(
                 f"cannot compose: inner map lands in {inner.target}, "
                 f"outer map starts from {self.source}"
             )
         columns = {}
-        for name, (nums, pairs) in inner._columns():
-            column = self._map(nums, pairs)
-            if column[0] or column[1]:
-                columns[name] = column
+        for name, (nums, row) in inner._columns():
+            head, _ = self._map(nums, row=row)
+            if head:
+                columns[name] = (head, ())
         return ClassMap._raw(inner.source, self.target, self._den * inner._den, columns)
 
     def __repr__(self) -> str:

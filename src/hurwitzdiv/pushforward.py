@@ -19,14 +19,13 @@ symbols as two weights (``bases.C_WEIGHT``/``B_WEIGHT``), and
 :meth:`ExternalCoeffs.apply` substitutes a table in one pass over j.
 
 :func:`p_push` sends E_{j,c} to e_{j,c} delta_j only, with e_{j,c}
-the integer ``trace.jc_rows(k, "e")[j][c]``, so its E_{j,c} columns are
-stored as one block per j, the pair (delta_j, e row): applying it to a
-Hurwitz class, whose E_{j,c} part is stored in the same rows, is one
-dot product per j, and so is each T3j column of :func:`p_q_composed`.
-The whole expected Hodge classes :func:`p_phi_lambda_expected`/
-:func:`p_phihat_lambda_expected` dot the e rows with the t and u rows,
-and the R of :func:`eh_divisor` is built as rows of ones; no builder
-here forms an E_{j,c} name.
+the flat family ``trace.jc_family(k, "e")``, which it stores as it is:
+applying it to a Hurwitz class, stored in the same flat layout, is one
+product pass and one prefix-sum difference per j, and each T3j column
+of :func:`p_q_composed` one slice dot product.  The expected Hodge
+classes :func:`p_phi_lambda_expected`/:func:`p_phihat_lambda_expected`
+take the row sums of e times t and u, and the R of :func:`eh_divisor`
+is a flat tuple of ones; no builder here forms an E_{j,c} name.
 """
 
 from __future__ import annotations
@@ -48,18 +47,20 @@ from .bases import (
     T3j,
     T2,
     delta_names,
+    ejc_offsets,
     hurwitz_basis,
     hurwitz_head,
     linear_combination,
     mg_basis,
     numerator_over,
+    row_sums,
 )
 from .core import per_k_cache
 from .m0b import kappa_class
 from .trace import (
     alpha_table,
     catalan_number,
-    jc_rows,
+    jc_family,
     phi_pull_boundary,
     phi_pull_lambda,
     phihat_pull_boundary,
@@ -199,12 +200,10 @@ def p_push(k: int) -> ClassMap:
     }
     heads = hurwitz_head(k, e0, e2, e3)
     cols = {name: (head, ()) for name, head in heads.items()}
-    # block j: the row of the e_{j,c}, all positive integers
-    # (trace.e_numerator), on delta_j alone
-    blocks = [None]
-    for d, row in zip(deltas[1:], jc_rows(k, "e")[1:]):
-        blocks.append((d, tuple([e * den for e in row])))
-    return ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, tuple(blocks))
+    # E_{j,c} goes to e_{j,c} delta_j, all positive integers
+    # (trace.e_numerator): the e family itself, over 1
+    block = (deltas[1:], jc_family(k, "e"))
+    return ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, block)
 
 
 @per_k_cache
@@ -273,7 +272,7 @@ def p_phihat_delta0_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
 def _hodge_expected(k: int, closed, family: str, c_weight, b_weight) -> DivisorClass:
     """A pushed Hodge class as predicted: lambda and delta_0 from
     ``closed(k)``; on delta_j one twelfth of sum_c e_{j,c} w_{j,c}, the
-    weights w given by their :func:`~hurwitzdiv.trace.jc_rows` numerators
+    weights w given by their :func:`~hurwitzdiv.trace.jc_family` numerators
     over 2(6k-1) and summed in integers, plus ``c_weight`` c_j (from E2)
     and -N ``b_weight`` b_j (from E3), each where ``Hurwitz(k)`` has the
     generator."""
@@ -286,9 +285,8 @@ def _hodge_expected(k: int, closed, family: str, c_weight, b_weight) -> DivisorC
     c, b = (numerator_over(head.get(name, 0), den) for name in (E2, E3))
     names = delta_names(k)
     nums = {LAMBDA: numerator_over(lam, den), names[0]: numerator_over(d0, den)}
-    e_rows, w_rows, f = jc_rows(k, "e"), jc_rows(k, family), den // w_den
-    for j in range(1, k + 1):
-        nums[names[j]] = sum(map(mul, e_rows[j], w_rows[j])) * f
+    dots = row_sums(k, map(mul, jc_family(k, "e"), jc_family(k, family)))
+    nums.update(zip(names[1:], map((den // w_den).__mul__, dots)))
     nums[C_WEIGHT], nums[B_WEIGHT] = c, b
     return DivisorClass._raw(mg_basis(k), den, {key: n for key, n in nums.items() if n})
 
@@ -394,7 +392,7 @@ def eh_divisor(k: int) -> DivisorClass:
     The closed-form lambda and delta_0 coefficients are meaningful for
     k >= 3; for smaller k the assembled value is returned as-is.
     """
-    ones = ((),) + tuple((1,) * (j // 2 + 1) for j in range(1, k + 1))
+    ones = (1,) * ejc_offsets(k)[-1]
     r = DivisorClass._raw(hurwitz_basis(k), 1, hurwitz_head(k, 2, 2, 2), ones)
     assembly = q_pullback(k).apply(kappa_class(k)) - r
     pushed = p_push(k).apply(assembly)

@@ -206,11 +206,15 @@ def _evaluate(pair: _MobiusPair, s: Fraction) -> tuple[int, int]:
     return n1 * p + n0 * q, den
 
 
+def _check_induced_k(k: int) -> None:
+    if k < 3:
+        raise ValueError(f"induced slopes are stated for k >= 3, got k={k}")
+
+
 def induced_slope(k: int, s: RationalLike, variant: str) -> Fraction:
     """Slope of the image of a divisor of slope s on the trace (or reduced
     trace) curve moduli; closed form and substitution must agree exactly."""
-    if k < 3:
-        raise ValueError(f"induced slopes are stated for k >= 3, got k={k}")
+    _check_induced_k(k)
     s = Fraction(s)
     num, den = _evaluate(_mobius_closed(k, variant), s)
     sub_num, sub_den = _evaluate(_mobius_substitution(k, variant)[0], s)
@@ -228,7 +232,9 @@ def slope_target(k: int, s: RationalLike, variant: str) -> DivisorClass:
     slope is :func:`induced_slope`.  By the linearity of ``p_push`` the
     terms j >= 1 are pushed as one class, their Hurwitz-side sum, so
     the target costs three applications of ``p_push``, two of them the
-    cached classes that :func:`induced_slope` reads too."""
+    cached classes that :func:`induced_slope` reads too.  Like
+    :func:`induced_slope`, it refuses k < 3."""
+    _check_induced_k(k)
     hodge, boundary, boundary_sum = _pushed(variant)
     higher = p_push(k).apply(boundary_sum(k))
     terms = ((s, hodge(k)), (-1, boundary(k, 0)), (-1, higher))

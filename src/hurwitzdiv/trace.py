@@ -11,17 +11,17 @@ reduced-trace node coefficient at k = 1, see :func:`_s_int`.
 
 The integer families over E_{j,c} (the push-forward multiplicities e,
 the node counts d and s, the dualizing terms a and the closed-form
-numerators t and u) are each built once per k, as a row table
-:func:`jc_rows` laid out like ``bases.ejc_names``, which is also the
-layout in which a Hurwitz class stores its E_{j,c} part.  The class
-builders hand those tables to the class as its rows, and the boundary
-pullbacks and q* build theirs in the same layout, so no builder forms
-an E_{j,c} name; :func:`alpha_table` and the delta_j predictions of
-``pushforward`` dot the rows with ``sum(map(mul, ...))``; the "e" rows
-hold the integers e_{j,c} themselves, so no reader divides.  A family is
-built only when something asks for it.  The per-coefficient functions
-(:func:`e_numerator`, :func:`t_numerator`, ...) stay as the
-definitions that the tests hold the rows to.
+numerators t and u) are each built once per k straight into the flat
+layout in which a Hurwitz class stores its E_{j,c} part, and read
+through :func:`jc_family`.  The class builders hand those tuples to the
+class as they are, the boundary pullbacks build theirs in the same
+layout and q* writes each T3j column into the slice of row j, so no
+builder forms an E_{j,c} name; :func:`alpha_table` and the delta_j
+predictions of ``pushforward`` take ``bases.row_sums`` of a product of
+two families; the "e" family holds the integers e_{j,c} themselves, so
+no reader divides.  A family is built only when asked for.  The
+per-coefficient functions (:func:`e_numerator`, :func:`t_numerator`,
+...) stay as the definitions that the tests hold the families to.
 The pulled-back cotangent class :func:`pulled_psi` is likewise built
 once and shared by :func:`grr_pieces` and :func:`s_omega_sq`.  The
 boundary pullbacks of index j = 1..k are one entry on E_{j,0}, given by
@@ -33,9 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
-from operator import mul
-from typing import Callable, NamedTuple
+from operator import add, mul, sub
+from typing import Callable, Iterable, NamedTuple
 
 from .bases import (
     ClassMap,
@@ -43,12 +44,14 @@ from .bases import (
     IndexRangeError,
     T2,
     T3j,
+    ejc_offsets,
     genus_reduced_trace,
     genus_trace,
     hurwitz_basis,
     hurwitz_head,
     linear_combination,
     m0b_sym_basis,
+    row_sums,
     zero_class,
 )
 from .core import per_k_cache
@@ -141,8 +144,8 @@ def alpha_table(k: int) -> tuple[int, ...]:
     """The total weights alpha(k, j) = sum((j+1-2c) e_{j,c}) of the
     pushed symmetric boundary classes T3j, indexed by j = 1 .. k (entry
     0 is 0: there is no T3j_0)."""
-    rows = jc_rows(k, "e")
-    return (0,) + tuple(sum(map(mul, rows[j], t3j_weights(j))) for j in range(1, k + 1))
+    weights = chain.from_iterable(map(t3j_weights, range(1, k + 1)))
+    return (0,) + tuple(row_sums(k, map(mul, jc_family(k, "e"), weights)))
 
 
 def _d_int(k: int, j: int, c: int) -> int:
@@ -154,12 +157,15 @@ def _d_int(k: int, j: int, c: int) -> int:
     )
 
 
+def _a_lead(k: int, j: int) -> int:
+    # the part of a_{j,c} that is not (j + 1 - 2c)
+    return 27 * j * (2 * k - 1) * (2 * k - j) - 2 * k * (k + 1) * (6 * k - 1)
+
+
 def _a_numerator(k: int, j: int, c: int) -> int:
     """a_{j,c}, the E_{j,c} coefficient of the pushed square of the
     relative dualizing sheaf of the trace-curve family, times 2(6k-1)."""
-    return (j + 1 - 2 * c) * (
-        27 * j * (2 * k - 1) * (2 * k - j) - 2 * k * (k + 1) * (6 * k - 1)
-    )
+    return (j + 1 - 2 * c) * _a_lead(k, j)
 
 
 def t_numerator(k: int, j: int, c: int) -> int:
@@ -197,47 +203,67 @@ def u_numerator(k: int, j: int, c: int) -> int:
     return 2 * (6 * k - 1) * _s_int(k, j, c) - correction
 
 
-# One row of :func:`_d_int`, :func:`_a_numerator` and :func:`_s_int`
-# each, with the binomials C(n, 2) written out and the factors that do
-# not depend on c taken out of the loop; the per-entry functions stay
-# the definitions, and the tests hold the rows to them.
+# :func:`e_row`, :func:`_d_int`, :func:`_a_numerator` and :func:`_s_int`
+# over every E_{j,c} in the flat layout, with the binomials C(n, 2)
+# written out and the factors that do not depend on c taken out of the
+# row; the per-entry functions stay the definitions, and the tests hold
+# the families to them.
 
 
-def _d_row(k: int, j: int) -> list[int]:
+def _d_flat(k: int) -> list[int]:
     return [
         (c * (c - 1) + (k - j + c) * (k - j + c - 1)) // 2 * (j + 1 - 2 * c)
         + 2 * (c + 1) * (k - j + c)
         + j
+        for j in range(1, k + 1)
         for c in range(j // 2 + 1)
     ]
 
 
-def _a_row(k: int, j: int) -> list[int]:
-    lead = 27 * j * (2 * k - 1) * (2 * k - j) - 2 * k * (k + 1) * (6 * k - 1)
-    return [(j + 1 - 2 * c) * lead for c in range(j // 2 + 1)]
-
-
-def _s_row(k: int, j: int) -> list[int]:
+def _s_flat(k: int) -> list[int]:
     if k == 1:
         return [1]
-    tail = (j + 1) // 2 + j % 2
     return [
         (k - j + c) * (c + 1)
         + (c * (c - 1) + (k - j + c) * (k - j + c - 1)) // 2 * (j + 1 - 2 * c)
-        + tail
+        + (j + 1) // 2
+        + j % 2
+        for j in range(1, k + 1)
         for c in range(j // 2 + 1)
     ]
 
 
-_ROWS = {"e": e_row, "d": _d_row, "a": _a_row, "s": _s_row}
+def _t3j_multiples(k: int, per_row: Callable[[int, int], int]) -> list[int]:
+    """(j + 1 - 2c) per_row(k, j) over every E_{j,c}."""
+    flat = []
+    for j in range(1, k + 1):
+        x = per_row(k, j)
+        flat += [m * x for m in t3j_weights(j)]
+    return flat
 
-JC_FAMILIES = ("e", "d", "a", "s", "t", "u")
+
+# t = a + 2(6k - 1) d and u = 2(6k - 1) s - (j + 1 - 2c) _u_correction
+_FAMILIES: dict[str, Callable[[int], Iterable[int]]] = {
+    "e": lambda k: chain.from_iterable(e_row(k, j) for j in range(1, k + 1)),
+    "d": _d_flat,
+    "a": lambda k: _t3j_multiples(k, _a_lead),
+    "s": _s_flat,
+    "t": lambda k: map(
+        add, jc_family(k, "a"), map((2 * (6 * k - 1)).__mul__, jc_family(k, "d"))
+    ),
+    "u": lambda k: map(
+        sub, map((2 * (6 * k - 1)).__mul__, jc_family(k, "s")), _t3j_multiples(k, _u_correction)
+    ),
+}
+
+JC_FAMILIES = tuple(_FAMILIES)
 
 
 @per_k_cache
-def jc_rows(k: int, family: str) -> tuple[tuple[int, ...], ...]:
-    """One integer family over E_{j,c}, laid out like :func:`ejc_names`:
-    entry j holds the values for c = 0 .. floor(j/2), entry 0 is empty.
+def jc_family(k: int, family: str) -> tuple[int, ...]:
+    """One integer family over E_{j,c}, as a flat tuple laid out like
+    ``bases.ejc_names``: row j, the values for c = 0 .. floor(j/2), runs
+    from ``bases.ejc_offsets(k)[j]`` to ``[j + 1]``.
 
     The families are the push-forward multiplicities e_{j,c}
     themselves, integers (:func:`e_row`, ``"e"``), the node counts
@@ -245,48 +271,35 @@ def jc_rows(k: int, family: str) -> tuple[tuple[int, ...], ...]:
     numerators over 2(6k-1) given by :func:`_a_numerator` (``"a"``),
     :func:`t_numerator` (``"t"``) and :func:`u_numerator` (``"u"``); the
     last two are derived from the cached ``"a"``, ``"d"`` and ``"s"``
-    rows.  Each (k, family) is built on first use, so a caller that
+    families.  Each (k, family) is built on first use, so a caller that
     needs one family pays for that one alone."""
     if k < 1:
         raise IndexRangeError(f"k must be >= 1, got {k}")
-    js = range(1, k + 1)
-    w = 2 * (6 * k - 1)
-    if family in _ROWS:
-        row = _ROWS[family]
-        rows = (row(k, j) for j in js)
-    elif family == "t":
-        rows = (
-            [a + w * d for a, d in zip(row_a, row_d)]
-            for row_a, row_d in zip(jc_rows(k, "a")[1:], jc_rows(k, "d")[1:])
-        )
-    elif family == "u":
-        rows = []
-        for j, row_s in zip(js, jc_rows(k, "s")[1:]):
-            x = _u_correction(k, j)
-            rows.append([w * s - (j + 1 - 2 * c) * x for c, s in enumerate(row_s)])
-    else:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown E_(j,c) family {family!r}; known: {JC_FAMILIES}")
-    return ((),) + tuple(map(tuple, rows))
+    return tuple(_FAMILIES[family](k))
 
 
-def _build(k: int, den: int, e0: int, e2: int, e3: int, rows) -> DivisorClass:
+def _build(k: int, den: int, e0: int, e2: int, e3: int, flat: tuple) -> DivisorClass:
     """A Hurwitz class from integer numerators over ``den``: the E0,
     E2 and E3 values (dropped when zero or when the generator does not
-    exist) and k + 1 E_{j,c} rows in the :func:`jc_rows` layout, handed
-    over as they are except that an all-zero row becomes ``()``."""
+    exist) and the flat E_{j,c} tuple in the :func:`jc_family` layout,
+    handed over as it is."""
     return DivisorClass._raw(
         hurwitz_basis(k),
         den,
         {name: n for name, n in hurwitz_head(k, e0, e2, e3).items() if n},
-        tuple([row if any(row) else () for row in rows]),
+        flat,
     )
 
 
-def _one_entry(k: int, j: int, n: int) -> DivisorClass:
-    """The class n E_{j,0}: one nonzero row."""
-    rows = [()] * (k + 1)
-    rows[j] = (n,) + (0,) * (j // 2)
-    return _build(k, 1, 0, 0, 0, rows)
+def _ej0_class(k: int, entries) -> DivisorClass:
+    """The class sum n E_{j,0} over the (j, n) pairs ``entries``."""
+    offsets = ejc_offsets(k)
+    flat = [0] * offsets[-1]
+    for j, n in entries:
+        flat[offsets[j]] = n
+    return _build(k, 1, 0, 0, 0, tuple(flat))
 
 
 @per_k_cache
@@ -298,7 +311,7 @@ def delta_tau(k: int) -> DivisorClass:
         k * k + k,
         2 * k * k - 10 * k + 18,
         3 * k * k - 13 * k + 16,
-        jc_rows(k, "d"),
+        jc_family(k, "d"),
     )
 
 
@@ -308,7 +321,7 @@ def omega_tau_sq(k: int) -> DivisorClass:
     family, in closed form."""
     # the E0/E2/E3 lead (-6k^3 + 31k^2 - 29k + 6)/(6k - 1) times 1, 2, 3
     lead = 2 * (-6 * k**3 + 31 * k * k - 29 * k + 6)
-    return _build(k, 2 * (6 * k - 1), lead, 2 * lead, 3 * lead, jc_rows(k, "a"))
+    return _build(k, 2 * (6 * k - 1), lead, 2 * lead, 3 * lead, jc_family(k, "a"))
 
 
 @per_k_cache
@@ -317,8 +330,8 @@ def q_pullback(k: int) -> ClassMap:
     the space of 6k-pointed rational curves to the Hurwitz basis."""
     cols = {T2: (hurwitz_head(k, 1, 2, 3), ())}
     for j in range(1, k + 1):
-        # q^*T3j is the one E_{j,c} row of weights j + 1 - 2c
-        cols[T3j(j)] = ({}, ((j, t3j_weights(j)),))
+        # q^*T3j is the one E_{j,c} row j, of weights j + 1 - 2c
+        cols[T3j(j)] = ({}, (j, t3j_weights(j)))
     return ClassMap._raw(m0b_sym_basis(k), hurwitz_basis(k), 1, cols)
 
 
@@ -377,7 +390,7 @@ def twelve_lambda_trace_closed(k: int) -> DivisorClass:
     t0 = 18 * k * k - 15 * k + 3
     t2 = 30 * k - 3
     t3 = 6 * k * k + 11 * k + 1
-    return _build(k, 2 * (6 * k - 1), 4 * t0, 4 * t2, 4 * t3, jc_rows(k, "t"))
+    return _build(k, 2 * (6 * k - 1), 4 * t0, 4 * t2, 4 * t3, jc_family(k, "t"))
 
 
 @per_k_cache
@@ -390,7 +403,7 @@ def delta_s(k: int) -> DivisorClass:
         (k * k + k) // 2,
         k * k - 5 * k + 12,
         (3 * k * k - 13 * k + 16) // 2,
-        jc_rows(k, "s"),
+        jc_family(k, "s"),
     )
 
 
@@ -424,7 +437,7 @@ def twelve_lambda_reduced_closed(k: int) -> DivisorClass:
     u0 = 9 * k * k - 12 * k + 3
     u2 = 15 * k
     u3 = 3 * k * k - 8 * k + 5
-    return _build(k, 2 * (6 * k - 1), 4 * u0, 4 * u2, 4 * u3, jc_rows(k, "u"))
+    return _build(k, 2 * (6 * k - 1), 4 * u0, 4 * u2, 4 * u3, jc_family(k, "u"))
 
 
 def _check_boundary_index(k: int, j: int, genus: Callable[[int], int]) -> None:
@@ -450,8 +463,7 @@ def _boundary_sum(k: int, entry, genus: Callable[[int], int]) -> DivisorClass:
     ``entry(k, j)`` E_{j,0}, as one class; the index k must exist in a
     moduli space of curves of genus ``genus(k)``."""
     _check_boundary_index(k, k, genus)
-    rows = [()] + [(entry(k, j),) + (0,) * (j // 2) for j in range(1, k + 1)]
-    return _build(k, 1, 0, 0, 0, rows)
+    return _ej0_class(k, [(j, entry(k, j)) for j in range(1, k + 1)])
 
 
 @per_k_cache
@@ -460,13 +472,16 @@ def phi_pull_boundary(k: int, j_prime: int) -> DivisorClass:
     moduli space; zero for j' > k."""
     _check_boundary_index(k, j_prime, genus_trace)
     if j_prime == 0:
-        rows = [(), ()] + [
-            (j, *[2 * (k - j + c) * (c + 1) + j for c in range(1, j // 2 + 1)])
-            for j in range(2, k + 1)
+        # E_{1,0} is not in the class; entry (j, c) is j on E_{j,0} and
+        # 2(k - j + c)(c + 1) + j for c >= 1
+        flat = [
+            2 * (k - j + c) * (c + 1) + j if c else j if j > 1 else 0
+            for j in range(1, k + 1)
+            for c in range(j // 2 + 1)
         ]
-        return _build(k, 1, 4 * k - 2, 4, 2, rows)
+        return _build(k, 1, 4 * k - 2, 4, 2, tuple(flat))
     if j_prime <= k:
-        return _one_entry(k, j_prime, _phi_boundary_entry(k, j_prime))
+        return _ej0_class(k, [(j_prime, _phi_boundary_entry(k, j_prime))])
     return zero_class(hurwitz_basis(k))
 
 
@@ -483,16 +498,16 @@ def phihat_pull_boundary(k: int, j_hat: int) -> DivisorClass:
     _check_boundary_index(k, j_hat, genus_reduced_trace)
     if j_hat == 0:
         # entry (j, c) is (k - j + c)(c + 1) + tail_j, tail_j = (j + 1)//2
-        # + (j mod 2), for c >= 1, and tail_j on E_{j,0}; row 2 is the
-        # exception: E_{2,0} is not in the class, and the (j, c) = (2, 1)
-        # entry is one below the rule, 2k - 2
-        rows = [(), (), (0, 2 * k - 2)][: k + 1]
+        # + (j mod 2), for c >= 1, and tail_j on E_{j,0}; rows 1 and 2 are
+        # the exception: E_{1,0} and E_{2,0} are not in the class, and the
+        # (j, c) = (2, 1) entry is one below the rule, 2k - 2
+        flat = [0, 0, 2 * k - 2][: ejc_offsets(k)[-1]]
         for j in range(3, k + 1):
             tail = (j + 1) // 2 + j % 2
-            rows.append((tail, *[(k - j + c) * (c + 1) + tail for c in range(1, j // 2 + 1)]))
-        return _build(k, 1, 2 * k - 2, 2, 0, rows)
+            flat += [tail, *[(k - j + c) * (c + 1) + tail for c in range(1, j // 2 + 1)]]
+        return _build(k, 1, 2 * k - 2, 2, 0, tuple(flat))
     if j_hat <= k:
-        return _one_entry(k, j_hat, _phihat_boundary_entry(k, j_hat))
+        return _ej0_class(k, [(j_hat, _phihat_boundary_entry(k, j_hat))])
     return zero_class(hurwitz_basis(k))
 
 

@@ -10,8 +10,8 @@ operation done here, coefficient by coefficient.
 
 A class is read into the model two ways: through its public accessor
 (:func:`class_model`) and straight from its stored form
-(:func:`stored_model`), whose two weights and E_{j,c} rows are read here
-by their layout alone, so the two agree only if the accessors and the
+(:func:`stored_model`), whose two weights and flat E_{j,c} tuple are
+read here by their layout alone, so the two agree only if the accessors and the
 layout do.
 """
 
@@ -75,8 +75,8 @@ def stored_model(d):
     parts: the numerators over ``d._den`` of the head map, keyed by
     generator for a constant part and by ``C_WEIGHT``/``B_WEIGHT`` (over
     Mg(k)) for the weight of c_j or b_j on every delta_j, j >= 1, and
-    on a Hurwitz basis entry c of row j of ``d._rows`` as the constant
-    part of E_j_c."""
+    on a Hurwitz basis entry i of the flat tuple ``d._flat`` as the
+    constant part of the i-th E_j_c of ``d.basis.generators()``."""
     parts = {g: {} for g in d.basis.generators()}
     cells = []
     for key, n in d._nums.items():
@@ -84,9 +84,10 @@ def stored_model(d):
             cells += [(f"delta_{j}", ExtSymbol(key, j), n) for j in range(1, d.basis.k + 1)]
         else:
             cells.append((key, None, n))
-    cells += [
-        (f"E_{j}_{c}", None, n) for j, row in enumerate(d._rows) for c, n in enumerate(row)
-    ]
+    ejc = [g for g in d.basis.generators() if g.startswith("E_")]
+    # a flat tuple of another length is refused, not read in part
+    assert len(d._flat) == len(ejc), (len(d._flat), len(ejc))
+    cells += [(name, None, n) for name, n in zip(ejc, d._flat)]
     for name, sym, n in cells:
         part = parts[name]  # a KeyError names a key outside the basis
         part[sym] = part.get(sym, 0) + Fraction(n, d._den)

@@ -27,12 +27,14 @@ from hurwitzdiv.bases import (
     delta_hat,
     delta_prime,
     ejc_names,
+    ejc_offsets,
     hurwitz_basis,
     linear_combination,
     mg_basis,
     mg_hat_basis,
     mg_prime_basis,
     m0b_sym_basis,
+    row_sums,
     zero_class,
 )
 from affine_model import (
@@ -43,7 +45,7 @@ from affine_model import (
     stored_model,
     substitute,
 )
-from hurwitzdiv.core import AffineExpr, ExtSymbol, b_sym, c_sym
+from hurwitzdiv.core import AffineExpr, ExtSymbol, b_sym, c_sym, clear_caches
 from hurwitzdiv.pushforward import ExternalCoeffs, p_push, p_q_composed, p_q_map
 from hurwitzdiv.trace import q_pullback
 
@@ -334,19 +336,13 @@ def assert_apply_is_substitute(ext, d):
     return applied
 
 
-def assert_canonical_rows(basis, rows):
-    """The E_{j,c} rows of the stored form: on Hurwitz(k), k + 1 tuples
-    in the ejc_names layout, row j either () or floor(j/2) + 1 ints not
-    all zero, row 0 always (); no rows on the other kinds."""
-    if basis.kind != HURWITZ:
-        assert rows == ()
-        return
-    assert type(rows) is tuple and len(rows) == basis.k + 1 and rows[0] == ()
-    for j, row in enumerate(rows):
-        assert type(row) is tuple, f"row {j} is not a tuple"
-        if row:
-            assert len(row) == j // 2 + 1 and any(row), f"non-canonical row {j}: {row}"
-            assert all(type(n) is int for n in row)
+def assert_canonical_rows(basis, flat):
+    """The E_{j,c} part of the stored form: on Hurwitz(k), a tuple of
+    exactly one int per E_{j,c} generator of the basis, a zero one as 0;
+    () on the other kinds."""
+    count = sum(1 for g in basis.generators() if g.startswith("E_"))
+    assert type(flat) is tuple and len(flat) == count, (len(flat), count)
+    assert all(type(n) is int for n in flat)
 
 
 def assert_canonical(d):
@@ -362,8 +358,8 @@ def assert_canonical(d):
         assert type(n) is int and n, f"non-canonical numerator {n!r}"
         if d.basis.kind == HURWITZ and type(key) is str:
             assert key in (E0, E2, E3), f"E_(j,c) constant {key!r} outside the rows"
-    assert_canonical_rows(d.basis, d._rows)
-    entries = [*d._nums.values(), *(n for row in d._rows for n in row)]
+    assert_canonical_rows(d.basis, d._flat)
+    entries = [*d._nums.values(), *d._flat]
     assert math.gcd(d._den, *entries) == 1
     assert any(entries) or d._den == 1
     assert stored_model(d) == model(d)
@@ -435,15 +431,15 @@ def test_constant_affine_and_fraction_classes_are_identical():
     # a weight key is the family letter of its symbols
     assert (C_WEIGHT, B_WEIGHT) == ("c", "b")
     # on a Hurwitz basis E0/E2/E3 stay in the head map and the E_{j,c}
-    # constants go to their rows, a constant AffineExpr among them; an
-    # untouched row is ()
+    # constants go to the flat tuple E_1_0, E_2_0, E_2_1, E_3_0, E_3_1, a
+    # constant AffineExpr among them; an untouched entry is 0
     hur = DivisorClass(
         hurwitz_basis(3),
         {E2: Fraction(1, 2), Ejc(2, 1): AffineExpr(Fraction(1, 3)), Ejc(3, 0): 4},
     )
     assert hur._den == 6
     assert hur._nums == {E2: 3}
-    assert hur._rows == ((), (), (0, 2), (24, 0))
+    assert hur._flat == (0, 0, 2, 24, 0)
     assert hur == DivisorClass(hurwitz_basis(3), dict(hur.items()))
     # a symbol term, symbol-only or beside a constant, is refused there
     for value in (AffineExpr(0, {b_sym(2): 3}), AffineExpr(1, {c_sym(1): Fraction(1, 6)})):
@@ -635,13 +631,34 @@ def test_linear_combination_edge_cases():
         linear_combination(basis, [(0.5, d)])
 
 
-def test_ejc_names_follow_their_definition():
+def test_flat_layout_follows_the_basis_order():
     # built from one "E_j_" prefix per row and a shared index table, the
-    # names must be those of Ejc(j, c)
+    # names must be those of Ejc(j, c) in the order of generators(), and
+    # row j must be the slice offsets[j:j + 2] of them
     for k in range(1, 61):
-        assert ejc_names(k) == ((),) + tuple(
-            tuple(Ejc(j, c) for c in range(j // 2 + 1)) for j in range(1, k + 1)
-        )
+        ejc = [g for g in Basis(HURWITZ, k).generators() if g.startswith("E_")]
+        assert ejc_names(k) == tuple(ejc)
+        offsets = ejc_offsets(k)
+        assert len(offsets) == k + 2 and offsets[:2] == (0, 0) and offsets[-1] == len(ejc)
+        for j in range(1, k + 1):
+            row = ejc[offsets[j] : offsets[j + 1]]
+            assert row == [Ejc(j, c) for c in range(j // 2 + 1)], (k, j)
+        # the per-row sums of a flat sequence are its row slices summed
+        values = [3**i - 40 for i in range(len(ejc))]
+        assert row_sums(k, values) == [
+            sum(values[offsets[j] : offsets[j + 1]]) for j in range(1, k + 1)
+        ]
+
+
+@pytest.mark.parametrize("ks", [range(1, 21), range(21, 41), range(41, 61)])
+def test_every_hurwitz_class_stores_one_entry_per_ejc(ks):
+    from test_two_weights import _hurwitz_classes
+
+    for k in ks:
+        count = len(ejc_names(k))
+        for name, d in _hurwitz_classes(k):
+            assert type(d._flat) is tuple and len(d._flat) == count, (k, name)
+        clear_caches()
 
 
 # Scaled emission: _formatted_items(scale) renders self * scale without
@@ -733,8 +750,9 @@ def test_compose_runs_on_integer_columns(monkeypatch):
     for k, (outer, inner) in maps.items():
         result = composed[k]
         assert result._den == outer._den * inner._den
-        # an M0bSym source has no E_{j,c} blocks, an Mg target no rows
-        assert result._blocks == ()
+        # an M0bSym source has no E_{j,c} block, an Mg target no E_{j,c}
+        # part
+        assert result._block is None
         for nums, pairs in result._cols.values():
             assert nums and all(nums.values()) and pairs == ()
             for key, n in nums.items():
@@ -747,7 +765,7 @@ def test_compose_runs_on_integer_columns(monkeypatch):
         # q^*T3j is the one weight row j + 1 - 2c, and p_push sends row j
         # to delta_j alone: the composite's T3j column is one entry
         for j in range(1, k + 1):
-            assert inner._cols[T3j(j)] == ({}, ((j, tuple(range(j + 1, 0, -2))),))
+            assert inner._cols[T3j(j)] == ({}, (j, tuple(range(j + 1, 0, -2))))
             assert set(result._cols[T3j(j)][0]) == {delta(j)}
         for g, row in expected[k].items():
             assert result.row(g) == row
@@ -1068,9 +1086,16 @@ def test_package_map_readers_agree(k):
             assert values == model(row)
         with pytest.raises(UnknownGeneratorError):
             m.row("E_99_0")
-        # a block of p_* is the pair (target key, entries over c)
-        for block in m._blocks:
-            assert block is None or any(block[1])
+        # the block of p_* is the pair (target key of each row j, flat
+        # entries), and no row of it is all zero
+        if m._block is not None:
+            keys, weights = m._block
+            assert keys == tuple(delta(j) for j in range(1, k + 1))
+            ejc = [g for g in m.source.generators() if g.startswith("E_")]
+            assert type(weights) is tuple and len(weights) == len(ejc)
+            for j in range(1, k + 1):
+                row = [w for g, w in zip(ejc, weights) if g.startswith(f"E_{j}_")]
+                assert len(row) == j // 2 + 1 and any(row), (j, row)
 
 
 @pytest.mark.parametrize("k", range(1, 6))

@@ -267,20 +267,23 @@ def test_closed_forms_fail_names_the_delta_j_generator(monkeypatch, family, what
     # closed-forms result with the text that names delta_2 and the class
     from hurwitzdiv import pushforward
 
-    real = pushforward.jc_rows
+    from hurwitzdiv.bases import ejc_offsets
+
+    real = pushforward.jc_family
 
     def off_by_one(k, fam):
-        rows = real(k, fam)
+        flat = real(k, fam)
         if fam != family:
-            return rows
-        row = rows[2]
-        return rows[:2] + ((row[0] + 1,) + row[1:],) + rows[3:]
+            return flat
+        # the entry (2, 0), the first of row 2
+        at = ejc_offsets(k)[2]
+        return flat[:at] + (flat[at] + 1,) + flat[at + 1 :]
 
     assert [(r.status, r.detail) for r in run_checks(4, 4, ["closed-forms"])] == [
         (PASS, ""),
         (PASS, ""),
     ]
-    monkeypatch.setattr(pushforward, "jc_rows", off_by_one)
+    monkeypatch.setattr(pushforward, "jc_family", off_by_one)
     results = run_checks(4, 4, ["closed-forms"])
     assert [(r.status, r.detail) for r in results] == [
         (PASS, ""),

@@ -50,7 +50,7 @@ from hurwitzdiv.trace import (
     alpha_table,
     catalan_number,
     e_coeff,
-    jc_rows,
+    jc_family,
     phi_pull_boundary,
     phi_pull_lambda,
     phihat_pull_boundary,
@@ -195,16 +195,19 @@ def test_numerators_are_the_rows_as_integers(k):
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_p_push_blocks_are_delta_j_and_the_e_row(k):
-    # p_* sends E_{j,c} to e_{j,c} delta_j only, over the denominator
-    # 2(2k - 1)
-    blocks = p_push(k)._blocks
-    assert len(blocks) == k + 1 and blocks[0] is None
-    e_rows = jc_rows(k, "e")
+    # p_* sends E_{j,c} to e_{j,c} delta_j only: its block is delta_1 ..
+    # delta_k beside the e family itself, not a copy, and each E_{j,c}
+    # column is e_{j,c} delta_j over the denominator 2(2k - 1)
+    push = p_push(k)
+    keys, weights = push._block
+    assert keys == tuple(delta(j) for j in range(1, k + 1))
+    assert weights is jc_family(k, "e")
+    assert push._den == 2 * (2 * k - 1)
     for j in range(1, k + 1):
-        target, row = blocks[j]
-        assert target == delta(j)
-        assert row == tuple(e * 2 * (2 * k - 1) for e in e_rows[j])
-        assert any(row)
+        for c in range(j // 2 + 1):
+            nums, den = push.numerators(Ejc(j, c))
+            assert Fraction(nums.pop(delta(j)), den) == e_coeff(k, j, c) > 0
+            assert nums == {}
 
 
 def eh_divisor_fraction_assembly(k):

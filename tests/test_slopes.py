@@ -225,30 +225,28 @@ def test_mobius_consistency():
 @pytest.mark.parametrize("variant", [TRACE, REDUCED])
 def test_slope_target_is_the_chained_sum(variant):
     # the one-pass target equals s * hodge - delta'_0 - ... - delta'_k
-    # built with the binary operators
+    # built with the binary operators, and its slope is the induced one
     from hurwitzdiv import pushforward
-    from hurwitzdiv.bases import IndexRangeError
     from hurwitzdiv.checks import _SLOPE_GRID
 
     if variant == TRACE:
         hodge_of, boundary_of = pushforward.p_phi_lambda, pushforward.p_phi_delta
     else:
         hodge_of, boundary_of = pushforward.p_phihat_lambda, pushforward.p_phihat_delta
-    for k in range(1, 16):
-        if variant == REDUCED and k == 1:
-            # the reduced trace curve has genus 0: delta'_1 does not exist
-            with pytest.raises(IndexRangeError):
-                slope_target(k, _SLOPE_GRID[0], variant)
-            continue
+    # below k = 3 the target is refused with the text of induced_slope
+    for k in (1, 2):
+        for refused in (slope_target, induced_slope):
+            with pytest.raises(ValueError, match=rf"stated for k >= 3, got k={k}$"):
+                refused(k, _SLOPE_GRID[0], variant)
+    for k in range(3, 16):
         chained = boundary_of(k, 0)
         for j in range(1, k + 1):
             chained = chained + boundary_of(k, j)
         for s in _SLOPE_GRID:
             assert slope_target(k, s, variant) == hodge_of(k) * s - chained
-            if k >= 3:
-                assert slope_of(slope_target(k, s, variant)).slope == induced_slope(
-                    k, s, variant
-                )
+            assert slope_of(slope_target(k, s, variant)).slope == induced_slope(
+                k, s, variant
+            )
 
 
 @pytest.mark.parametrize("variant", ["trace", "reduced"])

@@ -11,6 +11,7 @@ from hurwitzdiv.bases import (
     IndexRangeError,
     T2,
     T3j,
+    ejc_offsets,
     hurwitz_basis,
     linear_combination,
     m0b_sym_basis,
@@ -357,16 +358,19 @@ def test_e_rows_are_the_ballot_products():
         return comb(n, m) if 0 <= m <= n else 0
 
     for k in range(1, 41):
-        rows = trace_mod.jc_rows(k, "e")
+        flat, offsets = trace_mod.jc_family(k, "e"), ejc_offsets(k)
         for j in range(1, k + 1):
+            row = flat[offsets[j] : offsets[j + 1]]
+            assert len(row) == j // 2 + 1, (k, j)
             for c in range(j // 2 + 1):
                 first = binom(j, c) - binom(j, c - 1)
                 second = binom(2 * k - j, k - c) - binom(2 * k - j, k + 1 - c)
-                assert rows[j][c] == first * second, (k, j, c)
+                assert row[c] == first * second, (k, j, c)
 
 
-# The E_(j,c) row tables: each family is built once per k and read by
-# every builder, so each entry must equal its per-coefficient function.
+# The E_(j,c) families: each is built once per k as a flat tuple and
+# read by every builder, so each entry must equal its per-coefficient
+# function.
 
 _JC_ENTRIES = {
     "d": trace_mod._d_int,
@@ -377,24 +381,26 @@ _JC_ENTRIES = {
 }
 
 
-def test_jc_rows_match_the_per_coefficient_functions():
+def test_jc_family_matches_the_per_coefficient_functions():
     assert set(trace_mod.JC_FAMILIES) == {"e"} | set(_JC_ENTRIES)
     for k in range(1, 41):
-        rows = {family: trace_mod.jc_rows(k, family) for family in trace_mod.JC_FAMILIES}
-        for family, table in rows.items():
-            assert len(table) == k + 1 and table[0] == (), (k, family)
+        offsets = ejc_offsets(k)
+        flats = {family: trace_mod.jc_family(k, family) for family in trace_mod.JC_FAMILIES}
+        for family, flat in flats.items():
+            assert type(flat) is tuple and len(flat) == offsets[-1], (k, family)
         for j in range(1, k + 1):
-            assert list(rows["e"][j]) == e_row(k, j), (k, j)
+            rows = {family: list(flat[offsets[j] : offsets[j + 1]]) for family, flat in flats.items()}
+            assert rows["e"] == e_row(k, j), (k, j)
             for family, entry in _JC_ENTRIES.items():
                 expected = [entry(k, j, c) for c in range(j // 2 + 1)]
-                assert list(rows[family][j]) == expected, (k, j, family)
+                assert rows[family] == expected, (k, j, family)
 
 
-def test_jc_rows_refuse_unknown_input():
+def test_jc_family_refuses_unknown_input():
     with pytest.raises(ValueError, match="unknown"):
-        trace_mod.jc_rows(3, "x")
+        trace_mod.jc_family(3, "x")
     with pytest.raises(IndexRangeError):
-        trace_mod.jc_rows(0, "d")
+        trace_mod.jc_family(0, "d")
 
 
 def test_pulled_psi_is_shared_by_its_two_consumers():

@@ -50,8 +50,8 @@ def census(k):
     at k: the pushed classes, every p_*phi^*delta'_j and
     p_*phi-hat^*delta-hat_j up to j = k + 1 where the target has it
     (the higher ones are zero), both expected Hodge classes, the slope
-    targets (the reduced one from k = 2, where delta-hat_k exists), the
-    T2 image of the correspondence action and the canonical class."""
+    targets (from k = 3, where slopes are stated), the T2 image of the
+    correspondence action and the canonical class."""
     out = [
         ("p-phi-lambda", p_phi_lambda(k)),
         ("p-phihat-lambda", p_phihat_lambda(k)),
@@ -66,7 +66,7 @@ def census(k):
         out.append((f"p-phi-delta:{j}", p_phi_delta(k, j)))
     for j in range(min(k + 1, genus_reduced_trace(k) // 2) + 1):
         out.append((f"p-phihat-delta:{j}", p_phihat_delta(k, j)))
-    for variant in (TRACE, REDUCED) if k >= 2 else (TRACE,):
+    for variant in (TRACE, REDUCED) if k >= 3 else ():
         out.append((f"slope target {variant}", slope_target(k, Fraction(23, 2), variant)))
     return out
 
