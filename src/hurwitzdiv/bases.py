@@ -813,10 +813,11 @@ class ClassMap:
                 # q^* is the only map into Hurwitz(k), each of its columns
                 # owns its row j, and nothing composes after q^*: one write
                 # per row
-                j, entries = target_row
-                start = ejc_offsets(self.target.k)[j]
                 if out is None:
-                    out = list(_zero_flat(self.target))
+                    offsets = ejc_offsets(self.target.k)
+                    out = [0] * offsets[-1]
+                j, entries = target_row
+                start = offsets[j]
                 out[start : start + len(entries)] = [n * x for n in entries]
         if self._block:
             keys, weights = self._block
