@@ -376,11 +376,10 @@ class DivisorClass:
         # over the lcm of reduced denominators the numerators share no
         # factor with it, so the stored form is already in lowest terms
         den = lcm(*(value.denominator for value in values.values()))
-        hurwitz = basis.kind == HURWITZ
         nums = {}
-        flat = list(_zero_flat(basis))
+        flat = list(_zero_flat(basis))  # empty unless basis is Hurwitz(k)
         for key, value in values.items():
-            if hurwitz and key not in _HEAD_NAMES:
+            if flat and key not in _HEAD_NAMES:
                 j, c = _ejc_index(key)
                 flat[ejc_offsets(basis.k)[j] + c] = numerator_over(value, den)
             else:
@@ -824,13 +823,13 @@ class ClassMap:
             if row:
                 j, entries = row
                 start = ejc_offsets(self.source.k)[j]
-                dots = [(keys[j - 1], sum(map(mul, weights[start : start + len(entries)], entries)))]
+                part = weights[start : start + len(entries)]
+                dots = [(keys[j - 1], sum(map(mul, part, entries)))]
             else:
                 dots = zip(keys, row_sums(self.source.k, map(mul, weights, flat)) if flat else ())
-            den = self._den
             for t, s in dots:
                 if s:
-                    sums[t] = get(t, 0) + s * den
+                    sums[t] = get(t, 0) + s * self._den
         return _nonzero(sums), out
 
     def apply(self, d: DivisorClass) -> DivisorClass:

@@ -634,7 +634,7 @@ def test_linear_combination_edge_cases():
 def test_flat_layout_follows_the_basis_order():
     # built from one "E_j_" prefix per row and a shared index table, the
     # names must be those of Ejc(j, c) in the order of generators(), and
-    # row j must be the slice offsets[j:j + 2] of them
+    # row j must run from offsets[j] to offsets[j + 1]
     for k in range(1, 61):
         ejc = [g for g in Basis(HURWITZ, k).generators() if g.startswith("E_")]
         assert ejc_names(k) == tuple(ejc)
@@ -771,9 +771,9 @@ def test_compose_runs_on_integer_columns(monkeypatch):
             assert result.row(g) == row
 
 
-# Row layout: a Hurwitz(k) class keeps E0/E2/E3 in its head map and the
-# E_{j,c} constants in k + 1 rows, and carries no symbol.  For k = 1..6,
-# with empty rows, one-entry and dense classes, every operation must
+# Flat layout: a Hurwitz(k) class keeps E0/E2/E3 in its head map and the
+# E_{j,c} constants in one flat tuple, and carries no symbol.  For k =
+# 1..6, with zero, one-entry and dense classes, every operation must
 # agree with the affine model, and every result must be in the canonical
 # stored form.
 
@@ -781,8 +781,8 @@ HURWITZ_KS = st.integers(1, 6)
 
 
 def hurwitz_row_classes(k, values):
-    """Hurwitz(k) classes: zero, one entry, a few entries (mostly empty
-    rows) or every generator (every row full)."""
+    """Hurwitz(k) classes: zero, one entry, a few entries (mostly zero)
+    or every generator."""
     return basis_classes(hurwitz_basis(k), values)
 
 

@@ -389,7 +389,9 @@ def test_jc_family_matches_the_per_coefficient_functions():
         for family, flat in flats.items():
             assert type(flat) is tuple and len(flat) == offsets[-1], (k, family)
         for j in range(1, k + 1):
-            rows = {family: list(flat[offsets[j] : offsets[j + 1]]) for family, flat in flats.items()}
+            rows = {
+                family: list(flat[offsets[j] : offsets[j + 1]]) for family, flat in flats.items()
+            }
             assert rows["e"] == e_row(k, j), (k, j)
             for family, entry in _JC_ENTRIES.items():
                 expected = [entry(k, j, c) for c in range(j // 2 + 1)]
