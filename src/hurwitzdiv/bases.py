@@ -125,6 +125,19 @@ class IndexRangeError(ClassGroupError):
     """An index (j, c, boundary index, ...) is outside its legal range."""
 
 
+def require_k(k: int) -> None:
+    """Refuse a k that is not an ``int``, a bool included, then a k < 1."""
+    if type(k) is not int:
+        raise IndexRangeError(f"k must be an int, got {k!r} ({type(k).__name__})")
+    if k < 1:
+        raise IndexRangeError(f"k must be >= 1, got {k}")
+
+
+def scalar_type_error(x) -> TypeError:
+    """The error for a scalar that is neither an ``int`` nor a ``Fraction``."""
+    return TypeError(f"cannot interpret {type(x).__name__} as a rational scalar")
+
+
 HURWITZ = "Hurwitz"
 MG = "Mg"
 M0B_SYM = "M0bSym"
@@ -221,8 +234,7 @@ class Basis:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ClassGroupError(f"unknown basis kind {self.kind!r}")
-        if self.k < 1:
-            raise ClassGroupError(f"k must be >= 1, got {self.k}")
+        require_k(self.k)
 
     def contains(self, name: str) -> bool:
         return name in _generator_index(self.kind, self.k)
@@ -675,9 +687,7 @@ def linear_combination(
                 f"cannot combine classes over {basis} and {d.basis}"
             )
         if not isinstance(x, (int, Fraction)):
-            raise TypeError(
-                f"cannot interpret {type(x).__name__} as a rational scalar"
-            )
+            raise scalar_type_error(x)
         if x:
             scaled.append((x.numerator, d._den * x.denominator, d))
     if not scaled:

@@ -237,7 +237,6 @@ def _slopes(k: int, externals) -> None:
     for variant in (slopes.TRACE, slopes.REDUCED):
         for s in _SLOPE_GRID:
             slopes.induced_slope(k, s, variant)
-        slopes.mobius_consistency(k, variant)
     if k == 3:
         _require(
             slopes.induced_slope(3, Fraction(12), slopes.TRACE) == Fraction(489, 59),

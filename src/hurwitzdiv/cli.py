@@ -17,8 +17,9 @@ through the full argparse tree built from the same table:
 * ``m0n``: boundary combinatorics of pointed rational curves, for at
   most ``MAX_MARKED_POINTS`` points.
 * ``table``: per-k tables (genus data, slopes, coefficients) over a
-  range 1 <= k-min <= k-max.  An indexed class's coefficients table
-  skips each k without that class, and no such k at all is an error.
+  range 1 <= k-min <= k-max, one k's classes cached at a time.  An
+  indexed class's coefficients table skips each k without that class,
+  and no such k at all is an error.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for
 usage or input errors.
@@ -33,8 +34,8 @@ from fractions import Fraction
 from . import checks as checks_mod
 from . import m0b, pushforward, serialize, slopes, trace
 from .bases import DivisorClass, IndexRangeError, T2, T3j, UnknownGeneratorError
-from .core import INDEX_GRAMMAR, format_rational, is_index_literal, parse_rational
-from .core import parse_ratio
+from .core import INDEX_GRAMMAR, clear_caches, format_rational, is_index_literal
+from .core import parse_ratio, parse_rational
 from .pushforward import PER_FACTORIAL_B, RAW
 from .slopes import VerificationError
 
@@ -212,6 +213,14 @@ def _cmd_m0n(args) -> int:
     return 0
 
 
+def _each_k(k_range: range):
+    """The k of ``k_range``, the builder caches emptied between two."""
+    for k in k_range:
+        if k > k_range.start:
+            clear_caches()
+        yield k
+
+
 def _table_rows(args) -> tuple[list[str], list[list[str]]]:
     quantity = args.quantity
     if not 1 <= args.k_min <= args.k_max:
@@ -220,7 +229,7 @@ def _table_rows(args) -> tuple[list[str], list[list[str]]]:
     if quantity == "genus":
         columns = ["k", "g", "d", "b", "g_prime", "g_hat", "prym_dim"]
         rows = []
-        for k in k_range:
+        for k in _each_k(k_range):
             gd = trace.genus_data(k)
             rows.append(
                 [str(v) for v in (gd.k, gd.g, gd.d, gd.b, gd.g_prime, gd.g_hat, gd.prym_dim)]
@@ -229,7 +238,7 @@ def _table_rows(args) -> tuple[list[str], list[list[str]]]:
     if quantity == "kappa-slope":
         columns = ["k", "slope"]
         return columns, [
-            [str(k), format_rational(slopes.kappa_slope_bound(k))] for k in k_range
+            [str(k), format_rational(slopes.kappa_slope_bound(k))] for k in _each_k(k_range)
         ]
     if quantity == "slope-bound":
         if args.k_max < 3:
@@ -244,14 +253,14 @@ def _table_rows(args) -> tuple[list[str], list[list[str]]]:
                 format_rational(slopes.induced_slope(k, Fraction(11), slopes.REDUCED)),
                 format_rational(6 + Fraction(20, 2 * k)),
             ]
-            for k in range(max(args.k_min, 3), args.k_max + 1)
+            for k in _each_k(range(max(args.k_min, 3), args.k_max + 1))
         ]
     if quantity.startswith("coefficients:"):
         name = quantity.split(":", 1)[1]
         columns = ["k", "generator", "coefficient"]
         rows = []
         missing = []
-        for k in k_range:
+        for k in _each_k(k_range):
             try:
                 d, _, scale = _resolve_class(name, k, args.normalized)
             except (IndexRangeError, UnknownGeneratorError) as exc:

@@ -237,8 +237,8 @@ def p_phi_lambda_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
     :func:`p_phi_lambda` in per-factorial-b normalization; valid for
     k >= 3 (below that the E2/E3 generators are missing)."""
     n = catalan_number(k)
-    lam = n * Fraction(18 * k**3 + 31 * k * k - 69 * k + 11, 2 * k - 1)
-    d0 = -n * Fraction(3 * k**3 - 5 * k + 1, 2 * k - 1)
+    lam = Fraction(n * (18 * k**3 + 31 * k * k - 69 * k + 11), 2 * k - 1)
+    d0 = Fraction(-n * (3 * k**3 - 5 * k + 1), 2 * k - 1)
     return lam, d0
 
 
@@ -246,8 +246,8 @@ def p_phihat_lambda_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
     """Closed-form (lambda, delta_0) coefficients of
     :func:`p_phihat_lambda`, stated for k >= 3."""
     n = catalan_number(k)
-    lam = n * Fraction(18 * k**3 + 19 * k * k - 117 * k + 20, 2 * (2 * k - 1))
-    d0 = -n * Fraction((k - 2) * (3 * k * k + 4 * k - 1), 2 * (2 * k - 1))
+    lam = Fraction(n * (18 * k**3 + 19 * k * k - 117 * k + 20), 2 * (2 * k - 1))
+    d0 = Fraction(-n * (k - 2) * (3 * k * k + 4 * k - 1), 2 * (2 * k - 1))
     return lam, d0
 
 
@@ -255,8 +255,8 @@ def p_phi_delta0_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
     """Closed-form (lambda, delta_0) coefficients of the pushed
     boundary class delta'_0, per-factorial-b."""
     n = catalan_number(k)
-    lam = 6 * n * Fraction((6 * k - 1) * (2 * k * k + 3 * k - 8), 2 * k - 1)
-    d0 = -2 * n * Fraction(6 * k**3 - 3 * k * k - 10 * k + 2, 2 * k - 1)
+    lam = Fraction(6 * n * (6 * k - 1) * (2 * k * k + 3 * k - 8), 2 * k - 1)
+    d0 = Fraction(-2 * n * (6 * k**3 - 3 * k * k - 10 * k + 2), 2 * k - 1)
     return lam, d0
 
 
@@ -264,8 +264,8 @@ def p_phihat_delta0_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
     """Closed-form (lambda, delta_0) coefficients of the pushed
     reduced-trace boundary class, per-factorial-b."""
     n = catalan_number(k)
-    lam = 6 * n * Fraction((6 * k - 1) * (k + 3) * (k - 2), 2 * k - 1)
-    d0 = -n * Fraction(6 * k**3 - 6 * k * k - 15 * k + 3, 2 * k - 1)
+    lam = Fraction(6 * n * (6 * k - 1) * (k + 3) * (k - 2), 2 * k - 1)
+    d0 = Fraction(-n * (6 * k**3 - 6 * k * k - 15 * k + 3), 2 * k - 1)
     return lam, d0
 
 

@@ -15,31 +15,37 @@ the proviso unknown at every j, and a class without one is decided
 delta_j by delta_j; the :class:`AffineExpr` witnesses are built only
 when read.
 
-An induced slope is a Moebius map of the source slope s = p/q.  Both of
-its routes, the closed form and the one read from the numerators of the
-pushed classes, are pairs of integer linear polynomials, evaluated at
-(p, q) in integers and compared by cross-multiplying; one ``Fraction``
-is built for the result.
+An induced slope, that of s p_*phi^*lambda - p_*phi^*delta'_0, is a
+Moebius map of s = p/q built from the lambda and delta_0 coefficients of
+the two pushed classes, closed (``pushforward``) or as built: two integer
+pairs, cached per (k, variant), evaluated at (p, q) and compared in
+integers; one ``Fraction`` is built for the result.
 
 The correspondence phi (trace curve) is the variant ``TRACE``, phi-hat
 (reduced trace curve) is ``REDUCED``; ``_pushed`` alone maps a variant
-to its pushed builders, and an unknown variant is a ``ValueError``.
+to its pushed builders and their closed forms, and an unknown variant
+is a ``ValueError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .bases import B_WEIGHT, C_WEIGHT, DivisorClass, LAMBDA, MG, delta, delta_names
-from .bases import linear_combination, mg_basis
+from .bases import linear_combination, mg_basis, numerator_over, scalar_type_error
 from .core import AffineExpr, RationalLike, format_rational, per_k_cache
 from .pushforward import (
     p_phi_delta,
+    p_phi_delta0_closed_coeffs,
     p_phi_lambda,
+    p_phi_lambda_closed_coeffs,
     p_phihat_delta,
+    p_phihat_delta0_closed_coeffs,
     p_phihat_lambda,
+    p_phihat_lambda_closed_coeffs,
     p_push,
     p_q_kappa,
 )
@@ -133,66 +139,41 @@ def slope_of(d: DivisorClass) -> SlopeReport:
 _MobiusPair = tuple[tuple[int, int], tuple[int, int]]
 
 
-def _mobius_closed(k: int, variant: str) -> _MobiusPair:
-    """Numerator and denominator of the closed-form induced slope as
-    integer linear polynomials in the source slope."""
-    if variant == TRACE:
-        n1 = 18 * k**3 + 31 * k * k - 69 * k + 11
-        n0 = -72 * k**3 - 96 * k * k + 306 * k - 48
-        q1 = 3 * k**3 - 5 * k + 1
-        q0 = -12 * k**3 + 6 * k * k + 20 * k - 4
-    elif variant == REDUCED:
-        n1 = 18 * k**3 + 19 * k * k - 117 * k + 20
-        n0 = -72 * k**3 - 60 * k * k + 444 * k - 72
-        q1 = 3 * k**3 - 2 * k * k - 9 * k + 2
-        q0 = -12 * k**3 + 12 * k * k + 30 * k - 6
-    else:
-        raise ValueError(f"unknown slope variant {variant!r}")
-    return (n1, n0), (q1, q0)
-
-
 def _pushed(variant: str):
-    """The builders k -> p_*phi^*lambda and (k, j) -> p_*phi^*delta'_j of
-    the variant, and k -> the Hurwitz-side sum of phi^*delta'_j over
-    j = 1..k; phi-hat in place of phi for ``REDUCED``."""
+    """k -> p_*phi^*lambda, (k, j) -> p_*phi^*delta'_j, k -> the Hurwitz-side
+    sum of phi^*delta'_j over j = 1..k, and the closed (lambda, delta_0) of
+    the first two (j = 0) as functions of k; phi-hat for ``REDUCED``."""
     if variant == TRACE:
-        return p_phi_lambda, p_phi_delta, phi_pull_boundary_sum
+        builders = p_phi_lambda, p_phi_delta, phi_pull_boundary_sum
+        return builders + (p_phi_lambda_closed_coeffs, p_phi_delta0_closed_coeffs)
     if variant == REDUCED:
-        return p_phihat_lambda, p_phihat_delta, phihat_pull_boundary_sum
+        builders = p_phihat_lambda, p_phihat_delta, phihat_pull_boundary_sum
+        return builders + (p_phihat_lambda_closed_coeffs, p_phihat_delta0_closed_coeffs)
     raise ValueError(f"unknown slope variant {variant!r}")
 
 
+def _mobius_pair(hodge: tuple, boundary: tuple) -> _MobiusPair:
+    """The slope of s A - B, from the (lambda, delta_0) coefficients of the
+    pushed Hodge and boundary classes A and B: the integer Moebius pair
+    ((lambda_A, -lambda_B), (-delta0_A, delta0_B)) over their denominators' lcm."""
+    (lam_a, d0_a), (lam_b, d0_b) = hodge, boundary
+    den = lcm(lam_a.denominator, lam_b.denominator, d0_a.denominator, d0_b.denominator)
+    n1, n0, q1, q0 = [numerator_over(x, den) for x in (lam_a, lam_b, d0_a, d0_b)]
+    return (n1, -n0), (-q1, q0)
+
+
 @per_k_cache
-def _mobius_substitution(k: int, variant: str) -> tuple[_MobiusPair, int]:
-    """The same Moebius map assembled from the pushed Hodge class A and
-    boundary class B, as integer polynomials over the common denominator
-    den_A * den_B, and that denominator: the ratio cancels it.  Read
-    once per (k, variant), as every induced slope of that k and variant
-    uses the same two pairs."""
-    hodge_of, boundary_of, _ = _pushed(variant)
-    a, den_a, _ = _mg_numerators(hodge_of(k))
-    b, den_b, _ = _mg_numerators(boundary_of(k, 0))
-    pair = (
-        (a.get(LAMBDA, 0) * den_b, -b.get(LAMBDA, 0) * den_a),
-        (-a.get(_DELTA_0, 0) * den_b, b.get(_DELTA_0, 0) * den_a),
-    )
-    return pair, den_a * den_b
+def _mobius_closed(k: int, variant: str) -> _MobiusPair:
+    """The Moebius pair from the closed forms of the two pushed classes."""
+    _, _, _, hodge, boundary = _pushed(variant)
+    return _mobius_pair(hodge(k), boundary(k))
 
 
-def mobius_consistency(k: int, variant: str) -> Fraction:
-    """Assert that the substitution-route Moebius coefficients are a
-    common rational multiple of the closed-form ones and return that
-    factor."""
-    (n1, n0), (q1, q0) = _mobius_closed(k, variant)
-    ((a1, a0), (d1, d0)), den = _mobius_substitution(k, variant)
-    if n1 == 0 or a1 == 0:
-        raise VerificationError(f"degenerate Moebius data at k={k}")
-    # (a0, d1, d0) = rho (n0, q1, q0) with rho = a1 / n1, by cross-products
-    if a0 * n1 != a1 * n0 or d1 * n1 != a1 * q1 or d0 * n1 != a1 * q0:
-        raise VerificationError(
-            f"Moebius coefficients disagree at k={k} for variant {variant!r}"
-        )
-    return Fraction(a1, n1 * den)
+@per_k_cache
+def _mobius_substitution(k: int, variant: str) -> _MobiusPair:
+    """The same Moebius pair read from the two pushed classes as built."""
+    hodge, boundary, _, _, _ = _pushed(variant)
+    return _mobius_pair(lambda_delta0(hodge(k)), lambda_delta0(boundary(k, 0)))
 
 
 def _evaluate(pair: _MobiusPair, s: Fraction) -> tuple[int, int]:
@@ -213,11 +194,14 @@ def _check_induced_k(k: int) -> None:
 
 def induced_slope(k: int, s: RationalLike, variant: str) -> Fraction:
     """Slope of the image of a divisor of slope s on the trace (or reduced
-    trace) curve moduli; closed form and substitution must agree exactly."""
+    trace) curve moduli; closed form and substitution must agree exactly.
+    It refuses k < 3, then an s that is not an ``int`` or ``Fraction``."""
     _check_induced_k(k)
+    if not isinstance(s, (int, Fraction)):
+        raise scalar_type_error(s)
     s = Fraction(s)
     num, den = _evaluate(_mobius_closed(k, variant), s)
-    sub_num, sub_den = _evaluate(_mobius_substitution(k, variant)[0], s)
+    sub_num, sub_den = _evaluate(_mobius_substitution(k, variant), s)
     if num * sub_den != sub_num * den:
         raise VerificationError(
             f"closed form {Fraction(num, den)} != substitution route "
@@ -235,7 +219,7 @@ def slope_target(k: int, s: RationalLike, variant: str) -> DivisorClass:
     cached classes that :func:`induced_slope` reads too.  Like
     :func:`induced_slope`, it refuses k < 3."""
     _check_induced_k(k)
-    hodge, boundary, boundary_sum = _pushed(variant)
+    hodge, boundary, boundary_sum, _, _ = _pushed(variant)
     higher = p_push(k).apply(boundary_sum(k))
     terms = ((s, hodge(k)), (-1, boundary(k, 0)), (-1, higher))
     return linear_combination(mg_basis(k), terms)

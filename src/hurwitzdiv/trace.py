@@ -51,6 +51,7 @@ from .bases import (
     hurwitz_head,
     linear_combination,
     m0b_sym_basis,
+    require_k,
     row_sums,
     zero_class,
 )
@@ -76,8 +77,7 @@ def genus_data(k: int) -> GenusData:
     """Genus bookkeeping for covers of genus 2k and degree k+1: g' is
     :func:`genus_trace`, the Prym dimension g' - g-hat.  The ``genus``
     check compares g' with (g - 1)(2d - 3) + (d - 1)^2."""
-    if k < 1:
-        raise IndexRangeError(f"k must be >= 1, got {k}")
+    require_k(k)
     g_prime, g_hat = genus_trace(k), genus_reduced_trace(k)
     return GenusData(k, 2 * k, k + 1, 6 * k, g_prime, g_hat, g_prime - g_hat)
 
@@ -87,8 +87,7 @@ def catalan_number(k: int) -> int:
     """N(k) = C(2k, k)/(k+1), the number of degree-(k+1) pencils on a
     general curve of genus 2k, as an int: k + 1 divides C(2k, k).  The
     ``catalan`` check compares k N(k) with C(2k, k+1)."""
-    if k < 1:
-        raise IndexRangeError(f"k must be >= 1, got {k}")
+    require_k(k)
     return comb(2 * k, k) // (k + 1)
 
 
@@ -273,8 +272,7 @@ def jc_family(k: int, family: str) -> tuple[int, ...]:
     last two are derived from the cached ``"a"``, ``"d"`` and ``"s"``
     families.  Each (k, family) is built on first use, so a caller that
     needs one family pays for that one alone."""
-    if k < 1:
-        raise IndexRangeError(f"k must be >= 1, got {k}")
+    require_k(k)
     if family not in _FAMILIES:
         raise ValueError(f"unknown E_(j,c) family {family!r}; known: {JC_FAMILIES}")
     return tuple(_FAMILIES[family](k))
@@ -441,9 +439,8 @@ def twelve_lambda_reduced_closed(k: int) -> DivisorClass:
 
 
 def _check_boundary_index(k: int, j: int, genus: Callable[[int], int]) -> None:
-    """Refuse k < 1, then an index j outside 0..floor(g/2), g = genus(k)."""
-    if k < 1:
-        raise IndexRangeError(f"k must be >= 1, got {k}")
+    """Refuse a bad k, then an index j outside 0..floor(g/2), g = genus(k)."""
+    require_k(k)
     if not 0 <= j <= genus(k) // 2:
         raise IndexRangeError(f"boundary index {j} out of range 0..{genus(k) // 2}")
 

@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,37 @@ def test_basis_validation():
         Basis("Nope", 1)
     with pytest.raises(ValueError):
         Basis(HURWITZ, 0)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, Decimal(3)])
+def test_every_k_check_refuses_a_k_that_is_not_an_int(k):
+    # one rule for the bases and the builders that check k; a float, a
+    # bool or a Decimal would otherwise build Mg(k=2.0), genus 5.0 or
+    # Hurwitz(k=True)
+    from hurwitzdiv import trace
+    from hurwitzdiv.bases import IndexRangeError
+    from hurwitzdiv.core import clear_caches
+
+    builders = (
+        mg_basis,
+        hurwitz_basis,
+        trace.genus_data,
+        trace.catalan_number,
+        lambda k: trace.jc_family(k, "e"),
+        trace.delta_tau,
+        lambda k: trace.phi_pull_boundary(k, 1),
+        lambda k: trace.phihat_pull_boundary(k, 0),
+    )
+    # a cached builder is asked only on a miss: a bool or a float equal
+    # to a cached int would be answered from that entry
+    clear_caches()
+    for build in builders:
+        with pytest.raises(IndexRangeError) as exc:
+            build(k)
+        assert str(exc.value) == f"k must be an int, got {k!r} ({type(k).__name__})"
+        with pytest.raises(IndexRangeError) as exc:
+            build(0)
+        assert str(exc.value) == "k must be >= 1, got 0"
 
 
 def test_builtin_pushforward_map_linearity():

@@ -313,10 +313,10 @@ def test_closed_forms_reads_a_fixed_number_of_coefficients(monkeypatch):
 
 
 def test_a_cold_verify_reads_each_mobius_pair_once(monkeypatch):
-    # the Moebius pair of each variant is read from the numerators of its
-    # two pushed classes once per k: one read per (k, variant), 2 x 2
-    # numerator reads, beside the 6 + 6 lambda_delta0 reads of
-    # closed-forms and hygiene and the 1 of bounds
+    # the Moebius pair of each variant is read from the lambda_delta0 of
+    # its two pushed classes once per k: one read per (k, variant), 2 x 2
+    # reads, beside the 6 + 6 lambda_delta0 reads of closed-forms and
+    # hygiene and the 1 of bounds; each of them reads the numerators once
     from hurwitzdiv import checks as checks_mod
     from hurwitzdiv import slopes
     from hurwitzdiv.core import clear_caches
@@ -342,8 +342,8 @@ def test_a_cold_verify_reads_each_mobius_pair_once(monkeypatch):
         assert FAIL not in {r.status for r in run_checks(k, k)}
         variants = 2 if k >= 3 else 0
         assert slopes._mobius_substitution.cache_info().misses == variants, k
-        assert len(pairs) == expected, k
-        assert len(nums) == expected + 2 * variants, k
+        assert len(pairs) == expected + 2 * variants, k
+        assert len(nums) == len(pairs), k
     clear_caches()
 
 

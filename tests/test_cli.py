@@ -579,6 +579,33 @@ def test_slope_bound_table_with_no_k_from_3_is_refused(capsys):
     assert out.splitlines()[1:] == ["3,4321/523,1181/143,28/3"]
 
 
+@pytest.mark.parametrize(
+    "quantity",
+    ["genus", "kappa-slope", "slope-bound", "coefficients:p-q-kappa", "coefficients:phi-delta:2"],
+)
+def test_a_table_keeps_only_the_last_k_in_the_caches(capsys, quantity):
+    # like a verify sweep, a table empties the builder caches between two
+    # values of k: after 1..6 they hold what 6..6 alone leaves, with the
+    # same rows for k = 6
+    from hurwitzdiv.core import builder_caches, clear_caches
+
+    def table(k_min):
+        clear_caches()
+        code, out, _ = run(
+            capsys, "table", "--quantity", quantity, "--k-min", k_min, "--k-max", "6",
+            "--format", "csv",
+        )
+        assert code == 0
+        return out.splitlines(), [c.cache_info().currsize for c in builder_caches()]
+
+    swept, swept_sizes = table("1")
+    single, single_sizes = table("6")
+    assert swept_sizes == single_sizes
+    assert sum(single_sizes) > 0
+    assert swept[-(len(single) - 1):] == single[1:]
+    clear_caches()
+
+
 @pytest.mark.parametrize("quantity", ["genus", "slope-bound", "coefficients:delta-tau"])
 @pytest.mark.parametrize("k_min, k_max", [("3", "1"), ("-2", "3"), ("0", "0")])
 def test_table_refuses_an_invalid_range(capsys, quantity, k_min, k_max):
@@ -874,13 +901,15 @@ _INPUT_ERRORS = {
     "class phi-lambda --k 0",
     "class phi-delta:1 --k 0",
     "class phihat-delta:1 --k 0",
+    "slope --k 3 --s-prime 214/67 --variant trace",
+    "slope --k 3 --s-prime 66/19 --variant reduced",
 }
 
 
 def test_command_list_is_whole():
     # every command of the CI list, every table valid JSON and read by
     # some command
-    assert len(_COMMANDS) == 50
+    assert len(_COMMANDS) == 52
     assert _INPUT_ERRORS <= {" ".join(argv) for argv in _COMMANDS}
     named = {arg for argv in _COMMANDS for arg in argv}
     assert set(_TABLES) <= named

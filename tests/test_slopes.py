@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from hurwitzdiv.slopes import (
     induced_slope,
     kappa_proviso,
     kappa_slope_bound,
-    mobius_consistency,
     slope_of,
     slope_target,
 )
@@ -162,7 +162,7 @@ def test_both_moebius_routes_have_the_pole_of_the_closed_form(variant):
         (_, (q1, q0)) = closed
         pole = Fraction(-q0, q1)
         text = f"slope denominator vanishes at s = {pole}"
-        for pair in (closed, _mobius_substitution(k, variant)[0]):
+        for pair in (closed, _mobius_substitution(k, variant)):
             with pytest.raises(PoleError) as exc:
                 _evaluate(pair, pole)
             assert str(exc.value) == text
@@ -171,16 +171,50 @@ def test_both_moebius_routes_have_the_pole_of_the_closed_form(variant):
         clear_caches()
 
 
-def test_mobius_consistency_factor_is_the_fraction_ratio():
-    # rho is the substitution-route lambda coefficient of the pushed Hodge
-    # class over n1 of the closed form
-    from hurwitzdiv.pushforward import p_phihat_lambda
-    from hurwitzdiv.slopes import _mobius_closed, lambda_delta0
+def _paper_mobius(k, variant):
+    # the paper's induced slope (n1 s + n0)/(q1 s + q0), written out as
+    # cubics in k: the reference the derived pairs are held to
+    if variant == TRACE:
+        n1 = 18 * k**3 + 31 * k * k - 69 * k + 11
+        n0 = -72 * k**3 - 96 * k * k + 306 * k - 48
+        q1 = 3 * k**3 - 5 * k + 1
+        q0 = -12 * k**3 + 6 * k * k + 20 * k - 4
+    else:
+        n1 = 18 * k**3 + 19 * k * k - 117 * k + 20
+        n0 = -72 * k**3 - 60 * k * k + 444 * k - 72
+        q1 = 3 * k**3 - 2 * k * k - 9 * k + 2
+        q0 = -12 * k**3 + 12 * k * k + 30 * k - 6
+    return n1, n0, q1, q0
 
-    for k in (3, 7, 20):
-        for variant, hodge in ((TRACE, p_phi_lambda), (REDUCED, p_phihat_lambda)):
-            (n1, _), _ = _mobius_closed(k, variant)
-            assert mobius_consistency(k, variant) == lambda_delta0(hodge(k))[0] / n1
+
+@pytest.mark.parametrize("variant", [TRACE, REDUCED])
+def test_the_derived_closed_pair_is_a_positive_multiple_of_the_paper_cubics(variant):
+    # the pair built from pushforward's closed (lambda, delta_0) forms is
+    # rho times the paper's, rho > 0, so every value and every sign of
+    # its denominator is the paper's
+    from hurwitzdiv.core import clear_caches
+    from hurwitzdiv.slopes import _mobius_closed
+
+    for k in range(3, 201):
+        (n1, n0), (q1, q0) = _mobius_closed(k, variant)
+        paper = _paper_mobius(k, variant)
+        rho = Fraction(n1, paper[0])
+        assert rho > 0, k
+        assert (n1, n0, q1, q0) == tuple(rho * x for x in paper), k
+    clear_caches()
+
+
+@pytest.mark.parametrize("s", [0.1, "12", Decimal(12), 12.0])
+def test_induced_slope_refuses_a_scalar_that_is_not_rational(s):
+    # with the text of slope_target, after the k < 3 refusal
+    text = f"cannot interpret {type(s).__name__} as a rational scalar"
+    for variant in (TRACE, REDUCED):
+        for refused in (induced_slope, slope_target):
+            with pytest.raises(TypeError) as exc:
+                refused(3, s, variant)
+            assert str(exc.value) == text
+            with pytest.raises(ValueError, match=r"stated for k >= 3, got k=2$"):
+                refused(2, s, variant)
 
 
 def test_a_kappa_slope_without_a_table_builds_no_witness(monkeypatch, capsys):
@@ -211,15 +245,6 @@ def test_a_kappa_slope_without_a_table_builds_no_witness(monkeypatch, capsys):
 def test_induced_slope_reduced_spot_value():
     # (163*12 - 612)/(19*12 - 66)
     assert induced_slope(3, Fraction(12), REDUCED) == Fraction(224, 27)
-
-
-def test_mobius_consistency():
-    for k in (3, 5, 11):
-        rho_trace = mobius_consistency(k, TRACE)
-        rho_reduced = mobius_consistency(k, REDUCED)
-        assert rho_trace > 0 and rho_reduced > 0
-    with pytest.raises(ValueError):
-        mobius_consistency(3, "nope")
 
 
 @pytest.mark.parametrize("variant", [TRACE, REDUCED])
