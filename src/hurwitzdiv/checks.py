@@ -22,9 +22,9 @@ symbol on lambda or delta_0 cannot occur: the class store refuses it.
 Any other exception is a defect or bad input and propagates out of
 :func:`run_checks`.  The builders compare nothing; where a quantity
 has two expressions, the builder takes one and a check compares the
-other.  A sweep over several k empties the builder caches between two
-values of k (``core.clear_caches``), so it holds one k's classes at a
-time.
+other.  A sweep over several k walks ``core.each_k``, which empties the
+builder caches between two values of k, so it holds one k's classes at
+a time.
 
 Each identity is stated once: ``closed-forms``, ``hygiene`` and
 ``delta-j-checks`` read one list of the pushed classes
@@ -55,7 +55,7 @@ from typing import Callable
 
 from . import m0b, pushforward, slopes, trace
 from .bases import DivisorClass, E0, E3, Ejc, T2, T3j, delta, hurwitz_basis
-from .core import clear_caches
+from .core import each_k
 from .pushforward import ExternalCoeffs
 from .slopes import SlopeError, VerificationError, lambda_delta0
 
@@ -390,8 +390,7 @@ def run_checks(
     return the individual results.  Each named check runs once, in the
     order it was first named; ``all`` anywhere among the names, or no
     names, runs every check once, in registry order."""
-    if not 1 <= k_min <= k_max:
-        raise ValueError(f"invalid range 1 <= {k_min} <= {k_max}")
+    ks = each_k(k_min, k_max)
     if externals is not None and not k_min <= externals.k <= k_max:
         raise ValueError(
             f"external table is for k={externals.k}, not k={k_min}..{k_max}"
@@ -405,9 +404,7 @@ def run_checks(
     if ALL in selected:
         selected = list(CHECKS)
     results: list[CheckResult] = []
-    for k in range(k_min, k_max + 1):
-        if k > k_min:
-            clear_caches()
+    for k in ks:
         for name in selected:
             results.extend(CHECKS[name](k, externals))
     return results

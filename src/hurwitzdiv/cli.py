@@ -16,10 +16,13 @@ through the full argparse tree built from the same table:
   variant goes to ``slopes.induced_slope``/``slope_target`` as it is.
 * ``m0n``: boundary combinatorics of pointed rational curves, for at
   most ``MAX_MARKED_POINTS`` points.
-* ``table``: per-k tables (genus data, slopes, coefficients) over a
-  range 1 <= k-min <= k-max, one k's classes cached at a time.  An
-  indexed class's coefficients table skips each k without that class,
-  and no such k at all is an error.
+* ``table``: per-k tables swept by ``core.each_k``; the table registry
+  ``_TABLES`` (columns, first k, row of one k) also writes the help.
+  An indexed class's coefficients table skips each k without that
+  class, and no such k at all is an error.
+
+Each handler returns (text, exit code); ``main`` writes the text once,
+to stdout or ``--out``, so an error writes no file.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for
 usage or input errors.
@@ -29,12 +32,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, fields
 from fractions import Fraction
 
 from . import checks as checks_mod
 from . import m0b, pushforward, serialize, slopes, trace
 from .bases import DivisorClass, IndexRangeError, T2, T3j, UnknownGeneratorError
-from .core import INDEX_GRAMMAR, clear_caches, format_rational, is_index_literal
+from .core import INDEX_GRAMMAR, each_k, format_rational, is_index_literal
 from .core import parse_ratio, parse_rational
 from .pushforward import PER_FACTORIAL_B, RAW
 from .slopes import VerificationError
@@ -101,27 +105,16 @@ def _resolve_class(name: str, k: int, normalized: bool) -> tuple[DivisorClass, s
     return d, RAW, pushforward.factorial_b(k)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
-def _cmd_class(args) -> int:
+def _cmd_class(args) -> tuple[str, int]:
     d, mode, scale = _resolve_class(args.name, args.k, args.normalized)
     if args.format == "json":
-        text = serialize.class_to_json(d, mode, scale)
-    elif args.format == "csv":
-        text = serialize.class_to_csv(d, scale)
-    else:
-        text = serialize.class_to_md(d, scale)
-    _emit(text, args.out)
-    return 0
+        return serialize.class_to_json(d, mode, scale), 0
+    if args.format == "csv":
+        return serialize.class_to_csv(d, scale), 0
+    return serialize.class_to_md(d, scale), 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     externals = serialize.load_externals(args.externals) if args.externals else None
     names = None if args.checks is None else [n.strip() for n in args.checks.split(",")]
     results = checks_mod.run_checks(args.k_min, args.k_max, names, externals)
@@ -135,11 +128,10 @@ def _cmd_verify(args) -> int:
     failed = sum(1 for r in results if r.status == checks_mod.FAIL)
     skipped = sum(1 for r in results if r.status == checks_mod.SKIP)
     lines.append(f"summary: {passed} passed, {failed} failed, {skipped} skipped")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 1 if failed else 0
+    return "\n".join(lines) + "\n", 1 if failed else 0
 
 
-def _cmd_slope(args) -> int:
+def _cmd_slope(args) -> tuple[str, int]:
     externals = serialize.load_externals(args.externals) if args.externals else None
     k = args.k
     if externals is not None and externals.k != k:
@@ -164,13 +156,11 @@ def _cmd_slope(args) -> int:
         raise VerificationError(
             f"slope {report.slope} differs from the induced-slope value {induced}"
         )
-    text = (
+    return (
         f"{format_rational(report.slope)} "
         f"≈ {serialize.decimal_approx(report.slope)} "
         f"validity={report.valid.lower()}\n"
-    )
-    _emit(text, args.out)
-    return 0
+    ), 0
 
 
 def _parse_set(text: str) -> set[int]:
@@ -189,7 +179,7 @@ def integer(text: str) -> int:
     return parse_ratio(text)[0]
 
 
-def _cmd_m0n(args) -> int:
+def _cmd_m0n(args) -> tuple[str, int]:
     b = args.b
     if b > MAX_MARKED_POINTS:
         raise UsageError(f"--b is capped at {MAX_MARKED_POINTS} marked points, got {b}")
@@ -198,69 +188,54 @@ def _cmd_m0n(args) -> int:
     if op == "count":
         if sets:
             raise UsageError("count takes no set arguments")
-        text = f"{m0b.count_boundary(b)}\n"
-    elif op == "normalize":
+        return f"{m0b.count_boundary(b)}\n", 0
+    if op == "normalize":
         if len(sets) != 1:
             raise UsageError("normalize takes exactly one set argument")
-        text = f"{m0b.normalize(b, _parse_set(sets[0]))}\n"
-    else:
-        if len(sets) != 2:
-            raise UsageError("intersect takes exactly two set arguments")
-        first = m0b.normalize(b, _parse_set(sets[0]))
-        second = m0b.normalize(b, _parse_set(sets[1]))
-        text = ("nonempty" if m0b.intersect_nonempty(first, second) else "empty") + "\n"
-    _emit(text, args.out)
-    return 0
+        return f"{m0b.normalize(b, _parse_set(sets[0]))}\n", 0
+    if len(sets) != 2:
+        raise UsageError("intersect takes exactly two set arguments")
+    first = m0b.normalize(b, _parse_set(sets[0]))
+    second = m0b.normalize(b, _parse_set(sets[1]))
+    return ("nonempty" if m0b.intersect_nonempty(first, second) else "empty") + "\n", 0
 
 
-def _each_k(k_range: range):
-    """The k of ``k_range``, the builder caches emptied between two."""
-    for k in k_range:
-        if k > k_range.start:
-            clear_caches()
-        yield k
+# quantity -> (columns, first k, row of one k), in the order the table
+# help lists them; a range with no k from the first is refused.  The
+# coefficients of a class, several rows per k, are the one other quantity.
+_TABLES = {
+    "genus": (
+        tuple(field.name for field in fields(trace.GenusData)),
+        1,
+        lambda k: [str(v) for v in astuple(trace.genus_data(k))],
+    ),
+    "kappa-slope": (
+        ("k", "slope"),
+        1,
+        lambda k: [str(k), format_rational(slopes.kappa_slope_bound(k))],
+    ),
+    "slope-bound": (
+        ("k", "trace_slope_s11", "reduced_slope_s11", "bound_6_20_g"),
+        3,
+        lambda k: [
+            str(k),
+            format_rational(slopes.induced_slope(k, Fraction(11), slopes.TRACE)),
+            format_rational(slopes.induced_slope(k, Fraction(11), slopes.REDUCED)),
+            format_rational(6 + Fraction(20, 2 * k)),
+        ],
+    ),
+}
+_COEFFICIENTS = "coefficients:"
+_COEFFICIENT_COLUMNS = ("k", "generator", "coefficient")
 
 
-def _table_rows(args) -> tuple[list[str], list[list[str]]]:
+def _table_rows(args) -> tuple[tuple[str, ...], list[list[str]]]:
     quantity = args.quantity
-    if not 1 <= args.k_min <= args.k_max:
-        raise UsageError(f"invalid range 1 <= {args.k_min} <= {args.k_max}")
-    k_range = range(args.k_min, args.k_max + 1)
-    if quantity == "genus":
-        columns = ["k", "g", "d", "b", "g_prime", "g_hat", "prym_dim"]
-        rows = []
-        for k in _each_k(k_range):
-            gd = trace.genus_data(k)
-            rows.append(
-                [str(v) for v in (gd.k, gd.g, gd.d, gd.b, gd.g_prime, gd.g_hat, gd.prym_dim)]
-            )
-        return columns, rows
-    if quantity == "kappa-slope":
-        columns = ["k", "slope"]
-        return columns, [
-            [str(k), format_rational(slopes.kappa_slope_bound(k))] for k in _each_k(k_range)
-        ]
-    if quantity == "slope-bound":
-        if args.k_max < 3:
-            raise UsageError(
-                f"slope-bound rows start at k=3; the range {args.k_min}..{args.k_max} has none"
-            )
-        columns = ["k", "trace_slope_s11", "reduced_slope_s11", "bound_6_20_g"]
-        return columns, [
-            [
-                str(k),
-                format_rational(slopes.induced_slope(k, Fraction(11), slopes.TRACE)),
-                format_rational(slopes.induced_slope(k, Fraction(11), slopes.REDUCED)),
-                format_rational(6 + Fraction(20, 2 * k)),
-            ]
-            for k in _each_k(range(max(args.k_min, 3), args.k_max + 1))
-        ]
-    if quantity.startswith("coefficients:"):
-        name = quantity.split(":", 1)[1]
-        columns = ["k", "generator", "coefficient"]
-        rows = []
-        missing = []
-        for k in _each_k(k_range):
+    ks = each_k(args.k_min, args.k_max)
+    if quantity.startswith(_COEFFICIENTS):
+        name = quantity[len(_COEFFICIENTS):]
+        rows, missing = [], []
+        for k in ks:
             try:
                 d, _, scale = _resolve_class(name, k, args.normalized)
             except (IndexRangeError, UnknownGeneratorError) as exc:
@@ -269,24 +244,28 @@ def _table_rows(args) -> tuple[list[str], list[list[str]]]:
             rows.extend(
                 [str(k), gen, text] for gen, text in serialize.coefficient_texts(d, scale)
             )
-        if len(missing) == len(k_range):
+        if len(missing) == args.k_max - args.k_min + 1:
             raise missing[0]
-        return columns, rows
-    raise UsageError(f"unknown table quantity {quantity!r}")
+        return _COEFFICIENT_COLUMNS, rows
+    if quantity not in _TABLES:
+        raise UsageError(f"unknown table quantity {quantity!r}")
+    columns, first, row = _TABLES[quantity]
+    if args.k_max < first:
+        raise UsageError(
+            f"{quantity} rows start at k={first}; the range {args.k_min}..{args.k_max} has none"
+        )
+    return columns, [row(k) for k in ks if k >= first]
 
 
-def _cmd_table(args) -> int:
-    if args.normalized and not args.quantity.startswith("coefficients:"):
+def _cmd_table(args) -> tuple[str, int]:
+    if args.normalized and not args.quantity.startswith(_COEFFICIENTS):
         raise UsageError("--normalized only applies to coefficients tables")
     columns, rows = _table_rows(args)
     if args.format == "json":
-        text = serialize.table_to_json(columns, rows)
-    elif args.format == "csv":
-        text = serialize.table_to_csv(columns, rows)
-    else:
-        text = serialize.table_to_md(columns, rows)
-    _emit(text, args.out)
-    return 0
+        return serialize.table_to_json(columns, rows), 0
+    if args.format == "csv":
+        return serialize.table_to_csv(columns, rows), 0
+    return serialize.table_to_md(columns, rows), 0
 
 
 _PROG = "hurwitzdiv"
@@ -361,12 +340,15 @@ _COMMANDS = {
     "table": (
         _cmd_table,
         "per-k tables",
-        "Quantities: genus (columns k,g,d,b,g_prime,g_hat,prym_dim); "
-        "kappa-slope (columns k,slope); slope-bound (columns "
-        "k,trace_slope_s11,reduced_slope_s11,bound_6_20_g; rows start at "
-        "k=3); coefficients:<class-name> (columns k,generator,"
-        "coefficient).  Rows are ordered by k, then by natural generator "
-        "order.",
+        "Quantities: "
+        + "".join(
+            f"{quantity} (columns {','.join(columns)}"
+            + f"; rows start at k={first}" * (first > 1)
+            + "); "
+            for quantity, (columns, first, _) in _TABLES.items()
+        )
+        + f"{_COEFFICIENTS}<class-name> (columns {','.join(_COEFFICIENT_COLUMNS)}).  "
+        "Rows are ordered by k, then by natural generator order.",
         (
             ("--quantity", {"required": True}),
             ("--k-min", {"type": integer, "required": True}),
@@ -479,15 +461,18 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _parse_args(argv)
     try:
-        return args.func(args)
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        text, code = args.func(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        return code
     # every input error of the package (UsageError, ClassGroupError,
     # MarkedSetError, SlopeError, json.JSONDecodeError) is a ValueError
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (VerificationError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, VerificationError) else 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ The text form of an affine expression is defined once, by
 Every cached builder of the package is declared with
 :func:`per_k_cache`, which makes it a plain module-level
 ``functools.lru_cache`` in its own module and registers it here, so
-that :func:`clear_caches` can drop the values of one k before the next.
+that :func:`clear_caches` can drop the values of one k before the next;
+every sweep over k (``verify``, ``table``) walks :func:`each_k`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -38,9 +39,11 @@ _BUILDER_CACHES: list = []
 
 
 def per_k_cache(fn: _F) -> _F:
-    """``functools.lru_cache(maxsize=None)`` for a builder of one k's
-    values (k among its arguments), registered for :func:`clear_caches`."""
-    cached = lru_cache(maxsize=None)(fn)
+    """``functools.lru_cache(maxsize=None, typed=True)`` for a builder of
+    one k's values (k among its arguments), registered for
+    :func:`clear_caches`; typed, so a bool or float k is refused, not
+    answered from the equal int's entry."""
+    cached = lru_cache(maxsize=None, typed=True)(fn)
     _BUILDER_CACHES.append(cached)
     return cached
 
@@ -51,11 +54,25 @@ def builder_caches() -> tuple:
 
 
 def clear_caches() -> None:
-    """Empty every builder cache.  A check at one k never needs another
-    k's values, so a sweep over k calls this between two values of k to
-    hold one k's worth of classes at a time."""
+    """Empty every builder cache."""
     for cached in _BUILDER_CACHES:
         cached.cache_clear()
+
+
+def each_k(k_min: int, k_max: int) -> Iterator[int]:
+    """The k of a range 1 <= k_min <= k_max in order, refused at the
+    call when it is not one.  A check at one k never needs another k's
+    values, so the builder caches are emptied between two k."""
+    if not 1 <= k_min <= k_max:
+        raise ValueError(f"invalid range 1 <= {k_min} <= {k_max}")
+
+    def sweep() -> Iterator[int]:
+        for k in range(k_min, k_max + 1):
+            if k > k_min:
+                clear_caches()  # looked up here, so a patched one is called
+            yield k
+
+    return sweep()
 
 
 _RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")

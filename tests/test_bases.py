@@ -242,9 +242,8 @@ def test_every_k_check_refuses_a_k_that_is_not_an_int(k):
     # one rule for the bases and the builders that check k; a float, a
     # bool or a Decimal would otherwise build Mg(k=2.0), genus 5.0 or
     # Hurwitz(k=True)
-    from hurwitzdiv import trace
+    from hurwitzdiv import pushforward, trace
     from hurwitzdiv.bases import IndexRangeError
-    from hurwitzdiv.core import clear_caches
 
     builders = (
         mg_basis,
@@ -255,11 +254,13 @@ def test_every_k_check_refuses_a_k_that_is_not_an_int(k):
         trace.delta_tau,
         lambda k: trace.phi_pull_boundary(k, 1),
         lambda k: trace.phihat_pull_boundary(k, 0),
+        lambda k: pushforward.p_phi_delta(k, 0),
     )
-    # a cached builder is asked only on a miss: a bool or a float equal
-    # to a cached int would be answered from that entry
-    clear_caches()
     for build in builders:
+        # warm: a bool, a float or a Decimal equal to a cached int k must
+        # still be refused, not answered from that int's entry
+        if k == int(k):
+            build(int(k))
         with pytest.raises(IndexRangeError) as exc:
             build(k)
         assert str(exc.value) == f"k must be an int, got {k!r} ({type(k).__name__})"

@@ -175,8 +175,7 @@ def test_every_builder_cache_is_registered():
 
 
 def test_a_sweep_keeps_only_the_last_k_in_the_caches(monkeypatch):
-    from hurwitzdiv import checks as checks_mod
-    from hurwitzdiv import trace
+    from hurwitzdiv import core, trace
     from hurwitzdiv.core import builder_caches, clear_caches
 
     def sizes():
@@ -198,7 +197,7 @@ def test_a_sweep_keeps_only_the_last_k_in_the_caches(monkeypatch):
     after = trace.delta_tau.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
     # the same results with nothing cleared, which holds every k
-    monkeypatch.setattr(checks_mod, "clear_caches", lambda: None)
+    monkeypatch.setattr(core, "clear_caches", lambda: None)
     clear_caches()
     assert run_checks(1, 6) == swept
     assert sum(sizes()) > sum(swept_sizes)

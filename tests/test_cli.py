@@ -644,6 +644,51 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert obj["k"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("class", "bogus", "--k", "3"),
+        ("verify", "--k-min", "3", "--k-max", "1"),
+        ("slope", "--k", "3", "--variant", "kappa", "--s-prime", "1"),
+        ("m0n", "--b", "6", "count", "1,2"),
+        ("table", "--quantity", "bogus", "--k-min", "1", "--k-max", "2"),
+        ("table", "--quantity", "coefficients:phihat-delta:4", "--k-min", "1", "--k-max", "2"),
+    ],
+    ids=" ".join,
+)
+def test_an_input_error_writes_no_out_file(tmp_path, capsys, argv):
+    # the text is written only once the command has made all of it
+    target = tmp_path / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_a_failing_verify_writes_its_report_to_out(tmp_path, capsys):
+    table = tmp_path / "ext3.json"
+    table.write_text(
+        json.dumps(
+            {
+                "schema": "external-coeffs/1",
+                "k": 3,
+                "c": {"1": "1", "2": "2", "3": "3"},
+                "b": {"1": "40", "2": "41", "3": "42"},
+            }
+        ),
+        encoding="utf-8",
+    )
+    target = tmp_path / "report.txt"
+    code, out, err = run(
+        capsys, "verify", "--k-min", "3", "--k-max", "3", "--checks", "delta-j-checks",
+        "--externals", str(table), "--out", str(target),
+    )
+    assert (code, out, err) == (1, "", "")
+    report = target.read_text(encoding="utf-8").splitlines()
+    assert report[0].startswith("k=3   delta-j-checks       FAIL  ")
+    assert report[-1] == "summary: 0 passed, 1 failed, 0 skipped"
+
+
 def _write_json(tmp_path, obj):
     path = tmp_path / "ext.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -903,13 +948,18 @@ _INPUT_ERRORS = {
     "class phihat-delta:1 --k 0",
     "slope --k 3 --s-prime 214/67 --variant trace",
     "slope --k 3 --s-prime 66/19 --variant reduced",
+    "table --quantity slope-bound --k-min 1 --k-max 2",
+    "table --quantity bogus --k-min 1 --k-max 2",
+    "table --quantity genus --k-min 1 --k-max 2 --normalized",
+    "table --quantity genus --k-min 3 --k-max 1",
+    "verify --k-min 3 --k-max 1",
 }
 
 
 def test_command_list_is_whole():
     # every command of the CI list, every table valid JSON and read by
     # some command
-    assert len(_COMMANDS) == 52
+    assert len(_COMMANDS) == 60
     assert _INPUT_ERRORS <= {" ".join(argv) for argv in _COMMANDS}
     named = {arg for argv in _COMMANDS for arg in argv}
     assert set(_TABLES) <= named
