@@ -60,10 +60,10 @@ def clear_caches() -> None:
 
 
 def each_k(k_min: int, k_max: int) -> Iterator[int]:
-    """The k of a range 1 <= k_min <= k_max in order, refused at the
-    call when it is not one.  A check at one k never needs another k's
-    values, so the builder caches are emptied between two k."""
-    if not 1 <= k_min <= k_max:
+    """The k of a range 1 <= k_min <= k_max of ints in order, refused at
+    the call when it is not one.  A check at one k never needs another
+    k's values, so the builder caches are emptied between two k."""
+    if not (type(k_min) is int and type(k_max) is int and 1 <= k_min <= k_max):
         raise ValueError(f"invalid range 1 <= {k_min} <= {k_max}")
 
     def sweep() -> Iterator[int]:

@@ -30,7 +30,6 @@ is a flat tuple of ones; no builder here forms an E_{j,c} name.
 
 from __future__ import annotations
 
-from functools import cached_property
 from fractions import Fraction
 from math import factorial, lcm
 from operator import mul
@@ -99,40 +98,47 @@ class ExternalCoeffs:
     b_1..b_k for one value of k.  Partial tables are rejected, and so is
     a value that is not an ``int`` or a ``Fraction``.
 
-    The table is held as (numerator, denominator) int pairs, read
-    straight from "p/q" text by ``serialize`` (:meth:`_from_ratios`)
-    without a reduced ``Fraction`` per value.  On first use the pairs
-    are put over the lcm of their denominators, once per table, as the
-    c and b numerators by j; :meth:`apply` hands them to the
-    substitution kernel of ``DivisorClass``, so no value is converted
-    again per substituted class.  The ``Fraction`` views :attr:`c` and
-    :attr:`b` are built only when read; ``k``, ``c`` and ``b`` are
+    The table is stored once, when it is made, as the c and b numerators
+    by j over the lcm of the denominators: the integers that
+    :meth:`apply` hands to the substitution kernel of ``DivisorClass``.
+    Both constructors build them in :meth:`_store`; :meth:`_from_ratios`
+    takes the int pairs that ``serialize`` reads straight from "p/q"
+    text, with no reduced ``Fraction`` per value.  ``k`` and the
+    ``Fraction`` views :attr:`c` and :attr:`b`, built when read, are
     read-only."""
 
     def __init__(self, k: int, c: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> None:
+        pairs = []
         for label, table in (("c", c), ("b", b)):
-            _check_indices(k, label, table)
             odd = [v for v in table.values() if not isinstance(v, (int, Fraction))]
             if odd:
                 raise TypeError(
                     f"external table {label!r}: cannot interpret "
                     f"{type(odd[0]).__name__} as a coefficient"
                 )
-        self._k = k
-        self._c = {j: (v.numerator, v.denominator) for j, v in c.items()}
-        self._b = {j: (v.numerator, v.denominator) for j, v in b.items()}
+            pairs.append({j: (v.numerator, v.denominator) for j, v in table.items()})
+        self._store(k, *pairs)
 
     @classmethod
     def _from_ratios(
         cls, k: int, c: dict[int, tuple[int, int]], b: dict[int, tuple[int, int]]
     ) -> "ExternalCoeffs":
-        """The table of the int pairs (p, q), q > 0, that stand for p/q,
-        keyed by index; the dicts are kept, not copied."""
+        """The table of the int pairs (p, q), q > 0, for p/q by index."""
+        ext = cls.__new__(cls)
+        ext._store(k, c, b)
+        return ext
+
+    def _store(self, k: int, c: Mapping, b: Mapping) -> None:
+        # the pairs of c_1..c_k and b_1..b_k over the lcm of their
+        # denominators, in index order whatever the order of the tables
         _check_indices(k, "c", c)
         _check_indices(k, "b", b)
-        ext = cls.__new__(cls)
-        ext._k, ext._c, ext._b = k, c, b
-        return ext
+        den = lcm(*(q for _, q in c.values()), *(q for _, q in b.values()))
+        self._k, self._den = k, den
+        self._c_nums, self._b_nums = (
+            tuple([p * (den // q) for p, q in map(table.__getitem__, range(1, k + 1))])
+            for table in (c, b)
+        )
 
     @property
     def k(self) -> int:
@@ -141,12 +147,12 @@ class ExternalCoeffs:
     @property
     def c(self) -> dict[int, Fraction]:
         """c_j by index j, a fresh dict on every read."""
-        return {j: Fraction(p, q) for j, (p, q) in self._c.items()}
+        return {j: Fraction(n, self._den) for j, n in enumerate(self._c_nums, 1)}
 
     @property
     def b(self) -> dict[int, Fraction]:
         """b_j by index j, a fresh dict on every read."""
-        return {j: Fraction(p, q) for j, (p, q) in self._b.items()}
+        return {j: Fraction(n, self._den) for j, n in enumerate(self._b_nums, 1)}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExternalCoeffs):
@@ -156,23 +162,11 @@ class ExternalCoeffs:
     def __repr__(self) -> str:
         return f"ExternalCoeffs(k={self.k!r}, c={self.c!r}, b={self.b!r})"
 
-    @cached_property
-    def _numerators(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        # c_1..c_k and b_1..b_k over the lcm of their denominators, built
-        # once per table
-        c, b, js = self._c, self._b, range(1, self._k + 1)
-        den = lcm(*(q for _, q in c.values()), *(q for _, q in b.values()))
-        return (
-            tuple([p * (den // q) for p, q in map(c.__getitem__, js)]),
-            tuple([p * (den // q) for p, q in map(b.__getitem__, js)]),
-            den,
-        )
-
     def apply(self, d: DivisorClass) -> DivisorClass:
         """``d`` with c_j and b_j replaced by the table's values, from
         the integer table; a class that carries symbols must lie over
         ``Mg(k)`` of the table's k."""
-        return d._substituted(*self._numerators)
+        return d._substituted(self._c_nums, self._b_nums, self._den)
 
 
 @per_k_cache

@@ -7,9 +7,10 @@ JSON is the canonical machine format and rationals appear there only as
 
 Emission renders from the integer numerators a divisor class stores
 (``DivisorClass._formatted_items``), in one pass over its head map and
-rows: every coefficient costs at most one gcd and one string format (a
-class over denominator 1 needs no gcd), and ``class_to_json``/
-``table_to_json`` write the canonical JSON text directly.
+its flat E_{j,c} tuple: every coefficient costs at most one gcd and
+one string format (a class over denominator 1 needs no gcd), and
+``class_to_json``/``table_to_json`` write the canonical JSON text
+directly.
 ``class_to_json`` puts out each coefficient object as one f-string and
 escapes none of its generator names, "p/q" values and symbol indices,
 which are ASCII letters, digits, ``_``, ``-`` and ``/`` by
@@ -25,10 +26,12 @@ by the accessors
 ``class_to_obj``/``affine_to_obj`` use; ``dumps_canonical`` of those
 objects is the reference the direct writers are tested against.
 
-An external-coefficients table is read once, straight into integers:
-each "p/q" goes through the one strict grammar of ``core.parse_ratio``
-into a pair of ints, with no reduced ``Fraction`` per value, and
-``ExternalCoeffs`` puts those pairs over one common denominator.
+Both JSON readers check a header alike: the schema, exactly its
+top-level keys, a positive int k.  An external-coefficients table is
+read once, straight into integers: each "p/q" goes through the one
+strict grammar of ``core.parse_ratio`` into a pair of ints, with no
+reduced ``Fraction`` per value, and ``ExternalCoeffs`` puts those pairs
+over one common denominator when the table is made.
 """
 
 from __future__ import annotations
@@ -50,12 +53,34 @@ CLASS_SCHEMA = "divisor-class/1"
 EXTERNALS_SCHEMA = "external-coeffs/1"
 
 _CLASS_KEYS = frozenset({"schema", "k", "basis", "normalization", "coefficients"})
+_EXTERNALS_KEYS = frozenset({"schema", "k", "c", "b"})
 _COEFFICIENT_KEYS = frozenset({"const", "c", "b"})
 
 
 def _kind_of(obj: Any) -> str:
     kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
     return "an object" if isinstance(obj, dict) else kind.get(type(obj), "a number")
+
+
+def _header_k(obj: Any, schema: str, keys: frozenset, what: str, short: str) -> int:
+    """The k of a JSON object of ``schema`` with exactly the top-level
+    ``keys``; ``what`` ("a divisor class") and ``short`` ("divisor
+    class") name it in the ``ValueError`` of any other shape."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {_kind_of(obj)}")
+    if obj.get("schema") != schema:
+        raise ValueError(f"expected schema {schema!r}, got {obj.get('schema')!r}")
+    if obj.keys() != keys:
+        unknown, missing = obj.keys() - keys, keys - obj.keys()
+        raise ValueError(
+            f"{what} has unknown keys {sorted(unknown)}"
+            if unknown
+            else f"{what} lacks the keys {sorted(missing)}"
+        )
+    k = obj["k"]
+    if type(k) is not int or k < 1:
+        raise ValueError(f"{short} 'k' must be a positive integer, got {k!r}")
+    return k
 
 
 def _index_table(table: Any, family: str, where: str) -> dict[int, tuple[int, int]]:
@@ -124,20 +149,7 @@ def class_to_obj(d: DivisorClass, normalization: str = RAW) -> dict[str, Any]:
 def class_from_obj(obj: Any) -> tuple[DivisorClass, str]:
     """Parse a divisor-class/1 object; any other shape is a
     ``ValueError``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"a divisor class must be a JSON object, got {_kind_of(obj)}")
-    if obj.get("schema") != CLASS_SCHEMA:
-        raise ValueError(f"expected schema {CLASS_SCHEMA!r}, got {obj.get('schema')!r}")
-    if obj.keys() != _CLASS_KEYS:
-        unknown, missing = obj.keys() - _CLASS_KEYS, _CLASS_KEYS - obj.keys()
-        raise ValueError(
-            f"a divisor class has unknown keys {sorted(unknown)}"
-            if unknown
-            else f"a divisor class lacks the keys {sorted(missing)}"
-        )
-    k = obj["k"]
-    if type(k) is not int or k < 1:
-        raise ValueError(f"divisor class 'k' must be a positive integer, got {k!r}")
+    k = _header_k(obj, CLASS_SCHEMA, _CLASS_KEYS, "a divisor class", "divisor class")
     normalization = obj["normalization"]
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -272,21 +284,13 @@ def decimal_approx(x: Fraction) -> str:
 def externals_from_obj(obj: Any) -> ExternalCoeffs:
     """Parse an external-coeffs/1 object; any other shape is a
     ``ValueError``."""
-    if not isinstance(obj, dict):
-        raise ValueError(
-            f"an external coefficient table must be a JSON object, got {_kind_of(obj)}"
-        )
-    if obj.get("schema") != EXTERNALS_SCHEMA:
-        raise ValueError(
-            f"expected schema {EXTERNALS_SCHEMA!r}, got {obj.get('schema')!r}"
-        )
-    k = obj.get("k")
-    if type(k) is not int or k < 1:
-        raise ValueError(f"external table 'k' must be a positive integer, got {k!r}")
+    k = _header_k(
+        obj, EXTERNALS_SCHEMA, _EXTERNALS_KEYS, "an external coefficient table", "external table"
+    )
     return ExternalCoeffs._from_ratios(
         k,
-        _index_table(obj.get("c", {}), "c", "external table"),
-        _index_table(obj.get("b", {}), "b", "external table"),
+        _index_table(obj["c"], "c", "external table"),
+        _index_table(obj["b"], "b", "external table"),
     )
 
 

@@ -891,9 +891,10 @@ def test_external_table_apply_matches_affine_substitute(data):
     assert not {C_WEIGHT, B_WEIGHT} & set(applied._nums)
 
 
-def test_apply_hands_the_integer_table_to_the_kernel(monkeypatch):
-    # ExternalCoeffs.apply ends in DivisorClass._substituted, with the
-    # table's integers by j, built once
+def record_substituted(monkeypatch):
+    """A list that gains the arguments (c, b, den) of every call of
+    ``DivisorClass._substituted``: the integer table that
+    ``ExternalCoeffs.apply`` hands to the kernel."""
     real = DivisorClass._substituted
     calls = []
 
@@ -902,6 +903,13 @@ def test_apply_hands_the_integer_table_to_the_kernel(monkeypatch):
         return real(self, c, b, den)
 
     monkeypatch.setattr(DivisorClass, "_substituted", counted)
+    return calls
+
+
+def test_apply_hands_the_integer_table_to_the_kernel(monkeypatch):
+    # ExternalCoeffs.apply ends in DivisorClass._substituted, with the
+    # table's integers by j, built once
+    calls = record_substituted(monkeypatch)
     ext = ExternalCoeffs(
         2, {2: Fraction(-3, 4), 1: Fraction(1, 6)}, {1: Fraction(5), 2: Fraction(2, 9)}
     )
@@ -913,7 +921,9 @@ def test_apply_hands_the_integer_table_to_the_kernel(monkeypatch):
     # the table over lcm(6, 4, 1, 9) = 36, in index order whatever the
     # order of the given dict
     assert calls == [((6, -27), (180, 8), 36)]
-    assert ext._numerators is ext._numerators
+    # a second apply hands over the same integers, not rebuilt ones
+    ext.apply(d)
+    assert all(second is first for first, second in zip(*calls))
     # a class without weights is returned as it is, over any k, a
     # Hurwitz class too
     plain = DivisorClass(mg_basis(3), {LAMBDA: 1})

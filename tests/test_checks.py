@@ -93,6 +93,24 @@ def test_run_checks_validates_input():
             run_checks(k_min, k_max, ["genus"], ext)
 
 
+def test_a_bound_that_is_not_an_int_is_refused_before_any_check_runs(monkeypatch):
+    # a float bound is no k at all, and a bool one is refused by every
+    # builder (bases.require_k, the typed per_k_cache), so the sweep
+    # refuses both at the call, with the one range text
+    from hurwitzdiv import trace
+    from hurwitzdiv.core import each_k
+
+    real, calls = trace.genus_data, []
+    monkeypatch.setattr(trace, "genus_data", lambda k: calls.append(k) or real(k))
+    for sweep, k_min, k_max in ((run_checks, 1, 2.5), (each_k, 1.0, 2), (run_checks, True, 2)):
+        with pytest.raises(ValueError, match=rf"^invalid range 1 <= {k_min} <= {k_max}$"):
+            sweep(k_min, k_max)
+    assert calls == []
+    # the patched builder is the one the genus check calls
+    assert [r.status for r in run_checks(1, 2, ["genus"])] == [PASS, PASS]
+    assert calls == [1, 2]
+
+
 def test_delta_j_checks_with_matching_externals():
     ext = ExternalCoeffs(1, {1: Fraction(-20)}, {1: Fraction(0)})
     results = run_checks(1, 2, ["delta-j-checks"], ext)

@@ -953,13 +953,14 @@ _INPUT_ERRORS = {
     "table --quantity genus --k-min 1 --k-max 2 --normalized",
     "table --quantity genus --k-min 3 --k-max 1",
     "verify --k-min 3 --k-max 1",
+    "verify --k-min 3 --k-max 3 --checks delta-j-checks --externals extkeys.json",
 }
 
 
 def test_command_list_is_whole():
     # every command of the CI list, every table valid JSON and read by
     # some command
-    assert len(_COMMANDS) == 60
+    assert len(_COMMANDS) == 61
     assert _INPUT_ERRORS <= {" ".join(argv) for argv in _COMMANDS}
     named = {arg for argv in _COMMANDS for arg in argv}
     assert set(_TABLES) <= named

@@ -57,7 +57,7 @@ from hurwitzdiv.trace import (
     phihat_pull_lambda,
     q_pullback,
 )
-from test_bases import assert_apply_is_substitute, assert_canonical
+from test_bases import assert_apply_is_substitute, assert_canonical, record_substituted
 
 
 def mclass(k, coeffs):
@@ -481,7 +481,7 @@ def test_external_coeffs_validation():
         ExternalCoeffs(1, {True: 1}, {True: 0})
 
 
-def test_inexact_values_are_refused_by_tables_and_classes():
+def test_inexact_values_are_refused_by_tables_and_classes(monkeypatch):
     # a float would be stored as its binary value (0.1 as
     # 3602879701896397/36028797018963968) and a str parsed on the way;
     # a table takes only int and Fraction, as the DivisorClass
@@ -496,7 +496,10 @@ def test_inexact_values_are_refused_by_tables_and_classes():
     # int, bool (an int) and Fraction stay exact
     ext = ExternalCoeffs(1, {1: True}, {1: Fraction(1, 3)})
     assert (ext.c, ext.b) == ({1: 1}, {1: Fraction(1, 3)})
-    assert ext._numerators == ((3,), (1,), 3)
+    calls = record_substituted(monkeypatch)
+    assert_apply_is_substitute(ext, p_q_kappa(1))
+    assert calls == [((3,), (1,), 3)]
+    assert all(type(n) is int for n in (*calls[0][0], *calls[0][1]))
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -532,7 +535,7 @@ def test_external_coeffs_refuse_a_huge_declared_k_at_once():
         ExternalCoeffs(10**18, {1: 1}, {1: 1})
 
 
-def test_external_coeffs_views_are_fresh_and_the_integers_built_once():
+def test_external_coeffs_views_are_fresh_and_the_integers_built_once(monkeypatch):
     ext = ExternalCoeffs(
         2, {1: Fraction(1), 2: Fraction(2)}, {1: Fraction(3), 2: Fraction(-1, 3)}
     )
@@ -542,10 +545,13 @@ def test_external_coeffs_views_are_fresh_and_the_integers_built_once():
     # changing a handed-out dict leaves the table alone
     first[1] = Fraction(99)
     assert ext.c[1] == 1
-    # the c and b numerators by j over the lcm 3
-    assert ext._numerators == ((3, 6), (9, -1), 3)
+    # the kernel gets the c and b numerators by j over the lcm 3, the
+    # same integers on every apply
+    calls = record_substituted(monkeypatch)
     assert_apply_is_substitute(ext, p_phi_lambda(2))
-    assert ext._numerators is ext._numerators
+    assert_apply_is_substitute(ext, p_phi_lambda(2))
+    assert calls == [((3, 6), (9, -1), 3)] * 2
+    assert all(second is first for first, second in zip(*calls))
 
 
 def test_an_external_coeffs_apply_builds_no_symbol(monkeypatch):

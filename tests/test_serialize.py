@@ -149,6 +149,12 @@ def test_externals_round_trip(tmp_path):
     path = tmp_path / "ext.json"
     path.write_text(dumps_canonical(obj), encoding="utf-8")
     assert load_externals(str(path)) == ext
+    # a table read from unreduced text equals the one of its values: its
+    # integers sit over another lcm, and == compares the values
+    unreduced = {**obj, "c": {"1": "+6/4", "2": "3/1"}}
+    assert externals_from_obj(unreduced) == ExternalCoeffs(
+        2, {1: Fraction(3, 2), 2: Fraction(3)}, ext.b
+    )
 
 
 def test_load_externals_rejects_a_repeated_key(tmp_path):
@@ -186,11 +192,28 @@ def test_externals_rejects_partial_tables():
         {"schema": "external-coeffs/1", "k": 1, "c": {"1": "1", "01": "5"}, "b": {"1": "0"}},
         {"schema": "external-coeffs/1", "k": 1, "c": {"+1": "0"}, "b": {"1": "0"}},
         {"schema": "external-coeffs/1", "k": 1, "c": {"1": "0", "0": "0"}, "b": {"1": "0"}},
+        {"schema": "external-coeffs/1", "k": 1, "c": {"1": "0"}, "b": {"1": "0"}, "notes": "x"},
+        {"schema": "external-coeffs/1", "k": 1, "c": {"1": "0"}, "b": {"1": "0"}, "bb": {}},
     ],
 )
 def test_externals_rejects_malformed_shapes(obj):
     with pytest.raises(ValueError):
         externals_from_obj(obj)
+
+
+def test_externals_name_unknown_keys_before_missing_ones_and_k():
+    # the header of a table is read as that of a divisor class: the
+    # exact key set, unknown keys first, then missing ones, then k
+    for obj, text in (
+        ({"schema": "external-coeffs/1", "k": 1, "c": {"1": "0"}},
+         "an external coefficient table lacks the keys ['b']"),
+        ({"schema": "external-coeffs/1", "k": 0, "c": {}, "notes": "x"},
+         "an external coefficient table has unknown keys ['notes']"),
+        ({"schema": "external-coeffs/1", "k": 0, "c": {}, "b": {}},
+         "external table 'k' must be a positive integer, got 0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            externals_from_obj(obj)
 
 
 @pytest.mark.parametrize("index", ["0", "01", "+1", " 1", "", "\u0661", "\u00b2"])
