@@ -98,7 +98,6 @@ through Python's quadratic, digit-limited int conversion.
 
 from __future__ import annotations
 
-import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -106,7 +105,7 @@ from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .core import AffineExpr, ExtSymbol, RationalLike, b_sym, c_sym, per_k_cache
+from .core import AffineExpr, RationalLike, b_sym, c_sym, per_k_cache
 
 
 class ClassGroupError(ValueError):
@@ -471,72 +470,6 @@ class DivisorClass:
 
     def items(self) -> list[tuple[str, AffineExpr]]:
         return [(name, self._value(n, j)) for name, n, j in self._entries()]
-
-    def _formatted_items(
-        self, scale: int = 1
-    ) -> list[tuple[str, str, tuple[tuple[ExtSymbol, str], ...]]]:
-        """:meth:`items` of ``self * scale`` as text, for emission: per
-        generator in support order, its constant part and its (symbol,
-        coefficient) terms in display order, each rendered as "p/q" in
-        lowest terms straight from the stored numerators; no
-        ``Fraction`` or :class:`AffineExpr` is built.  A Hurwitz class
-        is rendered in one pass over its head map and its flat tuple,
-        zipped with :func:`ejc_names`, and the two weights of an
-        ``Mg(k)`` class are rendered once for every delta_j.
-
-        ``scale`` is a positive int.  A value n0/d0 in lowest terms
-        becomes n0 * (scale // g) over d0 // g with g = gcd(scale, d0),
-        again in lowest terms: per prime, either the scale absorbs all
-        of d0's power or the quotient keeps none of it.  For scale != 1
-        the numerator digits come from one exact ``decimal`` conversion
-        of ``scale`` per call, divided once per distinct g and
-        multiplied by each n0, instead of one quadratic int-to-text
-        conversion per (6k)!-sized value."""
-        if not isinstance(scale, int) or scale < 1:
-            raise ValueError(f"scale must be a positive int, got {scale!r}")
-        den = self._den
-        if scale != 1:
-            # a fresh context per call; an inexact step raises instead of
-            # printing wrong digits
-            ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-            ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
-            whole = decimal.Decimal(scale)
-            quotients: dict[int, decimal.Decimal] = {}
-
-            def text(n: int) -> str:
-                g = gcd(n, den)
-                d0 = den // g
-                g1 = gcd(scale, d0)
-                q = quotients.get(g1)
-                if q is None:
-                    q = quotients[g1] = ctx.divide_int(whole, g1)
-                return f"{ctx.multiply(q, n // g)}/{d0 // g1}"
-        elif den == 1:
-            def text(n: int) -> str:
-                return f"{n}/1"
-        else:
-            over = f"/{den}"
-
-            def text(n: int) -> str:
-                # core.format_ratio, inlined: this runs once per emitted
-                # value, and a value already in lowest terms over den
-                # (most are) skips the two divisions
-                g = gcd(n, den)
-                return f"{n}{over}" if g == 1 else f"{n // g}/{den // g}"
-        nums, flat, k = self._nums, self._flat, self.basis.k
-        if flat:
-            # a Hurwitz class: the head map, then the flat tuple zipped
-            # with its names
-            rendered = [
-                (name, text(nums[name]), ()) for name in _SPECS[HURWITZ].head(k) if name in nums
-            ]
-            return rendered + [(name, text(n), ()) for name, n in zip(ejc_names(k), flat) if n]
-        # a reserved key is the family letter of its symbols
-        weights = [(key, text(nums[key])) for key in _WEIGHT_KEYS if key in nums]
-        return [
-            (name, text(n), tuple([(ExtSymbol(f, j), w) for f, w in weights]) if j else ())
-            for name, n, j in self._entries()
-        ]
 
     def is_zero(self) -> bool:
         return not self._nums and not any(self._flat)

@@ -171,11 +171,12 @@ def display_key(s: ExtSymbol) -> tuple[int, int]:
     return (0 if s.family == "c" else 1, s.index)
 
 
-def affine_text(const: str, terms: Sequence[tuple[ExtSymbol, str]]) -> str:
+def affine_text(const: str, terms: Sequence[tuple[str, str]]) -> str:
     """The display form ``"p/q - 3/4*c_2 + 1/5*b_2"`` of an affine
-    expression from its parts, each already rendered as "p/q": the
-    constant, and the (symbol, coefficient) terms in display order.  The
-    constant is left out when it is zero and there are terms."""
+    expression from its parts, each already rendered as text: the
+    constant as "p/q", and the (symbol, coefficient) terms in display
+    order, as ("c_2", "-3/4").  The constant is left out when it is zero
+    and there are terms."""
     if not terms:
         return const
     parts = [] if const == "0/1" else [const]
@@ -262,7 +263,7 @@ class AffineExpr:
         return affine_text(
             format_rational(self._const),
             [
-                (sym, format_rational(self._terms[sym]))
+                (str(sym), format_rational(self._terms[sym]))
                 for sym in sorted(self._terms, key=display_key)
             ],
         )

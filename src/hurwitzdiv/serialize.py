@@ -37,14 +37,17 @@ over one common denominator when the table is made.
 from __future__ import annotations
 
 import csv
+import decimal
 import io
 import json
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
-from typing import Any, Sequence
+from math import gcd
+from operator import floordiv, mul
+from typing import Any, NamedTuple, Sequence
 
-from .bases import Basis, DivisorClass
+from .bases import B_WEIGHT, C_WEIGHT, E0, E2, E3, Basis, DivisorClass, ejc_offsets
 from .core import AffineExpr, ExtSymbol, affine_text, format_rational, parse_ratio
 from .core import is_index_literal, parse_rational
 from .pushforward import NORMALIZATIONS, ExternalCoeffs, RAW
@@ -55,6 +58,7 @@ EXTERNALS_SCHEMA = "external-coeffs/1"
 _CLASS_KEYS = frozenset({"schema", "k", "basis", "normalization", "coefficients"})
 _EXTERNALS_KEYS = frozenset({"schema", "k", "c", "b"})
 _COEFFICIENT_KEYS = frozenset({"const", "c", "b"})
+_HEAD = (E0, E2, E3)
 
 
 def _kind_of(obj: Any) -> str:
@@ -172,34 +176,122 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _json_terms(terms: tuple[tuple[ExtSymbol, str], ...]) -> str:
-    """The ``"b"`` and ``"c"`` fields of a coefficient object, each with
-    its index-sorted entries, in the layout of ``json.dumps(indent=2)``."""
-    fields = ""
-    for family in ("b", "c"):
-        part = sorted((str(s.index), v) for s, v in terms if s.family == family)
-        if part:
-            entries = ",\n        ".join([f'"{index}": "{v}"' for index, v in part])
-            fields += f'      "{family}": {{\n        {entries}\n      }},\n'
-    return fields
+class _Layout(NamedTuple):
+    """How :func:`_lines` writes one coefficient: ``pre + generator + mid
+    + value + end``.  A json layout puts the lines in key order and writes
+    the weights of a delta_j as its "b" and "c" fields before "const";
+    any other writes them into the value as its affine text."""
+
+    pre: str
+    mid: str
+    end: str
+    json: bool = False
+
+
+# a coefficient object in the layout of ``json.dumps(indent=2)``
+_JSON_KEY = '": {\n'
+_JSON_CONST = '      "const": "'
+_JSON = _Layout('"', _JSON_KEY + _JSON_CONST, '"\n    }', json=True)
+_CSV = _Layout("", ",", "\n")
+_MD = _Layout("| ", " | ", " |\n")
+_MD_HEAD = "| generator | coefficient |\n| --- | --- |\n"
+
+
+def _lines(d: DivisorClass, layout: _Layout, scale: int = 1) -> list[str]:
+    """One line of ``layout`` per generator in the support of ``d *
+    scale``, each value "p/q" in lowest terms, written straight from the
+    stored numerators; no ``Fraction``, ``ExtSymbol`` or
+    :class:`AffineExpr` is built and no scaled class either.
+
+    A Hurwitz class is written from its head map and then row by row
+    from its flat E_{j,c} tuple, each name ``E_j_c`` inline with its
+    value.  In JSON key order E0, E2 and E3 come first, the rows follow
+    sorted by "j_" (E_10_* before E_1_*), and each row's lines are sorted,
+    which puts c in string order (E_20_10 before E_20_2); every other
+    kind's few lines are sorted whole.  Sorting lines sorts by generator,
+    as the name is followed by a character below every name character.
+    The two weights of an ``Mg(k)`` class are rendered once and written
+    on every delta_j.
+
+    ``scale`` is a positive int.  A numerator n over the denominator den
+    of ``d`` renders with g = gcd(n, den) as (n // g) * (scale // g1)
+    over (den // g) // g1, g1 = gcd(scale, den // g), in lowest terms:
+    per prime, either the scale absorbs all of the power of den // g or
+    the quotient keeps none of it.  Both factors of the numerator depend
+    on g alone, so they are made once per distinct g; for scale != 1
+    they are exact ``decimal`` integers, whose digits come from one
+    conversion of ``scale`` per call instead of one quadratic
+    int-to-text conversion per (6k)!-sized value."""
+    if not isinstance(scale, int) or scale < 1:
+        raise ValueError(f"scale must be a positive int, got {scale!r}")
+    den, nums, flat, k = d._den, d._nums, d._flat, d.basis.k
+    pre, mid, end, json_order = layout
+    gs = list(map(gcd, flat, repeat(den)))
+    # a fresh context per call; an inexact step raises instead of
+    # printing wrong digits
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+    with decimal.localcontext(ctx):
+        whole = 1 if scale == 1 else decimal.Decimal(scale)
+        factor, over = {}, {}
+        for g in {den, *gs, *map(gcd, nums.values(), repeat(den))}:
+            g1 = gcd(scale, den // g)
+            factor[g], over[g] = whole // g1, f"/{den // g // g1}"
+
+        def text(n: int) -> str:
+            g = gcd(n, den)
+            return f"{n // g * factor[g]}{over[g]}"
+
+        if flat:
+            lines = [f"{pre}{name}{mid}{text(nums[name])}{end}" for name in _HEAD if name in nums]
+            numerators = list(map(floordiv, flat, gs))
+            if scale != 1:
+                numerators = list(map(mul, numerators, map(factor.__getitem__, gs)))
+            offsets = ejc_offsets(k)
+            indices = [str(c) for c in range(k // 2 + 1)]
+            for j in sorted(range(1, k + 1), key="{}_".format) if json_order else range(1, k + 1):
+                row = f"{pre}E_{j}_"
+                a, b = offsets[j], offsets[j + 1]
+                part = [
+                    f"{row}{c}{mid}{n}{over[g]}{end}"
+                    for c, n, g in zip(indices, numerators[a:b], gs[a:b])
+                    if n
+                ]
+                if json_order:
+                    part.sort()
+                lines += part
+            return lines
+        # the weights in display order, c_j before b_j; a reserved key is
+        # the family letter of its symbols
+        weights = [(key, text(nums[key])) for key in (C_WEIGHT, B_WEIGHT) if key in nums]
+        lines = []
+        for name, n, j in d._entries():
+            value = text(n)
+            if not j:
+                lines.append(f"{pre}{name}{mid}{value}{end}")
+            elif json_order:
+                fields = "".join(
+                    [f'      "{f}": {{\n        "{j}": "{w}"\n      }},\n' for f, w in weights[::-1]]
+                )
+                lines.append(f"{pre}{name}{_JSON_KEY}{fields}{_JSON_CONST}{value}{end}")
+            else:
+                terms = [(f"{f}_{j}", w) for f, w in weights]
+                lines.append(f"{pre}{name}{mid}{affine_text(value, terms)}{end}")
+        if json_order:
+            lines.sort()
+        return lines
 
 
 def class_to_json(d: DivisorClass, normalization: str = RAW, scale: int = 1) -> str:
     """``dumps_canonical(class_to_obj(d * scale, normalization))``,
-    written straight from the stored numerators: the same bytes, with no
+    written line by line by :func:`_lines`: the same bytes, with no
     ``AffineExpr`` and no scaled class built.
 
-    Each coefficient object is one f-string.  Generator names, "p/q"
-    values and symbol indices are ASCII letters, digits, ``_``, ``-`` and
-    ``/`` by construction, so they are written without JSON escaping."""
-    coefficients = ",\n    ".join(
-        [
-            f'"{name}": {{\n{_json_terms(terms) if terms else ""}'
-            f'      "const": "{const}"\n    }}'
-            for name, const, terms in sorted(d._formatted_items(scale), key=itemgetter(0))
-        ]
-    )
-    body = "{\n    " + coefficients + "\n  }" if coefficients else "{}"
+    Generator names, "p/q" values and symbol indices are ASCII letters,
+    digits, ``_``, ``-`` and ``/`` by construction, so they are written
+    without JSON escaping."""
+    lines = _lines(d, _JSON, scale)
+    body = "{\n    " + ",\n    ".join(lines) + "\n  }" if lines else "{}"
     q = encode_basestring_ascii
     return (
         f'{{\n  "basis": {q(d.basis.kind)},\n  "coefficients": {body},\n'
@@ -208,26 +300,23 @@ def class_to_json(d: DivisorClass, normalization: str = RAW, scale: int = 1) -> 
     )
 
 
-def coefficient_texts(d: DivisorClass, scale: int = 1) -> list[tuple[str, str]]:
-    """(generator, coefficient) rows of ``d * scale`` in natural basis
-    order; each coefficient reads as ``str`` of its :class:`AffineExpr`."""
-    return [
-        (name, affine_text(const, terms) if terms else const)
-        for name, const, terms in d._formatted_items(scale)
-    ]
-
-
 def class_to_csv(d: DivisorClass, scale: int = 1) -> str:
     """Rows "generator,value" of ``d * scale`` in natural basis order,
     no header.  Generator names and coefficient texts hold no comma,
-    quote or line break, so no field needs csv quoting and the rows of
-    :func:`coefficient_texts` are joined directly; the bytes are those
-    of ``csv.writer``."""
-    return "".join([f"{name},{text}\n" for name, text in coefficient_texts(d, scale)])
+    quote or line break, so no field needs csv quoting; the bytes are
+    those of ``csv.writer``."""
+    return "".join(_lines(d, _CSV, scale))
+
+
+def coefficient_texts(d: DivisorClass, scale: int = 1) -> list[tuple[str, str]]:
+    """(generator, coefficient) rows of ``d * scale`` in natural basis
+    order, the rows of :func:`class_to_csv` split at their one comma;
+    each coefficient reads as ``str`` of its :class:`AffineExpr`."""
+    return [tuple(line[:-1].split(",")) for line in _lines(d, _CSV, scale)]
 
 
 def class_to_md(d: DivisorClass, scale: int = 1) -> str:
-    return table_to_md(["generator", "coefficient"], coefficient_texts(d, scale))
+    return _MD_HEAD + "".join(_lines(d, _MD, scale))
 
 
 def table_to_csv(columns: list[str], rows: list[list[str]]) -> str:

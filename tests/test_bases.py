@@ -47,7 +47,8 @@ from affine_model import (
     substitute,
 )
 from hurwitzdiv.core import AffineExpr, ExtSymbol, b_sym, c_sym, clear_caches
-from hurwitzdiv.pushforward import ExternalCoeffs, p_push, p_q_composed, p_q_map
+from hurwitzdiv.pushforward import RAW, ExternalCoeffs, p_push, p_q_composed, p_q_map
+from hurwitzdiv.serialize import class_to_csv, class_to_json, class_to_md, coefficient_texts
 from hurwitzdiv.trace import q_pullback
 
 rationals = st.fractions(
@@ -694,8 +695,8 @@ def test_every_hurwitz_class_stores_one_entry_per_ejc(ks):
         clear_caches()
 
 
-# Scaled emission: _formatted_items(scale) renders self * scale without
-# building it, through one exact decimal conversion of the scale.  It
+# Scaled emission: the writers of serialize render self * scale without
+# building it, through one exact decimal conversion of the scale.  They
 # must give the text of the materialized product, over every kind of
 # basis, for constant coefficients and, on Mg, for symbol-only and mixed
 # ones whose parts have pairwise different denominators, and for (6k)!
@@ -724,11 +725,12 @@ def emitted_classes(draw):
 
 
 @given(emitted_classes(), emission_scales)
-def test_scaled_formatted_items_match_the_materialized_product(d, scale):
-    assert d._formatted_items(scale) == (d * scale)._formatted_items()
+def test_scaled_emission_matches_the_materialized_product(d, scale):
+    assert coefficient_texts(d, scale) == coefficient_texts(d * scale)
+    assert class_to_json(d, RAW, scale) == class_to_json(d * scale)
 
 
-def test_scaled_formatted_items_edge_cases():
+def test_scaled_emission_edge_cases():
     basis = mg_basis(2)
     d = DivisorClass(
         basis,
@@ -741,23 +743,27 @@ def test_scaled_formatted_items_edge_cases():
     )
     # 12 = 4 * 3 absorbs 12 and 4 of 8 and 3 of 9 and 4 of 16; the weights
     # sit on every delta_j, j >= 1, a symbol-only delta_2 among them
-    assert d._formatted_items(12) == [
-        (LAMBDA, "-7/1", ()),
-        (delta(1), "4/3", ((c_sym(1), "15/2"), (b_sym(1), "-3/4"))),
-        (delta(2), "0/1", ((c_sym(2), "15/2"), (b_sym(2), "-3/4"))),
+    assert coefficient_texts(d, 12) == [
+        (LAMBDA, "-7/1"),
+        (delta(1), "4/3 + 15/2*c_1 - 3/4*b_1"),
+        (delta(2), "15/2*c_2 - 3/4*b_2"),
     ]
-    assert d._formatted_items(12) == (d * 12)._formatted_items()
+    assert coefficient_texts(d, 12) == coefficient_texts(d * 12)
+    assert class_to_json(d, RAW, 12) == class_to_json(d * 12)
     # one weight alone
     only_b = DivisorClass(basis, with_weights(2, {delta(0): 3}, 0, -3))
-    assert only_b._formatted_items(2) == [
-        (delta(0), "6/1", ()),
-        (delta(1), "0/1", ((b_sym(1), "-6/1"),)),
-        (delta(2), "0/1", ((b_sym(2), "-6/1"),)),
+    assert coefficient_texts(only_b, 2) == [
+        (delta(0), "6/1"),
+        (delta(1), "-6/1*b_1"),
+        (delta(2), "-6/1*b_2"),
     ]
-    assert zero_class(basis)._formatted_items(10**50) == []
+    assert coefficient_texts(zero_class(basis), 10**50) == []
     for scale in (0, -6, Fraction(1), 1.0):
+        for write in (coefficient_texts, class_to_csv, class_to_md):
+            with pytest.raises(ValueError):
+                write(d, scale)
         with pytest.raises(ValueError):
-            d._formatted_items(scale)
+            class_to_json(d, RAW, scale)
 
 
 # Composition sums the inner map's integer columns through the outer
