@@ -52,6 +52,7 @@ from .bases import (
     linear_combination,
     mg_basis,
     numerator_over,
+    require_k,
     row_sums,
 )
 from .core import per_k_cache
@@ -75,6 +76,7 @@ NORMALIZATIONS = (RAW, PER_FACTORIAL_B)
 
 def factorial_b(k: int) -> int:
     """(6k)!, the branch-point labelling factor."""
+    require_k(k)
     return factorial(6 * k)
 
 
@@ -131,6 +133,7 @@ class ExternalCoeffs:
     def _store(self, k: int, c: Mapping, b: Mapping) -> None:
         # the pairs of c_1..c_k and b_1..b_k over the lcm of their
         # denominators, in index order whatever the order of the tables
+        require_k(k)
         _check_indices(k, "c", c)
         _check_indices(k, "b", b)
         den = lcm(*(q for _, q in c.values()), *(q for _, q in b.values()))
@@ -361,6 +364,7 @@ def mg_canonical_class(k: int) -> DivisorClass:
     """The canonical class 13 lambda - 2 delta_0 - 3 delta_1 - 2 delta_2
     - ... - 2 delta_k of the genus-2k moduli space on the truncated basis
     lambda, delta_0..delta_k."""
+    require_k(k)
     names = delta_names(k)
     nums = {LAMBDA: 13, **dict.fromkeys(names, -2)}
     nums[names[1]] = -3

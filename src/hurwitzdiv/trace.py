@@ -71,6 +71,9 @@ class GenusData:
     g_hat: int
     prym_dim: int
 
+    def __post_init__(self) -> None:
+        require_k(self.k)
+
 
 @per_k_cache
 def genus_data(k: int) -> GenusData:
@@ -92,6 +95,7 @@ def catalan_number(k: int) -> int:
 
 
 def _check_jc(k: int, j: int, c: int) -> None:
+    require_k(k)
     if not (1 <= j <= k and 0 <= c <= j // 2):
         raise IndexRangeError(f"(j, c) = ({j}, {c}) out of range for k = {k}")
 

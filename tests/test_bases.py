@@ -270,6 +270,42 @@ def test_every_k_check_refuses_a_k_that_is_not_an_int(k):
         assert str(exc.value) == "k must be >= 1, got 0"
 
 
+# the arguments after k, valid at k = 3, of each public callable whose
+# first parameter is k and that takes more
+_LATER_ARGS = {
+    "GenusData": (1, 1, 1, 1, 1, 1),
+    "e_coeff": (1, 0),
+    "ExternalCoeffs": (dict.fromkeys((1, 2, 3), 0), dict.fromkeys((1, 2, 3), 0)),
+    "phi_pull_boundary": (1,),
+    "phihat_pull_boundary": (1,),
+    "p_phi_delta": (1,),
+    "p_phihat_delta": (1,),
+    "induced_slope": (Fraction(23, 2), "trace"),
+    "slope_target": (Fraction(23, 2), "trace"),
+}
+
+
+def test_every_public_callable_of_k_refuses_a_bad_k():
+    import inspect
+
+    import hurwitzdiv
+
+    takes_k = {}
+    for name in hurwitzdiv.__all__:
+        value = getattr(hurwitzdiv, name)
+        if callable(value):
+            parameters = list(inspect.signature(value).parameters.values())
+            if parameters and parameters[0].name == "k":
+                takes_k[name] = (value, sum(p.default is p.empty for p in parameters) - 1)
+    assert {name for name, (_, more) in takes_k.items() if more} == set(_LATER_ARGS)
+    for name, (build, _) in takes_k.items():
+        later = _LATER_ARGS.get(name, ())
+        build(3, *later)
+        for k in (True, 2.0, Decimal(2), Fraction(2), 0, -1):
+            with pytest.raises((ValueError, TypeError)):
+                build(k, *later)
+
+
 def test_builtin_pushforward_map_linearity():
     push = p_push(3)
     d1 = DivisorClass(hurwitz_basis(3), {E0: Fraction(1, 2), Ejc(2, 1): 3})

@@ -286,14 +286,14 @@ constant_values = st.one_of(st.just(0), big_rationals)
 
 @st.composite
 def any_classes(draw):
-    """Divisor classes over all five basis kinds, k up to 12 (so names
-    such as E_10_0 and deltaP_10 occur), with constant coefficients of
+    """Divisor classes over all five basis kinds, k up to 22 (so names
+    such as E_10_0, E_20_10 and deltaP_10 occur), with constant coefficients of
     (6*20)!-sized numerators over pairwise different denominators, and
     on Mg, where symbols live, the two weights of c_j and b_j on every
     delta_j, so symbolic and symbol-only coefficients too; the zero
     class included."""
     kind = draw(st.sampled_from((HURWITZ, MG, M0B_SYM, MG_PRIME, MG_HAT)))
-    basis = Basis(kind, draw(st.integers(1, 12)))
+    basis = Basis(kind, draw(st.integers(1, 22)))
     generators = list(basis.generators())
     coeffs = draw(st.dictionaries(st.sampled_from(generators), constant_values, max_size=8))
     if kind == MG:
@@ -323,6 +323,17 @@ FRACTION_ROWS_CLASS = DivisorClass(
     hurwitz_basis(12),
     {E3: Fraction(5, 6), Ejc(1, 0): Fraction(-1, 3), Ejc(12, 6): Fraction(7, 4)},
 )
+# JSON key order where rows reach c = 10: E_10_0 before E_1_0, and
+# E_20_10 before E_20_2
+LONG_ROWS_CLASS = DivisorClass(
+    hurwitz_basis(22),
+    {
+        Ejc(1, 0): Fraction(1, 6),
+        Ejc(10, 0): Fraction(-5, 4),
+        Ejc(20, 2): Fraction(7, 9),
+        Ejc(20, 10): 3,
+    },
+)
 
 
 @given(any_classes(), st.sampled_from((RAW, PER_FACTORIAL_B)), emission_scales)
@@ -333,6 +344,7 @@ FRACTION_ROWS_CLASS = DivisorClass(
 @example(FRACTION_ROWS_CLASS, RAW, 1)
 @example(FRACTION_ROWS_CLASS, RAW, 10)
 @example(DivisorClass(mg_basis(3)), PER_FACTORIAL_B, 1)
+@example(LONG_ROWS_CLASS, RAW, factorial(6 * 22))
 def test_renderer_matches_affine_reference(d, mode, scale):
     # each writer renders d * scale without building it; the reference
     # builds it and goes through AffineExpr and the json/csv modules
