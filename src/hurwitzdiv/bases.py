@@ -83,17 +83,11 @@ takes the c_j and b_j values by j as integers over one denominator, as
 ``pushforward.ExternalCoeffs`` puts its table once, and adds gamma_c
 c_j + gamma_b b_j to each delta_j in one pass over j.
 
-Beside ``items`` sits the internal ``DivisorClass._formatted_items``,
-the same values as "p/q" text rendered from the integers, which
-``serialize`` and the ``cli`` tables emit from.  It renders a class
-over denominator 1 as "n/1" with no gcd, the two weights once for every
-delta_j, and a Hurwitz class in one pass over its head map and its
-flat tuple.  It renders the class times an int ``scale`` without building
-that product: a raw pushed class is emitted as its per-factorial-b
-class with scale (6k)!, whose decimal digits are computed once per call
-(exact ``decimal`` arithmetic in a context of its own) rather than once
-per (6k)!-sized numerator, so no emitted value is converted to text
-through Python's quadratic, digit-limited int conversion.
+Emission reads the stored form in place: ``serialize._lines`` writes
+one line per coefficient from the head map, the flat tuple row by row
+through :func:`ejc_offsets` and the two weights, with the generator
+names written inline, so it builds no value and never reads
+:func:`ejc_names`.
 """
 
 from __future__ import annotations

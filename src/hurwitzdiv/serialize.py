@@ -1,30 +1,31 @@
 """Serialization: the divisor-class JSON schema, CSV and markdown
-renderings, the external-coefficients file format, and exact decimal
-approximation for human-facing slope lines.
+renderings written line by line from a class's stored integers, the
+external-coefficients file format, and exact decimal approximation for
+human-facing slope lines.
 
 JSON is the canonical machine format and rationals appear there only as
 "p/q" strings; csv and md are lossy renderings of the same data.
 
-Emission renders from the integer numerators a divisor class stores
-(``DivisorClass._formatted_items``), in one pass over its head map and
-its flat E_{j,c} tuple: every coefficient costs at most one gcd and
-one string format (a class over denominator 1 needs no gcd), and
-``class_to_json``/``table_to_json`` write the canonical JSON text
-directly.
-``class_to_json`` puts out each coefficient object as one f-string and
-escapes none of its generator names, "p/q" values and symbol indices,
-which are ASCII letters, digits, ``_``, ``-`` and ``/`` by
-construction; only the basis kind, the normalization label and the
-table cells go through JSON string escaping.  The class writers and
-``coefficient_texts`` take a positive int ``scale`` and render
-``d * scale`` without building it: a raw pushed class is emitted as its
-per-factorial-b class with scale (6k)!, whose decimal digits are
-computed once per call instead of once per (6k)!-sized numerator.  An
-:class:`AffineExpr`, the read-only value of a coefficient, is built only
-by the accessors
+Every class writer (``class_to_json``/``class_to_csv``/``class_to_md``
+and ``coefficient_texts``, which the ``cli`` tables read) is one call of
+``_lines``, which walks the stored form of the class once and writes one
+line per coefficient in the layout of its format: the head map, then a
+Hurwitz class's flat E_{j,c} tuple row by row, each name ``E_j_c``
+written inline with its value.  Each value costs at most one gcd and one
+string format, with its two factors looked up by that gcd; JSON key
+order comes from sorting the k row keys and each row's lines, not every
+entry.  Generator names, "p/q" values and symbol indices are ASCII
+letters, digits, ``_``, ``-`` and ``/`` by construction and are written
+without escaping; only the basis kind, the normalization label and the
+table cells go through JSON string escaping.  The writers take a
+positive int ``scale`` and render ``d * scale`` without building it: a
+raw pushed class is emitted as its per-factorial-b class with scale
+(6k)!, whose decimal digits are computed once per call instead of once
+per (6k)!-sized numerator.  An :class:`AffineExpr`, the read-only value
+of a coefficient, is built only by the accessors
 ``DivisorClass.coefficient``/``items``, which the library objects
 ``class_to_obj``/``affine_to_obj`` use; ``dumps_canonical`` of those
-objects is the reference the direct writers are tested against.
+objects is the reference the writers are tested against.
 
 Both JSON readers check a header alike: the schema, exactly its
 top-level keys, a positive int k.  An external-coefficients table is
