@@ -195,7 +195,6 @@ _JSON_CONST = '      "const": "'
 _JSON = _Layout('"', _JSON_KEY + _JSON_CONST, '"\n    }', json=True)
 _CSV = _Layout("", ",", "\n")
 _MD = _Layout("| ", " | ", " |\n")
-_MD_HEAD = "| generator | coefficient |\n| --- | --- |\n"
 
 
 def _lines(d: DivisorClass, layout: _Layout, scale: int = 1) -> list[str]:
@@ -235,6 +234,7 @@ def _lines(d: DivisorClass, layout: _Layout, scale: int = 1) -> list[str]:
     with decimal.localcontext(ctx):
         whole = 1 if scale == 1 else decimal.Decimal(scale)
         factor, over = {}, {}
+        # den is the g of 0, the constant of a delta_j that has only weights
         for g in {den, *gs, *map(gcd, nums.values(), repeat(den))}:
             g1 = gcd(scale, den // g)
             factor[g], over[g] = whole // g1, f"/{den // g // g1}"
@@ -317,7 +317,7 @@ def coefficient_texts(d: DivisorClass, scale: int = 1) -> list[tuple[str, str]]:
 
 
 def class_to_md(d: DivisorClass, scale: int = 1) -> str:
-    return _MD_HEAD + "".join(_lines(d, _MD, scale))
+    return table_to_md(["generator", "coefficient"], []) + "".join(_lines(d, _MD, scale))
 
 
 def table_to_csv(columns: list[str], rows: list[list[str]]) -> str:
