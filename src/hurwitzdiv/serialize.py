@@ -207,8 +207,8 @@ def _lines(d: DivisorClass, layout: _Layout, scale: int = 1) -> list[str]:
     from its flat E_{j,c} tuple, each name ``E_j_c`` inline with its
     value.  In JSON key order E0, E2 and E3 come first, the rows follow
     sorted by "j_" (E_10_* before E_1_*), and each row's lines are sorted,
-    which puts c in string order (E_20_10 before E_20_2); every other
-    kind's few lines are sorted whole.  Sorting lines sorts by generator,
+    which puts c in string order (E_20_10 before E_20_2); the lines of
+    every other kind are sorted whole.  Sorting lines sorts by generator,
     as the name is followed by a character below every name character.
     The two weights of an ``Mg(k)`` class are rendered once and written
     on every delta_j.

@@ -360,6 +360,28 @@ def test_renderer_matches_affine_reference(d, mode, scale):
     ]
 
 
+def test_emission_builds_no_generator_name_table(monkeypatch):
+    # the writers name each E_j_c inline; the cached flat name table of
+    # the accessors is never read
+    from hurwitzdiv import bases
+
+    d = phi_pull_lambda(22)
+    expected = [
+        class_to_json(d, RAW, 10),
+        class_to_csv(d),
+        class_to_md(d, 10),
+        coefficient_texts(d),
+    ]
+    assert expected[0] == dumps_canonical(class_to_obj(d * 10))
+
+    def refuse(k):
+        raise AssertionError("emission read the E_{j,c} name table")
+
+    monkeypatch.setattr(bases, "ejc_names", refuse)
+    got = [class_to_json(d, RAW, 10), class_to_csv(d), class_to_md(d, 10), coefficient_texts(d)]
+    assert got == expected
+
+
 def test_mixed_class_renders_both_families_and_index_order():
     text = class_to_json(MIXED_CLASS, RAW)
     obj = json.loads(text)["coefficients"]
