@@ -63,9 +63,12 @@ equality, hashing, application and composition each run once over
 "head map + flat tuple", a weight key like any other; only the
 constructor, the accessors and substitution tell a weight from a
 constant.  Sums run through one n-ary kernel,
-:func:`linear_combination`, which puts all its terms over one lcm, sums
-their numerators in one pass (one chain of C-level maps over the flat
-tuples) and reduces once; ``+`` and ``-`` are its two-term calls.  All
+:func:`linear_combination`, which adds the scalars of a class given more
+than once, so each class is read once, puts all its terms over one lcm,
+sums their numerators in one pass (one chain of C-level maps over the
+flat tuples) and reduces once; ``+`` and ``-`` are its two-term calls,
+and each Hodge pullback of ``trace`` and the Prym class of
+``pushforward`` is one call.  All
 of it runs on plain ``int``: ``ClassMap.compose`` maps each inner
 integer column through the outer map over the product of the two
 denominators, without building a row as a class.  A ``Fraction`` or an
@@ -94,7 +97,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -601,13 +604,15 @@ def linear_combination(
     basis: Basis, terms: Iterable[tuple[int | Fraction, DivisorClass]]
 ) -> DivisorClass:
     """The class ``sum(x * d for x, d in terms)`` over ``basis``, in one
-    pass: every product is summed in ``int`` over one lcm of the
-    ``d._den * x.denominator``, head key by key and, for the flat
-    tuples, in one chain of C-level maps materialized once, and the
-    result is reduced once.  Zero scalars are skipped, no terms give the
-    zero class, and a class over another basis raises
-    :class:`BasisMismatchError`."""
-    scaled = []
+    pass: the scalars of a class object given more than once are added
+    first, so each class is read once; every product is summed in
+    ``int`` over one lcm of the ``d._den * x.denominator``, head key by
+    key and, for the flat tuples, in one chain of C-level maps
+    materialized once, and the result is reduced once.  Zero scalars
+    are skipped, no terms give the zero class, and a class over another
+    basis raises :class:`BasisMismatchError`."""
+    # id(d) -> [summed scalar, d], in the order of first appearance
+    merged: dict[int, list] = {}
     for x, d in terms:
         if d.basis != basis:
             raise BasisMismatchError(
@@ -615,8 +620,11 @@ def linear_combination(
             )
         if not isinstance(x, (int, Fraction)):
             raise scalar_type_error(x)
-        if x:
-            scaled.append((x.numerator, d._den * x.denominator, d))
+        if id(d) in merged:
+            merged[id(d)][0] += x
+        else:
+            merged[id(d)] = [x, d]
+    scaled = [(x.numerator, d._den * x.denominator, d) for x, d in merged.values() if x]
     if not scaled:
         return DivisorClass._raw(basis, 1, {})
     den = lcm(*(q for _, q, _ in scaled))
@@ -625,11 +633,11 @@ def linear_combination(
     f, d = factors[0]
     nums = {key: n * f for key, n in d._nums.items()}
     get = nums.get
-    flat = d._flat if f == 1 else map(f.__mul__, d._flat)
+    flat = d._flat if f == 1 else map(mul, d._flat, repeat(f))
     for f, d in factors[1:]:
         for key, n in d._nums.items():
             nums[key] = get(key, 0) + n * f
-        flat = map(add, flat, d._flat if f == 1 else map(f.__mul__, d._flat))
+        flat = map(add, flat, d._flat if f == 1 else map(mul, d._flat, repeat(f)))
     return DivisorClass._raw(basis, den, _nonzero(nums), tuple(flat))
 
 

@@ -226,27 +226,28 @@ _TABLES = {
     ),
 }
 _COEFFICIENTS = "coefficients:"
-_COEFFICIENT_COLUMNS = ("k", "generator", "coefficient")
+
+
+def _coefficients_table(args) -> str:
+    """The coefficients table of one class over the range: each k's rows
+    written whole by ``serialize.coefficient_lines``."""
+    name = args.quantity[len(_COEFFICIENTS):]
+    lines, missing = [], []
+    for k in each_k(args.k_min, args.k_max):
+        try:
+            d, _, scale = _resolve_class(name, k, args.normalized)
+        except (IndexRangeError, UnknownGeneratorError) as exc:
+            missing.append(exc)  # the indexed class does not exist at this k
+            continue
+        lines += serialize.coefficient_lines(d, k, args.format, scale)
+    if len(missing) == args.k_max - args.k_min + 1:
+        raise missing[0]
+    return serialize.coefficient_table(lines, args.format)
 
 
 def _table_rows(args) -> tuple[tuple[str, ...], list[list[str]]]:
     quantity = args.quantity
     ks = each_k(args.k_min, args.k_max)
-    if quantity.startswith(_COEFFICIENTS):
-        name = quantity[len(_COEFFICIENTS):]
-        rows, missing = [], []
-        for k in ks:
-            try:
-                d, _, scale = _resolve_class(name, k, args.normalized)
-            except (IndexRangeError, UnknownGeneratorError) as exc:
-                missing.append(exc)  # the indexed class does not exist at this k
-                continue
-            rows.extend(
-                [str(k), gen, text] for gen, text in serialize.coefficient_texts(d, scale)
-            )
-        if len(missing) == args.k_max - args.k_min + 1:
-            raise missing[0]
-        return _COEFFICIENT_COLUMNS, rows
     if quantity not in _TABLES:
         raise UsageError(f"unknown table quantity {quantity!r}")
     columns, first, row = _TABLES[quantity]
@@ -258,7 +259,9 @@ def _table_rows(args) -> tuple[tuple[str, ...], list[list[str]]]:
 
 
 def _cmd_table(args) -> tuple[str, int]:
-    if args.normalized and not args.quantity.startswith(_COEFFICIENTS):
+    if args.quantity.startswith(_COEFFICIENTS):
+        return _coefficients_table(args), 0
+    if args.normalized:
         raise UsageError("--normalized only applies to coefficients tables")
     columns, rows = _table_rows(args)
     if args.format == "json":
@@ -347,7 +350,7 @@ _COMMANDS = {
             + "); "
             for quantity, (columns, first, _) in _TABLES.items()
         )
-        + f"{_COEFFICIENTS}<class-name> (columns {','.join(_COEFFICIENT_COLUMNS)}).  "
+        + f"{_COEFFICIENTS}<class-name> (columns {','.join(serialize.COEFFICIENT_COLUMNS)}).  "
         "Rows are ordered by k, then by natural generator order.",
         (
             ("--quantity", {"required": True}),

@@ -61,8 +61,10 @@ from .trace import (
     alpha_table,
     catalan_number,
     jc_family,
+    phi_lambda_terms,
     phi_pull_boundary,
     phi_pull_lambda,
+    phihat_lambda_terms,
     phihat_pull_boundary,
     phihat_pull_lambda,
     q_pullback,
@@ -411,8 +413,13 @@ def eh_closed_coeffs(k: int) -> tuple[Fraction, Fraction]:
 def prym_hodge_class(k: int) -> DivisorClass:
     """Pullback of the Hodge class of a toroidal compactification
     receiving the Prym variety of the trace curve over the reduced trace
-    curve: phi^*lambda - phi-hat^*lambda on the Hurwitz basis."""
-    return phi_pull_lambda(k) - phihat_pull_lambda(k)
+    curve: phi^*lambda - phi-hat^*lambda on the Hurwitz basis, one
+    combination of the terms of both, in which the pushed dualizing
+    square of the trace family appears twice and is read once."""
+    return linear_combination(
+        hurwitz_basis(k),
+        (*phi_lambda_terms(k), *((-x, d) for x, d in phihat_lambda_terms(k))),
+    )
 
 
 def prym_boundary_class(k: int) -> DivisorClass:

@@ -6,10 +6,11 @@ human-facing slope lines.
 JSON is the canonical machine format and rationals appear there only as
 "p/q" strings; csv and md are lossy renderings of the same data.
 
-Every class writer (``class_to_json``/``class_to_csv``/``class_to_md``
-and ``coefficient_texts``, which the ``cli`` tables read) is one call of
-``_lines``, which walks the stored form of the class once and writes one
-line per coefficient in the layout of its format: the head map, then a
+Every class writer (``class_to_json``/``class_to_csv``/``class_to_md``,
+``coefficient_texts`` and ``coefficient_lines``, which writes the rows of
+a ``cli`` coefficients table whole) is one call of ``_lines``, which
+walks the stored form of the class once and writes one line per
+coefficient in the layout of its format: the head map, then a
 Hurwitz class's flat E_{j,c} tuple row by row, each name ``E_j_c``
 written inline with its value.  Each value costs at most one gcd and one
 string format, with its two factors looked up by that gcd; JSON key
@@ -17,7 +18,8 @@ order comes from sorting the k row keys and each row's lines, not every
 entry.  Generator names, "p/q" values and symbol indices are ASCII
 letters, digits, ``_``, ``-`` and ``/`` by construction and are written
 without escaping; only the basis kind, the normalization label and the
-table cells go through JSON string escaping.  The writers take a
+cells of the other tables (``table_to_json``) go through JSON string
+escaping.  The writers take a
 positive int ``scale`` and render ``d * scale`` without building it: a
 raw pushed class is emitted as its per-factorial-b class with scale
 (6k)!, whose decimal digits are computed once per call instead of once
@@ -45,7 +47,7 @@ from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import floordiv, mul
+from operator import floordiv, methodcaller, mul
 from typing import Any, NamedTuple, Sequence
 
 from .bases import B_WEIGHT, C_WEIGHT, E0, E2, E3, Basis, DivisorClass, ejc_offsets
@@ -195,6 +197,7 @@ _JSON_CONST = '      "const": "'
 _JSON = _Layout('"', _JSON_KEY + _JSON_CONST, '"\n    }', json=True)
 _CSV = _Layout("", ",", "\n")
 _MD = _Layout("| ", " | ", " |\n")
+_BARE = _Layout("", ",", "")
 
 
 def _lines(d: DivisorClass, layout: _Layout, scale: int = 1) -> list[str]:
@@ -318,6 +321,39 @@ def coefficient_texts(d: DivisorClass, scale: int = 1) -> list[tuple[str, str]]:
 
 def class_to_md(d: DivisorClass, scale: int = 1) -> str:
     return table_to_md(["generator", "coefficient"], []) + "".join(_lines(d, _MD, scale))
+
+
+COEFFICIENT_COLUMNS = ("k", "generator", "coefficient")
+
+
+def coefficient_lines(d: DivisorClass, k: int, fmt: str, scale: int = 1) -> list[str]:
+    """The rows of ``d * scale`` in a ``fmt`` (json, csv or md)
+    coefficients table at ``k``, each written whole by :func:`_lines`,
+    with no list per row and no escaping: the k, the generator names and
+    the coefficient texts hold no comma, quote, backslash or line break
+    by construction.  A csv or md row is one layout with the k in its
+    prefix; a json row names the coefficient before the generator, so it
+    is cut from the bare "generator,coefficient" line at its one
+    comma."""
+    if fmt == "csv":
+        return _lines(d, _Layout(f"{k},", ",", "\n"), scale)
+    if fmt == "md":
+        return _lines(d, _Layout(f"| {k} | ", " | ", " |\n"), scale)
+    tail = f'",\n    "k": "{k}"\n  }}'
+    return [
+        f'{{\n    "coefficient": "{value}",\n    "generator": "{name}{tail}'
+        for name, _, value in map(methodcaller("partition", ","), _lines(d, _BARE, scale))
+    ]
+
+
+def coefficient_table(lines: list[str], fmt: str) -> str:
+    """A coefficients table from the rows of :func:`coefficient_lines`:
+    the bytes of ``table_to_<fmt>(COEFFICIENT_COLUMNS, rows)``."""
+    if fmt == "json":
+        return "[\n  " + ",\n  ".join(lines) + "\n]\n" if lines else "[]\n"
+    if fmt == "csv":
+        return ",".join(COEFFICIENT_COLUMNS) + "\n" + "".join(lines)
+    return table_to_md(COEFFICIENT_COLUMNS, []) + "".join(lines)
 
 
 def table_to_csv(columns: list[str], rows: list[list[str]]) -> str:

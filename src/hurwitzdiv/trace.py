@@ -19,11 +19,23 @@ layout and q* writes each T3j column into the slice of row j, so no
 builder forms an E_{j,c} name; :func:`alpha_table` and the delta_j
 predictions of ``pushforward`` take ``bases.row_sums`` of a product of
 two families; the "e" family holds the integers e_{j,c} themselves, so
-no reader divides.  A family is built only when asked for.  The
-per-coefficient functions (:func:`e_numerator`, :func:`t_numerator`,
-...) stay as the definitions that the tests hold the families to.
-The pulled-back cotangent class :func:`pulled_psi` is likewise built
-once and shared by :func:`grr_pieces` and :func:`s_omega_sq`.  The
+no reader divides.  A family is built only when asked for.  The node
+counts d and s are built from their definitions :func:`_d_int` and
+:func:`_s_int`, which hold their formulas alone: each row is a cubic in
+c with third difference -12, read at c = 0, 1, 2 and carried on by
+running sums (:func:`_cubic_rows`).  The other per-coefficient
+functions (:func:`e_numerator`, :func:`t_numerator`, ...) stay as the
+definitions that the tests hold the families to.
+
+Each Hodge assembly is written once, as the (scalar, class) terms of one
+``bases.linear_combination``: :func:`phi_lambda_terms` (omega_tau^2 and
+delta_tau, each over 12), the terms of :func:`s_omega_sq` (half of
+omega_tau^2, minus three quarters of the pulled cotangent class) and
+:func:`phihat_lambda_terms` (those terms and delta_s, each over 12).
+So phi-hat^*lambda is one combination of the cached inputs, and
+``pushforward.prym_hodge_class`` one more of both term lists.  The
+pulled-back cotangent class :func:`pulled_psi` is built once and shared
+by :func:`grr_pieces` and :func:`s_omega_sq`.  The
 boundary pullbacks of index j = 1..k are one entry on E_{j,0}, given by
 one function per correspondence, which also builds their sum over j as
 one class (:func:`phi_pull_boundary_sum`) for ``slopes.slope_target``.
@@ -33,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import comb
 from operator import add, mul, sub
 from typing import Callable, Iterable, NamedTuple
@@ -57,6 +69,9 @@ from .bases import (
 )
 from .core import per_k_cache
 from .m0b import delta_restricted, psi_restricted
+
+# (scalar, class) pairs, the terms of one ``bases.linear_combination``
+Terms = tuple[tuple[Fraction, DivisorClass], ...]
 
 
 @dataclass(frozen=True)
@@ -206,34 +221,24 @@ def u_numerator(k: int, j: int, c: int) -> int:
     return 2 * (6 * k - 1) * _s_int(k, j, c) - correction
 
 
-# :func:`e_row`, :func:`_d_int`, :func:`_a_numerator` and :func:`_s_int`
-# over every E_{j,c} in the flat layout, with the binomials C(n, 2)
-# written out and the factors that do not depend on c taken out of the
-# row; the per-entry functions stay the definitions, and the tests hold
-# the families to them.
-
-
-def _d_flat(k: int) -> list[int]:
-    return [
-        (c * (c - 1) + (k - j + c) * (k - j + c - 1)) // 2 * (j + 1 - 2 * c)
-        + 2 * (c + 1) * (k - j + c)
-        + j
-        for j in range(1, k + 1)
-        for c in range(j // 2 + 1)
-    ]
-
-
-def _s_flat(k: int) -> list[int]:
-    if k == 1:
-        return [1]
-    return [
-        (k - j + c) * (c + 1)
-        + (c * (c - 1) + (k - j + c) * (k - j + c - 1)) // 2 * (j + 1 - 2 * c)
-        + (j + 1) // 2
-        + j % 2
-        for j in range(1, k + 1)
-        for c in range(j // 2 + 1)
-    ]
+def _cubic_rows(k: int, entry: Callable[[int, int, int], int]) -> list[int]:
+    """``entry(k, j, c)`` over every E_{j,c}, for the node counts
+    :func:`_d_int` and :func:`_s_int`: each row j is a cubic in c whose
+    third difference is -12 (the c^3 coefficient of both is -2), so a
+    row of three or more entries is its values at c = 0, 1, 2 carried on
+    by three C-level running sums, of the second differences, the first
+    differences and the values.  The shorter rows j = 1, 2, 3, and so
+    the one entry of k = 1, read ``entry`` itself."""
+    flat = []
+    for j in range(1, k + 1):
+        n = j // 2 + 1
+        if n < 3:
+            flat += [entry(k, j, c) for c in range(n)]
+            continue
+        v0, v1, v2 = entry(k, j, 0), entry(k, j, 1), entry(k, j, 2)
+        second = accumulate(repeat(-12, n - 3), initial=v2 - 2 * v1 + v0)
+        flat += accumulate(accumulate(second, initial=v1 - v0), initial=v0)
+    return flat
 
 
 def _t3j_multiples(k: int, per_row: Callable[[int, int], int]) -> list[int]:
@@ -248,9 +253,9 @@ def _t3j_multiples(k: int, per_row: Callable[[int, int], int]) -> list[int]:
 # t = a + 2(6k - 1) d and u = 2(6k - 1) s - (j + 1 - 2c) _u_correction
 _FAMILIES: dict[str, Callable[[int], Iterable[int]]] = {
     "e": lambda k: chain.from_iterable(e_row(k, j) for j in range(1, k + 1)),
-    "d": _d_flat,
+    "d": lambda k: _cubic_rows(k, _d_int),
     "a": lambda k: _t3j_multiples(k, _a_lead),
-    "s": _s_flat,
+    "s": lambda k: _cubic_rows(k, _s_int),
     "t": lambda k: map(
         add, jc_family(k, "a"), map((2 * (6 * k - 1)).__mul__, jc_family(k, "d"))
     ),
@@ -375,14 +380,19 @@ def grr_pieces(k: int) -> GrrPieces:
     return GrrPieces(omega_sq, cross, ram_sq)
 
 
+def phi_lambda_terms(k: int) -> Terms:
+    """:func:`phi_pull_lambda` as the terms of one
+    ``bases.linear_combination``: one twelfth of the pushed dualizing
+    square plus one twelfth of the node class."""
+    twelfth = Fraction(1, 12)
+    return ((twelfth, omega_tau_sq(k)), (twelfth, delta_tau(k)))
+
+
 @per_k_cache
 def phi_pull_lambda(k: int) -> DivisorClass:
     """Pullback of the Hodge class of the trace-curve moduli space,
     one twelfth of node class plus pushed dualizing square."""
-    twelfth = Fraction(1, 12)
-    return linear_combination(
-        hurwitz_basis(k), ((twelfth, omega_tau_sq(k)), (twelfth, delta_tau(k)))
-    )
+    return linear_combination(hurwitz_basis(k), phi_lambda_terms(k))
 
 
 @per_k_cache
@@ -409,27 +419,33 @@ def delta_s(k: int) -> DivisorClass:
     )
 
 
+def _s_omega_terms(k: int) -> Terms:
+    """:func:`s_omega_sq` as terms: half the trace value minus three
+    quarters of the pulled-back cotangent class."""
+    return ((Fraction(1, 2), omega_tau_sq(k)), (Fraction(-3, 4), pulled_psi(k)))
+
+
 @per_k_cache
 def s_omega_sq(k: int) -> DivisorClass:
     """Pushed dualizing square of the reduced-trace family: half the
     trace value minus three quarters of the pulled-back cotangent
     class."""
-    return linear_combination(
-        hurwitz_basis(k),
-        (
-            (Fraction(1, 2), omega_tau_sq(k)),
-            (Fraction(-3, 4), pulled_psi(k)),
-        ),
-    )
+    return linear_combination(hurwitz_basis(k), _s_omega_terms(k))
+
+
+def phihat_lambda_terms(k: int) -> Terms:
+    """:func:`phihat_pull_lambda` as terms: those of :func:`s_omega_sq`
+    and the node class ``delta_s``, each over 12, so the reduced Hodge
+    class is one combination of the cached inputs, with no
+    ``s_omega_sq`` built on the way."""
+    twelfth = Fraction(1, 12)
+    return (*((x * twelfth, d) for x, d in _s_omega_terms(k)), (twelfth, delta_s(k)))
 
 
 @per_k_cache
 def phihat_pull_lambda(k: int) -> DivisorClass:
     """Pullback of the Hodge class of the reduced-trace moduli space."""
-    twelfth = Fraction(1, 12)
-    return linear_combination(
-        hurwitz_basis(k), ((twelfth, s_omega_sq(k)), (twelfth, delta_s(k)))
-    )
+    return linear_combination(hurwitz_basis(k), phihat_lambda_terms(k))
 
 
 @per_k_cache

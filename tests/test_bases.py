@@ -681,6 +681,32 @@ def test_linear_combination_matches_affine_model(data):
     assert linear_combination(basis, iter(terms)) == result
 
 
+@pytest.mark.parametrize("basis", [hurwitz_basis(4), mg_basis(3)])
+def test_linear_combination_of_one_class_given_twice(basis):
+    # the kernel adds the scalars of a class object given more than once
+    # before its pass; the result is the sum over every term all the same
+    gens = list(basis.generators())
+    coeffs = {gens[0]: Fraction(5, 6), gens[-1]: -3}
+    if basis.kind == MG:
+        coeffs = with_weights(3, coeffs, Fraction(2, 7), -1)
+    d = DivisorClass(basis, coeffs)
+    other = DivisorClass(basis, {gens[1]: Fraction(1, 4), gens[-1]: 2})
+    cases = [
+        [(Fraction(1, 24), d), (1, other), (Fraction(-1, 16), d)],
+        [(Fraction(1, 12), d), (Fraction(-1, 12), d), (3, other)],
+        [(2, d), (Fraction(-1, 3), other), (-2, d), (Fraction(1, 3), other)],
+    ]
+    for terms in cases:
+        result = linear_combination(basis, terms)
+        assert_canonical(result)
+        expected = {g: {} for g in gens}
+        for x, term in terms:
+            for g, v in model(term).items():
+                expected[g] = add(expected[g], scale(v, x))
+        assert model(result) == expected
+    assert linear_combination(basis, cases[2]).is_zero()
+
+
 def test_linear_combination_edge_cases():
     basis = mg_basis(2)
     d = DivisorClass(basis, with_weights(2, {LAMBDA: Fraction(1, 3)}, 2, 0))

@@ -20,9 +20,13 @@ from hurwitzdiv.bases import (
     genus_reduced_trace,
     genus_trace,
     hurwitz_basis,
+    linear_combination,
     mg_basis,
 )
-from hurwitzdiv.core import AffineExpr, ExtSymbol, b_sym, c_sym
+from hurwitzdiv import bases as bases_mod
+from hurwitzdiv import pushforward as pushforward_mod
+from hurwitzdiv import trace as trace_mod
+from hurwitzdiv.core import AffineExpr, ExtSymbol, b_sym, c_sym, clear_caches
 from hurwitzdiv.pushforward import (
     ExternalCoeffs,
     eh_closed_coeffs,
@@ -49,12 +53,16 @@ from hurwitzdiv.pushforward import (
 from hurwitzdiv.trace import (
     alpha_table,
     catalan_number,
+    delta_s,
+    delta_tau,
     e_coeff,
     jc_family,
+    omega_tau_sq,
     phi_pull_boundary,
     phi_pull_lambda,
     phihat_pull_boundary,
     phihat_pull_lambda,
+    pulled_psi,
     q_pullback,
 )
 from test_bases import assert_apply_is_substitute, assert_canonical, record_substituted
@@ -422,11 +430,34 @@ def test_eh_divisor_small_k_assembly_only():
 
 
 def test_prym_pullbacks():
-    assert prym_hodge_class(3) == phi_pull_lambda(3) - phihat_pull_lambda(3)
+    # one combination of the terms of both Hodge pullbacks
+    for k in range(1, 41):
+        assert prym_hodge_class(k) == phi_pull_lambda(k) - phihat_pull_lambda(k), k
     boundary = prym_boundary_class(3)
     assert boundary == phi_pull_boundary(3, 0) - phihat_pull_boundary(3, 0)
     assert boundary.coefficient(E0).constant_value() == 6
     assert prym_boundary_class(1) == DivisorClass(hurwitz_basis(1), {E0: 2})
+
+
+@pytest.mark.parametrize("build", [phihat_pull_lambda, prym_hodge_class])
+def test_hodge_classes_are_one_combination_of_their_inputs(monkeypatch, build):
+    # once the node classes, the pushed dualizing square and the pulled
+    # cotangent class are cached, each class is one linear_combination,
+    # the binary operators of a class included
+    k = 9
+    clear_caches()
+    for built in (omega_tau_sq, delta_tau, delta_s, pulled_psi):
+        built(k)
+    calls = []
+
+    def counted(basis, terms):
+        calls.append(basis)
+        return linear_combination(basis, terms)
+
+    for module in (bases_mod, trace_mod, pushforward_mod):
+        monkeypatch.setattr(module, "linear_combination", counted)
+    build(k)
+    assert calls == [hurwitz_basis(k)]
 
 
 def test_symbol_hygiene_lambda_delta0_constant():

@@ -171,7 +171,9 @@ def test_hodge_closed_forms():
 
 
 def test_hodge_assembly_identities():
-    for k in (1, 2, 7):
+    # phihat_pull_lambda is one combination of the terms of s_omega_sq and
+    # delta_s, never of the built s_omega_sq
+    for k in range(1, 41):
         assert 12 * phi_pull_lambda(k) - delta_tau(k) == omega_tau_sq(k)
         assert 12 * phihat_pull_lambda(k) - delta_s(k) == s_omega_sq(k)
 
@@ -396,6 +398,43 @@ def test_jc_family_matches_the_per_coefficient_functions():
             for family, entry in _JC_ENTRIES.items():
                 expected = [entry(k, j, c) for c in range(j // 2 + 1)]
                 assert rows[family] == expected, (k, j, family)
+
+
+def test_node_count_families_match_their_definitions_up_to_k_100():
+    # the d and s families are cubic rows carried on from three values of
+    # _d_int/_s_int; the benchmark emits classes at k = 86..90
+    for k in range(1, 101):
+        for family, entry in (("d", trace_mod._d_int), ("s", trace_mod._s_int)):
+            expected = [entry(k, j, c) for j in range(1, k + 1) for c in range(j // 2 + 1)]
+            assert list(trace_mod.jc_family(k, family)) == expected, (k, family)
+
+
+def test_node_count_families_at_small_k():
+    # k = 1 is the one exception of _s_int (1, not the general 2), and
+    # every row of k <= 3 is shorter than three entries
+    assert trace_mod.jc_family(1, "d") == (1,)
+    assert trace_mod.jc_family(1, "s") == (1,)
+    assert trace_mod.jc_family(2, "d") == (3, 2, 6)
+    assert trace_mod.jc_family(2, "s") == (3, 1, 3)
+    assert trace_mod.jc_family(3, "d") == (7, 4, 11, 3, 7)
+    assert trace_mod.jc_family(3, "s") == (6, 2, 6, 3, 5)
+
+
+@pytest.mark.parametrize("entry", [trace_mod._d_int, trace_mod._s_int])
+def test_cubic_rows_read_the_definition_where_they_must(entry):
+    # the rows j = 1, 2, 3 (floor(j/2) < 2) are read entry by entry; a
+    # longer row only at c = 0, 1, 2
+    k = 9
+    read = []
+
+    def recorded(k, j, c):
+        read.append((j, c))
+        return entry(k, j, c)
+
+    flat = trace_mod._cubic_rows(k, recorded)
+    short = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1)]
+    assert read == short + [(j, c) for j in range(4, k + 1) for c in range(3)]
+    assert flat == [entry(k, j, c) for j in range(1, k + 1) for c in range(j // 2 + 1)]
 
 
 def test_jc_family_refuses_unknown_input():
