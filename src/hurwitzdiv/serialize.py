@@ -352,7 +352,7 @@ def coefficient_table(lines: list[str], fmt: str) -> str:
     if fmt == "json":
         return "[\n  " + ",\n  ".join(lines) + "\n]\n" if lines else "[]\n"
     if fmt == "csv":
-        return ",".join(COEFFICIENT_COLUMNS) + "\n" + "".join(lines)
+        return table_to_csv(COEFFICIENT_COLUMNS, []) + "".join(lines)
     return table_to_md(COEFFICIENT_COLUMNS, []) + "".join(lines)
 
 
