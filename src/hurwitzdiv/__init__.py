@@ -28,8 +28,6 @@ from .bases import (
     hurwitz_basis,
     m0b_sym_basis,
     mg_basis,
-    mg_hat_basis,
-    mg_prime_basis,
     zero_class,
 )
 from .m0b import (

@@ -1,5 +1,6 @@
-"""Generator bases for the five divisor class groups in play, sparse
-divisor classes over them, and linear maps between them.
+"""Generator bases for the three divisor class groups that the
+package's classes live in, sparse divisor classes over them, and linear
+maps between them.
 
 The groups are handled as free modules on named generators:
 
@@ -9,9 +10,10 @@ The groups are handled as free modules on named generators:
   receive a nonzero push-forward).
 * ``M0bSym(k)``: the symmetric boundary classes T2 and T3j_1 .. T3j_k of
   the space of 6k-pointed rational curves.
-* ``MgPrime(k)`` / ``MgHat(k)``: lambda and delta_0 .. delta_floor(g/2)
-  of the target moduli spaces of the trace and reduced-trace curve, of
-  genus g = 5k^2 - 4k + 1 and (5k - 2)(k - 1)/2.
+
+The target moduli spaces of the trace and reduced-trace curves have no
+basis here; they enter through their genera, :func:`genus_trace` and
+:func:`genus_reduced_trace`.
 
 Generators are plain strings so that they serialize unchanged.  One
 spec per kind, ``_SPECS``, lists its generators; the E_{j,c} names of
@@ -137,16 +139,12 @@ def scalar_type_error(x) -> TypeError:
 HURWITZ = "Hurwitz"
 MG = "Mg"
 M0B_SYM = "M0bSym"
-MG_PRIME = "MgPrime"
-MG_HAT = "MgHat"
 
 E0 = "E0"
 E2 = "E2"
 E3 = "E3"
 LAMBDA = "lambda"
 T2 = "T2"
-LAMBDA_PRIME = "lambdaP"
-LAMBDA_HAT = "lambdaH"
 
 
 def Ejc(j: int, c: int) -> str:
@@ -175,14 +173,6 @@ def T3j(j: int) -> str:
     return f"T3j_{j}"
 
 
-def delta_prime(j: int) -> str:
-    return f"deltaP_{j}"
-
-
-def delta_hat(j: int) -> str:
-    return f"deltaH_{j}"
-
-
 def genus_trace(k: int) -> int:
     """Genus of the trace curve, 5k^2 - 4k + 1."""
     return 5 * k * k - 4 * k + 1
@@ -201,12 +191,6 @@ class _KindSpec(NamedTuple):
     tail: Callable[[int], Iterable[str]]
 
 
-def _moduli(lead: str, family: Callable[[int], str], genus) -> _KindSpec:
-    """The Hodge class and the boundary classes delta_0 ..
-    delta_floor(g/2) of a moduli space of curves of genus g = ``genus(k)``."""
-    return _KindSpec(lambda k: (lead,), lambda k: map(family, range(genus(k) // 2 + 1)))
-
-
 _SPECS = {
     HURWITZ: _KindSpec(
         lambda k: (E0,) + ((E2,) if k >= 3 else ()) + ((E3,) if k >= 2 else ()),
@@ -214,8 +198,6 @@ _SPECS = {
     ),
     MG: _KindSpec(lambda k: (LAMBDA,), delta_names),
     M0B_SYM: _KindSpec(lambda k: (T2,), lambda k: map(T3j, range(1, k + 1))),
-    MG_PRIME: _moduli(LAMBDA_PRIME, delta_prime, genus_trace),
-    MG_HAT: _moduli(LAMBDA_HAT, delta_hat, genus_reduced_trace),
 }
 _KINDS = tuple(_SPECS)  # a tuple: an unhashable kind is refused, not a TypeError
 
@@ -316,14 +298,6 @@ def mg_basis(k: int) -> Basis:
 
 def m0b_sym_basis(k: int) -> Basis:
     return Basis(M0B_SYM, k)
-
-
-def mg_prime_basis(k: int) -> Basis:
-    return Basis(MG_PRIME, k)
-
-
-def mg_hat_basis(k: int) -> Basis:
-    return Basis(MG_HAT, k)
 
 
 class DivisorClass:

@@ -73,8 +73,6 @@ from .trace import (
 RAW = "raw"
 PER_FACTORIAL_B = "per-factorial-b"
 
-NORMALIZATIONS = (RAW, PER_FACTORIAL_B)
-
 
 def factorial_b(k: int) -> int:
     """(6k)!, the branch-point labelling factor."""

@@ -6,9 +6,9 @@ human-facing slope lines.
 JSON is the canonical machine format and rationals appear there only as
 "p/q" strings; csv and md are lossy renderings of the same data.
 
-Every class writer (``class_to_json``/``class_to_csv``/``class_to_md``,
-``coefficient_texts`` and ``coefficient_lines``, which writes the rows of
-a ``cli`` coefficients table whole) is one call of ``_lines``, which
+Every class writer (``class_to_json``/``class_to_csv``/``class_to_md``
+and ``coefficient_lines``, which writes the rows of a ``cli``
+coefficients table whole) is one call of ``_lines``, which
 walks the stored form of the class once and writes one line per
 coefficient in the layout of its format: the head map, then a
 Hurwitz class's flat E_{j,c} tuple row by row, each name ``E_j_c``
@@ -29,9 +29,10 @@ of a coefficient, is built only by the accessors
 ``class_to_obj``/``affine_to_obj`` use; ``dumps_canonical`` of those
 objects is the reference the writers are tested against.
 
-Both JSON readers check a header alike: the schema, exactly its
-top-level keys, a positive int k.  An external-coefficients table is
-read once, straight into integers: each "p/q" goes through the one
+A divisor-class/1 object is written, never read: the one JSON reader
+is that of an external-coefficients table.  It checks the header (the
+schema, exactly its top-level keys, a positive int k) and reads the
+table once, straight into integers: each "p/q" goes through the one
 strict grammar of ``core.parse_ratio`` into a pair of ints, with no
 reduced ``Fraction`` per value, and ``ExternalCoeffs`` puts those pairs
 over one common denominator when the table is made.
@@ -50,17 +51,14 @@ from math import gcd
 from operator import floordiv, methodcaller, mul
 from typing import Any, NamedTuple, Sequence
 
-from .bases import B_WEIGHT, C_WEIGHT, E0, E2, E3, Basis, DivisorClass, ejc_offsets
-from .core import AffineExpr, ExtSymbol, affine_text, format_rational, parse_ratio
-from .core import is_index_literal, parse_rational
-from .pushforward import NORMALIZATIONS, ExternalCoeffs, RAW
+from .bases import B_WEIGHT, C_WEIGHT, E0, E2, E3, DivisorClass, ejc_offsets
+from .core import AffineExpr, affine_text, format_rational, is_index_literal, parse_ratio
+from .pushforward import ExternalCoeffs, RAW
 
 CLASS_SCHEMA = "divisor-class/1"
 EXTERNALS_SCHEMA = "external-coeffs/1"
 
-_CLASS_KEYS = frozenset({"schema", "k", "basis", "normalization", "coefficients"})
 _EXTERNALS_KEYS = frozenset({"schema", "k", "c", "b"})
-_COEFFICIENT_KEYS = frozenset({"const", "c", "b"})
 _HEAD = (E0, E2, E3)
 
 
@@ -69,39 +67,18 @@ def _kind_of(obj: Any) -> str:
     return "an object" if isinstance(obj, dict) else kind.get(type(obj), "a number")
 
 
-def _header_k(obj: Any, schema: str, keys: frozenset, what: str, short: str) -> int:
-    """The k of a JSON object of ``schema`` with exactly the top-level
-    ``keys``; ``what`` ("a divisor class") and ``short`` ("divisor
-    class") name it in the ``ValueError`` of any other shape."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {_kind_of(obj)}")
-    if obj.get("schema") != schema:
-        raise ValueError(f"expected schema {schema!r}, got {obj.get('schema')!r}")
-    if obj.keys() != keys:
-        unknown, missing = obj.keys() - keys, keys - obj.keys()
-        raise ValueError(
-            f"{what} has unknown keys {sorted(unknown)}"
-            if unknown
-            else f"{what} lacks the keys {sorted(missing)}"
-        )
-    k = obj["k"]
-    if type(k) is not int or k < 1:
-        raise ValueError(f"{short} 'k' must be a positive integer, got {k!r}")
-    return k
-
-
-def _index_table(table: Any, family: str, where: str) -> dict[int, tuple[int, int]]:
-    """Parse a JSON map from c_j or b_j indices to "p/q" strings into
-    the int pairs (p, q) of ``core.parse_ratio``, not reduced; any other
-    shape is a ``ValueError``."""
+def _index_table(table: Any, family: str) -> dict[int, tuple[int, int]]:
+    """Parse the JSON map of an external table from c_j or b_j indices
+    to "p/q" strings into the int pairs (p, q) of ``core.parse_ratio``,
+    not reduced; any other shape is a ``ValueError``."""
     if not isinstance(table, dict):
-        raise ValueError(f'{where} {family!r} must map indices to "p/q" strings')
+        raise ValueError(f'external table {family!r} must map indices to "p/q" strings')
     parsed: dict[int, tuple[int, int]] = {}
     for index, value in table.items():
         # the index grammar without 0: [1-9][0-9]*, one spelling per index
         if not (isinstance(index, str) and is_index_literal(index)) or index == "0":
             raise ValueError(
-                f"{where} {family!r} has a malformed index {index!r} "
+                f"external table {family!r} has a malformed index {index!r} "
                 "(indices are 1, 2, 3, ... without leading zeros)"
             )
         if not isinstance(value, str):
@@ -124,25 +101,6 @@ def affine_to_obj(e: AffineExpr) -> dict[str, Any]:
     return obj
 
 
-def affine_from_obj(obj: Any, where: str = "coefficient") -> AffineExpr:
-    """Parse ``{"const": "p/q"}`` with optional ``"c"``/``"b"`` maps from
-    indices to "p/q" strings; any other shape is a ``ValueError``."""
-    if not isinstance(obj, dict):
-        raise ValueError(
-            f'{where} must be an object with a "const" string, got {_kind_of(obj)}'
-        )
-    unknown = obj.keys() - _COEFFICIENT_KEYS
-    if unknown:
-        raise ValueError(f"{where} has unknown keys {sorted(unknown)}")
-    if "const" not in obj:
-        raise ValueError(f'{where} has no "const" value')
-    terms: dict[ExtSymbol, Fraction] = {}
-    for family in ("c", "b"):
-        for index, ratio in _index_table(obj.get(family, {}), family, where).items():
-            terms[ExtSymbol(family, index)] = Fraction(*ratio)
-    return AffineExpr(parse_rational(obj["const"]), terms)
-
-
 def class_to_obj(d: DivisorClass, normalization: str = RAW) -> dict[str, Any]:
     return {
         "schema": CLASS_SCHEMA,
@@ -151,26 +109,6 @@ def class_to_obj(d: DivisorClass, normalization: str = RAW) -> dict[str, Any]:
         "normalization": normalization,
         "coefficients": {name: affine_to_obj(value) for name, value in d.items()},
     }
-
-
-def class_from_obj(obj: Any) -> tuple[DivisorClass, str]:
-    """Parse a divisor-class/1 object; any other shape is a
-    ``ValueError``."""
-    k = _header_k(obj, CLASS_SCHEMA, _CLASS_KEYS, "a divisor class", "divisor class")
-    normalization = obj["normalization"]
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    coefficients = obj["coefficients"]
-    if not isinstance(coefficients, dict):
-        raise ValueError(
-            f"divisor class 'coefficients' must be an object, got {_kind_of(coefficients)}"
-        )
-    basis = Basis(obj["basis"], k)
-    coeffs = {
-        name: affine_from_obj(value, f"coefficient of {name}")
-        for name, value in coefficients.items()
-    }
-    return DivisorClass(basis, coeffs), normalization
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -312,13 +250,6 @@ def class_to_csv(d: DivisorClass, scale: int = 1) -> str:
     return "".join(_lines(d, _CSV, scale))
 
 
-def coefficient_texts(d: DivisorClass, scale: int = 1) -> list[tuple[str, str]]:
-    """(generator, coefficient) rows of ``d * scale`` in natural basis
-    order, the rows of :func:`class_to_csv` split at their one comma;
-    each coefficient reads as ``str`` of its :class:`AffineExpr`."""
-    return [tuple(line[:-1].split(",")) for line in _lines(d, _CSV, scale)]
-
-
 def class_to_md(d: DivisorClass, scale: int = 1) -> str:
     return table_to_md(["generator", "coefficient"], []) + "".join(_lines(d, _MD, scale))
 
@@ -409,15 +340,25 @@ def decimal_approx(x: Fraction) -> str:
 
 def externals_from_obj(obj: Any) -> ExternalCoeffs:
     """Parse an external-coeffs/1 object; any other shape is a
-    ``ValueError``."""
-    k = _header_k(
-        obj, EXTERNALS_SCHEMA, _EXTERNALS_KEYS, "an external coefficient table", "external table"
-    )
-    return ExternalCoeffs._from_ratios(
-        k,
-        _index_table(obj["c"], "c", "external table"),
-        _index_table(obj["b"], "b", "external table"),
-    )
+    ``ValueError``.  The header is checked first, in this order: a JSON
+    object, the schema, exactly the top-level keys (unknown keys named
+    before missing ones), a positive int k."""
+    what = "an external coefficient table"
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {_kind_of(obj)}")
+    if obj.get("schema") != EXTERNALS_SCHEMA:
+        raise ValueError(f"expected schema {EXTERNALS_SCHEMA!r}, got {obj.get('schema')!r}")
+    if obj.keys() != _EXTERNALS_KEYS:
+        unknown, missing = obj.keys() - _EXTERNALS_KEYS, _EXTERNALS_KEYS - obj.keys()
+        raise ValueError(
+            f"{what} has unknown keys {sorted(unknown)}"
+            if unknown
+            else f"{what} lacks the keys {sorted(missing)}"
+        )
+    k = obj["k"]
+    if type(k) is not int or k < 1:
+        raise ValueError(f"external table 'k' must be a positive integer, got {k!r}")
+    return ExternalCoeffs._from_ratios(k, _index_table(obj["c"], "c"), _index_table(obj["b"], "b"))
 
 
 def load_externals(path: str) -> ExternalCoeffs:

@@ -12,6 +12,7 @@ from hurwitzdiv.checks import run_checks
 from hurwitzdiv.cli import _CLASSES, main
 from hurwitzdiv.pushforward import RAW, factorial_b
 from hurwitzdiv.serialize import dumps_canonical
+from test_bases import csv_rows
 
 
 def run(capsys, *argv):
@@ -900,7 +901,7 @@ def test_raw_emission_matches_the_materialized_raw_class(capsys, name, k):
     # the default limit at k = 255
     sys.set_int_max_str_digits(0)
     try:
-        rows = [[str(k), g, text] for g, text in serialize.coefficient_texts(raw)]
+        rows = [[str(k), g, text] for g, text in csv_rows(raw)]
         columns = ["k", "generator", "coefficient"]
         expected = {
             ("class", "json"): serialize.class_to_json(raw, RAW),

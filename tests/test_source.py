@@ -92,6 +92,26 @@ def test_star_import_binds_no_module():
     assert "trace" not in namespace and "checks" not in namespace
 
 
+def test_public_api_census():
+    # adding or removing a public name is a visible diff of this list
+    assert sorted(hurwitzdiv.__all__) == [
+        "AffineExpr", "Basis", "CHECKS", "CheckResult", "ClassMap", "DivisorClass",
+        "E0", "E2", "E3", "Ejc", "ExtSymbol", "ExternalCoeffs", "FAILS", "GenusData",
+        "GrrPieces", "HOLDS", "LAMBDA", "MarkedSet", "PER_FACTORIAL_B", "RAW",
+        "SlopeReport", "T2", "T3j", "UNKNOWN", "b_sym", "c_sym", "catalan_number",
+        "count_boundary", "delta", "delta_restricted", "delta_s", "delta_tau", "e_coeff",
+        "eh_divisor", "enumerate_boundary", "factorial_b", "forgetful_pullback",
+        "format_rational", "genus_data", "grr_pieces", "hurwitz_basis", "induced_slope",
+        "intersect_nonempty", "kappa_class", "kappa_slope_bound", "m0b_sym_basis",
+        "mg_basis", "mg_canonical_class", "normalize", "omega_tau_sq", "p_phi_delta",
+        "p_phi_lambda", "p_phihat_delta", "p_phihat_lambda", "p_push", "p_q_kappa",
+        "p_q_map", "parse_rational", "phi_pull_boundary", "phi_pull_lambda",
+        "phihat_pull_boundary", "phihat_pull_lambda", "prym_boundary_class",
+        "prym_hodge_class", "psi_restricted", "q_pullback", "run_checks", "s_omega_sq",
+        "slope_of", "slope_target", "zero_class",
+    ]
+
+
 def _private_definitions(tree: ast.Module) -> list[tuple[str, int, int]]:
     """(name, first line, last line) of each private name that a module
     defines: its functions, classes and methods at any depth, and the
