@@ -215,6 +215,91 @@ def test_externals_index_outside_the_grammar_is_named(index):
         externals_from_obj(obj)
 
 
+_DROP = object()
+
+
+def _table(**changes):
+    """A valid external-coeffs/1 object at k = 1 with ``changes`` applied;
+    a key set to ``_DROP`` is removed."""
+    obj = {"schema": "external-coeffs/1", "k": 1, "c": {"1": "0"}, "b": {"1": "0"}}
+    obj.update(changes)
+    return {key: value for key, value in obj.items() if value is not _DROP}
+
+
+_NOT_AN_OBJECT = "an external coefficient table must be a JSON object, got "
+_SCHEMA = "expected schema 'external-coeffs/1', got "
+_K = "external table 'k' must be a positive integer, got "
+_NOT_A_MAP = "external table {!r} must map indices to \"p/q\" strings"
+_INDEX = "external table {!r} has a malformed index {!r} (indices are 1, 2, 3, ... without leading zeros)"
+
+
+# Every refusal of the reader, one branch at a time, with its whole text:
+# the object, the schema, the key set, k, each index table, its indices,
+# its values and their rational grammar, and then the coverage of 1..k.
+@pytest.mark.parametrize(
+    "obj, text",
+    [
+        ([], _NOT_AN_OBJECT + "an array"),
+        ("external-coeffs/1", _NOT_AN_OBJECT + "a string"),
+        (None, _NOT_AN_OBJECT + "null"),
+        (1, _NOT_AN_OBJECT + "a number"),
+        (0.5, _NOT_AN_OBJECT + "a number"),
+        (True, _NOT_AN_OBJECT + "a boolean"),
+        (_table(schema=_DROP), _SCHEMA + "None"),
+        (_table(schema="external-coeffs/2"), _SCHEMA + "'external-coeffs/2'"),
+        (_table(schema=None), _SCHEMA + "None"),
+        (_table(schema=1), _SCHEMA + "1"),
+        (_table(notes="x"), "an external coefficient table has unknown keys ['notes']"),
+        (_table(b=_DROP), "an external coefficient table lacks the keys ['b']"),
+        (_table(c=_DROP, b=_DROP), "an external coefficient table lacks the keys ['b', 'c']"),
+        (_table(k=_DROP), "an external coefficient table lacks the keys ['k']"),
+        (_table(c=_DROP, bb={}), "an external coefficient table has unknown keys ['bb']"),
+        (_table(k=0), _K + "0"),
+        (_table(k=-1), _K + "-1"),
+        (_table(k="1"), _K + "'1'"),
+        (_table(k=True), _K + "True"),
+        (_table(k=1.0), _K + "1.0"),
+        (_table(k=None), _K + "None"),
+        (_table(c=["0"]), _NOT_A_MAP.format("c")),
+        (_table(c="1/2"), _NOT_A_MAP.format("c")),
+        (_table(c=0), _NOT_A_MAP.format("c")),
+        (_table(b=[]), _NOT_A_MAP.format("b")),
+        (_table(c={"0": "0"}), _INDEX.format("c", "0")),
+        (_table(c={"1": "0", "01": "0"}), _INDEX.format("c", "01")),
+        (_table(b={"+1": "0"}), _INDEX.format("b", "+1")),
+        (_table(b={" 1": "0"}), _INDEX.format("b", " 1")),
+        (_table(c={"": "0"}), _INDEX.format("c", "")),
+        (_table(c={"\u0661": "0"}), _INDEX.format("c", "\u0661")),
+        (_table(c={"\u00b2": "0"}), _INDEX.format("c", "\u00b2")),
+        (_table(c={"one": "0"}), _INDEX.format("c", "one")),
+        (_table(c={"1": 0}), 'c_1 must be a "p/q" string, got 0'),
+        (_table(c={"1": 0.5}), 'c_1 must be a "p/q" string, got 0.5'),
+        (_table(b={"1": None}), 'b_1 must be a "p/q" string, got null'),
+        (_table(b={"1": ["1"]}), 'b_1 must be a "p/q" string, got ["1"]'),
+        (_table(c={"1": {"const": "1"}}), 'c_1 must be a "p/q" string, got {"const": "1"}'),
+        (_table(c={"1": True}), 'c_1 must be a "p/q" string, got true'),
+        (_table(c={"1": "0.5"}), "not a rational literal: '0.5'"),
+        (_table(c={"1": "1/0"}), "zero denominator in rational literal '1/0'"),
+        (_table(b={"1": "1/000"}), "zero denominator in rational literal '1/000'"),
+        (_table(c={"1": " 1"}), "not a rational literal: ' 1'"),
+        (_table(b={"1": "3/-4"}), "not a rational literal: '3/-4'"),
+        (_table(c={"1": ""}), "not a rational literal: ''"),
+        # c is read before b
+        (_table(c={"1": "x"}, b={"1": "1/0"}), "not a rational literal: 'x'"),
+        (_table(c={}), "external table 'c' must cover exactly 1..1, got indices []"),
+        (_table(c={"1": "0", "2": "0"}), "external table 'c' must cover exactly 1..1, got indices [1, 2]"),
+        (_table(k=2), "external table 'c' must cover exactly 1..2, got indices [1]"),
+        (
+            _table(k=2, c={"1": "0", "2": "0"}, b={"1": "0", "3": "0"}),
+            "external table 'b' must cover exactly 1..2, got indices [1, 3]",
+        ),
+    ],
+)
+def test_externals_refusal_texts(obj, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        externals_from_obj(obj)
+
+
 def reference_rational(text: str) -> Fraction:
     """The rational grammar read independently of ``core.parse_ratio``:
     one regex over the whole text, then a reduced ``Fraction``."""
