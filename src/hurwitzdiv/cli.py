@@ -230,7 +230,10 @@ _COEFFICIENTS = "coefficients:"
 
 def _coefficients_table(args) -> str:
     """The coefficients table of one class over the range: each k's rows
-    written whole by ``serialize.coefficient_lines``."""
+    written whole by ``serialize.coefficient_lines``.  An indexed class
+    that exists at no k of the range is refused with the last k's error:
+    the index range of a boundary class grows with k, so that error
+    names the widest one."""
     name = args.quantity[len(_COEFFICIENTS):]
     lines, missing = [], []
     for k in each_k(args.k_min, args.k_max):
@@ -241,7 +244,7 @@ def _coefficients_table(args) -> str:
             continue
         lines += serialize.coefficient_lines(d, k, args.format, scale)
     if len(missing) == args.k_max - args.k_min + 1:
-        raise missing[0]
+        raise missing[-1]
     return serialize.coefficient_table(lines, args.format)
 
 

@@ -197,8 +197,8 @@ def p_push(k: int) -> ClassMap:
     }
     heads = hurwitz_head(k, e0, e2, e3)
     cols = {name: (head, ()) for name, head in heads.items()}
-    # E_{j,c} goes to e_{j,c} delta_j, all positive integers
-    # (trace.e_numerator): the e family itself, over 1
+    # E_{j,c} goes to e_{j,c} delta_j, all positive integers (products
+    # of two ballot numbers, trace._e_family): the e family itself, over 1
     block = (deltas[1:], jc_family(k, "e"))
     return ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, block)
 

@@ -19,13 +19,16 @@ layout and q* writes each T3j column into the slice of row j, so no
 builder forms an E_{j,c} name; :func:`alpha_table` and the delta_j
 predictions of ``pushforward`` take ``bases.row_sums`` of a product of
 two families; the "e" family holds the integers e_{j,c} themselves, so
-no reader divides.  A family is built only when asked for.  The node
-counts d and s are built from their definitions :func:`_d_int` and
+no reader divides.  A family is built only when asked for.  The e
+family is the product of two ballot numbers per entry, both factors
+built as rows of ballot numbers by Pascal's rule (:func:`_e_family`):
+additions and multiplications, with no ``comb`` and no division.  The
+node counts d and s are built from their definitions :func:`_d_int` and
 :func:`_s_int`, which hold their formulas alone: each row is a cubic in
 c with third difference -12, read at c = 0, 1, 2 and carried on by
 running sums (:func:`_cubic_rows`).  The other per-coefficient
-functions (:func:`e_numerator`, :func:`t_numerator`, ...) stay as the
-definitions that the tests hold the families to.
+functions (:func:`e_numerator`, :func:`e_coeff`, :func:`t_numerator`,
+...) stay as the definitions that the tests hold the families to.
 
 Each Hodge assembly is written once, as the (scalar, class) terms of one
 ``bases.linear_combination``: :func:`phi_lambda_terms` (omega_tau^2 and
@@ -130,19 +133,37 @@ def e_numerator(k: int, j: int, c: int) -> int:
     return m * m * comb(j + 1, c) * comb(2 * k - j + 1, k + 1 - c)
 
 
-def e_row(k: int, j: int) -> list[int]:
-    """The integers e_{j,c} for c = 0 .. floor(j/2), each
-    :func:`e_numerator` (j+1-2c)^2 B_c over its denominator, with one
-    ``comb`` per row: B_c = C(j+1, c) C(2k-j+1, k+1-c) runs as the exact
-    integer step B_{c+1} = B_c (j+1-c)(k+1-c) / ((c+1)(k-j+c+1))."""
-    binom = comb(2 * k - j + 1, k + 1)
-    full = (j + 1) * (2 * k - j + 1)
-    row = []
-    for c in range(j // 2 + 1):
-        m = j + 1 - 2 * c
-        row.append(m * m * binom // full)
-        binom = binom * (j + 1 - c) * (k + 1 - c) // ((c + 1) * (k - j + c + 1))
-    return row
+def _ballot_step(row: list[int], n: int) -> list[int]:
+    """The ballot numbers B(n, r) = C(n, r) - C(n, r-1) of row n over
+    r = a+1 .. floor(n/2), from ``row``, those of row n-1 over r = a ..
+    floor((n-1)/2), by Pascal's rule B(n, r) = B(n-1, r) + B(n-1, r-1):
+    one C-level ``map(add, ...)``.  For even n the last entry is the last
+    of ``row``, since B(n-1, n/2) = 0."""
+    step = [*map(add, row, row[1:])]
+    if n % 2 == 0:
+        step.append(row[-1])
+    return step
+
+
+def _e_family(k: int) -> Iterable[int]:
+    """The integers e_{j,c} over every E_{j,c}, in the flat layout:
+    :func:`e_numerator` over (j+1)(2k-j+1) is the ballot product
+    B(j, c) B(2k-j, k-j+c) (the second factor is C(2k-j, k-c) -
+    C(2k-j, k+1-c), by the symmetry C(m, r) = C(m, m-r)), built by
+    additions and multiplications alone.  The low factors are the rows
+    n = 0..k of B(n, r), r = 0..floor(n/2), each a :func:`_ballot_step`
+    of the one before with B(n, 0) = 1 put in front.  The high factors
+    of row j are the window r = m-k .. floor(m/2) of row m = 2k-j; the
+    window of m = k is the low row k, and each next window, one step up
+    in r, is a :func:`_ballot_step` of the last.  Low row j and the
+    window of row 2k-j both hold floor(j/2) + 1 entries, so the family
+    is one C-level product pass over the low rows j = 1..k and the
+    windows in the reverse of the order they were built."""
+    lows = list(
+        accumulate(range(1, k + 1), lambda row, n: [1, *_ballot_step(row, n)], initial=[1])
+    )
+    highs = list(accumulate(range(k + 1, 2 * k), _ballot_step, initial=lows[k]))
+    return map(mul, chain.from_iterable(lows[1:]), chain.from_iterable(reversed(highs)))
 
 
 def e_coeff(k: int, j: int, c: int) -> Fraction:
@@ -252,7 +273,7 @@ def _t3j_multiples(k: int, per_row: Callable[[int, int], int]) -> list[int]:
 
 # t = a + 2(6k - 1) d and u = 2(6k - 1) s - (j + 1 - 2c) _u_correction
 _FAMILIES: dict[str, Callable[[int], Iterable[int]]] = {
-    "e": lambda k: chain.from_iterable(e_row(k, j) for j in range(1, k + 1)),
+    "e": _e_family,
     "d": lambda k: _cubic_rows(k, _d_int),
     "a": lambda k: _t3j_multiples(k, _a_lead),
     "s": lambda k: _cubic_rows(k, _s_int),
@@ -274,7 +295,7 @@ def jc_family(k: int, family: str) -> tuple[int, ...]:
     from ``bases.ejc_offsets(k)[j]`` to ``[j + 1]``.
 
     The families are the push-forward multiplicities e_{j,c}
-    themselves, integers (:func:`e_row`, ``"e"``), the node counts
+    themselves, integers (:func:`_e_family`, ``"e"``), the node counts
     :func:`_d_int` (``"d"``) and :func:`_s_int` (``"s"``), and the
     numerators over 2(6k-1) given by :func:`_a_numerator` (``"a"``),
     :func:`t_numerator` (``"t"``) and :func:`u_numerator` (``"u"``); the

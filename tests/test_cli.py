@@ -542,14 +542,33 @@ def test_indexed_coefficient_table_skips_the_uncovered_k(capsys, name, k_max, co
 
 
 def test_indexed_coefficient_table_with_no_covered_k_is_refused(capsys):
-    # no k of the range has the class: exit 2 with the lowest k's error
+    # no k of the range has the class: exit 2 with the last k's error,
+    # whose index range is the widest of the range
     table = run(
         capsys, "table", "--quantity", "coefficients:phihat-delta:4", "--k-min", "1",
         "--k-max", "2",
     )
-    one = run(capsys, "class", "phihat-delta:4", "--k", "1")
+    one = run(capsys, "class", "phihat-delta:4", "--k", "2")
     assert table == (2, "", one[2])
     assert one[2].startswith("error: ") and one[2].count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name, err",
+    [
+        ("phi-delta:9", "error: boundary index 9 out of range 0..6\n"),
+        ("phihat-delta:9", "error: boundary index 9 out of range 0..2\n"),
+        ("q-T3j:9", "error: generator 'T3j_9' does not belong to M0bSym(k=2)\n"),
+    ],
+)
+def test_uncovered_coefficient_table_names_the_range_of_the_last_k(capsys, name, err):
+    # k = 2 admits phi-delta:0..6 and phihat-delta:0..2, k = 1 only 0..1
+    # and 0..0; the refusal names k = 2's
+    table = run(
+        capsys, "table", "--quantity", f"coefficients:{name}", "--k-min", "1",
+        "--k-max", "2",
+    )
+    assert table == (2, "", err)
 
 
 def test_table_slope_bound(capsys):
@@ -953,6 +972,7 @@ _INPUT_ERRORS = {
     "table --quantity bogus --k-min 1 --k-max 2",
     "table --quantity genus --k-min 1 --k-max 2 --normalized",
     "table --quantity genus --k-min 3 --k-max 1",
+    "table --quantity coefficients:phi-delta:9 --k-min 1 --k-max 2",
     "verify --k-min 3 --k-max 1",
     "verify --k-min 3 --k-max 3 --checks delta-j-checks --externals extkeys.json",
 }
@@ -961,7 +981,7 @@ _INPUT_ERRORS = {
 def test_command_list_is_whole():
     # every command of the CI list, every table valid JSON and read by
     # some command
-    assert len(_COMMANDS) == 65
+    assert len(_COMMANDS) == 66
     assert _INPUT_ERRORS <= {" ".join(argv) for argv in _COMMANDS}
     named = {arg for argv in _COMMANDS for arg in argv}
     assert set(_TABLES) <= named

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -25,7 +26,6 @@ from hurwitzdiv.trace import (
     delta_tau,
     e_coeff,
     e_numerator,
-    e_row,
     genus_data,
     grr_pieces,
     omega_tau_sq,
@@ -327,47 +327,67 @@ def test_small_k_drop_matches_general_formula():
     assert s2.coefficient(E3).constant_value() == Fraction(3 * 4 - 13 * 2 + 16, 2)
 
 
-def test_e_row_running_product_matches_e_numerator():
-    for k in range(1, 61):
-        for j in range(1, k + 1):
-            full = (j + 1) * (2 * k - j + 1)
-            assert [e * full for e in e_row(k, j)] == [
-                e_numerator(k, j, c) for c in range(j // 2 + 1)
-            ]
+def _e_entry(k, j, c):
+    # e_{j,c} is e_numerator over (j+1)(2k-j+1), which divides it
+    e, rest = divmod(e_numerator(k, j, c), (j + 1) * (2 * k - j + 1))
+    assert rest == 0, (k, j, c)
+    return e
+
+
+def _binom(n, m):
+    return comb(n, m) if 0 <= m <= n else 0
+
+
+def _ballot(n, r):
+    return _binom(n, r) - _binom(n, r - 1)
 
 
 def test_e_numerator_is_its_denominator_times_two_ballot_numbers():
-    # e_row divides each numerator by (j+1)(2k-j+1) exactly
-    from math import comb
-
-    def binom(n, m):
-        return comb(n, m) if 0 <= m <= n else 0
-
+    # so e_{j,c} is an integer, the product of the two ballot numbers
     for k in range(1, 41):
         for j in range(1, k + 1):
             for c in range(j // 2 + 1):
-                first = binom(j, c) - binom(j, c - 1)
-                second = binom(2 * k - j, k - c) - binom(2 * k - j, k + 1 - c)
+                first = _ballot(j, c)
+                second = _binom(2 * k - j, k - c) - _binom(2 * k - j, k + 1 - c)
                 full = (j + 1) * (2 * k - j + 1)
                 assert e_numerator(k, j, c) == full * first * second
 
 
-def test_e_rows_are_the_ballot_products():
-    # the table that p_* reads holds e_{j,c} itself
-    from math import comb
-
-    def binom(n, m):
-        return comb(n, m) if 0 <= m <= n else 0
-
-    for k in range(1, 41):
+def test_e_family_matches_its_definitions_up_to_k_100():
+    # the table that p_* reads holds e_{j,c} itself, the ballot product
+    # B(j, c) B(2k-j, k-j+c); the kernel builds both factors by Pascal's
+    # rule, whose windows differ with the parity of j, and the benchmark
+    # emits classes at k = 86..90
+    for k in range(1, 101):
         flat, offsets = trace_mod.jc_family(k, "e"), ejc_offsets(k)
+        assert len(flat) == offsets[-1], k
         for j in range(1, k + 1):
-            row = flat[offsets[j] : offsets[j + 1]]
-            assert len(row) == j // 2 + 1, (k, j)
-            for c in range(j // 2 + 1):
-                first = binom(j, c) - binom(j, c - 1)
-                second = binom(2 * k - j, k - c) - binom(2 * k - j, k + 1 - c)
-                assert row[c] == first * second, (k, j, c)
+            row = list(flat[offsets[j] : offsets[j + 1]])
+            cs = range(j // 2 + 1)
+            assert row == [_ballot(j, c) * _ballot(2 * k - j, k - j + c) for c in cs], (k, j)
+            assert row == [_e_entry(k, j, c) for c in cs], (k, j)
+
+
+def test_e_family_calls_no_comb_and_divides_nothing(monkeypatch):
+    import ast
+    import inspect
+
+    expected = [_e_entry(60, j, c) for j in range(1, 61) for c in range(j // 2 + 1)]
+
+    def refused(*args):
+        raise AssertionError(f"comb{args} called")
+
+    monkeypatch.setattr(trace_mod, "comb", refused)
+    trace_mod.jc_family.cache_clear()
+    assert list(trace_mod.jc_family(60, "e")) == expected
+    # no / or // in the kernel (n % 2 reads the parity of a row number)
+    for fn in (trace_mod._e_family, trace_mod._ballot_step):
+        tree = ast.parse(inspect.getsource(fn))
+        divisions = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv))
+        ]
+        assert divisions == [], fn.__name__
 
 
 # The E_(j,c) families: each is built once per k as a flat tuple and
@@ -375,6 +395,7 @@ def test_e_rows_are_the_ballot_products():
 # function.
 
 _JC_ENTRIES = {
+    "e": _e_entry,
     "d": trace_mod._d_int,
     "a": trace_mod._a_numerator,
     "s": trace_mod._s_int,
@@ -384,7 +405,7 @@ _JC_ENTRIES = {
 
 
 def test_jc_family_matches_the_per_coefficient_functions():
-    assert set(trace_mod.JC_FAMILIES) == {"e"} | set(_JC_ENTRIES)
+    assert set(trace_mod.JC_FAMILIES) == set(_JC_ENTRIES)
     for k in range(1, 41):
         offsets = ejc_offsets(k)
         flats = {family: trace_mod.jc_family(k, family) for family in trace_mod.JC_FAMILIES}
@@ -394,7 +415,6 @@ def test_jc_family_matches_the_per_coefficient_functions():
             rows = {
                 family: list(flat[offsets[j] : offsets[j + 1]]) for family, flat in flats.items()
             }
-            assert rows["e"] == e_row(k, j), (k, j)
             for family, entry in _JC_ENTRIES.items():
                 expected = [entry(k, j, c) for c in range(j // 2 + 1)]
                 assert rows[family] == expected, (k, j, family)
