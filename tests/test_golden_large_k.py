@@ -1,9 +1,11 @@
 """Byte-identity gate at large k: the sha256 of ``verify --k-min 1
 --k-max 60``, of every Hurwitz and pushed ``class`` output at k = 40 in
 csv, json and md (raw, and ``--normalized`` for the pushed classes), of
-two one-entry boundary pullbacks at k = 12 in json, and of the
-coefficients tables of phi-lambda and p-phi-lambda over k = 19..21 in
-every format must match the digests in ``golden_large_k.json``.
+the q^* pullbacks of T3j for j = 1, 2, 39, 40 at k = 40 in csv and json
+(q^*T2 is among the Hurwitz classes), of two one-entry boundary
+pullbacks at k = 12 in json, and of the coefficients tables of
+phi-lambda and p-phi-lambda over k = 19..21 in every format must match
+the digests in ``golden_large_k.json``.
 
 ``golden_outputs.json`` stops at k = 8, where every E_{j,c} row of a
 Hurwitz class is short; these digests pin the bytes where the rows are
@@ -32,6 +34,12 @@ ONE_ENTRY_ARGVS = (
     ("class", "phi-delta:7", "--k", "12", "--format", "json"),
     ("class", "phihat-delta:5", "--k", "12", "--format", "json"),
 )
+# q^*T3j, the one E_{j,c} row j, at the first and the last rows
+Q_PULLBACK_ARGVS = tuple(
+    ("class", f"q-T3j:{j}", "--k", CLASS_K, "--format", fmt)
+    for j in (1, 2, 39, 40)
+    for fmt in ("csv", "json")
+)
 # rows j >= 10 of E_{j,c} (c up to 10 at k = 20, 21) and delta_j with
 # j >= 10 carrying the weights, several k in one table
 TABLE_ARGVS = tuple(
@@ -50,7 +58,7 @@ def class_argvs() -> list[tuple[str, ...]]:
             argvs.append(argv)
             if name in PUSHED_CLASSES:
                 argvs.append(argv + ("--normalized",))
-    return argvs + list(ONE_ENTRY_ARGVS)
+    return argvs + list(Q_PULLBACK_ARGVS) + list(ONE_ENTRY_ARGVS)
 
 
 def all_argvs() -> list[tuple[str, ...]]:
