@@ -54,26 +54,31 @@ agree.  The class maps are the package's own: q^* (``trace.q_pullback``,
 ``Hurwitz(k)`` to ``Mg(k)``), the correspondence action
 (``pushforward.p_q_map``, ``M0bSym(k)`` to ``Mg(k)``) and the composite
 p_* o q^*; ``ClassMap`` has no public constructor.  A map stores its
-images as integer columns over one common denominator in the same two
-parts, a column's E_{j,c} part as its one row (j, entries over c),
-which q^* writes into the slice of row j.  p_* sends E_{j,c} to
-e_{j,c} delta_j only, so it keeps its E_{j,c} part as the flat tuple of
-the e_{j,c} itself, and applying it to a class is one C-level product
-pass, one prefix-sum difference per row (:func:`row_sums`) and one
-multiplication by the denominator per j.  Sums, scalings, reduction,
-equality, hashing, application and composition each run once over
-"head map + flat tuple", a weight key like any other; only the
+images as integers over one common denominator in the same two parts:
+head images as plain maps, and the E_{j,c} part of the two maps that
+touch ``Hurwitz(k)`` as one block, the same "row j <-> key j" shape
+seen from either side.  p_* sends E_{j,c} to e_{j,c} delta_j, so its
+block is delta_1 .. delta_k beside the flat tuple of the e_{j,c}
+themselves, and applying it to a class is one C-level product pass, one
+prefix-sum difference per row (:func:`row_sums`) and one multiplication
+by the denominator per j.  q^* sends T3j to the row j of weights j + 1 -
+2c, so its block is T3j_1 .. T3j_k beside the flat tuple of those
+weights, and applying it is one C-level product pass of the weights and
+each T3j coefficient repeated over its row.  Sums, scalings,
+reduction, equality, hashing, application and composition each run once
+over "head map + flat tuple", a weight key like any other; only the
 constructor, the accessors and substitution tell a weight from a
-constant.  Sums run through one n-ary kernel,
+constant.  Sums and scalings run through one n-ary kernel,
 :func:`linear_combination`, which adds the scalars of a class given more
 than once, so each class is read once, puts all its terms over one lcm,
 sums their numerators in one pass (one chain of C-level maps over the
 flat tuples) and reduces once; ``+`` and ``-`` are its two-term calls,
-and each Hodge pullback of ``trace`` and the Prym class of
-``pushforward`` is one call.  All
-of it runs on plain ``int``: ``ClassMap.compose`` maps each inner
-integer column through the outer map over the product of the two
-denominators, without building a row as a class.  A ``Fraction`` or an
+``*``, ``/`` and unary ``-`` its one-term calls, and each Hodge pullback
+of ``trace`` and the Prym class of ``pushforward`` is one call.  All of
+it runs on plain ``int``: ``ClassMap.compose`` maps each inner head
+image through the outer map and meets the blocks of q^* and p_* in one
+product pass and one sum per row, over the product of the two
+denominators, without building an image as a class.  A ``Fraction`` or an
 :class:`AffineExpr`, the read-only value of a coefficient, is built
 only at the public accessors ``DivisorClass.coefficient``/``items``;
 ``DivisorClass.numerators_view`` hands a class without an E_{j,c} part
@@ -99,7 +104,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -269,10 +274,14 @@ def row_sums(k: int, values: Iterable[int]) -> list[int]:
 _HEAD_NAMES = frozenset((E0, E2, E3))
 
 
-def _ejc_index(name: str) -> tuple[int, int]:
-    """(j, c) of a generator ``E_j_c`` of a Hurwitz basis."""
+def _flat_index(basis: Basis, name: str) -> int:
+    """The position of the generator ``name`` of ``basis`` in the flat
+    E_{j,c} part of a class, -1 for a head generator: E0, E2, E3 and
+    every generator of the other kinds."""
+    if basis.kind != HURWITZ or name in _HEAD_NAMES:
+        return -1
     _, j, c = name.split("_")
-    return int(j), int(c)
+    return ejc_offsets(basis.k)[int(j)] + int(c)
 
 
 def _zero_flat(basis: Basis) -> tuple:
@@ -314,8 +323,9 @@ class DivisorClass:
     ``gcd(_den, *every numerator) == 1``, and ``_den == 1`` for the zero
     class.  This form is unique, so two classes are equal exactly when
     their stored parts agree.  ``+`` and ``-`` are two-term calls of
-    :func:`linear_combination`; a longer sum should be one call of it,
-    which copies and reduces the result once instead of once per term.
+    :func:`linear_combination` and ``*``, ``/`` and unary ``-`` one-term
+    calls; a longer sum should be one call of it, which copies and
+    reduces the result once instead of once per term.
     Only the accessors :meth:`coefficient` and :meth:`items` build an
     :class:`AffineExpr`, and :meth:`numerators_view` hands out the
     integers; a scalar is an ``int`` or a ``Fraction``, as the symbols
@@ -361,11 +371,11 @@ class DivisorClass:
         nums = {}
         flat = list(_zero_flat(basis))  # empty unless basis is Hurwitz(k)
         for key, value in values.items():
-            if flat and key not in _HEAD_NAMES:
-                j, c = _ejc_index(key)
-                flat[ejc_offsets(basis.k)[j] + c] = numerator_over(value, den)
-            else:
+            i = _flat_index(basis, key)
+            if i < 0:
                 nums[key] = numerator_over(value, den)
+            else:
+                flat[i] = numerator_over(value, den)
         self._den = den
         self._nums = nums
         self._flat = tuple(flat)
@@ -409,9 +419,9 @@ class DivisorClass:
 
     def coefficient(self, name: str) -> AffineExpr:
         self.basis.check(name)
-        if self._flat and name not in _HEAD_NAMES:
-            j, c = _ejc_index(name)
-            return self._value(self._flat[ejc_offsets(self.basis.k)[j] + c], 0)
+        i = _flat_index(self.basis, name)
+        if i >= 0:
+            return self._value(self._flat[i], 0)
         # delta_j sits at position j + 1 of Mg(k); lambda (j = -1) and
         # delta_0 carry no weight
         j = _generator_index(MG, self.basis.k)[name] - 1 if self._weighted() else 0
@@ -487,24 +497,12 @@ class DivisorClass:
         return linear_combination(self.basis, ((1, self), (-1, other)))
 
     def __neg__(self) -> "DivisorClass":
-        return self._scaled(-1)
-
-    def _scaled(self, x: int | Fraction) -> "DivisorClass":
-        """``self * x``: numerators times p, denominator times q."""
-        if not x:
-            return DivisorClass._raw(self.basis, 1, {})
-        p, q = x.numerator, x.denominator
-        g = gcd(self._den, p)
-        den, p = self._den // g, p // g
-        g = gcd(q, *self._nums.values(), *self._flat)
-        nums = {key: n // g * p for key, n in self._nums.items()}
-        flat = tuple([n // g * p for n in self._flat])
-        return DivisorClass._raw(self.basis, den * (q // g), nums, flat)
+        return linear_combination(self.basis, ((-1, self),))
 
     def __mul__(self, scalar: RationalLike) -> "DivisorClass":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return self._scaled(scalar)
+        return linear_combination(self.basis, ((scalar, self),))
 
     __rmul__ = __mul__
 
@@ -513,7 +511,7 @@ class DivisorClass:
             return NotImplemented
         if scalar == 0:
             raise ZeroDivisionError("division of a divisor class by zero")
-        return self._scaled(1 / Fraction(scalar))
+        return linear_combination(self.basis, ((1 / Fraction(scalar), self),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DivisorClass):
@@ -615,32 +613,27 @@ def linear_combination(
     return DivisorClass._raw(basis, den, _nonzero(nums), tuple(flat))
 
 
-# A column of a class map: the image of one source generator, as its head
-# numerators and, into Hurwitz(k), its one E_{j,c} row as the pair (j,
-# entries over c); () when it has none.
-_Column = tuple[dict, tuple]
-
-
 class ClassMap:
     """A linear map between class groups, given by the images of the
     source generators.  Generators without an image map to zero.
 
     There is no public constructor: each map is one of the package's,
     written into its stored form by ``_raw`` or made by :meth:`compose`.
-    The images are integer columns over one common denominator ``_den``,
-    not necessarily in lowest terms, none of them zero: head numerators
-    keyed by target generator or weight key and, for a Hurwitz target,
-    the one E_{j,c} row (j, entries over c).  ``_cols`` maps a source
-    generator to its column, except the E_{j,c} of a Hurwitz source,
-    which p_* sends each to one key: ``_block`` is then the pair (key of
-    each row j = 1..k, flat tuple of ints w), E_{j,c} going to w_{j,c}
-    times the key of row j (None for any other source).  :meth:`row`
-    builds the reduced class, :meth:`numerators` hands an image over a
-    target without E_{j,c} generators out as integers, so this layout
-    stays private to this module, and :meth:`apply` sums every product
-    in ``int``.  No map starts from ``Mg(k)``, the one basis whose
-    classes carry symbols, so a map meets only classes without symbols;
-    its images over ``Mg(k)`` may carry the two weights.
+    The images are integers over one common denominator ``_den``, not
+    necessarily in lowest terms, in two parts.  ``_cols`` maps a head
+    source generator to its nonzero image as head numerators, keyed by
+    target generator or weight key.  A map that touches ``Hurwitz(k)``
+    also keeps its E_{j,c} part as one block, ``_block`` = (keys, w),
+    with ``keys`` the generator of each row j = 1..k on the side that is
+    not ``Hurwitz(k)`` and ``w`` one int per E_{j,c} in the layout of
+    :func:`ejc_names`, over 1: from a Hurwitz source (p_*) E_{j,c} goes
+    to w_{j,c} times key j, and into a Hurwitz target (q^*) key j goes
+    to the row j of w (None for any other map).  :meth:`apply`,
+    :meth:`row` and :meth:`numerators` run one kernel, ``_map``, which
+    sums every product in ``int``, so this layout stays private to this
+    module.  No map starts from ``Mg(k)``, the one basis whose classes
+    carry symbols, so a map meets only classes without symbols; its
+    images over ``Mg(k)`` may carry the two weights.
     """
 
     __slots__ = ("source", "target", "_den", "_cols", "_block")
@@ -649,48 +642,58 @@ class ClassMap:
     def _raw(
         cls, source: Basis, target: Basis, den: int, cols: dict, block: tuple | None = None
     ) -> "ClassMap":
-        # internal: columns as stored, keys already validated, every head
-        # numerator nonzero over ``den`` > 0, no column empty; ``block``
-        # the E_{j,c} part of a Hurwitz source (p_*), None for any other
+        # internal: images as stored, keys already validated, every head
+        # numerator nonzero over ``den`` > 0, no head image empty;
+        # ``block`` the E_{j,c} part of p_* or q^*, None for any other map
         obj = cls.__new__(cls)
         obj.source, obj.target = source, target
         obj._den, obj._cols, obj._block = den, cols, block
         return obj
 
-    def _column(self, name: str) -> _Column | None:
-        if self._block and name not in _HEAD_NAMES:
-            j, c = _ejc_index(name)
-            keys, weights = self._block
-            w = weights[ejc_offsets(self.source.k)[j] + c]
-            return ({keys[j - 1]: w * self._den}, ()) if w else None
-        return self._cols.get(name)
-
-    def _columns(self) -> Iterator[tuple[str, _Column]]:
-        """(source generator, column) of every nonzero image: the head
-        columns as stored, then the E_{j,c} in (j, c) order."""
-        yield from self._cols.items()
+    def _map(self, nums: Mapping, flat: Sequence[int] = ()) -> tuple[dict, tuple | None]:
+        """The image of the vector with head numerators ``nums`` and, on
+        a Hurwitz source, E_{j,c} part the flat sequence ``flat`` (``()``
+        for none), over some denominator q: the head map over q * ``_den``,
+        zeros dropped, and, into a Hurwitz target, the flat tuple of the
+        image's E_{j,c} part (else None).  Every product is summed in
+        int."""
+        cols, den = self._cols, self._den
+        sums: dict = {}
+        get = sums.get
+        for key, x in nums.items():
+            if key in cols:
+                for t, r in cols[key].items():
+                    sums[t] = get(t, 0) + x * r
+        out = None
         if self._block:
-            for name in ejc_names(self.source.k):
-                column = self._column(name)
-                if column is not None:
-                    yield name, column
+            keys, weights = self._block
+            k = self.source.k
+            if self.target.kind == HURWITZ:
+                # q^*: key j scales row j, one C-level product pass
+                xs = [nums.get(key, 0) * den for key in keys]
+                lengths = [j // 2 + 1 for j in range(1, k + 1)]
+                out = tuple(map(mul, weights, chain.from_iterable(map(repeat, xs, lengths))))
+            elif flat:
+                # p_*: row j summed against its weights goes to key j
+                for t, s in zip(keys, row_sums(k, map(mul, weights, flat))):
+                    if s:
+                        sums[t] = get(t, 0) + s * den
+        return _nonzero(sums), out
 
-    def _image(self, column: _Column | None) -> DivisorClass:
-        if column is None:
-            return DivisorClass._raw(self.target, 1, {})
-        nums, row = column
-        flat = None
-        if row:
-            j, entries = row
-            start = ejc_offsets(self.target.k)[j]
-            flat = list(_zero_flat(self.target))
-            flat[start : start + len(entries)] = entries
-            flat = tuple(flat)
-        return DivisorClass._raw(self.target, self._den, nums, flat)
+    def _unit(self, name: str) -> tuple[dict, list | tuple]:
+        """The source generator ``name`` as a vector for :meth:`_map`."""
+        self.source.check(name)
+        i = _flat_index(self.source, name)
+        if i < 0:
+            return {name: 1}, ()
+        flat = list(_zero_flat(self.source))
+        flat[i] = 1
+        return {}, flat
 
     def row(self, name: str) -> DivisorClass:
-        self.source.check(name)
-        return self._image(self._column(name))
+        """The image of ``name``, a reduced class."""
+        nums, flat = self._map(*self._unit(name))
+        return DivisorClass._raw(self.target, self._den, nums, flat)
 
     def numerators(self, name: str) -> tuple[dict, int]:
         """The image of ``name`` as integers, with no class built: its
@@ -698,58 +701,11 @@ class ClassMap:
         their common denominator, not necessarily in lowest terms.  The
         target must have no E_{j,c} generators, so the map is the whole
         image."""
-        self.source.check(name)
         if self.target.kind == HURWITZ:
+            self.source.check(name)
             raise ValueError("numerators() needs a target without E_{j,c} generators")
-        column = self._column(name)
-        return ({}, 1) if column is None else (dict(column[0]), self._den)
-
-    @property
-    def rows(self) -> dict[str, DivisorClass]:
-        """The nonzero images, by source generator."""
-        return {name: self._image(column) for name, column in self._columns()}
-
-    def _map(self, nums: Mapping, flat: Sequence[int] = (), row: tuple = ()) -> tuple:
-        """The image of the vector with head numerators ``nums`` and, on
-        a Hurwitz source, E_{j,c} part the flat tuple ``flat`` or the one
-        row ``row`` = (j, entries over c), over some denominator q: the
-        head map over q * ``_den``, zeros dropped, and the flat list of
-        the target's E_{j,c} part (None when no column has one).  Every
-        product is summed in int."""
-        cols = self._cols
-        sums: dict = {}
-        get = sums.get
-        out = None
-        for key, x in nums.items():
-            column = cols.get(key)
-            if column is None:
-                continue
-            head, target_row = column
-            for t, r in head.items():
-                sums[t] = get(t, 0) + x * r
-            if target_row:
-                # q^* is the only map into Hurwitz(k), each of its columns
-                # owns its row j, and nothing composes after q^*: one write
-                # per row
-                if out is None:
-                    offsets = ejc_offsets(self.target.k)
-                    out = [0] * offsets[-1]
-                j, entries = target_row
-                start = offsets[j]
-                out[start : start + len(entries)] = [n * x for n in entries]
-        if self._block:
-            keys, weights = self._block
-            if row:
-                j, entries = row
-                start = ejc_offsets(self.source.k)[j]
-                part = weights[start : start + len(entries)]
-                dots = [(keys[j - 1], sum(map(mul, part, entries)))]
-            else:
-                dots = zip(keys, row_sums(self.source.k, map(mul, weights, flat)) if flat else ())
-            for t, s in dots:
-                if s:
-                    sums[t] = get(t, 0) + s * self._den
-        return _nonzero(sums), out
+        nums, _ = self._map(*self._unit(name))
+        return (nums, self._den) if nums else ({}, 1)
 
     def apply(self, d: DivisorClass) -> DivisorClass:
         if d.basis != self.source:
@@ -757,33 +713,37 @@ class ClassMap:
                 f"class over {d.basis} cannot be fed to a map from {self.source}"
             )
         nums, flat = self._map(d._nums, d._flat)
-        return DivisorClass._raw(
-            self.target, d._den * self._den, nums, None if flat is None else tuple(flat)
-        )
+        return DivisorClass._raw(self.target, d._den * self._den, nums, flat)
 
     def compose(self, inner: "ClassMap") -> "ClassMap":
         """The map ``self o inner``; requires inner.target == self.source.
-        Each inner column is mapped through this map in int, over the
-        denominator ``self._den * inner._den``; no row is built as a
-        class.  The one map from ``Hurwitz(k)``, p_*, lands in ``Mg(k)``,
-        where no map starts, so the inner map never has a Hurwitz source
-        and no composite has a Hurwitz target: its images are plain head
-        columns."""
+        Each head image of the inner map is mapped through this map in
+        int, over the denominator ``self._den * inner._den``, and the
+        blocks of q^* and p_* meet in one product pass and one sum per
+        row; no image is built as a class.  The one map from
+        ``Hurwitz(k)``, p_*, lands in ``Mg(k)``, where no map starts, so
+        the inner map never has a Hurwitz source and no composite has a
+        Hurwitz target: its images are plain head images."""
         if inner.target != self.source:
             raise BasisMismatchError(
                 f"cannot compose: inner map lands in {inner.target}, "
                 f"outer map starts from {self.source}"
             )
-        columns = {}
-        for name, (nums, row) in inner._columns():
-            head, _ = self._map(nums, row=row)
+        den = self._den * inner._den
+        cols = {}
+        for name, nums in inner._cols.items():
+            head, _ = self._map(nums)
             if head:
-                columns[name] = (head, ())
-        return ClassMap._raw(inner.source, self.target, self._den * inner._den, columns)
+                cols[name] = head
+        if inner._block and self._block:
+            (sources, w), (targets, e) = inner._block, self._block
+            for name, t, s in zip(sources, targets, row_sums(self.source.k, map(mul, w, e))):
+                if s:
+                    cols[name] = {t: s * den}
+        return ClassMap._raw(inner.source, self.target, den, cols)
 
     def __repr__(self) -> str:
         return (
             f"ClassMap({self.source.kind}(k={self.source.k}) -> "
-            f"{self.target.kind}(k={self.target.k}), "
-            f"{sum(1 for _ in self._columns())} rows)"
+            f"{self.target.kind}(k={self.target.k}))"
         )

@@ -454,11 +454,20 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``_build_parser().parse_args(argv)``: a plain line (see
     ``_parse_plain``) is read straight from ``_COMMANDS``, and every
     other line goes through the full argparse tree, so argparse alone
-    writes help, usage and error text."""
+    writes help, usage and error text.  The one exception is a first
+    token that is no command and no option, or a ``--`` with tokens
+    after it: it is refused here, with the quoted invalid-choice text of
+    argparse up to 3.12, where 3.13 lists the choices unquoted or skips
+    the ``--``."""
     if argv and argv[0] in _COMMANDS:
         args = _parse_plain(argv[0], argv[1:])
         if args is not None:
             return args
+    elif argv and (not argv[0].startswith("-") or (argv[0] == "--" and len(argv) > 1)):
+        choices = ", ".join(map(repr, _COMMANDS))
+        _build_parser().error(
+            f"argument command: invalid choice: {argv[0]!r} (choose from {choices})"
+        )
     return _build_parser().parse_args(argv)
 
 

@@ -21,8 +21,9 @@ symbols as two weights (``bases.C_WEIGHT``/``B_WEIGHT``), and
 :func:`p_push` sends E_{j,c} to e_{j,c} delta_j only, with e_{j,c}
 the flat family ``trace.jc_family(k, "e")``, which it stores as it is:
 applying it to a Hurwitz class, stored in the same flat layout, is one
-product pass and one prefix-sum difference per j, and each T3j column
-of :func:`p_q_composed` one slice dot product.  The expected Hodge
+product pass and one prefix-sum difference per j, and the T3j images
+of :func:`p_q_composed` are the row sums of one product pass of the
+q^* weights and the e family.  The expected Hodge
 classes :func:`p_phi_lambda_expected`/:func:`p_phihat_lambda_expected`
 take the row sums of e times t and u, and the R of :func:`eh_divisor`
 is a flat tuple of ones; no builder here forms an E_{j,c} name.
@@ -195,11 +196,10 @@ def p_push(k: int) -> ClassMap:
         deltas[0]: -lead3 * (2 * k * k + 4 * k - 1),
         B_WEIGHT: -lead3,
     }
-    heads = hurwitz_head(k, e0, e2, e3)
-    cols = {name: (head, ()) for name, head in heads.items()}
     # E_{j,c} goes to e_{j,c} delta_j, all positive integers (products
     # of two ballot numbers, trace._e_family): the e family itself, over 1
     block = (deltas[1:], jc_family(k, "e"))
+    cols = hurwitz_head(k, e0, e2, e3)
     return ClassMap._raw(hurwitz_basis(k), mg_basis(k), den, cols, block)
 
 
@@ -330,10 +330,10 @@ def p_q_map(k: int) -> ClassMap:
         C_WEIGHT: den,
         B_WEIGHT: -9 * n,
     }
-    cols = {T2: (t2, ())}
+    cols = {T2: t2}
     alphas = alpha_table(k)
     for j in range(1, k + 1):
-        cols[T3j(j)] = ({names[j]: alphas[j] * den}, ())
+        cols[T3j(j)] = {names[j]: alphas[j] * den}
     return ClassMap._raw(q_pullback(k).source, mg_basis(k), den, cols)
 
 

@@ -15,18 +15,19 @@ numerators t and u) are each built once per k straight into the flat
 layout in which a Hurwitz class stores its E_{j,c} part, and read
 through :func:`jc_family`.  The class builders hand those tuples to the
 class as they are, the boundary pullbacks build theirs in the same
-layout and q* writes each T3j column into the slice of row j, so no
-builder forms an E_{j,c} name; :func:`alpha_table` and the delta_j
-predictions of ``pushforward`` take ``bases.row_sums`` of a product of
-two families; the "e" family holds the integers e_{j,c} themselves, so
-no reader divides.  A family is built only when asked for.  The e
-family is the product of two ballot numbers per entry, both factors
-built as rows of ballot numbers by Pascal's rule (:func:`_e_family`):
-additions and multiplications, with no ``comb`` and no division.  The
-node counts d and s are built from their definitions :func:`_d_int` and
-:func:`_s_int`, which hold their formulas alone: each row is a cubic in
-c with third difference -12, read at c = 0, 1, 2 and carried on by
-running sums (:func:`_cubic_rows`).  The other per-coefficient
+layout and q* keeps the weights j + 1 - 2c of every T3j as one flat
+tuple in it (:func:`t3j_flat`), so no builder forms an E_{j,c} name;
+:func:`alpha_table` and the delta_j predictions of ``pushforward`` take
+``bases.row_sums`` of a product of two families; the "e" family holds
+the integers e_{j,c} themselves, so no reader divides.  A family is
+built only when asked for.  The e family is the product of two ballot
+numbers per entry, both factors built as rows of ballot numbers by
+Pascal's rule (:func:`_e_family`): additions and multiplications, with
+no ``comb`` and no division.  The node counts d and s are built from
+their definitions :func:`_d_int` and :func:`_s_int`, which hold their
+formulas alone: each row is a cubic in c with third difference -12,
+read at c = 0, 1, 2 and carried on by running sums
+(:func:`_cubic_rows`).  The other per-coefficient
 functions (:func:`e_numerator`, :func:`e_coeff`, :func:`t_numerator`,
 ...) stay as the definitions that the tests hold the families to.
 
@@ -172,10 +173,11 @@ def e_coeff(k: int, j: int, c: int) -> Fraction:
     return Fraction(e_numerator(k, j, c), (j + 1) * (2 * k - j + 1))
 
 
-def t3j_weights(j: int) -> tuple[int, ...]:
-    """The multiplicities j+1-2c, c = 0 .. floor(j/2), of E_{j,c} in the
-    pullback q^*T3j: the E_{j,c} row j of that class."""
-    return tuple(range(j + 1, 0, -2))
+def t3j_flat(k: int) -> tuple[int, ...]:
+    """The multiplicities j+1-2c of E_{j,c} in the pullbacks q^*T3j, for
+    every E_{j,c} of ``Hurwitz(k)`` in the :func:`jc_family` layout: row
+    j, c = 0 .. floor(j/2), is the E_{j,c} part of q^*T3j."""
+    return tuple(chain.from_iterable(range(j + 1, 0, -2) for j in range(1, k + 1)))
 
 
 @per_k_cache
@@ -183,8 +185,7 @@ def alpha_table(k: int) -> tuple[int, ...]:
     """The total weights alpha(k, j) = sum((j+1-2c) e_{j,c}) of the
     pushed symmetric boundary classes T3j, indexed by j = 1 .. k (entry
     0 is 0: there is no T3j_0)."""
-    weights = chain.from_iterable(map(t3j_weights, range(1, k + 1)))
-    return (0,) + tuple(row_sums(k, map(mul, jc_family(k, "e"), weights)))
+    return (0,) + tuple(row_sums(k, map(mul, jc_family(k, "e"), t3j_flat(k))))
 
 
 def _d_int(k: int, j: int, c: int) -> int:
@@ -262,13 +263,10 @@ def _cubic_rows(k: int, entry: Callable[[int, int, int], int]) -> list[int]:
     return flat
 
 
-def _t3j_multiples(k: int, per_row: Callable[[int, int], int]) -> list[int]:
+def _t3j_multiples(k: int, per_row: Callable[[int, int], int]) -> Iterable[int]:
     """(j + 1 - 2c) per_row(k, j) over every E_{j,c}."""
-    flat = []
-    for j in range(1, k + 1):
-        x = per_row(k, j)
-        flat += [m * x for m in t3j_weights(j)]
-    return flat
+    rows = (repeat(per_row(k, j), j // 2 + 1) for j in range(1, k + 1))
+    return map(mul, t3j_flat(k), chain.from_iterable(rows))
 
 
 # t = a + 2(6k - 1) d and u = 2(6k - 1) s - (j + 1 - 2c) _u_correction
@@ -355,12 +353,12 @@ def omega_tau_sq(k: int) -> DivisorClass:
 @per_k_cache
 def q_pullback(k: int) -> ClassMap:
     """The pullback map along q from the symmetric boundary classes of
-    the space of 6k-pointed rational curves to the Hurwitz basis."""
-    cols = {T2: (hurwitz_head(k, 1, 2, 3), ())}
-    for j in range(1, k + 1):
-        # q^*T3j is the one E_{j,c} row j, of weights j + 1 - 2c
-        cols[T3j(j)] = ({}, (j, t3j_weights(j)))
-    return ClassMap._raw(m0b_sym_basis(k), hurwitz_basis(k), 1, cols)
+    the space of 6k-pointed rational curves to the Hurwitz basis:
+    q^*T2 = E0 + 2 E2 + 3 E3, and q^*T3j is the one E_{j,c} row j, of
+    weights j + 1 - 2c, so the T3j are the keys of the map's block."""
+    source = m0b_sym_basis(k)
+    block = (tuple(map(T3j, range(1, k + 1))), t3j_flat(k))
+    return ClassMap._raw(source, hurwitz_basis(k), 1, {T2: hurwitz_head(k, 1, 2, 3)}, block)
 
 
 class GrrPieces(NamedTuple):

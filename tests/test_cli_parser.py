@@ -260,12 +260,25 @@ PARSER_CASES = (
 )
 
 
+def decided_in_the_package(argv) -> bool:
+    """A line whose first token is no command and no option, or a "--"
+    before more tokens: ``cli._parse_args`` refuses it with the
+    invalid-choice text of argparse up to 3.12, where 3.13 lists the
+    choices unquoted or parses past the "--".  ``golden_parser.json``
+    pins two such lines on every version."""
+    return bool(argv) and argv[0] not in cli._COMMANDS and (
+        not argv[0].startswith("-") or (argv[0] == "--" and len(argv) > 1)
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.sampled_from(PARSER_CASES), ARGVS, table_lines()))
 def test_parse_args_matches_the_full_tree(argv):
     # the path main takes, which reads a plain line straight from the
     # command table and hands every other line to the full tree, gives
     # the namespace of the full tree, or the same exit code and text
+    if sys.version_info >= (3, 13) and decided_in_the_package(argv):
+        return
     with _paths(argv) as concrete:
         taken = outcome(cli._parse_args, concrete)
         full = outcome(cli._build_parser().parse_args, concrete)

@@ -65,7 +65,7 @@ from hurwitzdiv.trace import (
     pulled_psi,
     q_pullback,
 )
-from test_bases import assert_apply_is_substitute, assert_canonical, record_substituted
+from test_bases import assert_apply_is_substitute, assert_canonical, images, record_substituted
 
 
 def mclass(k, coeffs):
@@ -175,7 +175,7 @@ def test_column_maps_equal_their_row_definitions(k):
         (p_q_map(k), p_q_map_by_rows(k)),
         (q_pullback(k), q_pullback_by_rows(k)),
     ):
-        assert built.rows == expected
+        assert images(built) == expected
         for name in built.source.generators():
             row = built.row(name)
             assert_canonical(row)
@@ -203,19 +203,17 @@ def test_numerators_are_the_rows_as_integers(k):
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_p_push_blocks_are_delta_j_and_the_e_row(k):
-    # p_* sends E_{j,c} to e_{j,c} delta_j only: its block is delta_1 ..
-    # delta_k beside the e family itself, not a copy, and each E_{j,c}
-    # column is e_{j,c} delta_j over the denominator 2(2k - 1)
+    # p_* sends E_{j,c} to e_{j,c} delta_j only, read from the e family:
+    # each E_{j,c} image is the family's entry times the denominator
+    # 2(2k - 1), over that denominator
     push = p_push(k)
-    keys, weights = push._block
-    assert keys == tuple(delta(j) for j in range(1, k + 1))
-    assert weights is jc_family(k, "e")
-    assert push._den == 2 * (2 * k - 1)
+    family = iter(jc_family(k, "e"))
     for j in range(1, k + 1):
         for c in range(j // 2 + 1):
             nums, den = push.numerators(Ejc(j, c))
-            assert Fraction(nums.pop(delta(j)), den) == e_coeff(k, j, c) > 0
-            assert nums == {}
+            assert den == 2 * (2 * k - 1)
+            assert nums == {delta(j): next(family) * den}
+            assert Fraction(nums[delta(j)], den) == e_coeff(k, j, c) > 0
 
 
 def eh_divisor_fraction_assembly(k):
@@ -555,7 +553,7 @@ def test_symbols_occur_only_over_mg_on_every_package_path(k):
                 pass  # an index that the basis lacks
     maps = (p_push(k), q_pullback(k), p_q_map(k), p_q_composed(k))
     for m in maps:
-        classes.extend(m.rows.values())
+        classes.extend(images(m).values())
     symbolic = [d for d in classes if {C_WEIGHT, B_WEIGHT} & set(d._nums)]
     assert symbolic and all(d.basis.kind == MG for d in symbolic)
 
