@@ -620,15 +620,16 @@ class ClassMap:
     There is no public constructor: each map is one of the package's,
     written into its stored form by ``_raw`` or made by :meth:`compose`.
     The images are integers over one common denominator ``_den``, not
-    necessarily in lowest terms, in two parts.  ``_cols`` maps a head
-    source generator to its nonzero image as head numerators, keyed by
-    target generator or weight key.  A map that touches ``Hurwitz(k)``
-    also keeps its E_{j,c} part as one block, ``_block`` = (keys, w),
-    with ``keys`` the generator of each row j = 1..k on the side that is
-    not ``Hurwitz(k)`` and ``w`` one int per E_{j,c} in the layout of
-    :func:`ejc_names`, over 1: from a Hurwitz source (p_*) E_{j,c} goes
-    to w_{j,c} times key j, and into a Hurwitz target (q^*) key j goes
-    to the row j of w (None for any other map).  :meth:`apply`,
+    necessarily in lowest terms, in two parts.  ``_cols`` maps each
+    source generator outside the block below to its nonzero image as
+    head numerators, keyed by target generator or weight key.  A map
+    that touches ``Hurwitz(k)`` also keeps its E_{j,c} part as one
+    block, ``_block`` = (keys, w), with ``keys`` the generator of each
+    row j = 1..k on the side that is not ``Hurwitz(k)`` and ``w`` one
+    int per E_{j,c} in the layout of :func:`ejc_names`, over 1 rather
+    than ``_den``: from a Hurwitz source (p_*) E_{j,c} goes to w_{j,c}
+    times key j, and into a Hurwitz target (q^*) key j goes to the row j
+    of w (None for any other map).  :meth:`apply`,
     :meth:`row` and :meth:`numerators` run one kernel, ``_map``, which
     sums every product in ``int``, so this layout stays private to this
     module.  No map starts from ``Mg(k)``, the one basis whose classes

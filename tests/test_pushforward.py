@@ -214,6 +214,7 @@ def test_p_push_blocks_are_delta_j_and_the_e_row(k):
             assert den == 2 * (2 * k - 1)
             assert nums == {delta(j): next(family) * den}
             assert Fraction(nums[delta(j)], den) == e_coeff(k, j, c) > 0
+    assert next(family, None) is None
 
 
 def eh_divisor_fraction_assembly(k):
